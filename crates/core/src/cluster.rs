@@ -15,7 +15,7 @@ use crate::{
 };
 use mempool_mem::{AddressMap, CacheStats, QuarantineMap, Scrambler};
 use mempool_noc::Ring;
-use mempool_snitch::{DataRequestKind, DataResponse};
+use mempool_snitch::{DataRequest, DataRequestKind, DataResponse};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
@@ -47,13 +47,14 @@ impl RefillRing {
         }
     }
 
+    /// Advances the ring one cycle; returns the number of lines installed.
     fn cycle(
         &mut self,
         tiles: &mut [Tile],
         now: u64,
         faults: Option<&FaultPlan>,
         fstats: &mut FaultStats,
-    ) {
+    ) -> u64 {
         // Injected ring faults: lost flits vanish from their slot; any
         // stalled slot freezes the whole (bufferless, synchronous) ring for
         // the cycle.
@@ -77,9 +78,11 @@ impl RefillRing {
             self.ring.advance();
         }
         // Responses arriving at tiles install their lines.
+        let mut installed = 0;
         for (t, tile) in tiles.iter_mut().enumerate() {
             while let Some(pkt) = self.ring.eject(t) {
                 tile.complete_refill(pkt.line);
+                installed += 1;
             }
         }
         // Requests arriving at L2 start their access.
@@ -103,6 +106,124 @@ impl RefillRing {
                 }
             }
         }
+        installed
+    }
+}
+
+/// What placing requests on the interconnect adds to the cluster's
+/// statistics. Both engines count into one of these during the core phase
+/// (the serial engine one per cycle, the parallel engine one per tile) and
+/// fold it into [`ClusterStats`] afterwards; the sums commute, so the
+/// result does not depend on which.
+#[derive(Default)]
+struct IssueCounters {
+    memory_faults: u64,
+    local_requests: u64,
+    remote_requests: u64,
+    group_local_requests: u64,
+    direction_requests: [u64; 3],
+    /// Requests issued — each also one more request in flight.
+    issued: u64,
+    quarantine_remaps: u64,
+}
+
+/// The read-only half of the issue path: everything needed to turn a
+/// core's [`DataRequest`] into the [`Request`] its output latch holds.
+struct IssuePath<'a> {
+    scrambler: Option<Scrambler>,
+    map: AddressMap,
+    quarantine: &'a QuarantineMap,
+    /// Tiles per group on TopH, whose remote requests are classified by
+    /// direction; `None` on the flat topologies.
+    hier_tpg: Option<usize>,
+    now: u64,
+}
+
+impl<'a> IssuePath<'a> {
+    fn new(
+        config: &ClusterConfig,
+        scrambler: Option<Scrambler>,
+        map: AddressMap,
+        quarantine: &'a QuarantineMap,
+        now: u64,
+    ) -> Self {
+        IssuePath {
+            scrambler,
+            map,
+            quarantine,
+            hier_tpg: (config.topology == Topology::TopH).then(|| config.tiles_per_group()),
+            now,
+        }
+    }
+
+    /// Scramble, decode, remap around quarantined banks, classify by
+    /// locality. Returns the request core `core` of tile `tile` latches, or
+    /// `None` when the address lies outside L1 — a guest-program bug: the
+    /// caller kills the offending core and the cluster stays alive.
+    #[inline]
+    fn place(
+        &self,
+        core: usize,
+        tile: usize,
+        dr: &DataRequest,
+        k: &mut IssueCounters,
+    ) -> Option<Request> {
+        let mut phys = self.scrambler.map_or(dr.addr, |s| s.scramble(dr.addr));
+        let Some(mut at) = self.map.decode(phys) else {
+            k.memory_faults += 1;
+            return None;
+        };
+        // Graceful degradation: traffic to a quarantined bank is remapped
+        // at issue onto its substitute (always within the same tile, so
+        // locality classification is unaffected).
+        if !self.quarantine.is_identity() {
+            let remapped = self.quarantine.remap(at);
+            if remapped.bank != at.bank {
+                k.quarantine_remaps += 1;
+                at = remapped;
+                phys = self.map.encode(at);
+            }
+        }
+        if at.tile as usize == tile {
+            k.local_requests += 1;
+        } else {
+            k.remote_requests += 1;
+            if let Some(tpg) = self.hier_tpg {
+                match (tile / tpg) ^ (at.tile as usize / tpg) {
+                    0 => k.group_local_requests += 1,
+                    2 => k.direction_requests[0] += 1, // N
+                    3 => k.direction_requests[1] += 1, // NE
+                    1 => k.direction_requests[2] += 1, // E
+                    _ => unreachable!("four groups"),
+                }
+            }
+        }
+        k.issued += 1;
+        Some(Request {
+            core: core as u32,
+            tag: dr.tag,
+            addr: phys,
+            kind: dr.kind,
+            issued_at: self.now,
+        })
+    }
+}
+
+/// The per-cycle fault view of each `(tile, bank)` for the request phase.
+fn bank_gate<'a>(
+    quarantine: &'a QuarantineMap,
+    faults: Option<&'a FaultPlan>,
+    now: u64,
+) -> impl Fn(usize, u32) -> BankGate + Copy + 'a {
+    let healthy = quarantine.is_identity();
+    move |tile, bank| {
+        if !healthy && quarantine.is_quarantined(tile as u32, bank) {
+            BankGate::Dead
+        } else if faults.is_some_and(|plan| plan.bank_stalled(now, tile as u32, bank)) {
+            BankGate::Stalled
+        } else {
+            BankGate::Ready
+        }
     }
 }
 
@@ -113,37 +234,12 @@ impl RefillRing {
 /// (cores are numbered tile-major).
 #[derive(Default)]
 struct CoreStage {
-    memory_faults: u64,
-    local_requests: u64,
-    remote_requests: u64,
-    group_local_requests: u64,
-    direction_requests: [u64; 3],
-    requests_issued: u64,
-    in_flight: u64,
+    issues: IssueCounters,
     core_lockups: u64,
     spurious_retires: u64,
-    quarantine_remaps: u64,
     log: Vec<FaultEvent>,
     pending: Vec<((u32, u8), PendingRequest)>,
     trace: Vec<(usize, crate::TraceEvent)>,
-}
-
-impl CoreStage {
-    fn clear(&mut self) {
-        self.memory_faults = 0;
-        self.local_requests = 0;
-        self.remote_requests = 0;
-        self.group_local_requests = 0;
-        self.direction_requests = [0; 3];
-        self.requests_issued = 0;
-        self.in_flight = 0;
-        self.core_lockups = 0;
-        self.spurious_retires = 0;
-        self.quarantine_remaps = 0;
-        self.log.clear();
-        self.pending.clear();
-        self.trace.clear();
-    }
 }
 
 /// The tile-parallel execution engine: a persistent worker pool plus
@@ -192,6 +288,19 @@ pub(crate) struct PendingRequest {
     pub(crate) issued_at: u64,
     pub(crate) last_sent: u64,
     pub(crate) retries: u32,
+}
+
+impl PendingRequest {
+    /// Bookkeeping for a request issued (not re-issued) this cycle.
+    fn fresh(req: &Request) -> Self {
+        PendingRequest {
+            addr: req.addr,
+            kind: req.kind,
+            issued_at: req.issued_at,
+            last_sent: req.issued_at,
+            retries: 0,
+        }
+    }
 }
 
 /// Placement of one core within the cluster, handed to the core factory.
@@ -262,6 +371,17 @@ pub struct Cluster<C> {
     pub(crate) next_failure: usize,
     /// Per-core first cycle at which an injected lockup releases.
     pub(crate) locked_until: Vec<u64>,
+    /// No tracked request can be overdue before this cycle: a lower bound
+    /// on the earliest `last_sent + request_timeout`, lowered at every
+    /// issue and re-derived by each retry scan, so the scan is skipped
+    /// while nothing is due. Derived state: not snapshotted, not digested.
+    pub(crate) retry_due: u64,
+    /// Scratch of the retry scan (the overdue keys of one cycle).
+    retry_scratch: Vec<(u32, u8)>,
+    /// Lines installed by the refill transport over all tiles: the sum of
+    /// the tiles' own counters, kept current at the install sites so the
+    /// end-of-cycle statistics need not walk the tiles. Derived state.
+    pub(crate) refills_total: u64,
     /// Watchdog: last cycle the progress signature changed, and its value.
     pub(crate) last_progress: u64,
     pub(crate) progress_mark: u64,
@@ -374,6 +494,9 @@ impl<C: Core> Cluster<C> {
             pending_failures: Vec::new(),
             next_failure: 0,
             locked_until: vec![0; config.num_cores()],
+            retry_due: 0,
+            retry_scratch: Vec::new(),
+            refills_total: 0,
             last_progress: 0,
             progress_mark: 0,
             engine: None,
@@ -1132,20 +1255,28 @@ impl<C: Core> Cluster<C> {
 
     /// Timeout/retry layer: re-issues tracked requests whose response is
     /// overdue, abandoning (and faulting the core of) any that exhaust the
-    /// retry budget.
+    /// retry budget. The ordered scan of the pending map only runs from
+    /// the cycle the earliest tracked request can be overdue.
     fn retry_overdue(&mut self, now: u64) {
+        if now < self.retry_due {
+            return;
+        }
         let timeout = self.config.resilience.request_timeout;
         let max_retries = self.config.resilience.max_retries;
-        let overdue: Vec<(u32, u8)> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| now - p.last_sent >= timeout)
-            .map(|(&k, _)| k)
-            .collect();
-        for (core, tag) in overdue {
+        let mut overdue = std::mem::take(&mut self.retry_scratch);
+        let mut due = u64::MAX;
+        for (&key, p) in &self.pending {
+            if now - p.last_sent >= timeout {
+                overdue.push(key);
+            } else {
+                due = due.min(p.last_sent + timeout);
+            }
+        }
+        for (core, tag) in overdue.drain(..) {
             // The retry needs the core's output latch; if it is busy this
             // cycle the request simply stays overdue until next cycle.
             if self.out_latches[core as usize].is_some() {
+                due = now;
                 continue;
             }
             let p = self.pending[&(core, tag)];
@@ -1168,6 +1299,7 @@ impl<C: Core> Cluster<C> {
                 let p = self.pending.get_mut(&(core, tag)).expect("checked above");
                 p.retries += 1;
                 p.last_sent = now;
+                due = due.min(now + timeout);
                 let (addr, kind) = (p.addr, p.kind);
                 self.stats.faults.request_retries += 1;
                 self.out_latches[core as usize] = Some(Request {
@@ -1179,17 +1311,53 @@ impl<C: Core> Cluster<C> {
                 });
             }
         }
+        self.retry_due = due;
+        self.retry_scratch = overdue;
+    }
+
+    /// Phase 1, shared by both engines: the I-cache refill transport
+    /// (fixed-latency ports or the ring). A few queue checks per tile —
+    /// far less work than a fork-join costs, so it never fans out.
+    fn advance_refills(&mut self, now: u64) {
+        self.refills_total += match &mut self.refill_ring {
+            None => self.tiles.iter_mut().map(|tile| u64::from(tile.refill_tick(now))).sum(),
+            Some(ring) => ring.cycle(
+                &mut self.tiles,
+                now,
+                self.faults.as_ref(),
+                &mut self.stats.faults,
+            ),
+        };
+    }
+
+    /// Folds the core phase's issue counters into the statistics (both
+    /// engines; the parallel one once per tile stage).
+    fn commit_issues(&mut self, now: u64, k: IssueCounters) {
+        self.stats.memory_faults += k.memory_faults;
+        self.stats.local_requests += k.local_requests;
+        self.stats.remote_requests += k.remote_requests;
+        self.stats.group_local_requests += k.group_local_requests;
+        for (total, n) in self.stats.direction_requests.iter_mut().zip(k.direction_requests) {
+            *total += n;
+        }
+        self.stats.requests_issued += k.issued;
+        self.in_flight += k.issued;
+        self.stats.faults.quarantine_remaps += k.quarantine_remaps;
+        if k.issued > 0 {
+            let timeout = self.config.resilience.request_timeout;
+            self.retry_due = self.retry_due.min(now + timeout);
+        }
     }
 
     /// Advances the whole cluster by one clock cycle.
     ///
     /// With [`set_workers`](Cluster::set_workers) active, the tile-local
-    /// phases (I-cache refill ports, tile response crossbars, the core
-    /// phase, tile request crossbars + bank accesses) fan out over the
-    /// worker pool into per-tile staging buffers and are merged back in
-    /// ascending tile order; the cross-tile phases (fault application, the
-    /// refill ring, long-haul networks, response delivery, the retry
-    /// layer) stay serial. Either engine produces bit-identical state.
+    /// phases (tile response crossbars, the core phase, tile request
+    /// crossbars + bank accesses) fan out over the worker pool into
+    /// per-tile staging buffers and are merged back in ascending tile
+    /// order; the cross-tile phases (fault application, the refill
+    /// transport, long-haul networks, response delivery, the retry layer)
+    /// stay serial. Either engine produces bit-identical state.
     pub fn cycle(&mut self) {
         // The engine is taken out for the duration of the step so the
         // parallel path can borrow it and `&mut self` disjointly.
@@ -1215,20 +1383,8 @@ impl<C: Core> Cluster<C> {
             self.apply_faults(now);
         }
 
-        // 1. I-cache refill transport (fixed-latency ports or the ring).
-        match &mut self.refill_ring {
-            None => {
-                for tile in &mut self.tiles {
-                    tile.refill_tick(now);
-                }
-            }
-            Some(ring) => ring.cycle(
-                &mut self.tiles,
-                now,
-                self.faults.as_ref(),
-                &mut self.stats.faults,
-            ),
-        }
+        // 1. I-cache refill transport.
+        self.advance_refills(now);
 
         // 2. Response phase: master response registers deliver; tile
         //    response crossbars route bank responses toward cores or remote
@@ -1241,7 +1397,7 @@ impl<C: Core> Cluster<C> {
                 let net = &self.net;
                 let tile = &mut self.tiles[t];
                 let port_for = |resp: &Response| net.resp_port_for(t, resp, cpt);
-                tile.route_responses(t, cpt, &mut self.deliveries, &port_for);
+                tile.route_responses(t, cpt, &mut self.deliveries, port_for);
             }
             self.net.route_responses(&mut self.tiles, cpt);
         }
@@ -1255,6 +1411,8 @@ impl<C: Core> Cluster<C> {
         }
 
         // 3. Core phase.
+        let path = IssuePath::new(&self.config, self.scrambler, self.map, &self.quarantine, now);
+        let mut issues = IssueCounters::default();
         for c in 0..self.cores.len() {
             if now < self.locked_until[c] {
                 continue;
@@ -1278,83 +1436,25 @@ impl<C: Core> Cluster<C> {
             }
             let ready = self.out_latches[c].is_none();
             let tile_idx = c / cpt;
-            let issued = {
-                let (cores, tiles) = (&mut self.cores, &mut self.tiles);
-                let image = &self.image;
-                let tile = &mut tiles[tile_idx];
-                cores[c].step(&mut |pc| tile.fetch(pc, image, now), ready)
+            let tile = &mut self.tiles[tile_idx];
+            let image = &self.image;
+            let Some(dr) = self.cores[c].step(&mut |pc| tile.fetch(pc, image), ready) else {
+                continue;
             };
-            if let Some(dr) = issued {
-                debug_assert!(ready, "core issued against backpressure");
-                let mut phys = self.scrambler.map_or(dr.addr, |s| s.scramble(dr.addr));
-                let Some(mut at) = self.map.decode(phys) else {
-                    // An address outside L1 is a guest-program bug: kill the
-                    // offending core, keep the cluster alive.
-                    self.stats.memory_faults += 1;
-                    self.cores[c].fault();
-                    continue;
-                };
-                // Graceful degradation: traffic to a quarantined bank is
-                // remapped at issue onto its substitute (always within the
-                // same tile, so locality classification is unaffected).
-                if !self.quarantine.is_identity() {
-                    let remapped = self.quarantine.remap(at);
-                    if remapped.bank != at.bank {
-                        self.stats.faults.quarantine_remaps += 1;
-                        at = remapped;
-                        phys = self.map.encode(at);
-                    }
-                }
-                if at.tile as usize == tile_idx {
-                    self.stats.local_requests += 1;
-                } else {
-                    self.stats.remote_requests += 1;
-                    if self.config.topology == Topology::TopH {
-                        let tpg = self.config.tiles_per_group();
-                        let gs = tile_idx / tpg;
-                        let gd = at.tile as usize / tpg;
-                        match gs ^ gd {
-                            0 => self.stats.group_local_requests += 1,
-                            2 => self.stats.direction_requests[0] += 1, // N
-                            3 => self.stats.direction_requests[1] += 1, // NE
-                            1 => self.stats.direction_requests[2] += 1, // E
-                            _ => unreachable!("four groups"),
-                        }
-                    }
-                }
-                self.stats.requests_issued += 1;
-                self.in_flight += 1;
-                if let Some(trace) = &mut self.trace {
-                    trace.record(
-                        c,
-                        crate::TraceEvent {
-                            cycle: now,
-                            addr: dr.addr,
-                            write: dr.kind.is_write(),
-                        },
-                    );
-                }
-                if track {
-                    self.pending.insert(
-                        (c as u32, dr.tag),
-                        PendingRequest {
-                            addr: phys,
-                            kind: dr.kind,
-                            issued_at: now,
-                            last_sent: now,
-                            retries: 0,
-                        },
-                    );
-                }
-                self.out_latches[c] = Some(Request {
-                    core: c as u32,
-                    tag: dr.tag,
-                    addr: phys,
-                    kind: dr.kind,
-                    issued_at: now,
-                });
+            debug_assert!(ready, "core issued against backpressure");
+            let Some(req) = path.place(c, tile_idx, &dr, &mut issues) else {
+                self.cores[c].fault();
+                continue;
+            };
+            if let Some(trace) = &mut self.trace {
+                trace.record(c, crate::TraceEvent::of(&dr, now));
             }
+            if track {
+                self.pending.insert((req.core, req.tag), PendingRequest::fresh(&req));
+            }
+            self.out_latches[c] = Some(req);
         }
+        self.commit_issues(now, issues);
 
         // 3b. Sanitizer issue scan: latches must be observed before the
         //     request phase consumes them (same-cycle local accepts).
@@ -1364,39 +1464,24 @@ impl<C: Core> Cluster<C> {
 
         // 4. Request phase: long-haul networks, then tile crossbars + bank
         //    accesses, then core latches into the master port registers.
-        //    `gate` is the per-cycle fault view of each bank.
-        let quarantine = &self.quarantine;
-        let faults = self.faults.as_ref();
-        let gate = move |tile: usize, bank: u32| -> BankGate {
-            if quarantine.is_quarantined(tile as u32, bank) {
-                return BankGate::Dead;
-            }
-            if let Some(plan) = faults {
-                if plan.bank_stalled(now, tile as u32, bank) {
-                    return BankGate::Stalled;
-                }
-            }
-            BankGate::Ready
-        };
+        let gate = bank_gate(&self.quarantine, self.faults.as_ref(), now);
         if let Net::Ideal(ideal) = &mut self.net {
             self.stats.bank_accesses += ideal.route_requests(
                 &mut self.out_latches,
                 &mut self.tiles,
                 &self.map,
                 &mut self.stats.tile_accesses,
-                &gate,
+                gate,
                 &mut self.stats.faults.requests_dropped,
             );
         } else {
             self.net.route_longhaul_requests(&mut self.tiles, &self.map);
             for (t, latches) in self.out_latches.chunks_mut(cpt).enumerate() {
-                let tile_gate = |bank: u32| gate(t, bank);
                 let served = self.tiles[t].accept_requests(
                     t,
                     latches,
                     &self.map,
-                    now,
-                    &tile_gate,
+                    |bank| gate(t, bank),
                     &mut self.stats.faults.requests_dropped,
                 );
                 self.stats.bank_accesses += served;
@@ -1458,8 +1543,18 @@ impl<C: Core> Cluster<C> {
     /// request phase in `cycle_parallel`.)
     fn finish_cycle(&mut self, now: u64) {
         self.net.commit();
-        self.stats.icache_refills = self.tiles.iter().map(Tile::refills).sum();
+        self.stats.icache_refills = self.refills_total;
+        debug_assert_eq!(
+            self.refills_total,
+            self.tiles.iter().map(Tile::refills).sum::<u64>(),
+            "running refill count drifted from the tiles'"
+        );
         let (occupied, total) = self.net.occupancy();
+        debug_assert_eq!(
+            (occupied, total),
+            self.net.walked_occupancy(),
+            "running occupancy drifted from the registers'"
+        );
         self.stats.net_occupancy_sum += occupied;
         self.stats.net_register_slots = total;
         self.stats.cycles += 1;
@@ -1617,24 +1712,8 @@ impl<C: Core> Cluster<C> {
             self.apply_faults(now);
         }
 
-        // 1. I-cache refill transport. The fixed-latency ports are
-        //    tile-local; the ring is one shared structure and stays serial.
-        match &mut self.refill_ring {
-            None => {
-                let tiles = SyncPtr::new(self.tiles.as_mut_ptr());
-                pool.run(num_tiles, &|t| {
-                    // SAFETY: tile `t` only; tiles are disjoint per index.
-                    let tile = unsafe { &mut *tiles.at(t) };
-                    tile.refill_tick(now);
-                });
-            }
-            Some(ring) => ring.cycle(
-                &mut self.tiles,
-                now,
-                self.faults.as_ref(),
-                &mut self.stats.faults,
-            ),
-        }
+        // 1. I-cache refill transport: serial (see `advance_refills`).
+        self.advance_refills(now);
 
         // 2. Response phase. Master-response delivery reads the shared
         //    net; the per-tile response crossbars stage their local
@@ -1654,7 +1733,7 @@ impl<C: Core> Cluster<C> {
                     let stage = unsafe { &mut *stages.at(t) };
                     stage.clear();
                     let port_for = |resp: &Response| net.resp_port_for(t, resp, cpt);
-                    tile.route_responses(t, cpt, stage, &port_for);
+                    tile.route_responses(t, cpt, stage, port_for);
                 });
             }
             for stage in resp_stages.iter_mut() {
@@ -1680,19 +1759,15 @@ impl<C: Core> Cluster<C> {
             let locked = SyncPtr::new(self.locked_until.as_mut_ptr());
             let stages = SyncPtr::new(core_stages.as_mut_ptr());
             let faults = self.faults.as_ref();
-            let scrambler = self.scrambler;
-            let map = self.map;
-            let quarantine = &self.quarantine;
+            let path =
+                IssuePath::new(&self.config, self.scrambler, self.map, &self.quarantine, now);
             let image = &self.image;
-            let topology = self.config.topology;
-            let tpg = self.config.tiles_per_group();
             let trace_on = self.trace.is_some();
             pool.run(num_tiles, &|t| {
                 // SAFETY: tile `t`, its staging slot, and the per-core
                 // arrays at this tile's lanes `t*cpt..(t+1)*cpt` only.
                 let tile = unsafe { &mut *tiles.at(t) };
                 let stage = unsafe { &mut *stages.at(t) };
-                stage.clear();
                 for lane in 0..cpt {
                     let c = t * cpt + lane;
                     let core = unsafe { &mut *cores.at(c) };
@@ -1719,89 +1794,31 @@ impl<C: Core> Cluster<C> {
                         }
                     }
                     let ready = latch.is_none();
-                    let issued = core.step(&mut |pc| tile.fetch(pc, image, now), ready);
-                    if let Some(dr) = issued {
-                        debug_assert!(ready, "core issued against backpressure");
-                        let mut phys = scrambler.map_or(dr.addr, |s| s.scramble(dr.addr));
-                        let Some(mut at) = map.decode(phys) else {
-                            stage.memory_faults += 1;
-                            core.fault();
-                            continue;
-                        };
-                        if !quarantine.is_identity() {
-                            let remapped = quarantine.remap(at);
-                            if remapped.bank != at.bank {
-                                stage.quarantine_remaps += 1;
-                                at = remapped;
-                                phys = map.encode(at);
-                            }
-                        }
-                        if at.tile as usize == t {
-                            stage.local_requests += 1;
-                        } else {
-                            stage.remote_requests += 1;
-                            if topology == Topology::TopH {
-                                let gs = t / tpg;
-                                let gd = at.tile as usize / tpg;
-                                match gs ^ gd {
-                                    0 => stage.group_local_requests += 1,
-                                    2 => stage.direction_requests[0] += 1, // N
-                                    3 => stage.direction_requests[1] += 1, // NE
-                                    1 => stage.direction_requests[2] += 1, // E
-                                    _ => unreachable!("four groups"),
-                                }
-                            }
-                        }
-                        stage.requests_issued += 1;
-                        stage.in_flight += 1;
-                        if trace_on {
-                            stage.trace.push((
-                                c,
-                                crate::TraceEvent {
-                                    cycle: now,
-                                    addr: dr.addr,
-                                    write: dr.kind.is_write(),
-                                },
-                            ));
-                        }
-                        if track {
-                            stage.pending.push((
-                                (c as u32, dr.tag),
-                                PendingRequest {
-                                    addr: phys,
-                                    kind: dr.kind,
-                                    issued_at: now,
-                                    last_sent: now,
-                                    retries: 0,
-                                },
-                            ));
-                        }
-                        *latch = Some(Request {
-                            core: c as u32,
-                            tag: dr.tag,
-                            addr: phys,
-                            kind: dr.kind,
-                            issued_at: now,
-                        });
+                    let Some(dr) = core.step(&mut |pc| tile.fetch(pc, image), ready) else {
+                        continue;
+                    };
+                    debug_assert!(ready, "core issued against backpressure");
+                    let Some(req) = path.place(c, t, &dr, &mut stage.issues) else {
+                        core.fault();
+                        continue;
+                    };
+                    if trace_on {
+                        stage.trace.push((c, crate::TraceEvent::of(&dr, now)));
                     }
+                    if track {
+                        stage.pending.push(((req.core, req.tag), PendingRequest::fresh(&req)));
+                    }
+                    *latch = Some(req);
                 }
             });
         }
         // Commit the core phase in ascending tile order = serial core
-        // order (tile-major numbering).
+        // order (tile-major numbering). Every stage is left empty for the
+        // next cycle.
         for stage in core_stages.iter_mut() {
-            self.stats.memory_faults += stage.memory_faults;
-            self.stats.local_requests += stage.local_requests;
-            self.stats.remote_requests += stage.remote_requests;
-            self.stats.group_local_requests += stage.group_local_requests;
-            for (d, &n) in stage.direction_requests.iter().enumerate() {
-                self.stats.direction_requests[d] += n;
-            }
-            self.stats.requests_issued += stage.requests_issued;
-            self.in_flight += stage.in_flight;
-            self.stats.faults.core_lockups += stage.core_lockups;
-            self.stats.faults.spurious_retires += stage.spurious_retires;
-            self.stats.faults.quarantine_remaps += stage.quarantine_remaps;
+            self.commit_issues(now, std::mem::take(&mut stage.issues));
+            self.stats.faults.core_lockups += std::mem::take(&mut stage.core_lockups);
+            self.stats.faults.spurious_retires += std::mem::take(&mut stage.spurious_retires);
             for event in stage.log.drain(..) {
                 self.fault_log.record(event);
             }
@@ -1827,26 +1844,14 @@ impl<C: Core> Cluster<C> {
         //    crossbar independently. The tile commit is fused in (sound:
         //    the following port routing touches only latches and the net,
         //    never tile state).
-        let quarantine = &self.quarantine;
-        let faults = self.faults.as_ref();
-        let gate = move |tile: usize, bank: u32| -> BankGate {
-            if quarantine.is_quarantined(tile as u32, bank) {
-                return BankGate::Dead;
-            }
-            if let Some(plan) = faults {
-                if plan.bank_stalled(now, tile as u32, bank) {
-                    return BankGate::Stalled;
-                }
-            }
-            BankGate::Ready
-        };
+        let gate = bank_gate(&self.quarantine, self.faults.as_ref(), now);
         if let Net::Ideal(ideal) = &mut self.net {
             self.stats.bank_accesses += ideal.route_requests(
                 &mut self.out_latches,
                 &mut self.tiles,
                 &self.map,
                 &mut self.stats.tile_accesses,
-                &gate,
+                gate,
                 &mut self.stats.faults.requests_dropped,
             );
             for tile in &mut self.tiles {
@@ -1859,16 +1864,15 @@ impl<C: Core> Cluster<C> {
                 let tiles = SyncPtr::new(self.tiles.as_mut_ptr());
                 let latches = SyncPtr::new(self.out_latches.as_mut_ptr());
                 let accepts = SyncPtr::new(accept_stages.as_mut_ptr());
-                let gate = &gate;
                 pool.run(num_tiles, &|t| {
                     // SAFETY: tile `t`, its staging slot, and this tile's
                     // core latches `t*cpt..(t+1)*cpt` only.
                     let tile = unsafe { &mut *tiles.at(t) };
                     let lanes =
                         unsafe { std::slice::from_raw_parts_mut(latches.at(t * cpt), cpt) };
-                    let tile_gate = |bank: u32| gate(t, bank);
                     let mut dropped = 0u64;
-                    let served = tile.accept_requests(t, lanes, &map, now, &tile_gate, &mut dropped);
+                    let tile_gate = |bank| gate(t, bank);
+                    let served = tile.accept_requests(t, lanes, &map, tile_gate, &mut dropped);
                     tile.commit();
                     unsafe { *accepts.at(t) = (served, dropped) };
                 });

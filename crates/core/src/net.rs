@@ -22,6 +22,164 @@ use mempool_noc::{ElasticBuffer, Fabric, Offer, RoundRobin};
 /// Direction indices for TopH ports: L is port 0, then N/NE/E.
 const DIR_PARTNER_XOR: [usize; 3] = [2, 3, 1]; // N, NE, E
 
+/// Depth of every interconnect register: the classic two-slot skid buffer.
+const REG_DEPTH: usize = 2;
+
+/// A row of elastic registers that keeps two things current as packets
+/// move, so that end-of-cycle work follows traffic instead of register
+/// count: how many items the row holds (`held`, read by the occupancy
+/// statistic and by every "anything to do?" test), and which registers were
+/// pushed this cycle (`dirty`, the only ones [`commit`](RegRow::commit)
+/// visits).
+///
+/// Both stay exact as long as every push and pop goes through the row.
+/// The cold paths that reach for the registers themselves — fault
+/// injection, checkpoint restore — must [`resync`](RegRow::resync) after.
+#[derive(Debug, Clone)]
+pub(crate) struct RegRow<T> {
+    regs: Vec<ElasticBuffer<T>>,
+    held: usize,
+    /// Registers holding staged arrivals. A register enters on its first
+    /// push of the cycle only, so the list never outgrows the row and its
+    /// build-time capacity is final.
+    dirty: Vec<u32>,
+}
+
+impl<T> RegRow<T> {
+    pub fn new(len: usize) -> Self {
+        RegRow {
+            regs: (0..len).map(|_| ElasticBuffer::new(REG_DEPTH)).collect(),
+            held: 0,
+            dirty: Vec::with_capacity(len),
+        }
+    }
+
+    pub fn regs(&self) -> &[ElasticBuffer<T>] {
+        &self.regs
+    }
+
+    /// The registers themselves, for the cold paths; [`resync`] afterwards.
+    ///
+    /// [`resync`]: RegRow::resync
+    pub fn regs_mut(&mut self) -> &mut [ElasticBuffer<T>] {
+        &mut self.regs
+    }
+
+    /// Re-derives `held` and `dirty` from the registers.
+    pub fn resync(&mut self) {
+        self.held = self.regs.iter().map(ElasticBuffer::len).sum();
+        self.dirty.clear();
+        let staged = self
+            .regs
+            .iter()
+            .enumerate()
+            .filter(|(_, reg)| reg.staged() > 0);
+        self.dirty.extend(staged.map(|(i, _)| i as u32));
+    }
+
+    /// Items held across the row, stored and staged.
+    pub fn held(&self) -> usize {
+        self.held
+    }
+
+    /// Total capacity of the row.
+    pub fn slots(&self) -> usize {
+        self.regs.len() * REG_DEPTH
+    }
+
+    pub fn head(&self, i: usize) -> Option<&T> {
+        self.regs[i].head()
+    }
+
+    pub fn can_push(&self, i: usize) -> bool {
+        self.regs[i].can_push()
+    }
+
+    pub fn push(&mut self, i: usize, item: T) {
+        if self.regs[i].staged() == 0 {
+            self.dirty.push(i as u32);
+        }
+        self.regs[i].push(item);
+        self.held += 1;
+    }
+
+    pub fn pop(&mut self, i: usize) -> Option<T> {
+        let item = self.regs[i].pop();
+        self.held -= usize::from(item.is_some());
+        item
+    }
+
+    /// Pops the visible head of every register (one item each) into `out`.
+    pub fn pop_heads_into(&mut self, out: &mut Vec<T>) {
+        if self.held > 0 {
+            out.extend((0..self.regs.len()).filter_map(|i| self.pop(i)));
+        }
+    }
+
+    /// End-of-cycle commit of the registers pushed this cycle.
+    pub fn commit(&mut self) {
+        for i in self.dirty.drain(..) {
+            self.regs[i as usize].commit();
+        }
+    }
+
+    pub fn clear(&mut self) {
+        self.regs.iter_mut().for_each(ElasticBuffer::clear);
+        self.held = 0;
+        self.dirty.clear();
+    }
+}
+
+/// The offer list and grant flags of one fabric arbitration, owned by a
+/// tile or a network and reused every cycle: cleared, never freed, and
+/// sized at build for the widest fabric it serves.
+#[derive(Debug, Clone)]
+pub(crate) struct Scratch {
+    offers: Vec<Offer>,
+    granted: Vec<bool>,
+}
+
+impl Scratch {
+    pub fn new(max_inputs: usize) -> Self {
+        Scratch {
+            offers: Vec::with_capacity(max_inputs),
+            granted: Vec::with_capacity(max_inputs),
+        }
+    }
+
+    /// One arbitrated hop. Each fabric input `0..inputs` holding a packet
+    /// (`dest_of` returns its fabric destination) makes an offer; `ready`
+    /// says whether the landing port can take a packet; every granted
+    /// packet is handed to `deliver(state, input, landing port)`, which
+    /// must move it. `state` is whatever the three closures share — the
+    /// source registers and the sinks of this hop.
+    pub fn route<S>(
+        &mut self,
+        fabric: &mut Fabric,
+        state: &mut S,
+        inputs: usize,
+        dest_of: impl Fn(&S, usize) -> Option<usize>,
+        ready: impl Fn(&S, usize) -> bool,
+        mut deliver: impl FnMut(&mut S, usize, usize),
+    ) {
+        self.offers.clear();
+        let holding = (0..inputs).filter_map(|input| Some((input, dest_of(state, input)?)));
+        self.offers
+            .extend(holding.map(|(input, dest)| Offer { input, dest }));
+        if self.offers.is_empty() {
+            return;
+        }
+        fabric.resolve_into(&self.offers, |port| ready(state, port), &mut self.granted);
+        for (offer, _) in self.offers.iter().zip(&self.granted).filter(|(_, &g)| g) {
+            deliver(
+                state,
+                offer.input,
+                fabric.output_port(offer.input, offer.dest),
+            );
+        }
+    }
+}
+
 /// A borrowed interconnect register stage, handed to the fault injector.
 ///
 /// Request stages only ever suffer stalls and drops — their routing fields
@@ -45,6 +203,15 @@ pub(crate) struct LinkStatView {
     /// Whether this stage carries requests (`false`: responses).
     pub is_req: bool,
 }
+
+/// One register row of the global interconnect.
+pub(crate) enum Row<Q, P> {
+    Req(Q),
+    Resp(P),
+}
+
+pub(crate) type RowRef<'a> = Row<&'a RegRow<Request>, &'a RegRow<Response>>;
+pub(crate) type RowMut<'a> = Row<&'a mut RegRow<Request>, &'a mut RegRow<Response>>;
 
 pub(crate) enum Net {
     Ideal(IdealNet),
@@ -80,9 +247,14 @@ impl Net {
 
     pub fn deliver_master_resp(&mut self, tiles: &mut [Tile], deliveries: &mut Vec<Response>) {
         match self {
-            Net::Ideal(n) => n.deliver(tiles, deliveries),
-            Net::Global(n) => n.deliver(deliveries),
-            Net::Hier(n) => n.deliver(deliveries),
+            // No network: the bank response registers face the cores.
+            Net::Ideal(_) => {
+                for tile in tiles {
+                    tile.bank_resp.pop_heads_into(deliveries);
+                }
+            }
+            Net::Global(n) => n.master_resp.pop_heads_into(deliveries),
+            Net::Hier(n) => n.master_resp.pop_heads_into(deliveries),
         }
     }
 
@@ -110,63 +282,75 @@ impl Net {
         }
     }
 
-    pub fn commit(&mut self) {
-        match self {
-            Net::Ideal(_) => {}
-            Net::Global(n) => n.commit(),
-            Net::Hier(n) => n.commit(),
-        }
-    }
-
-    /// Visits every register stage of the global interconnect with a stable
-    /// link id (construction order), so a seeded fault plan addresses the
-    /// same physical register every run. The ideal network has no registers
-    /// and is never visited.
-    pub fn for_each_link(&mut self, f: &mut dyn FnMut(u64, LinkRef<'_>)) {
-        let mut id = 0u64;
+    /// Visits every register row in link-id order (construction order, so a
+    /// seeded fault plan addresses the same physical register every run).
+    /// The ideal network has no registers.
+    pub fn for_each_row(&self, f: &mut dyn FnMut(RowRef<'_>)) {
         match self {
             Net::Ideal(_) => {}
             Net::Global(n) => {
-                for reg in &mut n.master_req {
-                    f(id, LinkRef::Req(reg));
-                    id += 1;
-                }
-                for reg in &mut n.master_resp {
-                    f(id, LinkRef::Resp(reg));
-                    id += 1;
-                }
-                for port in &mut n.mid_req {
-                    for reg in port {
-                        f(id, LinkRef::Req(reg));
-                        id += 1;
-                    }
-                }
-                for port in &mut n.mid_resp {
-                    for reg in port {
-                        f(id, LinkRef::Resp(reg));
-                        id += 1;
-                    }
-                }
+                f(Row::Req(&n.master_req));
+                f(Row::Resp(&n.master_resp));
+                n.mid_req.iter().for_each(|row| f(Row::Req(row)));
+                n.mid_resp.iter().for_each(|row| f(Row::Resp(row)));
             }
             Net::Hier(n) => {
-                for reg in &mut n.master_req {
-                    f(id, LinkRef::Req(reg));
-                    id += 1;
-                }
-                for reg in &mut n.master_resp {
-                    f(id, LinkRef::Resp(reg));
-                    id += 1;
-                }
-                for reg in &mut n.boundary_req {
-                    f(id, LinkRef::Req(reg));
-                    id += 1;
-                }
-                for reg in &mut n.boundary_resp {
-                    f(id, LinkRef::Resp(reg));
-                    id += 1;
-                }
+                f(Row::Req(&n.master_req));
+                f(Row::Resp(&n.master_resp));
+                f(Row::Req(&n.boundary_req));
+                f(Row::Resp(&n.boundary_resp));
             }
         }
+    }
+
+    /// [`for_each_row`](Net::for_each_row), mutably (same order).
+    pub fn for_each_row_mut(&mut self, f: &mut dyn FnMut(RowMut<'_>)) {
+        match self {
+            Net::Ideal(_) => {}
+            Net::Global(n) => {
+                f(Row::Req(&mut n.master_req));
+                f(Row::Resp(&mut n.master_resp));
+                n.mid_req.iter_mut().for_each(|row| f(Row::Req(row)));
+                n.mid_resp.iter_mut().for_each(|row| f(Row::Resp(row)));
+            }
+            Net::Hier(n) => {
+                f(Row::Req(&mut n.master_req));
+                f(Row::Resp(&mut n.master_resp));
+                f(Row::Req(&mut n.boundary_req));
+                f(Row::Resp(&mut n.boundary_resp));
+            }
+        }
+    }
+
+    /// End-of-cycle commit of the registers pushed this cycle.
+    pub fn commit(&mut self) {
+        self.for_each_row_mut(&mut |row| match row {
+            Row::Req(row) => row.commit(),
+            Row::Resp(row) => row.commit(),
+        });
+    }
+
+    /// Hands every register stage, with its stable link id, to the fault
+    /// injector, which may stall, drop or corrupt; the rows' bookkeeping is
+    /// re-derived behind it.
+    pub fn for_each_link(&mut self, f: &mut dyn FnMut(u64, LinkRef<'_>)) {
+        let mut id = 0u64;
+        self.for_each_row_mut(&mut |row| match row {
+            Row::Req(row) => {
+                for reg in row.regs_mut() {
+                    f(id, LinkRef::Req(reg));
+                    id += 1;
+                }
+                row.resync();
+            }
+            Row::Resp(row) => {
+                for reg in row.regs_mut() {
+                    f(id, LinkRef::Resp(reg));
+                    id += 1;
+                }
+                row.resync();
+            }
+        });
     }
 
     /// Visits every register stage immutably with its stable link id (the
@@ -174,102 +358,49 @@ impl Net {
     /// observability counters of that stage. Used to build the
     /// `cluster/link{id}` scopes of the metrics registry.
     pub fn for_each_link_stats(&self, f: &mut dyn FnMut(u64, LinkStatView)) {
-        fn req<T>(b: &ElasticBuffer<T>) -> LinkStatView {
+        fn view<T>(reg: &ElasticBuffer<T>, is_req: bool) -> LinkStatView {
             LinkStatView {
-                occupancy: b.len() as u64,
-                pushes: b.pushes(),
-                is_req: true,
-            }
-        }
-        fn resp<T>(b: &ElasticBuffer<T>) -> LinkStatView {
-            LinkStatView {
-                occupancy: b.len() as u64,
-                pushes: b.pushes(),
-                is_req: false,
+                occupancy: reg.len() as u64,
+                pushes: reg.pushes(),
+                is_req,
             }
         }
         let mut id = 0u64;
-        match self {
-            Net::Ideal(_) => {}
-            Net::Global(n) => {
-                for reg in &n.master_req {
-                    f(id, req(reg));
-                    id += 1;
-                }
-                for reg in &n.master_resp {
-                    f(id, resp(reg));
-                    id += 1;
-                }
-                for port in &n.mid_req {
-                    for reg in port {
-                        f(id, req(reg));
-                        id += 1;
-                    }
-                }
-                for port in &n.mid_resp {
-                    for reg in port {
-                        f(id, resp(reg));
-                        id += 1;
-                    }
-                }
-            }
-            Net::Hier(n) => {
-                for reg in &n.master_req {
-                    f(id, req(reg));
-                    id += 1;
-                }
-                for reg in &n.master_resp {
-                    f(id, resp(reg));
-                    id += 1;
-                }
-                for reg in &n.boundary_req {
-                    f(id, req(reg));
-                    id += 1;
-                }
-                for reg in &n.boundary_resp {
-                    f(id, resp(reg));
-                    id += 1;
-                }
-            }
-        }
+        let mut visit = |stat| {
+            f(id, stat);
+            id += 1;
+        };
+        self.for_each_row(&mut |row| match row {
+            Row::Req(row) => row.regs().iter().for_each(|reg| visit(view(reg, true))),
+            Row::Resp(row) => row.regs().iter().for_each(|reg| visit(view(reg, false))),
+        });
     }
 
     /// (occupied, total) register slots across the global interconnect —
-    /// the buffer-occupancy congestion metric.
+    /// the buffer-occupancy congestion metric, from the rows' running
+    /// counts.
     pub fn occupancy(&self) -> (u64, u64) {
-        fn count<T>(regs: &[ElasticBuffer<T>]) -> (u64, u64) {
-            let occupied = regs.iter().map(|r| r.len() as u64).sum();
-            let total = regs.iter().map(|r| r.capacity() as u64).sum();
-            (occupied, total)
-        }
-        match self {
-            Net::Ideal(_) => (0, 0),
-            Net::Global(n) => {
-                let mut acc = count(&n.master_req);
-                let r = count(&n.master_resp);
-                acc = (acc.0 + r.0, acc.1 + r.1);
-                for port in &n.mid_req {
-                    let m = count(port);
-                    acc = (acc.0 + m.0, acc.1 + m.1);
-                }
-                for port in &n.mid_resp {
-                    let m = count(port);
-                    acc = (acc.0 + m.0, acc.1 + m.1);
-                }
-                acc
-            }
-            Net::Hier(n) => {
-                let mut acc = count(&n.master_req);
-                for part in [
-                    count(&n.master_resp),
-                    count(&n.boundary_req),
-                    count(&n.boundary_resp),
-                ] {
-                    acc = (acc.0 + part.0, acc.1 + part.1);
-                }
-                acc
-            }
-        }
+        let (mut occupied, mut total) = (0, 0);
+        self.for_each_row(&mut |row| {
+            let (held, slots) = match row {
+                Row::Req(row) => (row.held(), row.slots()),
+                Row::Resp(row) => (row.held(), row.slots()),
+            };
+            occupied += held as u64;
+            total += slots as u64;
+        });
+        (occupied, total)
+    }
+
+    /// [`occupancy`](Net::occupancy) recounted from the registers: what the
+    /// running counts must equal at every cycle boundary.
+    pub fn walked_occupancy(&self) -> (u64, u64) {
+        let (mut occupied, mut total) = (0, 0);
+        self.for_each_link_stats(&mut |_, link| {
+            occupied += link.occupancy;
+            total += REG_DEPTH as u64;
+        });
+        (occupied, total)
     }
 }
 
@@ -283,6 +414,8 @@ pub(crate) struct IdealNet {
     /// One arbiter per global bank, over all cores.
     pub(crate) rr: Vec<RoundRobin>,
     banks_per_tile: usize,
+    /// Scratch: this cycle's `(global bank, core)` contenders.
+    contenders: Vec<(usize, usize)>,
 }
 
 impl IdealNet {
@@ -292,6 +425,7 @@ impl IdealNet {
                 .map(|_| RoundRobin::new(config.num_cores()))
                 .collect(),
             banks_per_tile: config.banks_per_tile,
+            contenders: Vec::with_capacity(config.num_cores()),
         }
     }
 
@@ -306,64 +440,48 @@ impl IdealNet {
         tiles: &mut [Tile],
         map: &AddressMap,
         tile_accesses: &mut [u64],
-        gate: &dyn Fn(usize, u32) -> BankGate,
+        gate: impl Fn(usize, u32) -> BankGate,
         dropped: &mut u64,
     ) -> u64 {
         // Bucket contenders per global bank.
-        let mut contenders: Vec<(usize, usize)> = Vec::new(); // (bank, core)
+        self.contenders.clear();
         for (core, latch) in latches.iter().enumerate() {
             if let Some(req) = latch {
                 let at = map.decode(req.addr).expect("validated at issue");
                 let bank = at.tile as usize * self.banks_per_tile + at.bank as usize;
-                contenders.push((bank, core));
+                self.contenders.push((bank, core));
             }
         }
-        contenders.sort_unstable();
+        self.contenders.sort_unstable();
         let mut accesses = 0;
-        let mut i = 0;
-        while i < contenders.len() {
-            let bank = contenders[i].0;
-            let mut j = i;
-            while j < contenders.len() && contenders[j].0 == bank {
-                j += 1;
-            }
+        for group in self.contenders.chunk_by(|a, b| a.0 == b.0) {
+            let bank = group[0].0;
             let tile = bank / self.banks_per_tile;
             let bank_in_tile = bank % self.banks_per_tile;
-            match gate(tile, bank_in_tile as u32) {
-                BankGate::Stalled => {}
-                BankGate::Dead => {
-                    let cores: Vec<usize> = contenders[i..j].iter().map(|&(_, c)| c).collect();
-                    let winner = self.rr[bank].grant(&cores).expect("nonempty");
-                    latches[winner].take().expect("contender had a request");
-                    *dropped += 1;
-                }
-                BankGate::Ready => {
-                    if tiles[tile].bank_resp[bank_in_tile].can_push() {
-                        let cores: Vec<usize> =
-                            contenders[i..j].iter().map(|&(_, c)| c).collect();
-                        let winner = self.rr[bank].grant(&cores).expect("nonempty");
-                        let req = latches[winner].take().expect("contender had a request");
-                        let at = map.decode(req.addr).expect("validated");
-                        let resp = crate::tile::ideal_bank_access(&mut tiles[tile], &req, at);
-                        tiles[tile].bank_resp[bank_in_tile].push(resp);
-                        tile_accesses[tile] += 1;
-                        accesses += 1;
-                    }
-                }
+            let state = gate(tile, bank_in_tile as u32);
+            if state == BankGate::Stalled
+                || (state == BankGate::Ready && !tiles[tile].bank_resp.can_push(bank_in_tile))
+            {
+                continue;
             }
-            i = j;
+            let rr = &mut self.rr[bank];
+            let cores = group.iter().map(|&(_, core)| core);
+            let winner = cores
+                .min_by_key(|&core| rr.distance(core))
+                .expect("nonempty");
+            rr.advance_past(winner);
+            let req = latches[winner].take().expect("contender had a request");
+            if state == BankGate::Dead {
+                *dropped += 1;
+                continue;
+            }
+            let at = map.decode(req.addr).expect("validated");
+            let resp = crate::tile::ideal_bank_access(&mut tiles[tile], &req, at);
+            tiles[tile].bank_resp.push(bank_in_tile, resp);
+            tile_accesses[tile] += 1;
+            accesses += 1;
         }
         accesses
-    }
-
-    fn deliver(&mut self, tiles: &mut [Tile], deliveries: &mut Vec<Response>) {
-        for tile in tiles {
-            for reg in &mut tile.bank_resp {
-                if let Some(resp) = reg.pop() {
-                    deliveries.push(resp);
-                }
-            }
-        }
     }
 }
 
@@ -379,18 +497,19 @@ pub(crate) struct GlobalNet {
     concentrate: bool,
     pub(crate) rr_concentrator: Vec<RoundRobin>,
     /// `[tile * ports + p]`.
-    pub(crate) master_req: Vec<ElasticBuffer<Request>>,
-    pub(crate) master_resp: Vec<ElasticBuffer<Response>>,
+    pub(crate) master_req: RegRow<Request>,
+    pub(crate) master_resp: RegRow<Response>,
     /// Per port: request butterfly segment A (or the whole network when it
     /// has a single layer).
     pub(crate) req_a: Vec<Fabric>,
     pub(crate) req_b: Vec<Fabric>,
-    /// `[port][row]` mid-stage pipeline registers (empty when unsplit).
-    pub(crate) mid_req: Vec<Vec<ElasticBuffer<Request>>>,
+    /// `[port]` mid-stage pipeline register rows (empty rows when unsplit).
+    pub(crate) mid_req: Vec<RegRow<Request>>,
     pub(crate) resp_a: Vec<Fabric>,
     pub(crate) resp_b: Vec<Fabric>,
-    pub(crate) mid_resp: Vec<Vec<ElasticBuffer<Response>>>,
+    pub(crate) mid_resp: Vec<RegRow<Response>>,
     split: bool,
+    scratch: Scratch,
 }
 
 fn butterfly_layer_count(ports: usize, radix: usize) -> usize {
@@ -409,165 +528,103 @@ impl GlobalNet {
         let k = butterfly_layer_count(n, config.radix);
         let split = k >= 2;
         let mid = k.div_ceil(2);
-        let mut req_a = Vec::new();
-        let mut req_b = Vec::new();
-        let mut resp_a = Vec::new();
-        let mut resp_b = Vec::new();
-        let mut mid_req = Vec::new();
-        let mut mid_resp = Vec::new();
-        for _ in 0..ports {
-            if split {
-                req_a.push(Fabric::butterfly_segment(n, config.radix, 0, mid).expect("validated"));
-                req_b.push(Fabric::butterfly_segment(n, config.radix, mid, k).expect("validated"));
-                resp_a.push(Fabric::butterfly_segment(n, config.radix, 0, mid).expect("validated"));
-                resp_b.push(Fabric::butterfly_segment(n, config.radix, mid, k).expect("validated"));
-                mid_req.push((0..n).map(|_| ElasticBuffer::new(2)).collect());
-                mid_resp.push((0..n).map(|_| ElasticBuffer::new(2)).collect());
-            } else {
-                req_a.push(Fabric::butterfly(n, config.radix).expect("validated"));
-                resp_a.push(Fabric::butterfly(n, config.radix).expect("validated"));
-                mid_req.push(Vec::new());
-                mid_resp.push(Vec::new());
-            }
-        }
+        let segment = |first, last| {
+            let build =
+                || Fabric::butterfly_segment(n, config.radix, first, last).expect("validated");
+            (0..ports).map(|_| build()).collect::<Vec<_>>()
+        };
+        let mid_len = if split { n } else { 0 };
         GlobalNet {
             num_tiles: n,
             cores_per_tile: config.cores_per_tile,
             ports,
             concentrate,
-            rr_concentrator: (0..n).map(|_| RoundRobin::new(config.cores_per_tile)).collect(),
-            master_req: (0..n * ports).map(|_| ElasticBuffer::new(2)).collect(),
-            master_resp: (0..n * ports).map(|_| ElasticBuffer::new(2)).collect(),
-            req_a,
-            req_b,
-            mid_req,
-            resp_a,
-            resp_b,
-            mid_resp,
+            rr_concentrator: (0..n)
+                .map(|_| RoundRobin::new(config.cores_per_tile))
+                .collect(),
+            master_req: RegRow::new(n * ports),
+            master_resp: RegRow::new(n * ports),
+            req_a: segment(0, if split { mid } else { k }),
+            req_b: if split { segment(mid, k) } else { Vec::new() },
+            mid_req: (0..ports).map(|_| RegRow::new(mid_len)).collect(),
+            resp_a: segment(0, if split { mid } else { k }),
+            resp_b: if split { segment(mid, k) } else { Vec::new() },
+            mid_resp: (0..ports).map(|_| RegRow::new(mid_len)).collect(),
             split,
+            scratch: Scratch::new(n),
         }
     }
 
     fn route_longhaul(&mut self, tiles: &mut [Tile], map: &AddressMap) {
-        for p in 0..self.ports {
+        let dest_tile = |req: &Request| map.decode(req.addr).expect("validated").tile as usize;
+        let (n, ports) = (self.num_tiles, self.ports);
+        for p in 0..ports {
             if self.split {
                 // Segment B: mid registers -> destination tile slave latches.
-                let mut offers = Vec::new();
-                let mut rows = Vec::new();
-                for (row, reg) in self.mid_req[p].iter().enumerate() {
-                    if let Some(req) = reg.head() {
-                        let at = map.decode(req.addr).expect("validated");
-                        offers.push(Offer {
-                            input: row,
-                            dest: at.tile as usize,
-                        });
-                        rows.push(row);
-                    }
-                }
-                if !offers.is_empty() {
-                    let granted = self.req_b[p]
-                        .resolve(&offers, &mut |tile| tiles[tile].slave_req[p].is_none());
-                    for (i, &g) in granted.iter().enumerate() {
-                        if g {
-                            let req = self.mid_req[p][rows[i]].pop().expect("head existed");
-                            let at = map.decode(req.addr).expect("validated");
-                            tiles[at.tile as usize].slave_req[p] = Some(req);
-                        }
-                    }
-                }
+                self.scratch.route(
+                    &mut self.req_b[p],
+                    &mut (&mut self.mid_req[p], &mut *tiles),
+                    n,
+                    |(mid, _), row| mid.head(row).map(dest_tile),
+                    |(_, tiles), tile| tiles[tile].slave_req[p].is_none(),
+                    |(mid, tiles), row, tile| {
+                        tiles[tile].slave_req[p] = Some(mid.pop(row).expect("head existed"));
+                    },
+                );
                 // Segment A: master request registers -> mid registers.
-                let mut offers = Vec::new();
-                let mut srcs = Vec::new();
-                for tile in 0..self.num_tiles {
-                    let reg = &self.master_req[tile * self.ports + p];
-                    if let Some(req) = reg.head() {
-                        let at = map.decode(req.addr).expect("validated");
-                        offers.push(Offer {
-                            input: tile,
-                            dest: at.tile as usize,
-                        });
-                        srcs.push(tile);
-                    }
-                }
-                if !offers.is_empty() {
-                    let mid = &self.mid_req[p];
-                    let granted = self.req_a[p].resolve(&offers, &mut |row| mid[row].can_push());
-                    for (i, &g) in granted.iter().enumerate() {
-                        if g {
-                            let offer = offers[i];
-                            let row = self.req_a[p].output_port(offer.input, offer.dest);
-                            let req = self.master_req[srcs[i] * self.ports + p]
-                                .pop()
-                                .expect("head existed");
-                            self.mid_req[p][row].push(req);
-                        }
-                    }
-                }
+                self.scratch.route(
+                    &mut self.req_a[p],
+                    &mut (&mut self.master_req, &mut self.mid_req[p]),
+                    n,
+                    |(master, _), tile| master.head(tile * ports + p).map(dest_tile),
+                    |(_, mid), row| mid.can_push(row),
+                    |(master, mid), tile, row| {
+                        mid.push(row, master.pop(tile * ports + p).expect("head existed"));
+                    },
+                );
             } else {
                 // Single-layer network: master registers -> slave latches.
-                let mut offers = Vec::new();
-                let mut srcs = Vec::new();
-                for tile in 0..self.num_tiles {
-                    if let Some(req) = self.master_req[tile * self.ports + p].head() {
-                        let at = map.decode(req.addr).expect("validated");
-                        offers.push(Offer {
-                            input: tile,
-                            dest: at.tile as usize,
-                        });
-                        srcs.push(tile);
-                    }
-                }
-                if !offers.is_empty() {
-                    let granted = self.req_a[p]
-                        .resolve(&offers, &mut |tile| tiles[tile].slave_req[p].is_none());
-                    for (i, &g) in granted.iter().enumerate() {
-                        if g {
-                            let req = self.master_req[srcs[i] * self.ports + p]
-                                .pop()
-                                .expect("head existed");
-                            let at = map.decode(req.addr).expect("validated");
-                            tiles[at.tile as usize].slave_req[p] = Some(req);
-                        }
-                    }
-                }
+                self.scratch.route(
+                    &mut self.req_a[p],
+                    &mut (&mut self.master_req, &mut *tiles),
+                    n,
+                    |(master, _), tile| master.head(tile * ports + p).map(dest_tile),
+                    |(_, tiles), tile| tiles[tile].slave_req[p].is_none(),
+                    |(master, tiles), src, tile| {
+                        let req = master.pop(src * ports + p).expect("head existed");
+                        tiles[tile].slave_req[p] = Some(req);
+                    },
+                );
             }
         }
     }
 
     fn route_ports(&mut self, latches: &mut [Option<Request>], map: &AddressMap) {
         let cpt = self.cores_per_tile;
-        for tile in 0..self.num_tiles {
+        let leaves = |req: &Request, tile: usize| {
+            map.decode(req.addr).expect("validated").tile as usize != tile
+        };
+        for (tile, lanes) in latches.chunks_mut(cpt).enumerate() {
             if self.concentrate {
-                let reg = &mut self.master_req[tile * self.ports];
-                if !reg.can_push() {
+                if !self.master_req.can_push(tile) {
                     continue;
                 }
-                let mut lanes = Vec::new();
-                for lane in 0..cpt {
-                    if let Some(req) = &latches[tile * cpt + lane] {
-                        let at = map.decode(req.addr).expect("validated");
-                        if at.tile as usize != tile {
-                            lanes.push(lane);
-                        }
-                    }
-                }
-                if let Some(winner) = self.rr_concentrator[tile].grant(&lanes) {
-                    let req = latches[tile * cpt + winner].take().expect("lane had request");
-                    reg.push(req);
+                let rr = &mut self.rr_concentrator[tile];
+                let remote =
+                    (0..cpt).filter(|&l| lanes[l].as_ref().is_some_and(|r| leaves(r, tile)));
+                if let Some(winner) = remote.min_by_key(|&lane| rr.distance(lane)) {
+                    rr.advance_past(winner);
+                    self.master_req
+                        .push(tile, lanes[winner].take().expect("lane had request"));
                 }
             } else {
-                for lane in 0..cpt {
-                    let Some(req) = latches[tile * cpt + lane] else {
-                        continue;
-                    };
-                    let at = map.decode(req.addr).expect("validated");
-                    if at.tile as usize == tile {
-                        continue;
-                    }
-                    let reg = &mut self.master_req[tile * self.ports + lane];
-                    if reg.can_push() {
-                        latches[tile * cpt + lane] = None;
-                        reg.push(req);
+                for (lane, latch) in lanes.iter_mut().enumerate() {
+                    let reg = tile * self.ports + lane;
+                    if latch.as_ref().is_some_and(|r| leaves(r, tile))
+                        && self.master_req.can_push(reg)
+                    {
+                        self.master_req
+                            .push(reg, latch.take().expect("lane had request"));
                     }
                 }
             }
@@ -575,109 +632,44 @@ impl GlobalNet {
     }
 
     fn route_responses(&mut self, tiles: &mut [Tile], cores_per_tile: usize) {
-        for p in 0..self.ports {
+        let dest_tile = |resp: &Response| resp.core as usize / cores_per_tile;
+        let (n, ports) = (self.num_tiles, self.ports);
+        for p in 0..ports {
             if self.split {
                 // Segment B': mid response registers -> master response regs.
-                let mut offers = Vec::new();
-                let mut rows = Vec::new();
-                for (row, reg) in self.mid_resp[p].iter().enumerate() {
-                    if let Some(resp) = reg.head() {
-                        offers.push(Offer {
-                            input: row,
-                            dest: resp.core as usize / cores_per_tile,
-                        });
-                        rows.push(row);
-                    }
-                }
-                if !offers.is_empty() {
-                    let master = &self.master_resp;
-                    let ports = self.ports;
-                    let granted = self.resp_b[p]
-                        .resolve(&offers, &mut |tile| master[tile * ports + p].can_push());
-                    for (i, &g) in granted.iter().enumerate() {
-                        if g {
-                            let resp = self.mid_resp[p][rows[i]].pop().expect("head existed");
-                            let tile = resp.core as usize / cores_per_tile;
-                            self.master_resp[tile * self.ports + p].push(resp);
-                        }
-                    }
-                }
+                self.scratch.route(
+                    &mut self.resp_b[p],
+                    &mut (&mut self.mid_resp[p], &mut self.master_resp),
+                    n,
+                    |(mid, _), row| mid.head(row).map(dest_tile),
+                    |(_, master), tile| master.can_push(tile * ports + p),
+                    |(mid, master), row, tile| {
+                        master.push(tile * ports + p, mid.pop(row).expect("head existed"));
+                    },
+                );
                 // Segment A': tile response-out latches -> mid registers.
-                let mut offers = Vec::new();
-                let mut srcs = Vec::new();
-                for (tile, t) in tiles.iter().enumerate() {
-                    if let Some(resp) = &t.resp_out[p] {
-                        offers.push(Offer {
-                            input: tile,
-                            dest: resp.core as usize / cores_per_tile,
-                        });
-                        srcs.push(tile);
-                    }
-                }
-                if !offers.is_empty() {
-                    let mid = &self.mid_resp[p];
-                    let granted = self.resp_a[p].resolve(&offers, &mut |row| mid[row].can_push());
-                    for (i, &g) in granted.iter().enumerate() {
-                        if g {
-                            let offer = offers[i];
-                            let row = self.resp_a[p].output_port(offer.input, offer.dest);
-                            let resp = tiles[srcs[i]].resp_out[p].take().expect("latch full");
-                            self.mid_resp[p][row].push(resp);
-                        }
-                    }
-                }
+                self.scratch.route(
+                    &mut self.resp_a[p],
+                    &mut (&mut *tiles, &mut self.mid_resp[p]),
+                    n,
+                    |(tiles, _), tile| tiles[tile].resp_out[p].as_ref().map(dest_tile),
+                    |(_, mid), row| mid.can_push(row),
+                    |(tiles, mid), tile, row| {
+                        mid.push(row, tiles[tile].resp_out[p].take().expect("latch full"));
+                    },
+                );
             } else {
-                let mut offers = Vec::new();
-                let mut srcs = Vec::new();
-                for (tile, t) in tiles.iter().enumerate() {
-                    if let Some(resp) = &t.resp_out[p] {
-                        offers.push(Offer {
-                            input: tile,
-                            dest: resp.core as usize / cores_per_tile,
-                        });
-                        srcs.push(tile);
-                    }
-                }
-                if !offers.is_empty() {
-                    let master = &self.master_resp;
-                    let ports = self.ports;
-                    let granted = self.resp_a[p]
-                        .resolve(&offers, &mut |tile| master[tile * ports + p].can_push());
-                    for (i, &g) in granted.iter().enumerate() {
-                        if g {
-                            let resp = tiles[srcs[i]].resp_out[p].take().expect("latch full");
-                            let tile = resp.core as usize / cores_per_tile;
-                            self.master_resp[tile * self.ports + p].push(resp);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn deliver(&mut self, deliveries: &mut Vec<Response>) {
-        for reg in &mut self.master_resp {
-            if let Some(resp) = reg.pop() {
-                deliveries.push(resp);
-            }
-        }
-    }
-
-    fn commit(&mut self) {
-        for reg in &mut self.master_req {
-            reg.commit();
-        }
-        for reg in &mut self.master_resp {
-            reg.commit();
-        }
-        for port in &mut self.mid_req {
-            for reg in port {
-                reg.commit();
-            }
-        }
-        for port in &mut self.mid_resp {
-            for reg in port {
-                reg.commit();
+                self.scratch.route(
+                    &mut self.resp_a[p],
+                    &mut (&mut *tiles, &mut self.master_resp),
+                    n,
+                    |(tiles, _), tile| tiles[tile].resp_out[p].as_ref().map(dest_tile),
+                    |(_, master), tile| master.can_push(tile * ports + p),
+                    |(tiles, master), src, tile| {
+                        let resp = tiles[src].resp_out[p].take().expect("latch full");
+                        master.push(tile * ports + p, resp);
+                    },
+                );
             }
         }
     }
@@ -695,18 +687,19 @@ pub(crate) struct HierNet {
     /// Per tile: crossbar (cores × 4 ports) routing requests to L/N/NE/E.
     pub(crate) port_router: Vec<Fabric>,
     /// `[tile * 4 + port]`, port 0 = L, 1 = N, 2 = NE, 3 = E.
-    pub(crate) master_req: Vec<ElasticBuffer<Request>>,
-    pub(crate) master_resp: Vec<ElasticBuffer<Response>>,
+    pub(crate) master_req: RegRow<Request>,
+    pub(crate) master_resp: RegRow<Response>,
     /// Per group: the 16×16 fully-connected local crossbars.
     pub(crate) local_req: Vec<Fabric>,
     pub(crate) local_resp: Vec<Fabric>,
     /// `[(group * 3 + dir) * tiles_per_group + row]`, dir 0 = N, 1 = NE,
     /// 2 = E: the register boundary at the group's master interface.
-    pub(crate) boundary_req: Vec<ElasticBuffer<Request>>,
-    pub(crate) boundary_resp: Vec<ElasticBuffer<Response>>,
+    pub(crate) boundary_req: RegRow<Request>,
+    pub(crate) boundary_resp: RegRow<Response>,
     /// Per (group, dir): the 16×16 radix-4 butterflies.
     pub(crate) inter_req: Vec<Fabric>,
     pub(crate) inter_resp: Vec<Fabric>,
+    scratch: Scratch,
 }
 
 #[allow(clippy::needless_range_loop)] // `d` indexes three parallel tables
@@ -723,259 +716,183 @@ impl HierNet {
             port_router: (0..n)
                 .map(|_| Fabric::crossbar(config.cores_per_tile, 4).expect("validated"))
                 .collect(),
-            master_req: (0..n * 4).map(|_| ElasticBuffer::new(2)).collect(),
-            master_resp: (0..n * 4).map(|_| ElasticBuffer::new(2)).collect(),
+            master_req: RegRow::new(n * 4),
+            master_resp: RegRow::new(n * 4),
             local_req: (0..groups)
                 .map(|_| Fabric::crossbar(tpg, tpg).expect("validated"))
                 .collect(),
             local_resp: (0..groups)
                 .map(|_| Fabric::crossbar(tpg, tpg).expect("validated"))
                 .collect(),
-            boundary_req: (0..groups * 3 * tpg).map(|_| ElasticBuffer::new(2)).collect(),
-            boundary_resp: (0..groups * 3 * tpg).map(|_| ElasticBuffer::new(2)).collect(),
+            boundary_req: RegRow::new(groups * 3 * tpg),
+            boundary_resp: RegRow::new(groups * 3 * tpg),
             inter_req: (0..groups * 3).map(|_| mk_bfly()).collect(),
             inter_resp: (0..groups * 3).map(|_| mk_bfly()).collect(),
+            scratch: Scratch::new(tpg.max(config.cores_per_tile)),
         }
-    }
-
-    fn group_of(&self, tile: usize) -> usize {
-        tile / self.tiles_per_group
     }
 
     /// The tile port (0 = L, 1 = N, 2 = NE, 3 = E) used to reach `dst` from
     /// `src`. Must not be called for `src == dst` (local-bank traffic skips
     /// the remote ports).
     pub fn port_for(&self, src: usize, dst: usize) -> usize {
-        let gs = self.group_of(src);
-        let gd = self.group_of(dst);
-        match gs ^ gd {
-            0 => 0,                 // L
-            2 => 1,                 // N
-            3 => 2,                 // NE
-            1 => 3,                 // E
-            _ => unreachable!("four groups"),
-        }
+        port_between(self.tiles_per_group, src, dst)
     }
 
     fn route_longhaul(&mut self, tiles: &mut [Tile], map: &AddressMap) {
         let tpg = self.tiles_per_group;
         let groups = self.num_tiles / tpg;
+        let dest_row = |req: &Request| map.decode(req.addr).expect("validated").tile as usize % tpg;
         // Stage: group boundary registers -> inter-group butterflies ->
         // partner-tile slave latches.
-        for g in 0..groups {
-            for d in 0..3 {
-                let partner = g ^ DIR_PARTNER_XOR[d];
-                let base = (g * 3 + d) * tpg;
-                let mut offers = Vec::new();
-                let mut rows = Vec::new();
-                for i in 0..tpg {
-                    if let Some(req) = self.boundary_req[base + i].head() {
-                        let at = map.decode(req.addr).expect("validated");
-                        offers.push(Offer {
-                            input: i,
-                            dest: at.tile as usize % tpg,
-                        });
-                        rows.push(i);
-                    }
-                }
-                if offers.is_empty() {
-                    continue;
-                }
-                let granted = self.inter_req[g * 3 + d].resolve(&offers, &mut |t| {
-                    tiles[partner * tpg + t].slave_req[d + 1].is_none()
-                });
-                for (i, &gr) in granted.iter().enumerate() {
-                    if gr {
-                        let req = self.boundary_req[base + rows[i]].pop().expect("head");
-                        let at = map.decode(req.addr).expect("validated");
-                        debug_assert_eq!(at.tile as usize / tpg, partner);
-                        tiles[at.tile as usize].slave_req[d + 1] = Some(req);
-                    }
-                }
+        for (g, d) in (0..groups).flat_map(|g| (0..3).map(move |d| (g, d))) {
+            if self.boundary_req.held() == 0 {
+                break;
             }
+            let partner = (g ^ DIR_PARTNER_XOR[d]) * tpg;
+            let base = (g * 3 + d) * tpg;
+            self.scratch.route(
+                &mut self.inter_req[g * 3 + d],
+                &mut (&mut self.boundary_req, &mut *tiles),
+                tpg,
+                |(boundary, _), i| boundary.head(base + i).map(dest_row),
+                |(_, tiles), t| tiles[partner + t].slave_req[d + 1].is_none(),
+                |(boundary, tiles), i, t| {
+                    tiles[partner + t].slave_req[d + 1] =
+                        Some(boundary.pop(base + i).expect("head"));
+                },
+            );
+        }
+        if self.master_req.held() == 0 {
+            return;
         }
         // Stage: local L crossbars (within each group).
         for g in 0..groups {
-            let mut offers = Vec::new();
-            let mut srcs = Vec::new();
-            for i in 0..tpg {
-                let tile = g * tpg + i;
-                if let Some(req) = self.master_req[tile * 4].head() {
-                    let at = map.decode(req.addr).expect("validated");
-                    debug_assert_eq!(at.tile as usize / tpg, g, "L port crosses groups");
-                    offers.push(Offer {
-                        input: i,
-                        dest: at.tile as usize % tpg,
-                    });
-                    srcs.push(tile);
-                }
-            }
-            if offers.is_empty() {
-                continue;
-            }
-            let granted = self.local_req[g]
-                .resolve(&offers, &mut |t| tiles[g * tpg + t].slave_req[0].is_none());
-            for (i, &gr) in granted.iter().enumerate() {
-                if gr {
-                    let req = self.master_req[srcs[i] * 4].pop().expect("head");
-                    let at = map.decode(req.addr).expect("validated");
-                    tiles[at.tile as usize].slave_req[0] = Some(req);
-                }
-            }
+            let first = g * tpg;
+            self.scratch.route(
+                &mut self.local_req[g],
+                &mut (&mut self.master_req, &mut *tiles),
+                tpg,
+                |(master, _), i| master.head((first + i) * 4).map(dest_row),
+                |(_, tiles), t| tiles[first + t].slave_req[0].is_none(),
+                |(master, tiles), i, t| {
+                    tiles[first + t].slave_req[0] =
+                        Some(master.pop((first + i) * 4).expect("head"));
+                },
+            );
         }
         // Stage: tile master N/NE/E registers -> group boundary registers
         // (point-to-point wiring, no arbitration).
         for tile in 0..self.num_tiles {
-            let g = self.group_of(tile);
-            let i = tile % tpg;
             for d in 0..3 {
-                let reg = &mut self.master_req[tile * 4 + 1 + d];
-                let boundary = &mut self.boundary_req[(g * 3 + d) * tpg + i];
-                if reg.head().is_some() && boundary.can_push() {
-                    boundary.push(reg.pop().expect("head"));
+                let boundary = (tile / tpg * 3 + d) * tpg + tile % tpg;
+                if self.master_req.head(tile * 4 + 1 + d).is_some()
+                    && self.boundary_req.can_push(boundary)
+                {
+                    let req = self.master_req.pop(tile * 4 + 1 + d).expect("head");
+                    self.boundary_req.push(boundary, req);
                 }
             }
         }
     }
 
     fn route_ports(&mut self, latches: &mut [Option<Request>], map: &AddressMap) {
-        let cpt = self.cores_per_tile;
-        for tile in 0..self.num_tiles {
-            let mut offers = Vec::new();
-            let mut lanes = Vec::new();
-            for lane in 0..cpt {
-                if let Some(req) = &latches[tile * cpt + lane] {
-                    let at = map.decode(req.addr).expect("validated");
-                    let dst = at.tile as usize;
-                    if dst != tile {
-                        offers.push(Offer {
-                            input: lane,
-                            dest: self.port_for(tile, dst),
-                        });
-                        lanes.push(lane);
-                    }
-                }
-            }
-            if offers.is_empty() {
+        let (cpt, tpg) = (self.cores_per_tile, self.tiles_per_group);
+        for (tile, lanes) in latches.chunks_mut(cpt).enumerate() {
+            if lanes.iter().all(Option::is_none) {
                 continue;
             }
-            let master = &self.master_req;
-            let granted = self.port_router[tile]
-                .resolve(&offers, &mut |port| master[tile * 4 + port].can_push());
-            for (i, &g) in granted.iter().enumerate() {
-                if g {
-                    let req = latches[tile * cpt + lanes[i]].take().expect("lane had request");
-                    self.master_req[tile * 4 + offers[i].dest].push(req);
-                }
-            }
+            self.scratch.route(
+                &mut self.port_router[tile],
+                &mut (lanes, &mut self.master_req),
+                cpt,
+                |(lanes, _), lane| {
+                    let dst = map.decode(lanes[lane]?.addr).expect("validated").tile as usize;
+                    (dst != tile).then(|| port_between(tpg, tile, dst))
+                },
+                |(_, master), port| master.can_push(tile * 4 + port),
+                |(lanes, master), lane, port| {
+                    master.push(
+                        tile * 4 + port,
+                        lanes[lane].take().expect("lane had request"),
+                    );
+                },
+            );
         }
     }
 
     fn route_responses(&mut self, tiles: &mut [Tile], cores_per_tile: usize) {
         let tpg = self.tiles_per_group;
         let groups = self.num_tiles / tpg;
+        let dest_tile = |resp: &Response| resp.core as usize / cores_per_tile;
         // Stage: boundary response registers -> tile master response regs
         // (point-to-point).
-        for g in 0..groups {
-            for d in 0..3 {
-                for i in 0..tpg {
-                    let boundary = &mut self.boundary_resp[(g * 3 + d) * tpg + i];
-                    let master = &mut self.master_resp[(g * tpg + i) * 4 + 1 + d];
-                    if boundary.head().is_some() && master.can_push() {
-                        master.push(boundary.pop().expect("head"));
-                    }
-                }
+        for boundary in 0..self.boundary_resp.regs().len() {
+            if self.boundary_resp.held() == 0 {
+                break;
+            }
+            let (g, d, i) = (boundary / (3 * tpg), boundary / tpg % 3, boundary % tpg);
+            let master = (g * tpg + i) * 4 + 1 + d;
+            if self.boundary_resp.head(boundary).is_some() && self.master_resp.can_push(master) {
+                let resp = self.boundary_resp.pop(boundary).expect("head");
+                self.master_resp.push(master, resp);
             }
         }
         // Stage: partner-tile response-out latches -> inter-group response
         // butterflies -> boundary response registers.
         for g in 0..groups {
             for d in 0..3 {
-                let partner = g ^ DIR_PARTNER_XOR[d];
+                let partner = (g ^ DIR_PARTNER_XOR[d]) * tpg;
                 let base = (g * 3 + d) * tpg;
-                let mut offers = Vec::new();
-                let mut srcs = Vec::new();
-                for i in 0..tpg {
-                    let tile = partner * tpg + i;
-                    if let Some(resp) = &tiles[tile].resp_out[d + 1] {
-                        let dst_tile = resp.core as usize / cores_per_tile;
-                        if dst_tile / tpg != g {
-                            continue; // belongs to the other direction pairing
-                        }
-                        offers.push(Offer {
-                            input: i,
-                            dest: dst_tile % tpg,
-                        });
-                        srcs.push(tile);
-                    }
-                }
-                if offers.is_empty() {
-                    continue;
-                }
-                let boundary = &self.boundary_resp;
-                let granted = self.inter_resp[g * 3 + d]
-                    .resolve(&offers, &mut |row| boundary[base + row].can_push());
-                for (i, &gr) in granted.iter().enumerate() {
-                    if gr {
-                        let resp = tiles[srcs[i]].resp_out[d + 1].take().expect("latch");
-                        let row = resp.core as usize / cores_per_tile % tpg;
-                        self.boundary_resp[base + row].push(resp);
-                    }
-                }
+                self.scratch.route(
+                    &mut self.inter_resp[g * 3 + d],
+                    &mut (&mut *tiles, &mut self.boundary_resp),
+                    tpg,
+                    |(tiles, _), i| {
+                        let dst = dest_tile(tiles[partner + i].resp_out[d + 1].as_ref()?);
+                        // Anything else belongs to the other direction pairing.
+                        (dst / tpg == g).then_some(dst % tpg)
+                    },
+                    |(_, boundary), row| boundary.can_push(base + row),
+                    |(tiles, boundary), i, row| {
+                        let resp = tiles[partner + i].resp_out[d + 1].take().expect("latch");
+                        boundary.push(base + row, resp);
+                    },
+                );
             }
         }
         // Stage: local L response crossbars.
         for g in 0..groups {
-            let mut offers = Vec::new();
-            let mut srcs = Vec::new();
-            for i in 0..tpg {
-                let tile = g * tpg + i;
-                if let Some(resp) = &tiles[tile].resp_out[0] {
-                    offers.push(Offer {
-                        input: i,
-                        dest: resp.core as usize / cores_per_tile % tpg,
-                    });
-                    srcs.push(tile);
-                }
-            }
-            if offers.is_empty() {
-                continue;
-            }
-            let master = &self.master_resp;
-            let granted = self.local_resp[g].resolve(&offers, &mut |t| {
-                master[(g * tpg + t) * 4].can_push()
-            });
-            for (i, &gr) in granted.iter().enumerate() {
-                if gr {
-                    let resp = tiles[srcs[i]].resp_out[0].take().expect("latch");
-                    let dst = resp.core as usize / cores_per_tile;
-                    self.master_resp[dst * 4].push(resp);
-                }
-            }
+            let first = g * tpg;
+            self.scratch.route(
+                &mut self.local_resp[g],
+                &mut (&mut *tiles, &mut self.master_resp),
+                tpg,
+                |(tiles, _), i| {
+                    tiles[first + i].resp_out[0]
+                        .as_ref()
+                        .map(|r| dest_tile(r) % tpg)
+                },
+                |(_, master), t| master.can_push((first + t) * 4),
+                |(tiles, master), i, t| {
+                    master.push(
+                        (first + t) * 4,
+                        tiles[first + i].resp_out[0].take().expect("latch"),
+                    );
+                },
+            );
         }
     }
+}
 
-    fn deliver(&mut self, deliveries: &mut Vec<Response>) {
-        for reg in &mut self.master_resp {
-            if let Some(resp) = reg.pop() {
-                deliveries.push(resp);
-            }
-        }
-    }
-
-    fn commit(&mut self) {
-        for reg in &mut self.master_req {
-            reg.commit();
-        }
-        for reg in &mut self.master_resp {
-            reg.commit();
-        }
-        for reg in &mut self.boundary_req {
-            reg.commit();
-        }
-        for reg in &mut self.boundary_resp {
-            reg.commit();
-        }
+/// [`HierNet::port_for`] for a hierarchy of `tpg` tiles per group.
+fn port_between(tpg: usize, src: usize, dst: usize) -> usize {
+    match (src / tpg) ^ (dst / tpg) {
+        0 => 0, // L
+        2 => 1, // N
+        3 => 2, // NE
+        1 => 3, // E
+        _ => unreachable!("four groups"),
     }
 }
 

@@ -15,6 +15,17 @@ pub struct TraceEvent {
     pub write: bool,
 }
 
+impl TraceEvent {
+    /// The event of request `dr` leaving its core at cycle `now`.
+    pub(crate) fn of(dr: &mempool_snitch::DataRequest, now: u64) -> Self {
+        TraceEvent {
+            cycle: now,
+            addr: dr.addr,
+            write: dr.kind.is_write(),
+        }
+    }
+}
+
 /// A per-core memory trace captured by
 /// [`Cluster::begin_trace`](crate::Cluster::begin_trace) — the raw material
 /// for trace-driven network studies (replay the same memory schedule on a

@@ -17,7 +17,7 @@
 
 use crate::cluster::{PendingRequest, RefillPacket, RefillRing};
 use crate::faults::{BankFailure, FaultEvent, FaultLog, FaultPlan, FaultSpec};
-use crate::net::Net;
+use crate::net::{Net, RegRow, Row};
 use crate::tile::Tile;
 use crate::{Cluster, ClusterConfig, Core, Request, Response};
 use mempool_noc::{ElasticBuffer, Fabric, RoundRobin};
@@ -919,7 +919,7 @@ fn save_tile(out: &mut dyn StateSink, tile: &Tile) {
         }
         out.put_u64(bank.accesses());
     }
-    for reg in &tile.bank_resp {
+    for reg in tile.bank_resp.regs() {
         save_ebuf(out, reg, |o, resp| put_resp(o, resp));
     }
     save_fabric(out, &tile.req_fabric);
@@ -979,9 +979,7 @@ fn load_tile(r: &mut ByteReader<'_>, tile: &mut Tile) -> Result<(), SnapshotErro
         bank.load(&words, &reservations);
         bank.set_accesses(r.take_u64()?);
     }
-    for reg in &mut tile.bank_resp {
-        load_ebuf(r, reg, take_resp)?;
-    }
+    load_row(r, &mut tile.bank_resp, take_resp)?;
     load_fabric(r, &mut tile.req_fabric)?;
     load_fabric(r, &mut tile.resp_fabric)?;
     let ports = r.take_u64()? as usize;
@@ -1027,54 +1025,45 @@ fn load_tile(r: &mut ByteReader<'_>, tile: &mut Tile) -> Result<(), SnapshotErro
     Ok(())
 }
 
+/// Restores one register row and re-derives its occupancy bookkeeping.
+fn load_row<T>(
+    r: &mut ByteReader<'_>,
+    row: &mut RegRow<T>,
+    dec: impl Fn(&mut ByteReader<'_>) -> Result<T, SnapshotError>,
+) -> Result<(), SnapshotError> {
+    for reg in row.regs_mut() {
+        load_ebuf(r, reg, &dec)?;
+    }
+    row.resync();
+    Ok(())
+}
+
+/// Arbiters ahead of the register rows, the remaining fabrics behind them;
+/// the rows themselves in link-id order.
 fn save_net(out: &mut dyn StateSink, net: &Net) {
     match net {
         Net::Ideal(n) => save_rr_list(out, &n.rr),
+        Net::Global(n) => save_rr_list(out, &n.rr_concentrator),
+        Net::Hier(n) => n.port_router.iter().for_each(|fabric| save_fabric(out, fabric)),
+    }
+    net.for_each_row(&mut |row| match row {
+        Row::Req(row) => {
+            row.regs().iter().for_each(|reg| save_ebuf(out, reg, |o, req| put_req(o, req)));
+        }
+        Row::Resp(row) => {
+            row.regs().iter().for_each(|reg| save_ebuf(out, reg, |o, resp| put_resp(o, resp)));
+        }
+    });
+    match net {
+        Net::Ideal(_) => {}
         Net::Global(n) => {
-            save_rr_list(out, &n.rr_concentrator);
-            for reg in &n.master_req {
-                save_ebuf(out, reg, |o, req| put_req(o, req));
-            }
-            for reg in &n.master_resp {
-                save_ebuf(out, reg, |o, resp| put_resp(o, resp));
-            }
-            for port in &n.mid_req {
-                for reg in port {
-                    save_ebuf(out, reg, |o, req| put_req(o, req));
-                }
-            }
-            for port in &n.mid_resp {
-                for reg in port {
-                    save_ebuf(out, reg, |o, resp| put_resp(o, resp));
-                }
-            }
             for fabric in n.req_a.iter().chain(&n.req_b).chain(&n.resp_a).chain(&n.resp_b) {
                 save_fabric(out, fabric);
             }
         }
         Net::Hier(n) => {
-            for fabric in &n.port_router {
-                save_fabric(out, fabric);
-            }
-            for reg in &n.master_req {
-                save_ebuf(out, reg, |o, req| put_req(o, req));
-            }
-            for reg in &n.master_resp {
-                save_ebuf(out, reg, |o, resp| put_resp(o, resp));
-            }
-            for reg in &n.boundary_req {
-                save_ebuf(out, reg, |o, req| put_req(o, req));
-            }
-            for reg in &n.boundary_resp {
-                save_ebuf(out, reg, |o, resp| put_resp(o, resp));
-            }
-            for fabric in n
-                .local_req
-                .iter()
-                .chain(&n.local_resp)
-                .chain(&n.inter_req)
-                .chain(&n.inter_resp)
-            {
+            let fabrics = n.local_req.iter().chain(&n.local_resp);
+            for fabric in fabrics.chain(&n.inter_req).chain(&n.inter_resp) {
                 save_fabric(out, fabric);
             }
         }
@@ -1084,62 +1073,32 @@ fn save_net(out: &mut dyn StateSink, net: &Net) {
 fn load_net(r: &mut ByteReader<'_>, net: &mut Net) -> Result<(), SnapshotError> {
     match net {
         Net::Ideal(n) => load_rr_list(r, &mut n.rr)?,
+        Net::Global(n) => load_rr_list(r, &mut n.rr_concentrator)?,
+        Net::Hier(n) => n.port_router.iter_mut().try_for_each(|fabric| load_fabric(r, fabric))?,
+    }
+    let mut loaded = Ok(());
+    net.for_each_row_mut(&mut |row| {
+        if loaded.is_ok() {
+            loaded = match row {
+                Row::Req(row) => load_row(r, row, take_req),
+                Row::Resp(row) => load_row(r, row, take_resp),
+            };
+        }
+    });
+    loaded?;
+    match net {
+        Net::Ideal(_) => Ok(()),
         Net::Global(n) => {
-            load_rr_list(r, &mut n.rr_concentrator)?;
-            for reg in &mut n.master_req {
-                load_ebuf(r, reg, take_req)?;
-            }
-            for reg in &mut n.master_resp {
-                load_ebuf(r, reg, take_resp)?;
-            }
-            for port in &mut n.mid_req {
-                for reg in port {
-                    load_ebuf(r, reg, take_req)?;
-                }
-            }
-            for port in &mut n.mid_resp {
-                for reg in port {
-                    load_ebuf(r, reg, take_resp)?;
-                }
-            }
-            for fabric in n
-                .req_a
-                .iter_mut()
-                .chain(&mut n.req_b)
-                .chain(&mut n.resp_a)
-                .chain(&mut n.resp_b)
-            {
-                load_fabric(r, fabric)?;
-            }
+            let fabrics = n.req_a.iter_mut().chain(&mut n.req_b);
+            let mut fabrics = fabrics.chain(&mut n.resp_a).chain(&mut n.resp_b);
+            fabrics.try_for_each(|fabric| load_fabric(r, fabric))
         }
         Net::Hier(n) => {
-            for fabric in &mut n.port_router {
-                load_fabric(r, fabric)?;
-            }
-            for reg in &mut n.master_req {
-                load_ebuf(r, reg, take_req)?;
-            }
-            for reg in &mut n.master_resp {
-                load_ebuf(r, reg, take_resp)?;
-            }
-            for reg in &mut n.boundary_req {
-                load_ebuf(r, reg, take_req)?;
-            }
-            for reg in &mut n.boundary_resp {
-                load_ebuf(r, reg, take_resp)?;
-            }
-            for fabric in n
-                .local_req
-                .iter_mut()
-                .chain(&mut n.local_resp)
-                .chain(&mut n.inter_req)
-                .chain(&mut n.inter_resp)
-            {
-                load_fabric(r, fabric)?;
-            }
+            let fabrics = n.local_req.iter_mut().chain(&mut n.local_resp);
+            let mut fabrics = fabrics.chain(&mut n.inter_req).chain(&mut n.inter_resp);
+            fabrics.try_for_each(|fabric| load_fabric(r, fabric))
         }
     }
-    Ok(())
 }
 
 fn save_ring(out: &mut dyn StateSink, ring: &RefillRing) {
@@ -1636,6 +1595,9 @@ impl<C: CoreState> Cluster<C> {
         for tile in &mut self.tiles {
             load_tile(r, tile)?;
         }
+        // Derived bookkeeping the cycle loop keeps beside the restored state.
+        self.refills_total = self.tiles.iter().map(Tile::refills).sum();
+        self.retry_due = 0;
         load_net(r, &mut self.net)?;
         let has_ring = r.take_bool()?;
         match (&mut self.refill_ring, has_ring) {

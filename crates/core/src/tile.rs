@@ -2,9 +2,10 @@
 //! request/response crossbars, K remote port latches, and the shared L1
 //! instruction cache with its refill port (Figure 2 of the paper).
 
+use crate::net::{RegRow, Scratch};
 use crate::{ClusterConfig, Request, Response};
 use mempool_mem::{AddressMap, BankOp, ICache, SpmBank};
-use mempool_noc::{ElasticBuffer, Fabric, Offer};
+use mempool_noc::Fabric;
 use mempool_riscv::{Instr, StoreOp};
 use mempool_snitch::{DataRequestKind, Fetch};
 use std::collections::VecDeque;
@@ -26,7 +27,9 @@ impl ProgramImage {
     /// Returns the decode error of the first malformed word. Data words
     /// embedded in the text section decode as garbage or fail — keep data in
     /// the L1 address space instead.
-    pub fn from_program(program: &mempool_riscv::Program) -> Result<Self, mempool_riscv::DecodeError> {
+    pub fn from_program(
+        program: &mempool_riscv::Program,
+    ) -> Result<Self, mempool_riscv::DecodeError> {
         let instrs = program
             .words()
             .iter()
@@ -108,7 +111,7 @@ pub(crate) enum BankGate {
 pub(crate) struct Tile {
     pub banks: Vec<SpmBank>,
     /// Per-bank response register (the SPM output register).
-    pub bank_resp: Vec<ElasticBuffer<Response>>,
+    pub bank_resp: RegRow<Response>,
     /// Tile request crossbar: (cores + K remote slaves) × banks.
     pub(crate) req_fabric: Fabric,
     /// Tile response crossbar: banks × (cores + K remote ports).
@@ -120,6 +123,7 @@ pub(crate) struct Tile {
     pub(crate) icache: ICache,
     pub(crate) refill: RefillUnit,
     cores_per_tile: usize,
+    scratch: Scratch,
 }
 
 impl Tile {
@@ -128,8 +132,10 @@ impl Tile {
         let masters = config.cores_per_tile + ports;
         let banks = config.banks_per_tile;
         Tile {
-            banks: (0..banks).map(|_| SpmBank::new(config.rows_per_bank)).collect(),
-            bank_resp: (0..banks).map(|_| ElasticBuffer::new(2)).collect(),
+            banks: (0..banks)
+                .map(|_| SpmBank::new(config.rows_per_bank))
+                .collect(),
+            bank_resp: RegRow::new(banks),
             req_fabric: Fabric::crossbar(masters.max(1), banks).expect("validated geometry"),
             resp_fabric: Fabric::crossbar(banks, masters.max(1)).expect("validated geometry"),
             slave_req: vec![None; ports],
@@ -148,6 +154,7 @@ impl Tile {
                 refills: 0,
             },
             cores_per_tile: config.cores_per_tile,
+            scratch: Scratch::new(masters.max(banks)),
         }
     }
 
@@ -164,18 +171,21 @@ impl Tile {
     /// Fixed-latency refill port: completes an in-flight refill and starts
     /// the next queued one. (Ring mode drives refills from the cluster via
     /// [`Tile::take_refill_request`] / [`Tile::complete_refill`] instead.)
-    pub fn refill_tick(&mut self, now: u64) {
-        if let Some((line, done_at)) = self.refill.in_flight {
-            if done_at <= now {
-                self.complete_refill(line);
-                self.refill.in_flight = None;
-            }
+    /// Returns whether a line was installed this cycle.
+    pub fn refill_tick(&mut self, now: u64) -> bool {
+        let installed = self
+            .refill
+            .in_flight
+            .take_if(|&mut (_, done_at)| done_at <= now);
+        if let Some((line, _)) = installed {
+            self.complete_refill(line);
         }
         if self.refill.in_flight.is_none() {
             if let Some(line) = self.refill.outbox.pop_front() {
                 self.refill.in_flight = Some((line, now + u64::from(self.refill.latency)));
             }
         }
+        installed.is_some()
     }
 
     /// The oldest miss waiting to enter the refill network (peek).
@@ -197,7 +207,7 @@ impl Tile {
     }
 
     /// One core's instruction fetch this cycle.
-    pub fn fetch(&mut self, pc: u32, image: &ProgramImage, _now: u64) -> Fetch {
+    pub fn fetch(&mut self, pc: u32, image: &ProgramImage) -> Fetch {
         let Some(instr) = image.at(pc) else {
             return Fetch::Fault;
         };
@@ -232,69 +242,65 @@ impl Tile {
         tile_index: usize,
         core_latches: &mut [Option<Request>],
         map: &AddressMap,
-        now: u64,
-        gate: &dyn Fn(u32) -> BankGate,
+        gate: impl Fn(u32) -> BankGate,
         dropped: &mut u64,
     ) -> u64 {
-        debug_assert_eq!(core_latches.len(), self.cores_per_tile);
-        let mut offers: Vec<Offer> = Vec::with_capacity(core_latches.len() + self.slave_req.len());
-        let mut sources: Vec<usize> = Vec::with_capacity(offers.capacity());
-        for (lane, latch) in core_latches.iter().enumerate() {
-            if let Some(req) = latch {
-                let at = map.decode(req.addr).expect("request addresses are validated at issue");
-                if at.tile as usize == tile_index {
-                    offers.push(Offer {
-                        input: lane,
-                        dest: at.bank as usize,
-                    });
-                    sources.push(lane);
-                }
-            }
-        }
         let cores = self.cores_per_tile;
-        for (port, latch) in self.slave_req.iter().enumerate() {
-            if let Some(req) = latch {
-                let at = map.decode(req.addr).expect("routed request stays in range");
-                debug_assert_eq!(at.tile as usize, tile_index, "misrouted request");
-                offers.push(Offer {
-                    input: cores + port,
-                    dest: at.bank as usize,
-                });
-                sources.push(cores + port);
-            }
-        }
-        if offers.is_empty() {
+        debug_assert_eq!(core_latches.len(), cores);
+        if core_latches
+            .iter()
+            .chain(&self.slave_req)
+            .all(Option::is_none)
+        {
             return 0;
         }
-        let bank_resp = &self.bank_resp;
-        let granted = self.req_fabric.resolve(&offers, &mut |bank| {
-            match gate(bank as u32) {
-                BankGate::Ready => bank_resp[bank].can_push(),
+        let masters = cores + self.slave_req.len();
+        let mut accesses = 0;
+        self.scratch.route(
+            &mut self.req_fabric,
+            &mut (
+                core_latches,
+                &mut self.slave_req,
+                &mut self.banks,
+                &mut self.bank_resp,
+            ),
+            masters,
+            |(core, slave, ..), master| {
+                let req = if master < cores {
+                    core[master]
+                } else {
+                    slave[master - cores]
+                }?;
+                let at = map
+                    .decode(req.addr)
+                    .expect("request addresses are validated at issue");
+                debug_assert!(
+                    master < cores || at.tile as usize == tile_index,
+                    "misrouted request"
+                );
+                (at.tile as usize == tile_index).then_some(at.bank as usize)
+            },
+            |(.., bank_resp), bank| match gate(bank as u32) {
+                BankGate::Ready => bank_resp.can_push(bank),
                 BankGate::Stalled => false,
                 BankGate::Dead => true, // grants are discarded below
-            }
-        });
-        let mut accesses = 0;
-        for (i, &g) in granted.iter().enumerate() {
-            if !g {
-                continue;
-            }
-            let src = sources[i];
-            let req = if src < cores {
-                core_latches[src].take().expect("granted offer had a request")
-            } else {
-                self.slave_req[src - cores].take().expect("granted offer had a request")
-            };
-            let at = map.decode(req.addr).expect("validated above");
-            if gate(at.bank) == BankGate::Dead {
-                *dropped += 1;
-                continue;
-            }
-            let response = bank_access(&mut self.banks[at.bank as usize], &req, at.row, at.byte);
-            let _ = now;
-            self.bank_resp[at.bank as usize].push(response);
-            accesses += 1;
-        }
+            },
+            |(core, slave, banks, bank_resp), master, bank| {
+                let latch = if master < cores {
+                    &mut core[master]
+                } else {
+                    &mut slave[master - cores]
+                };
+                let req = latch.take().expect("granted offer had a request");
+                if gate(bank as u32) == BankGate::Dead {
+                    *dropped += 1;
+                    return;
+                }
+                let at = map.decode(req.addr).expect("validated above");
+                bank_resp.push(bank, bank_access(&mut banks[bank], &req, at.row, at.byte));
+                accesses += 1;
+            },
+        );
         accesses
     }
 
@@ -306,63 +312,49 @@ impl Tile {
         tile_index: usize,
         cores_per_tile: usize,
         deliveries: &mut Vec<Response>,
-        port_for: &dyn Fn(&Response) -> usize,
+        port_for: impl Fn(&Response) -> usize,
     ) {
-        let mut offers: Vec<Offer> = Vec::new();
-        let mut which: Vec<usize> = Vec::new();
-        for (bank, reg) in self.bank_resp.iter().enumerate() {
-            if let Some(resp) = reg.head() {
-                let core_tile = resp.core as usize / cores_per_tile;
-                let dest = if core_tile == tile_index {
+        if self.bank_resp.held() == 0 {
+            return;
+        }
+        self.scratch.route(
+            &mut self.resp_fabric,
+            &mut (&mut self.bank_resp, &mut self.resp_out, deliveries),
+            self.banks.len(),
+            |(bank_resp, ..), bank| {
+                let resp = bank_resp.head(bank)?;
+                Some(if resp.core as usize / cores_per_tile == tile_index {
                     resp.core as usize % cores_per_tile
                 } else {
                     cores_per_tile + port_for(resp)
-                };
-                offers.push(Offer { input: bank, dest });
-                which.push(bank);
-            }
-        }
-        if offers.is_empty() {
-            return;
-        }
-        let resp_out = &self.resp_out;
-        let granted = self.resp_fabric.resolve(&offers, &mut |port| {
-            if port < cores_per_tile {
-                true // local cores always sink responses (LSU slot reserved)
-            } else {
-                resp_out[port - cores_per_tile].is_none()
-            }
-        });
-        for (i, &g) in granted.iter().enumerate() {
-            if !g {
-                continue;
-            }
-            let resp = self.bank_resp[which[i]].pop().expect("head existed");
-            let core_tile = resp.core as usize / cores_per_tile;
-            if core_tile == tile_index {
-                deliveries.push(resp);
-            } else {
-                let port = port_for(&resp);
-                debug_assert!(self.resp_out[port].is_none());
-                self.resp_out[port] = Some(resp);
-            }
-        }
+                })
+            },
+            // Local cores always sink responses (LSU slot reserved).
+            |(_, resp_out, _), port| {
+                port < cores_per_tile || resp_out[port - cores_per_tile].is_none()
+            },
+            |(bank_resp, resp_out, deliveries), bank, port| {
+                let resp = bank_resp.pop(bank).expect("head existed");
+                if port < cores_per_tile {
+                    deliveries.push(resp);
+                } else {
+                    debug_assert!(resp_out[port - cores_per_tile].is_none());
+                    resp_out[port - cores_per_tile] = Some(resp);
+                }
+            },
+        );
     }
 
     /// End-of-cycle commit of the tile's elastic registers.
     pub fn commit(&mut self) {
-        for reg in &mut self.bank_resp {
-            reg.commit();
-        }
+        self.bank_resp.commit();
     }
 
     /// Clears all transient state (latches, response registers, refill
     /// machinery) while keeping SPM contents and the warm I-cache — used by
     /// [`Cluster::reset`](crate::Cluster::reset) between program phases.
     pub fn clear_transient(&mut self) {
-        for reg in &mut self.bank_resp {
-            reg.clear();
-        }
+        self.bank_resp.clear();
         self.slave_req.iter_mut().for_each(|l| *l = None);
         self.resp_out.iter_mut().for_each(|l| *l = None);
         self.refill.pending.clear();

@@ -312,6 +312,11 @@ pub struct QuarantineMap {
     subst: Vec<u32>,
     /// Whether each global bank has been declared dead.
     dead: Vec<bool>,
+    /// Number of `true` entries in `dead`, kept exact by
+    /// [`quarantine`](QuarantineMap::quarantine) and
+    /// [`load`](QuarantineMap::load) so the per-request
+    /// [`is_identity`](QuarantineMap::is_identity) check is O(1).
+    dead_count: usize,
 }
 
 impl QuarantineMap {
@@ -324,6 +329,7 @@ impl QuarantineMap {
                 .map(|i| i % map.banks_per_tile())
                 .collect(),
             dead: vec![false; total],
+            dead_count: 0,
         }
     }
 
@@ -352,6 +358,7 @@ impl QuarantineMap {
             .map(|step| (bank + step) % self.banks_per_tile)
             .find(|&b| !self.dead[self.index(tile, b)])?;
         self.dead[idx] = true;
+        self.dead_count += 1;
         // Re-point the bank itself and every earlier casualty that leaned on
         // it, so lookups stay a single table read.
         for b in 0..self.banks_per_tile {
@@ -409,16 +416,17 @@ impl QuarantineMap {
         assert_eq!(dead.len(), self.dead.len(), "dead flag count mismatch");
         self.subst.copy_from_slice(subst);
         self.dead.copy_from_slice(dead);
+        self.dead_count = dead.iter().filter(|&&d| d).count();
     }
 
     /// Whether no bank has been quarantined (remap is the identity).
     pub fn is_identity(&self) -> bool {
-        !self.dead.iter().any(|&d| d)
+        self.dead_count == 0
     }
 
     /// Number of quarantined banks across the whole cluster.
     pub fn quarantined_banks(&self) -> usize {
-        self.dead.iter().filter(|&&d| d).count()
+        self.dead_count
     }
 }
 
@@ -601,6 +609,30 @@ mod tests {
         assert_eq!(q.quarantine(3, 0), None);
         assert!(!q.is_quarantined(3, 0));
         assert_eq!(q.quarantined_banks(), 3);
+    }
+
+    #[test]
+    fn cached_dead_count_matches_full_scan() {
+        use mempool_rng::{Rng, SeedableRng, StdRng};
+        let map = AddressMap::new(8, 4, 16).unwrap();
+        let scan = |q: &QuarantineMap| q.dead_flags().iter().filter(|&&d| d).count();
+        for case in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(0x0dea_d000 ^ case);
+            let mut q = QuarantineMap::new(map);
+            for _ in 0..rng.gen_range(0usize..48) {
+                // Repeats and last-live-bank refusals must not be counted.
+                q.quarantine(rng.gen_range(0u32..8), rng.gen_range(0u32..4));
+                assert_eq!(q.quarantined_banks(), scan(&q), "case {case}");
+                assert_eq!(q.is_identity(), scan(&q) == 0, "case {case}");
+            }
+            // `load` over a map holding a different count re-derives it.
+            let mut other = QuarantineMap::new(map);
+            other.quarantine(0, 0);
+            other.load(q.subst_table(), q.dead_flags());
+            assert_eq!(other, q, "case {case}");
+            assert_eq!(other.quarantined_banks(), scan(&q), "case {case}");
+            assert_eq!(other.is_identity(), scan(&q) == 0, "case {case}");
+        }
     }
 
     #[test]

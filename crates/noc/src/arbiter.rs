@@ -54,16 +54,28 @@ impl RoundRobin {
     ///
     /// Panics if any request line is out of range.
     pub fn peek(&self, requests: &[usize]) -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None; // (distance, line)
-        for &line in requests {
-            assert!(line < self.n, "request line {line} out of range");
-            let distance = (line + self.n - self.pointer) % self.n;
-            match best {
-                Some((d, _)) if d <= distance => {}
-                _ => best = Some((distance, line)),
-            }
+        requests
+            .iter()
+            .copied()
+            .min_by_key(|&line| self.distance(line))
+    }
+
+    /// How many lines `line` sits past the pointer, wrapping around: the
+    /// requester with the smallest distance wins the next grant. This is
+    /// what lets a fabric arbitrate by keeping a running minimum instead of
+    /// collecting request lists for [`peek`](RoundRobin::peek).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is out of range.
+    #[inline]
+    pub fn distance(&self, line: usize) -> usize {
+        assert!(line < self.n, "request line {line} out of range");
+        if line >= self.pointer {
+            line - self.pointer
+        } else {
+            line + self.n - self.pointer
         }
-        best.map(|(_, line)| line)
     }
 
     /// Moves the pointer to the line after `winner` (called on a completed

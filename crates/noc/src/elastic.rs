@@ -1,7 +1,9 @@
 //! Elastic (skid) buffers: the register boundaries of the MemPool
 //! interconnect.
 
-use std::collections::VecDeque;
+/// Slot count of the inline ring, and therefore the largest capacity an
+/// [`ElasticBuffer`] can be built with. The interconnect only uses depth 2.
+const SLOTS: usize = 4;
 
 /// A register stage with elastic-buffer flow control.
 ///
@@ -18,6 +20,10 @@ use std::collections::VecDeque;
 /// buffer): one slot holds the in-flight item, the second absorbs the push
 /// that was already decided when backpressure arrived.
 ///
+/// Storage is one inline ring of [`MAX_CAPACITY`](ElasticBuffer::MAX_CAPACITY)
+/// slots — stored items first, staged arrivals right behind them — so no
+/// operation touches the heap and `commit` only moves a boundary.
+///
 /// # Examples
 ///
 /// ```
@@ -32,9 +38,13 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ElasticBuffer<T> {
-    stored: VecDeque<T>,
-    arrivals: VecDeque<T>,
-    capacity: usize,
+    /// Ring storage: `stored` visible items from `head`, then `staged`
+    /// arrivals; every other slot is `None`.
+    slots: [Option<T>; SLOTS],
+    head: u8,
+    stored: u8,
+    staged: u8,
+    capacity: u8,
     /// Fault-injection gate: while set, the register neither presents a
     /// head nor accepts pushes (valid/ready forced low), modeling a
     /// transient link stall. Contents are preserved.
@@ -46,30 +56,50 @@ pub struct ElasticBuffer<T> {
 }
 
 impl<T> ElasticBuffer<T> {
+    /// The largest supported capacity (the inline ring's slot count).
+    pub const MAX_CAPACITY: usize = SLOTS;
+
     /// Creates a buffer holding at most `capacity` items.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or exceeds
+    /// [`MAX_CAPACITY`](ElasticBuffer::MAX_CAPACITY).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "elastic buffer capacity must be nonzero");
+        assert!(
+            capacity <= SLOTS,
+            "elastic buffer capacity exceeds {SLOTS} slots"
+        );
         ElasticBuffer {
-            stored: VecDeque::with_capacity(capacity),
-            arrivals: VecDeque::with_capacity(capacity),
-            capacity,
+            slots: std::array::from_fn(|_| None),
+            head: 0,
+            stored: 0,
+            staged: 0,
+            capacity: capacity as u8,
             stalled: false,
             pushes: 0,
         }
     }
 
+    /// Ring slot of the `offset`-th item counted from the head.
+    fn slot(&self, offset: u8) -> usize {
+        (self.head + offset) as usize % SLOTS
+    }
+
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.capacity as usize
     }
 
     /// Number of items currently stored or staged.
     pub fn len(&self) -> usize {
-        self.stored.len() + self.arrivals.len()
+        (self.stored + self.staged) as usize
+    }
+
+    /// Number of items staged this cycle and not yet committed.
+    pub fn staged(&self) -> usize {
+        self.staged as usize
     }
 
     /// Whether the buffer holds no items at all (stored or staged).
@@ -79,7 +109,7 @@ impl<T> ElasticBuffer<T> {
 
     /// Whether a push would be accepted this cycle.
     pub fn can_push(&self) -> bool {
-        !self.stalled && self.len() < self.capacity
+        !self.stalled && self.stored + self.staged < self.capacity
     }
 
     /// Stages an item for arrival; it becomes visible after [`commit`].
@@ -95,7 +125,14 @@ impl<T> ElasticBuffer<T> {
     pub fn push(&mut self, item: T) {
         assert!(self.can_push(), "push into full elastic buffer");
         self.pushes += 1;
-        self.arrivals.push_back(item);
+        self.stage(item);
+    }
+
+    /// Writes `item` behind the last staged arrival (room already checked).
+    fn stage(&mut self, item: T) {
+        let slot = self.slot(self.stored + self.staged);
+        self.slots[slot] = Some(item);
+        self.staged += 1;
     }
 
     /// Lifetime count of accepted pushes (the observability layer's
@@ -111,10 +148,10 @@ impl<T> ElasticBuffer<T> {
 
     /// The oldest *visible* item, if any (`None` while stalled).
     pub fn head(&self) -> Option<&T> {
-        if self.stalled {
+        if self.stalled || self.stored == 0 {
             return None;
         }
-        self.stored.front()
+        self.slots[self.head as usize].as_ref()
     }
 
     /// Removes and returns the oldest visible item (`None` while stalled).
@@ -122,7 +159,7 @@ impl<T> ElasticBuffer<T> {
         if self.stalled {
             return None;
         }
-        self.stored.pop_front()
+        self.drop_head()
     }
 
     /// Fault injection: gates the register's valid/ready handshake for the
@@ -139,37 +176,51 @@ impl<T> ElasticBuffer<T> {
     /// Fault injection: silently discards the oldest stored item (a lost
     /// flit), bypassing the stall gate. Returns the dropped item.
     pub fn drop_head(&mut self) -> Option<T> {
-        self.stored.pop_front()
+        if self.stored == 0 {
+            return None;
+        }
+        let item = self.slots[self.head as usize].take();
+        self.head = self.slot(1) as u8;
+        self.stored -= 1;
+        item
     }
 
     /// Fault injection: mutable access to the oldest stored item, for
     /// payload corruption. Bypasses the stall gate.
     pub fn head_mut(&mut self) -> Option<&mut T> {
-        self.stored.front_mut()
+        if self.stored == 0 {
+            return None;
+        }
+        self.slots[self.head as usize].as_mut()
     }
 
     /// End-of-cycle commit: staged arrivals become visible.
     pub fn commit(&mut self) {
-        self.stored.append(&mut self.arrivals);
-        debug_assert!(self.stored.len() <= self.capacity);
+        self.stored += self.staged;
+        self.staged = 0;
     }
 
     /// Drops all contents (stored and staged) and clears any stall gate.
     pub fn clear(&mut self) {
-        self.stored.clear();
-        self.arrivals.clear();
+        self.slots.iter_mut().for_each(|s| *s = None);
+        (self.head, self.stored, self.staged) = (0, 0, 0);
         self.stalled = false;
+    }
+
+    /// The `count` items starting `first` positions behind the head.
+    fn run(&self, first: u8, count: u8) -> impl Iterator<Item = &T> {
+        (first..first + count).map(|i| self.slots[self.slot(i)].as_ref().expect("occupied slot"))
     }
 
     /// Iterates over the visible items, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.stored.iter()
+        self.run(0, self.stored)
     }
 
     /// Iterates over the staged (pushed-but-uncommitted) items, oldest
     /// first (checkpointing).
     pub fn iter_arrivals(&self) -> impl Iterator<Item = &T> {
-        self.arrivals.iter()
+        self.run(self.stored, self.staged)
     }
 
     /// Restores the full buffer state from a checkpoint: stored items,
@@ -184,14 +235,17 @@ impl<T> ElasticBuffer<T> {
         arrivals: impl IntoIterator<Item = T>,
         stalled: bool,
     ) {
-        self.stored.clear();
-        self.stored.extend(stored);
-        self.arrivals.clear();
-        self.arrivals.extend(arrivals);
-        assert!(
-            self.stored.len() + self.arrivals.len() <= self.capacity,
-            "loaded state exceeds buffer capacity"
-        );
+        self.clear();
+        let stage = |buf: &mut Self, item: T| {
+            assert!(
+                buf.len() < buf.capacity(),
+                "loaded state exceeds buffer capacity"
+            );
+            buf.stage(item);
+        };
+        stored.into_iter().for_each(|item| stage(self, item));
+        self.commit();
+        arrivals.into_iter().for_each(|item| stage(self, item));
         self.stalled = stalled;
     }
 }

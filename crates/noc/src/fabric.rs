@@ -78,19 +78,52 @@ fn build_err(msg: impl Into<String>) -> BuildFabricError {
 #[derive(Debug, Clone)]
 pub struct Fabric {
     n_in: usize,
-    n_out: usize,
-    n_layers: usize,
-    /// `paths[input * n_out + dest]` — one hop per layer.
-    paths: Vec<Vec<Hop>>,
-    /// `arbiters[layer][out_port]`.
-    arbiters: Vec<Vec<RoundRobin>>,
-    /// Scratch: contenders per (layer-local) out port, reused across calls.
-    scratch_contenders: Vec<Vec<(usize, u32)>>,
-    scratch_touched: Vec<u32>,
+    /// Switch output ports per layer (the same in every layer).
+    layer_ports: usize,
+    paths: Paths,
+    /// `arbiters[layer * layer_ports + out_port]`.
+    arbiters: Vec<RoundRobin>,
+    /// Scratch: per layer-local out port, the contender closest to the
+    /// arbiter's pointer in arbitration round `round`.
+    lead: Vec<Lead>,
+    round: u64,
     /// Interior butterfly segments land on the *shuffled* final out port
     /// (the next layer's input row); see [`Fabric::butterfly_segment`].
     shuffled_terminal: bool,
     radix: usize,
+}
+
+/// The leading contender for one switch output. An entry from an earlier
+/// round is stale, so the table never needs clearing.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lead {
+    round: u64,
+    distance: usize,
+    offer: usize,
+}
+
+/// The precomputed routes: one hop per layer for every `(input, dest)`.
+#[derive(Debug, Clone)]
+struct Paths {
+    /// `hops[(input * n_out + dest) * n_layers + layer]`.
+    hops: Vec<Hop>,
+    n_out: usize,
+    n_layers: usize,
+    /// Whether every path is the single hop `input -> dest` (a crossbar):
+    /// its hops are then read off the offer, never from the table.
+    direct: bool,
+}
+
+impl Paths {
+    /// The `(in_port, out_port)` an offer crosses in `layer`.
+    #[inline]
+    fn hop(&self, offer: &Offer, layer: usize) -> (usize, usize) {
+        if self.direct {
+            return (offer.input, offer.dest);
+        }
+        let hop = self.hops[(offer.input * self.n_out + offer.dest) * self.n_layers + layer];
+        (hop.in_port as usize, hop.out_port as usize)
+    }
 }
 
 impl Fabric {
@@ -106,14 +139,14 @@ impl Fabric {
         let mut paths = Vec::with_capacity(m * n);
         for input in 0..m {
             for dest in 0..n {
-                paths.push(vec![Hop {
+                paths.push(Hop {
                     layer: 0,
                     in_port: input as u32,
                     out_port: dest as u32,
-                }]);
+                });
             }
         }
-        Ok(Fabric::from_parts(m, n, vec![n], paths))
+        Ok(Fabric::from_parts(m, n, 1, n, paths))
     }
 
     /// Builds an `ports`×`ports` radix-`radix` butterfly (omega wiring,
@@ -154,27 +187,24 @@ impl Fabric {
             )));
         }
         let k = total_layers;
-        let mut paths = Vec::with_capacity(ports * ports);
+        let mut paths = Vec::with_capacity(ports * ports * (last - first));
         for entry in 0..ports {
             for dest in 0..ports {
-                let mut hops = Vec::with_capacity(last - first);
                 let mut in_port = entry;
                 for layer in first..last {
                     let digit_index = k - 1 - layer;
                     let digit = (dest / radix.pow(digit_index as u32)) % radix;
                     let out_port = (in_port / radix) * radix + digit;
-                    hops.push(Hop {
+                    paths.push(Hop {
                         layer: (layer - first) as u16,
                         in_port: in_port as u32,
                         out_port: out_port as u32,
                     });
                     in_port = shuffle(out_port, ports, radix);
                 }
-                paths.push(hops);
             }
         }
-        let layer_outs = vec![ports; last - first];
-        let mut fabric = Fabric::from_parts(ports, ports, layer_outs, paths);
+        let mut fabric = Fabric::from_parts(ports, ports, last - first, ports, paths);
         // The final segment delivers on the last layer's out ports directly;
         // earlier segments deliver on the *next layer's in ports* (the
         // register row), i.e. the shuffled final out port. `output_port`
@@ -189,23 +219,27 @@ impl Fabric {
     fn from_parts(
         n_in: usize,
         n_out: usize,
-        layer_outs: Vec<usize>,
-        paths: Vec<Vec<Hop>>,
+        n_layers: usize,
+        layer_ports: usize,
+        paths: Vec<Hop>,
     ) -> Fabric {
-        let n_layers = layer_outs.len();
-        let arbiters = layer_outs
-            .iter()
-            .map(|&outs| (0..outs).map(|_| RoundRobin::new(n_in.max(outs))).collect())
-            .collect();
-        let max_outs = layer_outs.iter().copied().max().unwrap_or(0);
+        let lines = n_in.max(layer_ports);
+        let direct = n_layers == 1
+            && paths.iter().enumerate().all(|(i, hop)| {
+                (hop.in_port as usize, hop.out_port as usize) == (i / n_out, i % n_out)
+            });
         Fabric {
             n_in,
-            n_out,
-            n_layers,
-            paths,
-            arbiters,
-            scratch_contenders: (0..max_outs).map(|_| Vec::new()).collect(),
-            scratch_touched: Vec::new(),
+            layer_ports,
+            paths: Paths {
+                hops: paths,
+                n_out,
+                n_layers,
+                direct,
+            },
+            arbiters: vec![RoundRobin::new(lines); n_layers * layer_ports],
+            lead: vec![Lead::default(); layer_ports],
+            round: 0,
             shuffled_terminal: false,
             radix: 0,
         }
@@ -218,12 +252,12 @@ impl Fabric {
 
     /// Number of fabric output ports.
     pub fn n_out(&self) -> usize {
-        self.n_out
+        self.paths.n_out
     }
 
     /// Number of switch layers a packet traverses.
     pub fn n_layers(&self) -> usize {
-        self.n_layers
+        self.paths.n_layers
     }
 
     /// The path for a given input/destination pair.
@@ -232,21 +266,25 @@ impl Fabric {
     ///
     /// Panics if `input` or `dest` is out of range.
     pub fn path(&self, input: usize, dest: usize) -> &[Hop] {
-        assert!(input < self.n_in && dest < self.n_out, "port out of range");
-        &self.paths[input * self.n_out + dest]
+        assert!(
+            input < self.n_in && dest < self.n_out(),
+            "port out of range"
+        );
+        let layers = self.n_layers();
+        &self.paths.hops[(input * self.n_out() + dest) * layers..][..layers]
     }
 
     /// The fabric output port where a packet entering at `input` with
     /// destination `dest` lands. For interior butterfly segments this is the
     /// register-row index feeding the next segment.
     pub fn output_port(&self, input: usize, dest: usize) -> usize {
-        let last = self
-            .path(input, dest)
-            .last()
-            .expect("paths have at least one hop");
-        let out = last.out_port as usize;
+        assert!(
+            input < self.n_in && dest < self.n_out(),
+            "port out of range"
+        );
+        let (_, out) = self.paths.hop(&Offer { input, dest }, self.n_layers() - 1);
         if self.shuffled_terminal {
-            shuffle(out, self.n_out, self.radix)
+            shuffle(out, self.n_out(), self.radix)
         } else {
             out
         }
@@ -264,85 +302,86 @@ impl Fabric {
     ///
     /// Round-robin pointers advance only on committed transfers.
     ///
+    /// This is [`resolve_into`](Fabric::resolve_into) with a freshly
+    /// allocated result; per-cycle callers should hold a `granted` buffer
+    /// and call that instead.
+    ///
     /// # Panics
     ///
-    /// Panics if an offer's ports are out of range, or if two offers share
-    /// the same input port.
+    /// Panics if an offer's ports are out of range, or (debug builds) if
+    /// two offers share the same input port.
     pub fn resolve(
         &mut self,
         offers: &[Offer],
         out_ready: &mut dyn FnMut(usize) -> bool,
     ) -> Vec<bool> {
-        let mut alive = vec![true; offers.len()];
+        let mut granted = Vec::new();
+        self.resolve_into(offers, out_ready, &mut granted);
+        granted
+    }
+
+    /// [`resolve`](Fabric::resolve) without heap allocation: `granted` is
+    /// cleared and refilled with one flag per offer, and all arbitration
+    /// state lives in scratch owned by the fabric.
+    ///
+    /// # Panics
+    ///
+    /// As [`resolve`](Fabric::resolve).
+    pub fn resolve_into(
+        &mut self,
+        offers: &[Offer],
+        mut out_ready: impl FnMut(usize) -> bool,
+        granted: &mut Vec<bool>,
+    ) {
+        assert!(
+            offers
+                .iter()
+                .all(|o| o.input < self.n_in && o.dest < self.n_out()),
+            "port out of range"
+        );
         debug_assert!(
-            {
-                let mut seen = vec![false; self.n_in];
-                offers.iter().all(|o| !std::mem::replace(&mut seen[o.input], true))
-            },
+            offers
+                .iter()
+                .enumerate()
+                .all(|(i, a)| offers[..i].iter().all(|b| a.input != b.input)),
             "two offers share an input port"
         );
-        for layer in 0..self.n_layers {
-            self.scratch_touched.clear();
-            for (idx, offer) in offers.iter().enumerate() {
-                if !alive[idx] {
-                    continue;
-                }
-                let hop = self.paths[offer.input * self.n_out + offer.dest][layer];
-                debug_assert_eq!(hop.layer as usize, layer);
-                let port = hop.out_port as usize;
-                if self.scratch_contenders[port].is_empty() {
-                    self.scratch_touched.push(hop.out_port);
-                }
-                self.scratch_contenders[port].push((idx, hop.in_port));
-            }
-            for t in 0..self.scratch_touched.len() {
-                let port = self.scratch_touched[t] as usize;
-                let contenders = &mut self.scratch_contenders[port];
-                if contenders.len() > 1 {
-                    let requests: Vec<usize> =
-                        contenders.iter().map(|&(_, inp)| inp as usize).collect();
-                    let winner_in = self.arbiters[layer][port]
-                        .peek(&requests)
-                        .expect("nonempty contenders");
-                    for &(idx, inp) in contenders.iter() {
-                        if inp as usize != winner_in {
-                            alive[idx] = false;
-                        }
-                    }
-                }
-                contenders.clear();
-            }
+        granted.clear();
+        granted.resize(offers.len(), true);
+        let ports = self.layer_ports;
+        for layer in 0..self.n_layers() {
+            self.round += 1;
+            let arbiters = &self.arbiters[layer * ports..][..ports];
+            arbitrate(
+                arbiters,
+                &mut self.lead,
+                self.round,
+                offers,
+                granted,
+                |offer| self.paths.hop(offer, layer),
+            );
         }
-        // Terminal readiness.
+        // Terminal readiness, then round-robin pointers advance past the
+        // committed packets.
         for (idx, offer) in offers.iter().enumerate() {
-            if !alive[idx] {
+            if !granted[idx] {
                 continue;
             }
-            let landing = self.output_port(offer.input, offer.dest);
-            if !out_ready(landing) {
-                alive[idx] = false;
-            }
-        }
-        // Advance round-robin pointers for committed packets.
-        for (idx, offer) in offers.iter().enumerate() {
-            if !alive[idx] {
+            if !out_ready(self.output_port(offer.input, offer.dest)) {
+                granted[idx] = false;
                 continue;
             }
-            for hop in &self.paths[offer.input * self.n_out + offer.dest] {
-                self.arbiters[hop.layer as usize][hop.out_port as usize]
-                    .advance_past(hop.in_port as usize);
+            for layer in 0..self.n_layers() {
+                let (in_port, out_port) = self.paths.hop(offer, layer);
+                self.arbiters[layer * ports + out_port].advance_past(in_port);
             }
         }
-        alive
     }
 
     /// The round-robin pointer of every arbiter, flattened layer-by-layer
     /// then output-port order (checkpointing).
     pub fn arbiter_pointers(&self) -> Vec<usize> {
-        self.arbiters
-            .iter()
-            .flat_map(|layer| layer.iter().map(RoundRobin::pointer))
-            .collect()
+        self.arbiters.iter().map(RoundRobin::pointer).collect()
     }
 
     /// Restores all arbiter pointers from
@@ -353,13 +392,13 @@ impl Fabric {
     /// Panics if the slice length disagrees with the arbiter count or any
     /// pointer is out of range.
     pub fn set_arbiter_pointers(&mut self, pointers: &[usize]) {
-        let total: usize = self.arbiters.iter().map(Vec::len).sum();
-        assert_eq!(pointers.len(), total, "arbiter pointer count mismatch");
-        let mut it = pointers.iter();
-        for layer in &mut self.arbiters {
-            for arb in layer {
-                arb.set_pointer(*it.next().expect("length checked"));
-            }
+        assert_eq!(
+            pointers.len(),
+            self.arbiters.len(),
+            "arbiter pointer count mismatch"
+        );
+        for (arb, &pointer) in self.arbiters.iter_mut().zip(pointers) {
+            arb.set_pointer(pointer);
         }
     }
 
@@ -367,10 +406,7 @@ impl Fabric {
     /// [`arbiter_pointers`](Fabric::arbiter_pointers) order (checkpointing
     /// and observability).
     pub fn arbiter_grants(&self) -> Vec<u64> {
-        self.arbiters
-            .iter()
-            .flat_map(|layer| layer.iter().map(RoundRobin::grants))
-            .collect()
+        self.arbiters.iter().map(RoundRobin::grants).collect()
     }
 
     /// Restores all arbiter grant counters from
@@ -380,23 +416,54 @@ impl Fabric {
     ///
     /// Panics if the slice length disagrees with the arbiter count.
     pub fn set_arbiter_grants(&mut self, grants: &[u64]) {
-        let total: usize = self.arbiters.iter().map(Vec::len).sum();
-        assert_eq!(grants.len(), total, "arbiter grant count mismatch");
-        let mut it = grants.iter();
-        for layer in &mut self.arbiters {
-            for arb in layer {
-                arb.set_grants(*it.next().expect("length checked"));
-            }
+        assert_eq!(
+            grants.len(),
+            self.arbiters.len(),
+            "arbiter grant count mismatch"
+        );
+        for (arb, &count) in self.arbiters.iter_mut().zip(grants) {
+            arb.set_grants(count);
         }
     }
 
     /// Total committed switch-output traversals across all arbiters — the
     /// fabric-utilization counter of the observability layer.
     pub fn total_grants(&self) -> u64 {
-        self.arbiters
-            .iter()
-            .flat_map(|layer| layer.iter().map(RoundRobin::grants))
-            .sum()
+        self.arbiters.iter().map(RoundRobin::grants).sum()
+    }
+}
+
+/// One layer of arbitration over the offers still `alive`: per switch
+/// output, the contender closest to that output's round-robin pointer stays
+/// alive and every other contender is blocked. `hop_of` gives an offer's
+/// `(in_port, out_port)` in this layer.
+fn arbitrate(
+    arbiters: &[RoundRobin],
+    lead: &mut [Lead],
+    round: u64,
+    offers: &[Offer],
+    alive: &mut [bool],
+    hop_of: impl Fn(&Offer) -> (usize, usize),
+) {
+    for (idx, offer) in offers.iter().enumerate() {
+        if !alive[idx] {
+            continue;
+        }
+        let (in_port, out_port) = hop_of(offer);
+        let distance = arbiters[out_port].distance(in_port);
+        let best = &mut lead[out_port];
+        if best.round != round || distance < best.distance {
+            *best = Lead {
+                round,
+                distance,
+                offer: idx,
+            };
+        }
+    }
+    for (idx, offer) in offers.iter().enumerate() {
+        if alive[idx] {
+            alive[idx] = lead[hop_of(offer).1].offer == idx;
+        }
     }
 }
 
@@ -483,7 +550,11 @@ mod tests {
         for src in 0..64 {
             for dest in 0..64 {
                 let mid = seg_a.output_port(src, dest);
-                assert_eq!(seg_b.output_port(mid, dest), dest, "{src}->{dest} via {mid}");
+                assert_eq!(
+                    seg_b.output_port(mid, dest),
+                    dest,
+                    "{src}->{dest} via {mid}"
+                );
             }
         }
     }
@@ -522,7 +593,10 @@ mod tests {
         let offers: Vec<Offer> = (0..16).map(|input| Offer { input, dest: input }).collect();
         let granted = net.resolve(&offers, &mut |_| true);
         let wins = granted.iter().filter(|&&g| g).count();
-        assert!(wins < 16, "blocking network granted a hard permutation fully");
+        assert!(
+            wins < 16,
+            "blocking network granted a hard permutation fully"
+        );
         assert!(wins >= 1);
     }
 

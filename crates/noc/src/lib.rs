@@ -16,7 +16,8 @@
 //! of a network presents the buffer heads (plus any freshly generated
 //! packets) to a [`Fabric`] as [`Offer`]s; `Fabric::resolve` applies
 //! round-robin arbitration at every switch output and terminal readiness,
-//! and tells the caller which packets move this cycle. Buffers make staged
+//! and tells the caller which packets move this cycle (per-cycle callers
+//! use the allocation-free [`Fabric::resolve_into`]). Buffers make staged
 //! arrivals visible only at the end-of-cycle [`ElasticBuffer::commit`], so a
 //! packet crosses exactly one register boundary per cycle — which is what
 //! makes the zero-load latencies of the paper (1/3/5 cycles) drop out of the
@@ -53,6 +54,8 @@
 mod arbiter;
 mod elastic;
 mod fabric;
+#[cfg(test)]
+mod oracle;
 mod ring;
 
 pub use arbiter::RoundRobin;

@@ -1,0 +1,162 @@
+//! Pinned `state_digest`s: every topology × {fault-free, seeded fault plan
+//! with quarantine and retries} × {16, 64 cores} × {synthetic traffic, a
+//! small matmul}, stepped 2 000 cycles on the serial engine and on
+//! `set_workers(2)`.
+//!
+//! The serial-vs-parallel differentials elsewhere only prove the two
+//! engines agree with *each other*; both now share their hot data
+//! structures (elastic registers, fabric arbitration, the issue path), so
+//! a bug in those would move both together. The constants below were
+//! recorded on the commit *before* those structures were replaced
+//! (a46ebd0) and must never move under a host-side optimisation. If a
+//! change to the *model* moves them on purpose, re-record from the table
+//! the failing assertion prints.
+
+use mempool::{Cluster, ClusterConfig, Core, FaultPlan, FaultSpec, ResilienceConfig, Topology};
+use mempool_kernels::{build_program, Geometry, Kernel, Matmul};
+use mempool_traffic::{AddressSpace, Pattern, TrafficGen};
+
+const CYCLES: u64 = 2_000;
+const FAULTS: &str = "bank_fail=2,bank_stall=0.01,link_stall=0.01,link_drop=0.002,\
+                      link_corrupt=0.002,core_lockup=0.001,spurious_retire=0.001";
+
+/// `(workload/topology/cores/faults, digest after CYCLES)`.
+const PINNED: &[(&str, u64)] = &[
+    ("traffic/ideal/16/clean", 0xbadac2e1e18498b2),
+    ("traffic/ideal/16/faults", 0xf38f5bf2ed8699b2),
+    ("traffic/ideal/64/clean", 0x9e61e298c5300115),
+    ("traffic/ideal/64/faults", 0x7bfbad63b420cb85),
+    ("traffic/top1/16/clean", 0x315b85faf66ddf99),
+    ("traffic/top1/16/faults", 0xe80c68065d7a492e),
+    ("traffic/top1/64/clean", 0x9279ddb910eec930),
+    ("traffic/top1/64/faults", 0x3158da57c4dd695b),
+    ("traffic/top4/16/clean", 0xd01c741fcb26f379),
+    ("traffic/top4/16/faults", 0x78c690c7cd51eef2),
+    ("traffic/top4/64/clean", 0x76d1cd32889b9174),
+    ("traffic/top4/64/faults", 0xba238e7df13e9037),
+    ("traffic/topH/16/clean", 0x48a7d4eeb732ce56),
+    ("traffic/topH/16/faults", 0xb979ab1fdac6a1f2),
+    ("traffic/topH/64/clean", 0xfb858f43abf15e1c),
+    ("traffic/topH/64/faults", 0x1e3c5527e7253825),
+    ("matmul/ideal/16/clean", 0x4372d1dbac7169a6),
+    ("matmul/ideal/16/faults", 0x37065f0c198474fe),
+    ("matmul/ideal/64/clean", 0xce0dc6f5ed2e3d38),
+    ("matmul/ideal/64/faults", 0xc5b5810a61fa8399),
+    ("matmul/top1/16/clean", 0x084eae97b9dcf0b3),
+    ("matmul/top1/16/faults", 0x34e16a6ca2a764e1),
+    ("matmul/top1/64/clean", 0x889d204d79ffdd41),
+    ("matmul/top1/64/faults", 0xfc89d04a9331f898),
+    ("matmul/top4/16/clean", 0x9500ac1dd15f8a58),
+    ("matmul/top4/16/faults", 0x28004f268411d021),
+    ("matmul/top4/64/clean", 0x882a61921b3d3ce0),
+    ("matmul/top4/64/faults", 0x76cf3b3644763b01),
+    ("matmul/topH/16/clean", 0xf77c2abe35710f76),
+    ("matmul/topH/16/faults", 0xc1084eeed3e787f7),
+    ("matmul/topH/64/clean", 0x62711069dcc290f9),
+    ("matmul/topH/64/faults", 0xdedb7b1a2a64b27d),
+];
+
+fn config(topology: Topology, cores: usize, faulted: bool) -> ClusterConfig {
+    let mut config = ClusterConfig::small(topology);
+    if cores == 16 {
+        // The bench matrix's 16-core shape: all 16 tiles, one core each.
+        config.cores_per_tile = 1;
+    }
+    if faulted {
+        // A timeout short enough for dropped requests to be retried (and
+        // for slow ones to be retried spuriously) inside the window.
+        config.resilience = ResilienceConfig {
+            request_timeout: 256,
+            ..ResilienceConfig::standard()
+        };
+    }
+    config
+}
+
+fn traffic_cluster(config: ClusterConfig) -> Cluster<TrafficGen> {
+    let map = config.address_map().expect("valid map");
+    let scrambler = config
+        .scrambler()
+        .expect("valid scrambler")
+        .expect("hybrid map");
+    Cluster::new(config, |loc| {
+        let space = AddressSpace {
+            l1_bytes: map.size_bytes() as u32,
+            seq_base: scrambler.seq_base(loc.tile as u32),
+            seq_bytes: scrambler.seq_bytes_per_tile(),
+            seq_total: scrambler.seq_region_bytes() as u32,
+            tile: loc.tile as u32,
+            num_tiles: config.num_tiles as u32,
+            banks_per_tile: config.banks_per_tile as u32,
+        };
+        TrafficGen::new(0.3, Pattern::Uniform, space, 8, 0x5eed ^ loc.core as u64)
+    })
+    .expect("valid config")
+}
+
+fn matmul_cluster(config: ClusterConfig) -> Cluster<mempool_snitch::SnitchCore> {
+    let kernel = Matmul::new(Geometry::from_config(&config, 4096), 32).expect("fits");
+    let mut cluster = Cluster::snitch(config).expect("valid config");
+    cluster
+        .load_program(&build_program(&kernel, &config).expect("builds"))
+        .expect("decodes");
+    kernel.init(&mut cluster, 7);
+    cluster
+}
+
+fn digest_after<C: Core + mempool::CoreState>(
+    mut cluster: Cluster<C>,
+    faulted: bool,
+    workers: usize,
+) -> u64 {
+    if faulted {
+        let spec: FaultSpec = FAULTS.parse().expect("valid spec");
+        cluster.install_fault_plan(Some(FaultPlan::new(11, spec)));
+    }
+    cluster.set_workers(workers);
+    cluster.step_cycles(CYCLES);
+    if faulted {
+        // The ideal crossbar has no link to drop a packet on.
+        let lossy = cluster.config().topology != Topology::Ideal;
+        assert!(cluster.quarantined_banks() > 0, "plan quarantined nothing");
+        assert!(
+            !lossy || cluster.stats().faults.request_retries > 0,
+            "plan forced no retry"
+        );
+    }
+    cluster.state_digest()
+}
+
+#[test]
+fn digests_match_the_values_recorded_before_the_rewrite() {
+    let mut actual = Vec::new();
+    for workload in ["traffic", "matmul"] {
+        for topology in Topology::all() {
+            for cores in [16, 64] {
+                for faulted in [false, true] {
+                    let config = config(topology, cores, faulted);
+                    let run = |workers| match workload {
+                        "traffic" => digest_after(traffic_cluster(config), faulted, workers),
+                        _ => digest_after(matmul_cluster(config), faulted, workers),
+                    };
+                    let name = format!(
+                        "{workload}/{topology}/{cores}/{}",
+                        if faulted { "faults" } else { "clean" }
+                    );
+                    let serial = run(0);
+                    assert_eq!(run(2), serial, "{name}: workers=2 left the serial digest");
+                    actual.push((name, serial));
+                }
+            }
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(name, digest)| format!("    (\"{name}\", {digest:#018x}),\n"))
+        .collect();
+    let pinned: Vec<(String, u64)> = PINNED.iter().map(|&(n, d)| (n.to_owned(), d)).collect();
+    assert!(
+        actual == pinned,
+        "state digests moved; the run produced:\n{table}"
+    );
+}
