@@ -7,7 +7,6 @@ use crate::faults::{
 };
 use crate::sanitize::{Sanitizer, SanitizerConfig, SanitizerReport};
 use crate::net::{LinkRef, Net};
-use crate::par::{SyncPtr, WorkerPool};
 use crate::tile::{BankGate, ProgramImage, Tile};
 use crate::{
     ClusterConfig, ClusterStats, Core, FaultStats, RefillNetwork, Request, Response, Topology,
@@ -111,10 +110,8 @@ impl RefillRing {
 }
 
 /// What placing requests on the interconnect adds to the cluster's
-/// statistics. Both engines count into one of these during the core phase
-/// (the serial engine one per cycle, the parallel engine one per tile) and
-/// fold it into [`ClusterStats`] afterwards; the sums commute, so the
-/// result does not depend on which.
+/// statistics. The core phase counts into a local one of these and the
+/// cycle folds it into [`ClusterStats`] when the phase ends.
 #[derive(Default)]
 struct IssueCounters {
     memory_faults: u64,
@@ -225,35 +222,6 @@ fn bank_gate<'a>(
             BankGate::Ready
         }
     }
-}
-
-/// Per-tile staging buffer for the parallel core phase: everything the
-/// serial core loop would have written to shared cluster state, in the
-/// order it would have written it. The commit phase merges the stages in
-/// ascending tile index, which reproduces the serial core order exactly
-/// (cores are numbered tile-major).
-#[derive(Default)]
-struct CoreStage {
-    issues: IssueCounters,
-    core_lockups: u64,
-    spurious_retires: u64,
-    log: Vec<FaultEvent>,
-    pending: Vec<((u32, u8), PendingRequest)>,
-    trace: Vec<(usize, crate::TraceEvent)>,
-}
-
-/// The tile-parallel execution engine: a persistent worker pool plus
-/// reusable per-tile staging buffers. Pure execution-strategy state — it
-/// carries no architectural state, is excluded from snapshots and the
-/// state digest, and can be attached or detached between any two cycles
-/// without observable effect.
-pub(crate) struct ParEngine {
-    pool: WorkerPool,
-    core_stages: Vec<CoreStage>,
-    resp_stages: Vec<Vec<Response>>,
-    /// Per-tile (bank accesses served, requests dropped) of the request
-    /// phase.
-    accept_stages: Vec<(u64, u64)>,
 }
 
 /// Error returned by [`Cluster::run`] when the program does not finish
@@ -385,9 +353,6 @@ pub struct Cluster<C> {
     /// Watchdog: last cycle the progress signature changed, and its value.
     pub(crate) last_progress: u64,
     pub(crate) progress_mark: u64,
-    /// Tile-parallel execution engine (`None` = serial). Pure strategy
-    /// state: never snapshotted, never digested.
-    pub(crate) engine: Option<ParEngine>,
     /// Cycle-level invariant sanitizer (`None` = disabled). Pure checking:
     /// never snapshotted, never digested, never perturbs results.
     pub(crate) sanitizer: Option<Box<Sanitizer>>,
@@ -400,8 +365,8 @@ pub struct Cluster<C> {
 
 /// Test-only delivery mutations used to prove the sanitizer detects the
 /// failure modes it claims to: dropping, duplicating, and delaying
-/// responses, applied at the head of the (engine-independent, serial)
-/// delivery drain. Inert unless armed through the `debug_*` hooks.
+/// responses, applied at the head of the delivery drain. Inert unless
+/// armed through the `debug_*` hooks.
 #[derive(Debug, Default)]
 pub(crate) struct DebugMutations {
     drop_next: bool,
@@ -499,7 +464,6 @@ impl<C: Core> Cluster<C> {
             refills_total: 0,
             last_progress: 0,
             progress_mark: 0,
-            engine: None,
             sanitizer: None,
             cancel: None,
             debug_mut: DebugMutations::default(),
@@ -582,12 +546,6 @@ impl<C: Core> Cluster<C> {
         self.faults = plan;
     }
 
-    /// Deprecated alias of [`install_fault_plan`](Cluster::install_fault_plan).
-    #[deprecated(since = "0.4.0", note = "use `install_fault_plan` (or `SimSession::builder`)")]
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.install_fault_plan(plan);
-    }
-
     /// The active fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.faults.as_ref()
@@ -603,46 +561,13 @@ impl<C: Core> Cluster<C> {
         self.quarantine.quarantined_banks()
     }
 
-    /// Selects the execution engine: `0` steps the cluster serially (the
-    /// default), any `workers >= 1` steps it with the tile-parallel engine
-    /// using `workers` total participating threads (the calling thread
-    /// plus `workers - 1` persistent pool threads, capped at the tile
-    /// count — more threads than tiles cannot help).
-    ///
-    /// The engine is an execution strategy, not architectural state: the
-    /// parallel engine is bit-identical to the serial one (same
-    /// [`state_digest`](Cluster::state_digest) after any number of cycles,
-    /// any topology, any fault plan, any worker count), it is excluded
-    /// from snapshots, and it can be switched at any cycle boundary.
-    /// `set_workers(1)` exercises the full staging/merge machinery on the
-    /// calling thread alone — useful for debugging the staged path.
-    pub fn set_workers(&mut self, workers: usize) {
-        if workers == 0 {
-            self.engine = None;
-            return;
-        }
-        let num_tiles = self.config.num_tiles;
-        let pool_threads = (workers - 1).min(num_tiles.saturating_sub(1));
-        self.engine = Some(ParEngine {
-            pool: WorkerPool::new(pool_threads),
-            core_stages: (0..num_tiles).map(|_| CoreStage::default()).collect(),
-            resp_stages: vec![Vec::new(); num_tiles],
-            accept_stages: vec![(0, 0); num_tiles],
-        });
-    }
-
-    /// Deprecated alias of [`set_workers`](Cluster::set_workers).
-    #[deprecated(since = "0.4.0", note = "use `set_workers` (or `SimSession::builder`)")]
-    pub fn set_parallel(&mut self, workers: usize) {
-        self.set_workers(workers);
-    }
-
-    /// The effective parallelism: `0` when stepping serially, otherwise
-    /// the number of threads participating in each cycle (calling thread
-    /// included).
-    pub fn parallelism(&self) -> usize {
-        self.engine.as_ref().map_or(0, |e| e.pool.threads() + 1)
-    }
+    /// Does nothing: there is one engine (DESIGN.md §10, "Why there is one
+    /// engine"). Kept only because the frozen `benchmark/` package still
+    /// calls it for its `matmul_par2` workload and `core.*par2*` /
+    /// `core.forkjoin*` probes; it goes when a later `benchmark` PR retires
+    /// those rows.
+    #[doc(hidden)]
+    pub fn set_workers(&mut self, _workers: usize) {}
 
     /// Whether per-request bookkeeping (the retry layer's pending map) is
     /// active. Off in the default configuration, so fault-free runs keep
@@ -721,12 +646,6 @@ impl<C: Core> Cluster<C> {
         self.trace = Some(crate::MemoryTrace::new(self.config.num_cores()));
     }
 
-    /// Deprecated alias of [`begin_trace`](Cluster::begin_trace).
-    #[deprecated(since = "0.4.0", note = "use `begin_trace` (or `SimSession::builder`)")]
-    pub fn start_trace(&mut self) {
-        self.begin_trace();
-    }
-
     /// Stops recording and returns the captured trace (`None` when tracing
     /// was never started).
     pub fn take_trace(&mut self) -> Option<crate::MemoryTrace> {
@@ -739,8 +658,7 @@ impl<C: Core> Cluster<C> {
     /// pays nothing for it.
     ///
     /// Once enabled, the recorder's contents are architectural state:
-    /// included in snapshots and the [`state_digest`](Cluster::state_digest),
-    /// and bit-identical between the serial and tile-parallel engines.
+    /// included in snapshots and the [`state_digest`](Cluster::state_digest).
     pub fn enable_observability(&mut self, config: crate::obs::ObsConfig) {
         self.obs = Some(Box::new(crate::obs::Obs::new(
             config,
@@ -769,8 +687,7 @@ impl<C: Core> Cluster<C> {
     ///
     /// Once enabled, all profiler state is architectural: included in
     /// snapshots (the `profile` component) and the
-    /// [`state_digest`](Cluster::state_digest), and bit-identical between
-    /// the serial and tile-parallel engines.
+    /// [`state_digest`](Cluster::state_digest).
     pub fn enable_profiling(&mut self, config: crate::ProfileConfig) {
         let mut p = crate::profile::Profiler::new(config, self.config.num_tiles);
         p.window_start = self.now;
@@ -1315,63 +1232,8 @@ impl<C: Core> Cluster<C> {
         self.retry_scratch = overdue;
     }
 
-    /// Phase 1, shared by both engines: the I-cache refill transport
-    /// (fixed-latency ports or the ring). A few queue checks per tile —
-    /// far less work than a fork-join costs, so it never fans out.
-    fn advance_refills(&mut self, now: u64) {
-        self.refills_total += match &mut self.refill_ring {
-            None => self.tiles.iter_mut().map(|tile| u64::from(tile.refill_tick(now))).sum(),
-            Some(ring) => ring.cycle(
-                &mut self.tiles,
-                now,
-                self.faults.as_ref(),
-                &mut self.stats.faults,
-            ),
-        };
-    }
-
-    /// Folds the core phase's issue counters into the statistics (both
-    /// engines; the parallel one once per tile stage).
-    fn commit_issues(&mut self, now: u64, k: IssueCounters) {
-        self.stats.memory_faults += k.memory_faults;
-        self.stats.local_requests += k.local_requests;
-        self.stats.remote_requests += k.remote_requests;
-        self.stats.group_local_requests += k.group_local_requests;
-        for (total, n) in self.stats.direction_requests.iter_mut().zip(k.direction_requests) {
-            *total += n;
-        }
-        self.stats.requests_issued += k.issued;
-        self.in_flight += k.issued;
-        self.stats.faults.quarantine_remaps += k.quarantine_remaps;
-        if k.issued > 0 {
-            let timeout = self.config.resilience.request_timeout;
-            self.retry_due = self.retry_due.min(now + timeout);
-        }
-    }
-
     /// Advances the whole cluster by one clock cycle.
-    ///
-    /// With [`set_workers`](Cluster::set_workers) active, the tile-local
-    /// phases (tile response crossbars, the core phase, tile request
-    /// crossbars + bank accesses) fan out over the worker pool into
-    /// per-tile staging buffers and are merged back in ascending tile
-    /// order; the cross-tile phases (fault application, the refill
-    /// transport, long-haul networks, response delivery, the retry layer)
-    /// stay serial. Either engine produces bit-identical state.
     pub fn cycle(&mut self) {
-        // The engine is taken out for the duration of the step so the
-        // parallel path can borrow it and `&mut self` disjointly.
-        match self.engine.take() {
-            None => self.cycle_serial(),
-            Some(mut engine) => {
-                self.cycle_parallel(&mut engine);
-                self.engine = Some(engine);
-            }
-        }
-    }
-
-    /// One cycle on the single-threaded reference engine.
-    fn cycle_serial(&mut self) {
         self.now += 1;
         let now = self.now;
         let cpt = self.config.cores_per_tile;
@@ -1383,8 +1245,16 @@ impl<C: Core> Cluster<C> {
             self.apply_faults(now);
         }
 
-        // 1. I-cache refill transport.
-        self.advance_refills(now);
+        // 1. I-cache refill transport (fixed-latency ports or the ring).
+        self.refills_total += match &mut self.refill_ring {
+            None => self.tiles.iter_mut().map(|tile| u64::from(tile.refill_tick(now))).sum(),
+            Some(ring) => ring.cycle(
+                &mut self.tiles,
+                now,
+                self.faults.as_ref(),
+                &mut self.stats.faults,
+            ),
+        };
 
         // 2. Response phase: master response registers deliver; tile
         //    response crossbars route bank responses toward cores or remote
@@ -1454,7 +1324,20 @@ impl<C: Core> Cluster<C> {
             }
             self.out_latches[c] = Some(req);
         }
-        self.commit_issues(now, issues);
+        self.stats.memory_faults += issues.memory_faults;
+        self.stats.local_requests += issues.local_requests;
+        self.stats.remote_requests += issues.remote_requests;
+        self.stats.group_local_requests += issues.group_local_requests;
+        for (total, n) in self.stats.direction_requests.iter_mut().zip(issues.direction_requests) {
+            *total += n;
+        }
+        self.stats.requests_issued += issues.issued;
+        self.in_flight += issues.issued;
+        self.stats.faults.quarantine_remaps += issues.quarantine_remaps;
+        if issues.issued > 0 {
+            let timeout = self.config.resilience.request_timeout;
+            self.retry_due = self.retry_due.min(now + timeout);
+        }
 
         // 3b. Sanitizer issue scan: latches must be observed before the
         //     request phase consumes them (same-cycle local accepts).
@@ -1498,8 +1381,8 @@ impl<C: Core> Cluster<C> {
     }
 
     /// Completes the response phase: delivers this cycle's responses to
-    /// their cores in staging order (which both engines arrange to be the
-    /// canonical ascending-tile order).
+    /// their cores in staging order (master-port registers first, then the
+    /// tile response crossbars in ascending tile order).
     fn drain_deliveries(&mut self, now: u64, track: bool) {
         if self.debug_mut.active() {
             self.apply_debug_mutations(now, track);
@@ -1537,10 +1420,9 @@ impl<C: Core> Cluster<C> {
         }
     }
 
-    /// Shared end-of-cycle bookkeeping: network commit, derived statistics
-    /// and the watchdog progress signature. (Tile commits happen earlier
-    /// and per-engine: serially in `cycle_serial`, fused into the parallel
-    /// request phase in `cycle_parallel`.)
+    /// End-of-cycle bookkeeping after the tile commits: network commit,
+    /// derived statistics, power-window sampling, the watchdog progress
+    /// signature and the sanitizer's per-cycle checks.
     fn finish_cycle(&mut self, now: u64) {
         self.net.commit();
         self.stats.icache_refills = self.refills_total;
@@ -1559,8 +1441,7 @@ impl<C: Core> Cluster<C> {
         self.stats.net_register_slots = total;
         self.stats.cycles += 1;
 
-        // Power-window sampling: both engines call finish_cycle serially,
-        // so the window series is engine-independent by construction.
+        // Power-window sampling.
         if self
             .profiler
             .as_ref()
@@ -1589,16 +1470,15 @@ impl<C: Core> Cluster<C> {
             self.last_progress = now;
         }
 
-        // Invariant sanitizer: per-cycle structural checks run serially
-        // under both engines, so reports are engine-independent.
+        // Invariant sanitizer: per-cycle structural checks.
         if self.sanitizer.is_some() {
             self.sanitize_cycle(now);
         }
     }
 
     /// Sanitizer issue scan: records every latch freshly (re-)issued this
-    /// cycle. Runs between the core phase and the request phase under both
-    /// engines, before same-cycle local accepts consume the latches.
+    /// cycle. Runs between the core phase and the request phase, before
+    /// same-cycle local accepts consume the latches.
     fn sanitize_issues(&mut self, now: u64) {
         let faults_active = self.faults.is_some();
         let map = self.map;
@@ -1684,209 +1564,6 @@ impl<C: Core> Cluster<C> {
                 self.debug_mut.held.push((now + cycles, resp));
             }
         }
-    }
-
-    /// One cycle on the tile-parallel engine: the same phase sequence as
-    /// [`cycle_serial`](Cluster::cycle_serial), with every tile-local
-    /// phase fanned over the worker pool into per-tile staging buffers
-    /// that are merged back in ascending tile order. Cores are numbered
-    /// tile-major, so the merge reproduces the serial engine's write order
-    /// exactly — the two engines are bit-identical by construction (and
-    /// pinned by differential tests over `state_digest`).
-    fn cycle_parallel(&mut self, engine: &mut ParEngine) {
-        let ParEngine {
-            pool,
-            core_stages,
-            resp_stages,
-            accept_stages,
-        } = engine;
-        self.now += 1;
-        let now = self.now;
-        let cpt = self.config.cores_per_tile;
-        let num_tiles = self.config.num_tiles;
-        let track = self.track_pending();
-
-        // 0. Fault application: inherently cross-tile (quarantine map,
-        //    link registers), stays serial.
-        if self.faults.is_some() || self.next_failure < self.pending_failures.len() {
-            self.apply_faults(now);
-        }
-
-        // 1. I-cache refill transport: serial (see `advance_refills`).
-        self.advance_refills(now);
-
-        // 2. Response phase. Master-response delivery reads the shared
-        //    net; the per-tile response crossbars stage their local
-        //    deliveries per tile and the merge appends them in ascending
-        //    tile order — the exact serial order.
-        self.deliveries.clear();
-        self.net
-            .deliver_master_resp(&mut self.tiles, &mut self.deliveries);
-        if !matches!(self.config.topology, Topology::Ideal) {
-            {
-                let net = &self.net;
-                let tiles = SyncPtr::new(self.tiles.as_mut_ptr());
-                let stages = SyncPtr::new(resp_stages.as_mut_ptr());
-                pool.run(num_tiles, &|t| {
-                    // SAFETY: tile `t` and staging slot `t` only.
-                    let tile = unsafe { &mut *tiles.at(t) };
-                    let stage = unsafe { &mut *stages.at(t) };
-                    stage.clear();
-                    let port_for = |resp: &Response| net.resp_port_for(t, resp, cpt);
-                    tile.route_responses(t, cpt, stage, port_for);
-                });
-            }
-            for stage in resp_stages.iter_mut() {
-                self.deliveries.append(stage);
-            }
-            self.net.route_responses(&mut self.tiles, cpt);
-        }
-        self.drain_deliveries(now, track);
-
-        // 2b. Retry layer: serial (ordered walk of the shared pending map).
-        if self.config.resilience.retries_enabled() && !self.pending.is_empty() {
-            self.retry_overdue(now);
-        }
-
-        // 3. Core phase: each tile steps its own cores against its own
-        //    I-cache and output latches; cluster-global side effects
-        //    (stats, fault log, pending map, trace) go to the tile's
-        //    staging buffer.
-        {
-            let cores = SyncPtr::new(self.cores.as_mut_ptr());
-            let tiles = SyncPtr::new(self.tiles.as_mut_ptr());
-            let latches = SyncPtr::new(self.out_latches.as_mut_ptr());
-            let locked = SyncPtr::new(self.locked_until.as_mut_ptr());
-            let stages = SyncPtr::new(core_stages.as_mut_ptr());
-            let faults = self.faults.as_ref();
-            let path =
-                IssuePath::new(&self.config, self.scrambler, self.map, &self.quarantine, now);
-            let image = &self.image;
-            let trace_on = self.trace.is_some();
-            pool.run(num_tiles, &|t| {
-                // SAFETY: tile `t`, its staging slot, and the per-core
-                // arrays at this tile's lanes `t*cpt..(t+1)*cpt` only.
-                let tile = unsafe { &mut *tiles.at(t) };
-                let stage = unsafe { &mut *stages.at(t) };
-                for lane in 0..cpt {
-                    let c = t * cpt + lane;
-                    let core = unsafe { &mut *cores.at(c) };
-                    let latch = unsafe { &mut *latches.at(c) };
-                    let locked_until = unsafe { &mut *locked.at(c) };
-                    if now < *locked_until {
-                        continue;
-                    }
-                    if let Some(plan) = faults {
-                        if let Some(len) = plan.core_lockup(now, c as u32) {
-                            *locked_until = now + len;
-                            stage.core_lockups += 1;
-                            stage.log.push(FaultEvent::CoreLocked {
-                                cycle: now,
-                                core: c as u32,
-                                until: now + len,
-                            });
-                            continue;
-                        }
-                        if plan.spurious_retire(now, c as u32) && !core.done() {
-                            core.spurious_retire();
-                            stage.spurious_retires += 1;
-                            continue;
-                        }
-                    }
-                    let ready = latch.is_none();
-                    let Some(dr) = core.step(&mut |pc| tile.fetch(pc, image), ready) else {
-                        continue;
-                    };
-                    debug_assert!(ready, "core issued against backpressure");
-                    let Some(req) = path.place(c, t, &dr, &mut stage.issues) else {
-                        core.fault();
-                        continue;
-                    };
-                    if trace_on {
-                        stage.trace.push((c, crate::TraceEvent::of(&dr, now)));
-                    }
-                    if track {
-                        stage.pending.push(((req.core, req.tag), PendingRequest::fresh(&req)));
-                    }
-                    *latch = Some(req);
-                }
-            });
-        }
-        // Commit the core phase in ascending tile order = serial core
-        // order (tile-major numbering). Every stage is left empty for the
-        // next cycle.
-        for stage in core_stages.iter_mut() {
-            self.commit_issues(now, std::mem::take(&mut stage.issues));
-            self.stats.faults.core_lockups += std::mem::take(&mut stage.core_lockups);
-            self.stats.faults.spurious_retires += std::mem::take(&mut stage.spurious_retires);
-            for event in stage.log.drain(..) {
-                self.fault_log.record(event);
-            }
-            for (key, p) in stage.pending.drain(..) {
-                self.pending.insert(key, p);
-            }
-            if let Some(trace) = &mut self.trace {
-                for (c, ev) in stage.trace.drain(..) {
-                    trace.record(c, ev);
-                }
-            }
-        }
-
-        // 3b. Sanitizer issue scan: serial, after the core-phase merge and
-        //     before the request phase consumes the latches — the same
-        //     point as the serial engine, so reports are engine-independent.
-        if self.sanitizer.is_some() {
-            self.sanitize_issues(now);
-        }
-
-        // 4. Request phase. The ideal crossbar arbitrates globally and
-        //    stays serial; the real topologies resolve each tile's request
-        //    crossbar independently. The tile commit is fused in (sound:
-        //    the following port routing touches only latches and the net,
-        //    never tile state).
-        let gate = bank_gate(&self.quarantine, self.faults.as_ref(), now);
-        if let Net::Ideal(ideal) = &mut self.net {
-            self.stats.bank_accesses += ideal.route_requests(
-                &mut self.out_latches,
-                &mut self.tiles,
-                &self.map,
-                &mut self.stats.tile_accesses,
-                gate,
-                &mut self.stats.faults.requests_dropped,
-            );
-            for tile in &mut self.tiles {
-                tile.commit();
-            }
-        } else {
-            self.net.route_longhaul_requests(&mut self.tiles, &self.map);
-            {
-                let map = self.map;
-                let tiles = SyncPtr::new(self.tiles.as_mut_ptr());
-                let latches = SyncPtr::new(self.out_latches.as_mut_ptr());
-                let accepts = SyncPtr::new(accept_stages.as_mut_ptr());
-                pool.run(num_tiles, &|t| {
-                    // SAFETY: tile `t`, its staging slot, and this tile's
-                    // core latches `t*cpt..(t+1)*cpt` only.
-                    let tile = unsafe { &mut *tiles.at(t) };
-                    let lanes =
-                        unsafe { std::slice::from_raw_parts_mut(latches.at(t * cpt), cpt) };
-                    let mut dropped = 0u64;
-                    let tile_gate = |bank| gate(t, bank);
-                    let served = tile.accept_requests(t, lanes, &map, tile_gate, &mut dropped);
-                    tile.commit();
-                    unsafe { *accepts.at(t) = (served, dropped) };
-                });
-            }
-            for (t, &(served, dropped)) in accept_stages.iter().enumerate() {
-                self.stats.bank_accesses += served;
-                self.stats.tile_accesses[t] += served;
-                self.stats.faults.requests_dropped += dropped;
-            }
-            self.net.route_port_requests(&mut self.out_latches, &self.map);
-        }
-
-        // 5. End-of-cycle commit (tiles already committed above).
-        self.finish_cycle(now);
     }
 
     /// Runs `n` cycles unconditionally (for open-ended traffic experiments).

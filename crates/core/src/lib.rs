@@ -53,6 +53,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cancel;
 mod cluster;
@@ -63,7 +64,6 @@ mod functional;
 mod net;
 pub mod obs;
 mod packet;
-mod par;
 pub mod profile;
 pub mod sanitize;
 mod session;
@@ -150,11 +150,7 @@ impl<C: Core> L1Memory for Cluster<C> {
 /// A core model pluggable into the [`Cluster`]: the cycle-accurate
 /// [`SnitchCore`](mempool_snitch::SnitchCore) for program execution, or a
 /// synthetic traffic generator for the network analysis of §V-A/§V-B.
-///
-/// `Send` is a supertrait so the tile-parallel engine
-/// ([`Cluster::set_workers`]) can step each tile's cores on a worker
-/// thread; core models are plain data, so this costs implementors nothing.
-pub trait Core: Send {
+pub trait Core {
     /// Delivers a completed memory response (called before [`step`] within
     /// the same cycle, so same-cycle wakeups model 1-cycle local loads).
     ///

@@ -21,10 +21,10 @@
 //! Recording costs nothing when disabled: the per-delivery hook is gated on
 //! an `Option` that is `None` by default. When enabled (via
 //! [`SimSessionBuilder::observability`] or
-//! [`Cluster::enable_observability`]), recording happens in the serial
-//! response-drain phase, so metric values are bit-identical across the
-//! serial and tile-parallel engines and across checkpoint/restore (the
-//! recorder state is part of the snapshot and the state digest).
+//! [`Cluster::enable_observability`]), recording happens in the
+//! response-drain phase, and metric values are bit-identical across
+//! checkpoint/restore (the recorder state is part of the snapshot and the
+//! state digest).
 //!
 //! [`Cluster::metrics_registry`]: crate::Cluster::metrics_registry
 //! [`Cluster::enable_observability`]: crate::Cluster::enable_observability
@@ -169,7 +169,7 @@ impl TimelineTrace {
 
 /// The live recorder the cluster carries while observability is enabled.
 /// Everything in here is deterministic simulation state: it is recorded in
-/// the serial response-drain phase (canonical order in both engines), and
+/// the response-drain phase (canonical delivery order), and
 /// it is checkpointed and digested like any other architectural state.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Obs {
@@ -507,7 +507,7 @@ impl MetricsRegistry {
     /// Renders the registry as the `mempool-metrics-v1` JSON document.
     /// Integer-only and emitted in deterministic scope order, so identical
     /// simulations produce byte-identical documents (the property the
-    /// determinism tests pin across engines and checkpoint/restore).
+    /// determinism tests pin across reruns and checkpoint/restore).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");

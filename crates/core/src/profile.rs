@@ -22,9 +22,8 @@
 //! Like the observability recorder, the profiler is `Option`-gated: absent
 //! by default (zero cost), and architectural state once enabled — it is
 //! snapshotted (the `profile` component), digested, and bit-identical
-//! across the serial and tile-parallel engines and checkpoint/restore.
-//! Sampling happens in [`finish_cycle`], the serial end-of-cycle step both
-//! engines share.
+//! across checkpoint/restore. Sampling happens in [`finish_cycle`], the
+//! end-of-cycle step.
 //!
 //! [`finish_cycle`]: crate::Cluster::cycle
 

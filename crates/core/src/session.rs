@@ -1,5 +1,5 @@
 //! The [`SimSession`] front door: one builder that owns every run-scoped
-//! concern — topology, fault plan, parallelism, checkpointing, and
+//! concern — topology, fault plan, checkpointing, and
 //! observability — so callers configure a simulation in one place instead
 //! of mutating a freshly built [`Cluster`] through a zoo of setters.
 //!
@@ -9,7 +9,6 @@
 //!
 //! let program = assemble("csrr a0, mhartid\necall\n")?;
 //! let mut session = SimSession::builder(ClusterConfig::small(Topology::TopH))
-//!     .workers(2)
 //!     .observability(ObsConfig::histograms())
 //!     .build_snitch()?;
 //! session.load_program(&program)?;
@@ -18,11 +17,6 @@
 //! assert!(metrics.counter("cluster", "cycles")? > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-//!
-//! The pre-existing [`Cluster`] mutators (`set_fault_plan`, `set_parallel`,
-//! `start_trace`) remain as deprecated shims; new code should either use
-//! this builder or the canonical `install_fault_plan` / `set_workers` /
-//! `begin_trace` names.
 
 use crate::faults::FaultPlan;
 use crate::obs::ObsConfig;
@@ -36,7 +30,6 @@ use std::path::{Path, PathBuf};
 pub struct SimSessionBuilder {
     config: ClusterConfig,
     fault_plan: Option<FaultPlan>,
-    workers: usize,
     observability: Option<ObsConfig>,
     profile: Option<crate::ProfileConfig>,
     memory_trace: bool,
@@ -50,15 +43,6 @@ impl SimSessionBuilder {
     #[must_use]
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Selects the execution engine: `0` (the default) is the serial
-    /// engine, `n >= 1` the tile-parallel engine with `n` participating
-    /// threads. Bit-identical either way.
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -142,7 +126,6 @@ impl SimSessionBuilder {
     ) -> Result<SimSession<C>, Error> {
         let mut cluster = Cluster::new(self.config, factory)?;
         cluster.install_fault_plan(self.fault_plan);
-        cluster.set_workers(self.workers);
         if let Some(obs) = self.observability {
             cluster.enable_observability(obs);
         }
@@ -180,7 +163,6 @@ impl SimSession<mempool_snitch::SnitchCore> {
         SimSessionBuilder {
             config,
             fault_plan: None,
-            workers: 0,
             observability: None,
             profile: None,
             memory_trace: false,
@@ -426,7 +408,6 @@ mod tests {
     fn builder_matches_manual_cluster_setup() {
         let config = ClusterConfig::small(Topology::TopH);
         let mut session = SimSession::builder(config)
-            .workers(2)
             .observability(ObsConfig::histograms())
             .build_snitch()
             .expect("valid config");
@@ -438,13 +419,7 @@ mod tests {
         manual.load_program(&program()).expect("loads");
         manual.run(100_000).expect("finishes");
 
-        assert_eq!(session.cluster().parallelism(), 2);
-        assert_eq!(
-            session.cluster().state_digest(),
-            manual.state_digest(),
-            "builder-configured parallel run must be bit-identical to a \
-             manually configured serial run"
-        );
+        assert_eq!(session.cluster().state_digest(), manual.state_digest());
         assert_eq!(
             session.metrics_registry().to_json(),
             manual.metrics_registry().to_json()

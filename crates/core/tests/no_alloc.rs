@@ -1,7 +1,7 @@
 //! The steady-state cycle allocates nothing.
 //!
 //! A counting `#[global_allocator]` (one counter per thread, so the other
-//! tests of this binary cannot disturb it) watches the serial engine step
+//! tests of this binary cannot disturb it) watches the cluster step
 //! a warmed-up TopH cluster: 2 000 cycles of uniform traffic at load 0.5
 //! and of a small matmul must perform **zero** heap allocations — no
 //! observers, no fault plan. Every offer list, grant vector, dirty list

@@ -1,7 +1,6 @@
 //! Determinism contract of the observability layer: the metrics registry
-//! must be bit-identical across execution engines (serial vs. any worker
-//! count), across checkpoint/restore, and across the deprecated shim
-//! surface vs. the canonical `SimSession` builder.
+//! must be bit-identical across checkpoint/restore, in memory and through
+//! a snapshot file.
 
 use mempool::{
     ClusterConfig, ClusterSnapshot, ObsConfig, SimError, SimSession, Topology,
@@ -28,9 +27,8 @@ fn program() -> mempool_riscv::Program {
     .expect("valid program")
 }
 
-fn run_with_workers(topo: Topology, workers: usize) -> (u64, String, String) {
+fn observed_run(topo: Topology) -> (u64, String, String) {
     let mut session = SimSession::builder(ClusterConfig::small(topo))
-        .workers(workers)
         .observability(ObsConfig::with_trace(8))
         .build_snitch()
         .expect("valid config");
@@ -45,29 +43,10 @@ fn run_with_workers(topo: Topology, workers: usize) -> (u64, String, String) {
 }
 
 #[test]
-fn metrics_identical_across_engines_and_worker_counts() {
-    for topo in TOPOLOGIES {
-        let (digest, metrics, trace) = run_with_workers(topo, 0);
-        for workers in [1, 3] {
-            let (d, m, t) = run_with_workers(topo, workers);
-            assert_eq!(d, digest, "{topo}: state digest diverged at {workers} workers");
-            assert_eq!(
-                m, metrics,
-                "{topo}: metrics diverged between serial and {workers} workers"
-            );
-            assert_eq!(
-                t, trace,
-                "{topo}: timeline diverged between serial and {workers} workers"
-            );
-        }
-    }
-}
-
-#[test]
 fn metrics_survive_mid_run_checkpoint_restore() {
     for topo in TOPOLOGIES {
         // Uninterrupted reference run.
-        let (_, reference, _) = run_with_workers(topo, 0);
+        let (_, reference, _) = observed_run(topo);
 
         // Interrupted run: stop mid-flight, snapshot, restore into a fresh
         // session (which has observability *disabled* — the snapshot is
@@ -169,31 +148,4 @@ fn chrome_trace_is_well_formed() {
     // Metadata names every process (tile) that appears.
     assert!(json.contains("\"process_name\""));
     assert!(json.contains("\"thread_name\""));
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_delegate_to_the_canonical_names() {
-    let config = ClusterConfig::small(Topology::Top4);
-
-    let mut canonical = mempool::Cluster::snitch(config).expect("valid config");
-    canonical.set_workers(2);
-    canonical.install_fault_plan(None);
-    canonical.begin_trace();
-    canonical.load_program(&program()).expect("loads");
-    canonical.run(100_000).expect("finishes");
-
-    let mut shimmed = mempool::Cluster::snitch(config).expect("valid config");
-    shimmed.set_parallel(2);
-    shimmed.set_fault_plan(None);
-    shimmed.start_trace();
-    shimmed.load_program(&program()).expect("loads");
-    shimmed.run(100_000).expect("finishes");
-
-    assert_eq!(canonical.state_digest(), shimmed.state_digest());
-    let (a, b) = (
-        canonical.take_trace().expect("trace recorded"),
-        shimmed.take_trace().expect("trace recorded"),
-    );
-    assert_eq!(a.len(), b.len(), "shimmed trace differs");
 }

@@ -1,7 +1,7 @@
 //! Determinism and accounting contracts of the program-level profiler:
 //! the folded-stack export, the power-window series, and the per-core
-//! cycle attribution must be bit-identical across execution engines and
-//! checkpoint/restore, and every core cycle must be accounted for.
+//! cycle attribution must be bit-identical across checkpoint/restore, and
+//! every core cycle must be accounted for.
 
 use mempool::{
     ClusterConfig, ClusterSnapshot, ProfileConfig, SimError, SimSession, Topology,
@@ -38,9 +38,8 @@ fn program() -> mempool_riscv::Program {
     .expect("valid program")
 }
 
-fn profiled_run(topo: Topology, workers: usize) -> (u64, String, String, String) {
+fn profiled_run(topo: Topology) -> (u64, String, String, String) {
     let mut session = SimSession::builder(ClusterConfig::small(topo))
-        .workers(workers)
         .profile(ProfileConfig::with_power_window(64))
         .build_snitch()
         .expect("valid config");
@@ -56,24 +55,10 @@ fn profiled_run(topo: Topology, workers: usize) -> (u64, String, String, String)
 }
 
 #[test]
-fn profile_identical_across_engines_and_worker_counts() {
-    for topo in TOPOLOGIES {
-        let (digest, folded, windows, metrics) = profiled_run(topo, 0);
-        assert!(!folded.is_empty(), "{topo}: empty folded export");
-        for workers in [1, 3] {
-            let (d, f, w, m) = profiled_run(topo, workers);
-            assert_eq!(d, digest, "{topo}: state digest diverged at {workers} workers");
-            assert_eq!(f, folded, "{topo}: folded stacks diverged at {workers} workers");
-            assert_eq!(w, windows, "{topo}: power windows diverged at {workers} workers");
-            assert_eq!(m, metrics, "{topo}: metrics diverged at {workers} workers");
-        }
-    }
-}
-
-#[test]
 fn profile_survives_mid_run_checkpoint_restore() {
     for topo in TOPOLOGIES {
-        let (_, folded, windows, metrics) = profiled_run(topo, 0);
+        let (_, folded, windows, metrics) = profiled_run(topo);
+        assert!(!folded.is_empty(), "{topo}: empty folded export");
 
         // Interrupted run: stop mid-flight, snapshot, restore into a fresh
         // session built *without* profiling (the snapshot is authoritative),
@@ -166,40 +151,37 @@ fn profile_roundtrips_through_the_snapshot_file() {
 
 /// Every cycle of every core is accounted for:
 /// `cycles == instret + total_stalls() + halted_cycles`, per core, on
-/// both engines and all topologies (fault-free runs).
+/// all topologies (fault-free runs).
 #[test]
 fn every_core_cycle_is_attributed() {
     for topo in TOPOLOGIES {
-        for workers in [0, 2] {
-            let mut session = SimSession::builder(ClusterConfig::small(topo))
-                .workers(workers)
-                .profile(ProfileConfig::attribution_only())
-                .build_snitch()
-                .expect("valid config");
-            session.load_program(&program()).expect("loads");
-            session.run(100_000).expect("finishes");
-            for (i, core) in session.cluster().cores().iter().enumerate() {
-                let s = core.stats();
-                assert_eq!(
-                    s.cycles,
-                    s.instret + s.total_stalls() + s.halted_cycles,
-                    "{topo}/{workers} workers: core {i} has unattributed cycles \
-                     ({} cycles, {} retired, {} stalled, {} halted)",
-                    s.cycles,
-                    s.instret,
-                    s.total_stalls(),
-                    s.halted_cycles
-                );
-                // The profile's region totals must agree with the same
-                // stat counters (retired + per-cause stalls).
-                let total = core.profile().expect("profiling enabled").total();
-                assert_eq!(total.retired, s.instret, "{topo}: core {i} retired");
-                assert_eq!(
-                    total.stall_cycles(),
-                    s.total_stalls(),
-                    "{topo}: core {i} stall attribution"
-                );
-            }
+        let mut session = SimSession::builder(ClusterConfig::small(topo))
+            .profile(ProfileConfig::attribution_only())
+            .build_snitch()
+            .expect("valid config");
+        session.load_program(&program()).expect("loads");
+        session.run(100_000).expect("finishes");
+        for (i, core) in session.cluster().cores().iter().enumerate() {
+            let s = core.stats();
+            assert_eq!(
+                s.cycles,
+                s.instret + s.total_stalls() + s.halted_cycles,
+                "{topo}: core {i} has unattributed cycles \
+                 ({} cycles, {} retired, {} stalled, {} halted)",
+                s.cycles,
+                s.instret,
+                s.total_stalls(),
+                s.halted_cycles
+            );
+            // The profile's region totals must agree with the same
+            // stat counters (retired + per-cause stalls).
+            let total = core.profile().expect("profiling enabled").total();
+            assert_eq!(total.retired, s.instret, "{topo}: core {i} retired");
+            assert_eq!(
+                total.stall_cycles(),
+                s.total_stalls(),
+                "{topo}: core {i} stall attribution"
+            );
         }
     }
 }

@@ -1,8 +1,8 @@
-//! The cycle-level invariant sanitizer: a clean differential matrix
-//! (serial/parallel engines × topologies × faults on/off) must report
-//! zero violations, and each seeded mutation — dropped response,
-//! duplicated response, per-bank FIFO reorder, global pipeline stall —
-//! must raise exactly the violation kind it was designed to trip.
+//! The cycle-level invariant sanitizer: a clean matrix (topologies ×
+//! faults on/off) must report zero violations, and each seeded mutation —
+//! dropped response, duplicated response, per-bank FIFO reorder, global
+//! pipeline stall — must raise exactly the violation kind it was designed
+//! to trip.
 
 use mempool::{
     Cluster, ClusterConfig, FaultPlan, FaultSpec, ResilienceConfig, SanitizerConfig,
@@ -49,29 +49,19 @@ const ALL_TOPOLOGIES: [Topology; 4] =
     [Topology::Ideal, Topology::Top1, Topology::Top4, Topology::TopH];
 
 /// Runs the store/load workload with the sanitizer attached and returns
-/// `(digest, report)`. `workers == 0` selects the serial engine.
-fn sanitized_run(
-    config: ClusterConfig,
-    plan: Option<FaultPlan>,
-    workers: usize,
-) -> (u64, SanitizerReport) {
+/// its report.
+fn sanitized_run(config: ClusterConfig, plan: Option<FaultPlan>) -> SanitizerReport {
     let mut cluster = Cluster::snitch(config).expect("valid config");
     cluster.load_program(&store_load_program()).expect("program loads");
     cluster.install_fault_plan(plan);
-    if workers > 0 {
-        cluster.set_workers(workers);
-    }
     cluster.enable_sanitizer(SanitizerConfig::default());
     cluster.run(400_000).expect("workload completes");
-    let report = cluster.sanitizer_report().expect("sanitizer attached").clone();
-    (cluster.state_digest(), report)
+    cluster.sanitizer_report().expect("sanitizer attached").clone()
 }
 
-/// Differential matrix: every topology × faults off/on × serial and
-/// parallel engines. The sanitizer must stay silent everywhere, observe
-/// real traffic, and (being pure checking) must not perturb the digest —
-/// serial and parallel runs of the same point stay bit-identical with it
-/// attached.
+/// Every topology × faults off/on: the sanitizer must stay silent
+/// everywhere and observe real traffic. (That attaching it does not
+/// perturb the digest is `sanitizer_does_not_perturb_results`.)
 #[test]
 fn differential_matrix_is_clean() {
     let spec: FaultSpec = "bank_fail=2,link_drop=0.005,link_stall=0.01"
@@ -85,37 +75,11 @@ fn differential_matrix_is_clean() {
                 ClusterConfig::small(topology)
             };
             let plan = faulted.then(|| FaultPlan::new(11, spec));
-            let (serial_digest, serial_report) = sanitized_run(config, plan, 0);
+            let report = sanitized_run(config, plan);
             let ctx = format!("{topology:?} faulted={faulted}");
-            assert!(
-                serial_report.is_clean(),
-                "{ctx}: serial violations: {:?}",
-                serial_report.violations
-            );
-            assert!(serial_report.completions > 0, "{ctx}: no traffic observed");
-            assert_eq!(serial_report.dropped, 0, "{ctx}: violations overflowed");
-            for workers in [4, 32] {
-                let config = if faulted {
-                    resilient(topology)
-                } else {
-                    ClusterConfig::small(topology)
-                };
-                let plan = faulted.then(|| FaultPlan::new(11, spec));
-                let (par_digest, par_report) = sanitized_run(config, plan, workers);
-                assert!(
-                    par_report.is_clean(),
-                    "{ctx} workers={workers}: violations: {:?}",
-                    par_report.violations
-                );
-                assert_eq!(
-                    par_digest, serial_digest,
-                    "{ctx} workers={workers}: engines diverged under sanitizer"
-                );
-                assert_eq!(
-                    par_report.completions, serial_report.completions,
-                    "{ctx} workers={workers}: sanitizer observed different traffic"
-                );
-            }
+            assert!(report.is_clean(), "{ctx}: violations: {:?}", report.violations);
+            assert!(report.completions > 0, "{ctx}: no traffic observed");
+            assert_eq!(report.dropped, 0, "{ctx}: violations overflowed");
         }
     }
 }

@@ -78,7 +78,7 @@ pub struct CampaignSpec {
 }
 
 /// A `bench` job: the simulator-throughput matrix, one point per
-/// (topology, size, engine/worker-count).
+/// (topology, size).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchSpec {
     /// Measured cycles per point.
@@ -87,8 +87,6 @@ pub struct BenchSpec {
     pub warmup: u64,
     /// Cluster sizes to measure (subset of {16, 64, 256} cores).
     pub cores: Vec<usize>,
-    /// Parallel-engine worker counts to measure.
-    pub workers: Vec<usize>,
 }
 
 /// One submitted job's payload, by kind.
@@ -176,17 +174,12 @@ impl JobSpec {
                 if spec.cycles == 0 {
                     return Err("cycles must be nonzero".to_owned());
                 }
-                if spec.cores.is_empty() || spec.workers.is_empty() {
-                    return Err("cores and workers lists must be nonempty".to_owned());
+                if spec.cores.is_empty() {
+                    return Err("cores list must be nonempty".to_owned());
                 }
                 for &c in &spec.cores {
                     if !matches!(c, 16 | 64 | 256) {
                         return Err(format!("unsupported bench size: {c} cores (16/64/256)"));
-                    }
-                }
-                for &w in &spec.workers {
-                    if w == 0 {
-                        return Err("bench worker counts must be nonzero".to_owned());
                     }
                 }
                 Ok(())
@@ -226,12 +219,10 @@ impl JobSpec {
                     .map_or_else(|| "null".to_owned(), |b| b.to_string()),
             ),
             JobSpec::Bench(spec) => format!(
-                "\"kind\":\"bench\",\"cycles\":{},\"warmup\":{},\"cores\":\"{}\",\
-                 \"workers\":\"{}\"",
+                "\"kind\":\"bench\",\"cycles\":{},\"warmup\":{},\"cores\":\"{}\"",
                 spec.cycles,
                 spec.warmup,
                 render_usize_list(&spec.cores),
-                render_usize_list(&spec.workers),
             ),
         }
     }
@@ -285,7 +276,6 @@ impl JobSpec {
                 cycles: num("cycles")?,
                 warmup: num("warmup")?,
                 cores: parse_usize_list(get("cores")?)?,
-                workers: parse_usize_list(get("workers")?)?,
             })),
             other => Err(format!("unknown job kind `{other}`")),
         }
@@ -592,7 +582,6 @@ mod tests {
                 cycles: 300,
                 warmup: 50,
                 cores: vec![16, 64],
-                workers: vec![2, 4],
             }),
         ];
         for spec in specs {
@@ -605,6 +594,26 @@ mod tests {
             let round = Request::from_json(&req.to_json()).expect("round trip");
             assert_eq!(round, req, "{}", req.to_json());
         }
+    }
+
+    /// A daemon restarted on this build replays journals written by the
+    /// previous one, whose bench lines still carry a `workers` list: the
+    /// flat reader ignores the unknown key.
+    #[test]
+    fn bench_lines_with_the_retired_workers_key_still_parse() {
+        let old = "{\"kind\":\"bench\",\"cycles\":300,\"warmup\":50,\
+                   \"cores\":\"16,64\",\"workers\":\"2\"}";
+        let fields = parse_flat_json(old).expect("flat JSON");
+        let spec = JobSpec::from_fields(&fields).expect("old journal line parses");
+        assert_eq!(
+            spec,
+            JobSpec::Bench(BenchSpec {
+                cycles: 300,
+                warmup: 50,
+                cores: vec![16, 64],
+            })
+        );
+        assert!(!spec.to_json_body().contains("workers"));
     }
 
     #[test]
@@ -642,7 +651,6 @@ mod tests {
             cycles: 100,
             warmup: 0,
             cores: vec![12],
-            workers: vec![1],
         });
         assert!(bench.validate().is_err(), "12 cores unsupported");
     }

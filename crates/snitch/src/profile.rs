@@ -12,7 +12,7 @@
 //!
 //! The profile is plain integer state updated deterministically inside
 //! [`SnitchCore::step`]; it is part of the core's dynamic state image and
-//! therefore survives checkpoint/restore and is engine-independent.
+//! therefore survives checkpoint/restore.
 //!
 //! [`SnitchCore::enable_profile`]: crate::SnitchCore::enable_profile
 //! [`SnitchCore::step`]: crate::SnitchCore::step

@@ -47,30 +47,23 @@ struct Options {
     checkpoint_file: Option<String>,
     resume: Option<String>,
     json: bool,
-    parallel: usize,
     metrics_json: Option<String>,
     metrics_stream: Option<String>,
     trace_out: Option<String>,
     trace_sample: u64,
     profile_out: Option<String>,
     power_out: Option<String>,
-    bench_json: Option<String>,
-    bench_cores: Vec<usize>,
-    bench_cycles: u64,
     max_wall_secs: Option<u64>,
     sanitize: bool,
     path: String,
 }
 
-/// Options of the `bench` subcommand (also assembled from the legacy
-/// `--bench-json` flat flags).
+/// Options of the `bench` subcommand.
 #[derive(Debug, PartialEq, Eq)]
 struct BenchOptions {
     out: String,
     cores: Vec<usize>,
     cycles: u64,
-    parallel: usize,
-    bench_workers: Vec<usize>,
 }
 
 /// Options of the `profile` subcommand: one profiled program run with the
@@ -81,7 +74,6 @@ struct ProfileOptions {
     small: bool,
     scramble: bool,
     max_cycles: u64,
-    parallel: usize,
     max_pcs: usize,
     window: u64,
     top: usize,
@@ -163,8 +155,6 @@ run options:
   --checkpoint-file <file>           checkpoint path (default <program.s>.ckpt)
   --resume <file>                    restore a checkpoint and continue the run
   --json                             machine-readable result (incl. state digest)
-  --parallel <n>                     step tiles on n worker threads (0 = serial,
-                                     bit-identical results either way)
   --metrics-json <file>              export the mempool-metrics-v1 registry
                                      (per-scope counters + latency histograms)
   --metrics-stream <file>            append a partial-metrics JSON line
@@ -182,9 +172,6 @@ run options:
                                      typed timeout error when it expires
   --sanitize                         check cycle-level interconnect invariants
                                      every cycle; violations are an error
-  --bench-json <file>                deprecated; use `mempool-run bench --out`
-  --bench-cores <16|256|all>         bench cluster sizes (default all)
-  --bench-cycles <n>                 measured cycles per bench point (default 2000)
   --help                             this text
 
 exit status: 0 on success, 1 on runtime errors, 2 on usage errors";
@@ -192,18 +179,14 @@ exit status: 0 on success, 1 on runtime errors, 2 on usage errors";
 const BENCH_USAGE: &str = "usage: mempool-run bench --out <file> [OPTIONS]
 
 options:
-  --out <file>            write the mempool-bench-v1 report here (required;
+  --out <file>            write the mempool-bench-v2 report here (required;
                           --metrics-json is accepted as an alias)
   --cores <16|256|all>    bench cluster sizes (default all)
   --cycles <n>            measured cycles per bench point (default 2000)
-  --parallel <n>          worker threads for the parallel-engine points
-  --bench-workers <list>  comma-separated worker counts to sweep (e.g. 2,4,8);
-                          one parallel point and digest check per count
   --help                  this text
 
-exit status: 0 on success (all digests match), 1 on runtime errors or a
-serial/parallel digest divergence, 2 on usage errors, 3 when interrupted
-(completed points are still flushed to --out)";
+exit status: 0 on success, 1 on runtime errors, 2 on usage errors, 3 when
+interrupted (completed points are still flushed to --out)";
 
 const CAMPAIGN_USAGE: &str = "usage: mempool-run campaign [OPTIONS]
 
@@ -261,8 +244,6 @@ options:
   --small                            64-core cluster instead of 256
   --no-scramble                      disable the hybrid addressing scheme
   --max-cycles <n>                   cycle budget (default 100000000)
-  --parallel <n>                     step tiles on n worker threads (0 = serial,
-                                     bit-identical results either way)
   --max-pcs <n>                      per-core (region, PC)-pair bound
                                      (default 4096)
   --window <n>                       power-sampling window in cycles
@@ -389,16 +370,12 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, ParseAr
         checkpoint_file: None,
         resume: None,
         json: false,
-        parallel: 0,
         metrics_json: None,
         metrics_stream: None,
         trace_out: None,
         trace_sample: 64,
         profile_out: None,
         power_out: None,
-        bench_json: None,
-        bench_cores: vec![16, 256],
-        bench_cycles: 2_000,
         max_wall_secs: None,
         sanitize: false,
         path: String::new(),
@@ -469,11 +446,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, ParseAr
             "--checkpoint-file" => opts.checkpoint_file = Some(value("--checkpoint-file")?),
             "--resume" => opts.resume = Some(value("--resume")?),
             "--json" => opts.json = true,
-            "--parallel" => {
-                opts.parallel = value("--parallel")?
-                    .parse()
-                    .map_err(|_| invalid("--parallel", "expected a worker count"))?;
-            }
             "--metrics-json" => opts.metrics_json = Some(value("--metrics-json")?),
             "--metrics-stream" => opts.metrics_stream = Some(value("--metrics-stream")?),
             "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
@@ -498,72 +470,18 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, ParseAr
                 opts.max_wall_secs = Some(secs);
             }
             "--sanitize" => opts.sanitize = true,
-            "--bench-json" => opts.bench_json = Some(value("--bench-json")?),
-            "--bench-cores" => {
-                opts.bench_cores = parse_bench_cores("--bench-cores", &value("--bench-cores")?)?;
-            }
-            "--bench-cycles" => {
-                opts.bench_cycles = value("--bench-cycles")?
-                    .parse()
-                    .map_err(|_| invalid("--bench-cycles", "expected a cycle count"))?;
-                if opts.bench_cycles == 0 {
-                    return Err(invalid("--bench-cycles", "must be nonzero"));
-                }
-            }
             "--help" | "-h" => return Err(ParseArgsError::Help),
             _ if arg.starts_with('-') => return Err(ParseArgsError::UnknownOption(arg)),
             _ if opts.path.is_empty() => opts.path = arg,
             _ => return Err(ParseArgsError::UnexpectedArgument(arg)),
         }
     }
-    if opts.path.is_empty() && !opts.describe && opts.bench_json.is_none() {
+    if opts.path.is_empty() && !opts.describe {
         return Err(ParseArgsError::MissingProgram);
     }
     if trace_sample_given && opts.trace_out.is_none() {
         return Err(ParseArgsError::Conflict(
             "--trace-sample only applies to --trace-out",
-        ));
-    }
-    if opts.bench_json.is_some() {
-        if !opts.path.is_empty() {
-            return Err(ParseArgsError::Conflict(
-                "--bench-json runs its own workload; drop the program path",
-            ));
-        }
-        if opts.functional {
-            return Err(ParseArgsError::Conflict(
-                "--bench-json requires the cycle-accurate simulator",
-            ));
-        }
-        if opts.faults.is_some() {
-            return Err(ParseArgsError::Conflict(
-                "--bench-json measures the fault-free engines",
-            ));
-        }
-        if opts.json {
-            return Err(ParseArgsError::Conflict(
-                "--bench-json already writes a JSON report",
-            ));
-        }
-        if opts.metrics_json.is_some()
-            || opts.metrics_stream.is_some()
-            || opts.trace_out.is_some()
-            || opts.profile_out.is_some()
-            || opts.power_out.is_some()
-        {
-            return Err(ParseArgsError::Conflict(
-                "--bench-json writes its own report; use `mempool-run bench`",
-            ));
-        }
-        if opts.checkpoint_every > 0 || opts.checkpoint_file.is_some() || opts.resume.is_some() {
-            return Err(ParseArgsError::Conflict(
-                "--bench-json cannot be combined with checkpointing",
-            ));
-        }
-    }
-    if opts.functional && opts.parallel > 0 {
-        return Err(ParseArgsError::Conflict(
-            "--parallel requires the cycle-accurate simulator",
         ));
     }
     if opts.functional {
@@ -608,13 +526,13 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, ParseAr
     Ok(opts)
 }
 
-fn parse_bench_cores(option: &'static str, value: &str) -> Result<Vec<usize>, ParseArgsError> {
+fn parse_bench_cores(value: &str) -> Result<Vec<usize>, ParseArgsError> {
     match value {
         "16" => Ok(vec![16]),
         "256" => Ok(vec![256]),
         "all" => Ok(vec![16, 256]),
         other => Err(invalid(
-            option,
+            "--cores",
             &format!("expected 16, 256 or all, got `{other}`"),
         )),
     }
@@ -626,8 +544,6 @@ fn parse_bench_args(
     let mut out = None;
     let mut cores = vec![16, 256];
     let mut cycles = 2_000;
-    let mut parallel = 0;
-    let mut bench_workers = Vec::new();
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         let mut value = |name: &'static str| {
@@ -638,7 +554,7 @@ fn parse_bench_args(
             // Shared output flag across subcommands; for bench the metrics
             // document *is* the report.
             "--metrics-json" => out = Some(value("--metrics-json")?),
-            "--cores" => cores = parse_bench_cores("--cores", &value("--cores")?)?,
+            "--cores" => cores = parse_bench_cores(&value("--cores")?)?,
             "--cycles" => {
                 cycles = value("--cycles")?
                     .parse()
@@ -647,40 +563,13 @@ fn parse_bench_args(
                     return Err(invalid("--cycles", "must be nonzero"));
                 }
             }
-            "--parallel" => {
-                parallel = value("--parallel")?
-                    .parse()
-                    .map_err(|_| invalid("--parallel", "expected a worker count"))?;
-            }
-            "--bench-workers" => {
-                let list = value("--bench-workers")?;
-                bench_workers = list
-                    .split(',')
-                    .map(|w| match w.trim().parse::<usize>() {
-                        Ok(n) if n > 0 => Ok(n),
-                        _ => Err(invalid(
-                            "--bench-workers",
-                            &format!("expected nonzero worker counts, got `{w}`"),
-                        )),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if bench_workers.is_empty() {
-                    return Err(invalid("--bench-workers", "expected at least one count"));
-                }
-            }
             "--help" | "-h" => return Err(ParseArgsError::Help),
             _ if arg.starts_with('-') => return Err(ParseArgsError::UnknownOption(arg)),
             _ => return Err(ParseArgsError::UnexpectedArgument(arg)),
         }
     }
     let out = out.ok_or(ParseArgsError::MissingOption("--out"))?;
-    Ok(BenchOptions {
-        out,
-        cores,
-        cycles,
-        parallel,
-        bench_workers,
-    })
+    Ok(BenchOptions { out, cores, cycles })
 }
 
 fn parse_campaign_args(
@@ -938,7 +827,6 @@ fn parse_profile_args(
         small: false,
         scramble: true,
         max_cycles: 100_000_000,
-        parallel: 0,
         max_pcs: 4096,
         window: 1024,
         top: 10,
@@ -959,11 +847,6 @@ fn parse_profile_args(
                 opts.max_cycles = value("--max-cycles")?
                     .parse()
                     .map_err(|_| invalid("--max-cycles", "expected a cycle count"))?;
-            }
-            "--parallel" => {
-                opts.parallel = value("--parallel")?
-                    .parse()
-                    .map_err(|_| invalid("--parallel", "expected a worker count"))?;
             }
             "--max-pcs" => {
                 opts.max_pcs = value("--max-pcs")?
@@ -1109,15 +992,12 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs the benchmark matrix and writes the report; a digest divergence
-/// between the serial and parallel engines is a hard error (exit 1).
+/// Runs the benchmark matrix and writes the report.
 fn run_bench_mode(opts: &BenchOptions) -> Result<(), Error> {
     use mempool_suite::bench::{run_bench_supervised, BenchConfig};
     let config = BenchConfig {
         cycles: opts.cycles,
-        workers: opts.parallel,
         core_counts: opts.cores.clone(),
-        worker_counts: opts.bench_workers.clone(),
         ..BenchConfig::default()
     };
     // SIGINT/SIGTERM stop the sweep after the point in flight; completed
@@ -1130,32 +1010,15 @@ fn run_bench_mode(opts: &BenchOptions) -> Result<(), Error> {
     let interrupt = None;
     let (report, interrupted) = run_bench_supervised(&config, interrupt).map_err(Error::Other)?;
     std::fs::write(&opts.out, report.to_json()).map_err(|e| Error::io(&opts.out, e))?;
-    println!(
-        "bench: {} points, {} digest checks -> {}",
-        report.points.len(),
-        report.digest_checks.len(),
-        opts.out
-    );
+    println!("bench: {} points -> {}", report.points.len(), opts.out);
     for p in &report.points {
         println!(
-            "  {:>5} {:>3} cores {:>8}: {:>12.0} sim-cycles/s ({:.2e} core-cycles/s)",
+            "  {:>5} {:>3} cores: {:>12.0} sim-cycles/s ({:.2e} core-cycles/s)",
             p.topology.to_string(),
             p.cores,
-            p.engine,
             p.sim_cycles_per_sec,
             p.core_cycles_per_sec
         );
-    }
-    if !report.digests_match() {
-        for c in report.digest_checks.iter().filter(|c| !c.matches()) {
-            eprintln!(
-                "digest divergence: {} at {} cores after {} cycles: serial {:#018x} != parallel {:#018x}",
-                c.topology, c.cores, c.cycles, c.serial_digest, c.parallel_digest
-            );
-        }
-        return Err(Error::Other(
-            "serial and parallel engines diverged".to_string(),
-        ));
     }
     if interrupted {
         eprintln!(
@@ -1423,7 +1286,6 @@ fn run_profile_mode(opts: &ProfileOptions) -> Result<(), Error> {
         source: e,
     })?;
     let mut session = SimSession::builder(config)
-        .workers(opts.parallel)
         .profile(ProfileConfig {
             max_pcs: opts.max_pcs,
             power_window: opts.window,
@@ -1528,15 +1390,6 @@ fn run_profile_mode(opts: &ProfileOptions) -> Result<(), Error> {
 }
 
 fn run(opts: &Options) -> Result<(), Error> {
-    if let Some(out) = &opts.bench_json {
-        return run_bench_mode(&BenchOptions {
-            out: out.clone(),
-            cores: opts.bench_cores.clone(),
-            cycles: opts.bench_cycles,
-            parallel: opts.parallel,
-            bench_workers: Vec::new(),
-        });
-    }
     let mut config = if opts.small {
         ClusterConfig::small(opts.topology)
     } else {
@@ -1578,7 +1431,7 @@ fn run(opts: &Options) -> Result<(), Error> {
     if opts.faults.is_some() {
         config.resilience = ResilienceConfig::standard();
     }
-    let mut builder = SimSession::builder(config).workers(opts.parallel);
+    let mut builder = SimSession::builder(config);
     if let Some(spec) = opts.faults {
         if !opts.json {
             println!("fault injection: {spec} (seed {})", opts.seed);
@@ -1907,19 +1760,15 @@ mod tests {
                 out: "o.json".to_owned(),
                 cores: vec![16],
                 cycles: 2_000,
-                parallel: 0,
-                bench_workers: vec![],
             }
         );
-        let Command::Bench(b) =
-            command(&["bench", "--out", "o.json", "--bench-workers", "2,4,8"]).unwrap()
-        else {
-            panic!("expected bench")
-        };
-        assert_eq!(b.bench_workers, vec![2, 4, 8]);
         assert!(matches!(
-            command(&["bench", "--out", "o.json", "--bench-workers", "2,0"]),
-            Err((ParseArgsError::InvalidValue { option: "--bench-workers", .. }, _))
+            command(&["bench", "--out", "o.json", "--cores", "12"]),
+            Err((ParseArgsError::InvalidValue { option: "--cores", .. }, _))
+        ));
+        assert!(matches!(
+            command(&["bench", "--out", "o.json", "--cycles", "0"]),
+            Err((ParseArgsError::InvalidValue { option: "--cycles", .. }, _))
         ));
         // --metrics-json is the shared spelling of the output flag.
         let Command::Bench(b) = command(&["bench", "--metrics-json", "m.json"]).unwrap() else {
@@ -1987,10 +1836,6 @@ mod tests {
             args(&["--functional", "--metrics-json", "m.json", "p.s"]),
             Err(ParseArgsError::Conflict(_))
         ));
-        assert!(matches!(
-            args(&["--bench-json", "o.json", "--metrics-json", "m.json"]),
-            Err(ParseArgsError::Conflict(_))
-        ));
     }
 
     #[test]
@@ -2020,10 +1865,6 @@ mod tests {
             args(&["--functional", "--profile-out", "f.folded", "p.s"]),
             Err(ParseArgsError::Conflict(_))
         ));
-        assert!(matches!(
-            args(&["--bench-json", "o.json", "--power-out", "p.json"]),
-            Err(ParseArgsError::Conflict(_))
-        ));
     }
 
     #[test]
@@ -2042,7 +1883,6 @@ mod tests {
                 small: true,
                 scramble: true,
                 max_cycles: 100_000_000,
-                parallel: 0,
                 max_pcs: 256,
                 window: 512,
                 top: 5,
@@ -2067,60 +1907,6 @@ mod tests {
         assert!(matches!(
             command(&["profile", "--help"]),
             Err((ParseArgsError::Help, PROFILE_USAGE))
-        ));
-    }
-
-    #[test]
-    fn parallel_and_bench_flags() {
-        let o = args(&["--parallel", "8", "p.s"]).unwrap();
-        assert_eq!(o.parallel, 8);
-        assert!(o.bench_json.is_none());
-
-        // Bench mode needs no program path and carries its own knobs.
-        let o = args(&[
-            "--bench-json", "out.json", "--bench-cores", "16", "--bench-cycles", "500",
-            "--parallel", "4",
-        ])
-        .unwrap();
-        assert_eq!(o.bench_json.as_deref(), Some("out.json"));
-        assert_eq!(o.bench_cores, vec![16]);
-        assert_eq!(o.bench_cycles, 500);
-        assert_eq!(o.parallel, 4);
-        let o = args(&["--bench-json", "out.json", "--bench-cores", "all"]).unwrap();
-        assert_eq!(o.bench_cores, vec![16, 256]);
-
-        assert!(matches!(
-            args(&["--parallel", "lots", "p.s"]),
-            Err(ParseArgsError::InvalidValue { option: "--parallel", .. })
-        ));
-        assert!(matches!(
-            args(&["--bench-cores", "12", "--bench-json", "o.json"]),
-            Err(ParseArgsError::InvalidValue { option: "--bench-cores", .. })
-        ));
-        assert!(matches!(
-            args(&["--bench-cycles", "0", "--bench-json", "o.json"]),
-            Err(ParseArgsError::InvalidValue { option: "--bench-cycles", .. })
-        ));
-        // Conflicts are typed, not silently ignored.
-        assert!(matches!(
-            args(&["--bench-json", "o.json", "p.s"]),
-            Err(ParseArgsError::Conflict(_))
-        ));
-        assert!(matches!(
-            args(&["--bench-json", "o.json", "--functional"]),
-            Err(ParseArgsError::Conflict(_))
-        ));
-        assert!(matches!(
-            args(&["--bench-json", "o.json", "--json"]),
-            Err(ParseArgsError::Conflict(_))
-        ));
-        assert!(matches!(
-            args(&["--bench-json", "o.json", "--faults", "bank_fail=1"]),
-            Err(ParseArgsError::Conflict(_))
-        ));
-        assert!(matches!(
-            args(&["--functional", "--parallel", "2", "p.s"]),
-            Err(ParseArgsError::Conflict(_))
         ));
     }
 

@@ -192,7 +192,7 @@ fn sigterm_interrupt_exits_3_and_resumes_bit_identically() {
 }
 
 /// An interrupted bench exits with the documented status 3 and still
-/// flushes a parseable partial `mempool-bench-v1` report — the completed
+/// flushes a parseable partial `mempool-bench-v2` report — the completed
 /// points are never discarded.
 #[test]
 fn bench_sigint_flushes_a_partial_report_and_exits_3() {
@@ -220,7 +220,7 @@ fn bench_sigint_flushes_a_partial_report_and_exits_3() {
 
     let report = std::fs::read_to_string(&out).expect("partial report flushed");
     assert!(
-        report.contains("\"schema\": \"mempool-bench-v1\""),
+        report.contains("\"schema\": \"mempool-bench-v2\""),
         "partial report: {report}"
     );
     assert!(report.contains("\"points\""), "partial report: {report}");
