@@ -6,18 +6,19 @@
 //! else — connection readers, connection writers, worker stdout pumps — is
 //! a thin thread that forwards lines over a channel. The supervisor loop
 //! alternates between draining that channel, accepting connections from the
-//! nonblocking listener, enforcing wall-clock deadlines, and dispatching
-//! queued jobs into free worker slots.
+//! nonblocking listener, ticking the fleet (deadline kills, reaping), and
+//! dispatching queued jobs into free worker slots.
 //!
-//! Failure handling composes the shared [`mempool_traffic`] supervision
-//! primitives: worker exits are classified with
-//! [`classify_exit`](mempool_traffic::classify_exit) (`panic` / `signal` /
-//! `timeout` / `oom` / `exit`), retried from the job's last checkpoint
-//! under the seeded [`RetryPolicy`], and given up deterministically (budget
-//! spent, or the same failure twice in a row). A drain (`SIGTERM` or the
-//! `shutdown` op) `SIGTERM`s every worker, which checkpoint-parks its job
-//! and exits with status 3; the journal then lets a restarted daemon
-//! resume each job bit-identically.
+//! The worker processes themselves belong to the shared
+//! [`Fleet`](mempool_traffic::Fleet): it spawns them, classifies how each
+//! attempt ended (`panic` / `signal` / `timeout` / `oom` / `exit`), and
+//! decides between a retry from the job's last checkpoint under the seeded
+//! [`RetryPolicy`] and giving up (budget spent, or the same failure twice
+//! in a row). This module is the driver: scheduling, the journal, and the
+//! stream/timeline/metrics hooks. A drain (`SIGTERM` or the `shutdown` op)
+//! `SIGTERM`s every worker, which checkpoint-parks its job and exits with
+//! status 3; the journal then lets a restarted daemon resume each job
+//! bit-identically.
 
 use crate::journal::{self, Journal, ReplayedJob};
 use crate::metrics::{ServeGauges, ServeMetrics};
@@ -28,13 +29,12 @@ use crate::protocol::{
 use crate::sched::{Rejection, Scheduler, SchedulerConfig};
 use crate::timeline::JobTimeline;
 use mempool_traffic::{
-    classify_exit, json_escape, parse_flat_json, FailureKind, RetryPolicy, TrialFailure,
+    json_escape, FailureKind, Fleet, Outcome, RetryPolicy, Verdict, WorkerLine,
 };
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::{Duration, Instant};
@@ -56,8 +56,8 @@ pub struct DaemonConfig {
     /// Wall-clock deadline per attempt for jobs that do not set their own
     /// (`None` = unbounded).
     pub default_deadline: Option<Duration>,
-    /// Worker executable (invoked as `<cmd> job-worker` with the job
-    /// document on stdin). `None` = the daemon's own executable.
+    /// Worker executable (invoked as `<cmd> worker` with the job document
+    /// on stdin). `None` = the daemon's own executable.
     pub worker_cmd: Option<PathBuf>,
 }
 
@@ -94,14 +94,19 @@ pub struct DaemonSummary {
 
 enum Msg {
     Request { reply: Sender<String>, line: String },
-    Worker { job: u64, line: String },
-    WorkerEof { job: u64 },
+    /// One line of a worker's stdout; `None` marks its end.
+    Worker { job: u64, line: Option<String> },
+}
+
+impl From<(u64, Option<String>)> for Msg {
+    fn from((job, line): (u64, Option<String>)) -> Msg {
+        Msg::Worker { job, line }
+    }
 }
 
 struct Job {
     rec: ReplayedJob,
     attempt: u32,
-    failures: Vec<TrialFailure>,
     /// Legacy `wait` subscribers (event lines, dropped on terminal state).
     watchers: Vec<Sender<String>>,
     /// `watch` subscribers (telemetry stream records).
@@ -129,7 +134,6 @@ impl Job {
         Job {
             rec,
             attempt: 1,
-            failures: Vec::new(),
             watchers: Vec::new(),
             streamers: Vec::new(),
             stream_seq: 0,
@@ -143,34 +147,13 @@ impl Job {
     }
 }
 
-struct WorkerProc {
-    child: Child,
-    deadline: Option<Instant>,
-    killed_for_deadline: bool,
-    parked: bool,
-    result: Option<String>,
-    error: Option<String>,
-}
-
-/// `Child::kill` delivers `SIGKILL`; a drain must deliver `SIGTERM` so the
-/// worker gets to checkpoint-park before exiting.
-fn sigterm(child: &Child) {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    unsafe {
-        kill(child.id() as i32, 15);
-    }
-}
-
 struct Daemon {
     config: DaemonConfig,
     scheduler: Scheduler,
     journal: Journal,
     jobs: BTreeMap<u64, Job>,
-    workers: BTreeMap<u64, WorkerProc>,
-    /// Jobs waiting out a retry backoff, with their due time.
-    retry_at: Vec<(Instant, u64)>,
+    /// The worker processes, keyed by job id.
+    fleet: Fleet<Msg>,
     next_id: u64,
     journal_skipped: usize,
     draining: bool,
@@ -211,11 +194,10 @@ pub fn run_daemon(config: DaemonConfig, shutdown: &AtomicBool) -> io::Result<Dae
     let (events_tx, events_rx): (Sender<Msg>, Receiver<Msg>) = mpsc::channel();
     let mut daemon = Daemon {
         scheduler: Scheduler::new(config.scheduler.clone()),
+        fleet: Fleet::new(config.retry.clone(), events_tx.clone()),
         config,
         journal,
         jobs: BTreeMap::new(),
-        workers: BTreeMap::new(),
-        retry_at: Vec::new(),
         next_id: replay.next_id,
         journal_skipped: replay.skipped,
         draining: false,
@@ -236,7 +218,7 @@ pub fn run_daemon(config: DaemonConfig, shutdown: &AtomicBool) -> io::Result<Dae
     }
 
     loop {
-        match events_rx.recv_timeout(Duration::from_millis(20)) {
+        match events_rx.recv_timeout(daemon.fleet.poll_interval()) {
             Ok(msg) => {
                 daemon.handle(msg);
                 while let Ok(msg) = events_rx.try_recv() {
@@ -256,9 +238,9 @@ pub fn run_daemon(config: DaemonConfig, shutdown: &AtomicBool) -> io::Result<Dae
         if shutdown.load(Ordering::Relaxed) && !daemon.draining {
             daemon.enter_drain();
         }
-        daemon.poll_deadlines();
+        daemon.tick_fleet();
         daemon.dispatch();
-        if daemon.draining && daemon.workers.is_empty() {
+        if daemon.draining && daemon.fleet.running() == 0 {
             break;
         }
     }
@@ -333,8 +315,7 @@ impl Daemon {
     fn handle(&mut self, msg: Msg) {
         match msg {
             Msg::Request { reply, line } => self.handle_request(&reply, &line),
-            Msg::Worker { job, line } => self.handle_worker_line(job, &line),
-            Msg::WorkerEof { job } => self.settle(job),
+            Msg::Worker { job, line } => self.handle_worker_line(job, line),
         }
     }
 
@@ -470,7 +451,7 @@ impl Daemon {
             ("protocol", json_str(PROTOCOL_VERSION)),
             ("draining", self.draining.to_string()),
             ("worker_slots", self.config.worker_slots.to_string()),
-            ("active", self.workers.len().to_string()),
+            ("active", self.fleet.running().to_string()),
             ("journal_skipped", self.journal_skipped.to_string()),
             ("queued", count(JobStatus::Queued)),
             ("running", count(JobStatus::Running)),
@@ -492,14 +473,13 @@ impl Daemon {
             ]);
         }
         job.cancel_requested = true;
-        if self.scheduler.cancel_queued(id) || self.retry_at.iter().any(|&(_, j)| j == id) {
+        if self.scheduler.cancel_queued(id) || self.fleet.awaiting_retry(id) {
             self.finish(id, JobStatus::Cancelled, "{\"detail\":\"cancelled while queued\"}");
             return resp_ok(&[("job", id.to_string()), ("status", json_str("cancelled"))]);
         }
-        if let Some(worker) = self.workers.get(&id) {
+        if self.fleet.terminate(id) {
             // The worker parks on SIGTERM; settle() sees the cancel flag
             // and records the terminal state.
-            sigterm(&worker.child);
             return resp_ok(&[("job", id.to_string()), ("status", json_str("cancelling"))]);
         }
         self.finish(id, JobStatus::Cancelled, "{\"detail\":\"cancelled\"}");
@@ -605,7 +585,7 @@ impl Daemon {
     fn metrics_line(&self) -> String {
         let gauges = ServeGauges {
             queue_depth: self.scheduler.queued(),
-            active_workers: self.workers.len(),
+            active_workers: self.fleet.running(),
             worker_slots: self.config.worker_slots,
             draining: self.draining,
             journal_appends: self.journal.appends(),
@@ -626,21 +606,17 @@ impl Daemon {
 
     fn enter_drain(&mut self) {
         self.draining = true;
-        for worker in self.workers.values() {
-            sigterm(&worker.child);
-        }
+        self.fleet.terminate_all();
     }
 
-    fn poll_deadlines(&mut self) {
-        let now = Instant::now();
-        for worker in self.workers.values_mut() {
-            if let Some(deadline) = worker.deadline {
-                if now >= deadline && !worker.killed_for_deadline {
-                    worker.killed_for_deadline = true;
-                    self.metrics.deadline_kill();
-                    let _ = worker.child.kill();
-                }
-            }
+    /// Enforces attempt deadlines and settles every worker that exited.
+    fn tick_fleet(&mut self) {
+        let tick = self.fleet.tick();
+        for _ in 0..tick.deadline_kills {
+            self.metrics.deadline_kill();
+        }
+        for (id, outcome) in tick.reaped {
+            self.settle(id, outcome);
         }
     }
 
@@ -648,20 +624,10 @@ impl Daemon {
         if self.draining {
             return;
         }
-        let now = Instant::now();
-        let mut due = Vec::new();
-        self.retry_at.retain(|&(at, id)| {
-            if at <= now {
-                due.push(id);
-                false
-            } else {
-                true
-            }
-        });
-        for id in due {
+        while let Some(id) = self.fleet.pop_due() {
             self.scheduler.readmit(id);
         }
-        while self.workers.len() < self.config.worker_slots {
+        while self.fleet.running() < self.config.worker_slots {
             let Some(id) = self.scheduler.next() else {
                 break;
             };
@@ -674,60 +640,22 @@ impl Daemon {
     }
 
     fn spawn(&mut self, id: u64) {
-        let (attempt, body, deadline_secs) = {
-            let job = &self.jobs[&id];
-            (
-                job.attempt,
-                job.rec.spec.to_json_body(),
-                job.rec.deadline_secs,
-            )
-        };
-        let ckpt = self.ckpt_path(id);
-        let cmd = match &self.config.worker_cmd {
-            Some(cmd) => cmd.clone(),
-            None => match std::env::current_exe() {
-                Ok(exe) => exe,
-                Err(e) => {
-                    self.fail_attempt(id, FailureKind::Exit(-1), format!("no worker exe: {e}"));
-                    return;
-                }
-            },
-        };
-        let spawned = Command::new(&cmd)
-            .arg("job-worker")
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn();
-        let mut child = match spawned {
-            Ok(child) => child,
-            Err(e) => {
-                self.fail_attempt(
-                    id,
-                    FailureKind::Exit(-1),
-                    format!("spawn of {} failed: {e}", cmd.display()),
-                );
-                return;
-            }
-        };
-        if let Some(mut stdin) = child.stdin.take() {
-            let line = format!(
-                "{{\"job\":{id},\"attempt\":{attempt},\"checkpoint\":\"{}\",{body}}}\n",
-                json_escape(&ckpt.display().to_string()),
-            );
-            let _ = stdin.write_all(line.as_bytes());
-        }
-        if let Some(stdout) = child.stdout.take() {
-            let events = self.events_tx.clone();
-            std::thread::spawn(move || {
-                for line in BufReader::new(stdout).lines() {
-                    let Ok(line) = line else { break };
-                    if events.send(Msg::Worker { job: id, line }).is_err() {
-                        break;
-                    }
-                }
-                let _ = events.send(Msg::WorkerEof { job: id });
-            });
+        let job = &self.jobs[&id];
+        let line = format!(
+            "{{\"job\":{id},\"attempt\":{},\"checkpoint\":\"{}\",{}}}",
+            job.attempt,
+            json_escape(&self.ckpt_path(id).display().to_string()),
+            job.rec.spec.to_json_body(),
+        );
+        let deadline = job
+            .rec
+            .deadline_secs
+            .map(Duration::from_secs)
+            .or(self.config.default_deadline);
+        let cmd = self.config.worker_cmd.as_deref();
+        if let Err(e) = self.fleet.spawn(id, cmd, &line, deadline) {
+            self.fail_attempt(id, FailureKind::Exit(-1), e.to_string());
+            return;
         }
         self.metrics.worker_spawned();
         if let Some(job) = self.jobs.get_mut(&id) {
@@ -737,201 +665,109 @@ impl Daemon {
                 self.metrics.queue_wait(wait);
             }
         }
-        let deadline = deadline_secs
-            .map(Duration::from_secs)
-            .or(self.config.default_deadline)
-            .map(|d| Instant::now() + d);
-        self.workers.insert(
-            id,
-            WorkerProc {
-                child,
-                deadline,
-                killed_for_deadline: false,
-                parked: false,
-                result: None,
-                error: None,
-            },
-        );
         self.set_state(id, JobStatus::Running);
     }
 
-    fn handle_worker_line(&mut self, id: u64, line: &str) {
-        if let Some(cycle) = line.strip_prefix("heartbeat ") {
-            let cycle = cycle.trim().to_owned();
-            let parsed = cycle.parse::<u64>().unwrap_or(0);
-            if let Some(job) = self.jobs.get_mut(&id) {
-                job.last_heartbeat = Some((Instant::now(), parsed));
-                let line = event("heartbeat", id, &[("cycle", cycle.clone())]);
-                job.watchers.retain(|w| w.send(line.clone()).is_ok());
-            }
-            self.stream(
-                id,
-                "heartbeat",
-                false,
-                &[("cycle", cycle.clone())],
-                &format!("cycle {cycle}"),
-            );
-            return;
-        }
-        if let Some(rest) = line.strip_prefix("metrics ") {
-            // `metrics {"cycle":N,"doc":"<escaped partial document>"}` (a
-            // campaign worker reports `trials` instead of `cycle`). The
-            // worker emits these at checkpoint boundaries whenever the job
-            // asked for metrics — subscribed or not — so relaying them is
-            // pure observation.
-            let Some(fields) = parse_flat_json(rest.trim()) else {
-                return;
-            };
-            let Some(doc) = fields.get("doc") else {
-                return;
-            };
-            self.metrics.partial_snapshot();
-            let mut extra = Vec::new();
-            let mut detail = String::new();
-            for key in ["cycle", "trials"] {
-                if let Some(v) = fields.get(key) {
-                    if v.parse::<u64>().is_ok() {
-                        extra.push((key, v.clone()));
-                        detail = format!("{key} {v}");
-                    }
+    /// Only progress lines surface here; the fleet keeps the rest for the
+    /// attempt's outcome.
+    fn handle_worker_line(&mut self, id: u64, line: Option<String>) {
+        let ended = line.is_none();
+        match self.fleet.observe(id, line) {
+            Some(WorkerLine::Heartbeat(cycle)) => {
+                let cycle_token = cycle.to_string();
+                if let Some(job) = self.jobs.get_mut(&id) {
+                    job.last_heartbeat = Some((Instant::now(), cycle));
+                    let line = event("heartbeat", id, &[("cycle", cycle_token.clone())]);
+                    job.watchers.retain(|w| w.send(line.clone()).is_ok());
                 }
+                let detail = format!("cycle {cycle}");
+                self.stream(id, "heartbeat", false, &[("cycle", cycle_token)], &detail);
             }
-            extra.push(("metrics", json_str(doc)));
-            self.stream(id, "partial", false, &extra, &detail);
-            return;
+            // The worker emits these at checkpoint boundaries whenever the
+            // job asked for metrics — subscribed or not — so relaying them
+            // is pure observation.
+            Some(WorkerLine::Metrics { key, at, doc }) => {
+                self.metrics.partial_snapshot();
+                let extra = [(key, at.to_string()), ("metrics", json_str(&doc))];
+                self.stream(id, "partial", false, &extra, &format!("{key} {at}"));
+            }
+            _ => {}
         }
-        let Some(worker) = self.workers.get_mut(&id) else {
-            return;
-        };
-        if line.starts_with("parked ") {
-            worker.parked = true;
-        } else if let Some(result) = line.strip_prefix("result ") {
-            worker.result = Some(result.trim().to_owned());
-        } else if let Some(error) = line.strip_prefix("error ") {
-            worker.error = Some(error.trim().to_owned());
+        // Reap at the end of stdout rather than at the tick after the
+        // listener poll: `finish` fsyncs the journal, and a connection
+        // arriving during that would wait out the tick.
+        if ended {
+            self.tick_fleet();
         }
     }
 
-    /// A worker's stdout hit EOF: reap it and decide the job's fate.
-    fn settle(&mut self, id: u64) {
-        let Some(mut worker) = self.workers.remove(&id) else {
-            return;
-        };
-        let status = match worker.child.wait() {
-            Ok(status) => status,
-            Err(e) => {
-                self.fail_attempt(id, FailureKind::Exit(-1), format!("wait failed: {e}"));
-                return;
-            }
-        };
-        let cancel_requested = self
-            .jobs
-            .get(&id)
-            .is_some_and(|job| job.cancel_requested);
-        if worker.parked || status.code() == Some(3) {
+    /// A worker exited: decide the job's fate from how its attempt ended.
+    fn settle(&mut self, id: u64, outcome: Outcome) {
+        let cancelled = self.jobs.get(&id).is_some_and(|job| job.cancel_requested);
+        if outcome == Outcome::Parked {
             self.metrics.worker_parked();
-            if cancel_requested {
+        }
+        match outcome {
+            Outcome::Result(result) => {
+                self.metrics.worker_completed();
+                self.finish(id, JobStatus::Completed, &result);
+            }
+            _ if cancelled => {
                 self.finish(id, JobStatus::Cancelled, "{\"detail\":\"cancelled while running\"}");
-            } else if self.draining {
-                self.set_state(id, JobStatus::Parked);
-            } else {
-                // A park outside a drain (e.g. a stray SIGTERM): the
-                // checkpoint is intact, so just resume the job.
+            }
+            Outcome::Parked if self.draining => self.set_state(id, JobStatus::Parked),
+            // A park outside a drain (e.g. a stray SIGTERM): the checkpoint
+            // is intact, so just resume the job.
+            Outcome::Parked => {
                 self.scheduler.readmit(id);
                 self.set_state(id, JobStatus::Queued);
             }
-            return;
+            Outcome::Failed(kind, detail) => self.fail_attempt(id, kind, detail),
         }
-        if status.success() {
-            if let Some(result) = worker.result.take() {
-                self.metrics.worker_completed();
-                self.finish(id, JobStatus::Completed, &result);
-            } else {
-                self.fail_attempt(
-                    id,
-                    FailureKind::Exit(0),
-                    "worker exited cleanly without a result".to_owned(),
-                );
-            }
-            return;
-        }
-        if cancel_requested {
-            self.finish(id, JobStatus::Cancelled, "{\"detail\":\"cancelled while running\"}");
-            return;
-        }
-        let (kind, mut detail) = classify_exit(status, worker.killed_for_deadline);
-        if let Some(error) = worker.error.take() {
-            detail = error;
-        }
-        self.fail_attempt(id, kind, detail);
     }
 
-    /// Records a failed attempt and either schedules the retry (seeded
+    /// Reports a failed attempt and either schedules the retry (seeded
     /// backoff, resume from checkpoint) or gives the job up.
     fn fail_attempt(&mut self, id: u64, kind: FailureKind, detail: String) {
         self.metrics.worker_failed();
-        let give_up;
-        let failed_attempt;
-        {
-            let Some(job) = self.jobs.get_mut(&id) else {
-                return;
-            };
-            failed_attempt = job.attempt;
-            job.failures.push(TrialFailure {
-                attempt: job.attempt,
-                kind: kind.clone(),
-                detail: detail.clone(),
-            });
-            let line = event(
-                "attempt-failed",
-                id,
-                &[
-                    ("attempt", job.attempt.to_string()),
-                    ("kind", json_str(&kind.to_string())),
-                    ("detail", json_str(&detail)),
-                ],
-            );
-            job.watchers.retain(|w| w.send(line.clone()).is_ok());
-            give_up = self.config.retry.give_up(&job.failures);
-        }
-        // The stream record carries the attempt that failed; the attempt
-        // counter only advances after it is emitted.
-        self.stream(
-            id,
-            "attempt-failed",
-            false,
-            &[
-                ("attempt", failed_attempt.to_string()),
-                ("kind", json_str(&kind.to_string())),
-                ("detail", json_str(&detail)),
-            ],
-            &kind.to_string(),
-        );
-        if give_up {
-            self.metrics.give_up();
-            let attempts = self.jobs[&id].failures.len();
-            let payload = format!(
-                "{{\"error\":\"{}\",\"kind\":\"{}\",\"attempts\":{attempts}}}",
-                json_escape(&detail),
-                json_escape(&kind.to_string()),
-            );
-            self.finish(id, JobStatus::Failed, &payload);
-        } else {
-            self.metrics.retry(&kind);
-            if let Some(job) = self.jobs.get_mut(&id) {
-                job.attempt += 1;
+        let Some(job) = self.jobs.get_mut(&id) else {
+            return;
+        };
+        // The records carry the attempt that failed; the attempt counter
+        // only advances after they are emitted.
+        let failed = [
+            ("attempt", job.attempt.to_string()),
+            ("kind", json_str(&kind.to_string())),
+            ("detail", json_str(&detail)),
+        ];
+        let line = event("attempt-failed", id, &failed);
+        job.watchers.retain(|w| w.send(line.clone()).is_ok());
+        self.stream(id, "attempt-failed", false, &failed, &kind.to_string());
+        match self.fleet.fail(id, kind.clone(), detail.clone()) {
+            Verdict::GiveUp(failures) => {
+                self.metrics.give_up();
+                let payload = format!(
+                    "{{\"error\":\"{}\",\"kind\":\"{}\",\"attempts\":{}}}",
+                    json_escape(&detail),
+                    json_escape(&kind.to_string()),
+                    failures.len(),
+                );
+                self.finish(id, JobStatus::Failed, &payload);
             }
-            let failures = self.jobs[&id].failures.len() as u32;
-            let delay = self.config.retry.delay(id, failures);
-            self.stream(
-                id,
-                "retry-backoff",
-                false,
-                &[("delay_ms", delay.as_millis().to_string())],
-                &format!("{}ms", delay.as_millis()),
-            );
-            self.retry_at.push((Instant::now() + delay, id));
-            self.set_state(id, JobStatus::Queued);
+            Verdict::Retry(delay) => {
+                self.metrics.retry(&kind);
+                if let Some(job) = self.jobs.get_mut(&id) {
+                    job.attempt += 1;
+                }
+                self.stream(
+                    id,
+                    "retry-backoff",
+                    false,
+                    &[("delay_ms", delay.as_millis().to_string())],
+                    &format!("{}ms", delay.as_millis()),
+                );
+                self.set_state(id, JobStatus::Queued);
+            }
         }
     }
 
@@ -953,7 +789,7 @@ impl Daemon {
     /// notification, checkpoint cleanup (kept on failure for postmortems).
     fn finish(&mut self, id: u64, status: JobStatus, payload: &str) {
         self.scheduler.release(id);
-        self.retry_at.retain(|&(_, j)| j != id);
+        self.fleet.forget(id);
         if let Err(e) = self.journal.record_done(id, status, payload) {
             eprintln!("mempool-serve: journal write failed for job {id}: {e}");
         }
@@ -1027,7 +863,36 @@ mod tests {
         thread: std::thread::JoinHandle<io::Result<DaemonSummary>>,
     }
 
+    /// Shell scripts standing in for the worker executable: `forger` waits
+    /// for the `gate` file, then prints forged, malformed and valid
+    /// heartbeats and a result; `lingerer` closes stdout and keeps running.
+    /// Written once, before any daemon of this process forks a worker: exec
+    /// of a file some child still holds open for writing fails (`ETXTBSY`).
+    fn script(name: &str) -> PathBuf {
+        use std::os::unix::fs::PermissionsExt;
+        static DIR: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
+        let dir = DIR.get_or_init(|| {
+            let dir = scratch("scripts");
+            let forger = format!(
+                "while [ ! -e '{}' ]; do sleep 0.02; done\n\
+                 echo 'heartbeat 1,\"final\":true'\necho 'heartbeat x'\necho 'heartbeat 7'\n\
+                 echo 'result {{\"outcome\":\"completed\"}}'",
+                dir.join("gate").display()
+            );
+            let lingerer = "exec >&-\nexec sleep 20".to_owned();
+            for (name, body) in [("forger", forger), ("lingerer", lingerer)] {
+                let path = dir.join(name);
+                std::fs::write(&path, format!("#!/bin/sh\n{body}\n")).expect("script");
+                std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755))
+                    .expect("chmod");
+            }
+            dir
+        });
+        dir.join(name)
+    }
+
     fn start(dir: &Path, config: DaemonConfig) -> Harness {
+        script(""); // every script exists before this daemon can fork
         let flag = Arc::new(AtomicBool::new(false));
         let socket = config.socket.clone();
         let thread = {
@@ -1044,6 +909,25 @@ mod tests {
             flag,
             thread,
         }
+    }
+
+    /// A one-slot daemon, in a scratch directory of its own, whose worker
+    /// executable is the script `worker`.
+    fn start_scripted(worker: &str) -> (PathBuf, Harness) {
+        let dir = scratch(worker);
+        let config = DaemonConfig {
+            socket: dir.join("serve.sock"),
+            state_dir: dir.join("state"),
+            worker_slots: 1,
+            worker_cmd: Some(script(worker)),
+            retry: RetryPolicy {
+                backoff_base_ms: 0,
+                ..RetryPolicy::default()
+            },
+            ..DaemonConfig::default()
+        };
+        let harness = start(&dir, config);
+        (dir, harness)
     }
 
     #[test]
@@ -1168,6 +1052,82 @@ mod tests {
         let summary = harness.thread.join().expect("join").expect("daemon");
         assert_eq!(summary.cancelled, 1);
         assert_eq!(summary.queued, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Worker stdout is outside the daemon's trust boundary: a heartbeat
+    /// reaches clients as a number or not at all.
+    #[test]
+    fn forged_or_malformed_heartbeats_never_reach_the_stream() {
+        let (dir, harness) = start_scripted("forger");
+        let id = harness
+            .client
+            .submit("team", 1, None, &run_spec())
+            .expect("submit");
+        let mut records = Vec::new();
+        let done = harness
+            .client
+            .watch(id, &mut |raw, fields| {
+                // The first record is the subscription snapshot: from here
+                // on nothing the worker prints can be missed.
+                if records.is_empty() {
+                    std::fs::write(script("gate"), "").expect("gate");
+                }
+                records.push((raw.to_owned(), fields.clone()));
+            })
+            .expect("watch");
+        assert_eq!(done["status"], "completed");
+        assert_eq!(done["result"], "{\"outcome\":\"completed\"}");
+        let heartbeats: Vec<_> = records
+            .iter()
+            .filter(|(_, fields)| fields["kind"] == "heartbeat")
+            .collect();
+        assert_eq!(heartbeats.len(), 1, "only `heartbeat 7` is a heartbeat: {records:?}");
+        assert_eq!(heartbeats[0].1["cycle"], "7");
+        for (raw, fields) in &records {
+            let terminal = fields["kind"] == "done";
+            assert_eq!(raw.contains("\"final\":true"), terminal, "{raw}");
+            assert_eq!(raw.matches("\"final\":").count(), 1, "{raw}");
+        }
+
+        harness.flag.store(true, Ordering::Relaxed);
+        let summary = harness.thread.join().expect("join").expect("daemon");
+        assert_eq!(summary.completed, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A worker that closes stdout and keeps running must not take the
+    /// supervisor thread with it: requests are answered meanwhile, and the
+    /// deadline still ends the attempt.
+    #[test]
+    fn lingering_worker_neither_freezes_the_daemon_nor_escapes_its_deadline() {
+        let (dir, harness) = start_scripted("lingerer");
+        let submitted = Instant::now();
+        let id = harness
+            .client
+            .submit("team", 1, Some(1), &run_spec())
+            .expect("submit");
+        // Stdout hits EOF within milliseconds; the worker lives on.
+        while harness.client.status(id).expect("status")["status"] != "running" {
+            assert!(submitted.elapsed() < Duration::from_secs(10), "never dispatched");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Let the daemon see that EOF before asking it anything.
+        std::thread::sleep(Duration::from_millis(200));
+        let asked = Instant::now();
+        let health = harness.client.health().expect("health answers while the worker lingers");
+        assert_eq!(health["active"], "1");
+        assert!(asked.elapsed() < Duration::from_millis(500), "{:?}", asked.elapsed());
+
+        let done = harness.client.wait(id, &mut |_| {}).expect("wait");
+        assert_eq!(done["status"], "failed");
+        let result = mempool_traffic::parse_flat_json(&done["result"]).expect("result parses");
+        assert_eq!(result["kind"], "timeout", "{result:?}");
+        assert!(submitted.elapsed() < Duration::from_secs(15), "{:?}", submitted.elapsed());
+
+        harness.flag.store(true, Ordering::Relaxed);
+        let summary = harness.thread.join().expect("join").expect("daemon");
+        assert_eq!(summary.failed, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

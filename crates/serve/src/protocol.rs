@@ -12,6 +12,10 @@ use mempool_traffic::{json_escape, parse_config_spec, parse_flat_json, Pattern};
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// A `campaign` job: a resumable fault-injection campaign (manifest plus
+/// trial checkpoints), executed trial by trial in the worker.
+pub use mempool_traffic::CampaignSpec;
+
 /// Protocol tag clients should expect in the health document.
 pub const PROTOCOL_VERSION: &str = "mempool-job-v1";
 
@@ -46,35 +50,6 @@ pub struct RunSpec {
     /// Attach the observability recorder and return the
     /// `mempool-metrics-v1` document with the result.
     pub metrics: bool,
-}
-
-/// A `campaign` job: a resumable fault-injection campaign (manifest plus
-/// trial checkpoints), executed trial by trial in the worker.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignSpec {
-    /// Opaque cluster-config spec.
-    pub config_spec: String,
-    /// Fault intensity, in `FaultSpec` form (`bank_fail=1,link_drop=0.001`).
-    pub faults: String,
-    /// Number of trials.
-    pub trials: u32,
-    /// Offered load per core.
-    pub load: f64,
-    /// Traffic pattern, in [`Pattern::to_spec`] form.
-    pub pattern: String,
-    /// Warmup window of each trial, in cycles.
-    pub warmup: u64,
-    /// Measurement window of each trial, in cycles.
-    pub measure: u64,
-    /// Drain budget of each trial, in cycles.
-    pub drain: u64,
-    /// First trial seed.
-    pub seed: u64,
-    /// Mid-trial checkpoint interval in cycles.
-    pub checkpoint_every: u64,
-    /// Per-trial sim-cycle budget enforced via `CancelToken` (`None` =
-    /// unbounded).
-    pub cycle_budget: Option<u64>,
 }
 
 /// A `bench` job: the simulator-throughput matrix, one point per
@@ -200,24 +175,7 @@ impl JobSpec {
                 spec.checkpoint_every,
                 spec.metrics,
             ),
-            JobSpec::Campaign(spec) => format!(
-                "\"kind\":\"campaign\",\"config_spec\":\"{}\",\"faults\":\"{}\",\
-                 \"trials\":{},\"load\":{},\"pattern\":\"{}\",\"warmup\":{},\
-                 \"measure\":{},\"drain\":{},\"seed\":{},\"checkpoint_every\":{},\
-                 \"cycle_budget\":{}",
-                json_escape(&spec.config_spec),
-                json_escape(&spec.faults),
-                spec.trials,
-                spec.load,
-                json_escape(&spec.pattern),
-                spec.warmup,
-                spec.measure,
-                spec.drain,
-                spec.seed,
-                spec.checkpoint_every,
-                spec.cycle_budget
-                    .map_or_else(|| "null".to_owned(), |b| b.to_string()),
-            ),
+            JobSpec::Campaign(spec) => spec.to_json_body(),
             JobSpec::Bench(spec) => format!(
                 "\"kind\":\"bench\",\"cycles\":{},\"warmup\":{},\"cores\":\"{}\"",
                 spec.cycles,
@@ -251,27 +209,7 @@ impl JobSpec {
                 checkpoint_every: num("checkpoint_every")?,
                 metrics: get("metrics")? == "true",
             })),
-            "campaign" => Ok(JobSpec::Campaign(CampaignSpec {
-                config_spec: get("config_spec")?.clone(),
-                faults: get("faults")?.clone(),
-                trials: num("trials")? as u32,
-                load: get("load")?
-                    .parse()
-                    .map_err(|_| "non-numeric job field `load`".to_owned())?,
-                pattern: get("pattern")?.clone(),
-                warmup: num("warmup")?,
-                measure: num("measure")?,
-                drain: num("drain")?,
-                seed: num("seed")?,
-                checkpoint_every: num("checkpoint_every")?,
-                cycle_budget: match get("cycle_budget")?.as_str() {
-                    "null" => None,
-                    v => Some(
-                        v.parse()
-                            .map_err(|_| "non-numeric job field `cycle_budget`".to_owned())?,
-                    ),
-                },
-            })),
+            "campaign" => CampaignSpec::from_fields(fields).map(JobSpec::Campaign),
             "bench" => Ok(JobSpec::Bench(BenchSpec {
                 cycles: num("cycles")?,
                 warmup: num("warmup")?,

@@ -738,7 +738,9 @@ pub(crate) fn campaign_digest(config: &ClusterConfig, campaign: &CampaignConfig)
     fnv64(format!("{config:?}|{campaign:?}").as_bytes())
 }
 
-pub(crate) fn format_trial_line(trial: &Trial) -> String {
+/// Renders a trial as its manifest line, which is also the `result` payload
+/// an isolated trial worker reports.
+pub fn format_trial_line(trial: &Trial) -> String {
     let (kind, value) = match trial.outcome {
         TrialOutcome::Completed { drain_cycles } => ("completed", drain_cycles),
         TrialOutcome::Deadlock { cycle } => ("deadlock", cycle),

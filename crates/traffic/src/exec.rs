@@ -14,28 +14,24 @@
 //! multi-hour campaign always produces a complete manifest.
 //!
 //! With [`ExecutorConfig::isolate`] set, trials run in child worker
-//! processes (`mempool-run trial-worker`): a JSON job spec goes in on
-//! stdin, heartbeat and result lines come back on stdout, and a panic,
-//! abort, OOM-kill, or stray `SIGKILL` in one trial is classified
-//! (`panic|signal|timeout|oom|exit`) without taking down the campaign.
-//! `N` workers shard trials in parallel; the manifest stays the single
-//! source of truth, appended strictly in seed order.
+//! processes (the hidden `worker` subcommand, one trial each) under
+//! a [`Fleet`]: a panic, abort, OOM-kill, or stray `SIGKILL` in one trial
+//! is classified (`panic|signal|timeout|oom|exit`) without taking down the
+//! campaign. `N` workers shard trials in parallel; the manifest stays the
+//! single source of truth, appended strictly in seed order.
 
 use crate::campaign::{
-    append_trial, format_trial_line, open_manifest, parse_trial_line, run_trial_supervised,
-    sibling_path, CampaignConfig, CampaignError, CampaignReport, Trial, TrialStop,
-    TrialSupervision,
+    append_trial, open_manifest, parse_trial_line, run_trial_supervised, sibling_path,
+    CampaignConfig, CampaignError, CampaignReport, Trial, TrialStop, TrialSupervision,
 };
-use crate::supervise::{classify_exit, json_escape, parse_flat_json, RetryPolicy};
-use crate::{FailureKind, Pattern, TrialFailure, Windows};
+use crate::supervise::{json_escape, Fleet, Outcome, RetryPolicy, Verdict};
+use crate::{FailureKind, TrialFailure};
 use mempool::{CancelToken, ClusterConfig, SanitizerConfig};
 use std::collections::BTreeMap;
-use std::fmt;
-use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A trial the executor gave up on, with its full failure history.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,7 +43,7 @@ pub struct QuarantinedTrial {
 }
 
 /// Supervision policy of the [`Executor`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ExecutorConfig {
     /// Wall-clock deadline per trial attempt (`None` = unbounded). In
     /// isolation mode the parent enforces it by killing the worker; in
@@ -57,15 +53,9 @@ pub struct ExecutorConfig {
     /// cooperatively in both modes; deterministic, so a budget overrun
     /// quarantines after two attempts.
     pub cycle_budget: Option<u64>,
-    /// Attempts per trial before quarantine (minimum 1, default 3).
-    pub max_attempts: u32,
-    /// Base of the exponential backoff between attempts, in milliseconds
-    /// (`0` disables backoff entirely — used by tests).
-    pub backoff_base_ms: u64,
-    /// Upper bound of the exponential backoff, in milliseconds.
-    pub backoff_cap_ms: u64,
-    /// Seed of the backoff jitter (deterministic per `(seed, attempt)`).
-    pub backoff_seed: u64,
+    /// Attempt budget and seeded backoff between a trial's attempts;
+    /// giving up quarantines the trial.
+    pub retry: RetryPolicy,
     /// Mid-trial checkpoint interval in cycles (`0` disables, so every
     /// retry replays the trial from the start).
     pub checkpoint_every: u64,
@@ -73,7 +63,7 @@ pub struct ExecutorConfig {
     /// `None`: run trials in this process, sequentially.
     pub isolate: Option<usize>,
     /// Worker binary for isolation mode (`None` = this executable, which
-    /// must understand the `trial-worker` subcommand).
+    /// must understand the `worker` subcommand).
     pub worker_cmd: Option<PathBuf>,
     /// Opaque cluster-config spec passed verbatim to workers in the job
     /// spec; the binary hosting the worker subcommand interprets it.
@@ -87,34 +77,12 @@ pub struct ExecutorConfig {
     pub inject_failure: Option<fn(u64, u32) -> bool>,
 }
 
-impl fmt::Debug for ExecutorConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ExecutorConfig")
-            .field("deadline", &self.deadline)
-            .field("cycle_budget", &self.cycle_budget)
-            .field("max_attempts", &self.max_attempts)
-            .field("backoff_base_ms", &self.backoff_base_ms)
-            .field("backoff_cap_ms", &self.backoff_cap_ms)
-            .field("backoff_seed", &self.backoff_seed)
-            .field("checkpoint_every", &self.checkpoint_every)
-            .field("isolate", &self.isolate)
-            .field("worker_cmd", &self.worker_cmd)
-            .field("config_spec", &self.config_spec)
-            .field("sanitize", &self.sanitize)
-            .field("inject_failure", &self.inject_failure.is_some())
-            .finish()
-    }
-}
-
 impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
             deadline: None,
             cycle_budget: None,
-            max_attempts: 3,
-            backoff_base_ms: 50,
-            backoff_cap_ms: 2_000,
-            backoff_seed: 0,
+            retry: RetryPolicy::default(),
             checkpoint_every: 4_096,
             isolate: None,
             worker_cmd: None,
@@ -122,6 +90,98 @@ impl Default for ExecutorConfig {
             sanitize: None,
             inject_failure: None,
         }
+    }
+}
+
+/// A campaign as it travels to a worker process: the `campaign` job of the
+/// `mempool-serve` protocol and — with a `trial` field beside it — one
+/// isolated trial of an [`Executor`]. The document is rendered and parsed
+/// here only.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CampaignSpec {
+    /// Opaque cluster-config spec.
+    pub config_spec: String,
+    /// Fault intensity, in `FaultSpec` form (`bank_fail=1,link_drop=0.001`).
+    pub faults: String,
+    /// Number of trials.
+    pub trials: u32,
+    /// Offered load per core.
+    pub load: f64,
+    /// Traffic pattern, in [`Pattern::to_spec`](crate::Pattern::to_spec) form.
+    pub pattern: String,
+    /// Warmup window of each trial, in cycles.
+    pub warmup: u64,
+    /// Measurement window of each trial, in cycles.
+    pub measure: u64,
+    /// Drain budget of each trial, in cycles.
+    pub drain: u64,
+    /// First trial seed.
+    pub seed: u64,
+    /// Mid-trial checkpoint interval in cycles.
+    pub checkpoint_every: u64,
+    /// Per-trial sim-cycle budget enforced via `CancelToken` (`None` =
+    /// unbounded).
+    pub cycle_budget: Option<u64>,
+}
+
+impl CampaignSpec {
+    /// Renders the spec as JSON body fields (no surrounding braces),
+    /// `kind` first.
+    pub fn to_json_body(&self) -> String {
+        format!(
+            "\"kind\":\"campaign\",\"config_spec\":\"{}\",\"faults\":\"{}\",\
+             \"trials\":{},\"load\":{},\"pattern\":\"{}\",\"warmup\":{},\
+             \"measure\":{},\"drain\":{},\"seed\":{},\"checkpoint_every\":{},\
+             \"cycle_budget\":{}",
+            json_escape(&self.config_spec),
+            json_escape(&self.faults),
+            self.trials,
+            self.load,
+            json_escape(&self.pattern),
+            self.warmup,
+            self.measure,
+            self.drain,
+            self.seed,
+            self.checkpoint_every,
+            self.cycle_budget
+                .map_or_else(|| "null".to_owned(), |b| b.to_string()),
+        )
+    }
+
+    /// Reconstructs a spec from parsed flat-JSON fields.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first missing or malformed field.
+    pub fn from_fields(fields: &BTreeMap<String, String>) -> Result<CampaignSpec, String> {
+        let get = |k: &str| {
+            fields
+                .get(k)
+                .ok_or_else(|| format!("missing job field `{k}`"))
+        };
+        let num = |k: &str| -> Result<u64, String> {
+            get(k)?
+                .parse()
+                .map_err(|_| format!("non-numeric job field `{k}`"))
+        };
+        Ok(CampaignSpec {
+            config_spec: get("config_spec")?.clone(),
+            faults: get("faults")?.clone(),
+            trials: num("trials")? as u32,
+            load: get("load")?
+                .parse()
+                .map_err(|_| "non-numeric job field `load`".to_owned())?,
+            pattern: get("pattern")?.clone(),
+            warmup: num("warmup")?,
+            measure: num("measure")?,
+            drain: num("drain")?,
+            seed: num("seed")?,
+            checkpoint_every: num("checkpoint_every")?,
+            cycle_budget: match get("cycle_budget")?.as_str() {
+                "null" => None,
+                _ => Some(num("cycle_budget")?),
+            },
+        })
     }
 }
 
@@ -180,10 +240,24 @@ impl Executor {
         manifest: &Path,
         interrupt: Option<&AtomicBool>,
     ) -> Result<ExecutorReport, CampaignError> {
+        let (trials, mut file) = open_manifest(&self.config, &self.campaign, manifest)?;
+        let mut out = ExecutorReport {
+            resumed_trials: trials.len() as u32,
+            report: CampaignReport {
+                spec: self.campaign.spec,
+                trials,
+            },
+            new_trials: 0,
+            retries: 0,
+            quarantined: Vec::new(),
+            interrupted: false,
+        };
         match self.exec.isolate {
-            Some(workers) => self.run_isolated(manifest, workers.max(1), interrupt),
-            None => self.run_in_process(manifest, interrupt),
+            Some(n) => self.run_isolated(manifest, n.max(1), interrupt, &mut file, &mut out)?,
+            None => self.run_in_process(manifest, interrupt, &mut file, &mut out)?,
         }
+        out.new_trials = out.report.trials.len() as u32 - out.resumed_trials;
+        Ok(out)
     }
 
     fn token(&self) -> Option<CancelToken> {
@@ -200,107 +274,68 @@ impl Executor {
         Some(t)
     }
 
-    /// The shared retry policy this executor's knobs configure.
-    fn policy(&self) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: self.exec.max_attempts,
-            backoff_base_ms: self.exec.backoff_base_ms,
-            backoff_cap_ms: self.exec.backoff_cap_ms,
-            backoff_seed: self.exec.backoff_seed,
-        }
-    }
-
-    /// Seeded exponential backoff with jitter (see [`RetryPolicy::delay`]).
-    fn backoff_delay(&self, seed: u64, attempt: u32) -> Duration {
-        self.policy().delay(seed, attempt)
-    }
-
-    /// Quarantine once the attempt budget is spent, or as soon as the same
-    /// failure repeats (see [`RetryPolicy::give_up`]).
-    fn quarantine_due(&self, failures: &[TrialFailure]) -> bool {
-        self.policy().give_up(failures)
-    }
-
     // -- in-process mode ---------------------------------------------------
 
     fn run_in_process(
         &self,
         manifest: &Path,
         interrupt: Option<&AtomicBool>,
-    ) -> Result<ExecutorReport, CampaignError> {
-        let (mut trials, mut file) = open_manifest(&self.config, &self.campaign, manifest)?;
-        let resumed = trials.len() as u32;
+        file: &mut std::fs::File,
+        out: &mut ExecutorReport,
+    ) -> Result<(), CampaignError> {
         let ckpt = sibling_path(manifest, ".ckpt");
-        let mut quarantined = Vec::new();
-        let mut retries = 0u64;
-        let mut new_trials = 0u32;
-        let mut interrupted = false;
         let is_set = |i: Option<&AtomicBool>| i.is_some_and(|f| f.load(Ordering::SeqCst));
 
-        'trials: while trials.len() < self.campaign.trials as usize {
+        'trials: while out.report.trials.len() < self.campaign.trials as usize {
             if is_set(interrupt) {
-                interrupted = true;
+                out.interrupted = true;
                 break;
             }
-            let seed = self.campaign.base_seed + trials.len() as u64;
+            let seed = self.campaign.base_seed + out.report.trials.len() as u64;
             let mut failures: Vec<TrialFailure> = Vec::new();
             let finished = loop {
                 let attempt = failures.len() as u32 + 1;
                 if is_set(interrupt) {
-                    interrupted = true;
+                    out.interrupted = true;
                     break 'trials;
                 }
-                let failure = if self.exec.inject_failure.is_some_and(|f| f(seed, attempt)) {
-                    TrialFailure {
-                        attempt,
-                        kind: FailureKind::Panic,
-                        detail: "injected failure".to_owned(),
-                    }
+                let (kind, detail) = if self.exec.inject_failure.is_some_and(|f| f(seed, attempt)) {
+                    (FailureKind::Panic, "injected failure".to_owned())
                 } else {
                     match self.attempt_in_process(seed, &ckpt, interrupt) {
-                    Ok(Ok(Ok(trial))) => break Some(trial),
-                    Ok(Ok(Err(TrialStop::Interrupted))) => {
-                        interrupted = true;
-                        break 'trials;
-                    }
-                    Ok(Ok(Err(TrialStop::Cancelled(cause)))) => TrialFailure {
-                        attempt,
-                        kind: FailureKind::Timeout,
-                        detail: TrialStop::Cancelled(cause).to_string(),
-                    },
-                    Ok(Ok(Err(TrialStop::Sanitizer(what)))) => TrialFailure {
-                        attempt,
-                        kind: FailureKind::Sanitizer,
-                        detail: what,
-                    },
-                    Ok(Err(
-                        e @ (CampaignError::CheckpointCorrupt(_)
-                        | CampaignError::CheckpointMismatch),
-                    )) => {
-                        // Self-heal: a bad checkpoint (e.g. left behind by
-                        // a crashed attempt) costs a replay, not the
-                        // campaign.
-                        let _ = std::fs::remove_file(&ckpt);
-                        TrialFailure {
-                            attempt,
-                            kind: FailureKind::Exit(1),
-                            detail: e.to_string(),
+                        Ok(Ok(Ok(trial))) => break Some(trial),
+                        Ok(Ok(Err(TrialStop::Interrupted))) => {
+                            out.interrupted = true;
+                            break 'trials;
                         }
-                    }
-                    Ok(Err(e)) => return Err(e),
-                    Err(panic) => TrialFailure {
-                        attempt,
-                        kind: FailureKind::Panic,
-                        detail: panic,
-                    },
+                        Ok(Ok(Err(stop @ TrialStop::Cancelled(_)))) => {
+                            (FailureKind::Timeout, stop.to_string())
+                        }
+                        Ok(Ok(Err(TrialStop::Sanitizer(what)))) => (FailureKind::Sanitizer, what),
+                        Ok(Err(
+                            e @ (CampaignError::CheckpointCorrupt(_)
+                            | CampaignError::CheckpointMismatch),
+                        )) => {
+                            // Self-heal: a bad checkpoint (e.g. left behind
+                            // by a crashed attempt) costs a replay, not the
+                            // campaign.
+                            let _ = std::fs::remove_file(&ckpt);
+                            (FailureKind::Exit(1), e.to_string())
+                        }
+                        Ok(Err(e)) => return Err(e),
+                        Err(panic) => (FailureKind::Panic, panic),
                     }
                 };
-                failures.push(failure);
-                if self.quarantine_due(&failures) {
+                failures.push(TrialFailure {
+                    attempt,
+                    kind,
+                    detail,
+                });
+                if self.exec.retry.give_up(&failures) {
                     break None;
                 }
-                retries += 1;
-                let delay = self.backoff_delay(seed, attempt);
+                out.retries += 1;
+                let delay = self.exec.retry.delay(seed, attempt);
                 if !delay.is_zero() {
                     std::thread::sleep(delay);
                 }
@@ -310,25 +345,14 @@ impl Executor {
                 None => {
                     let _ = std::fs::remove_file(&ckpt);
                     let attempts = failures.len() as u64;
-                    quarantined.push(QuarantinedTrial { seed, failures });
+                    out.quarantined.push(QuarantinedTrial { seed, failures });
                     Trial::quarantined(seed, attempts)
                 }
             };
-            append_trial(&mut file, &trial)?;
-            trials.push(trial);
-            new_trials += 1;
+            append_trial(file, &trial)?;
+            out.report.trials.push(trial);
         }
-        Ok(ExecutorReport {
-            report: CampaignReport {
-                spec: self.campaign.spec,
-                trials,
-            },
-            resumed_trials: resumed,
-            new_trials,
-            retries,
-            quarantined,
-            interrupted,
-        })
+        Ok(())
     }
 
     /// One in-process attempt; the outer `Err` is a caught panic message.
@@ -368,483 +392,126 @@ impl Executor {
 
     // -- isolation mode ----------------------------------------------------
 
-    fn job(&self, seed: u64, checkpoint: &Path) -> WorkerJob {
-        WorkerJob {
-            config_spec: self.exec.config_spec.clone(),
-            load: self.campaign.load,
-            pattern: self.campaign.pattern.to_spec(),
-            faults: self.campaign.spec.to_string(),
-            warmup: self.campaign.windows.warmup,
-            measure: self.campaign.windows.measure,
-            drain: self.campaign.windows.drain,
-            trials: self.campaign.trials,
-            base_seed: self.campaign.base_seed,
-            seed,
-            checkpoint: checkpoint.to_string_lossy().into_owned(),
-            every: self.exec.checkpoint_every,
-            cycle_budget: self.exec.cycle_budget,
-            sanitize: self.exec.sanitize.is_some(),
-        }
-    }
-
-    fn spawn_worker(&self, manifest: &Path, seed: u64, attempt: u32) -> io::Result<RunningTrial> {
-        let ckpt = sibling_path(manifest, &format!(".ckpt.{seed}"));
-        let cmd = match &self.exec.worker_cmd {
-            Some(p) => p.clone(),
-            None => std::env::current_exe()?,
-        };
-        let mut child = std::process::Command::new(cmd)
-            .arg("trial-worker")
-            .stdin(std::process::Stdio::piped())
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::null())
-            .spawn()?;
-        let mut stdin = child.stdin.take().expect("stdin was piped");
-        let job = self.job(seed, &ckpt);
-        // A worker that dies before reading its job spec must not kill the
-        // campaign with a broken pipe; the exit classification covers it.
-        let _ = writeln!(stdin, "{}", job.to_json());
-        drop(stdin);
-        let stdout = child.stdout.take().expect("stdout was piped");
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let reader = io::BufReader::new(stdout);
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
-                if tx.send(parse_worker_line(&line)).is_err() {
-                    break;
-                }
-            }
-        });
-        Ok(RunningTrial {
-            seed,
-            attempt,
-            child,
-            rx,
-            started: Instant::now(),
-            killed_for_deadline: false,
-            last_heartbeat: None,
-            result: None,
-            stop: None,
-            error: None,
-        })
-    }
-
     fn run_isolated(
         &self,
         manifest: &Path,
         workers: usize,
         interrupt: Option<&AtomicBool>,
-    ) -> Result<ExecutorReport, CampaignError> {
-        let (mut trials, mut file) = open_manifest(&self.config, &self.campaign, manifest)?;
-        let resumed = trials.len() as u32;
+        file: &mut std::fs::File,
+        out: &mut ExecutorReport,
+    ) -> Result<(), CampaignError> {
+        let trials = &mut out.report.trials;
         let total = self.campaign.trials as usize;
         let base = self.campaign.base_seed;
+        let ckpt = |seed: u64| sibling_path(manifest, &format!(".ckpt.{seed}"));
         let mut next_fresh = trials.len();
         let mut ready: BTreeMap<u64, Trial> = BTreeMap::new();
-        let mut failures_by_seed: BTreeMap<u64, Vec<TrialFailure>> = BTreeMap::new();
-        let mut retry_at: Vec<(Instant, u64)> = Vec::new();
-        let mut running: Vec<RunningTrial> = Vec::new();
-        let mut quarantined: Vec<QuarantinedTrial> = Vec::new();
-        let mut retries = 0u64;
-        let mut new_trials = 0u32;
-        let mut interrupted = false;
-        let is_set = |i: Option<&AtomicBool>| i.is_some_and(|f| f.load(Ordering::SeqCst));
+        // Seeds whose worker parked on a signal nobody here sent: resumed
+        // from the checkpoint without counting a failure.
+        let mut parked: Vec<u64> = Vec::new();
+        let (events_tx, events) = mpsc::channel::<(u64, Option<String>)>();
+        // Dropped on every way out of this function, which kills and reaps
+        // whatever is still running.
+        let mut fleet = Fleet::new(self.exec.retry.clone(), events_tx);
 
         while trials.len() < total {
-            if is_set(interrupt) {
-                interrupted = true;
-                for r in &mut running {
-                    let _ = r.child.kill();
-                    let _ = r.child.wait();
-                }
+            if interrupt.is_some_and(|f| f.load(Ordering::SeqCst)) {
+                out.interrupted = true;
                 break;
             }
 
-            // Fill free worker slots: due retries first, then fresh seeds.
-            while running.len() < workers {
-                let now = Instant::now();
-                if let Some(pos) = retry_at.iter().position(|(t, _)| *t <= now) {
-                    let (_, seed) = retry_at.remove(pos);
-                    let attempt = failures_by_seed.get(&seed).map_or(0, Vec::len) as u32 + 1;
-                    running.push(self.spawn_worker(manifest, seed, attempt)?);
-                    continue;
-                }
-                let scheduled = trials.len() + ready.len() + running.len() + retry_at.len();
-                if next_fresh >= total || scheduled >= total {
-                    break;
-                }
-                let seed = base + next_fresh as u64;
-                next_fresh += 1;
-                running.push(self.spawn_worker(manifest, seed, 1)?);
+            // Fill free worker slots: resumes and due retries first, then
+            // fresh seeds.
+            while fleet.running() < workers {
+                let seed = match parked.pop().or_else(|| fleet.pop_due()) {
+                    Some(seed) => seed,
+                    None if next_fresh < total => {
+                        next_fresh += 1;
+                        base + next_fresh as u64 - 1
+                    }
+                    None => break,
+                };
+                let job = self.trial_job(seed, &ckpt(seed));
+                let cmd = self.exec.worker_cmd.as_deref();
+                fleet.spawn(seed, cmd, &job, self.exec.deadline)?;
             }
 
-            // Poll the fleet.
-            let mut i = 0;
-            while i < running.len() {
-                running[i].drain_messages();
-                if let Some(deadline) = self.exec.deadline {
-                    let r = &mut running[i];
-                    if !r.killed_for_deadline
-                        && r.result.is_none()
-                        && r.stop.is_none()
-                        && r.started.elapsed() >= deadline
-                    {
-                        let _ = r.child.kill();
-                        r.killed_for_deadline = true;
-                    }
+            // Heartbeats only feed the failure detail here; nothing to report.
+            if let Ok((seed, event)) = events.recv_timeout(fleet.poll_interval()) {
+                fleet.observe(seed, event);
+                while let Ok((seed, event)) = events.try_recv() {
+                    fleet.observe(seed, event);
                 }
-                match running[i].child.try_wait() {
-                    Ok(Some(status)) => {
-                        let mut done = running.swap_remove(i);
-                        // The reader thread may still be flushing the final
-                        // lines; give it a bounded moment to drain.
-                        let settle = Instant::now() + Duration::from_millis(500);
-                        while done.result.is_none() && done.error.is_none() {
-                            match done.rx.recv_timeout(Duration::from_millis(20)) {
-                                Ok(msg) => done.apply(msg),
-                                Err(_) if Instant::now() >= settle => break,
-                                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                            }
-                        }
-                        done.drain_messages();
-                        self.settle_worker(
-                            done,
-                            status,
-                            manifest,
-                            &mut ready,
-                            &mut failures_by_seed,
-                            &mut retry_at,
-                            &mut quarantined,
-                            &mut retries,
-                        );
+            }
+            for (seed, outcome) in fleet.tick().reaped {
+                let (kind, detail) = match outcome {
+                    Outcome::Parked => {
+                        parked.push(seed);
+                        continue;
                     }
-                    _ => i += 1,
+                    Outcome::Result(line) => match parse_trial_line(&line) {
+                        Some(trial) => {
+                            fleet.forget(seed);
+                            ready.insert(seed, trial);
+                            continue;
+                        }
+                        None => (
+                            FailureKind::Exit(0),
+                            format!("unparsable result line: {line}"),
+                        ),
+                    },
+                    Outcome::Failed(kind, detail) => (kind, detail),
+                };
+                match fleet.fail(seed, kind, detail) {
+                    Verdict::Retry(_) => out.retries += 1,
+                    Verdict::GiveUp(failures) => {
+                        let _ = std::fs::remove_file(ckpt(seed));
+                        ready.insert(seed, Trial::quarantined(seed, failures.len() as u64));
+                        out.quarantined.push(QuarantinedTrial { seed, failures });
+                    }
                 }
             }
 
             // Flush completed trials to the manifest strictly in seed order.
             while let Some(t) = ready.remove(&(base + trials.len() as u64)) {
-                append_trial(&mut file, &t)?;
+                append_trial(file, &t)?;
                 trials.push(t);
-                new_trials += 1;
-            }
-            if trials.len() < total {
-                std::thread::sleep(Duration::from_millis(5));
             }
         }
-        while let Some(t) = ready.remove(&(base + trials.len() as u64)) {
-            append_trial(&mut file, &t)?;
-            trials.push(t);
-            new_trials += 1;
-        }
-        Ok(ExecutorReport {
-            report: CampaignReport {
-                spec: self.campaign.spec,
-                trials,
-            },
-            resumed_trials: resumed,
-            new_trials,
-            retries,
-            quarantined,
-            interrupted,
-        })
+        Ok(())
     }
 
-    /// Folds one exited worker into the scheduling state: a clean result
-    /// goes to the in-order buffer, anything else becomes a classified
-    /// failure that is retried (with backoff) or quarantined.
-    #[allow(clippy::too_many_arguments)]
-    fn settle_worker(
-        &self,
-        done: RunningTrial,
-        status: std::process::ExitStatus,
-        manifest: &Path,
-        ready: &mut BTreeMap<u64, Trial>,
-        failures_by_seed: &mut BTreeMap<u64, Vec<TrialFailure>>,
-        retry_at: &mut Vec<(Instant, u64)>,
-        quarantined: &mut Vec<QuarantinedTrial>,
-        retries: &mut u64,
-    ) {
-        let seed = done.seed;
-        if status.success() {
-            if let Some(trial) = done.result {
-                ready.insert(seed, trial);
-                failures_by_seed.remove(&seed);
-                return;
-            }
-        }
-        let (kind, detail) = if let Some((kind, detail)) = done.stop {
-            // Cooperative stops carry a deterministic detail; keep it
-            // verbatim so repeat-failure quarantine matching works.
-            (kind, detail)
-        } else if let Some(msg) = done.error {
-            (FailureKind::Exit(1), msg)
-        } else {
-            let (kind, mut detail) = classify_exit(status, done.killed_for_deadline);
-            if let Some(cycle) = done.last_heartbeat {
-                detail.push_str(&format!(" (last heartbeat at cycle {cycle})"));
-            }
-            (kind, detail)
-        };
-        let failures = failures_by_seed.entry(seed).or_default();
-        failures.push(TrialFailure {
-            attempt: done.attempt,
-            kind,
-            detail,
-        });
-        if self.quarantine_due(failures) {
-            let _ = std::fs::remove_file(sibling_path(manifest, &format!(".ckpt.{seed}")));
-            let failures = failures_by_seed.remove(&seed).unwrap_or_default();
-            ready.insert(seed, Trial::quarantined(seed, failures.len() as u64));
-            quarantined.push(QuarantinedTrial { seed, failures });
-        } else {
-            *retries += 1;
-            let delay = self.backoff_delay(seed, done.attempt);
-            retry_at.push((Instant::now() + delay, seed));
-        }
-    }
-}
-
-/// A worker process the isolation-mode executor is supervising.
-struct RunningTrial {
-    seed: u64,
-    attempt: u32,
-    child: std::process::Child,
-    rx: mpsc::Receiver<WorkerMsg>,
-    started: Instant,
-    killed_for_deadline: bool,
-    /// Most recently reported sim cycle (diagnostic; a worker killed on
-    /// deadline restarts from its last checkpoint at or before this).
-    last_heartbeat: Option<u64>,
-    result: Option<Trial>,
-    stop: Option<(FailureKind, String)>,
-    error: Option<String>,
-}
-
-impl RunningTrial {
-    fn apply(&mut self, msg: WorkerMsg) {
-        match msg {
-            WorkerMsg::Heartbeat(cycle) => self.last_heartbeat = Some(cycle),
-            WorkerMsg::Result(t) => self.result = Some(*t),
-            WorkerMsg::Stopped(kind, detail) => self.stop = Some((kind, detail)),
-            WorkerMsg::Error(e) => self.error = Some(e),
+    /// The campaign in its wire form.
+    fn campaign_spec(&self) -> CampaignSpec {
+        let campaign = &self.campaign;
+        CampaignSpec {
+            config_spec: self.exec.config_spec.clone(),
+            faults: campaign.spec.to_string(),
+            trials: campaign.trials,
+            load: campaign.load,
+            pattern: campaign.pattern.to_spec(),
+            warmup: campaign.windows.warmup,
+            measure: campaign.windows.measure,
+            drain: campaign.windows.drain,
+            seed: campaign.base_seed,
+            checkpoint_every: self.exec.checkpoint_every,
+            cycle_budget: self.exec.cycle_budget,
         }
     }
 
-    fn drain_messages(&mut self) {
-        while let Ok(msg) = self.rx.try_recv() {
-            self.apply(msg);
-        }
-    }
-}
-
-/// One parsed line of worker stdout.
-enum WorkerMsg {
-    Heartbeat(u64),
-    Result(Box<Trial>),
-    Stopped(FailureKind, String),
-    Error(String),
-}
-
-fn parse_worker_line(line: &str) -> WorkerMsg {
-    if let Some(rest) = line.strip_prefix("heartbeat ") {
-        if let Ok(cycle) = rest.trim().parse() {
-            return WorkerMsg::Heartbeat(cycle);
-        }
-    }
-    if let Some(rest) = line.strip_prefix("result ") {
-        if let Some(trial) = parse_trial_line(rest) {
-            return WorkerMsg::Result(Box::new(trial));
-        }
-        return WorkerMsg::Error(format!("unparsable result line: {rest}"));
-    }
-    if let Some(rest) = line.strip_prefix("stopped timeout ") {
-        return WorkerMsg::Stopped(FailureKind::Timeout, rest.to_owned());
-    }
-    if let Some(rest) = line.strip_prefix("stopped sanitizer ") {
-        return WorkerMsg::Stopped(FailureKind::Sanitizer, rest.to_owned());
-    }
-    if let Some(rest) = line.strip_prefix("error ") {
-        return WorkerMsg::Error(rest.to_owned());
-    }
-    WorkerMsg::Error(format!("unknown worker line: {line}"))
-}
-
-// ---------------------------------------------------------------------------
-// Worker side.
-// ---------------------------------------------------------------------------
-
-/// The job spec an isolation-mode worker reads as one JSON line on stdin.
-///
-/// `config_spec` is opaque to this crate: the binary hosting the
-/// `trial-worker` subcommand both renders it (parent side, via
-/// [`ExecutorConfig::config_spec`]) and parses it back into a
-/// [`ClusterConfig`] (worker side).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerJob {
-    /// Opaque cluster-config spec (see type docs).
-    pub config_spec: String,
-    /// Offered load per core.
-    pub load: f64,
-    /// Traffic pattern, in [`Pattern::to_spec`] form.
-    pub pattern: String,
-    /// Fault intensity, in [`FaultSpec`](mempool::FaultSpec) spec form.
-    pub faults: String,
-    /// Warmup window of the trial, in cycles.
-    pub warmup: u64,
-    /// Measurement window of the trial, in cycles.
-    pub measure: u64,
-    /// Drain budget of the trial, in cycles.
-    pub drain: u64,
-    /// Total trials of the campaign (digest context, not used by a worker).
-    pub trials: u32,
-    /// First seed of the campaign (digest context, not used by a worker).
-    pub base_seed: u64,
-    /// The seed of the one trial this job runs.
-    pub seed: u64,
-    /// Path of this trial's private checkpoint file.
-    pub checkpoint: String,
-    /// Mid-trial checkpoint interval in cycles (`0` disables).
-    pub every: u64,
-    /// Absolute sim-cycle budget (cooperatively enforced in the worker).
-    pub cycle_budget: Option<u64>,
-    /// Whether to attach the invariant sanitizer.
-    pub sanitize: bool,
-}
-
-impl WorkerJob {
-    /// Renders the job as a single JSON line.
-    pub fn to_json(&self) -> String {
-        let budget = match self.cycle_budget {
-            Some(b) => b.to_string(),
-            None => "null".to_owned(),
-        };
+    /// The job document of one isolated trial, a single JSON line: the
+    /// `campaign` job a daemon's worker takes, pinned by its `trial` field
+    /// to the one trial `seed` (whose manifest line is then the result).
+    /// `config_spec` travels verbatim; the binary hosting the `worker`
+    /// subcommand both rendered it and parses it back.
+    fn trial_job(&self, seed: u64, checkpoint: &Path) -> String {
         format!(
-            "{{\"config_spec\":\"{}\",\"load\":{},\"pattern\":\"{}\",\"faults\":\"{}\",\
-             \"warmup\":{},\"measure\":{},\"drain\":{},\"trials\":{},\"base_seed\":{},\
-             \"seed\":{},\"checkpoint\":\"{}\",\"every\":{},\"cycle_budget\":{},\
-             \"sanitize\":{}}}",
-            json_escape(&self.config_spec),
-            self.load,
-            json_escape(&self.pattern),
-            json_escape(&self.faults),
-            self.warmup,
-            self.measure,
-            self.drain,
-            self.trials,
-            self.base_seed,
-            self.seed,
-            json_escape(&self.checkpoint),
-            self.every,
-            budget,
-            self.sanitize,
+            "{{\"checkpoint\":\"{}\",{},\"trial\":{seed},\"sanitize\":{}}}",
+            json_escape(&checkpoint.to_string_lossy()),
+            self.campaign_spec().to_json_body(),
+            self.exec.sanitize.is_some(),
         )
     }
-
-    /// Parses a job from its JSON line form.
-    ///
-    /// # Errors
-    ///
-    /// A static description of the first malformed or missing field.
-    pub fn from_json(s: &str) -> Result<WorkerJob, &'static str> {
-        let fields = parse_flat_json(s).ok_or("malformed job spec JSON")?;
-        let get = |k: &str| fields.get(k).ok_or("missing job spec field");
-        let num = |k: &str| -> Result<u64, &'static str> {
-            get(k)?.parse().map_err(|_| "non-numeric job spec field")
-        };
-        Ok(WorkerJob {
-            config_spec: get("config_spec")?.clone(),
-            load: get("load")?
-                .parse()
-                .map_err(|_| "non-numeric job spec field")?,
-            pattern: get("pattern")?.clone(),
-            faults: get("faults")?.clone(),
-            warmup: num("warmup")?,
-            measure: num("measure")?,
-            drain: num("drain")?,
-            trials: num("trials")? as u32,
-            base_seed: num("base_seed")?,
-            seed: num("seed")?,
-            checkpoint: get("checkpoint")?.clone(),
-            every: num("every")?,
-            cycle_budget: match get("cycle_budget")?.as_str() {
-                "null" => None,
-                v => Some(v.parse().map_err(|_| "non-numeric job spec field")?),
-            },
-            sanitize: get("sanitize")? == "true",
-        })
-    }
-
-    /// Reconstructs the campaign parameters this job's trial belongs to.
-    ///
-    /// # Errors
-    ///
-    /// A description of the unparsable pattern or fault spec.
-    pub fn campaign(&self) -> Result<CampaignConfig, String> {
-        Ok(CampaignConfig {
-            load: self.load,
-            pattern: Pattern::parse_spec(&self.pattern)
-                .ok_or_else(|| format!("bad pattern spec `{}`", self.pattern))?,
-            windows: Windows {
-                warmup: self.warmup,
-                measure: self.measure,
-                drain: self.drain,
-            },
-            spec: self
-                .faults
-                .parse()
-                .map_err(|e| format!("bad fault spec `{}`: {e}", self.faults))?,
-            trials: self.trials,
-            base_seed: self.base_seed,
-        })
-    }
-}
-
-/// Runs one trial as an isolation-mode worker: heartbeat lines stream to
-/// stdout while the trial runs, then exactly one `result ...` or
-/// `stopped ...` line. The caller (the `trial-worker` subcommand) parses
-/// `job.config_spec` into `config` first.
-///
-/// # Errors
-///
-/// Configuration, I/O, and checkpoint errors (the parent classifies the
-/// nonzero exit).
-pub fn run_trial_worker(config: ClusterConfig, job: &WorkerJob) -> Result<(), CampaignError> {
-    let campaign = job
-        .campaign()
-        .map_err(|e| CampaignError::Io(io::Error::new(io::ErrorKind::InvalidData, e)))?;
-    let mut beat = |cycle: u64| {
-        println!("heartbeat {cycle}");
-        let _ = io::stdout().flush();
-    };
-    let sup = TrialSupervision {
-        cancel: job
-            .cycle_budget
-            .map(|b| CancelToken::new().with_cycle_limit(b)),
-        interrupt: None,
-        heartbeat: Some(&mut beat),
-        sanitize: job.sanitize.then(SanitizerConfig::default),
-    };
-    let outcome = run_trial_supervised(
-        config,
-        &campaign,
-        job.seed,
-        Path::new(&job.checkpoint),
-        job.every,
-        sup,
-    )?;
-    match outcome {
-        Ok(trial) => println!("result {}", format_trial_line(&trial)),
-        Err(TrialStop::Cancelled(cause)) => {
-            println!("stopped timeout {}", TrialStop::Cancelled(cause))
-        }
-        Err(TrialStop::Sanitizer(what)) => println!("stopped sanitizer {what}"),
-        Err(TrialStop::Interrupted) => unreachable!("workers install no interrupt flag"),
-    }
-    let _ = io::stdout().flush();
-    Ok(())
 }
 
 #[cfg(test)]
@@ -852,116 +519,42 @@ mod tests {
     use super::*;
 
     #[test]
-    fn worker_job_json_round_trips() {
-        let job = WorkerJob {
-            config_spec: "topology=topH,small=true,scramble=false".to_owned(),
-            load: 0.05,
-            pattern: "plocal=0.8".to_owned(),
-            faults: "bank_fail=2,link_drop=0.001".to_owned(),
-            warmup: 100,
-            measure: 400,
-            drain: 50_000,
+    fn trial_job_parses_back_to_the_campaign_it_was_rendered_from() {
+        let campaign = CampaignConfig {
             trials: 4,
             base_seed: 11,
-            seed: 13,
-            checkpoint: "/tmp/weird \"path\"\\x.ckpt".to_owned(),
-            every: 4_096,
+            load: 0.3,
+            ..CampaignConfig::default()
+        };
+        let exec = ExecutorConfig {
+            config_spec: "topology=topH,small=true,scramble=\"odd\\one\"".to_owned(),
             cycle_budget: Some(1_000_000),
-            sanitize: true,
+            sanitize: Some(SanitizerConfig::default()),
+            ..ExecutorConfig::default()
         };
-        let round = WorkerJob::from_json(&job.to_json()).expect("round trip");
-        assert_eq!(round, job);
-
-        let none = WorkerJob {
-            cycle_budget: None,
-            sanitize: false,
-            ..job
-        };
-        let round = WorkerJob::from_json(&none.to_json()).expect("round trip");
-        assert_eq!(round, none);
-        assert!(round.campaign().is_ok());
-    }
-
-    #[test]
-    fn backoff_is_deterministic_capped_and_jittered() {
-        let ex = Executor::new(
-            mempool::ClusterConfig::small(mempool::Topology::Top1),
-            CampaignConfig::default(),
-            ExecutorConfig {
-                backoff_base_ms: 50,
-                backoff_cap_ms: 300,
-                ..ExecutorConfig::default()
-            },
+        let config = ClusterConfig::small(mempool::Topology::TopH);
+        let mut executor = Executor::new(config, campaign, exec);
+        for budget in [Some(1_000_000), None] {
+            executor.exec.cycle_budget = budget;
+            let line = executor.trial_job(13, Path::new("/tmp/weird \"path\"\\x.ckpt"));
+            assert!(!line.contains('\n'));
+            let fields = crate::parse_flat_json(&line).expect("flat JSON");
+            assert_eq!(fields["kind"], "campaign");
+            assert_eq!(fields["checkpoint"], "/tmp/weird \"path\"\\x.ckpt");
+            assert_eq!(fields["trial"], "13");
+            assert_eq!(fields["sanitize"], "true");
+            // What the worker reads is what the executor meant.
+            let parsed = CampaignSpec::from_fields(&fields).expect("campaign fields");
+            assert_eq!(parsed, executor.campaign_spec());
+            assert_eq!((parsed.seed, parsed.trials, parsed.cycle_budget), (11, 4, budget));
+            assert_eq!(parsed.faults.parse(), Ok(executor.campaign.spec));
+            assert_eq!(crate::Pattern::parse_spec(&parsed.pattern), Some(executor.campaign.pattern));
+        }
+        let mut fields = crate::parse_flat_json(&executor.trial_job(13, Path::new("c"))).unwrap();
+        fields.remove("drain");
+        assert_eq!(
+            CampaignSpec::from_fields(&fields),
+            Err("missing job field `drain`".to_owned())
         );
-        let a = ex.backoff_delay(7, 1);
-        assert_eq!(a, ex.backoff_delay(7, 1), "same (seed, attempt) -> same delay");
-        assert!(a >= Duration::from_millis(50) && a < Duration::from_millis(100));
-        // Attempt 10 is far past the cap: delay stays within cap + jitter.
-        let late = ex.backoff_delay(7, 10);
-        assert!(late >= Duration::from_millis(300) && late < Duration::from_millis(350));
-        // Disabled backoff is exactly zero.
-        let off = Executor {
-            exec: ExecutorConfig {
-                backoff_base_ms: 0,
-                ..ex.exec.clone()
-            },
-            ..ex.clone()
-        };
-        assert_eq!(off.backoff_delay(7, 3), Duration::ZERO);
-    }
-
-    #[test]
-    fn quarantine_rule_fires_on_repeat_or_exhaustion() {
-        let ex = Executor::new(
-            mempool::ClusterConfig::small(mempool::Topology::Top1),
-            CampaignConfig::default(),
-            ExecutorConfig {
-                max_attempts: 3,
-                ..ExecutorConfig::default()
-            },
-        );
-        let f = |kind: FailureKind, detail: &str, attempt: u32| TrialFailure {
-            attempt,
-            kind,
-            detail: detail.to_owned(),
-        };
-        // One failure: retry.
-        assert!(!ex.quarantine_due(&[f(FailureKind::Panic, "x", 1)]));
-        // Two different failures: still retry.
-        assert!(!ex.quarantine_due(&[
-            f(FailureKind::Panic, "x", 1),
-            f(FailureKind::Timeout, "y", 2)
-        ]));
-        // Two consecutive identical failures: deterministic, quarantine.
-        assert!(ex.quarantine_due(&[
-            f(FailureKind::Panic, "x", 1),
-            f(FailureKind::Panic, "x", 2)
-        ]));
-        // Attempt budget exhausted: quarantine regardless of variety.
-        assert!(ex.quarantine_due(&[
-            f(FailureKind::Panic, "x", 1),
-            f(FailureKind::Timeout, "y", 2),
-            f(FailureKind::Oom, "z", 3)
-        ]));
-    }
-
-    #[test]
-    fn worker_lines_parse() {
-        assert!(matches!(
-            parse_worker_line("heartbeat 512"),
-            WorkerMsg::Heartbeat(512)
-        ));
-        assert!(matches!(
-            parse_worker_line("stopped timeout cycle budget of 10 exhausted"),
-            WorkerMsg::Stopped(FailureKind::Timeout, _)
-        ));
-        assert!(matches!(
-            parse_worker_line("error no such config"),
-            WorkerMsg::Error(_)
-        ));
-        assert!(matches!(
-            parse_worker_line("garbage"),
-            WorkerMsg::Error(_)
-        ));
     }
 }

@@ -32,17 +32,16 @@ mod replay;
 mod supervise;
 
 pub use campaign::{
-    append_trial, open_manifest, run_campaign, run_campaign_resumable, run_trial,
+    append_trial, format_trial_line, open_manifest, run_campaign, run_campaign_resumable, run_trial,
     run_trial_checkpointed, run_trial_supervised, trial_cluster, CampaignConfig, CampaignError,
     CampaignProgress, CampaignReport, Trial, TrialCheckpoint, TrialOutcome, TrialPhase, TrialStop,
     TrialSupervision,
 };
-pub use exec::{
-    run_trial_worker, Executor, ExecutorConfig, ExecutorReport, QuarantinedTrial, WorkerJob,
-};
+pub use exec::{CampaignSpec, Executor, ExecutorConfig, ExecutorReport, QuarantinedTrial};
 pub use supervise::{
     classify_exit, json_escape, json_unescape, parse_config_spec, parse_flat_json,
-    render_config_spec, FailureKind, RetryPolicy, TrialFailure,
+    render_config_spec, sig, FailureKind, Fleet, Outcome, RetryPolicy, Tick, TrialFailure, Verdict,
+    WorkerLine,
 };
 pub use experiment::{
     md1_latency, run_point, run_point_with_metrics, run_sweep, saturation_throughput,

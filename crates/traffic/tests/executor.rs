@@ -9,8 +9,8 @@
 use mempool::{ClusterConfig, Topology};
 use mempool_traffic::{
     run_campaign, run_trial_supervised, trial_cluster, CampaignConfig, CampaignError, Executor,
-    ExecutorConfig, FailureKind, TrialCheckpoint, TrialOutcome, TrialPhase, TrialSupervision,
-    Windows,
+    ExecutorConfig, FailureKind, RetryPolicy, TrialCheckpoint, TrialOutcome, TrialPhase,
+    TrialSupervision, Windows,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,7 +36,10 @@ fn config() -> ClusterConfig {
 /// Executor policy for tests: no backoff sleeps, small checkpoints.
 fn exec() -> ExecutorConfig {
     ExecutorConfig {
-        backoff_base_ms: 0,
+        retry: RetryPolicy {
+            backoff_base_ms: 0,
+            ..RetryPolicy::default()
+        },
         checkpoint_every: 64,
         ..ExecutorConfig::default()
     }

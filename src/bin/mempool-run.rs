@@ -8,10 +8,6 @@
 //! $ mempool-run bench --out bench.json --cores 16
 //! $ mempool-run campaign --small --loads 0.02,0.10 --metrics-json sweep.json
 //! ```
-//!
-//! The pre-subcommand flat form (`mempool-run [OPTIONS] <program.s>`) still
-//! parses — it behaves exactly like `run` — but prints a one-line
-//! deprecation note on stderr.
 
 use mempool::{
     ClusterConfig, ClusterSnapshot, FaultPlan, FaultSpec, ObsConfig, ProfileConfig,
@@ -20,8 +16,8 @@ use mempool::{
 use mempool_riscv::{assemble, Reg};
 use mempool_suite::error::Error;
 use mempool_traffic::{
-    run_point_with_metrics, run_trial_worker, Executor, ExecutorConfig, MeteredPoint, Pattern,
-    Windows, WorkerJob,
+    parse_config_spec, render_config_spec, run_point_with_metrics, sig, Executor, ExecutorConfig,
+    MeteredPoint, Pattern, RetryPolicy, Windows,
 };
 use std::fmt;
 use std::fmt::Write as _;
@@ -117,20 +113,19 @@ struct CampaignOptions {
 /// A parsed command line: which subcommand runs, with its options.
 #[derive(Debug)]
 enum Command {
-    Run { opts: Box<Options>, legacy: bool },
+    Run(Box<Options>),
     Bench(BenchOptions),
     Campaign(Box<CampaignOptions>),
     Profile(ProfileOptions),
-    /// Hidden: one isolated campaign trial, driven over stdin/stdout by a
-    /// parent `campaign --isolate` process.
-    TrialWorker,
+    /// Hidden: one supervised job, driven over stdin/stdout by a parent
+    /// `campaign --isolate` process.
+    Worker,
 }
 
 const USAGE: &str = "usage: mempool-run <run|bench|campaign|profile> [OPTIONS]
-       mempool-run [OPTIONS] <program.s>   (deprecated; same as `run`)
 
 subcommands:
-  run        assemble and execute a program (default; see `run --help`)
+  run        assemble and execute a program (see `run --help`)
   bench      the simulator benchmark matrix (see `bench --help`)
   campaign   a synthetic-traffic load sweep with metrics (see `campaign --help`)
   profile    a profiled run: region/stall breakdown, flamegraph and power
@@ -179,8 +174,7 @@ exit status: 0 on success, 1 on runtime errors, 2 on usage errors";
 const BENCH_USAGE: &str = "usage: mempool-run bench --out <file> [OPTIONS]
 
 options:
-  --out <file>            write the mempool-bench-v2 report here (required;
-                          --metrics-json is accepted as an alias)
+  --out <file>            write the mempool-bench-v2 report here (required)
   --cores <16|256|all>    bench cluster sizes (default all)
   --cycles <n>            measured cycles per bench point (default 2000)
   --help                  this text
@@ -278,6 +272,8 @@ enum ParseArgsError {
     MissingOption(&'static str),
     /// Two options that cannot be combined.
     Conflict(&'static str),
+    /// The first argument is not a subcommand name (or there is none).
+    MissingSubcommand,
 }
 
 impl fmt::Display for ParseArgsError {
@@ -295,6 +291,9 @@ impl fmt::Display for ParseArgsError {
             ParseArgsError::MissingProgram => write!(f, "no program path given"),
             ParseArgsError::MissingOption(option) => write!(f, "{option} is required"),
             ParseArgsError::Conflict(what) => write!(f, "{what}"),
+            ParseArgsError::MissingSubcommand => {
+                write!(f, "expected a subcommand: run, bench, campaign or profile")
+            }
         }
     }
 }
@@ -319,17 +318,13 @@ fn parse_topology(value: &str) -> Result<Topology, ParseArgsError> {
     }
 }
 
-/// Splits the command line into a subcommand and its options. An argument
-/// list that does not start with a subcommand name falls back to the
-/// legacy flat `run` form (reported via `legacy: true` so the caller can
-/// print a deprecation note).
+/// Splits the command line into a subcommand and its options. A bare
+/// `--help`/`-h` prints the top-level usage; anything else that does not
+/// start with a subcommand name is a usage error.
 fn parse_command(args: Vec<String>) -> Result<Command, (ParseArgsError, &'static str)> {
     match args.first().map(String::as_str) {
         Some("run") => parse_args(args.into_iter().skip(1))
-            .map(|o| Command::Run {
-                opts: Box::new(o),
-                legacy: false,
-            })
+            .map(|o| Command::Run(Box::new(o)))
             .map_err(|e| (e, USAGE)),
         Some("bench") => parse_bench_args(args.into_iter().skip(1))
             .map(Command::Bench)
@@ -338,16 +333,12 @@ fn parse_command(args: Vec<String>) -> Result<Command, (ParseArgsError, &'static
             .map(|o| Command::Campaign(Box::new(o)))
             .map_err(|e| (e, CAMPAIGN_USAGE)),
         // Hidden: spawned by `campaign --isolate`, not for interactive use.
-        Some("trial-worker") => Ok(Command::TrialWorker),
+        Some("worker") => Ok(Command::Worker),
         Some("profile") => parse_profile_args(args.into_iter().skip(1))
             .map(Command::Profile)
             .map_err(|e| (e, PROFILE_USAGE)),
-        _ => parse_args(args)
-            .map(|o| Command::Run {
-                opts: Box::new(o),
-                legacy: true,
-            })
-            .map_err(|e| (e, USAGE)),
+        Some("--help" | "-h") => Err((ParseArgsError::Help, USAGE)),
+        _ => Err((ParseArgsError::MissingSubcommand, USAGE)),
     }
 }
 
@@ -551,9 +542,6 @@ fn parse_bench_args(
         };
         match arg.as_str() {
             "--out" => out = Some(value("--out")?),
-            // Shared output flag across subcommands; for bench the metrics
-            // document *is* the report.
-            "--metrics-json" => out = Some(value("--metrics-json")?),
             "--cores" => cores = parse_bench_cores(&value("--cores")?)?,
             "--cycles" => {
                 cycles = value("--cycles")?
@@ -947,15 +935,7 @@ fn main() -> ExitCode {
         }
     };
     let result = match cmd {
-        Command::Run { opts, legacy } => {
-            if legacy {
-                eprintln!(
-                    "note: flat flags are deprecated; use `mempool-run run [OPTIONS] \
-                     <program.s>` (or the `bench`/`campaign` subcommands)"
-                );
-            }
-            run(&opts)
-        }
+        Command::Run(opts) => run(&opts),
         Command::Bench(opts) => run_bench_mode(&opts),
         Command::Campaign(opts) => {
             if opts.faults.is_some() {
@@ -965,7 +945,7 @@ fn main() -> ExitCode {
             }
         }
         Command::Profile(opts) => run_profile_mode(&opts),
-        Command::TrialWorker => run_trial_worker_mode(),
+        Command::Worker => return mempool_suite::worker::run(),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -1002,12 +982,8 @@ fn run_bench_mode(opts: &BenchOptions) -> Result<(), Error> {
     };
     // SIGINT/SIGTERM stop the sweep after the point in flight; completed
     // measurements are flushed to the report instead of discarded.
-    #[cfg(unix)]
     sig::install();
-    #[cfg(unix)]
     let interrupt = Some(&sig::INTERRUPTED);
-    #[cfg(not(unix))]
-    let interrupt = None;
     let (report, interrupted) = run_bench_supervised(&config, interrupt).map_err(Error::Other)?;
     std::fs::write(&opts.out, report.to_json()).map_err(|e| Error::io(&opts.out, e))?;
     println!("bench: {} points -> {}", report.points.len(), opts.out);
@@ -1096,38 +1072,6 @@ fn run_campaign_mode(opts: &CampaignOptions) -> Result<(), Error> {
     Ok(())
 }
 
-/// Raw POSIX signal hookup for graceful campaign interruption. No signal
-/// crate is available, so `signal(2)` is declared directly; the handler
-/// only flips an atomic the executor polls between checkpoints.
-#[cfg(unix)]
-mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub static INTERRUPTED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        INTERRUPTED.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    /// Routes SIGINT and SIGTERM to the `INTERRUPTED` flag.
-    pub fn install() {
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-}
-
-// `render_config_spec` / `parse_config_spec` moved to `mempool_traffic`
-// (shared with the `mempool-serve` daemon's workers).
-use mempool_traffic::{parse_config_spec, render_config_spec};
-
 /// Runs a supervised fault-injection campaign (`campaign --faults ...`)
 /// under the crash-isolated executor.
 fn run_fault_campaign_mode(opts: &CampaignOptions) -> Result<(), Error> {
@@ -1146,8 +1090,11 @@ fn run_fault_campaign_mode(opts: &CampaignOptions) -> Result<(), Error> {
     let exec = ExecutorConfig {
         deadline: opts.deadline_secs.map(Duration::from_secs),
         cycle_budget: opts.cycle_budget,
-        max_attempts: opts.max_attempts,
-        backoff_base_ms: opts.backoff_ms,
+        retry: RetryPolicy {
+            max_attempts: opts.max_attempts,
+            backoff_base_ms: opts.backoff_ms,
+            ..RetryPolicy::default()
+        },
         checkpoint_every: opts.checkpoint_every,
         isolate: opts.isolate,
         config_spec: render_config_spec(opts.topology, opts.small, opts.scramble),
@@ -1165,12 +1112,8 @@ fn run_fault_campaign_mode(opts: &CampaignOptions) -> Result<(), Error> {
             None => String::new(),
         }
     );
-    #[cfg(unix)]
     sig::install();
-    #[cfg(unix)]
     let interrupt = Some(&sig::INTERRUPTED);
-    #[cfg(not(unix))]
-    let interrupt = None;
     let executor = Executor::new(config, campaign, exec);
     let report = executor.run(std::path::Path::new(manifest), interrupt)?;
     println!(
@@ -1194,37 +1137,6 @@ fn run_fault_campaign_mode(opts: &CampaignOptions) -> Result<(), Error> {
         return Err(Error::Interrupted);
     }
     Ok(())
-}
-
-/// The hidden `trial-worker` subcommand: reads one JSON job spec line from
-/// stdin, runs the trial, and reports over stdout (see the executor's
-/// worker protocol). Errors also go to stdout as `error ...` lines so the
-/// parent can attach a reason to the failure it classifies.
-fn run_trial_worker_mode() -> Result<(), Error> {
-    use std::io::BufRead as _;
-    let mut line = String::new();
-    std::io::stdin()
-        .lock()
-        .read_line(&mut line)
-        .map_err(|e| Error::io("<stdin>", e))?;
-    let job = match WorkerJob::from_json(&line) {
-        Ok(job) => job,
-        Err(e) => {
-            println!("error {e}");
-            return Err(Error::Other(e.to_owned()));
-        }
-    };
-    let config = match parse_config_spec(&job.config_spec) {
-        Ok(config) => config,
-        Err(e) => {
-            println!("error {e}");
-            return Err(Error::Other(e));
-        }
-    };
-    run_trial_worker(config, &job).map_err(|e| {
-        println!("error {e}");
-        Error::Campaign(e)
-    })
 }
 
 /// Renders the campaign report: sweep aggregates per point plus the full
@@ -1737,18 +1649,18 @@ mod tests {
 
     #[test]
     fn subcommand_dispatch() {
-        // `run` and the legacy flat form parse to the same options.
-        let Command::Run { opts, legacy } = command(&["run", "--small", "p.s"]).unwrap() else {
+        let Command::Run(opts) = command(&["run", "--small", "p.s"]).unwrap() else {
             panic!("expected run")
         };
-        assert!(!legacy);
         assert!(opts.small);
         assert_eq!(opts.path, "p.s");
-        let Command::Run { opts, legacy } = command(&["--small", "p.s"]).unwrap() else {
-            panic!("expected legacy run")
-        };
-        assert!(legacy);
-        assert!(opts.small);
+        // There is no flat grammar: the first argument names a subcommand.
+        for flat in [&["--small", "p.s"][..], &["p.s"], &[]] {
+            assert!(
+                matches!(command(flat), Err((ParseArgsError::MissingSubcommand, USAGE))),
+                "{flat:?}"
+            );
+        }
 
         let Command::Bench(b) = command(&["bench", "--out", "o.json", "--cores", "16"]).unwrap()
         else {
@@ -1770,11 +1682,11 @@ mod tests {
             command(&["bench", "--out", "o.json", "--cycles", "0"]),
             Err((ParseArgsError::InvalidValue { option: "--cycles", .. }, _))
         ));
-        // --metrics-json is the shared spelling of the output flag.
-        let Command::Bench(b) = command(&["bench", "--metrics-json", "m.json"]).unwrap() else {
-            panic!("expected bench")
-        };
-        assert_eq!(b.out, "m.json");
+        // --out is the only spelling of the output flag.
+        assert!(matches!(
+            command(&["bench", "--metrics-json", "m.json"]),
+            Err((ParseArgsError::UnknownOption(_), BENCH_USAGE))
+        ));
         assert!(matches!(
             command(&["bench"]),
             Err((ParseArgsError::MissingOption("--out"), _))
@@ -1964,6 +1876,9 @@ mod tests {
             command(&["run", "--help"]),
             Err((ParseArgsError::Help, USAGE))
         ));
+        // So does a bare --help, with the top-level text.
+        assert!(matches!(command(&["--help"]), Err((ParseArgsError::Help, USAGE))));
+        assert!(matches!(command(&["-h"]), Err((ParseArgsError::Help, USAGE))));
     }
 
     #[test]
@@ -2099,7 +2014,7 @@ mod tests {
         assert_eq!(c.isolate, Some(1));
 
         // The hidden worker subcommand dispatches.
-        assert!(matches!(command(&["trial-worker"]), Ok(Command::TrialWorker)));
+        assert!(matches!(command(&["worker"]), Ok(Command::Worker)));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 pub mod bench;
 pub mod error;
+pub mod worker;
 
 pub use error::Error;
 

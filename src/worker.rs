@@ -1,0 +1,303 @@
+//! The hidden `worker` subcommand both `mempool-run` and `mempool-serve`
+//! dispatch to, and both supervisors (`campaign --isolate`, the daemon)
+//! spawn through [`Fleet`](mempool_traffic::Fleet): one job per process,
+//! crash isolation by construction.
+//!
+//! The job document arrives as one flat-JSON line on stdin; its `kind`
+//! selects the runner (`run`, `campaign`, `bench`; a campaign document with
+//! a `trial` field is one trial of a `campaign --isolate` run). Progress
+//! and the result go back as [`WorkerLine`]s on stdout. The process exits 0
+//! (done, or stopped cooperatively), 3 (checkpoint-parked on
+//! `SIGTERM`/`SIGINT`), or nonzero (failed — the supervisor classifies the
+//! exit and retries from the checkpoint).
+
+use crate::bench::{run_bench_supervised, BenchConfig};
+use mempool::{CancelToken, ClusterConfig, ObsConfig, SanitizerConfig, SimSession};
+use mempool_serve::{BenchSpec, CampaignSpec, JobSpec, RunSpec};
+use mempool_traffic::{
+    append_trial, format_trial_line, json_escape, open_manifest, parse_config_spec,
+    parse_flat_json, run_trial_supervised, sig, CampaignConfig, CampaignError, CampaignReport,
+    FailureKind, Pattern, Trial, TrialStop, TrialSupervision, Windows, WorkerLine,
+};
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
+use std::sync::atomic::Ordering;
+
+/// Exit status of a checkpoint-parked worker.
+const PARKED: u8 = 3;
+
+/// The one place a protocol line reaches stdout (line-buffered by the
+/// standard library, so each line is flushed as it is printed).
+fn emit(line: WorkerLine) {
+    println!("{line}");
+}
+
+/// Reads the job document from stdin and runs it to an exit status. A
+/// runner's `Err` becomes the `error` line the supervisor attaches to the
+/// failure, and exit status 1.
+pub fn run() -> ExitCode {
+    sig::install();
+    job().unwrap_or_else(|why| {
+        emit(WorkerLine::Error(why));
+        ExitCode::from(1)
+    })
+}
+
+fn job() -> Result<ExitCode, String> {
+    let mut line = String::new();
+    std::io::stdin()
+        .read_line(&mut line)
+        .map_err(|e| format!("reading the job document: {e}"))?;
+    let fields = parse_flat_json(&line).ok_or("malformed job document")?;
+    let ckpt = fields.get("checkpoint").map(PathBuf::from);
+    let ckpt = ckpt.ok_or("job document lacks a checkpoint path")?;
+    match JobSpec::from_fields(&fields)? {
+        JobSpec::Run(spec) => run_worker(&spec, &ckpt),
+        JobSpec::Campaign(spec) => match fields.get("trial") {
+            Some(seed) => {
+                let seed = seed.parse().map_err(|_| "non-numeric job field `trial`")?;
+                let sanitize = fields.get("sanitize").is_some_and(|s| s == "true");
+                trial_worker(&spec, seed, sanitize, &ckpt)
+            }
+            None => campaign_worker(&spec, &ckpt),
+        },
+        JobSpec::Bench(spec) => bench_worker(&spec),
+    }
+}
+
+/// The cluster and campaign a `campaign` job document describes.
+fn campaign_of(spec: &CampaignSpec) -> Result<(ClusterConfig, CampaignConfig), String> {
+    let campaign = CampaignConfig {
+        load: spec.load,
+        pattern: Pattern::parse_spec(&spec.pattern)
+            .ok_or_else(|| format!("bad pattern spec `{}`", spec.pattern))?,
+        windows: Windows {
+            warmup: spec.warmup,
+            measure: spec.measure,
+            drain: spec.drain,
+        },
+        spec: spec
+            .faults
+            .parse()
+            .map_err(|e| format!("bad fault spec `{}`: {e}", spec.faults))?,
+        trials: spec.trials,
+        base_seed: spec.seed,
+    };
+    Ok((parse_config_spec(&spec.config_spec)?, campaign))
+}
+
+/// One campaign trial with heartbeats streamed, `SIGTERM` parking it at
+/// the next chunk boundary and the cycle budget enforced cooperatively.
+fn supervised_trial(
+    config: ClusterConfig,
+    campaign: &CampaignConfig,
+    spec: &CampaignSpec,
+    seed: u64,
+    sanitize: bool,
+    ckpt: &Path,
+) -> Result<Result<Trial, TrialStop>, CampaignError> {
+    let mut beat = |cycle: u64| emit(WorkerLine::Heartbeat(cycle));
+    let supervision = TrialSupervision {
+        cancel: spec.cycle_budget.map(|budget| CancelToken::new().with_cycle_limit(budget)),
+        interrupt: Some(&sig::INTERRUPTED),
+        heartbeat: Some(&mut beat),
+        sanitize: sanitize.then(SanitizerConfig::default),
+    };
+    run_trial_supervised(config, campaign, seed, ckpt, spec.checkpoint_every, supervision)
+}
+
+/// One trial of a `campaign --isolate` run. A cooperative stop is reported
+/// with its deterministic detail and a clean exit, so the supervisor's
+/// repeat-failure rule can recognise it.
+fn trial_worker(
+    spec: &CampaignSpec,
+    seed: u64,
+    sanitize: bool,
+    ckpt: &Path,
+) -> Result<ExitCode, String> {
+    let (config, campaign) = campaign_of(spec)?;
+    let trial = supervised_trial(config, &campaign, spec, seed, sanitize, ckpt);
+    emit(match trial.map_err(|e| e.to_string())? {
+        Ok(trial) => WorkerLine::Result(format_trial_line(&trial)),
+        Err(TrialStop::Interrupted) => {
+            // The stop does not say which cycle the checkpoint holds.
+            emit(WorkerLine::Parked(0));
+            return Ok(ExitCode::from(PARKED));
+        }
+        Err(stop @ TrialStop::Cancelled(_)) => {
+            WorkerLine::Stopped(FailureKind::Timeout, stop.to_string())
+        }
+        Err(TrialStop::Sanitizer(what)) => WorkerLine::Stopped(FailureKind::Sanitizer, what),
+    });
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Streams a mid-job `mempool-metrics-v2` snapshot. A pure read of
+/// recorder state the digest already covers — emitting (or not emitting)
+/// one never changes the simulation, which is what keeps watched and
+/// unwatched runs bit-identical.
+fn emit_partial_metrics<C: mempool::Core + mempool::CoreState>(session: &SimSession<C>) {
+    if let Some(partial) = session.partial_metrics() {
+        emit(WorkerLine::Metrics {
+            key: "cycle",
+            at: session.now(),
+            doc: partial.to_json(),
+        });
+    }
+}
+
+fn run_worker(spec: &RunSpec, ckpt: &Path) -> Result<ExitCode, String> {
+    let config = parse_config_spec(&spec.config_spec)?;
+    let program = mempool_riscv::assemble(&spec.program)
+        .map_err(|e| format!("program does not assemble: {e}"))?;
+    let mut builder = SimSession::builder(config);
+    if spec.metrics {
+        builder = builder.observability(ObsConfig::histograms());
+    }
+    let mut session = builder
+        .build_snitch()
+        .map_err(|e| format!("building the session: {e}"))?;
+    session
+        .load_program(&program)
+        .map_err(|e| format!("loading the program: {e}"))?;
+    if ckpt.exists() {
+        // A corrupt checkpoint costs the progress it held, never the job:
+        // discard it and replay from reset (determinism makes the replay
+        // land on the identical result).
+        if let Err(e) = session.unpark(ckpt) {
+            eprintln!(
+                "mempool worker: discarding unreadable checkpoint {}: {e}",
+                ckpt.display()
+            );
+            let _ = std::fs::remove_file(ckpt);
+        }
+    }
+    loop {
+        if sig::INTERRUPTED.load(Ordering::SeqCst) {
+            session
+                .park(ckpt)
+                .map_err(|e| format!("parking checkpoint: {e}"))?;
+            emit_partial_metrics(&session);
+            emit(WorkerLine::Parked(session.now()));
+            return Ok(ExitCode::from(PARKED));
+        }
+        let now = session.now();
+        if now >= spec.max_cycles {
+            return Err(format!(
+                "program did not halt within {} cycles",
+                spec.max_cycles
+            ));
+        }
+        let chunk = spec.checkpoint_every.min(spec.max_cycles - now).max(1);
+        match session.cluster_mut().run(chunk) {
+            Ok(_) => {
+                let metrics = if spec.metrics {
+                    session.metrics_registry().to_json()
+                } else {
+                    String::new()
+                };
+                emit(WorkerLine::Result(format!(
+                    "{{\"outcome\":\"completed\",\"cycles\":{},\"state_digest\":\"{:#018x}\",\
+                     \"metrics\":\"{}\"}}",
+                    session.now(),
+                    session.state_digest(),
+                    json_escape(&metrics),
+                )));
+                let _ = std::fs::remove_file(ckpt);
+                return Ok(ExitCode::SUCCESS);
+            }
+            Err(mempool::SimError::Timeout(_)) => {
+                // Chunk boundary: refresh the checkpoint and report
+                // liveness; the loop re-checks the park flag.
+                session
+                    .park(ckpt)
+                    .map_err(|e| format!("writing checkpoint: {e}"))?;
+                emit(WorkerLine::Heartbeat(session.now()));
+                emit_partial_metrics(&session);
+            }
+            Err(e) => return Err(format!("simulation stopped: {e}")),
+        }
+    }
+}
+
+fn campaign_worker(spec: &CampaignSpec, ckpt: &Path) -> Result<ExitCode, String> {
+    let (config, campaign) = campaign_of(spec)?;
+    // The manifest records completed trials; the checkpoint holds the
+    // in-flight one. Together a retried or resumed worker skips recorded
+    // trials and continues the interrupted one mid-flight.
+    let manifest = ckpt.with_extension("manifest");
+    let (mut trials, mut file) = open_manifest(&config, &campaign, &manifest)
+        .map_err(|e| format!("opening the manifest: {e}"))?;
+    while trials.len() < spec.trials as usize {
+        let seed = spec.seed + trials.len() as u64;
+        match supervised_trial(config, &campaign, spec, seed, false, ckpt) {
+            Ok(Ok(trial)) => {
+                append_trial(&mut file, &trial)
+                    .map_err(|e| format!("appending trial {seed} to the manifest: {e}"))?;
+                trials.push(trial);
+                // Stream the partial report so watchers see per-trial
+                // progress; the manifest stays the durable record.
+                let partial = CampaignReport {
+                    spec: campaign.spec,
+                    trials: trials.clone(),
+                };
+                emit(WorkerLine::Metrics {
+                    key: "trials",
+                    at: trials.len() as u64,
+                    doc: partial.to_json(),
+                });
+            }
+            Ok(Err(TrialStop::Interrupted)) => {
+                emit(WorkerLine::Parked(trials.len() as u64));
+                return Ok(ExitCode::from(PARKED));
+            }
+            Ok(Err(TrialStop::Cancelled(cause))) => {
+                return Err(format!("trial {seed} cancelled: {cause:?}"));
+            }
+            Ok(Err(TrialStop::Sanitizer(detail))) => {
+                return Err(format!("trial {seed} sanitizer: {detail}"));
+            }
+            Err(CampaignError::CheckpointMismatch | CampaignError::CheckpointCorrupt(_)) => {
+                // Stale or damaged trial checkpoint: drop it and replay
+                // the trial from its seed (bit-identical by determinism).
+                eprintln!(
+                    "mempool worker: discarding stale trial checkpoint {}",
+                    ckpt.display()
+                );
+                let _ = std::fs::remove_file(ckpt);
+            }
+            Err(e) => return Err(format!("trial {seed}: {e}")),
+        }
+    }
+    let report = CampaignReport {
+        spec: campaign.spec,
+        trials,
+    };
+    emit(WorkerLine::Result(format!(
+        "{{\"outcome\":\"completed\",\"trials\":{},\"report\":\"{}\"}}",
+        report.trials.len(),
+        json_escape(&report.to_json()),
+    )));
+    Ok(ExitCode::SUCCESS)
+}
+
+fn bench_worker(spec: &BenchSpec) -> Result<ExitCode, String> {
+    let config = BenchConfig {
+        cycles: spec.cycles,
+        warmup: spec.warmup,
+        core_counts: spec.cores.clone(),
+    };
+    // Bench points are wall-clock measurements — there is nothing to
+    // checkpoint. A park simply reruns the matrix after resume.
+    let (report, parked) = run_bench_supervised(&config, Some(&sig::INTERRUPTED))?;
+    if parked {
+        emit(WorkerLine::Parked(report.points.len() as u64));
+        return Ok(ExitCode::from(PARKED));
+    }
+    emit(WorkerLine::Result(format!(
+        "{{\"outcome\":\"completed\",\"points\":{},\"report\":\"{}\"}}",
+        report.points.len(),
+        json_escape(&report.to_json()),
+    )));
+    Ok(ExitCode::SUCCESS)
+}

@@ -51,7 +51,7 @@ fn campaign(manifest: &Path, json: &Path) -> Command {
     cmd
 }
 
-/// Finds a live `trial-worker` child of `parent` by walking `/proc`.
+/// Finds a live `worker` child of `parent` by walking `/proc`.
 fn find_worker(parent: u32) -> Option<u32> {
     for entry in std::fs::read_dir("/proc").ok()? {
         let entry = entry.ok()?;
@@ -78,7 +78,7 @@ fn find_worker(parent: u32) -> Option<u32> {
         };
         if cmdline
             .split(|&b| b == 0)
-            .any(|arg| arg == b"trial-worker")
+            .any(|arg| arg == b"worker")
         {
             return Some(pid);
         }

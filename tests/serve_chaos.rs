@@ -1,5 +1,5 @@
 //! End-to-end chaos coverage for the `mempool-serve` daemon: a SIGKILLed
-//! job-worker costs only a retry-from-checkpoint, a SIGTERMed daemon
+//! worker costs only a retry-from-checkpoint, a SIGTERMed daemon
 //! checkpoint-parks every in-flight job and a restart with the same state
 //! dir resumes them to byte-identical results, an overloaded queue and a
 //! zero-quota tenant get typed rejections, and corrupt journal lines are
@@ -104,7 +104,7 @@ fn signal(pid: u32, sig: &str) {
     let _ = Command::new("kill").args([sig, &pid.to_string()]).status();
 }
 
-/// Finds a live `job-worker` child of `parent` by walking `/proc`.
+/// Finds a live `worker` child of `parent` by walking `/proc`.
 fn find_worker(parent: u32) -> Option<u32> {
     for entry in std::fs::read_dir("/proc").ok()? {
         let entry = entry.ok()?;
@@ -128,7 +128,7 @@ fn find_worker(parent: u32) -> Option<u32> {
         let Ok(cmdline) = std::fs::read(format!("/proc/{pid}/cmdline")) else {
             continue;
         };
-        if cmdline.split(|&b| b == 0).any(|arg| arg == b"job-worker") {
+        if cmdline.split(|&b| b == 0).any(|arg| arg == b"worker") {
             return Some(pid);
         }
     }
@@ -204,7 +204,7 @@ fn sigkilled_worker_and_drained_daemon_resume_bit_identically() {
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert!(killed, "never caught a job-worker to SIGKILL");
+    assert!(killed, "never caught a worker to SIGKILL");
 
     // Give the daemon a beat to observe the kill and respawn, then drain
     // it mid-flight: SIGTERM parks both jobs.
@@ -338,7 +338,7 @@ fn watched_chaos_job_is_bit_identical_to_an_unwatched_reference() {
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert!(killed, "never caught a job-worker to SIGKILL");
+    assert!(killed, "never caught a worker to SIGKILL");
 
     std::thread::sleep(Duration::from_millis(200));
     signal(child.id(), "-TERM");
