@@ -1420,6 +1420,12 @@ impl<C: Core> Cluster<C> {
         }
     }
 
+    /// Whether every register row's visible-head bits equal a walk over its
+    /// registers, as they must at every cycle boundary.
+    pub(crate) fn heads_in_sync(&self) -> bool {
+        self.net.heads_in_sync() && self.tiles.iter().all(|t| t.bank_resp.heads_in_sync())
+    }
+
     /// End-of-cycle bookkeeping after the tile commits: network commit,
     /// derived statistics, power-window sampling, the watchdog progress
     /// signature and the sanitizer's per-cycle checks.
@@ -1436,6 +1442,10 @@ impl<C: Core> Cluster<C> {
             (occupied, total),
             self.net.walked_occupancy(),
             "running occupancy drifted from the registers'"
+        );
+        debug_assert!(
+            self.heads_in_sync(),
+            "running head bits drifted from the registers'"
         );
         self.stats.net_occupancy_sum += occupied;
         self.stats.net_register_slots = total;

@@ -17,7 +17,7 @@
 use crate::tile::{BankGate, Tile};
 use crate::{ClusterConfig, Request, Response, Topology};
 use mempool_mem::AddressMap;
-use mempool_noc::{ElasticBuffer, Fabric, Offer, RoundRobin};
+use mempool_noc::{ElasticBuffer, Fabric, Requests, RoundRobin};
 
 /// Direction indices for TopH ports: L is port 0, then N/NE/E.
 const DIR_PARTNER_XOR: [usize; 3] = [2, 3, 1]; // N, NE, E
@@ -25,15 +25,27 @@ const DIR_PARTNER_XOR: [usize; 3] = [2, 3, 1]; // N, NE, E
 /// Depth of every interconnect register: the classic two-slot skid buffer.
 const REG_DEPTH: usize = 2;
 
-/// A row of elastic registers that keeps two things current as packets
-/// move, so that end-of-cycle work follows traffic instead of register
+/// The positions of the set bits of `word`, ascending.
+fn ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
+/// A row of elastic registers that keeps three things current as packets
+/// move, so that every per-cycle visit follows traffic instead of register
 /// count: how many items the row holds (`held`, read by the occupancy
-/// statistic and by every "anything to do?" test), and which registers were
+/// statistic and by every "anything to do?" test), which registers were
 /// pushed this cycle (`dirty`, the only ones [`commit`](RegRow::commit)
-/// visits).
+/// visits), and which registers show a head (`visible`, the only ones a
+/// routing stage looks at).
 ///
-/// Both stay exact as long as every push and pop goes through the row.
-/// The cold paths that reach for the registers themselves — fault
+/// All three stay exact as long as every push and pop goes through the
+/// row. The cold paths that reach for the registers themselves — fault
 /// injection, checkpoint restore — must [`resync`](RegRow::resync) after.
 #[derive(Debug, Clone)]
 pub(crate) struct RegRow<T> {
@@ -43,6 +55,9 @@ pub(crate) struct RegRow<T> {
     /// push of the cycle only, so the list never outgrows the row and its
     /// build-time capacity is final.
     dirty: Vec<u32>,
+    /// Bit `i % 64` of word `i / 64`: register `i` has a visible head (a
+    /// stored item and no stall gate).
+    visible: Vec<u64>,
 }
 
 impl<T> RegRow<T> {
@@ -51,6 +66,7 @@ impl<T> RegRow<T> {
             regs: (0..len).map(|_| ElasticBuffer::new(REG_DEPTH)).collect(),
             held: 0,
             dirty: Vec::with_capacity(len),
+            visible: vec![0; len.div_ceil(64)],
         }
     }
 
@@ -65,7 +81,7 @@ impl<T> RegRow<T> {
         &mut self.regs
     }
 
-    /// Re-derives `held` and `dirty` from the registers.
+    /// Re-derives `held`, `dirty` and `visible` from the registers.
     pub fn resync(&mut self) {
         self.held = self.regs.iter().map(ElasticBuffer::len).sum();
         self.dirty.clear();
@@ -75,6 +91,23 @@ impl<T> RegRow<T> {
             .enumerate()
             .filter(|(_, reg)| reg.staged() > 0);
         self.dirty.extend(staged.map(|(i, _)| i as u32));
+        self.visible.fill(0);
+        let heads = self.regs.iter().enumerate();
+        for (i, _) in heads.filter(|(_, reg)| reg.head().is_some()) {
+            self.visible[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    /// Whether a register has a head.
+    fn shows_head(&self, i: usize) -> bool {
+        self.visible[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    /// Whether the running head bits equal a walk over the registers, as
+    /// they must at every cycle boundary.
+    pub fn heads_in_sync(&self) -> bool {
+        let mut regs = self.regs.iter().enumerate();
+        regs.all(|(i, reg)| reg.head().is_some() == self.shows_head(i))
     }
 
     /// Items held across the row, stored and staged.
@@ -87,8 +120,30 @@ impl<T> RegRow<T> {
         self.regs.len() * REG_DEPTH
     }
 
+    /// The visible head of register `i`; an empty or stalled register
+    /// answers from its bit, untouched.
+    #[inline]
     pub fn head(&self, i: usize) -> Option<&T> {
+        if !self.shows_head(i) {
+            return None;
+        }
         self.regs[i].head()
+    }
+
+    /// Calls `f(i, head)` for every register `i` in `first..first + len`
+    /// that shows a head, ascending.
+    #[inline]
+    pub fn for_each_head(&self, first: usize, len: usize, mut f: impl FnMut(usize, &T)) {
+        let end = first + len;
+        for w in first / 64..end.div_ceil(64) {
+            // The part of word `w` inside the window: bits `lo..hi`.
+            let lo = first.max(w * 64) - w * 64;
+            let hi = end.min(w * 64 + 64) - w * 64;
+            let window = (!0u64 << lo) & (!0u64 >> (64 - hi));
+            for i in ones(self.visible[w] & window).map(|bit| w * 64 + bit) {
+                f(i, self.regs[i].head().expect("visible head"));
+            }
+        }
     }
 
     pub fn can_push(&self, i: usize) -> bool {
@@ -104,22 +159,49 @@ impl<T> RegRow<T> {
     }
 
     pub fn pop(&mut self, i: usize) -> Option<T> {
-        let item = self.regs[i].pop();
-        self.held -= usize::from(item.is_some());
-        item
+        let item = self.regs[i].pop()?;
+        self.held -= 1;
+        if self.regs[i].head().is_none() {
+            self.visible[i / 64] &= !(1 << (i % 64));
+        }
+        Some(item)
     }
 
     /// Pops the visible head of every register (one item each) into `out`.
     pub fn pop_heads_into(&mut self, out: &mut Vec<T>) {
-        if self.held > 0 {
-            out.extend((0..self.regs.len()).filter_map(|i| self.pop(i)));
+        if self.held == 0 {
+            return;
+        }
+        for w in 0..self.visible.len() {
+            for bit in ones(self.visible[w]) {
+                out.push(self.pop(w * 64 + bit).expect("visible head"));
+            }
         }
     }
 
-    /// End-of-cycle commit of the registers pushed this cycle.
+    /// Point-to-point wiring into `sink`: every register `i` showing a head
+    /// that `to(i)` wires to a register of `sink` with room has one item
+    /// moved there, in ascending order of `i`.
+    pub fn forward_heads(&mut self, sink: &mut RegRow<T>, to: impl Fn(usize) -> Option<usize>) {
+        if self.held == 0 {
+            return;
+        }
+        for w in 0..self.visible.len() {
+            for i in ones(self.visible[w]).map(|bit| w * 64 + bit) {
+                if let Some(j) = to(i).filter(|&j| sink.can_push(j)) {
+                    sink.push(j, self.pop(i).expect("visible head"));
+                }
+            }
+        }
+    }
+
+    /// End-of-cycle commit of the registers pushed this cycle: their
+    /// arrivals become heads. (A stalled register accepts no push, so a
+    /// dirty one is never gated.)
     pub fn commit(&mut self) {
         for i in self.dirty.drain(..) {
             self.regs[i as usize].commit();
+            self.visible[i as usize / 64] |= 1 << (i % 64);
         }
     }
 
@@ -127,56 +209,7 @@ impl<T> RegRow<T> {
         self.regs.iter_mut().for_each(ElasticBuffer::clear);
         self.held = 0;
         self.dirty.clear();
-    }
-}
-
-/// The offer list and grant flags of one fabric arbitration, owned by a
-/// tile or a network and reused every cycle: cleared, never freed, and
-/// sized at build for the widest fabric it serves.
-#[derive(Debug, Clone)]
-pub(crate) struct Scratch {
-    offers: Vec<Offer>,
-    granted: Vec<bool>,
-}
-
-impl Scratch {
-    pub fn new(max_inputs: usize) -> Self {
-        Scratch {
-            offers: Vec::with_capacity(max_inputs),
-            granted: Vec::with_capacity(max_inputs),
-        }
-    }
-
-    /// One arbitrated hop. Each fabric input `0..inputs` holding a packet
-    /// (`dest_of` returns its fabric destination) makes an offer; `ready`
-    /// says whether the landing port can take a packet; every granted
-    /// packet is handed to `deliver(state, input, landing port)`, which
-    /// must move it. `state` is whatever the three closures share — the
-    /// source registers and the sinks of this hop.
-    pub fn route<S>(
-        &mut self,
-        fabric: &mut Fabric,
-        state: &mut S,
-        inputs: usize,
-        dest_of: impl Fn(&S, usize) -> Option<usize>,
-        ready: impl Fn(&S, usize) -> bool,
-        mut deliver: impl FnMut(&mut S, usize, usize),
-    ) {
-        self.offers.clear();
-        let holding = (0..inputs).filter_map(|input| Some((input, dest_of(state, input)?)));
-        self.offers
-            .extend(holding.map(|(input, dest)| Offer { input, dest }));
-        if self.offers.is_empty() {
-            return;
-        }
-        fabric.resolve_into(&self.offers, |port| ready(state, port), &mut self.granted);
-        for (offer, _) in self.offers.iter().zip(&self.granted).filter(|(_, &g)| g) {
-            deliver(
-                state,
-                offer.input,
-                fabric.output_port(offer.input, offer.dest),
-            );
-        }
+        self.visible.fill(0);
     }
 }
 
@@ -392,6 +425,19 @@ impl Net {
         (occupied, total)
     }
 
+    /// Whether every row's running head bits equal a walk over its
+    /// registers, as they must at every cycle boundary.
+    pub fn heads_in_sync(&self) -> bool {
+        let mut in_sync = true;
+        self.for_each_row(&mut |row| {
+            in_sync &= match row {
+                Row::Req(row) => row.heads_in_sync(),
+                Row::Resp(row) => row.heads_in_sync(),
+            }
+        });
+        in_sync
+    }
+
     /// [`occupancy`](Net::occupancy) recounted from the registers: what the
     /// running counts must equal at every cycle boundary.
     pub fn walked_occupancy(&self) -> (u64, u64) {
@@ -509,7 +555,6 @@ pub(crate) struct GlobalNet {
     pub(crate) resp_b: Vec<Fabric>,
     pub(crate) mid_resp: Vec<RegRow<Response>>,
     split: bool,
-    scratch: Scratch,
 }
 
 fn butterfly_layer_count(ports: usize, radix: usize) -> usize {
@@ -551,7 +596,6 @@ impl GlobalNet {
             resp_b: if split { segment(mid, k) } else { Vec::new() },
             mid_resp: (0..ports).map(|_| RegRow::new(mid_len)).collect(),
             split,
-            scratch: Scratch::new(n),
         }
     }
 
@@ -561,34 +605,39 @@ impl GlobalNet {
         for p in 0..ports {
             if self.split {
                 // Segment B: mid registers -> destination tile slave latches.
-                self.scratch.route(
-                    &mut self.req_b[p],
+                self.req_b[p].route(
                     &mut (&mut self.mid_req[p], &mut *tiles),
-                    n,
-                    |(mid, _), row| mid.head(row).map(dest_tile),
+                    |(mid, _), want| {
+                        mid.for_each_head(0, n, |row, req| want.add(row, dest_tile(req)));
+                    },
                     |(_, tiles), tile| tiles[tile].slave_req[p].is_none(),
                     |(mid, tiles), row, tile| {
                         tiles[tile].slave_req[p] = Some(mid.pop(row).expect("head existed"));
                     },
                 );
-                // Segment A: master request registers -> mid registers.
-                self.scratch.route(
-                    &mut self.req_a[p],
+            }
+            // Segment A (the whole network when it has a single layer):
+            // master request registers -> mid registers or slave latches.
+            let master_heads = |master: &RegRow<Request>, want: &mut Requests<'_>| {
+                for tile in 0..n {
+                    if let Some(req) = master.head(tile * ports + p) {
+                        want.add(tile, dest_tile(req));
+                    }
+                }
+            };
+            if self.split {
+                self.req_a[p].route(
                     &mut (&mut self.master_req, &mut self.mid_req[p]),
-                    n,
-                    |(master, _), tile| master.head(tile * ports + p).map(dest_tile),
+                    |(master, _), want| master_heads(master, want),
                     |(_, mid), row| mid.can_push(row),
                     |(master, mid), tile, row| {
                         mid.push(row, master.pop(tile * ports + p).expect("head existed"));
                     },
                 );
             } else {
-                // Single-layer network: master registers -> slave latches.
-                self.scratch.route(
-                    &mut self.req_a[p],
+                self.req_a[p].route(
                     &mut (&mut self.master_req, &mut *tiles),
-                    n,
-                    |(master, _), tile| master.head(tile * ports + p).map(dest_tile),
+                    |(master, _), want| master_heads(master, want),
                     |(_, tiles), tile| tiles[tile].slave_req[p].is_none(),
                     |(master, tiles), src, tile| {
                         let req = master.pop(src * ports + p).expect("head existed");
@@ -637,33 +686,39 @@ impl GlobalNet {
         for p in 0..ports {
             if self.split {
                 // Segment B': mid response registers -> master response regs.
-                self.scratch.route(
-                    &mut self.resp_b[p],
+                self.resp_b[p].route(
                     &mut (&mut self.mid_resp[p], &mut self.master_resp),
-                    n,
-                    |(mid, _), row| mid.head(row).map(dest_tile),
+                    |(mid, _), want| {
+                        mid.for_each_head(0, n, |row, resp| want.add(row, dest_tile(resp)));
+                    },
                     |(_, master), tile| master.can_push(tile * ports + p),
                     |(mid, master), row, tile| {
                         master.push(tile * ports + p, mid.pop(row).expect("head existed"));
                     },
                 );
-                // Segment A': tile response-out latches -> mid registers.
-                self.scratch.route(
-                    &mut self.resp_a[p],
+            }
+            // Segment A' (the whole network when it has a single layer):
+            // tile response-out latches -> mid or master response registers.
+            let latched = |tiles: &[Tile], want: &mut Requests<'_>| {
+                for (tile, resp) in tiles.iter().map(|t| &t.resp_out[p]).enumerate() {
+                    if let Some(resp) = resp {
+                        want.add(tile, dest_tile(resp));
+                    }
+                }
+            };
+            if self.split {
+                self.resp_a[p].route(
                     &mut (&mut *tiles, &mut self.mid_resp[p]),
-                    n,
-                    |(tiles, _), tile| tiles[tile].resp_out[p].as_ref().map(dest_tile),
+                    |(tiles, _), want| latched(tiles, want),
                     |(_, mid), row| mid.can_push(row),
                     |(tiles, mid), tile, row| {
                         mid.push(row, tiles[tile].resp_out[p].take().expect("latch full"));
                     },
                 );
             } else {
-                self.scratch.route(
-                    &mut self.resp_a[p],
+                self.resp_a[p].route(
                     &mut (&mut *tiles, &mut self.master_resp),
-                    n,
-                    |(tiles, _), tile| tiles[tile].resp_out[p].as_ref().map(dest_tile),
+                    |(tiles, _), want| latched(tiles, want),
                     |(_, master), tile| master.can_push(tile * ports + p),
                     |(tiles, master), src, tile| {
                         let resp = tiles[src].resp_out[p].take().expect("latch full");
@@ -699,7 +754,6 @@ pub(crate) struct HierNet {
     /// Per (group, dir): the 16×16 radix-4 butterflies.
     pub(crate) inter_req: Vec<Fabric>,
     pub(crate) inter_resp: Vec<Fabric>,
-    scratch: Scratch,
 }
 
 #[allow(clippy::needless_range_loop)] // `d` indexes three parallel tables
@@ -728,7 +782,6 @@ impl HierNet {
             boundary_resp: RegRow::new(groups * 3 * tpg),
             inter_req: (0..groups * 3).map(|_| mk_bfly()).collect(),
             inter_resp: (0..groups * 3).map(|_| mk_bfly()).collect(),
-            scratch: Scratch::new(tpg.max(config.cores_per_tile)),
         }
     }
 
@@ -751,11 +804,13 @@ impl HierNet {
             }
             let partner = (g ^ DIR_PARTNER_XOR[d]) * tpg;
             let base = (g * 3 + d) * tpg;
-            self.scratch.route(
-                &mut self.inter_req[g * 3 + d],
+            self.inter_req[g * 3 + d].route(
                 &mut (&mut self.boundary_req, &mut *tiles),
-                tpg,
-                |(boundary, _), i| boundary.head(base + i).map(dest_row),
+                |(boundary, _), want| {
+                    boundary.for_each_head(base, tpg, |reg, req| {
+                        want.add(reg - base, dest_row(req));
+                    });
+                },
                 |(_, tiles), t| tiles[partner + t].slave_req[d + 1].is_none(),
                 |(boundary, tiles), i, t| {
                     tiles[partner + t].slave_req[d + 1] =
@@ -769,11 +824,15 @@ impl HierNet {
         // Stage: local L crossbars (within each group).
         for g in 0..groups {
             let first = g * tpg;
-            self.scratch.route(
-                &mut self.local_req[g],
+            self.local_req[g].route(
                 &mut (&mut self.master_req, &mut *tiles),
-                tpg,
-                |(master, _), i| master.head((first + i) * 4).map(dest_row),
+                |(master, _), want| {
+                    for i in 0..tpg {
+                        if let Some(req) = master.head((first + i) * 4) {
+                            want.add(i, dest_row(req));
+                        }
+                    }
+                },
                 |(_, tiles), t| tiles[first + t].slave_req[0].is_none(),
                 |(master, tiles), i, t| {
                     tiles[first + t].slave_req[0] =
@@ -783,32 +842,26 @@ impl HierNet {
         }
         // Stage: tile master N/NE/E registers -> group boundary registers
         // (point-to-point wiring, no arbitration).
-        for tile in 0..self.num_tiles {
-            for d in 0..3 {
-                let boundary = (tile / tpg * 3 + d) * tpg + tile % tpg;
-                if self.master_req.head(tile * 4 + 1 + d).is_some()
-                    && self.boundary_req.can_push(boundary)
-                {
-                    let req = self.master_req.pop(tile * 4 + 1 + d).expect("head");
-                    self.boundary_req.push(boundary, req);
-                }
-            }
-        }
+        self.master_req
+            .forward_heads(&mut self.boundary_req, |reg| {
+                let (tile, port) = (reg / 4, reg % 4);
+                (port != 0).then(|| (tile / tpg * 3 + port - 1) * tpg + tile % tpg)
+            });
     }
 
     fn route_ports(&mut self, latches: &mut [Option<Request>], map: &AddressMap) {
         let (cpt, tpg) = (self.cores_per_tile, self.tiles_per_group);
         for (tile, lanes) in latches.chunks_mut(cpt).enumerate() {
-            if lanes.iter().all(Option::is_none) {
-                continue;
-            }
-            self.scratch.route(
-                &mut self.port_router[tile],
+            self.port_router[tile].route(
                 &mut (lanes, &mut self.master_req),
-                cpt,
-                |(lanes, _), lane| {
-                    let dst = map.decode(lanes[lane]?.addr).expect("validated").tile as usize;
-                    (dst != tile).then(|| port_between(tpg, tile, dst))
+                |(lanes, _), want| {
+                    for (lane, req) in lanes.iter().enumerate() {
+                        let Some(req) = req else { continue };
+                        let dst = map.decode(req.addr).expect("validated").tile as usize;
+                        if dst != tile {
+                            want.add(lane, port_between(tpg, tile, dst));
+                        }
+                    }
                 },
                 |(_, master), port| master.can_push(tile * 4 + port),
                 |(lanes, master), lane, port| {
@@ -827,31 +880,31 @@ impl HierNet {
         let dest_tile = |resp: &Response| resp.core as usize / cores_per_tile;
         // Stage: boundary response registers -> tile master response regs
         // (point-to-point).
-        for boundary in 0..self.boundary_resp.regs().len() {
-            if self.boundary_resp.held() == 0 {
-                break;
-            }
-            let (g, d, i) = (boundary / (3 * tpg), boundary / tpg % 3, boundary % tpg);
-            let master = (g * tpg + i) * 4 + 1 + d;
-            if self.boundary_resp.head(boundary).is_some() && self.master_resp.can_push(master) {
-                let resp = self.boundary_resp.pop(boundary).expect("head");
-                self.master_resp.push(master, resp);
-            }
-        }
+        self.boundary_resp
+            .forward_heads(&mut self.master_resp, |boundary| {
+                let (g, d, i) = (boundary / (3 * tpg), boundary / tpg % 3, boundary % tpg);
+                Some((g * tpg + i) * 4 + 1 + d)
+            });
         // Stage: partner-tile response-out latches -> inter-group response
         // butterflies -> boundary response registers.
         for g in 0..groups {
             for d in 0..3 {
                 let partner = (g ^ DIR_PARTNER_XOR[d]) * tpg;
                 let base = (g * 3 + d) * tpg;
-                self.scratch.route(
-                    &mut self.inter_resp[g * 3 + d],
+                self.inter_resp[g * 3 + d].route(
                     &mut (&mut *tiles, &mut self.boundary_resp),
-                    tpg,
-                    |(tiles, _), i| {
-                        let dst = dest_tile(tiles[partner + i].resp_out[d + 1].as_ref()?);
-                        // Anything else belongs to the other direction pairing.
-                        (dst / tpg == g).then_some(dst % tpg)
+                    |(tiles, _), want| {
+                        for (i, tile) in tiles[partner..partner + tpg].iter().enumerate() {
+                            let Some(resp) = &tile.resp_out[d + 1] else {
+                                continue;
+                            };
+                            // Anything else belongs to the other direction
+                            // pairing.
+                            let dst = dest_tile(resp);
+                            if dst / tpg == g {
+                                want.add(i, dst % tpg);
+                            }
+                        }
                     },
                     |(_, boundary), row| boundary.can_push(base + row),
                     |(tiles, boundary), i, row| {
@@ -864,14 +917,14 @@ impl HierNet {
         // Stage: local L response crossbars.
         for g in 0..groups {
             let first = g * tpg;
-            self.scratch.route(
-                &mut self.local_resp[g],
+            self.local_resp[g].route(
                 &mut (&mut *tiles, &mut self.master_resp),
-                tpg,
-                |(tiles, _), i| {
-                    tiles[first + i].resp_out[0]
-                        .as_ref()
-                        .map(|r| dest_tile(r) % tpg)
+                |(tiles, _), want| {
+                    for (i, tile) in tiles[first..first + tpg].iter().enumerate() {
+                        if let Some(resp) = &tile.resp_out[0] {
+                            want.add(i, dest_tile(resp) % tpg);
+                        }
+                    }
                 },
                 |(_, master), t| master.can_push((first + t) * 4),
                 |(tiles, master), i, t| {
@@ -906,6 +959,113 @@ mod tests {
             panic!("expected the hierarchical network");
         };
         h
+    }
+
+    /// Uniform loads at offered load 0.5 over eight tags (the generator of
+    /// `tests/no_alloc.rs`).
+    struct UniformLoads {
+        rng: u64,
+        free_tags: u8,
+        l1_words: u32,
+    }
+
+    impl crate::Core for UniformLoads {
+        fn deliver(&mut self, response: mempool_snitch::DataResponse) {
+            self.free_tags |= 1 << response.tag;
+        }
+
+        fn step(
+            &mut self,
+            _fetch: &mut dyn FnMut(u32) -> mempool_snitch::Fetch,
+            ready: bool,
+        ) -> Option<mempool_snitch::DataRequest> {
+            self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            if !ready || self.free_tags == 0 || z & 1 == 0 {
+                return None;
+            }
+            let tag = self.free_tags.trailing_zeros() as u8;
+            self.free_tags &= !(1 << tag);
+            Some(mempool_snitch::DataRequest {
+                tag,
+                addr: ((z >> 32) as u32 % self.l1_words) * 4,
+                kind: mempool_snitch::DataRequestKind::Load(mempool_riscv::LoadOp::Lw),
+            })
+        }
+
+        fn done(&self) -> bool {
+            false
+        }
+    }
+
+    impl crate::CoreState for UniformLoads {
+        fn encode_state(&self, out: &mut dyn crate::StateSink) {
+            out.put_u64(self.rng);
+            out.put_u8(self.free_tags);
+        }
+
+        fn decode_state(
+            &mut self,
+            r: &mut crate::ByteReader<'_>,
+        ) -> Result<(), crate::SnapshotError> {
+            self.rng = r.take_u64()?;
+            self.free_tags = r.take_u8()?;
+            Ok(())
+        }
+    }
+
+    /// The visible-head bits equal a register walk after every cycle of
+    /// the link-fault run of `tests/no_alloc.rs` — stall, drop and corrupt
+    /// all reach past the rows — and on both sides of a mid-run checkpoint
+    /// restore, which rebuilds the registers behind the rows' backs too.
+    #[test]
+    fn head_bits_equal_the_register_walk_under_link_faults_and_restore() {
+        let spec: crate::FaultSpec = "bank_fail=2,link_stall=0.02,link_drop=0.01,link_corrupt=0.01"
+            .parse()
+            .expect("valid spec");
+        for topology in [Topology::Top1, Topology::Top4, Topology::TopH] {
+            let mut config = ClusterConfig::small(topology);
+            config.resilience = crate::ResilienceConfig::standard();
+            let l1_words = (config.address_map().expect("valid map").size_bytes() / 4) as u32;
+            let build = || {
+                crate::Cluster::new(config, |loc| UniformLoads {
+                    rng: 0x5eed ^ (loc.core as u64) << 20,
+                    free_tags: 0xff,
+                    l1_words,
+                })
+                .expect("valid config")
+            };
+            let mut cluster = build();
+            cluster.install_fault_plan(Some(crate::FaultPlan::new(3, spec)));
+            let mut stalled_heads = 0;
+            for cycle in 1..=600 {
+                cluster.cycle();
+                assert!(cluster.heads_in_sync(), "{topology} cycle {cycle}");
+                cluster.net.for_each_row(&mut |row| {
+                    if let Row::Req(row) = row {
+                        let gated = row
+                            .regs()
+                            .iter()
+                            .filter(|r| r.is_stalled() && !r.is_empty());
+                        stalled_heads += gated.count();
+                    }
+                });
+                if cycle == 300 {
+                    let snap = cluster.snapshot();
+                    let mut restored = build();
+                    restored.restore(&snap).expect("snapshot restores");
+                    assert!(restored.heads_in_sync(), "{topology}: restored");
+                    cluster = restored;
+                }
+            }
+            // The hard case was met: registers holding a packet behind a
+            // stall gate, whose bit must be clear.
+            assert!(stalled_heads > 0, "{topology}: no stalled packet");
+            assert!(cluster.stats().faults.link_drops > 0, "{topology}");
+        }
     }
 
     #[test]

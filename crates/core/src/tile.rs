@@ -2,7 +2,7 @@
 //! request/response crossbars, K remote port latches, and the shared L1
 //! instruction cache with its refill port (Figure 2 of the paper).
 
-use crate::net::{RegRow, Scratch};
+use crate::net::RegRow;
 use crate::{ClusterConfig, Request, Response};
 use mempool_mem::{AddressMap, BankOp, ICache, SpmBank};
 use mempool_noc::Fabric;
@@ -123,7 +123,6 @@ pub(crate) struct Tile {
     pub(crate) icache: ICache,
     pub(crate) refill: RefillUnit,
     cores_per_tile: usize,
-    scratch: Scratch,
 }
 
 impl Tile {
@@ -154,7 +153,6 @@ impl Tile {
                 refills: 0,
             },
             cores_per_tile: config.cores_per_tile,
-            scratch: Scratch::new(masters.max(banks)),
         }
     }
 
@@ -247,38 +245,28 @@ impl Tile {
     ) -> u64 {
         let cores = self.cores_per_tile;
         debug_assert_eq!(core_latches.len(), cores);
-        if core_latches
-            .iter()
-            .chain(&self.slave_req)
-            .all(Option::is_none)
-        {
-            return 0;
-        }
-        let masters = cores + self.slave_req.len();
         let mut accesses = 0;
-        self.scratch.route(
-            &mut self.req_fabric,
+        self.req_fabric.route(
             &mut (
                 core_latches,
                 &mut self.slave_req,
                 &mut self.banks,
                 &mut self.bank_resp,
             ),
-            masters,
-            |(core, slave, ..), master| {
-                let req = if master < cores {
-                    core[master]
-                } else {
-                    slave[master - cores]
-                }?;
-                let at = map
-                    .decode(req.addr)
-                    .expect("request addresses are validated at issue");
-                debug_assert!(
-                    master < cores || at.tile as usize == tile_index,
-                    "misrouted request"
-                );
-                (at.tile as usize == tile_index).then_some(at.bank as usize)
+            |(core, slave, ..), want| {
+                for (master, req) in core.iter().chain(slave.iter()).enumerate() {
+                    let Some(req) = req else { continue };
+                    let at = map
+                        .decode(req.addr)
+                        .expect("request addresses are validated at issue");
+                    debug_assert!(
+                        master < cores || at.tile as usize == tile_index,
+                        "misrouted request"
+                    );
+                    if at.tile as usize == tile_index {
+                        want.add(master, at.bank as usize);
+                    }
+                }
             },
             |(.., bank_resp), bank| match gate(bank as u32) {
                 BankGate::Ready => bank_resp.can_push(bank),
@@ -317,17 +305,18 @@ impl Tile {
         if self.bank_resp.held() == 0 {
             return;
         }
-        self.scratch.route(
-            &mut self.resp_fabric,
+        let banks = self.banks.len();
+        self.resp_fabric.route(
             &mut (&mut self.bank_resp, &mut self.resp_out, deliveries),
-            self.banks.len(),
-            |(bank_resp, ..), bank| {
-                let resp = bank_resp.head(bank)?;
-                Some(if resp.core as usize / cores_per_tile == tile_index {
-                    resp.core as usize % cores_per_tile
-                } else {
-                    cores_per_tile + port_for(resp)
-                })
+            |(bank_resp, ..), want| {
+                bank_resp.for_each_head(0, banks, |bank, resp| {
+                    let port = if resp.core as usize / cores_per_tile == tile_index {
+                        resp.core as usize % cores_per_tile
+                    } else {
+                        cores_per_tile + port_for(resp)
+                    };
+                    want.add(bank, port);
+                });
             },
             // Local cores always sink responses (LSU slot reserved).
             |(_, resp_out, _), port| {

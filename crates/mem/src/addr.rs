@@ -61,6 +61,9 @@ pub struct AddressMap {
     rows_per_bank: u32,
     bank_bits: u32,
     tile_bits: u32,
+    /// `num_tiles × banks_per_tile × rows_per_bank × 4`, the bound every
+    /// [`decode`](AddressMap::decode) tests.
+    size_bytes: u64,
 }
 
 impl AddressMap {
@@ -91,6 +94,10 @@ impl AddressMap {
             rows_per_bank,
             bank_bits: banks_per_tile.trailing_zeros(),
             tile_bits: num_tiles.trailing_zeros(),
+            size_bytes: u64::from(num_tiles)
+                * u64::from(banks_per_tile)
+                * u64::from(rows_per_bank)
+                * 4,
         })
     }
 
@@ -111,16 +118,14 @@ impl AddressMap {
 
     /// Total L1 capacity in bytes.
     pub fn size_bytes(&self) -> u64 {
-        u64::from(self.num_tiles)
-            * u64::from(self.banks_per_tile)
-            * u64::from(self.rows_per_bank)
-            * 4
+        self.size_bytes
     }
 
     /// Decodes a byte address into its bank location, or `None` when the
     /// address lies beyond the L1 region.
+    #[inline]
     pub fn decode(&self, addr: u32) -> Option<BankAddress> {
-        if u64::from(addr) >= self.size_bytes() {
+        if u64::from(addr) >= self.size_bytes {
             return None;
         }
         let byte = addr & 3;

@@ -63,9 +63,14 @@ struct Way {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ICache {
-    sets: Vec<Vec<Way>>,
+    /// `ways[set * ways_per_set + way]`.
+    ways: Vec<Way>,
+    ways_per_set: usize,
     line_bytes: u32,
-    set_count: u32,
+    /// `log2(line_bytes)` and `log2(set count)`: both are validated powers
+    /// of two, so a fetch locates its set and tag with shifts.
+    line_shift: u32,
+    set_shift: u32,
     tick: u64,
     stats: CacheStats,
 }
@@ -95,9 +100,11 @@ impl ICache {
             return Err(err("set count must be a power of two"));
         }
         Ok(ICache {
-            sets: vec![vec![Way::default(); ways as usize]; set_count as usize],
+            ways: vec![Way::default(); (ways * set_count) as usize],
+            ways_per_set: ways as usize,
             line_bytes,
-            set_count,
+            line_shift: line_bytes.trailing_zeros(),
+            set_shift: set_count.trailing_zeros(),
             tick: 0,
             stats: CacheStats::default(),
         })
@@ -118,23 +125,26 @@ impl ICache {
         self.stats
     }
 
-    fn locate(&self, addr: u32) -> (usize, u32) {
-        let line = addr / self.line_bytes;
-        let set = (line & (self.set_count - 1)) as usize;
-        let tag = line / self.set_count;
-        (set, tag)
+    /// The ways of the set holding `addr`, and the tag it carries there.
+    #[inline]
+    fn locate(&mut self, addr: u32) -> (&mut [Way], u32) {
+        let line = addr >> self.line_shift;
+        let set = (line & ((1 << self.set_shift) - 1)) as usize;
+        let tag = line >> self.set_shift;
+        let ways = self.ways_per_set;
+        (&mut self.ways[set * ways..][..ways], tag)
     }
 
     /// Looks up `addr`; returns whether it hit and updates LRU + statistics.
+    #[inline]
     pub fn probe(&mut self, addr: u32) -> bool {
         self.tick += 1;
+        let tick = self.tick;
         let (set, tag) = self.locate(addr);
-        for way in &mut self.sets[set] {
-            if way.valid && way.tag == tag {
-                way.lru = self.tick;
-                self.stats.hits += 1;
-                return true;
-            }
+        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
+            way.lru = tick;
+            self.stats.hits += 1;
+            return true;
         }
         self.stats.misses += 1;
         false
@@ -145,16 +155,13 @@ impl ICache {
     /// duplicate ways).
     pub fn fill(&mut self, addr: u32) {
         self.tick += 1;
-        let (set, tag) = self.locate(addr);
         let tick = self.tick;
-        if let Some(way) = self.sets[set]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-        {
+        let (set, tag) = self.locate(addr);
+        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
             way.lru = tick;
             return;
         }
-        let victim = self.sets[set]
+        let victim = set
             .iter_mut()
             .min_by_key(|w| if w.valid { w.lru } else { 0 })
             .expect("cache has at least one way");
@@ -165,10 +172,8 @@ impl ICache {
 
     /// Invalidates the whole cache (e.g. on `fence.i`).
     pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for way in set {
-                way.valid = false;
-            }
+        for way in &mut self.ways {
+            way.valid = false;
         }
     }
 
@@ -180,9 +185,7 @@ impl ICache {
     /// Every way as `(tag, valid, lru)`, flattened set-major then way order
     /// (checkpointing).
     pub fn ways(&self) -> impl Iterator<Item = (u32, bool, u64)> + '_ {
-        self.sets
-            .iter()
-            .flat_map(|set| set.iter().map(|w| (w.tag, w.valid, w.lru)))
+        self.ways.iter().map(|w| (w.tag, w.valid, w.lru))
     }
 
     /// Restores the full cache state from [`ways`](ICache::ways)-shaped
@@ -198,11 +201,9 @@ impl ICache {
         stats: CacheStats,
     ) {
         let mut it = ways.into_iter();
-        for set in &mut self.sets {
-            for way in set {
-                let (tag, valid, lru) = it.next().expect("too few ways in checkpoint");
-                *way = Way { tag, valid, lru };
-            }
+        for way in &mut self.ways {
+            let (tag, valid, lru) = it.next().expect("too few ways in checkpoint");
+            *way = Way { tag, valid, lru };
         }
         assert!(it.next().is_none(), "too many ways in checkpoint");
         self.tick = tick;
@@ -270,6 +271,108 @@ mod tests {
         assert_eq!(s.misses, 1);
         assert_eq!(s.hits, 2);
         assert!((s.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    /// The nested-`Vec` cache the flat layout replaced, kept as the
+    /// reference: two divisions per lookup, one `Vec<Way>` per set.
+    struct NestedCache {
+        sets: Vec<Vec<Way>>,
+        line_bytes: u32,
+        set_count: u32,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl NestedCache {
+        fn new(size_bytes: u32, ways: u32, line_bytes: u32) -> Self {
+            let set_count = size_bytes / (ways * line_bytes);
+            NestedCache {
+                sets: vec![vec![Way::default(); ways as usize]; set_count as usize],
+                line_bytes,
+                set_count,
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn locate(&self, addr: u32) -> (usize, u32) {
+            let line = addr / self.line_bytes;
+            let set = (line & (self.set_count - 1)) as usize;
+            let tag = line / self.set_count;
+            (set, tag)
+        }
+
+        fn probe(&mut self, addr: u32) -> bool {
+            self.tick += 1;
+            let (set, tag) = self.locate(addr);
+            for way in &mut self.sets[set] {
+                if way.valid && way.tag == tag {
+                    way.lru = self.tick;
+                    self.stats.hits += 1;
+                    return true;
+                }
+            }
+            self.stats.misses += 1;
+            false
+        }
+
+        fn fill(&mut self, addr: u32) {
+            self.tick += 1;
+            let (set, tag) = self.locate(addr);
+            let tick = self.tick;
+            if let Some(way) = self.sets[set].iter_mut().find(|w| w.valid && w.tag == tag) {
+                way.lru = tick;
+                return;
+            }
+            let victim = self.sets[set]
+                .iter_mut()
+                .min_by_key(|w| if w.valid { w.lru } else { 0 })
+                .expect("cache has at least one way");
+            victim.tag = tag;
+            victim.valid = true;
+            victim.lru = tick;
+        }
+
+        fn ways(&self) -> Vec<(u32, bool, u64)> {
+            let ways = self.sets.iter().flatten();
+            ways.map(|w| (w.tag, w.valid, w.lru)).collect()
+        }
+    }
+
+    #[test]
+    fn flat_layout_matches_the_nested_reference() {
+        use mempool_rng::{Rng, SeedableRng, StdRng};
+        // The paper's tile cache, a direct-mapped one, a three-way one and
+        // a single fully-associative set.
+        for (size, ways, line) in [(2048, 4, 32), (256, 1, 16), (3072, 3, 32), (64, 4, 16)] {
+            let mut rng = StdRng::seed_from_u64(0x1cac4e ^ u64::from(size * ways));
+            let mut flat = ICache::new(size, ways, line).unwrap();
+            let mut nested = NestedCache::new(size, ways, line);
+            for step in 0..20_000 {
+                // A loop body a few times the cache size, with far jumps.
+                let addr = match rng.gen_range(0u32..16) {
+                    0 => rng.gen::<u32>() & !3,
+                    _ => 0x8000_0000 + (rng.gen_range(0..size * 3) & !3),
+                };
+                let at = format!("{size}B {ways}-way {line}B lines, step {step}");
+                match rng.gen_range(0u32..8) {
+                    0..=5 => assert_eq!(flat.probe(addr), nested.probe(addr), "{at}"),
+                    6 => {
+                        flat.fill(addr);
+                        nested.fill(addr);
+                    }
+                    _ => {
+                        // A checkpoint round trip keeps the set-major order.
+                        let (dump, tick, stats) = (nested.ways(), flat.tick(), flat.stats());
+                        flat.load(dump, tick, stats);
+                    }
+                }
+                assert_eq!(flat.stats(), nested.stats, "{at}");
+            }
+            assert_eq!(flat.ways().collect::<Vec<_>>(), nested.ways());
+            assert_eq!(flat.tick(), nested.tick);
+            assert!(flat.stats().hits > 1_000 && flat.stats().misses > 1_000);
+        }
     }
 
     #[test]

@@ -60,10 +60,45 @@ impl RoundRobin {
             .min_by_key(|&line| self.distance(line))
     }
 
+    /// [`peek`](RoundRobin::peek) over a request mask: bit `line % 64` of
+    /// `mask[line / 64]` is set for every requesting line. This is how a
+    /// [`Fabric`](crate::Fabric) arbitrates — one rotate and one
+    /// `trailing_zeros` when the lines fit a word, a scan from the
+    /// pointer's word otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` is not `lines().div_ceil(64)` words; a bit set at or
+    /// past `lines()` is a caller bug (debug-asserted).
+    #[inline]
+    pub fn pick(&self, mask: &[u64]) -> Option<usize> {
+        assert_eq!(mask.len(), self.n.div_ceil(64), "request mask width");
+        debug_assert!(
+            self.n.is_multiple_of(64) || mask[self.n / 64] >> (self.n % 64) == 0,
+            "request line out of range"
+        );
+        if let [word] = *mask {
+            // Rotating the pointer's bit to position 0 puts the lines in
+            // priority order (those below the pointer wrap to the top).
+            let rotated = word.rotate_right(self.pointer as u32);
+            return (word != 0).then(|| (self.pointer + rotated.trailing_zeros() as usize) % 64);
+        }
+        let (first, bit) = (self.pointer / 64, self.pointer % 64);
+        let at_or_past = mask[first] & (!0 << bit);
+        if at_or_past != 0 {
+            return Some(first * 64 + at_or_past.trailing_zeros() as usize);
+        }
+        // Nothing at or past the pointer in its own word: the next set bit
+        // in word order wins, wrapping around to the pointer's word.
+        let wrapped = (first + 1..mask.len()).chain(0..=first);
+        wrapped
+            .map(|w| (w, mask[w]))
+            .find(|&(_, word)| word != 0)
+            .map(|(w, word)| w * 64 + word.trailing_zeros() as usize)
+    }
+
     /// How many lines `line` sits past the pointer, wrapping around: the
-    /// requester with the smallest distance wins the next grant. This is
-    /// what lets a fabric arbitrate by keeping a running minimum instead of
-    /// collecting request lists for [`peek`](RoundRobin::peek).
+    /// requester with the smallest distance wins the next grant.
     ///
     /// # Panics
     ///
@@ -84,9 +119,10 @@ impl RoundRobin {
     /// # Panics
     ///
     /// Panics if `winner` is out of range.
+    #[inline]
     pub fn advance_past(&mut self, winner: usize) {
         assert!(winner < self.n, "winner line {winner} out of range");
-        self.pointer = (winner + 1) % self.n;
+        self.pointer = if winner + 1 == self.n { 0 } else { winner + 1 };
         self.grants += 1;
     }
 
@@ -181,6 +217,34 @@ mod tests {
         assert_eq!(arb.grants(), 2);
         arb.set_grants(9);
         assert_eq!(arb.grants(), 9);
+    }
+
+    #[test]
+    fn pick_over_a_mask_is_peek_over_its_lines() {
+        use mempool_rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x9e3779b97f4a7c15);
+        // One word, a full word, and masks of two, three and four words.
+        for n in [1usize, 5, 16, 63, 64, 65, 130, 256] {
+            let mut arb = RoundRobin::new(n);
+            for pointer in 0..n {
+                arb.set_pointer(pointer);
+                for case in 0..40 {
+                    // From a lone requester to all of them.
+                    let density = [1, n.div_ceil(8), n.div_ceil(2), n][case % 4];
+                    let lines: Vec<usize> =
+                        (0..n).filter(|_| rng.gen_range(0..n) < density).collect();
+                    let mut mask = vec![0u64; n.div_ceil(64)];
+                    for &line in &lines {
+                        mask[line / 64] |= 1 << (line % 64);
+                    }
+                    assert_eq!(
+                        arb.pick(&mask),
+                        arb.peek(&lines),
+                        "{n} lines, pointer {pointer}, requests {lines:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

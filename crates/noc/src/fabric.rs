@@ -58,9 +58,10 @@ fn build_err(msg: impl Into<String>) -> BuildFabricError {
 
 /// A combinational multi-layer switching fabric.
 ///
-/// Paths are precomputed per `(input, dest)` pair — routing is oblivious
-/// (single path per master/slave pair, as in the paper). Arbitration state
-/// is one [`RoundRobin`] per `(layer, output port)`.
+/// Routing is oblivious (a single path per master/slave pair, as in the
+/// paper): a crossbar's one hop is `input -> dest`, a butterfly's hops
+/// follow from the destination's digits and the shuffle wiring. Arbitration
+/// state is one [`RoundRobin`] per `(layer, output port)`.
 ///
 /// # Examples
 ///
@@ -77,52 +78,122 @@ fn build_err(msg: impl Into<String>) -> BuildFabricError {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fabric {
-    n_in: usize,
-    /// Switch output ports per layer (the same in every layer).
-    layer_ports: usize,
-    paths: Paths,
-    /// `arbiters[layer * layer_ports + out_port]`.
+    wiring: Wiring,
+    /// `arbiters[layer * n_out + out_port]`.
     arbiters: Vec<RoundRobin>,
-    /// Scratch: per layer-local out port, the contender closest to the
-    /// arbiter's pointer in arbitration round `round`.
-    lead: Vec<Lead>,
-    round: u64,
-    /// Interior butterfly segments land on the *shuffled* final out port
-    /// (the next layer's input row); see [`Fabric::butterfly_segment`].
-    shuffled_terminal: bool,
-    radix: usize,
+    /// `u64` words per request mask: one bit per arbiter line, so a fabric
+    /// of any width arbitrates the same way (one word up to 64 lines).
+    words: usize,
+    /// `want[(layer * n_out + out_port) * words..][..words]`: the input
+    /// lines of that layer requesting `out_port`. All zero between
+    /// arbitrations.
+    want: Vec<u64>,
+    /// The packets still in contention, in the order they were entered;
+    /// empty between arbitrations, never more than one per input.
+    packets: Vec<Packet>,
 }
 
-/// The leading contender for one switch output. An entry from an earlier
-/// round is stale, so the table never needs clearing.
-#[derive(Debug, Clone, Copy, Default)]
-struct Lead {
-    round: u64,
-    distance: usize,
-    offer: usize,
+/// One contender on its way through the layers.
+#[derive(Debug, Clone, Copy)]
+struct Packet {
+    /// The fabric input it was entered on and the output it is bound for.
+    input: u32,
+    dest: u32,
+    /// The input line it stands on in the layer under arbitration.
+    line: u32,
+    /// The output port it requests there; once it has won every layer, the
+    /// port it lands on.
+    out: u32,
 }
 
-/// The precomputed routes: one hop per layer for every `(input, dest)`.
+/// Where packets go: every layer has `n_out` switch output ports.
 #[derive(Debug, Clone)]
-struct Paths {
-    /// `hops[(input * n_out + dest) * n_layers + layer]`.
-    hops: Vec<Hop>,
+struct Wiring {
+    n_in: usize,
     n_out: usize,
     n_layers: usize,
-    /// Whether every path is the single hop `input -> dest` (a crossbar):
-    /// its hops are then read off the offer, never from the table.
-    direct: bool,
+    /// `None` for a crossbar, whose one hop is `input -> dest`.
+    butterfly: Option<Butterfly>,
 }
 
-impl Paths {
-    /// The `(in_port, out_port)` an offer crosses in `layer`.
+/// Consecutive layers of an omega network.
+#[derive(Debug, Clone)]
+struct Butterfly {
+    /// The first output port of the switch each input line enters.
+    switch: Vec<u32>,
+    /// `digit[layer * n_out + dest]`: the output, within its switch, that a
+    /// packet for `dest` takes in `layer`.
+    digit: Vec<u32>,
+    /// The perfect shuffle: the next layer's input line behind each output
+    /// port.
+    shuffle: Vec<u32>,
+    /// Interior segments land on the *shuffled* final out port (the next
+    /// layer's input row); see [`Fabric::butterfly_segment`].
+    shuffled_terminal: bool,
+}
+
+impl Wiring {
+    /// The output port a packet standing on input `line` of `layer` and
+    /// bound for `dest` requests there.
     #[inline]
-    fn hop(&self, offer: &Offer, layer: usize) -> (usize, usize) {
-        if self.direct {
-            return (offer.input, offer.dest);
+    fn out_port(&self, layer: usize, line: usize, dest: usize) -> usize {
+        match &self.butterfly {
+            None => dest,
+            Some(b) => (b.switch[line] + b.digit[layer * self.n_out + dest]) as usize,
         }
-        let hop = self.hops[(offer.input * self.n_out + offer.dest) * self.n_layers + layer];
-        (hop.in_port as usize, hop.out_port as usize)
+    }
+
+    /// The input line of the next layer (or, past the last one, of the
+    /// next segment) wired to `out_port`.
+    #[inline]
+    fn line_behind(&self, out_port: usize) -> usize {
+        match &self.butterfly {
+            None => out_port,
+            Some(b) => b.shuffle[out_port] as usize,
+        }
+    }
+
+    /// Where a packet leaving the last layer on `out_port` lands.
+    #[inline]
+    fn landing(&self, out_port: usize) -> usize {
+        match &self.butterfly {
+            Some(b) if b.shuffled_terminal => b.shuffle[out_port] as usize,
+            _ => out_port,
+        }
+    }
+
+    /// The hops of a packet entering at `input` bound for `dest`, one per
+    /// layer.
+    #[inline]
+    fn hops(&self, input: usize, dest: usize) -> impl Iterator<Item = Hop> + '_ {
+        let mut line = input;
+        (0..self.n_layers).map(move |layer| {
+            let out_port = self.out_port(layer, line, dest);
+            let hop = Hop {
+                layer: layer as u16,
+                in_port: line as u32,
+                out_port: out_port as u32,
+            };
+            line = self.line_behind(out_port);
+            hop
+        })
+    }
+}
+
+/// The contenders of one [`Fabric::route`] call, filled in by its caller.
+#[derive(Debug)]
+pub struct Requests<'a>(&'a mut Fabric);
+
+impl Requests<'_> {
+    /// The packet on fabric input `input` asks for fabric output `dest`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a port is out of range, or (debug builds) if `input`
+    /// already has a request.
+    #[inline]
+    pub fn add(&mut self, input: usize, dest: usize) {
+        self.0.request(input, dest);
     }
 }
 
@@ -136,17 +207,7 @@ impl Fabric {
         if m == 0 || n == 0 {
             return Err(build_err("crossbar dimensions must be nonzero"));
         }
-        let mut paths = Vec::with_capacity(m * n);
-        for input in 0..m {
-            for dest in 0..n {
-                paths.push(Hop {
-                    layer: 0,
-                    in_port: input as u32,
-                    out_port: dest as u32,
-                });
-            }
-        }
-        Ok(Fabric::from_parts(m, n, 1, n, paths))
+        Ok(Fabric::from_parts(m, n, 1, None))
     }
 
     /// Builds an `ports`×`ports` radix-`radix` butterfly (omega wiring,
@@ -186,78 +247,68 @@ impl Fabric {
                 "invalid butterfly segment {first}..{last} of {total_layers} layers"
             )));
         }
-        let k = total_layers;
-        let mut paths = Vec::with_capacity(ports * ports * (last - first));
-        for entry in 0..ports {
-            for dest in 0..ports {
-                let mut in_port = entry;
-                for layer in first..last {
-                    let digit_index = k - 1 - layer;
-                    let digit = (dest / radix.pow(digit_index as u32)) % radix;
-                    let out_port = (in_port / radix) * radix + digit;
-                    paths.push(Hop {
-                        layer: (layer - first) as u16,
-                        in_port: in_port as u32,
-                        out_port: out_port as u32,
-                    });
-                    in_port = shuffle(out_port, ports, radix);
-                }
-            }
-        }
-        let mut fabric = Fabric::from_parts(ports, ports, last - first, ports, paths);
-        // The final segment delivers on the last layer's out ports directly;
-        // earlier segments deliver on the *next layer's in ports* (the
-        // register row), i.e. the shuffled final out port. `output_port`
-        // applies the shuffle on demand.
-        if last < total_layers {
-            fabric.shuffled_terminal = true;
-            fabric.radix = radix;
-        }
-        Ok(fabric)
+        // Layer `l` routes on destination digit `total_layers - 1 - l`.
+        let digit_of = |layer: usize, dest: usize| {
+            (dest / radix.pow((total_layers - 1 - layer) as u32) % radix) as u32
+        };
+        let butterfly = Butterfly {
+            switch: (0..ports)
+                .map(|line| (line / radix * radix) as u32)
+                .collect(),
+            digit: (first..last)
+                .flat_map(|layer| (0..ports).map(move |dest| digit_of(layer, dest)))
+                .collect(),
+            shuffle: (0..ports)
+                .map(|port| shuffle(port, ports, radix) as u32)
+                .collect(),
+            // The final segment delivers on the last layer's out ports
+            // directly; earlier segments deliver on the *next layer's in
+            // ports* (the register row), i.e. the shuffled final out port.
+            shuffled_terminal: last < total_layers,
+        };
+        Ok(Fabric::from_parts(
+            ports,
+            ports,
+            last - first,
+            Some(butterfly),
+        ))
     }
 
     fn from_parts(
         n_in: usize,
         n_out: usize,
         n_layers: usize,
-        layer_ports: usize,
-        paths: Vec<Hop>,
+        butterfly: Option<Butterfly>,
     ) -> Fabric {
-        let lines = n_in.max(layer_ports);
-        let direct = n_layers == 1
-            && paths.iter().enumerate().all(|(i, hop)| {
-                (hop.in_port as usize, hop.out_port as usize) == (i / n_out, i % n_out)
-            });
+        let lines = n_in.max(n_out);
+        let words = lines.div_ceil(64);
         Fabric {
-            n_in,
-            layer_ports,
-            paths: Paths {
-                hops: paths,
+            wiring: Wiring {
+                n_in,
                 n_out,
                 n_layers,
-                direct,
+                butterfly,
             },
-            arbiters: vec![RoundRobin::new(lines); n_layers * layer_ports],
-            lead: vec![Lead::default(); layer_ports],
-            round: 0,
-            shuffled_terminal: false,
-            radix: 0,
+            arbiters: vec![RoundRobin::new(lines); n_layers * n_out],
+            words,
+            want: vec![0; n_layers * n_out * words],
+            packets: Vec::with_capacity(n_in),
         }
     }
 
     /// Number of fabric input ports.
     pub fn n_in(&self) -> usize {
-        self.n_in
+        self.wiring.n_in
     }
 
     /// Number of fabric output ports.
     pub fn n_out(&self) -> usize {
-        self.paths.n_out
+        self.wiring.n_out
     }
 
     /// Number of switch layers a packet traverses.
     pub fn n_layers(&self) -> usize {
-        self.paths.n_layers
+        self.wiring.n_layers
     }
 
     /// The path for a given input/destination pair.
@@ -265,46 +316,70 @@ impl Fabric {
     /// # Panics
     ///
     /// Panics if `input` or `dest` is out of range.
-    pub fn path(&self, input: usize, dest: usize) -> &[Hop] {
+    pub fn path(&self, input: usize, dest: usize) -> Vec<Hop> {
         assert!(
-            input < self.n_in && dest < self.n_out(),
+            input < self.n_in() && dest < self.n_out(),
             "port out of range"
         );
-        let layers = self.n_layers();
-        &self.paths.hops[(input * self.n_out() + dest) * layers..][..layers]
+        self.wiring.hops(input, dest).collect()
     }
 
     /// The fabric output port where a packet entering at `input` with
     /// destination `dest` lands. For interior butterfly segments this is the
     /// register-row index feeding the next segment.
     pub fn output_port(&self, input: usize, dest: usize) -> usize {
-        assert!(
-            input < self.n_in && dest < self.n_out(),
-            "port out of range"
-        );
-        let (_, out) = self.paths.hop(&Offer { input, dest }, self.n_layers() - 1);
-        if self.shuffled_terminal {
-            shuffle(out, self.n_out(), self.radix)
-        } else {
-            out
-        }
+        let last = self.path(input, dest).pop().expect("at least one layer");
+        self.wiring.landing(last.out_port as usize)
     }
 
-    /// Resolves one cycle of offered packets.
+    /// One arbitrated hop: the whole cycle of this fabric.
     ///
-    /// Each offer either wins arbitration at *every* switch output along its
-    /// path **and** finds its terminal ready (via `out_ready`, called with
-    /// the landing port from [`output_port`](Fabric::output_port)) — in
-    /// which case its slot in the returned vector is `true` and the caller
-    /// must move the packet — or it stays put (`false`). Losing at an
-    /// internal switch blocks the packet even if the winner itself later
-    /// stalls, matching non-reselecting combinational arbitration.
+    /// `offers` names the contenders — it calls [`Requests::add`] once per
+    /// fabric input that holds a packet. Each packet either wins
+    /// arbitration at *every* switch output along its path **and** finds
+    /// its terminal ready (`ready`, asked about the landing port
+    /// [`output_port`](Fabric::output_port) gives) — in which case it is
+    /// handed to `deliver(state, input, landing port)`, which must move it
+    /// — or it stays put. Losing at an internal switch blocks the packet
+    /// even if the winner itself later stalls, matching non-reselecting
+    /// combinational arbitration. `state` is whatever the three closures
+    /// share: the source registers and the sinks of this hop.
     ///
-    /// Round-robin pointers advance only on committed transfers.
+    /// Every terminal is sampled before any packet moves, packets are
+    /// delivered in the order they were added, and round-robin pointers
+    /// advance only on committed transfers. Nothing is allocated.
+    ///
+    /// # Panics
+    ///
+    /// As [`Requests::add`].
+    #[inline]
+    pub fn route<S>(
+        &mut self,
+        state: &mut S,
+        offers: impl FnOnce(&S, &mut Requests<'_>),
+        ready: impl Fn(&S, usize) -> bool,
+        mut deliver: impl FnMut(&mut S, usize, usize),
+    ) {
+        offers(state, &mut Requests(self));
+        if self.packets.is_empty() {
+            // Most calls of a tile-local workload: nobody wants this hop.
+            return;
+        }
+        self.arbitrate(|port| ready(state, port));
+        for packet in &self.packets {
+            deliver(state, packet.input as usize, packet.out as usize);
+        }
+        self.packets.clear();
+    }
+
+    /// Resolves one cycle of offered packets: [`route`](Fabric::route) for
+    /// callers that keep their packets in a list. An offer's slot in the
+    /// returned vector is `true` if it won every switch output along its
+    /// path and `out_ready` accepted its landing port; the caller must then
+    /// move the packet.
     ///
     /// This is [`resolve_into`](Fabric::resolve_into) with a freshly
-    /// allocated result; per-cycle callers should hold a `granted` buffer
-    /// and call that instead.
+    /// allocated result.
     ///
     /// # Panics
     ///
@@ -321,8 +396,7 @@ impl Fabric {
     }
 
     /// [`resolve`](Fabric::resolve) without heap allocation: `granted` is
-    /// cleared and refilled with one flag per offer, and all arbitration
-    /// state lives in scratch owned by the fabric.
+    /// cleared and refilled with one flag per offer.
     ///
     /// # Panics
     ///
@@ -330,51 +404,100 @@ impl Fabric {
     pub fn resolve_into(
         &mut self,
         offers: &[Offer],
-        mut out_ready: impl FnMut(usize) -> bool,
+        out_ready: impl FnMut(usize) -> bool,
         granted: &mut Vec<bool>,
     ) {
+        for offer in offers {
+            self.request(offer.input, offer.dest);
+        }
+        self.arbitrate(out_ready);
+        // What is left of the packets is a subsequence of the offers.
+        let mut won = self.packets.iter().peekable();
+        let is_next = |offer: &Offer| won.next_if(|p| p.input as usize == offer.input).is_some();
+        granted.clear();
+        granted.extend(offers.iter().map(is_next));
+        self.packets.clear();
+    }
+
+    /// Enters the packet on `input`, bound for `dest`, into the first
+    /// layer's request masks.
+    #[inline]
+    fn request(&mut self, input: usize, dest: usize) {
+        let wiring = &self.wiring;
         assert!(
-            offers
-                .iter()
-                .all(|o| o.input < self.n_in && o.dest < self.n_out()),
+            input < wiring.n_in && dest < wiring.n_out,
             "port out of range"
         );
         debug_assert!(
-            offers
-                .iter()
-                .enumerate()
-                .all(|(i, a)| offers[..i].iter().all(|b| a.input != b.input)),
+            self.packets.iter().all(|p| p.input as usize != input),
             "two offers share an input port"
         );
-        granted.clear();
-        granted.resize(offers.len(), true);
-        let ports = self.layer_ports;
-        for layer in 0..self.n_layers() {
-            self.round += 1;
-            let arbiters = &self.arbiters[layer * ports..][..ports];
-            arbitrate(
-                arbiters,
-                &mut self.lead,
-                self.round,
-                offers,
-                granted,
-                |offer| self.paths.hop(offer, layer),
-            );
-        }
-        // Terminal readiness, then round-robin pointers advance past the
-        // committed packets.
-        for (idx, offer) in offers.iter().enumerate() {
-            if !granted[idx] {
-                continue;
+        let out = wiring.out_port(0, input, dest);
+        set_bit(&mut self.want[out * self.words..], input);
+        self.packets.push(Packet {
+            input: input as u32,
+            dest: dest as u32,
+            line: input as u32,
+            out: out as u32,
+        });
+    }
+
+    /// Arbitrates the packets entered so far, one pass over them per
+    /// layer. A packet stays in contention if its line is the requester
+    /// closest to the round-robin pointer of the output it asks for; it
+    /// then clears that output's mask — so the output's other requesters,
+    /// whichever side of it they are on in the list, find themselves
+    /// either outranked or alone with an empty mask — and enters its line
+    /// behind the switch in the next layer's. A packet that wins the last
+    /// layer has its terminal sampled through `ready`; if accepted, the
+    /// arbiters along its path advance past it (no later pick of this
+    /// arbitration reads them). What remains in `packets` is granted.
+    #[inline]
+    fn arbitrate(&mut self, mut ready: impl FnMut(usize) -> bool) {
+        let Fabric {
+            wiring,
+            arbiters,
+            words,
+            want,
+            packets,
+        } = self;
+        let (words, ports, last) = (*words, wiring.n_out, wiring.n_layers - 1);
+        for layer in 0..=last {
+            let (here, ahead) = want[layer * ports * words..].split_at_mut(ports * words);
+            // Compact the survivors to the front, in order.
+            let mut kept = 0;
+            for i in 0..packets.len() {
+                let mut packet = packets[i];
+                let (line, out, dest) = (
+                    packet.line as usize,
+                    packet.out as usize,
+                    packet.dest as usize,
+                );
+                let mask = &mut here[out * words..][..words];
+                if arbiters[layer * ports + out].pick(mask) != Some(line) {
+                    continue;
+                }
+                mask.fill(0);
+                if layer < last {
+                    let line = wiring.line_behind(out);
+                    let out = wiring.out_port(layer + 1, line, dest);
+                    set_bit(&mut ahead[out * words..], line);
+                    (packet.line, packet.out) = (line as u32, out as u32);
+                } else {
+                    let landing = wiring.landing(out);
+                    if !ready(landing) {
+                        continue;
+                    }
+                    packet.out = landing as u32;
+                    for hop in wiring.hops(packet.input as usize, dest) {
+                        arbiters[hop.layer as usize * ports + hop.out_port as usize]
+                            .advance_past(hop.in_port as usize);
+                    }
+                }
+                packets[kept] = packet;
+                kept += 1;
             }
-            if !out_ready(self.output_port(offer.input, offer.dest)) {
-                granted[idx] = false;
-                continue;
-            }
-            for layer in 0..self.n_layers() {
-                let (in_port, out_port) = self.paths.hop(offer, layer);
-                self.arbiters[layer * ports + out_port].advance_past(in_port);
-            }
+            packets.truncate(kept);
         }
     }
 
@@ -433,38 +556,10 @@ impl Fabric {
     }
 }
 
-/// One layer of arbitration over the offers still `alive`: per switch
-/// output, the contender closest to that output's round-robin pointer stays
-/// alive and every other contender is blocked. `hop_of` gives an offer's
-/// `(in_port, out_port)` in this layer.
-fn arbitrate(
-    arbiters: &[RoundRobin],
-    lead: &mut [Lead],
-    round: u64,
-    offers: &[Offer],
-    alive: &mut [bool],
-    hop_of: impl Fn(&Offer) -> (usize, usize),
-) {
-    for (idx, offer) in offers.iter().enumerate() {
-        if !alive[idx] {
-            continue;
-        }
-        let (in_port, out_port) = hop_of(offer);
-        let distance = arbiters[out_port].distance(in_port);
-        let best = &mut lead[out_port];
-        if best.round != round || distance < best.distance {
-            *best = Lead {
-                round,
-                distance,
-                offer: idx,
-            };
-        }
-    }
-    for (idx, offer) in offers.iter().enumerate() {
-        if alive[idx] {
-            alive[idx] = lead[hop_of(offer).1].offer == idx;
-        }
-    }
+/// Sets bit `i` of a multi-word mask.
+#[inline]
+fn set_bit(mask: &mut [u64], i: usize) {
+    mask[i / 64] |= 1 << (i % 64);
 }
 
 /// Validates butterfly geometry and returns the layer count `log_radix(ports)`.

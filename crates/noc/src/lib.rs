@@ -14,10 +14,11 @@
 //!
 //! Packets rest in [`ElasticBuffer`] register stages. Each cycle, the owner
 //! of a network presents the buffer heads (plus any freshly generated
-//! packets) to a [`Fabric`] as [`Offer`]s; `Fabric::resolve` applies
-//! round-robin arbitration at every switch output and terminal readiness,
-//! and tells the caller which packets move this cycle (per-cycle callers
-//! use the allocation-free [`Fabric::resolve_into`]). Buffers make staged
+//! packets) to a [`Fabric`]; [`Fabric::route`] applies round-robin
+//! arbitration at every switch output and terminal readiness, and hands
+//! the caller each packet that moves this cycle ([`Fabric::resolve`] is
+//! the same arbitration over a list of [`Offer`]s, answering with one
+//! flag per offer). Buffers make staged
 //! arrivals visible only at the end-of-cycle [`ElasticBuffer::commit`], so a
 //! packet crosses exactly one register boundary per cycle — which is what
 //! makes the zero-load latencies of the paper (1/3/5 cycles) drop out of the
@@ -60,5 +61,5 @@ mod ring;
 
 pub use arbiter::RoundRobin;
 pub use elastic::ElasticBuffer;
-pub use fabric::{BuildFabricError, Fabric, Hop, Offer};
+pub use fabric::{BuildFabricError, Fabric, Hop, Offer, Requests};
 pub use ring::Ring;

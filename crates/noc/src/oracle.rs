@@ -1,8 +1,9 @@
 //! Test-only reference implementations: the two-`VecDeque` elastic buffer
 //! and the list-collecting `Fabric::resolve` that the allocation-free
 //! versions replaced, kept verbatim so seeded random traffic can pin the
-//! new code to the old behaviour — grants, round-robin pointers, grant
-//! counters and buffer contents — rather than to its own self-consistency.
+//! new code to the old behaviour — grants, delivery order, round-robin
+//! pointers, grant counters and buffer contents — rather than to its own
+//! self-consistency.
 
 use crate::{ElasticBuffer, Fabric, Hop, Offer, RoundRobin};
 use mempool_rng::{Rng, SeedableRng, StdRng};
@@ -114,8 +115,10 @@ struct ReferenceFabric {
 
 impl ReferenceFabric {
     /// Copies `fabric`'s geometry through its public accessors.
-    fn mirror(fabric: &Fabric, layer_ports: usize) -> Self {
+    fn mirror(fabric: &Fabric) -> Self {
         let (n_in, n_out) = (fabric.n_in(), fabric.n_out());
+        // Every layer has as many switch outputs as the fabric has outputs.
+        let layer_ports = n_out;
         let pairs = (0..n_in).flat_map(|i| (0..n_out).map(move |d| (i, d)));
         let lines = n_in.max(layer_ports);
         ReferenceFabric {
@@ -201,9 +204,11 @@ impl ReferenceFabric {
 }
 
 /// Drives `fabric` and its mirror with `rounds` of seeded random offers
-/// (a quarter to all of the inputs) and random terminal readiness.
-fn assert_matches_reference(name: &str, mut fabric: Fabric, layer_ports: usize, rounds: usize) {
-    let mut reference = ReferenceFabric::mirror(&fabric, layer_ports);
+/// (a quarter to all of the inputs) and random terminal readiness. Two
+/// rounds in three go through [`Fabric::route`], as the cluster's hops do;
+/// the third through the `resolve`/`resolve_into` adapter.
+fn assert_matches_reference(name: &str, mut fabric: Fabric, rounds: usize) {
+    let mut reference = ReferenceFabric::mirror(&fabric);
     let seed = name.bytes().fold(0xfab0_0ac1e, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
     });
@@ -221,29 +226,66 @@ fn assert_matches_reference(name: &str, mut fabric: Fabric, layer_ports: usize, 
             .map(|_| rng.gen_range(0u32..4) != 0)
             .collect();
         // The terminal must be probed for the same offers in the same order.
-        let (mut probes, mut ref_probes) = (Vec::new(), Vec::new());
+        let mut ref_probes = Vec::new();
         let want = reference.resolve(&offers, &mut |port| {
             ref_probes.push(port);
             ready[port]
         });
-        let got = if round % 2 == 0 {
-            fabric.resolve_into(
-                &offers,
-                |port| {
-                    probes.push(port);
-                    ready[port]
-                },
-                &mut granted,
-            );
-            granted.clone()
-        } else {
-            fabric.resolve(&offers, &mut |port| {
-                probes.push(port);
-                ready[port]
-            })
+        let probes = std::cell::RefCell::new(Vec::new());
+        let probe = |port: usize| {
+            probes.borrow_mut().push(port);
+            ready[port]
+        };
+        let got = match round % 6 {
+            4 => {
+                fabric.resolve_into(&offers, probe, &mut granted);
+                granted.clone()
+            }
+            5 => fabric.resolve(&offers, &mut { probe }),
+            _ => {
+                // The packets sit in latches, one per input; a delivery
+                // empties its latch and records where the packet went.
+                let mut latches = vec![None; fabric.n_in()];
+                for offer in &offers {
+                    latches[offer.input] = Some(offer.dest);
+                }
+                let mut state = (latches, Vec::new());
+                fabric.route(
+                    &mut state,
+                    |(latches, _), wanted| {
+                        for (input, dest) in latches.iter().enumerate() {
+                            if let Some(dest) = dest {
+                                wanted.add(input, *dest);
+                            }
+                        }
+                    },
+                    |(_, delivered), port| {
+                        assert!(delivered.is_empty(), "{name}: sampled after a move");
+                        probe(port)
+                    },
+                    |(latches, delivered), input, port| {
+                        let dest = latches[input].take().expect("delivered once");
+                        delivered.push((input, port, dest));
+                    },
+                );
+                let (latches, delivered) = state;
+                // Input order, each on the port the path table names.
+                let expected: Vec<_> = offers
+                    .iter()
+                    .zip(&want)
+                    .filter(|(_, &won)| won)
+                    .map(|(o, _)| (o.input, fabric.output_port(o.input, o.dest), o.dest))
+                    .collect();
+                assert_eq!(delivered, expected, "{name} round {round}: deliveries");
+                offers.iter().map(|o| latches[o.input].is_none()).collect()
+            }
         };
         assert_eq!(got, want, "{name} round {round}: grants");
-        assert_eq!(probes, ref_probes, "{name} round {round}: terminal probes");
+        assert_eq!(
+            probes.into_inner(),
+            ref_probes,
+            "{name} round {round}: terminal probes"
+        );
         assert_eq!(
             fabric.arbiter_pointers(),
             reference.arbiter_pointers(),
@@ -258,31 +300,37 @@ fn assert_matches_reference(name: &str, mut fabric: Fabric, layer_ports: usize, 
 }
 
 #[test]
-fn resolve_matches_the_collecting_reference() {
-    let xbar = |m, n| Fabric::crossbar(m, n).unwrap();
-    assert_matches_reference("crossbar 4x16", xbar(4, 16), 16, 10_000);
-    assert_matches_reference("crossbar 20x16", xbar(20, 16), 16, 10_000);
-    assert_matches_reference("crossbar 16x16", xbar(16, 16), 16, 10_000);
-    assert_matches_reference("crossbar 16x4 wide", xbar(16, 4), 4, 10_000);
-    for (ports, radix) in [(16, 4), (64, 4), (16, 2), (64, 2)] {
-        let name = format!("butterfly {ports} radix {radix}");
-        assert_matches_reference(
-            &name,
-            Fabric::butterfly(ports, radix).unwrap(),
-            ports,
-            10_000,
-        );
+fn route_matches_the_collecting_reference() {
+    // The crossbars the cluster builds (tile request and response, port
+    // router, group-local), and one whose request masks take two words.
+    for (m, n) in [
+        (8, 16),
+        (16, 8),
+        (4, 4),
+        (16, 16),
+        (4, 16),
+        (20, 16),
+        (128, 8),
+    ] {
+        let xbar = Fabric::crossbar(m, n).unwrap();
+        assert_matches_reference(&format!("crossbar {m}x{n}"), xbar, 10_000);
     }
-    // Split networks, as the pipelined Top1/Top4 butterflies use them. An
-    // interior or final segment sees arbitrary (input, dest) pairs here —
-    // more than real traffic can produce, which only widens the check.
+    // Whole butterflies; 256 ports take four mask words.
+    for (ports, radix) in [(16, 4), (64, 4), (256, 4), (16, 2), (64, 2)] {
+        let name = format!("butterfly {ports} radix {radix}");
+        assert_matches_reference(&name, Fabric::butterfly(ports, radix).unwrap(), 10_000);
+    }
+    // Split networks, as the pipelined Top1/Top4 butterflies use them
+    // (0..2 and 2..3 are the two halves of the 64-port one). An interior or
+    // final segment sees arbitrary (input, dest) pairs here — more than
+    // real traffic can produce, which only widens the check.
     for (first, last) in [(0, 2), (2, 3), (0, 1), (1, 3)] {
         let name = format!("butterfly 64 radix 4 segment {first}..{last}");
         let segment = Fabric::butterfly_segment(64, 4, first, last).unwrap();
-        assert_matches_reference(&name, segment, 64, 10_000);
+        assert_matches_reference(&name, segment, 10_000);
     }
     let segment = Fabric::butterfly_segment(16, 2, 1, 3).unwrap();
-    assert_matches_reference("butterfly 16 radix 2 segment 1..3", segment, 16, 10_000);
+    assert_matches_reference("butterfly 16 radix 2 segment 1..3", segment, 10_000);
 }
 
 #[test]

@@ -115,9 +115,10 @@ struct Job {
     /// whether or not anyone is subscribed, so observation never changes
     /// the numbering (or anything else).
     stream_seq: u64,
-    /// The terminal `final: true` record, kept so late `watch` subscribers
-    /// receive it verbatim.
-    final_record: Option<String>,
+    /// Sequence number of the terminal `final: true` record, once it has
+    /// been emitted; `watch` renders that record again for every late
+    /// subscriber from this, the attempt, the status and the payload.
+    final_seq: Option<u64>,
     /// When this daemon process first saw the job (timeline origin).
     submitted_at: Instant,
     /// Whether the queue-wait histogram already recorded first dispatch.
@@ -137,7 +138,7 @@ impl Job {
             watchers: Vec::new(),
             streamers: Vec::new(),
             stream_seq: 0,
-            final_record: None,
+            final_seq: None,
             submitted_at: Instant::now(),
             dispatched: false,
             last_heartbeat: None,
@@ -411,7 +412,7 @@ impl Daemon {
             id,
             "state",
             false,
-            &[("status", json_str("queued"))],
+            || [("status", json_str("queued"))],
             "queued",
         );
         resp_ok(&[
@@ -513,16 +514,15 @@ impl Daemon {
 
     /// Emits one telemetry stream record for `id`. The sequence number,
     /// self-metrics counter, and timeline event advance unconditionally;
-    /// the record line itself is only built and relayed when someone is
-    /// subscribed (or the record is terminal and must be kept for late
-    /// subscribers). `extra` values must already be JSON tokens;
-    /// `tl_detail` is the plain-text detail stored in the job timeline.
-    fn stream(
+    /// the record's fields (`extra`, whose values must be JSON tokens) and
+    /// line are only built when someone is subscribed. `tl_detail` is the
+    /// plain-text detail stored in the job timeline.
+    fn stream<E: AsRef<[(&'static str, String)]>>(
         &mut self,
         id: u64,
         kind: &str,
         is_final: bool,
-        extra: &[(&str, String)],
+        extra: impl FnOnce() -> E,
         tl_detail: &str,
     ) {
         let has_tailers = !self.tailers.is_empty();
@@ -535,13 +535,15 @@ impl Daemon {
         let at_ms = job.submitted_at.elapsed().as_millis() as u64;
         let tl_kind = if kind == "done" { "state" } else { kind };
         job.timeline.push(at_ms, tl_kind, tl_detail);
-        if job.streamers.is_empty() && !has_tailers && !is_final {
+        if is_final {
+            job.final_seq = Some(seq);
+        }
+        if job.streamers.is_empty() && !has_tailers {
             return;
         }
-        let record = stream_record(id, seq, job.attempt, kind, is_final, extra);
+        let record = stream_record(id, seq, job.attempt, kind, is_final, extra().as_ref());
         job.streamers.retain(|w| w.send(record.clone()).is_ok());
         if is_final {
-            job.final_record = Some(record.clone());
             job.streamers.clear();
         }
         self.tailers.retain(|w| w.send(record.clone()).is_ok());
@@ -554,24 +556,24 @@ impl Daemon {
             return;
         };
         if job.rec.status.is_terminal() {
-            // Late subscribers get the stored terminal record verbatim; a
-            // job that finished in a previous daemon process has none, so
-            // synthesize one from the journaled payload.
-            let record = job.final_record.clone().unwrap_or_else(|| {
-                let payload = job.rec.payload.clone().unwrap_or_else(|| "{}".to_owned());
-                stream_record(
-                    id,
-                    job.stream_seq,
-                    job.attempt,
-                    "done",
-                    true,
-                    &[
-                        ("status", json_str(&job.rec.status.to_string())),
-                        ("result", json_str(&payload)),
-                    ],
-                )
-            });
-            let _ = reply.send(record);
+            // Late subscribers get the terminal record rendered again,
+            // byte for byte what live ones were sent; a job that finished
+            // in a previous daemon process never emitted one, and takes the
+            // next sequence number of its (restarted) stream.
+            let _ = reply.send(stream_record(
+                id,
+                job.final_seq.unwrap_or(job.stream_seq),
+                job.attempt,
+                "done",
+                true,
+                &[
+                    ("status", json_str(&job.rec.status.to_string())),
+                    (
+                        "result",
+                        json_str(job.rec.payload.as_deref().unwrap_or("{}")),
+                    ),
+                ],
+            ));
             return;
         }
         job.streamers.push(reply.clone());
@@ -579,7 +581,13 @@ impl Daemon {
         // snapshot: the sequence number advances for every subscriber
         // alike, keeping all live streams gapless.
         let status = job.rec.status.to_string();
-        self.stream(id, "state", false, &[("status", json_str(&status))], &status);
+        self.stream(
+            id,
+            "state",
+            false,
+            || [("status", json_str(&status))],
+            &status,
+        );
     }
 
     fn metrics_line(&self) -> String {
@@ -681,15 +689,15 @@ impl Daemon {
                     job.watchers.retain(|w| w.send(line.clone()).is_ok());
                 }
                 let detail = format!("cycle {cycle}");
-                self.stream(id, "heartbeat", false, &[("cycle", cycle_token)], &detail);
+                self.stream(id, "heartbeat", false, || [("cycle", cycle_token)], &detail);
             }
             // The worker emits these at checkpoint boundaries whenever the
             // job asked for metrics — subscribed or not — so relaying them
             // is pure observation.
             Some(WorkerLine::Metrics { key, at, doc }) => {
                 self.metrics.partial_snapshot();
-                let extra = [(key, at.to_string()), ("metrics", json_str(&doc))];
-                self.stream(id, "partial", false, &extra, &format!("{key} {at}"));
+                let extra = || [(key, at.to_string()), ("metrics", json_str(&doc))];
+                self.stream(id, "partial", false, extra, &format!("{key} {at}"));
             }
             _ => {}
         }
@@ -742,7 +750,7 @@ impl Daemon {
         ];
         let line = event("attempt-failed", id, &failed);
         job.watchers.retain(|w| w.send(line.clone()).is_ok());
-        self.stream(id, "attempt-failed", false, &failed, &kind.to_string());
+        self.stream(id, "attempt-failed", false, || failed, &kind.to_string());
         match self.fleet.fail(id, kind.clone(), detail.clone()) {
             Verdict::GiveUp(failures) => {
                 self.metrics.give_up();
@@ -763,7 +771,7 @@ impl Daemon {
                     id,
                     "retry-backoff",
                     false,
-                    &[("delay_ms", delay.as_millis().to_string())],
+                    || [("delay_ms", delay.as_millis().to_string())],
                     &format!("{}ms", delay.as_millis()),
                 );
                 self.set_state(id, JobStatus::Queued);
@@ -782,7 +790,7 @@ impl Daemon {
             job.watchers.retain(|w| w.send(line.clone()).is_ok());
         }
         let word = status.to_string();
-        self.stream(id, "state", false, &[("status", json_str(&word))], &word);
+        self.stream(id, "state", false, || [("status", json_str(&word))], &word);
     }
 
     /// Moves a job to a terminal state: journal, quota release, watcher
@@ -817,7 +825,7 @@ impl Daemon {
             id,
             "done",
             true,
-            &[("status", json_str(&word)), ("result", json_str(payload))],
+            || [("status", json_str(&word)), ("result", json_str(payload))],
             &word,
         );
         if status != JobStatus::Failed {

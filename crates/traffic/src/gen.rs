@@ -179,6 +179,8 @@ pub struct GenStats {
 #[derive(Debug, Clone)]
 pub struct TrafficGen {
     rate: f64,
+    /// `exp(-rate)`, the stopping threshold of every arrival draw.
+    arrival_floor: f64,
     pattern: Pattern,
     space: AddressSpace,
     rng: StdRng,
@@ -186,6 +188,9 @@ pub struct TrafficGen {
     queue: VecDeque<(u64, u32)>,
     /// In-flight generation timestamps per tag.
     tags: Vec<Option<u64>>,
+    /// One bit per tag that is free (`tags[t]` is `None`); four words cover
+    /// the 256-tag bound.
+    free_tags: [u64; 4],
     in_flight: usize,
     clock: u64,
     measure_from: Option<u64>,
@@ -212,11 +217,13 @@ impl TrafficGen {
         assert!(rate >= 0.0, "rate must be non-negative");
         TrafficGen {
             rate,
+            arrival_floor: (-rate).exp(),
             pattern,
             space,
             rng: StdRng::seed_from_u64(seed),
             queue: VecDeque::new(),
             tags: vec![None; outstanding],
+            free_tags: free_mask(outstanding, |_| true),
             in_flight: 0,
             clock: 0,
             measure_from: None,
@@ -251,7 +258,7 @@ impl TrafficGen {
         if self.rate <= 0.0 || self.stopped {
             return 0;
         }
-        let l = (-self.rate).exp();
+        let l = self.arrival_floor;
         let mut k = 0;
         let mut p = 1.0;
         loop {
@@ -294,6 +301,16 @@ impl TrafficGen {
         };
         word * 4
     }
+}
+
+/// The free-tag mask of `outstanding` tags of which `is_free` says which
+/// are unused.
+fn free_mask(outstanding: usize, is_free: impl Fn(usize) -> bool) -> [u64; 4] {
+    let mut mask = [0u64; 4];
+    for tag in (0..outstanding).filter(|&t| is_free(t)) {
+        mask[tag / 64] |= 1 << (tag % 64);
+    }
+    mask
 }
 
 impl mempool::CoreState for TrafficGen {
@@ -350,8 +367,10 @@ impl mempool::CoreState for TrafficGen {
         for tag in &mut self.tags {
             *tag = if r.take_bool()? { Some(r.take_u64()?) } else { None };
         }
+        self.free_tags = free_mask(self.tags.len(), |t| self.tags[t].is_none());
+        let free: u32 = self.free_tags.iter().map(|w| w.count_ones()).sum();
         self.in_flight = r.take_u64()? as usize;
-        if self.in_flight != self.tags.iter().filter(|t| t.is_some()).count() {
+        if self.in_flight != self.tags.len() - free as usize {
             return Err(SnapshotError::Corrupt("in-flight count"));
         }
         self.clock = r.take_u64()?;
@@ -370,6 +389,7 @@ impl Core for TrafficGen {
         let gen_time = self.tags[response.tag as usize]
             .take()
             .expect("response matches an in-flight tag");
+        self.free_tags[response.tag as usize / 64] |= 1 << (response.tag % 64);
         self.in_flight -= 1;
         self.stats.completed += 1;
         if self.measure_from.is_some_and(|from| gen_time >= from) {
@@ -395,7 +415,10 @@ impl Core for TrafficGen {
         if !request_ready || self.queue.is_empty() {
             return None;
         }
-        let tag = self.tags.iter().position(Option::is_none)?;
+        // The lowest free tag: what a scan of `tags` for `None` finds.
+        let word = self.free_tags.iter().position(|&w| w != 0)?;
+        let tag = word * 64 + self.free_tags[word].trailing_zeros() as usize;
+        self.free_tags[word] &= self.free_tags[word] - 1;
         let (gen_time, addr) = self.queue.pop_front().expect("nonempty");
         self.tags[tag] = Some(gen_time);
         self.in_flight += 1;
@@ -576,6 +599,92 @@ mod tests {
         }
         assert!(gen.done());
         assert_eq!(gen.stats().injected, gen.stats().completed);
+    }
+
+    /// The generator's issue path before the free-tag mask and the stored
+    /// arrival threshold: `exp` per cycle, a scan of `tags` per issue.
+    /// Uniform pattern only.
+    struct ScanningGen {
+        rate: f64,
+        l1_words: u32,
+        rng: StdRng,
+        queue: VecDeque<u32>,
+        tags: Vec<bool>,
+    }
+
+    impl ScanningGen {
+        fn step(&mut self, request_ready: bool) -> Option<(u8, u32)> {
+            let l = (-self.rate).exp();
+            let (mut p, mut arrivals) = (self.rng.gen::<f64>(), 0);
+            while p > l {
+                p *= self.rng.gen::<f64>();
+                arrivals += 1;
+            }
+            for _ in 0..arrivals {
+                self.queue
+                    .push_back(self.rng.gen_range(0..self.l1_words) * 4);
+            }
+            if !request_ready || self.queue.is_empty() {
+                return None;
+            }
+            let tag = self.tags.iter().position(|&busy| !busy)?;
+            self.tags[tag] = true;
+            Some((tag as u8, self.queue.pop_front().expect("nonempty")))
+        }
+    }
+
+    #[test]
+    fn issues_match_a_reference_that_scans_the_tags() {
+        use mempool::CoreState;
+        // 64 tags fill one mask word exactly, 200 need four; the load is
+        // past what the harness drains, so the tags run out and free up in
+        // no particular order.
+        for (outstanding, seed) in [(64usize, 11u64), (200, 12), (1, 13)] {
+            let mut gen = TrafficGen::new(0.9, Pattern::Uniform, space(), outstanding, seed);
+            let mut reference = ScanningGen {
+                rate: 0.9,
+                l1_words: space().l1_bytes / 4,
+                rng: StdRng::seed_from_u64(seed),
+                queue: VecDeque::new(),
+                tags: vec![false; outstanding],
+            };
+            let mut harness = StdRng::seed_from_u64(seed ^ 0xbac4);
+            let mut in_flight: Vec<u8> = Vec::new();
+            let mut issued = 0;
+            for step in 0..10_000 {
+                // Responses come back late and out of order.
+                while !in_flight.is_empty() && harness.gen_range(0u32..4) == 0 {
+                    let tag = in_flight.swap_remove(harness.gen_range(0..in_flight.len()));
+                    gen.deliver(DataResponse { tag, data: 0 });
+                    reference.tags[tag as usize] = false;
+                }
+                if step == 5_000 {
+                    // A checkpoint restore rebuilds the mask from the tags.
+                    let mut bytes = Vec::new();
+                    gen.encode_state(&mut bytes);
+                    gen = TrafficGen::new(0.9, Pattern::Uniform, space(), outstanding, 0);
+                    gen.decode_state(&mut mempool::ByteReader::new(&bytes))
+                        .expect("own snapshot decodes");
+                }
+                let ready = harness.gen_range(0u32..3) != 0;
+                let got = gen.step(&mut |_| Fetch::Stall, ready);
+                let got = got.map(|req| (req.tag, req.addr));
+                assert_eq!(
+                    got,
+                    reference.step(ready),
+                    "{outstanding} tags, step {step}"
+                );
+                if let Some((tag, _)) = got {
+                    in_flight.push(tag);
+                    issued += 1;
+                }
+            }
+            assert!(issued > 1_000, "{outstanding} tags: only {issued} issues");
+            assert!(
+                gen.queue_len() > 0,
+                "{outstanding} tags: never back-pressured"
+            );
+        }
     }
 
     #[test]

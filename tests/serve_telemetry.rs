@@ -207,6 +207,25 @@ fn watch_streams_gapless_schema_valid_records_and_matches_unwatched_result() {
     assert_eq!(late, vec![final_raw.clone()], "late watch replays the final record");
     assert_eq!(late_done.get("result"), Some(&ref_result));
 
+    // So does one on the job nobody watched: its terminal record was
+    // never rendered while it ran, yet carries the number it was given
+    // then (the watched job's, less the subscription snapshot), and is the
+    // same bytes every time it is asked for.
+    let mut unwatched: Vec<(String, Fields)> = Vec::new();
+    for _ in 0..2 {
+        client
+            .watch(reference, &mut |raw, fields| {
+                unwatched.push((raw.to_owned(), fields.clone()));
+            })
+            .expect("late watch of the unwatched job");
+    }
+    assert_eq!(unwatched.len(), 2, "one terminal record per late watch");
+    assert_eq!(unwatched[0].0, unwatched[1].0);
+    assert_envelope(&unwatched[0].1, reference, &unwatched[0].0);
+    assert_eq!(unwatched[0].1.get("result"), Some(&ref_result));
+    let seq_of = |fields: &Fields| fields.get("seq").unwrap().parse::<u64>().unwrap();
+    assert_eq!(seq_of(&unwatched[0].1) + 1, seq_of(final_fields));
+
     // Watching a job that never existed is a typed rejection.
     match client.watch(9999, &mut |_, _| {}) {
         Err(ClientError::Rejected { kind, .. }) => assert_eq!(kind, "unknown-job"),
