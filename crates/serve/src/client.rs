@@ -24,7 +24,7 @@ pub enum ClientError {
     Protocol(String),
     /// The daemon rejected the request; `kind` is the typed class from
     /// the wire (`overloaded`, `quota`, `invalid`, `unknown-job`,
-    /// `draining`).
+    /// `draining`, `result-unavailable`).
     Rejected {
         /// Machine-readable rejection class.
         kind: String,

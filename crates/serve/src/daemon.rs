@@ -3,11 +3,17 @@
 //! and daemon failures.
 //!
 //! One thread owns all state (scheduler, journal, worker fleet); everything
-//! else — connection readers, connection writers, worker stdout pumps — is
-//! a thin thread that forwards lines over a channel. The supervisor loop
-//! alternates between draining that channel, accepting connections from the
-//! nonblocking listener, ticking the fleet (deadline kills, reaping), and
-//! dispatching queued jobs into free worker slots.
+//! else — the acceptor, connection readers, connection writers, worker
+//! stdout pumps — is a thin thread that forwards what it reads over a
+//! channel. The supervisor loop alternates between draining that channel
+//! (new connections, request lines, worker lines), ticking the fleet
+//! (deadline kills, reaping), and dispatching queued jobs into free worker
+//! slots.
+//!
+//! A finished job's result is not kept here: the [`Journal`] holds it, and
+//! remembers where. Subscribers present when the job ends are served from
+//! the string the worker handed over; `status`, and a `wait` or `watch`
+//! that arrives later, read it back from the journal file.
 //!
 //! The worker processes themselves belong to the shared
 //! [`Fleet`](mempool_traffic::Fleet): it spawns them, classifies how each
@@ -37,6 +43,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Daemon configuration.
@@ -93,6 +100,8 @@ pub struct DaemonSummary {
 }
 
 enum Msg {
+    /// A connection the acceptor thread took off the listener.
+    Connection(UnixStream),
     Request { reply: Sender<String>, line: String },
     /// One line of a worker's stdout; `None` marks its end.
     Worker { job: u64, line: Option<String> },
@@ -117,7 +126,8 @@ struct Job {
     stream_seq: u64,
     /// Sequence number of the terminal `final: true` record, once it has
     /// been emitted; `watch` renders that record again for every late
-    /// subscriber from this, the attempt, the status and the payload.
+    /// subscriber from this, the attempt, the status and the journaled
+    /// payload.
     final_seq: Option<u64>,
     /// When this daemon process first saw the job (timeline origin).
     submitted_at: Instant,
@@ -173,50 +183,34 @@ struct Daemon {
 /// Startup I/O only (state dir, journal, socket). Runtime worker and
 /// connection failures are handled, not raised.
 pub fn run_daemon(config: DaemonConfig, shutdown: &AtomicBool) -> io::Result<DaemonSummary> {
-    std::fs::create_dir_all(&config.state_dir)?;
-    let journal_path = config.state_dir.join("jobs.journal");
-    let mut replay = journal::replay(&journal_path)?;
-    for warning in &replay.warnings {
-        eprintln!("mempool-serve: {warning}");
-    }
-    // A `running` job's worker did not survive the restart; it re-queues
-    // and resumes from its last checkpoint like any retried attempt.
-    for job in &mut replay.jobs {
-        if job.status == JobStatus::Running {
-            job.status = JobStatus::Queued;
-        }
-    }
-    let journal = Journal::rewrite(&journal_path, &replay.jobs)?;
-
-    let _ = std::fs::remove_file(&config.socket);
-    let listener = UnixListener::bind(&config.socket)?;
-    listener.set_nonblocking(true)?;
-
     let (events_tx, events_rx): (Sender<Msg>, Receiver<Msg>) = mpsc::channel();
-    let mut daemon = Daemon {
-        scheduler: Scheduler::new(config.scheduler.clone()),
-        fleet: Fleet::new(config.retry.clone(), events_tx.clone()),
-        config,
-        journal,
-        jobs: BTreeMap::new(),
-        next_id: replay.next_id,
-        journal_skipped: replay.skipped,
-        draining: false,
-        events_tx,
-        metrics: ServeMetrics::new(),
-        tailers: Vec::new(),
+    let mut daemon = Daemon::open(config, events_tx.clone())?;
+
+    let socket = daemon.config.socket.clone();
+    let _ = std::fs::remove_file(&socket);
+    let listener = UnixListener::bind(&socket)?;
+    // Accepting blocks in a thread of its own, so a connection wakes the
+    // supervisor the moment it arrives rather than at its next tick.
+    let closing = Arc::new(AtomicBool::new(false));
+    let acceptor = {
+        let closing = Arc::clone(&closing);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                if closing.load(Ordering::Relaxed) {
+                    break;
+                }
+                match stream {
+                    Ok(stream) => {
+                        if events_tx.send(Msg::Connection(stream)).is_err() {
+                            break;
+                        }
+                    }
+                    // Out of descriptors, most likely: let some close.
+                    Err(_) => std::thread::sleep(Duration::from_millis(20)),
+                }
+            }
+        })
     };
-    daemon.metrics.journal_replay_skipped(replay.skipped as u64);
-    for rec in replay.jobs {
-        if !rec.status.is_terminal() {
-            daemon.scheduler.admit_replayed(rec.id, &rec.tenant, rec.priority);
-            daemon.metrics.job_replayed();
-        }
-        let mut job = Job::new(rec);
-        job.timeline
-            .push(0, "replayed", &job.rec.status.to_string());
-        daemon.jobs.insert(job.rec.id, job);
-    }
 
     loop {
         match events_rx.recv_timeout(daemon.fleet.poll_interval()) {
@@ -229,13 +223,6 @@ pub fn run_daemon(config: DaemonConfig, shutdown: &AtomicBool) -> io::Result<Dae
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => daemon.attach(stream),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
         if shutdown.load(Ordering::Relaxed) && !daemon.draining {
             daemon.enter_drain();
         }
@@ -246,12 +233,17 @@ pub fn run_daemon(config: DaemonConfig, shutdown: &AtomicBool) -> io::Result<Dae
         }
     }
 
-    drop(listener);
+    // The acceptor sits in `accept`; a connection of our own gets it out, and
+    // it takes the listener with it. No thread of this daemon outlives it.
+    closing.store(true, Ordering::Relaxed);
+    if UnixStream::connect(&socket).is_ok() {
+        let _ = acceptor.join();
+    }
     // Replies queued in the final iteration (the `shutdown` acknowledgment
     // in particular) sit in detached writer threads; give them a beat to
     // flush before process exit tears them down.
     std::thread::sleep(Duration::from_millis(100));
-    let _ = std::fs::remove_file(&daemon.config.socket);
+    let _ = std::fs::remove_file(&socket);
     let mut summary = DaemonSummary {
         journal_skipped: daemon.journal_skipped,
         ..DaemonSummary::default()
@@ -268,7 +260,71 @@ pub fn run_daemon(config: DaemonConfig, shutdown: &AtomicBool) -> io::Result<Dae
     Ok(summary)
 }
 
+/// The two fields every report of a finished job carries — `wait`'s `done`
+/// event and the terminal stream record, live or read back — so that all of
+/// them are the same bytes.
+fn done_fields(status: JobStatus, payload: &str) -> [(&'static str, String); 2] {
+    [
+        ("status", json_str(&status.to_string())),
+        ("result", json_str(payload)),
+    ]
+}
+
+/// The answer to a late reader when the journal cannot produce the result.
+fn result_unavailable(id: u64, status: JobStatus, why: &io::Error) -> String {
+    resp_err(
+        "result-unavailable",
+        &format!("job {id} is {status}, but its result cannot be read back: {why}"),
+    )
+}
+
 impl Daemon {
+    /// Replays and rewrites the journal in `config.state_dir` and rebuilds
+    /// the job table from it. Replayed results stay behind in the journal.
+    fn open(config: DaemonConfig, events_tx: Sender<Msg>) -> io::Result<Daemon> {
+        std::fs::create_dir_all(&config.state_dir)?;
+        let journal_path = config.state_dir.join("jobs.journal");
+        let mut replay = journal::replay(&journal_path)?;
+        for warning in &replay.warnings {
+            eprintln!("mempool-serve: {warning}");
+        }
+        // A `running` job's worker did not survive the restart; it re-queues
+        // and resumes from its last checkpoint like any retried attempt.
+        for job in &mut replay.jobs {
+            if job.status == JobStatus::Running {
+                job.status = JobStatus::Queued;
+            }
+        }
+        let journal = Journal::rewrite(&journal_path, &replay.jobs)?;
+        let mut daemon = Daemon {
+            scheduler: Scheduler::new(config.scheduler.clone()),
+            fleet: Fleet::new(config.retry.clone(), events_tx.clone()),
+            config,
+            journal,
+            jobs: BTreeMap::new(),
+            next_id: replay.next_id,
+            journal_skipped: replay.skipped,
+            draining: false,
+            events_tx,
+            metrics: ServeMetrics::new(),
+            tailers: Vec::new(),
+        };
+        daemon.metrics.journal_replay_skipped(replay.skipped as u64);
+        for mut rec in replay.jobs {
+            if !rec.status.is_terminal() {
+                daemon.scheduler.admit_replayed(rec.id, &rec.tenant, rec.priority);
+                daemon.metrics.job_replayed();
+            }
+            // The rewrite has indexed it.
+            rec.payload = None;
+            let mut job = Job::new(rec);
+            job.timeline
+                .push(0, "replayed", &job.rec.status.to_string());
+            daemon.jobs.insert(job.rec.id, job);
+        }
+        Ok(daemon)
+    }
+
     fn ckpt_path(&self, id: u64) -> PathBuf {
         self.config.state_dir.join(format!("job-{id}.ckpt"))
     }
@@ -279,7 +335,6 @@ impl Daemon {
     /// long as any reply sender (including `wait` watcher registrations)
     /// exists.
     fn attach(&mut self, stream: UnixStream) {
-        let _ = stream.set_nonblocking(false);
         let Ok(write_half) = stream.try_clone() else {
             return;
         };
@@ -315,6 +370,7 @@ impl Daemon {
 
     fn handle(&mut self, msg: Msg) {
         match msg {
+            Msg::Connection(stream) => self.attach(stream),
             Msg::Request { reply, line } => self.handle_request(&reply, &line),
             Msg::Worker { job, line } => self.handle_worker_line(job, line),
         }
@@ -434,10 +490,13 @@ impl Daemon {
             fields.push(("heartbeat_age_ms", at.elapsed().as_millis().to_string()));
             fields.push(("cycle", cycle.to_string()));
         }
-        if let (true, Some(payload)) = (job.rec.status.is_terminal(), &job.rec.payload) {
-            // Nested documents travel as escaped string fields (the wire
-            // dialect is flat); clients re-parse the string.
-            fields.push(("result", json_str(payload)));
+        if job.rec.status.is_terminal() {
+            match self.journal.result(id) {
+                // Nested documents travel as escaped string fields (the
+                // wire dialect is flat); clients re-parse the string.
+                Ok(payload) => fields.push(("result", json_str(&payload))),
+                Err(e) => return result_unavailable(id, job.rec.status, &e),
+            }
         }
         resp_ok(&fields)
     }
@@ -493,15 +552,11 @@ impl Daemon {
             return;
         };
         if job.rec.status.is_terminal() {
-            let payload = job.rec.payload.clone().unwrap_or_else(|| "{}".to_owned());
-            let _ = reply.send(event(
-                "done",
-                id,
-                &[
-                    ("status", json_str(&job.rec.status.to_string())),
-                    ("result", json_str(&payload)),
-                ],
-            ));
+            let status = job.rec.status;
+            let _ = reply.send(match self.journal.result(id) {
+                Ok(payload) => event("done", id, &done_fields(status, &payload)),
+                Err(e) => result_unavailable(id, status, &e),
+            });
             return;
         }
         let _ = reply.send(event(
@@ -560,20 +615,15 @@ impl Daemon {
             // byte for byte what live ones were sent; a job that finished
             // in a previous daemon process never emitted one, and takes the
             // next sequence number of its (restarted) stream.
-            let _ = reply.send(stream_record(
-                id,
-                job.final_seq.unwrap_or(job.stream_seq),
-                job.attempt,
-                "done",
-                true,
-                &[
-                    ("status", json_str(&job.rec.status.to_string())),
-                    (
-                        "result",
-                        json_str(job.rec.payload.as_deref().unwrap_or("{}")),
-                    ),
-                ],
-            ));
+            let seq = job.final_seq.unwrap_or(job.stream_seq);
+            let status = job.rec.status;
+            let _ = reply.send(match self.journal.result(id) {
+                Ok(payload) => {
+                    let fields = done_fields(status, &payload);
+                    stream_record(id, seq, job.attempt, "done", true, &fields)
+                }
+                Err(e) => result_unavailable(id, status, &e),
+            });
             return;
         }
         job.streamers.push(reply.clone());
@@ -795,38 +845,35 @@ impl Daemon {
 
     /// Moves a job to a terminal state: journal, quota release, watcher
     /// notification, checkpoint cleanup (kept on failure for postmortems).
+    /// `payload` goes to the journal and to whoever is subscribed right now;
+    /// no copy of it stays here.
     fn finish(&mut self, id: u64, status: JobStatus, payload: &str) {
         self.scheduler.release(id);
         self.fleet.forget(id);
         if let Err(e) = self.journal.record_done(id, status, payload) {
             eprintln!("mempool-serve: journal write failed for job {id}: {e}");
         }
+        // The `wait` line and the terminal stream record carry the same two
+        // fields — the `final: true` byte-identity contract — so the
+        // document is escaped once for both, and not at all for nobody.
+        let mut fields = None;
         if let Some(job) = self.jobs.get_mut(&id) {
             job.rec.status = status;
-            job.rec.payload = Some(payload.to_owned());
             let latency = job.submitted_at.elapsed().as_secs();
             self.metrics.job_terminal(status, latency);
-            let line = event(
-                "done",
-                id,
-                &[
-                    ("status", json_str(&status.to_string())),
-                    ("result", json_str(payload)),
-                ],
-            );
-            job.watchers.retain(|w| w.send(line.clone()).is_ok());
-            job.watchers.clear();
+            if !job.watchers.is_empty() {
+                let fields = fields.insert(done_fields(status, payload));
+                let line = event("done", id, fields);
+                job.watchers.retain(|w| w.send(line.clone()).is_ok());
+                job.watchers.clear();
+            }
         }
-        // The terminal stream record's `result` is the same payload bytes
-        // `wait` and `status` report — the `final: true` byte-identity
-        // contract.
-        let word = status.to_string();
         self.stream(
             id,
             "done",
             true,
-            || [("status", json_str(&word)), ("result", json_str(payload))],
-            &word,
+            || fields.unwrap_or_else(|| done_fields(status, payload)),
+            &status.to_string(),
         );
         if status != JobStatus::Failed {
             let ckpt = self.ckpt_path(id);
@@ -1136,6 +1183,88 @@ mod tests {
         harness.flag.store(true, Ordering::Relaxed);
         let summary = harness.thread.join().expect("join").expect("daemon");
         assert_eq!(summary.failed, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Everything a reply channel has been sent so far.
+    fn lines(rx: &Receiver<String>) -> Vec<String> {
+        rx.try_iter().collect()
+    }
+
+    /// The journal is the only copy of a finished job's result — unless the
+    /// journal could not take it, in which case the result is served from
+    /// memory as before; and if the file loses it afterwards, late readers
+    /// get a typed error, not a made-up document. Driven without a socket:
+    /// requests are method calls, a reply channel stands in for a connection.
+    #[test]
+    fn late_readers_survive_a_failing_journal_and_name_a_lost_result() {
+        let dir = scratch("degraded");
+        let state = dir.join("state");
+        let (events_tx, _events_rx) = mpsc::channel();
+        let config = DaemonConfig {
+            state_dir: state.clone(),
+            worker_slots: 0,
+            ..DaemonConfig::default()
+        };
+        let mut daemon = Daemon::open(config, events_tx).expect("open");
+        for _ in 0..2 {
+            daemon.submit("team".to_owned(), 0, None, run_spec());
+        }
+        let journal_path = state.join("jobs.journal");
+        let payload = "{\"outcome\":\"completed\",\"note\":\"a \\\"quoted\\\" µ\"}";
+
+        // Job 0 finishes while appends fail, in front of one `wait` and one
+        // `watch` subscriber.
+        let read_only = std::fs::File::open(&journal_path).expect("journal exists");
+        let healthy = daemon.journal.swap_file(read_only);
+        let (wait_tx, wait_rx) = mpsc::channel();
+        let (watch_tx, watch_rx) = mpsc::channel();
+        daemon.wait(&wait_tx, 0);
+        daemon.watch(&watch_tx, 0);
+        daemon.finish(0, JobStatus::Completed, payload);
+        let live_wait = lines(&wait_rx).pop().expect("done event");
+        let live_watch = lines(&watch_rx).pop().expect("final record");
+        assert!(live_wait.contains(&json_str(payload)), "{live_wait}");
+        assert!(live_watch.ends_with(",\"final\":true}"), "{live_watch}");
+        let journaled = std::fs::read_to_string(&journal_path).expect("journal reads");
+        assert!(!journaled.contains("done 0"), "the append did fail: {journaled}");
+
+        let (late_tx, late_rx) = mpsc::channel();
+        daemon.wait(&late_tx, 0);
+        assert_eq!(lines(&late_rx), std::slice::from_ref(&live_wait));
+        daemon.watch(&late_tx, 0);
+        assert_eq!(lines(&late_rx), std::slice::from_ref(&live_watch));
+        let status = daemon.status_line(0);
+        assert!(status.starts_with("{\"ok\":true,"), "{status}");
+        assert!(status.ends_with(&format!(",\"result\":{}}}", json_str(payload))), "{status}");
+
+        // Job 1 finishes on a healthy journal, unobserved; then the file is
+        // cut short under the daemon.
+        daemon.journal.swap_file(healthy);
+        daemon.finish(1, JobStatus::Completed, payload);
+        daemon.wait(&late_tx, 1);
+        let twin_wait = lines(&late_rx).pop().expect("late done event");
+        assert_eq!(twin_wait, live_wait.replace("\"job\":0", "\"job\":1"));
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&journal_path)
+            .expect("journal opens");
+        file.set_len(file.metadata().expect("metadata").len() - 10)
+            .expect("truncate");
+        daemon.wait(&late_tx, 1);
+        daemon.watch(&late_tx, 1);
+        let mut answers = lines(&late_rx);
+        answers.push(daemon.status_line(1));
+        assert_eq!(answers.len(), 3);
+        for answer in answers {
+            let fields = mempool_traffic::parse_flat_json(&answer).expect("answer parses");
+            assert_eq!(fields["ok"], "false", "{answer}");
+            assert_eq!(fields["error"], "result-unavailable", "{answer}");
+            assert!(fields["detail"].contains("job 1 is completed"), "{answer}");
+        }
+        // Job 0's result never depended on the file.
+        daemon.wait(&late_tx, 0);
+        assert_eq!(lines(&late_rx), [live_wait]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

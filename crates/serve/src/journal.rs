@@ -10,20 +10,29 @@
 //! done <id> <completed|failed|cancelled> {payload}
 //! ```
 //!
-//! Each line is flushed and synced as it is appended, so the journal is
-//! `SIGKILL`-safe: the worst a crash can leave behind is one truncated
-//! final line. Replay applies the same recovery contract the campaign
+//! Each line is written with one `write(2)` and synced as it is appended,
+//! so the journal is `SIGKILL`-safe: the worst a crash can leave behind is
+//! one truncated final line. Replay applies the same recovery contract the campaign
 //! manifest established — a corrupt or truncated line is *skipped with a
 //! warning and counted*, never a startup abort — and the count is
 //! surfaced in the daemon's health report. On restart the daemon rewrites
 //! the journal from the replayed state (atomic temp + rename), so
 //! corruption is also self-healing: it costs at worst the lines that were
 //! unreadable, not the file.
+//!
+//! The journal is also where a finished job's result *lives*: the daemon
+//! keeps no payload in memory. [`Journal`] remembers where each `done` line
+//! it wrote sits in the file, and [`Journal::result`] reads the payload back
+//! from there — checked, because the file can be damaged or replaced under a
+//! running daemon, and answered with a typed error rather than with bytes
+//! that are not that job's result.
 
 use crate::protocol::{JobSpec, JobStatus};
 use mempool_traffic::{json_escape, parse_flat_json};
 use std::collections::BTreeMap;
-use std::io::{self, Write};
+use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 /// First line of every journal file.
@@ -63,42 +72,41 @@ pub struct JournalReplay {
 }
 
 /// Replays the journal at `path`. A missing file is an empty journal; a
-/// damaged one yields every parsable line (see the module docs).
+/// damaged one yields every parsable line (see the module docs). The file is
+/// read line by line, so the only whole-journal-sized thing replay builds is
+/// its result.
 ///
 /// # Errors
 ///
-/// Only I/O errors reading an *existing* file — malformed content is
-/// recovered from, not raised.
+/// Only I/O errors reading an *existing* file — malformed content
+/// (non-UTF-8 bytes included) is recovered from, not raised.
 pub fn replay(path: &Path) -> io::Result<JournalReplay> {
     let mut replay = JournalReplay::default();
-    let content = match std::fs::read_to_string(path) {
-        Ok(c) => c,
+    let file = match File::open(path) {
+        Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(replay),
         Err(e) => return Err(e),
     };
     let mut jobs: BTreeMap<u64, ReplayedJob> = BTreeMap::new();
-    let mut lines = content.lines();
-    match lines.next() {
-        Some(JOURNAL_HEADER) => {}
-        Some(other) => {
-            replay.skipped += 1;
-            replay
-                .warnings
-                .push(format!("unrecognized journal header `{other}`; parsing anyway"));
-        }
-        None => return Ok(replay),
-    }
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_line(line, &mut jobs) {
-            Ok(()) => {}
-            Err(why) => {
-                replay.skipped += 1;
-                replay.warnings.push(format!("skipping journal line: {why}"));
+    for (n, line) in BufReader::new(file).lines().enumerate() {
+        let skipped = match line {
+            Ok(line) if n == 0 && line == JOURNAL_HEADER => continue,
+            Ok(line) if n == 0 => {
+                format!("unrecognized journal header `{line}`; parsing anyway")
             }
-        }
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => match parse_line(&line, &mut jobs) {
+                Ok(()) => continue,
+                Err(why) => format!("skipping journal line: {why}"),
+            },
+            // `lines` has consumed the offending line; the next one parses.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                format!("skipping journal line {}: not UTF-8", n + 1)
+            }
+            Err(e) => return Err(e),
+        };
+        replay.skipped += 1;
+        replay.warnings.push(skipped);
     }
     replay.next_id = jobs.keys().next_back().map_or(0, |id| id + 1);
     replay.jobs = jobs.into_values().collect();
@@ -179,10 +187,11 @@ fn parse_line(line: &str, jobs: &mut BTreeMap<u64, ReplayedJob>) -> Result<(), S
     }
 }
 
-/// Renders a `job` line's JSON body (shared by the live journal and the
-/// restart rewrite).
-fn job_line(job: &ReplayedJob) -> String {
-    format!(
+/// Appends a `job` line to `out` (shared, like the two renderers below, by
+/// the live journal and the restart rewrite).
+fn push_job_line(out: &mut String, job: &ReplayedJob) {
+    let _ = writeln!(
+        out,
         "job {} {{\"tenant\":\"{}\",\"priority\":{},\"deadline_secs\":{},{}}}",
         job.id,
         json_escape(&job.tenant),
@@ -190,46 +199,122 @@ fn job_line(job: &ReplayedJob) -> String {
         job.deadline_secs
             .map_or_else(|| "null".to_owned(), |d| d.to_string()),
         job.spec.to_json_body(),
+    );
+}
+
+fn push_state_line(out: &mut String, id: u64, status: JobStatus) {
+    let _ = writeln!(out, "state {id} {status}");
+}
+
+fn push_done_line(out: &mut String, id: u64, status: JobStatus, payload: &str) {
+    let _ = writeln!(out, "done {id} {status} {payload}");
+}
+
+/// Where one `done` line (newline included) sits in the journal file.
+#[derive(Debug, Clone, Copy)]
+struct Extent {
+    at: u64,
+    len: u64,
+}
+
+fn invalid(id: u64, why: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("the journal's record of job {id}'s result {why}"),
     )
 }
 
-/// The append side of the journal.
+#[cfg(unix)]
+fn read_at(file: &File, buf: &mut [u8], at: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, at)
+}
+
+#[cfg(not(unix))]
+fn read_at(mut file: &File, buf: &mut [u8], at: u64) -> io::Result<()> {
+    use std::io::{Read, Seek};
+    file.seek(io::SeekFrom::Start(at))?;
+    file.read_exact(buf)
+}
+
+/// The append side of the journal, and the store every finished job's
+/// result is read back from: the daemon keeps no copy of a payload, only —
+/// in here — where its `done` line starts and how long it is.
 #[derive(Debug)]
 pub struct Journal {
-    file: std::fs::File,
+    file: File,
+    /// A second, read-only handle on the same file for [`Journal::result`].
+    reader: File,
+    /// Bytes in the file: the rewrite's, plus every append's since.
+    len: u64,
     appends: u64,
+    results: BTreeMap<u64, Extent>,
+    /// Results whose `done` line could not be written (a full disk): the
+    /// only payloads held in memory, so a failing journal costs what every
+    /// result used to cost instead of losing one.
+    unwritten: BTreeMap<u64, String>,
+    /// The line being appended; rendered whole so that it reaches the file
+    /// in one `write(2)` and its extent is exact.
+    line: String,
 }
 
 impl Journal {
     /// Atomically rewrites the journal from `jobs` (dropping any
     /// corruption replay skipped) and opens it for appending. Pass the
     /// replayed jobs on restart, or an empty slice for a fresh daemon.
+    /// Every terminal job's payload is indexed where the rewrite put it, so
+    /// the caller can drop its copy.
     ///
     /// # Errors
     ///
     /// I/O errors writing or renaming the file.
     pub fn rewrite(path: &Path, jobs: &[ReplayedJob]) -> io::Result<Journal> {
-        let mut content = format!("{JOURNAL_HEADER}\n");
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = std::path::PathBuf::from(tmp);
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        writeln!(out, "{JOURNAL_HEADER}")?;
+        let mut len = JOURNAL_HEADER.len() as u64 + 1;
+        let mut results = BTreeMap::new();
+        let mut line = String::new();
         for job in jobs {
-            content.push_str(&job_line(job));
-            content.push('\n');
+            push_job_line(&mut line, job);
             // `running` is deliberately not persisted: the worker does not
             // survive a restart, so a running job replays as queued and is
             // re-dispatched from its last checkpoint.
             if job.status == JobStatus::Parked {
-                content.push_str(&format!("state {} {}\n", job.id, job.status));
+                push_state_line(&mut line, job.id, job.status);
             }
             if let (true, Some(payload)) = (job.status.is_terminal(), &job.payload) {
-                content.push_str(&format!("done {} {} {payload}\n", job.id, job.status));
+                let before = line.len() as u64;
+                push_done_line(&mut line, job.id, job.status, payload);
+                let extent = Extent {
+                    at: len + before,
+                    len: line.len() as u64 - before,
+                };
+                results.insert(job.id, extent);
             }
+            out.write_all(line.as_bytes())?;
+            len += line.len() as u64;
+            line.clear();
         }
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, &content)?;
+        out.into_inner().map_err(io::IntoInnerError::into_error)?;
         std::fs::rename(&tmp, path)?;
-        let file = std::fs::OpenOptions::new().append(true).open(path)?;
-        Ok(Journal { file, appends: 0 })
+        Ok(Journal {
+            file: std::fs::OpenOptions::new().append(true).open(path)?,
+            reader: File::open(path)?,
+            len,
+            appends: 0,
+            results,
+            unwritten: BTreeMap::new(),
+            line,
+        })
+    }
+
+    /// Test hook: swaps the append handle, e.g. for one that cannot write —
+    /// which is how a full disk looks from here.
+    #[cfg(test)]
+    pub(crate) fn swap_file(&mut self, file: File) -> File {
+        std::mem::replace(&mut self.file, file)
     }
 
     /// Lines appended (and fsynced) by this daemon process since the
@@ -239,15 +324,33 @@ impl Journal {
         self.appends
     }
 
+    /// Writes `self.line` with one `write(2)` and syncs it; returns where
+    /// the line starts.
+    fn append(&mut self) -> io::Result<u64> {
+        let at = self.len;
+        if let Err(e) = self.file.write_all(self.line.as_bytes()) {
+            // A short write would leave half a line for the next append to
+            // run into: cut it off, or at least learn where the file ends.
+            if self.file.set_len(at).is_err() {
+                self.len = self.file.metadata().map_or(at, |m| m.len());
+            }
+            return Err(e);
+        }
+        self.len += self.line.len() as u64;
+        self.appends += 1;
+        self.file.sync_all()?;
+        Ok(at)
+    }
+
     /// Appends the admission record of a new job.
     ///
     /// # Errors
     ///
     /// The underlying write or sync failure.
     pub fn record_job(&mut self, job: &ReplayedJob) -> io::Result<()> {
-        writeln!(self.file, "{}", job_line(job))?;
-        self.appends += 1;
-        self.file.sync_all()
+        self.line.clear();
+        push_job_line(&mut self.line, job);
+        self.append().map(drop)
     }
 
     /// Appends a non-terminal state transition.
@@ -257,21 +360,74 @@ impl Journal {
     /// The underlying write or sync failure.
     pub fn record_state(&mut self, id: u64, status: JobStatus) -> io::Result<()> {
         debug_assert!(!status.is_terminal());
-        writeln!(self.file, "state {id} {status}")?;
-        self.appends += 1;
-        self.file.sync_all()
+        self.line.clear();
+        push_state_line(&mut self.line, id, status);
+        self.append().map(drop)
     }
 
-    /// Appends a terminal record with its payload (one flat JSON object).
+    /// Appends a terminal record with its payload (one flat JSON object)
+    /// and remembers where, for [`Journal::result`].
     ///
     /// # Errors
     ///
-    /// The underlying write or sync failure.
+    /// The underlying write or sync failure; the payload is then kept in
+    /// memory, and [`Journal::result`] still answers with it.
     pub fn record_done(&mut self, id: u64, status: JobStatus, payload: &str) -> io::Result<()> {
         debug_assert!(status.is_terminal());
-        writeln!(self.file, "done {id} {status} {payload}")?;
-        self.appends += 1;
-        self.file.sync_all()
+        self.line.clear();
+        push_done_line(&mut self.line, id, status, payload);
+        let len = self.line.len() as u64;
+        match self.append() {
+            Ok(at) => {
+                self.results.insert(id, Extent { at, len });
+                self.unwritten.remove(&id);
+                Ok(())
+            }
+            Err(e) => {
+                self.results.remove(&id);
+                self.unwritten.insert(id, payload.to_owned());
+                Err(e)
+            }
+        }
+    }
+
+    /// Reads back the payload of `id`'s `done` line: the bytes
+    /// [`Journal::record_done`] was handed, or [`Journal::rewrite`] found in
+    /// [`ReplayedJob::payload`].
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::NotFound`] if no result was recorded for `id`;
+    /// the read's own error ([`io::ErrorKind::UnexpectedEof`] for a file
+    /// truncated under the daemon); [`io::ErrorKind::InvalidData`] if what
+    /// sits at the remembered place is no longer one whole UTF-8
+    /// `done <id> <outcome> <payload>` line.
+    pub fn result(&self, id: u64) -> io::Result<String> {
+        if let Some(payload) = self.unwritten.get(&id) {
+            return Ok(payload.clone());
+        }
+        let extent = self.results.get(&id).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("no result was journaled for job {id}"),
+            )
+        })?;
+        let mut line = vec![0; extent.len as usize];
+        read_at(&self.reader, &mut line, extent.at)?;
+        let mut line = String::from_utf8(line).map_err(|_| invalid(id, "is not UTF-8"))?;
+        if line.pop() != Some('\n') || line.contains('\n') {
+            return Err(invalid(id, "is not one line"));
+        }
+        // The prefix is what ties the bytes to this job rather than to
+        // whatever else a foreign writer may have put at this offset.
+        let payload_at = line
+            .strip_prefix(&format!("done {id} "))
+            .and_then(|rest| rest.split_once(' '))
+            .filter(|(outcome, _)| JobStatus::parse(outcome).is_some_and(JobStatus::is_terminal))
+            .map(|(_, payload)| line.len() - payload.len())
+            .ok_or_else(|| invalid(id, "does not start with `done <id> <outcome> `"))?;
+        line.drain(..payload_at);
+        Ok(line)
     }
 }
 
@@ -396,6 +552,220 @@ mod tests {
         // after a restart), so it replays as queued; parked is explicit.
         assert_eq!(replay.jobs[0].status, JobStatus::Queued);
         assert_eq!(replay.jobs[1].status, JobStatus::Parked);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    /// A payload shaped like a metered job's: ≈ 100 KB, quotes and
+    /// backslashes included.
+    fn big_payload() -> String {
+        let mut doc = String::from("{\"outcome\":\"completed\",\"metrics\":\"");
+        while doc.len() < 100_000 {
+            doc.push_str("{\\\"tile\\\":3,\\\"stall\\\":[1,2,3],\\\"µs\\\":0.5}");
+        }
+        doc.push_str("\"}");
+        doc
+    }
+
+    /// Three finished jobs among unfinished ones, with every payload shape
+    /// the daemon produces; returns what each was finished with.
+    fn record_mixed_lifecycles(journal: &mut Journal) -> Vec<(u64, JobStatus, String)> {
+        let done = vec![
+            (0, JobStatus::Completed, big_payload()),
+            (2, JobStatus::Cancelled, "{}".to_owned()),
+            (3, JobStatus::Failed, "{\"error\":\"exit \\\"1\\\"\",\"attempts\":2}".to_owned()),
+        ];
+        for (id, tenant) in [(0, "a"), (1, "größe-€"), (2, "c"), (3, "d")] {
+            journal.record_job(&job(id, tenant)).unwrap();
+        }
+        journal.record_state(0, JobStatus::Running).unwrap();
+        journal.record_done(0, done[0].1, &done[0].2).unwrap();
+        journal.record_state(1, JobStatus::Running).unwrap();
+        journal.record_done(2, done[1].1, &done[1].2).unwrap();
+        journal.record_state(1, JobStatus::Parked).unwrap();
+        journal.record_done(3, done[2].1, &done[2].2).unwrap();
+        journal.record_job(&job(4, "e")).unwrap();
+        done
+    }
+
+    #[test]
+    fn results_read_back_as_recorded_live_and_after_a_rewrite() {
+        let path = scratch("readback");
+        let mut journal = Journal::rewrite(&path, &[]).expect("create");
+        let done = record_mixed_lifecycles(&mut journal);
+        for (id, _, payload) in &done {
+            assert_eq!(&journal.result(*id).expect("live read-back"), payload, "job {id}");
+        }
+        for id in [1, 4, 99] {
+            let err = journal.result(id).expect_err("no result yet");
+            assert_eq!(err.kind(), io::ErrorKind::NotFound, "job {id}: {err}");
+        }
+        assert_eq!(journal.len, std::fs::metadata(&path).unwrap().len());
+
+        // A restart: the rewrite indexes the payloads where it puts them —
+        // not where they were — and appends continue from its end.
+        let replayed = replay(&path).expect("replay");
+        assert_eq!(replayed.skipped, 0, "{:?}", replayed.warnings);
+        let mut journal = Journal::rewrite(&path, &replayed.jobs).expect("rewrite");
+        assert_eq!(journal.len, std::fs::metadata(&path).unwrap().len());
+        journal.record_done(4, JobStatus::Completed, "{\"late\":true}").unwrap();
+        for (id, _, payload) in &done {
+            assert_eq!(&journal.result(*id).expect("read-back after rewrite"), payload);
+        }
+        assert_eq!(journal.result(4).unwrap(), "{\"late\":true}");
+        assert_eq!(journal.result(1).unwrap_err().kind(), io::ErrorKind::NotFound);
+        // The file is what replay says it is: same jobs, same payloads.
+        let again = replay(&path).expect("second replay");
+        assert_eq!(again.skipped, 0, "{:?}", again.warnings);
+        assert_eq!(again.jobs[..4], replayed.jobs[..4]);
+        assert_eq!(again.jobs[4].payload.as_deref(), Some("{\"late\":true}"));
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn rewrite_of_a_damaged_journal_indexes_the_healed_file() {
+        let path = scratch("healed");
+        let done = {
+            let mut journal = Journal::rewrite(&path, &[]).expect("create");
+            record_mixed_lifecycles(&mut journal)
+        };
+        // Damage in front of, between and behind the results: every offset
+        // of the old file is wrong for the new one.
+        let content = std::fs::read(&path).unwrap();
+        let mut damaged = Vec::new();
+        for (n, line) in content.split_inclusive(|&b| b == b'\n').enumerate() {
+            damaged.extend_from_slice(line);
+            match n {
+                0 => damaged.extend_from_slice(b"garbage in front\n"),
+                5 => damaged.extend_from_slice(b"done 1 completed \xff\xfe not UTF-8\n"),
+                7 => damaged.extend_from_slice(b"state 99 running\n"),
+                _ => {}
+            }
+        }
+        damaged.extend_from_slice(b"done 4 completed {\"trunc");
+        std::fs::write(&path, &damaged).unwrap();
+
+        let replayed = replay(&path).expect("replay survives");
+        assert_eq!(replayed.skipped, 4, "{:?}", replayed.warnings);
+        assert_eq!(replayed.jobs.len(), 5);
+        let journal = Journal::rewrite(&path, &replayed.jobs).expect("rewrite");
+        assert!(std::fs::metadata(&path).unwrap().len() < damaged.len() as u64);
+        for (id, _, payload) in &done {
+            assert_eq!(&journal.result(*id).expect("healed read-back"), payload);
+        }
+        for id in [1, 4] {
+            assert_eq!(journal.result(id).unwrap_err().kind(), io::ErrorKind::NotFound);
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    /// The file is outside the daemon's trust boundary once written: an
+    /// operator's `truncate`, a restored backup, bit rot. Whatever sits at a
+    /// remembered extent, read-back answers with this job's own bytes or a
+    /// typed error.
+    #[test]
+    fn damage_under_a_live_journal_is_a_typed_error_never_foreign_bytes() {
+        use mempool_rng::{Rng, SeedableRng, StdRng};
+        let path = scratch("damage");
+        let mut journal = Journal::rewrite(&path, &[]).expect("create");
+        let done = record_mixed_lifecycles(&mut journal);
+        let pristine = std::fs::read(&path).unwrap();
+        // The same lifecycles under ids shifted by one, so that every `done`
+        // extent of the pristine file holds a neighbour's record.
+        let foreign = String::from_utf8(pristine.clone())
+            .unwrap()
+            .lines()
+            .map(|line| match line.split_once(' ') {
+                Some((tag, rest)) if tag != "mempool-serve-journal" => {
+                    let (id, rest) = rest.split_once(' ').unwrap();
+                    format!("{tag} {} {rest}\n", (id.parse::<u64>().unwrap() + 1) % 5)
+                }
+                _ => format!("{line}\n"),
+            })
+            .collect::<String>()
+            .into_bytes();
+        assert_eq!(foreign.len(), pristine.len());
+
+        let mut rng = StdRng::seed_from_u64(0x6a6f_7572_6e61);
+        let (mut intact, mut typed, mut altered) = (0, 0, 0);
+        for case in 0..600 {
+            let mut bytes = pristine.clone();
+            let at = rng.gen_range(0..bytes.len());
+            match case % 5 {
+                0 => bytes.truncate(at),
+                4 => bytes[at..].copy_from_slice(&foreign[at..]),
+                // Overwrites: newlines, non-UTF-8 bytes, printable ASCII.
+                kind => {
+                    let len = rng.gen_range(1..64usize).min(bytes.len() - at);
+                    for b in &mut bytes[at..at + len] {
+                        *b = match kind {
+                            1 => b'\n',
+                            2 => rng.gen_range(0x80..0x100u32) as u8,
+                            _ => rng.gen_range(0x21..0x7fu32) as u8,
+                        };
+                    }
+                }
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            for (id, _, payload) in &done {
+                let extent = journal.results[id];
+                let line = extent.at as usize..(extent.at + extent.len) as usize;
+                let touched = bytes.get(line.clone()) != Some(&pristine[line.clone()]);
+                match journal.result(*id) {
+                    Ok(read) if !touched => {
+                        assert_eq!(&read, payload, "case {case}, job {id}");
+                        intact += 1;
+                    }
+                    // Printable garbage inside the payload cannot be told
+                    // from a payload; it is still what the file holds at
+                    // this job's place, under this job's name.
+                    Ok(read) => {
+                        assert_eq!(case % 5, 3, "case {case}, job {id}: damage went unseen");
+                        let at = line.end - 1 - payload.len();
+                        assert_eq!(read.as_bytes(), &bytes[at..line.end - 1], "case {case}");
+                        altered += 1;
+                    }
+                    Err(e) => {
+                        assert!(touched, "case {case}, job {id}: {e}");
+                        let kind = e.kind();
+                        assert!(
+                            matches!(kind, io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof),
+                            "case {case}, job {id}: {e}"
+                        );
+                        typed += 1;
+                    }
+                }
+            }
+        }
+        assert!(intact > 300 && typed > 300 && altered > 0, "{intact} {typed} {altered}");
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn a_failed_append_keeps_the_result_and_the_file_whole() {
+        let path = scratch("degraded");
+        let mut journal = Journal::rewrite(&path, &[]).expect("create");
+        journal.record_job(&job(0, "a")).unwrap();
+        journal.record_job(&job(1, "b")).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // A handle that cannot write stands in for a full disk.
+        let healthy = journal.swap_file(File::open(&path).unwrap());
+        journal
+            .record_done(0, JobStatus::Completed, "{\"kept\":\"in memory\"}")
+            .expect_err("the append fails");
+        assert_eq!(journal.result(0).unwrap(), "{\"kept\":\"in memory\"}");
+        assert_eq!(journal.appends(), 2, "a failed append is not counted");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+
+        // The disk recovers: later results go to the file again, at the
+        // right place, and a rerecorded one leaves memory.
+        journal.swap_file(healthy);
+        journal.record_done(1, JobStatus::Failed, "{\"error\":\"x\"}").unwrap();
+        assert_eq!(journal.result(1).unwrap(), "{\"error\":\"x\"}");
+        assert_eq!(journal.result(0).unwrap(), "{\"kept\":\"in memory\"}");
+        journal.record_done(0, JobStatus::Completed, "{\"kept\":\"on disk\"}").unwrap();
+        assert!(journal.unwritten.is_empty());
+        assert_eq!(journal.result(0).unwrap(), "{\"kept\":\"on disk\"}");
+        assert_eq!(journal.len, std::fs::metadata(&path).unwrap().len());
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

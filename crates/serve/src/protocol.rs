@@ -419,20 +419,27 @@ impl Request {
     }
 }
 
+/// Appends `,"key":value` per field; a value may be a 100 KB document, so it
+/// is written in place rather than through a temporary.
+fn push_fields(out: &mut String, extra: &[(&str, String)]) {
+    use fmt::Write;
+    for (k, v) in extra {
+        let _ = write!(out, ",\"{k}\":{v}");
+    }
+}
+
 /// Builds an `{"ok":true,...}` response line from extra fields (values
 /// must already be valid JSON tokens — quote and escape strings first).
 pub fn resp_ok(extra: &[(&str, String)]) -> String {
     let mut out = String::from("{\"ok\":true");
-    for (k, v) in extra {
-        out.push_str(&format!(",\"{k}\":{v}"));
-    }
+    push_fields(&mut out, extra);
     out.push('}');
     out
 }
 
 /// Builds a typed `{"ok":false,"error":...}` rejection line. `kind` is the
 /// machine-readable class (`overloaded`, `quota`, `invalid`, `unknown-job`,
-/// `draining`); `detail` is human-readable.
+/// `draining`, `result-unavailable`); `detail` is human-readable.
 pub fn resp_err(kind: &str, detail: &str) -> String {
     format!(
         "{{\"ok\":false,\"error\":\"{}\",\"detail\":\"{}\"}}",
@@ -444,9 +451,7 @@ pub fn resp_err(kind: &str, detail: &str) -> String {
 /// Builds an event line streamed to `wait` subscribers.
 pub fn event(kind: &str, job: u64, extra: &[(&str, String)]) -> String {
     let mut out = format!("{{\"event\":\"{kind}\",\"job\":{job}");
-    for (k, v) in extra {
-        out.push_str(&format!(",\"{k}\":{v}"));
-    }
+    push_fields(&mut out, extra);
     out.push('}');
     out
 }
@@ -478,9 +483,7 @@ pub fn stream_record(
          \"attempt\":{attempt},\"kind\":\"{}\"",
         json_escape(kind)
     );
-    for (k, v) in extra {
-        out.push_str(&format!(",\"{k}\":{v}"));
-    }
+    push_fields(&mut out, extra);
     out.push_str(&format!(",\"final\":{is_final}}}"));
     out
 }

@@ -1,0 +1,241 @@
+//! The journal as `mempool-serve`'s result store, seen from outside the
+//! daemon process: a finished job's result is read back from `jobs.journal`
+//! byte for byte — also by a daemon that did not run the job — and serving
+//! jobs does not grow the daemon.
+
+#![cfg(unix)]
+
+use mempool_serve::{JobSpec, Request, RunSpec, ServeClient};
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
+
+const SERVE_BIN: &str = env!("CARGO_BIN_EXE_mempool-serve");
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mempool-results-{}-{name}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// A running daemon; killed and reaped on drop, so a failed assertion
+/// leaves no process behind.
+struct Daemon {
+    child: Child,
+    socket: PathBuf,
+}
+
+impl Daemon {
+    fn start(dir: &Path, workers: &str) -> Daemon {
+        let socket = dir.join("serve.sock");
+        let child = Command::new(SERVE_BIN)
+            .arg("--socket")
+            .arg(&socket)
+            .arg("--state-dir")
+            .arg(dir.join("state"))
+            .args(["--workers", workers])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("daemon spawns");
+        let daemon = Daemon { child, socket };
+        let started = Instant::now();
+        while daemon.client().health().is_err() {
+            assert!(started.elapsed() < Duration::from_secs(30), "daemon did not come up");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        daemon
+    }
+
+    fn client(&self) -> ServeClient {
+        ServeClient::connect(&self.socket)
+    }
+
+    /// Sends one request and returns the reply lines, unparsed, up to and
+    /// including the first that `last` accepts.
+    fn raw(&self, request: &Request, last: impl Fn(&str) -> bool) -> Vec<String> {
+        let mut stream = UnixStream::connect(&self.socket).expect("connect");
+        writeln!(stream, "{}", request.to_json()).expect("send");
+        let mut lines = Vec::new();
+        for line in BufReader::new(stream).lines() {
+            let line = line.expect("reply line");
+            let done = last(&line);
+            lines.push(line);
+            if done {
+                return lines;
+            }
+        }
+        panic!("connection closed before the awaited line: {lines:?}");
+    }
+
+    /// The one reply line of `wait` / `watch` / `status` on a finished job.
+    fn late(&self, request: &Request) -> String {
+        self.raw(request, |_| true).remove(0)
+    }
+
+    fn drain(mut self) {
+        self.client().shutdown().expect("shutdown");
+        let started = Instant::now();
+        while self.child.try_wait().expect("try_wait").is_none() {
+            assert!(started.elapsed() < Duration::from_secs(60), "daemon did not drain");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+fn metered(program: &str, checkpoint_every: u64) -> JobSpec {
+    JobSpec::Run(RunSpec {
+        config_spec: "topology=top1,small=true,scramble=true".to_owned(),
+        program: program.to_owned(),
+        max_cycles: 2_000_000,
+        checkpoint_every,
+        metrics: true,
+    })
+}
+
+/// Everything of a terminal line from its `status` field on: the part that
+/// does not depend on the job's id or on how many records preceded it.
+fn report(line: &str) -> &str {
+    &line[line.find("\"status\":").expect("line reports a status")..]
+}
+
+/// The raw `result` token of a reply line.
+fn result_token(line: &str) -> &str {
+    let at = line.find("\"result\":\"").expect("line carries a result") + "\"result\":".len();
+    let end = line.rfind('"').expect("closing quote");
+    &line[at..=end]
+}
+
+#[test]
+fn late_replies_are_the_live_bytes_before_and_after_a_restart() {
+    let dir = scratch("late");
+    let daemon = Daemon::start(&dir, "1");
+    let client = daemon.client();
+    // Long enough that the subscriptions below are in place well before it
+    // ends; the document it ends with is ≈ 80 KB of escaped JSON.
+    let spec = metered(
+        "addi t0, zero, 0\nlui t1, 4\nloop:\naddi t0, t0, 1\nbne t0, t1, loop\necall\n",
+        1024,
+    );
+
+    // Job `seen` ends in front of a `wait` and a `watch` subscriber; its
+    // twin `unseen` — queued behind it on the one worker slot — in front of
+    // nobody.
+    let seen = client.submit("t", 0, None, &spec).expect("submit");
+    let unseen = client.submit("t", 0, None, &spec).expect("submit twin");
+    let (live_wait, live_watch) = std::thread::scope(|scope| {
+        let wait = scope.spawn(|| {
+            daemon
+                .raw(&Request::Wait { job: seen }, |l| l.contains("\"event\":\"done\""))
+                .pop()
+                .unwrap()
+        });
+        let watch = scope.spawn(|| {
+            daemon
+                .raw(&Request::Watch { job: seen }, |l| l.ends_with(",\"final\":true}"))
+                .pop()
+                .unwrap()
+        });
+        (wait.join().expect("wait"), watch.join().expect("watch"))
+    });
+    assert!(live_wait.len() > 50_000, "a metered result is a large document");
+    // One report, two framings.
+    let reported = report(&live_wait).strip_suffix('}').expect("an object");
+    assert_eq!(report(&live_watch), format!("{reported},\"final\":true}}"));
+    let started = Instant::now();
+    while client.health().expect("health")["completed"] != "2" {
+        assert!(started.elapsed() < Duration::from_secs(120), "twin never finished");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let check = |daemon: &Daemon, when: &str| {
+        for job in [seen, unseen] {
+            let wait = daemon.late(&Request::Wait { job });
+            let watch = daemon.late(&Request::Watch { job });
+            let status = daemon.late(&Request::Status { job });
+            let twin = live_wait.replace(&format!("\"job\":{seen}"), &format!("\"job\":{job}"));
+            assert_eq!(wait, twin, "job {job}, {when}");
+            assert_eq!(report(&watch), report(&live_watch), "job {job}, {when}");
+            assert!(status.starts_with("{\"ok\":true,"), "job {job}, {when}: {status}");
+            assert_eq!(result_token(&status), result_token(&live_wait), "job {job}, {when}");
+        }
+    };
+    check(&daemon, "same daemon");
+    // The job that was watched keeps the exact record its watcher got.
+    assert_eq!(daemon.late(&Request::Watch { job: seen }), live_watch);
+
+    daemon.drain();
+    let daemon = Daemon::start(&dir, "1");
+    check(&daemon, "restarted daemon");
+    daemon.drain();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Peak resident set of `pid` in KiB (`VmHWM` never decreases).
+#[cfg(target_os = "linux")]
+fn vm_hwm_kb(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("proc status");
+    let line = status
+        .lines()
+        .find(|l| l.starts_with("VmHWM:"))
+        .expect("VmHWM line");
+    line.split_whitespace().nth(1).unwrap().parse().expect("VmHWM in kB")
+}
+
+/// Before the journal became the result store every finished job cost the
+/// daemon its ≈ 80 KB document for good (≈ 82 KB of `VmHWM` per job);
+/// now it costs its metadata, its timeline and an index entry.
+#[cfg(target_os = "linux")]
+#[test]
+fn serving_jobs_does_not_grow_the_daemon() {
+    const WARM_UP: u64 = 30;
+    const JOBS: u64 = 300;
+    const BOUND_KB_PER_JOB: f64 = 8.0;
+
+    let dir = scratch("memory");
+    let daemon = Daemon::start(&dir, "2");
+    let pid = daemon.child.id();
+    let spec = metered("ecall\n", 128);
+    // A closed loop per worker slot, every job waited for: the live path
+    // (document escaped and sent) and the journal both see each result.
+    let serve = |jobs: u64| {
+        std::thread::scope(|scope| {
+            for tenant in ["t0", "t1"] {
+                let (client, spec) = (daemon.client(), &spec);
+                scope.spawn(move || {
+                    for _ in 0..jobs / 2 {
+                        let id = client.submit(tenant, 0, None, spec).expect("submit");
+                        let done = client.wait(id, &mut |_| {}).expect("wait");
+                        assert_eq!(done["status"], "completed");
+                        assert!(done["result"].len() > 50_000, "metered document");
+                    }
+                });
+            }
+        });
+    };
+    serve(WARM_UP);
+    let warm = vm_hwm_kb(pid);
+    serve(JOBS);
+    let grown = vm_hwm_kb(pid) - warm;
+    let per_job = grown as f64 / JOBS as f64;
+    println!("VmHWM {warm} kB after {WARM_UP} jobs, +{grown} kB after {JOBS} more: {per_job:.2} kB/job");
+    assert!(
+        per_job < BOUND_KB_PER_JOB,
+        "daemon grew {per_job:.1} kB per job served ({warm} kB -> +{grown} kB over {JOBS} jobs)"
+    );
+    // The results are all still there.
+    let first = daemon.client().status(0).expect("status");
+    assert!(first["result"].len() > 50_000);
+    daemon.drain();
+    std::fs::remove_dir_all(&dir).ok();
+}
