@@ -52,6 +52,23 @@ impl fmt::Display for Topology {
     }
 }
 
+/// The inverse of `Display` — the one place the topology names are spelled
+/// for parsing (command lines, config specs, examples). `toph` is accepted
+/// next to the canonical `topH`.
+impl std::str::FromStr for Topology {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        match name {
+            "ideal" => Ok(Topology::Ideal),
+            "top1" => Ok(Topology::Top1),
+            "top4" => Ok(Topology::Top4),
+            "topH" | "toph" => Ok(Topology::TopH),
+            other => Err(format!("unknown topology `{other}`")),
+        }
+    }
+}
+
 /// How I-cache refills reach the backing memory.
 ///
 /// The paper connects the tiles' 32-bit AXI refill ports "to a low-overhead
@@ -382,6 +399,17 @@ mod tests {
         let mut c = ClusterConfig::paper(Topology::TopH);
         c.rows_per_bank = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn topology_names_round_trip() {
+        for topo in Topology::all() {
+            assert_eq!(topo.to_string().parse(), Ok(topo));
+        }
+        // The all-lowercase spelling of the one mixed-case name is accepted too.
+        assert_eq!("topH".to_lowercase().parse(), Ok(Topology::TopH));
+        assert!("mesh".parse::<Topology>().is_err());
+        assert!("TOPH".parse::<Topology>().is_err());
     }
 
     #[test]

@@ -339,72 +339,3 @@ impl ServeClient {
             .ok_or_else(|| ClientError::Protocol("timeline reply lacks a document".to_owned()))
     }
 }
-
-/// Deterministic jittered exponential backoff for client-side polling and
-/// reconnects: doubles from `BASE_MS`, saturates at [`Backoff::CAP`], and
-/// adds a seeded (xorshift) jitter of up to 25% so a fleet of clients
-/// hammered off the same trigger doesn't reconnect in lockstep. Seeded, so
-/// tests replay the exact delay sequence.
-#[derive(Debug)]
-pub struct Backoff {
-    attempt: u32,
-    rng: u64,
-}
-
-impl Backoff {
-    /// The cap every delay saturates to.
-    pub const CAP: Duration = Duration::from_secs(2);
-    const BASE_MS: u64 = 50;
-
-    /// A fresh sequence; `seed` only perturbs the jitter.
-    pub fn new(seed: u64) -> Backoff {
-        Backoff {
-            attempt: 0,
-            rng: seed | 1,
-        }
-    }
-
-    /// The next delay to sleep before retrying.
-    pub fn next_delay(&mut self) -> Duration {
-        let exp = Self::BASE_MS.saturating_mul(1u64 << self.attempt.min(10));
-        self.attempt = self.attempt.saturating_add(1);
-        // xorshift64 for the jitter term: deterministic per seed.
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        let base = exp.min(Self::CAP.as_millis() as u64);
-        let jitter = self.rng % (base / 4).max(1);
-        Duration::from_millis((base + jitter).min(Self::CAP.as_millis() as u64))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backoff_grows_exponentially_jitters_and_caps_at_two_seconds() {
-        let mut b = Backoff::new(42);
-        let delays: Vec<u64> = (0..12).map(|_| b.next_delay().as_millis() as u64).collect();
-        // Each delay sits in [base, base + 25%] for the doubling base,
-        // saturating at the 2s cap.
-        for (i, &d) in delays.iter().enumerate() {
-            let base = (50u64 << i.min(10)).min(2_000);
-            assert!(d >= base, "delay {i} = {d}ms under base {base}ms");
-            assert!(d <= 2_000, "delay {i} = {d}ms over the cap");
-        }
-        assert_eq!(delays[11], 2_000, "saturated at the cap");
-
-        // Deterministic per seed, different across seeds.
-        let replay: Vec<u64> = {
-            let mut b = Backoff::new(42);
-            (0..12).map(|_| b.next_delay().as_millis() as u64).collect()
-        };
-        assert_eq!(delays, replay);
-        let other: Vec<u64> = {
-            let mut b = Backoff::new(7);
-            (0..12).map(|_| b.next_delay().as_millis() as u64).collect()
-        };
-        assert_ne!(delays, other, "jitter varies with the seed");
-    }
-}

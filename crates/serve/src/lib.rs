@@ -47,6 +47,6 @@ pub use sched::{Rejection, Scheduler, SchedulerConfig};
 pub use timeline::JobTimeline;
 
 #[cfg(unix)]
-pub use client::{Backoff, ClientError, ServeClient};
+pub use client::{ClientError, ServeClient};
 #[cfg(unix)]
 pub use daemon::{run_daemon, DaemonConfig, DaemonSummary};

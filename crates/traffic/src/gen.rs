@@ -11,9 +11,10 @@ use mempool_rng::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 /// Destination distribution of generated requests.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Pattern {
     /// Uniformly distributed over all banks of the cluster (Fig. 5).
+    #[default]
     Uniform,
     /// With probability `p_local`, uniform within the generator's own
     /// tile's sequential region; otherwise uniform over the interleaved

@@ -39,7 +39,7 @@ pub use campaign::{
 };
 pub use exec::{CampaignSpec, Executor, ExecutorConfig, ExecutorReport, QuarantinedTrial};
 pub use supervise::{
-    classify_exit, json_escape, json_unescape, parse_config_spec, parse_flat_json,
+    build_config, classify_exit, json_escape, json_unescape, parse_config_spec, parse_flat_json,
     render_config_spec, sig, FailureKind, Fleet, Outcome, RetryPolicy, Tick, TrialFailure, Verdict,
     WorkerLine,
 };

@@ -721,6 +721,22 @@ pub fn render_config_spec(topology: Topology, small: bool, scramble: bool) -> St
     format!("topology={topology},small={small},scramble={scramble}")
 }
 
+/// The cluster the three `config_spec` fields select — the one place a
+/// (topology, small, scramble) triple becomes a [`ClusterConfig`], shared by
+/// [`parse_config_spec`] and the binaries' `--topology`/`--small`/
+/// `--no-scramble` flags.
+pub fn build_config(topology: Topology, small: bool, scramble: bool) -> ClusterConfig {
+    let mut config = if small {
+        ClusterConfig::small(topology)
+    } else {
+        ClusterConfig::paper(topology)
+    };
+    if !scramble {
+        config.seq_region_bytes = None;
+    }
+    config
+}
+
 /// Parses [`render_config_spec`]'s output back into a [`ClusterConfig`]
 /// with the standard resilience layer attached (workers must be able to
 /// absorb injected faults; a fault-free job simply never exercises it).
@@ -737,29 +753,14 @@ pub fn parse_config_spec(spec: &str) -> Result<ClusterConfig, String> {
             .split_once('=')
             .ok_or_else(|| format!("bad config spec entry `{part}`"))?;
         match key {
-            "topology" => {
-                topology = Some(match value {
-                    "ideal" => Topology::Ideal,
-                    "top1" => Topology::Top1,
-                    "top4" => Topology::Top4,
-                    "topH" | "toph" => Topology::TopH,
-                    other => return Err(format!("bad topology `{other}`")),
-                })
-            }
+            "topology" => topology = Some(value.parse()?),
             "small" => small = value == "true",
             "scramble" => scramble = value == "true",
             other => return Err(format!("unknown config spec key `{other}`")),
         }
     }
     let topology = topology.ok_or_else(|| "config spec lacks a topology".to_owned())?;
-    let mut config = if small {
-        ClusterConfig::small(topology)
-    } else {
-        ClusterConfig::paper(topology)
-    };
-    if !scramble {
-        config.seq_region_bytes = None;
-    }
+    let mut config = build_config(topology, small, scramble);
     config.resilience = mempool::ResilienceConfig::standard();
     Ok(config)
 }

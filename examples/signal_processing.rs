@@ -8,15 +8,12 @@ use mempool::{ClusterConfig, Topology};
 use mempool_kernels::{run_kernel, Conv2d, Dct, Fft, Geometry, Kernel, Matmul};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let topology = match std::env::args().nth(1).as_deref() {
-        None | Some("topH") => Topology::TopH,
-        Some("top1") => Topology::Top1,
-        Some("top4") => Topology::Top4,
-        Some("ideal") => Topology::Ideal,
-        Some(other) => {
-            eprintln!("unknown topology `{other}` (use top1|top4|topH|ideal)");
+    let topology = match std::env::args().nth(1) {
+        None => Topology::TopH,
+        Some(name) => name.parse().unwrap_or_else(|e| {
+            eprintln!("{e} (use top1|top4|topH|ideal)");
             std::process::exit(1);
-        }
+        }),
     };
     let config = ClusterConfig::paper(topology);
     let geom = Geometry::from_config(&config, 4096);

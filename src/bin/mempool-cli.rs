@@ -9,10 +9,10 @@
 #![cfg(unix)]
 
 use mempool::Topology;
-use mempool_serve::{
-    Backoff, BenchSpec, CampaignSpec, ClientError, JobSpec, RunSpec, ServeClient,
-};
-use mempool_traffic::{parse_flat_json, render_config_spec};
+use mempool_serve::{BenchSpec, CampaignSpec, ClientError, JobSpec, RunSpec, ServeClient};
+use mempool_suite::cli::{exit_usage, parse_value, unexpected, Args, ClusterFlags, UsageError};
+use mempool_suite::error::Error;
+use mempool_traffic::{parse_flat_json, RetryPolicy};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -70,216 +70,167 @@ exit status: 0 on success (wait: job completed), 1 on failures and typed
 rejections, 2 on usage errors and wait --timeout expiry";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let (socket, command) = match parse(std::env::args().skip(1).collect()) {
+        Ok(parsed) => parsed,
+        Err(e) => return exit_usage(&e, USAGE),
+    };
+    match execute(&ServeClient::connect(&socket), command) {
         Ok(code) => code,
-        Err(CliError::Usage(msg)) => {
-            if msg.is_empty() {
-                println!("{USAGE}");
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("mempool-cli: {msg}\n\n{USAGE}");
-                ExitCode::from(2)
-            }
-        }
-        Err(CliError::Client(e)) => {
+        Err(Error::Usage(e)) => exit_usage(&e, USAGE),
+        Err(e) => {
             eprintln!("mempool-cli: {e}");
-            ExitCode::from(1)
-        }
-        Err(CliError::Other(msg)) => {
-            eprintln!("mempool-cli: {msg}");
-            ExitCode::from(1)
-        }
-        Err(CliError::Timeout(msg)) => {
-            eprintln!("mempool-cli: {msg}");
-            ExitCode::from(2)
+            ExitCode::from(e.exit_code())
         }
     }
-}
-
-enum CliError {
-    /// Bad command line; empty message means `--help`.
-    Usage(String),
-    Client(ClientError),
-    Other(String),
-    /// `wait --timeout` expired before the job went terminal. Exits 2, the
-    /// suite-wide "caller's constraint, not a job failure" code, so scripts
-    /// can tell "job failed" (1) from "I stopped waiting" (2).
-    Timeout(String),
-}
-
-impl From<ClientError> for CliError {
-    fn from(e: ClientError) -> CliError {
-        match e {
-            ClientError::TimedOut(after) => {
-                CliError::Timeout(format!("timed out after {:.1}s", after.as_secs_f64()))
-            }
-            other => CliError::Client(other),
-        }
-    }
-}
-
-fn usage(msg: impl Into<String>) -> CliError {
-    CliError::Usage(msg.into())
 }
 
 type Fields = BTreeMap<String, String>;
 
-fn run(args: &[String]) -> Result<ExitCode, CliError> {
+/// A parsed command line: what to ask the daemon.
+enum Command {
+    Submit {
+        common: SubmitCommon,
+        spec: JobSpec,
+        /// `submit run`'s assembly file, read into the spec on execution.
+        source: Option<PathBuf>,
+    },
+    Status(u64),
+    Wait {
+        job: u64,
+        out: Option<PathBuf>,
+        timeout: Option<Duration>,
+    },
+    Watch(u64),
+    Tail,
+    Timeline {
+        job: u64,
+        out: Option<PathBuf>,
+    },
+    Health { metrics: bool },
+    Cancel(u64),
+    Shutdown,
+}
+
+/// Splits the command line into the daemon's socket and the command for it.
+fn parse(args: Vec<String>) -> Result<(PathBuf, Command), UsageError> {
     let mut socket = PathBuf::from("mempool-serve.sock");
-    let mut rest = args;
+    let mut args = Args::new(args);
     // `--socket` may precede the command.
-    while let Some(arg) = rest.first() {
-        match arg.as_str() {
-            "--socket" => {
-                socket = PathBuf::from(
-                    rest.get(1).ok_or_else(|| usage("--socket needs a value"))?,
-                );
-                rest = &rest[2..];
+    let name = loop {
+        match args.next_arg()? {
+            Some(arg) if arg == "--socket" => socket = PathBuf::from(args.value()?),
+            arg => break arg.unwrap_or_default(),
+        }
+    };
+    let command = match name.as_str() {
+        "submit" => submit(&mut args)?,
+        "status" => Command::Status(job_id(&mut args)?),
+        "wait" | "timeline" => {
+            let job = job_id(&mut args)?;
+            let (mut out, mut timeout) = (None, None);
+            while let Some(arg) = args.next_arg()? {
+                match arg.as_str() {
+                    "--out" => out = Some(PathBuf::from(args.value()?)),
+                    "--timeout" if name == "wait" => {
+                        timeout = Some(Duration::from_secs(args.parse(NUMBER)?));
+                    }
+                    _ => return Err(unexpected(arg)),
+                }
             }
-            "--help" | "-h" => return Err(CliError::Usage(String::new())),
-            _ => break,
-        }
-    }
-    let client = ServeClient::connect(&socket);
-    let (command, rest) = rest
-        .split_first()
-        .ok_or_else(|| usage("missing command"))?;
-    match command.as_str() {
-        "submit" => submit(&client, rest),
-        "status" => {
-            let job = job_arg(rest)?;
-            let fields = client.status(job)?;
-            print_status(job, &fields);
-            Ok(ExitCode::SUCCESS)
-        }
-        "wait" => {
-            let (job, out, timeout) = wait_args(rest)?;
-            wait_and_render(&client, job, out.as_deref(), timeout)
-        }
-        "watch" => {
-            let job = job_arg(rest)?;
-            watch_and_render(&client, job)
-        }
-        "tail" => {
-            if let Some(extra) = rest.first() {
-                return Err(usage(format!("unexpected argument `{extra}`")));
+            match name.as_str() {
+                "wait" => Command::Wait { job, out, timeout },
+                _ => Command::Timeline { job, out },
             }
+        }
+        "watch" => Command::Watch(job_id(&mut args)?),
+        "tail" => Command::Tail,
+        "health" => {
+            let mut metrics = false;
+            while let Some(arg) = args.next_arg()? {
+                match arg.as_str() {
+                    "--metrics" => metrics = true,
+                    _ => return Err(unexpected(arg)),
+                }
+            }
+            Command::Health { metrics }
+        }
+        "cancel" => Command::Cancel(job_id(&mut args)?),
+        "shutdown" => Command::Shutdown,
+        _ if name.starts_with('-') => return Err(UsageError::UnknownOption(name)),
+        _ => {
+            return Err(UsageError::MissingSubcommand(
+                "submit, status, wait, watch, tail, timeline, health, cancel or shutdown",
+            ))
+        }
+    };
+    args.finish()?;
+    Ok((socket, command))
+}
+
+fn job_id(args: &mut Args) -> Result<u64, UsageError> {
+    let id = args.next_arg()?.ok_or(UsageError::MissingArgument("job id"))?;
+    parse_value("<job>", &id, "expected a job id")
+}
+
+fn execute(client: &ServeClient, command: Command) -> Result<ExitCode, Error> {
+    match command {
+        Command::Submit { common, mut spec, source } => {
+            if let (JobSpec::Run(run), Some(source)) = (&mut spec, source) {
+                run.program = std::fs::read_to_string(&source)
+                    .map_err(|e| Error::Other(format!("reading {}: {e}", source.display())))?;
+            }
+            spec.validate().map_err(|e| Error::Usage(UsageError::InvalidJob(e)))?;
+            let job = client.submit(&common.tenant, common.priority, common.deadline_secs, &spec)?;
+            println!("job {job} submitted ({})", spec.kind());
+            if common.wait {
+                return wait_and_render(client, job, common.out.as_deref(), None);
+            }
+        }
+        Command::Status(job) => print_status(job, &client.status(job)?),
+        Command::Wait { job, out, timeout } => {
+            return wait_and_render(client, job, out.as_deref(), timeout);
+        }
+        Command::Watch(job) => return watch_and_render(client, job),
+        Command::Tail => {
             client.tail(&mut |raw, _| println!("{raw}"))?;
             eprintln!("daemon closed the stream");
-            Ok(ExitCode::SUCCESS)
         }
-        "timeline" => {
-            let (job, out) = timeline_args(rest)?;
+        Command::Timeline { job, out } => {
             let doc = client.timeline(job)?;
             match out {
                 Some(out) => {
-                    std::fs::write(&out, doc.as_bytes()).map_err(|e| {
-                        CliError::Other(format!("writing {}: {e}", out.display()))
-                    })?;
+                    std::fs::write(&out, doc.as_bytes())
+                        .map_err(|e| Error::Other(format!("writing {}: {e}", out.display())))?;
                     println!("wrote {}", out.display());
                 }
                 None => println!("{doc}"),
             }
-            Ok(ExitCode::SUCCESS)
         }
-        "health" => {
-            match rest.first().map(String::as_str) {
-                Some("--metrics") => {
-                    println!("{}", client.serve_metrics()?);
-                    return Ok(ExitCode::SUCCESS);
-                }
-                Some(extra) => return Err(usage(format!("unexpected argument `{extra}`"))),
-                None => {}
-            }
-            let fields = client.health()?;
-            for (key, value) in &fields {
+        Command::Health { metrics: true } => println!("{}", client.serve_metrics()?),
+        Command::Health { metrics: false } => {
+            for (key, value) in &client.health()? {
                 if key != "ok" {
                     println!("{key}: {value}");
                 }
             }
-            Ok(ExitCode::SUCCESS)
         }
-        "cancel" => {
-            let job = job_arg(rest)?;
-            let fields = client.cancel(job)?;
-            match fields.get("status") {
-                Some(status) => println!("job {job}: {status}"),
-                None => println!("job {job}: cancelling"),
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        "shutdown" => {
+        Command::Cancel(job) => match client.cancel(job)?.get("status") {
+            Some(status) => println!("job {job}: {status}"),
+            None => println!("job {job}: cancelling"),
+        },
+        Command::Shutdown => {
             client.shutdown()?;
             println!("daemon draining");
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(usage(format!("unknown command `{other}`"))),
-    }
-}
-
-fn job_arg(rest: &[String]) -> Result<u64, CliError> {
-    let id = rest.first().ok_or_else(|| usage("expected a job id"))?;
-    if rest.len() > 1 {
-        return Err(usage(format!("unexpected argument `{}`", rest[1])));
-    }
-    id.parse()
-        .map_err(|_| usage(format!("bad job id `{id}`")))
-}
-
-fn wait_args(rest: &[String]) -> Result<(u64, Option<PathBuf>, Option<Duration>), CliError> {
-    let (id, mut rest) = rest
-        .split_first()
-        .ok_or_else(|| usage("expected a job id"))?;
-    let job = id.parse().map_err(|_| usage(format!("bad job id `{id}`")))?;
-    let mut out = None;
-    let mut timeout = None;
-    while let Some(arg) = rest.first() {
-        match arg.as_str() {
-            "--out" => {
-                out = Some(PathBuf::from(
-                    rest.get(1).ok_or_else(|| usage("--out needs a value"))?,
-                ));
-                rest = &rest[2..];
-            }
-            "--timeout" => {
-                let secs: u64 = parse_num(
-                    "--timeout",
-                    rest.get(1).ok_or_else(|| usage("--timeout needs a value"))?,
-                )?;
-                timeout = Some(Duration::from_secs(secs));
-                rest = &rest[2..];
-            }
-            other => return Err(usage(format!("unexpected argument `{other}`"))),
         }
     }
-    Ok((job, out, timeout))
-}
-
-fn timeline_args(rest: &[String]) -> Result<(u64, Option<PathBuf>), CliError> {
-    let (id, mut rest) = rest
-        .split_first()
-        .ok_or_else(|| usage("expected a job id"))?;
-    let job = id.parse().map_err(|_| usage(format!("bad job id `{id}`")))?;
-    let mut out = None;
-    while let Some(arg) = rest.first() {
-        match arg.as_str() {
-            "--out" => {
-                out = Some(PathBuf::from(
-                    rest.get(1).ok_or_else(|| usage("--out needs a value"))?,
-                ));
-                rest = &rest[2..];
-            }
-            other => return Err(usage(format!("unexpected argument `{other}`"))),
-        }
-    }
-    Ok((job, out))
+    Ok(ExitCode::SUCCESS)
 }
 
 // ---------------------------------------------------------------------------
 // submit
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct SubmitCommon {
     tenant: String,
     priority: u8,
@@ -288,92 +239,47 @@ struct SubmitCommon {
     out: Option<PathBuf>,
 }
 
-impl Default for SubmitCommon {
-    fn default() -> SubmitCommon {
-        SubmitCommon {
-            tenant: "default".to_owned(),
-            priority: 0,
-            deadline_secs: None,
-            wait: false,
-            out: None,
-        }
-    }
-}
+/// What the numeric submit options expect.
+const NUMBER: &str = "expected a number";
 
-fn submit(client: &ServeClient, rest: &[String]) -> Result<ExitCode, CliError> {
-    let (kind, rest) = rest
-        .split_first()
-        .ok_or_else(|| usage("submit: expected run, campaign, or bench"))?;
-    let mut common = SubmitCommon::default();
-    let spec = match kind.as_str() {
-        "run" => submit_run(rest, &mut common)?,
-        "campaign" => submit_campaign(rest, &mut common)?,
-        "bench" => submit_bench(rest, &mut common)?,
-        other => return Err(usage(format!("submit: unknown job kind `{other}`"))),
+fn submit(args: &mut Args) -> Result<Command, UsageError> {
+    let mut common = SubmitCommon {
+        tenant: "default".to_owned(),
+        ..SubmitCommon::default()
     };
-    spec.validate().map_err(|e| usage(format!("invalid job: {e}")))?;
-    let job = client.submit(&common.tenant, common.priority, common.deadline_secs, &spec)?;
-    println!("job {job} submitted ({})", spec.kind());
-    if common.wait {
-        wait_and_render(client, job, common.out.as_deref(), None)
-    } else {
-        Ok(ExitCode::SUCCESS)
-    }
+    let mut source = None;
+    let spec = match args.next_arg()?.unwrap_or_default().as_str() {
+        "run" => submit_run(args, &mut common, &mut source)?,
+        "campaign" => submit_campaign(args, &mut common)?,
+        "bench" => submit_bench(args, &mut common)?,
+        _ => return Err(UsageError::MissingSubcommand("run, campaign or bench")),
+    };
+    Ok(Command::Submit { common, spec, source })
 }
 
 /// Parses one flag shared by every submit kind; returns false if the flag
 /// is not a common one.
-fn common_flag(
-    arg: &str,
-    next: &mut dyn FnMut(&str) -> Result<String, CliError>,
-    common: &mut SubmitCommon,
-) -> Result<bool, CliError> {
+fn common_flag(arg: &str, args: &mut Args, common: &mut SubmitCommon) -> Result<bool, UsageError> {
     match arg {
-        "--tenant" => common.tenant = next("--tenant")?,
-        "--priority" => {
-            common.priority = parse_num::<u8>("--priority", &next("--priority")?)?;
-        }
-        "--deadline-secs" => {
-            common.deadline_secs =
-                Some(parse_num::<u64>("--deadline-secs", &next("--deadline-secs")?)?);
-        }
+        "--tenant" => common.tenant = args.value()?,
+        "--priority" => common.priority = args.parse("expected a number in 0..=255")?,
+        "--deadline-secs" => common.deadline_secs = Some(args.parse(NUMBER)?),
         "--wait" => common.wait = true,
-        "--out" => common.out = Some(PathBuf::from(next("--out")?)),
+        "--out" => common.out = Some(PathBuf::from(args.value()?)),
         _ => return Ok(false),
     }
     Ok(true)
 }
 
-fn parse_num<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, CliError> {
-    v.parse()
-        .map_err(|_| usage(format!("{name}: expected a number, got `{v}`")))
-}
-
-fn parse_topology_flag(v: &str) -> Result<Topology, CliError> {
-    match v {
-        "ideal" => Ok(Topology::Ideal),
-        "top1" => Ok(Topology::Top1),
-        "top4" => Ok(Topology::Top4),
-        "topH" | "toph" => Ok(Topology::TopH),
-        other => Err(usage(format!("unknown topology `{other}`"))),
-    }
-}
-
-fn parse_list(name: &str, v: &str) -> Result<Vec<usize>, CliError> {
-    v.split(',')
-        .map(|p| {
-            p.trim()
-                .parse::<usize>()
-                .map_err(|_| usage(format!("{name}: bad list entry `{p}`")))
-        })
-        .collect()
-}
-
-fn submit_run(rest: &[String], common: &mut SubmitCommon) -> Result<JobSpec, CliError> {
-    let mut source: Option<PathBuf> = None;
-    let mut topology = Topology::Top1;
-    let mut small = false;
-    let mut scramble = true;
+fn submit_run(
+    args: &mut Args,
+    common: &mut SubmitCommon,
+    source: &mut Option<PathBuf>,
+) -> Result<JobSpec, UsageError> {
+    let mut cluster = ClusterFlags {
+        topology: Topology::Top1,
+        ..ClusterFlags::default()
+    };
     let mut spec = RunSpec {
         config_spec: String::new(),
         program: String::new(),
@@ -381,45 +287,30 @@ fn submit_run(rest: &[String], common: &mut SubmitCommon) -> Result<JobSpec, Cli
         checkpoint_every: 4096,
         metrics: false,
     };
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        let mut next = |name: &str| {
-            args.next()
-                .cloned()
-                .ok_or_else(|| usage(format!("{name} needs a value")))
-        };
-        if common_flag(arg, &mut next, common)? {
+    while let Some(arg) = args.next_arg()? {
+        if common_flag(&arg, args, common)? || cluster.accept(&arg, args)? {
             continue;
         }
         match arg.as_str() {
-            "--topology" => topology = parse_topology_flag(&next("--topology")?)?,
-            "--small" => small = true,
-            "--no-scramble" => scramble = false,
-            "--max-cycles" => {
-                spec.max_cycles = parse_num("--max-cycles", &next("--max-cycles")?)?;
-            }
-            "--checkpoint-every" => {
-                spec.checkpoint_every =
-                    parse_num("--checkpoint-every", &next("--checkpoint-every")?)?;
-            }
+            "--max-cycles" => spec.max_cycles = args.parse(NUMBER)?,
+            "--checkpoint-every" => spec.checkpoint_every = args.parse(NUMBER)?,
             "--metrics" => spec.metrics = true,
-            other if !other.starts_with('-') && source.is_none() => {
-                source = Some(PathBuf::from(other));
-            }
-            other => return Err(usage(format!("submit run: unexpected `{other}`"))),
+            _ if !arg.starts_with('-') && source.is_none() => *source = Some(PathBuf::from(arg)),
+            _ => return Err(unexpected(arg)),
         }
     }
-    let source = source.ok_or_else(|| usage("submit run: expected an assembly file"))?;
-    spec.program = std::fs::read_to_string(&source)
-        .map_err(|e| CliError::Other(format!("reading {}: {e}", source.display())))?;
-    spec.config_spec = render_config_spec(topology, small, scramble);
+    if source.is_none() {
+        return Err(UsageError::MissingArgument("assembly file"));
+    }
+    spec.config_spec = cluster.spec();
     Ok(JobSpec::Run(spec))
 }
 
-fn submit_campaign(rest: &[String], common: &mut SubmitCommon) -> Result<JobSpec, CliError> {
-    let mut topology = Topology::Top1;
-    let mut small = false;
-    let mut scramble = true;
+fn submit_campaign(args: &mut Args, common: &mut SubmitCommon) -> Result<JobSpec, UsageError> {
+    let mut cluster = ClusterFlags {
+        topology: Topology::Top1,
+        ..ClusterFlags::default()
+    };
     let mut spec = CampaignSpec {
         config_spec: String::new(),
         faults: String::new(),
@@ -433,66 +324,52 @@ fn submit_campaign(rest: &[String], common: &mut SubmitCommon) -> Result<JobSpec
         checkpoint_every: 256,
         cycle_budget: None,
     };
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        let mut next = |name: &str| {
-            args.next()
-                .cloned()
-                .ok_or_else(|| usage(format!("{name} needs a value")))
-        };
-        if common_flag(arg, &mut next, common)? {
+    while let Some(arg) = args.next_arg()? {
+        if common_flag(&arg, args, common)? || cluster.accept(&arg, args)? {
             continue;
         }
         match arg.as_str() {
-            "--topology" => topology = parse_topology_flag(&next("--topology")?)?,
-            "--small" => small = true,
-            "--no-scramble" => scramble = false,
-            "--faults" => spec.faults = next("--faults")?,
-            "--trials" => spec.trials = parse_num("--trials", &next("--trials")?)?,
-            "--load" => spec.load = parse_num("--load", &next("--load")?)?,
-            "--pattern" => spec.pattern = next("--pattern")?,
-            "--warmup" => spec.warmup = parse_num("--warmup", &next("--warmup")?)?,
-            "--measure" => spec.measure = parse_num("--measure", &next("--measure")?)?,
-            "--drain" => spec.drain = parse_num("--drain", &next("--drain")?)?,
-            "--seed" => spec.seed = parse_num("--seed", &next("--seed")?)?,
-            "--checkpoint-every" => {
-                spec.checkpoint_every =
-                    parse_num("--checkpoint-every", &next("--checkpoint-every")?)?;
-            }
-            "--cycle-budget" => {
-                spec.cycle_budget = Some(parse_num("--cycle-budget", &next("--cycle-budget")?)?);
-            }
-            other => return Err(usage(format!("submit campaign: unexpected `{other}`"))),
+            "--faults" => spec.faults = args.value()?,
+            "--trials" => spec.trials = args.parse(NUMBER)?,
+            "--load" => spec.load = args.parse(NUMBER)?,
+            "--pattern" => spec.pattern = args.value()?,
+            "--warmup" => spec.warmup = args.parse(NUMBER)?,
+            "--measure" => spec.measure = args.parse(NUMBER)?,
+            "--drain" => spec.drain = args.parse(NUMBER)?,
+            "--seed" => spec.seed = args.parse(NUMBER)?,
+            "--checkpoint-every" => spec.checkpoint_every = args.parse(NUMBER)?,
+            "--cycle-budget" => spec.cycle_budget = Some(args.parse(NUMBER)?),
+            _ => return Err(unexpected(arg)),
         }
     }
     if spec.faults.is_empty() {
-        return Err(usage("submit campaign: --faults is required"));
+        return Err(UsageError::MissingOption("--faults"));
     }
-    spec.config_spec = render_config_spec(topology, small, scramble);
+    spec.config_spec = cluster.spec();
     Ok(JobSpec::Campaign(spec))
 }
 
-fn submit_bench(rest: &[String], common: &mut SubmitCommon) -> Result<JobSpec, CliError> {
+fn submit_bench(args: &mut Args, common: &mut SubmitCommon) -> Result<JobSpec, UsageError> {
     let mut spec = BenchSpec {
         cycles: 1000,
         warmup: 100,
         cores: vec![16],
     };
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        let mut next = |name: &str| {
-            args.next()
-                .cloned()
-                .ok_or_else(|| usage(format!("{name} needs a value")))
-        };
-        if common_flag(arg, &mut next, common)? {
+    while let Some(arg) = args.next_arg()? {
+        if common_flag(&arg, args, common)? {
             continue;
         }
         match arg.as_str() {
-            "--cycles" => spec.cycles = parse_num("--cycles", &next("--cycles")?)?,
-            "--warmup" => spec.warmup = parse_num("--warmup", &next("--warmup")?)?,
-            "--cores" => spec.cores = parse_list("--cores", &next("--cores")?)?,
-            other => return Err(usage(format!("submit bench: unexpected `{other}`"))),
+            "--cycles" => spec.cycles = args.parse(NUMBER)?,
+            "--warmup" => spec.warmup = args.parse(NUMBER)?,
+            "--cores" => {
+                spec.cores = args
+                    .value()?
+                    .split(',')
+                    .map(|p| parse_value("--cores", p.trim(), "expected a comma-separated list"))
+                    .collect::<Result<_, _>>()?;
+            }
+            _ => return Err(unexpected(arg)),
         }
     }
     Ok(JobSpec::Bench(spec))
@@ -523,19 +400,24 @@ fn print_status(job: u64, fields: &Fields) {
 /// first.
 ///
 /// A dropped connection (the daemon draining for a restart) is retried
-/// with jittered exponential backoff, polling `status` between attempts
-/// in case the job went terminal while the daemon was away.
+/// with the fleet's seeded jittered backoff ([`RetryPolicy::delay`]),
+/// polling `status` between attempts in case the job went terminal while
+/// the daemon was away.
 fn wait_and_render(
     client: &ServeClient,
     job: u64,
     out: Option<&Path>,
     timeout: Option<Duration>,
-) -> Result<ExitCode, CliError> {
+) -> Result<ExitCode, Error> {
     let deadline = timeout.map(|t| Instant::now() + t);
-    let mut backoff = Backoff::new(0x6d65_6d70 ^ job);
     // Without a --timeout we still stop retrying eventually rather than
     // spin forever against a daemon that never came back.
-    let mut retries_left: u32 = 8;
+    // From 50 ms, doubling to a 2 s cap, with jitter seeded by the job id.
+    let reconnect = RetryPolicy {
+        max_attempts: 8,
+        ..RetryPolicy::default()
+    };
+    let mut attempt = 0;
     let mut on_event = |fields: &Fields| {
         match fields.get("event").map(String::as_str) {
             Some("state") => {
@@ -561,22 +443,18 @@ fn wait_and_render(
     let done = loop {
         match client.wait_until(job, deadline, &mut on_event) {
             Ok(done) => break done,
-            Err(e @ (ClientError::Rejected { .. } | ClientError::TimedOut(_))) => {
-                return Err(e.into());
-            }
+            Err(ClientError::TimedOut(after)) => return Ok(timed_out(after)),
+            Err(e @ ClientError::Rejected { .. }) => return Err(e.into()),
             Err(e) => {
-                if retries_left == 0 {
+                if attempt == reconnect.max_attempts {
                     return Err(e.into());
                 }
-                retries_left -= 1;
-                let delay = backoff.next_delay();
+                attempt += 1;
+                let delay = reconnect.delay(job, attempt);
                 if let Some(deadline) = deadline {
                     let left = deadline.saturating_duration_since(Instant::now());
                     if left.is_zero() {
-                        return Err(CliError::Timeout(format!(
-                            "timed out after {:.1}s",
-                            timeout.unwrap_or_default().as_secs_f64()
-                        )));
+                        return Ok(timed_out(timeout.unwrap_or_default()));
                     }
                     std::thread::sleep(delay.min(left));
                 } else {
@@ -606,10 +484,18 @@ fn wait_and_render(
     })
 }
 
+/// `wait --timeout` expired before the job went terminal. Exits 2, the
+/// suite-wide "caller's constraint, not a job failure" code, so scripts can
+/// tell "job failed" (1) from "I stopped waiting" (2).
+fn timed_out(after: Duration) -> ExitCode {
+    eprintln!("mempool-cli: {}", ClientError::TimedOut(after));
+    ExitCode::from(Error::USAGE_EXIT_CODE)
+}
+
 /// Streams a job's `mempool-job-stream-v1` telemetry records to stdout as
 /// raw JSON lines (machine-consumable; pipe to `jq` or a file) until the
 /// terminal record. Exit code mirrors the job like `wait`.
-fn watch_and_render(client: &ServeClient, job: u64) -> Result<ExitCode, CliError> {
+fn watch_and_render(client: &ServeClient, job: u64) -> Result<ExitCode, Error> {
     let done = client.watch(job, &mut |raw, _| println!("{raw}"))?;
     let status = done.get("status").map_or("?", String::as_str);
     eprintln!("job {job}: {status}");
@@ -624,7 +510,7 @@ fn watch_and_render(client: &ServeClient, job: u64) -> Result<ExitCode, CliError
 /// (metrics registry, campaign report, bench report) ride inside it as
 /// escaped strings. Surface the scalars, and write the first embedded
 /// document to `out` when asked.
-fn render_result(job: u64, result: &str, out: Option<&Path>) -> Result<(), CliError> {
+fn render_result(job: u64, result: &str, out: Option<&Path>) -> Result<(), Error> {
     let Some(fields) = parse_flat_json(result) else {
         println!("result: {result}");
         return Ok(());
@@ -640,11 +526,41 @@ fn render_result(job: u64, result: &str, out: Option<&Path>) -> Result<(), CliEr
             .get("metrics")
             .or_else(|| fields.get("report"))
             .ok_or_else(|| {
-                CliError::Other(format!("job {job} result has no embedded document"))
+                Error::Other(format!("job {job} result has no embedded document"))
             })?;
         std::fs::write(out, doc.as_bytes())
-            .map_err(|e| CliError::Other(format!("writing {}: {e}", out.display())))?;
+            .map_err(|e| Error::Other(format!("writing {}: {e}", out.display())))?;
         println!("wrote {}", out.display());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_option_the_usage_text_names_is_accepted_by_a_command() {
+        // One text documents every command: an option is known when the
+        // command it belongs to takes it.
+        let commands: [&[&str]; 7] = [
+            &[],
+            &["submit", "run"],
+            &["submit", "campaign"],
+            &["submit", "bench"],
+            &["wait", "0"],
+            &["timeline", "0"],
+            &["health"],
+        ];
+        let parse_any = |args: Vec<String>| {
+            let unknown = Err(UsageError::UnknownOption(args[0].clone()));
+            commands
+                .iter()
+                .map(|command| command.iter().map(|s| s.to_string()).chain(args.clone()))
+                .map(|args| parse(args.collect()))
+                .find(|outcome| !matches!(outcome, Err(UsageError::UnknownOption(_))))
+                .unwrap_or(unknown)
+        };
+        assert_eq!(mempool_suite::cli::unparsed_options(USAGE, parse_any), [""; 0]);
+    }
 }

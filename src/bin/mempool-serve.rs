@@ -13,6 +13,7 @@
 #![cfg(unix)]
 
 use mempool_serve::{run_daemon, DaemonConfig};
+use mempool_suite::cli::{exit_usage, invalid, parse_value, unexpected, Args, UsageError};
 use mempool_suite::error::Error;
 use mempool_traffic::sig;
 use std::path::PathBuf;
@@ -47,17 +48,12 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("worker") {
         return mempool_suite::worker::run();
     }
-    match daemon_mode(&args) {
+    let config = match parse(args) {
+        Ok(config) => config,
+        Err(e) => return exit_usage(&e, USAGE),
+    };
+    match daemon_mode(config) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(Error::Usage(msg)) => {
-            if msg.is_empty() {
-                println!("{USAGE}");
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("mempool-serve: {msg}\n\n{USAGE}");
-                ExitCode::from(2)
-            }
-        }
         Err(e) => {
             eprintln!("mempool-serve: {e}");
             ExitCode::from(e.exit_code())
@@ -65,58 +61,43 @@ fn main() -> ExitCode {
     }
 }
 
-fn daemon_mode(args: &[String]) -> Result<(), Error> {
+/// Every number is parsed at its field's own width: a value the field
+/// cannot hold is a usage error, never a silently truncated setting.
+fn parse(args: Vec<String>) -> Result<DaemonConfig, UsageError> {
     let mut config = DaemonConfig::default();
-    let mut args = args.iter();
-    let usage = |msg: String| Error::Usage(msg);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or_else(|| Error::Usage(format!("{name} needs a value")))
-        };
-        let parse_num = |name: &str, v: &str| {
-            v.parse::<u64>()
-                .map_err(|_| Error::Usage(format!("{name}: expected a number, got `{v}`")))
-        };
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next_arg()? {
         match arg.as_str() {
-            "--socket" => config.socket = PathBuf::from(value("--socket")?),
-            "--state-dir" => config.state_dir = PathBuf::from(value("--state-dir")?),
-            "--workers" => {
-                config.worker_slots = parse_num("--workers", value("--workers")?)? as usize;
-            }
-            "--queue-depth" => {
-                config.scheduler.queue_depth =
-                    parse_num("--queue-depth", value("--queue-depth")?)? as usize;
-            }
+            "--socket" => config.socket = PathBuf::from(args.value()?),
+            "--state-dir" => config.state_dir = PathBuf::from(args.value()?),
+            "--workers" => config.worker_slots = args.parse("expected a worker count")?,
+            "--queue-depth" => config.scheduler.queue_depth = args.parse("expected a job count")?,
             "--default-quota" => {
-                config.scheduler.default_quota =
-                    parse_num("--default-quota", value("--default-quota")?)? as u32;
+                config.scheduler.default_quota = args.parse("expected a job count")?;
             }
             "--quota" => {
-                let spec = value("--quota")?;
+                let spec = args.value()?;
                 let (tenant, n) = spec
                     .split_once('=')
-                    .ok_or_else(|| usage(format!("--quota: expected tenant=n, got `{spec}`")))?;
-                let n = parse_num("--quota", n)? as u32;
+                    .ok_or_else(|| invalid("--quota", format!("expected tenant=n, got `{spec}`")))?;
+                let n = parse_value("--quota", n, "expected tenant=<job count>")?;
                 config.scheduler.quotas.insert(tenant.to_owned(), n);
             }
             "--max-attempts" => {
-                config.retry.max_attempts =
-                    parse_num("--max-attempts", value("--max-attempts")?)? as u32;
+                config.retry.max_attempts = args.parse("expected an attempt count")?;
             }
-            "--backoff-ms" => {
-                config.retry.backoff_base_ms = parse_num("--backoff-ms", value("--backoff-ms")?)?;
-            }
+            "--backoff-ms" => config.retry.backoff_base_ms = args.parse("expected milliseconds")?,
             "--deadline-secs" => {
-                config.default_deadline = Some(Duration::from_secs(parse_num(
-                    "--deadline-secs",
-                    value("--deadline-secs")?,
-                )?));
+                config.default_deadline =
+                    Some(Duration::from_secs(args.parse("expected seconds")?));
             }
-            "--help" | "-h" => return Err(Error::Usage(String::new())),
-            other => return Err(usage(format!("unknown option `{other}`"))),
+            _ => return Err(unexpected(arg)),
         }
     }
+    Ok(config)
+}
+
+fn daemon_mode(config: DaemonConfig) -> Result<(), Error> {
     sig::install();
     println!(
         "mempool-serve: listening on {} ({} worker slot(s), state in {})",
@@ -140,4 +121,14 @@ fn daemon_mode(args: &[String]) -> Result<(), Error> {
         }
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_option_the_usage_text_names_is_accepted_by_the_parser() {
+        assert_eq!(mempool_suite::cli::unparsed_options(USAGE, parse), [""; 0]);
+    }
 }

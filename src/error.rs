@@ -1,4 +1,4 @@
-//! The suite-level error type behind the `mempool-run` CLI.
+//! The suite-level error type behind the three binaries.
 //!
 //! The core crate's [`mempool::Error`] unifies everything the simulator
 //! itself can raise, but the umbrella binary also drives the traffic
@@ -8,6 +8,7 @@
 //! maps it onto the documented process exit contract (`0` success, `1`
 //! runtime error, `2` usage error).
 
+use crate::cli::UsageError;
 use std::error::Error as StdError;
 use std::fmt;
 
@@ -20,7 +21,7 @@ use std::fmt;
 #[non_exhaustive]
 pub enum Error {
     /// The command line was malformed. Exits with status 2.
-    Usage(String),
+    Usage(UsageError),
     /// The simulator core failed (config, decode, bus, snapshot, ...).
     Sim(mempool::Error),
     /// A traffic sweep point failed.
@@ -51,6 +52,9 @@ pub enum Error {
 }
 
 impl Error {
+    /// The exit status of a usage error.
+    pub const USAGE_EXIT_CODE: u8 = 2;
+
     /// Attaches a file path to an I/O error.
     pub fn io(path: impl Into<String>, source: std::io::Error) -> Self {
         Error::Io { path: path.into(), source }
@@ -61,7 +65,7 @@ impl Error {
     /// everything else (`0` is reserved for success).
     pub fn exit_code(&self) -> u8 {
         match self {
-            Error::Usage(_) => 2,
+            Error::Usage(_) => Self::USAGE_EXIT_CODE,
             Error::Interrupted => 3,
             _ => 1,
         }
@@ -71,7 +75,7 @@ impl Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::Usage(msg) => write!(f, "{msg}"),
+            Error::Usage(e) => write!(f, "{e}"),
             Error::Sim(e) => write!(f, "{e}"),
             Error::Sweep(e) => write!(f, "{e}"),
             Error::Campaign(e) => write!(f, "{e}"),
@@ -146,6 +150,13 @@ impl From<mempool::BusError> for Error {
     }
 }
 
+#[cfg(unix)]
+impl From<mempool_serve::ClientError> for Error {
+    fn from(e: mempool_serve::ClientError) -> Self {
+        Error::Other(e.to_string())
+    }
+}
+
 impl From<String> for Error {
     fn from(msg: String) -> Self {
         Error::Other(msg)
@@ -164,7 +175,7 @@ mod tests {
 
     #[test]
     fn exit_codes_follow_the_cli_contract() {
-        assert_eq!(Error::Usage("bad flag".into()).exit_code(), 2);
+        assert_eq!(Error::Usage(UsageError::UnknownOption("--bad".into())).exit_code(), 2);
         assert_eq!(Error::Other("boom".into()).exit_code(), 1);
         assert_eq!(Error::Interrupted.exit_code(), 3);
         let sim: Error = metrics_error().into();

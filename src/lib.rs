@@ -2,12 +2,14 @@
 //!
 //! The umbrella crate of the MemPool reproduction: re-exports every member
 //! crate and hosts the runnable examples (`examples/`), the cross-crate
-//! integration tests (`tests/`), and the `mempool-run` CLI.
+//! integration tests (`tests/`), and the command-line layer ([`cli`]) under the
+//! `mempool-run`, `mempool-serve` and `mempool-cli` binaries.
 //!
 //! Start from [`mempool`] (the cluster simulator) or the repository
 //! README.
 
 pub mod bench;
+pub mod cli;
 pub mod error;
 pub mod worker;
 
