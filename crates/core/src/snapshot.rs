@@ -32,6 +32,10 @@ use std::path::Path;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// What four and eight zero bytes multiply the hash by: a zero byte's step,
+/// `h ← (h ^ 0) · P`, is `h ← h · P`.
+const FNV_PRIME_4: u64 = FNV_PRIME.wrapping_pow(4);
+const FNV_PRIME_8: u64 = FNV_PRIME.wrapping_pow(8);
 
 /// Snapshot file magic: `"MPSN"` little-endian.
 const MAGIC: u32 = 0x4d50_534e;
@@ -75,11 +79,28 @@ pub trait StateSink {
     fn put_f64(&mut self, v: f64) {
         self.put(&v.to_bits().to_le_bytes());
     }
+
+    /// Appends a run of little-endian `u32`s — the bytes of a
+    /// [`put_u32`](StateSink::put_u32) per word, which is what the default
+    /// does; both sinks of this crate take the run in one pass instead.
+    fn put_words(&mut self, words: &[u32]) {
+        for &w in words {
+            self.put_u32(w);
+        }
+    }
 }
 
 impl StateSink for Vec<u8> {
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
+    }
+
+    fn put_words(&mut self, words: &[u32]) {
+        let start = self.len();
+        self.resize(start + 4 * words.len(), 0);
+        for (slot, w) in self[start..].chunks_exact_mut(4).zip(words) {
+            slot.copy_from_slice(&w.to_le_bytes());
+        }
     }
 }
 
@@ -106,11 +127,41 @@ impl Default for Fnv {
     }
 }
 
-impl StateSink for Fnv {
-    fn put(&mut self, bytes: &[u8]) {
+impl Fnv {
+    /// FNV-1a, one byte at a time.
+    fn put_each(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+}
+
+/// Most of a checkpoint is zeroed L1, and FNV-1a over a run of zero bytes
+/// is one multiplication by a power of the prime: an all-zero 8-byte chunk
+/// or word costs one multiply, anything else the byte loop. The hash is a
+/// function of the byte stream alone, so how the stream is cut into calls
+/// (and into chunks inside one) cannot show in the digest.
+impl StateSink for Fnv {
+    fn put(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            if chunk == [0; 8] {
+                self.0 = self.0.wrapping_mul(FNV_PRIME_8);
+            } else {
+                self.put_each(chunk);
+            }
+        }
+        self.put_each(chunks.remainder());
+    }
+
+    fn put_words(&mut self, words: &[u32]) {
+        for &w in words {
+            if w == 0 {
+                self.0 = self.0.wrapping_mul(FNV_PRIME_4);
+            } else {
+                self.put_each(&w.to_le_bytes());
+            }
         }
     }
 }
@@ -235,6 +286,21 @@ impl<'a> ByteReader<'a> {
     /// [`SnapshotError::Truncated`] at end of stream.
     pub fn take_f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.take_u64()?))
+    }
+
+    /// Fills `words` with the next little-endian `u32`s — the reverse of
+    /// [`StateSink::put_words`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] when fewer than `4 * words.len()` bytes
+    /// remain; nothing is consumed then.
+    pub fn take_words(&mut self, words: &mut [u32]) -> Result<(), SnapshotError> {
+        let len = words.len().checked_mul(4).ok_or(SnapshotError::Truncated)?;
+        for (w, bytes) in words.iter_mut().zip(self.take(len)?.chunks_exact(4)) {
+            *w = u32::from_le_bytes(bytes.try_into().expect("length 4"));
+        }
+        Ok(())
     }
 
     /// Number of unread bytes.
@@ -835,27 +901,35 @@ impl ClusterSnapshot {
     }
 
     /// Parses and validates a serialized snapshot: magic, version, and both
-    /// section digests must check out.
+    /// section digests must check out. Copies `bytes`; a caller that owns
+    /// them hands them to [`from_vec`](ClusterSnapshot::from_vec).
+    ///
+    /// # Errors
+    ///
+    /// As [`from_vec`](ClusterSnapshot::from_vec).
+    pub fn from_bytes(bytes: &[u8]) -> Result<ClusterSnapshot, SnapshotError> {
+        ClusterSnapshot::from_vec(bytes.to_vec())
+    }
+
+    /// Validates a serialized snapshot in place and takes it over, so that
+    /// a checkpoint read from disk is held once.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::BadMagic`], [`SnapshotError::UnsupportedVersion`],
     /// [`SnapshotError::Truncated`], or [`SnapshotError::DigestMismatch`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<ClusterSnapshot, SnapshotError> {
+    pub fn from_vec(bytes: Vec<u8>) -> Result<ClusterSnapshot, SnapshotError> {
         if bytes.len() < HEADER_LEN {
             return Err(SnapshotError::Truncated);
         }
-        let snap = ClusterSnapshot {
-            bytes: bytes.to_vec(),
-        };
+        let snap = ClusterSnapshot { bytes };
         if snap.u32_at(0) != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
         if snap.version() != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snap.version()));
         }
-        let len_a = snap.u64_at(48) as usize;
-        if HEADER_LEN + len_a > bytes.len() {
+        if snap.u64_at(48) > (snap.bytes.len() - HEADER_LEN) as u64 {
             return Err(SnapshotError::Truncated);
         }
         if fnv64(snap.section_a()) != snap.u64_at(40) {
@@ -888,8 +962,7 @@ impl ClusterSnapshot {
     /// I/O errors, or [`SnapshotError`]s mapped to
     /// [`io::ErrorKind::InvalidData`].
     pub fn read_file(path: &Path) -> io::Result<ClusterSnapshot> {
-        let bytes = std::fs::read(path)?;
-        ClusterSnapshot::from_bytes(&bytes)
+        ClusterSnapshot::from_vec(std::fs::read(path)?)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 }
@@ -908,9 +981,7 @@ fn save_tile(out: &mut dyn StateSink, tile: &Tile) {
     for bank in &tile.banks {
         let words = bank.words();
         out.put_u64(words.len() as u64);
-        for &w in words {
-            out.put_u32(w);
-        }
+        out.put_words(words);
         let reservations = bank.reservations();
         out.put_u64(reservations.len() as u64);
         for &(hart, row) in reservations {
@@ -962,15 +1033,14 @@ fn save_tile(out: &mut dyn StateSink, tile: &Tile) {
 }
 
 fn load_tile(r: &mut ByteReader<'_>, tile: &mut Tile) -> Result<(), SnapshotError> {
+    let mut words = Vec::new();
     for bank in &mut tile.banks {
         let n = r.take_u64()? as usize;
         if n != bank.words().len() {
             return Err(SnapshotError::Corrupt("bank row count"));
         }
-        let mut words = Vec::with_capacity(n);
-        for _ in 0..n {
-            words.push(r.take_u32()?);
-        }
+        words.resize(n, 0);
+        r.take_words(&mut words)?;
         let nr = r.take_u64()? as usize;
         let mut reservations = Vec::with_capacity(nr);
         for _ in 0..nr {
@@ -1497,21 +1567,30 @@ impl<C: CoreState> Cluster<C> {
     /// into a same-configured cluster (same program loaded) and continuing
     /// is cycle-for-cycle bit-identical to never having snapshotted.
     pub fn snapshot(&self) -> ClusterSnapshot {
-        let mut a = Vec::new();
-        self.encode_section_a(&mut a);
-        let mut b = Vec::new();
-        self.encode_section_b(&mut b);
-        let mut bytes = Vec::with_capacity(HEADER_LEN + a.len() + b.len());
-        bytes.put_u32(MAGIC);
-        bytes.put_u32(SNAPSHOT_VERSION);
-        bytes.put_u64(config_digest(&self.config));
-        bytes.put_u64(self.image.digest());
-        bytes.put_u64(fnv64(&b));
-        bytes.put_u64(self.now);
-        bytes.put_u64(fnv64(&a));
-        bytes.put_u64(a.len() as u64);
-        bytes.extend_from_slice(&a);
-        bytes.extend_from_slice(&b);
+        // One buffer: room for the header, then both sections encoded in
+        // place, then the header filled in from what they turned out to be.
+        // Sized for L1 (most of any image but a saturated backlog's) and
+        // half as much again for everything else.
+        let l1_bytes = 4 * self.config.num_banks() * self.config.rows_per_bank as usize;
+        let mut bytes = Vec::with_capacity(HEADER_LEN + l1_bytes + l1_bytes / 2);
+        bytes.resize(HEADER_LEN, 0);
+        self.encode_section_a(&mut bytes);
+        let len_a = bytes.len() - HEADER_LEN;
+        self.encode_section_b(&mut bytes);
+        let (a, b) = bytes[HEADER_LEN..].split_at(len_a);
+        let fields = [
+            config_digest(&self.config),
+            self.image.digest(),
+            fnv64(b),
+            self.now,
+            fnv64(a),
+            len_a as u64,
+        ];
+        bytes[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+        bytes[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        for (slot, field) in bytes[8..HEADER_LEN].chunks_exact_mut(8).zip(fields) {
+            slot.copy_from_slice(&field.to_le_bytes());
+        }
         ClusterSnapshot { bytes }
     }
 
@@ -1868,3 +1947,6 @@ pub fn bisect_divergence<C: Core + CoreState>(
     }
     None
 }
+
+#[cfg(test)]
+mod oracle;

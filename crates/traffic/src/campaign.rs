@@ -9,7 +9,7 @@
 //! same generators as the §V-A experiments) and is fully determined by
 //! `base_seed + trial index`, so a campaign line is replayable.
 
-use crate::{AddressSpace, Pattern, TrafficGen, Windows};
+use crate::{Pattern, TrafficGen, Windows};
 use mempool::snapshot::fnv64;
 use mempool::{
     CancelCause, CancelToken, Cluster, ClusterConfig, ClusterSnapshot, FaultPlan, FaultSpec,
@@ -224,36 +224,7 @@ pub fn trial_cluster(
     // flit is a guaranteed hang, and without the watchdog a deadlock burns
     // the whole drain budget.
     config.resilience = mempool::ResilienceConfig::standard();
-    let map = config.address_map()?;
-    let scrambler = config.scrambler()?;
-    let l1_bytes = map.size_bytes() as u32;
-    let load = campaign.load;
-    let pattern = campaign.pattern;
-    let mut cluster = Cluster::new(config, |loc| {
-        let (seq_base, seq_bytes, seq_total) = match scrambler {
-            Some(s) => (
-                s.seq_base(loc.tile as u32),
-                s.seq_bytes_per_tile(),
-                s.seq_region_bytes() as u32,
-            ),
-            None => (0, 0, 0),
-        };
-        TrafficGen::new(
-            load,
-            pattern,
-            AddressSpace {
-                l1_bytes,
-                seq_base,
-                seq_bytes,
-                seq_total,
-                tile: loc.tile as u32,
-                num_tiles: config.num_tiles as u32,
-                banks_per_tile: config.banks_per_tile as u32,
-            },
-            64,
-            seed.wrapping_mul(0x9e37_79b9).wrapping_add(loc.core as u64),
-        )
-    })?;
+    let mut cluster = crate::traffic_cluster(config, campaign.pattern, campaign.load, seed)?;
     cluster.install_fault_plan(Some(FaultPlan::new(seed, campaign.spec)));
     Ok(cluster)
 }

@@ -49,6 +49,36 @@ impl SweepPoint {
     }
 }
 
+/// The cluster of §V-A: every core of `config` replaced by a Poisson
+/// generator of `load` requests per cycle towards `pattern`, 64 requests
+/// outstanding each, the generators' streams derived from `seed`.
+///
+/// # Errors
+///
+/// Propagates configuration validation errors.
+pub fn traffic_cluster(
+    config: ClusterConfig,
+    pattern: Pattern,
+    load: f64,
+    seed: u64,
+) -> Result<Cluster<TrafficGen>, ValidateConfigError> {
+    let l1_bytes = config.address_map()?.size_bytes() as u32;
+    let scrambler = config.scrambler()?;
+    Cluster::new(config, |loc| {
+        let space = AddressSpace {
+            l1_bytes,
+            seq_base: scrambler.map_or(0, |s| s.seq_base(loc.tile as u32)),
+            seq_bytes: scrambler.map_or(0, |s| s.seq_bytes_per_tile()),
+            seq_total: scrambler.map_or(0, |s| s.seq_region_bytes() as u32),
+            tile: loc.tile as u32,
+            num_tiles: config.num_tiles as u32,
+            banks_per_tile: config.banks_per_tile as u32,
+        };
+        let seed = seed.wrapping_mul(0x9e37_79b9).wrapping_add(loc.core as u64);
+        TrafficGen::new(load, pattern, space, 64, seed)
+    })
+}
+
 /// Runs one (topology, pattern, load) experiment on `config` and returns
 /// its sweep point.
 ///
@@ -116,36 +146,7 @@ fn run_point_inner(
     ),
     ValidateConfigError,
 > {
-    let map = config.address_map()?;
-    let scrambler = config.scrambler()?;
-    let l1_bytes = map.size_bytes() as u32;
-    let cores_per_tile = config.cores_per_tile;
-    let mut cluster = Cluster::new(config, |loc| {
-        let (seq_base, seq_bytes, seq_total) = match scrambler {
-            Some(s) => (
-                s.seq_base((loc.tile) as u32),
-                s.seq_bytes_per_tile(),
-                s.seq_region_bytes() as u32,
-            ),
-            None => (0, 0, 0),
-        };
-        let _ = cores_per_tile;
-        TrafficGen::new(
-            load,
-            pattern,
-            AddressSpace {
-                l1_bytes,
-                seq_base,
-                seq_bytes,
-                seq_total,
-                tile: loc.tile as u32,
-                num_tiles: config.num_tiles as u32,
-                banks_per_tile: config.banks_per_tile as u32,
-            },
-            64,
-            seed.wrapping_mul(0x9e37_79b9).wrapping_add(loc.core as u64),
-        )
-    })?;
+    let mut cluster = traffic_cluster(config, pattern, load, seed)?;
     if let Some(obs) = obs {
         cluster.enable_observability(obs);
     }

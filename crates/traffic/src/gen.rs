@@ -185,8 +185,8 @@ pub struct TrafficGen {
     pattern: Pattern,
     space: AddressSpace,
     rng: StdRng,
-    /// Generated-but-not-injected requests: (generation cycle, address).
-    queue: VecDeque<(u64, u32)>,
+    /// Generated-but-not-injected requests, in generation order.
+    queue: VecDeque<Queued>,
     /// In-flight generation timestamps per tag.
     tags: Vec<Option<u64>>,
     /// One bit per tag that is free (`tags[t]` is `None`); four words cover
@@ -197,6 +197,17 @@ pub struct TrafficGen {
     measure_from: Option<u64>,
     stopped: bool,
     stats: GenStats,
+}
+
+/// A waiting request in 8 bytes: the backlog is the one thing that grows
+/// without bound past saturation, so it stores the low half of the
+/// generation cycle and [`TrafficGen::gen_time`] widens it against the
+/// clock.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    /// Low 32 bits of the generation cycle.
+    gen_lo: u32,
+    addr: u32,
 }
 
 impl TrafficGen {
@@ -251,6 +262,13 @@ impl TrafficGen {
     /// Requests waiting in the source queue.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
+    }
+
+    /// The full generation cycle of a waiting request: the one cycle within
+    /// 2³² of the clock, and not after it, whose low half is the stored one.
+    /// Exact while no request waits 2³² cycles, which `step` asserts.
+    fn gen_time(&self, queued: Queued) -> u64 {
+        self.clock - u64::from((self.clock as u32).wrapping_sub(queued.gen_lo))
     }
 
     /// Samples the number of Poisson arrivals this cycle (Knuth's method —
@@ -318,9 +336,9 @@ impl mempool::CoreState for TrafficGen {
     fn encode_state(&self, out: &mut dyn mempool::StateSink) {
         out.put_u64(self.rng.state());
         out.put_u64(self.queue.len() as u64);
-        for &(cycle, addr) in &self.queue {
-            out.put_u64(cycle);
-            out.put_u32(addr);
+        for &queued in &self.queue {
+            out.put_u64(self.gen_time(queued));
+            out.put_u32(queued.addr);
         }
         out.put_u64(self.tags.len() as u64);
         for tag in &self.tags {
@@ -356,10 +374,21 @@ impl mempool::CoreState for TrafficGen {
         self.rng = StdRng::seed_from_u64(r.take_u64()?);
         let nq = r.take_u64()? as usize;
         self.queue.clear();
+        // A corrupt count allocates no more than the file could fill.
+        self.queue.reserve(nq.min(r.remaining() / 12));
+        // The queue is in generation order; its two ends are held against
+        // the clock once that is read.
+        let mut oldest = None;
+        let mut youngest = 0;
         for _ in 0..nq {
             let cycle = r.take_u64()?;
             let addr = r.take_u32()?;
-            self.queue.push_back((cycle, addr));
+            if cycle < youngest {
+                return Err(SnapshotError::Corrupt("queued generation cycle"));
+            }
+            oldest.get_or_insert(cycle);
+            youngest = cycle;
+            self.queue.push_back(Queued { gen_lo: cycle as u32, addr });
         }
         let nt = r.take_u64()? as usize;
         if nt != self.tags.len() {
@@ -375,6 +404,15 @@ impl mempool::CoreState for TrafficGen {
             return Err(SnapshotError::Corrupt("in-flight count"));
         }
         self.clock = r.take_u64()?;
+        // A generation cycle after the clock would underflow the latency it
+        // is subtracted from; one 2³² cycles before it has no 32-bit form.
+        let unpackable = |oldest| self.clock - oldest > u64::from(u32::MAX);
+        if youngest > self.clock || oldest.is_some_and(unpackable) {
+            return Err(SnapshotError::Corrupt("queued generation cycle"));
+        }
+        if self.tags.iter().flatten().any(|&gen_time| gen_time > self.clock) {
+            return Err(SnapshotError::Corrupt("in-flight generation cycle"));
+        }
         self.measure_from = if r.take_bool()? { Some(r.take_u64()?) } else { None };
         self.stopped = r.take_bool()?;
         self.stats.generated = r.take_u64()?;
@@ -407,10 +445,17 @@ impl Core for TrafficGen {
         request_ready: bool,
     ) -> Option<DataRequest> {
         self.clock += 1;
+        // Ahead of this cycle's arrivals every waiting request is at least
+        // a cycle old, and the front is the oldest: its stored half meets
+        // the clock's again only after 2³² cycles of waiting.
+        assert!(
+            self.queue.front().is_none_or(|q| q.gen_lo != self.clock as u32),
+            "a request waited 2^32 cycles in the source queue"
+        );
         let n = self.arrivals();
         for _ in 0..n {
             let addr = self.pick_address();
-            self.queue.push_back((self.clock, addr));
+            self.queue.push_back(Queued { gen_lo: self.clock as u32, addr });
             self.stats.generated += 1;
         }
         if !request_ready || self.queue.is_empty() {
@@ -420,13 +465,13 @@ impl Core for TrafficGen {
         let word = self.free_tags.iter().position(|&w| w != 0)?;
         let tag = word * 64 + self.free_tags[word].trailing_zeros() as usize;
         self.free_tags[word] &= self.free_tags[word] - 1;
-        let (gen_time, addr) = self.queue.pop_front().expect("nonempty");
-        self.tags[tag] = Some(gen_time);
+        let queued = self.queue.pop_front().expect("nonempty");
+        self.tags[tag] = Some(self.gen_time(queued));
         self.in_flight += 1;
         self.stats.injected += 1;
         Some(DataRequest {
             tag: tag as u8,
-            addr,
+            addr: queued.addr,
             kind: DataRequestKind::Load(LoadOp::Lw),
         })
     }
@@ -602,87 +647,333 @@ mod tests {
         assert_eq!(gen.stats().injected, gen.stats().completed);
     }
 
-    /// The generator's issue path before the free-tag mask and the stored
-    /// arrival threshold: `exp` per cycle, a scan of `tags` per issue.
-    /// Uniform pattern only.
-    struct ScanningGen {
+    /// The generator as it was before its hot paths were rewritten: a
+    /// 16-byte `(generation cycle, address)` per waiting request, `exp` per
+    /// cycle, a scan of `tags` per issue. Uniform pattern only.
+    struct WideGen {
         rate: f64,
         l1_words: u32,
         rng: StdRng,
-        queue: VecDeque<u32>,
-        tags: Vec<bool>,
+        queue: VecDeque<(u64, u32)>,
+        tags: Vec<Option<u64>>,
+        clock: u64,
+        measure_from: Option<u64>,
+        stopped: bool,
+        stats: GenStats,
     }
 
-    impl ScanningGen {
-        fn step(&mut self, request_ready: bool) -> Option<(u8, u32)> {
-            let l = (-self.rate).exp();
-            let (mut p, mut arrivals) = (self.rng.gen::<f64>(), 0);
-            while p > l {
-                p *= self.rng.gen::<f64>();
-                arrivals += 1;
+    impl WideGen {
+        fn new(rate: f64, outstanding: usize, seed: u64) -> WideGen {
+            WideGen {
+                rate,
+                l1_words: space().l1_bytes / 4,
+                rng: StdRng::seed_from_u64(seed),
+                queue: VecDeque::new(),
+                tags: vec![None; outstanding],
+                clock: 0,
+                measure_from: None,
+                stopped: false,
+                stats: GenStats::default(),
             }
-            for _ in 0..arrivals {
-                self.queue
-                    .push_back(self.rng.gen_range(0..self.l1_words) * 4);
+        }
+
+        fn deliver(&mut self, tag: u8) {
+            let gen_time = self.tags[tag as usize].take().expect("in flight");
+            self.stats.completed += 1;
+            if self.measure_from.is_some_and(|from| gen_time >= from) {
+                self.stats.latency.record(self.clock + 1 - gen_time);
+            }
+        }
+
+        /// The issued `(tag, generation cycle, address)`.
+        fn step(&mut self, request_ready: bool) -> Option<(u8, u64, u32)> {
+            self.clock += 1;
+            if !self.stopped {
+                let l = (-self.rate).exp();
+                let (mut p, mut arrivals) = (self.rng.gen::<f64>(), 0);
+                while p > l {
+                    p *= self.rng.gen::<f64>();
+                    arrivals += 1;
+                }
+                for _ in 0..arrivals {
+                    let addr = self.rng.gen_range(0..self.l1_words) * 4;
+                    self.queue.push_back((self.clock, addr));
+                    self.stats.generated += 1;
+                }
             }
             if !request_ready || self.queue.is_empty() {
                 return None;
             }
-            let tag = self.tags.iter().position(|&busy| !busy)?;
-            self.tags[tag] = true;
-            Some((tag as u8, self.queue.pop_front().expect("nonempty")))
+            let tag = self.tags.iter().position(Option::is_none)?;
+            let (gen_time, addr) = self.queue.pop_front().expect("nonempty");
+            self.tags[tag] = Some(gen_time);
+            self.stats.injected += 1;
+            Some((tag as u8, gen_time, addr))
+        }
+
+        fn encode_state(&self) -> Vec<u8> {
+            use mempool::StateSink;
+            let mut out = Vec::new();
+            out.put_u64(self.rng.state());
+            out.put_u64(self.queue.len() as u64);
+            for &(cycle, addr) in &self.queue {
+                out.put_u64(cycle);
+                out.put_u32(addr);
+            }
+            out.put_u64(self.tags.len() as u64);
+            for tag in &self.tags {
+                out.put_bool(tag.is_some());
+                if let Some(gen_time) = tag {
+                    out.put_u64(*gen_time);
+                }
+            }
+            out.put_u64(self.tags.iter().flatten().count() as u64);
+            out.put_u64(self.clock);
+            out.put_bool(self.measure_from.is_some());
+            if let Some(from) = self.measure_from {
+                out.put_u64(from);
+            }
+            out.put_bool(self.stopped);
+            out.put_u64(self.stats.generated);
+            out.put_u64(self.stats.injected);
+            out.put_u64(self.stats.completed);
+            self.stats.latency.save_state(&mut out);
+            out
+        }
+
+        /// Moves the generator `delta` cycles into the future, its waiting
+        /// and in-flight requests with it.
+        fn shift_clock(&mut self, delta: u64) {
+            self.clock += delta;
+            self.queue.iter_mut().for_each(|(cycle, _)| *cycle += delta);
+            self.tags.iter_mut().flatten().for_each(|cycle| *cycle += delta);
+            self.measure_from.iter_mut().for_each(|cycle| *cycle += delta);
+        }
+    }
+
+    fn encoded(gen: &TrafficGen) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        mempool::CoreState::encode_state(gen, &mut bytes);
+        bytes
+    }
+
+    fn decoded(bytes: &[u8], outstanding: usize) -> Result<TrafficGen, mempool::SnapshotError> {
+        let mut gen = TrafficGen::new(0.9, Pattern::Uniform, space(), outstanding, 0);
+        mempool::CoreState::decode_state(&mut gen, &mut mempool::ByteReader::new(bytes))?;
+        Ok(gen)
+    }
+
+    /// A generator and its reference under one memory: responses come back
+    /// late and out of order, and every cycle must issue, measure and encode
+    /// alike.
+    struct Lockstep {
+        gen: TrafficGen,
+        reference: WideGen,
+        harness: StdRng,
+        in_flight: Vec<u8>,
+        /// Issues whose request was generated before cycle 2³² and left the
+        /// queue at or after it.
+        issued_across_the_wrap: u64,
+    }
+
+    impl Lockstep {
+        fn new(rate: f64, outstanding: usize, seed: u64) -> Lockstep {
+            Lockstep {
+                gen: TrafficGen::new(rate, Pattern::Uniform, space(), outstanding, seed),
+                reference: WideGen::new(rate, outstanding, seed),
+                harness: StdRng::seed_from_u64(seed ^ 0xbac4),
+                in_flight: Vec::new(),
+                issued_across_the_wrap: 0,
+            }
+        }
+
+        /// One cycle in which each in-flight response returns with
+        /// probability 1/`return_odds` and the port is free with
+        /// probability `ready_of_4`/4.
+        fn cycle(&mut self, return_odds: u32, ready_of_4: u32) {
+            while !self.in_flight.is_empty() && self.harness.gen_range(0..return_odds) == 0 {
+                let at = self.harness.gen_range(0..self.in_flight.len());
+                let tag = self.in_flight.swap_remove(at);
+                self.gen.deliver(DataResponse { tag, data: 0 });
+                self.reference.deliver(tag);
+            }
+            let ready = self.harness.gen_range(0u32..4) < ready_of_4;
+            let issued = self.gen.step(&mut |_| Fetch::Stall, ready).map(|req| {
+                let gen_time = self.gen.tags[req.tag as usize].expect("just issued");
+                (req.tag, gen_time, req.addr)
+            });
+            let clock = self.reference.clock + 1;
+            assert_eq!(issued, self.reference.step(ready), "cycle {clock}");
+            if let Some((tag, gen_time, _)) = issued {
+                self.in_flight.push(tag);
+                self.issued_across_the_wrap +=
+                    u64::from(gen_time < 1 << 32 && clock >= 1 << 32);
+            }
+            assert_eq!(self.gen.stats.latency, self.reference.stats.latency, "cycle {clock}");
+            // Encoding walks the whole backlog: every cycle while that is
+            // short, every 1009th once it is not.
+            if self.gen.queue_len() < 64 || clock.is_multiple_of(1009) {
+                let same = encoded(&self.gen) == self.reference.encode_state();
+                assert!(same, "encodings differ at cycle {clock}");
+            }
         }
     }
 
     #[test]
+    fn a_queue_entry_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Queued>(), 8);
+    }
+
+    #[test]
+    fn packed_backlog_matches_wide_entries_past_saturation() {
+        // Load 0.9 against a port that is free every other cycle: the
+        // backlog grows by ≈ 0.4 entries a cycle and never drains.
+        let mut pair = Lockstep::new(0.9, 64, 21);
+        for cycle in 0..50_000 {
+            if cycle == 1_000 {
+                pair.gen.start_measuring();
+                pair.reference.measure_from = Some(pair.reference.clock);
+            }
+            pair.cycle(2, 2);
+        }
+        assert!(pair.gen.queue_len() > 15_000, "backlog {}", pair.gen.queue_len());
+        let measured = pair.gen.stats().latency.count();
+        assert!(measured > 10_000, "{measured} latencies");
+        assert!(encoded(&pair.gen) == pair.reference.encode_state());
+    }
+
+    #[test]
+    fn packed_backlog_matches_wide_entries_through_bursts_and_the_drain() {
+        // A port blocked for 1 000 cycles of every 3 000 builds a backlog
+        // of ≈ 450 that the open 2 000 drain to nothing: the ring buffer
+        // fills, empties and wraps around its allocation again and again.
+        let mut pair = Lockstep::new(0.45, 16, 22);
+        pair.gen.start_measuring();
+        pair.reference.measure_from = Some(0);
+        let (mut emptied, mut deepest) = (0, 0);
+        for cycle in 0..50_000u64 {
+            if cycle == 45_000 {
+                pair.gen.stop();
+                pair.reference.stopped = true;
+            }
+            let was_empty = pair.gen.queue_len() == 0;
+            pair.cycle(2, if cycle % 3_000 < 1_000 { 0 } else { 4 });
+            emptied += u64::from(!was_empty && pair.gen.queue_len() == 0);
+            deepest = deepest.max(pair.gen.queue_len());
+        }
+        assert!(deepest > 300 && emptied > 15, "deepest {deepest}, emptied {emptied} times");
+        assert!(pair.gen.done());
+        assert_eq!(pair.gen.stats().generated, pair.gen.stats().completed);
+    }
+
+    #[test]
+    fn packed_backlog_survives_the_clock_passing_two_to_the_32() {
+        let mut pair = Lockstep::new(0.9, 64, 23);
+        pair.gen.start_measuring();
+        pair.reference.measure_from = Some(0);
+        for _ in 0..3_000 {
+            pair.cycle(2, 2);
+        }
+        // Both continue from the reference's bytes 500 cycles short of 2³².
+        pair.reference.shift_clock((1 << 32) - 500 - pair.reference.clock);
+        pair.gen = decoded(&pair.reference.encode_state(), 64).expect("a valid state");
+        let waiting = pair.gen.queue_len();
+        assert!(waiting > 1_000, "backlog {waiting}");
+        for _ in 0..3_000 {
+            pair.cycle(2, 2);
+        }
+        assert!(pair.gen.clock > 1 << 32);
+        // Everything that waited at the restore left the queue after the
+        // wrap, with its generation cycle from before it.
+        assert!(
+            pair.issued_across_the_wrap > 1_000,
+            "{} issues spanned the wrap",
+            pair.issued_across_the_wrap
+        );
+        assert!(encoded(&pair.gen) == pair.reference.encode_state());
+    }
+
+    /// A backlogged generator's state at `clock`, and the offsets of its
+    /// first and last queue entry and of its first in-flight tag's cycle.
+    fn backlogged_state(clock: u64) -> (Vec<u8>, usize, usize, usize) {
+        let mut reference = WideGen::new(0.9, 8, 31);
+        for cycle in 0..400 {
+            if let Some((tag, ..)) = reference.step(cycle % 2 == 0) {
+                if tag >= 4 {
+                    reference.deliver(tag);
+                }
+            }
+        }
+        reference.shift_clock(clock - reference.clock);
+        let bytes = reference.encode_state();
+        let waiting = reference.queue.len();
+        assert!(waiting > 50 && reference.tags[0].is_some());
+        // rng, count, 12-byte entries, tag count, then tag 0's flag.
+        (bytes, 16, 16 + 12 * (waiting - 1), 16 + 12 * waiting + 8 + 1)
+    }
+
+    fn patched(bytes: &[u8], at: usize, cycle: u64) -> Vec<u8> {
+        let mut bytes = bytes.to_vec();
+        bytes[at..at + 8].copy_from_slice(&cycle.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn restore_rejects_generation_cycles_the_clock_cannot_have_seen() {
+        use mempool::SnapshotError::Corrupt;
+        let clock = (1 << 32) + 10_000;
+        let (bytes, first, last, tag0) = backlogged_state(clock);
+        assert!(encoded(&decoded(&bytes, 8).expect("unpatched")) == bytes);
+        let rejected = |bytes: &[u8]| decoded(bytes, 8).err();
+        // After the clock: the latency of such a request would underflow.
+        let queued = Some(Corrupt("queued generation cycle"));
+        assert_eq!(rejected(&patched(&bytes, last, clock + 1)), queued);
+        assert_eq!(
+            rejected(&patched(&bytes, tag0, clock + 1)),
+            Some(Corrupt("in-flight generation cycle"))
+        );
+        assert!(decoded(&patched(&bytes, last, clock), 8).is_ok());
+        assert!(decoded(&patched(&bytes, tag0, clock), 8).is_ok());
+        // 2³² cycles before it: no 32-bit form; one cycle younger has one.
+        assert_eq!(rejected(&patched(&bytes, first, clock - (1 << 32))), queued);
+        let oldest = patched(&bytes, first, clock - u64::from(u32::MAX));
+        assert!(encoded(&decoded(&oldest, 8).expect("representable")) == oldest);
+        // Out of generation order: the front would not be the oldest.
+        assert_eq!(rejected(&patched(&bytes, first, clock)), queued);
+    }
+
+    #[test]
+    fn a_corrupt_queue_length_reserves_no_more_than_the_bytes_could_fill() {
+        let (mut bytes, ..) = backlogged_state(5_000);
+        bytes.truncate(16 + 12 * 5);
+        bytes[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let mut gen = TrafficGen::new(0.9, Pattern::Uniform, space(), 8, 0);
+        let mut reader = mempool::ByteReader::new(&bytes);
+        assert_eq!(
+            mempool::CoreState::decode_state(&mut gen, &mut reader),
+            Err(mempool::SnapshotError::Truncated)
+        );
+        assert!(gen.queue.capacity() <= 8, "reserved {}", gen.queue.capacity());
+    }
+
+    #[test]
     fn issues_match_a_reference_that_scans_the_tags() {
-        use mempool::CoreState;
         // 64 tags fill one mask word exactly, 200 need four; the load is
         // past what the harness drains, so the tags run out and free up in
         // no particular order.
         for (outstanding, seed) in [(64usize, 11u64), (200, 12), (1, 13)] {
-            let mut gen = TrafficGen::new(0.9, Pattern::Uniform, space(), outstanding, seed);
-            let mut reference = ScanningGen {
-                rate: 0.9,
-                l1_words: space().l1_bytes / 4,
-                rng: StdRng::seed_from_u64(seed),
-                queue: VecDeque::new(),
-                tags: vec![false; outstanding],
-            };
-            let mut harness = StdRng::seed_from_u64(seed ^ 0xbac4);
-            let mut in_flight: Vec<u8> = Vec::new();
-            let mut issued = 0;
+            let mut pair = Lockstep::new(0.9, outstanding, seed);
             for step in 0..10_000 {
-                // Responses come back late and out of order.
-                while !in_flight.is_empty() && harness.gen_range(0u32..4) == 0 {
-                    let tag = in_flight.swap_remove(harness.gen_range(0..in_flight.len()));
-                    gen.deliver(DataResponse { tag, data: 0 });
-                    reference.tags[tag as usize] = false;
-                }
                 if step == 5_000 {
                     // A checkpoint restore rebuilds the mask from the tags.
-                    let mut bytes = Vec::new();
-                    gen.encode_state(&mut bytes);
-                    gen = TrafficGen::new(0.9, Pattern::Uniform, space(), outstanding, 0);
-                    gen.decode_state(&mut mempool::ByteReader::new(&bytes))
-                        .expect("own snapshot decodes");
+                    pair.gen = decoded(&encoded(&pair.gen), outstanding).expect("own snapshot");
                 }
-                let ready = harness.gen_range(0u32..3) != 0;
-                let got = gen.step(&mut |_| Fetch::Stall, ready);
-                let got = got.map(|req| (req.tag, req.addr));
-                assert_eq!(
-                    got,
-                    reference.step(ready),
-                    "{outstanding} tags, step {step}"
-                );
-                if let Some((tag, _)) = got {
-                    in_flight.push(tag);
-                    issued += 1;
-                }
+                pair.cycle(4, 3);
             }
+            let issued = pair.gen.stats().injected;
             assert!(issued > 1_000, "{outstanding} tags: only {issued} issues");
             assert!(
-                gen.queue_len() > 0,
+                pair.gen.queue_len() > 0,
                 "{outstanding} tags: never back-pressured"
             );
         }

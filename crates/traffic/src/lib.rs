@@ -45,7 +45,7 @@ pub use supervise::{
 };
 pub use experiment::{
     md1_latency, run_point, run_point_with_metrics, run_sweep, saturation_throughput,
-    MeteredPoint, SweepPoint, SweepPointError, SweepReport, Windows,
+    traffic_cluster, MeteredPoint, SweepPoint, SweepPointError, SweepReport, Windows,
 };
 pub use gen::{AddressSpace, GenStats, Pattern, Permutation, TrafficGen};
 pub use replay::{replay_trace, ReplayCore, ReplayTiming};

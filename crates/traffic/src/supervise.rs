@@ -11,6 +11,7 @@
 
 use mempool::{ClusterConfig, Topology};
 use mempool_rng::{Rng, SeedableRng, StdRng};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -249,10 +250,18 @@ pub enum WorkerLine {
     Error(String),
 }
 
+/// A line break inside a payload would start a second, unparsable line; a
+/// payload without one (every 80 KB result) is not copied.
+fn one_line(s: &str) -> Cow<'_, str> {
+    if s.contains(['\n', '\r']) {
+        Cow::Owned(s.replace(['\n', '\r'], " "))
+    } else {
+        Cow::Borrowed(s)
+    }
+}
+
 impl fmt::Display for WorkerLine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // A line break inside a payload would start a second, unparsable line.
-        let one_line = |s: &str| s.replace(['\n', '\r'], " ");
         match self {
             WorkerLine::Heartbeat(cycle) => write!(f, "heartbeat {cycle}"),
             WorkerLine::Metrics { key, at, doc } => {
@@ -621,46 +630,62 @@ impl<M> Drop for Fleet<M> {
 /// Escapes a string for embedding in a flat JSON line.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // begin and end on character boundaries and are copied whole.
+    let mut clean_from = 0;
+    for (at, &byte) in s.as_bytes().iter().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
+        out.push_str(&s[clean_from..at]);
+        clean_from = at + 1;
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{byte:04x}")),
         }
     }
+    out.push_str(&s[clean_from..]);
     out
 }
 
 /// Reverses [`json_escape`]; `None` on a malformed escape.
 pub fn json_unescape(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
+    let bytes = s.as_bytes();
+    let (mut clean_from, mut at) = (0, 0);
+    while at < bytes.len() {
+        if bytes[at] != b'\\' {
+            at += 1;
             continue;
         }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
+        out.push_str(&s[clean_from..at]);
+        at += 2;
+        match *bytes.get(at - 1)? {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                // Four hex digits are four bytes; anything else that fills
+                // four characters is rejected by its length or as a number.
+                let hex: String = s[at..].chars().take(4).collect();
                 if hex.len() != 4 {
                     return None;
                 }
                 let code = u32::from_str_radix(&hex, 16).ok()?;
                 out.push(char::from_u32(code)?);
+                at += 4;
             }
             _ => return None,
         }
+        clean_from = at;
     }
+    out.push_str(&s[clean_from..]);
     Some(out)
 }
 
@@ -679,20 +704,14 @@ pub fn parse_flat_json(s: &str) -> Option<BTreeMap<String, String>> {
         rest = rest[key_end + 1..].trim_start().strip_prefix(':')?.trim_start();
         let value;
         if let Some(after) = rest.strip_prefix('"') {
-            // A string value: scan for the first unescaped quote.
-            let mut end = None;
-            let mut escaped = false;
-            for (i, c) in after.char_indices() {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    end = Some(i);
-                    break;
-                }
+            // A string value ends at the first unescaped quote. The byte
+            // behind a backslash is skipped unread; were it the first of a
+            // longer character, none of the rest could be taken for either.
+            let bytes = after.as_bytes();
+            let mut end = 0;
+            while *bytes.get(end)? != b'"' {
+                end += if bytes[end] == b'\\' { 2 } else { 1 };
             }
-            let end = end?;
             value = json_unescape(&after[..end])?;
             rest = after[end + 1..].trim_start();
         } else {
@@ -934,12 +953,101 @@ mod tests {
         assert!(parse_flat_json("not json").is_none());
         assert!(parse_flat_json("{\"a\":\"unterminated}").is_none());
         assert!(parse_flat_json("{\"a\"}").is_none());
+        // The closing quote is the first one no backslash stands before.
+        assert!(parse_flat_json("{\"a\":\"x\\\"}").is_none());
+        assert!(parse_flat_json("{\"a\":\"x\\").is_none());
+        assert!(parse_flat_json("{\"a\":\"\\é\",\"b\":1}").is_none());
+        assert_eq!(parse_flat_json("{\"a\":\"é\\\\\",\"b\":1}").expect("parses")["a"], "é\\");
         let fields = parse_flat_json("{\"s\":\"a\\\"b\",\"n\":3,\"b\":true,\"z\":null}")
             .expect("parses");
         assert_eq!(fields["s"], "a\"b");
         assert_eq!(fields["n"], "3");
         assert_eq!(fields["b"], "true");
         assert_eq!(fields["z"], "null");
+    }
+
+    /// The former `json_escape`, one `char` at a time.
+    fn escape_by_chars(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// The former `json_unescape`.
+    fn unescape_by_chars(s: &str) -> Option<String> {
+        let mut out = String::new();
+        let mut chars = s.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next()? {
+                '"' => out.push('"'),
+                '\\' => out.push('\\'),
+                'n' => out.push('\n'),
+                'r' => out.push('\r'),
+                't' => out.push('\t'),
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    if hex.len() != 4 {
+                        return None;
+                    }
+                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
+                }
+                _ => return None,
+            }
+        }
+        Some(out)
+    }
+
+    #[test]
+    fn run_copying_codec_is_the_char_loop_on_a_seeded_corpus() {
+        // Clean runs, every escape, control bytes, two- to four-byte
+        // characters next to each of them, and escapes that are malformed
+        // in every way the decoder tells apart.
+        let pieces = [
+            "plain run of text", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "\u{7f}", "é",
+            "→", "𝄞", "\\u00e9", "\\u12", "\\uzzzz", "\\u+041", "\\uéé", "\\x", "\\n", "{\"k\":1}",
+        ];
+        let mut rng = StdRng::seed_from_u64(24);
+        let (mut decoded, mut rejected) = (0, 0);
+        for _ in 0..4_000 {
+            let text: String = (0..rng.gen_range(0usize..12))
+                .map(|_| pieces[rng.gen_range(0..pieces.len())])
+                .collect();
+            let escaped = json_escape(&text);
+            assert_eq!(escaped, escape_by_chars(&text), "{text:?}");
+            assert_eq!(json_unescape(&escaped).as_deref(), Some(text.as_str()));
+            let unescaped = json_unescape(&text);
+            assert_eq!(unescaped, unescape_by_chars(&text), "{text:?}");
+            match unescaped {
+                Some(_) => decoded += 1,
+                None => rejected += 1,
+            }
+            // The string-end scan finds the same closing quote.
+            let line = format!("{{\"doc\":\"{escaped}\",\"n\":7}}");
+            let fields = parse_flat_json(&line).expect("a rendered line parses");
+            assert_eq!((fields["doc"].as_str(), fields["n"].as_str()), (text.as_str(), "7"));
+        }
+        assert!(decoded > 500 && rejected > 500, "{decoded} decoded, {rejected} rejected");
+    }
+
+    #[test]
+    fn a_payload_without_a_line_break_is_rendered_as_it_is() {
+        let payload = "{\"doc\":\"é → 𝄞\"}".repeat(3);
+        assert_eq!(WorkerLine::Result(payload.clone()).to_string(), format!("result {payload}"));
+        assert_eq!(WorkerLine::Error("a\r\nb".to_owned()).to_string(), "error a  b");
     }
 
     /// The fleet, driving `/bin/sh` fake workers.
