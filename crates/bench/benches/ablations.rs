@@ -10,7 +10,7 @@
 //!    performance contribution.
 
 use mempool::{Cluster, ClusterConfig, Topology};
-use mempool_bench::{banner, bench_config};
+use mempool_bench::banner;
 use mempool_kernels::{
     emit_barrier_with_backoff, emit_epilogue, emit_prologue, emit_tree_barrier_with_backoff,
     run_kernel, Dct, Geometry, Matmul,
@@ -53,10 +53,9 @@ fn main() {
     // 1. Outstanding loads on matmul (TopH).
     println!("\n--- outstanding loads per core (matmul, TopH) ---");
     println!("{:>12} {:>12} {:>10}", "outstanding", "cycles", "speedup");
-    let base_cfg = bench_config(Topology::TopH);
+    let base_cfg = ClusterConfig::paper(Topology::TopH);
     let geom = Geometry::from_config(&base_cfg, 4096);
-    let n = if mempool_bench::full_scale() { 64 } else { 32 };
-    let matmul = Matmul::new(geom, n).expect("valid kernel");
+    let matmul = Matmul::new(geom, 64).expect("valid kernel");
     let mut first = None;
     for outstanding in [1usize, 2, 4, 8, 16] {
         let mut cfg = base_cfg;
@@ -177,7 +176,7 @@ fn main() {
     println!("{:>12} {:>10} {:>10} {:>10}", "pattern", "top1", "top4", "topH");
     for (name, pattern) in patterns {
         let sat = |topo| {
-            run_point(bench_config(topo), pattern, 1.0, windows, 31)
+            run_point(ClusterConfig::paper(topo), pattern, 1.0, windows, 31)
                 .expect("runs")
                 .throughput
         };

@@ -7,8 +7,8 @@
 //! energy); tile 20.9 mW — I-cache 39.5 %, cores 26.6 %, SPM 12.6 %,
 //! tile interconnects < 10 % — cluster 1.55 W with 86 % inside tiles.
 
-use mempool::Topology;
-use mempool_bench::{banner, bench_config};
+use mempool::{ClusterConfig, Topology};
+use mempool_bench::banner;
 use mempool_kernels::{run_kernel, Geometry, Matmul};
 use mempool_physical::{energy, instruction_energy_table, tile_power_mw, Activity};
 
@@ -32,10 +32,9 @@ fn main() {
     println!("paper: add 3.7, mul ~8, local load 8.4 (4.5 net), remote load 16.9 (13.0 net)");
 
     // §VI-D: power while running matmul on TopH at 500 MHz.
-    let cfg = bench_config(Topology::TopH);
+    let cfg = ClusterConfig::paper(Topology::TopH);
     let geom = Geometry::from_config(&cfg, 4096);
-    let n = if mempool_bench::full_scale() { 64 } else { 32 };
-    let kernel = Matmul::new(geom, n).expect("valid kernel");
+    let kernel = Matmul::new(geom, 64).expect("valid kernel");
     let run = run_kernel(&kernel, cfg, 2021, 200_000_000).expect("matmul runs");
     let activity = Activity::from_run(
         &run.stats,

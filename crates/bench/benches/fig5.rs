@@ -6,8 +6,8 @@
 //! Top4 and TopH support ≈0.38; TopH's average latency reaches 6 cycles
 //! only at 0.33 request/core/cycle and stays below Top4's.
 
-use mempool::Topology;
-use mempool_bench::{banner, bench_config, f, row};
+use mempool::{ClusterConfig, Topology};
+use mempool_bench::{banner, f, row};
 use mempool_bench::plot::{save_figure, LinePlot, Series};
 use mempool_traffic::{run_sweep, Pattern, Windows};
 
@@ -17,20 +17,16 @@ fn main() {
         "network analysis of Top1/Top4/TopH under uniform traffic",
     );
     let loads: Vec<f64> = (1..=22).map(|i| i as f64 * 0.02).collect();
-    let windows = if mempool_bench::full_scale() {
-        Windows {
-            warmup: 1_000,
-            measure: 8_000,
-            drain: 100_000,
-        }
-    } else {
-        Windows::default()
+    let windows = Windows {
+        warmup: 1_000,
+        measure: 8_000,
+        drain: 100_000,
     };
 
     let topologies = [Topology::Top1, Topology::Top4, Topology::TopH];
     let mut results = Vec::new();
     for topo in topologies {
-        let sweep = run_sweep(bench_config(topo), Pattern::Uniform, &loads, windows, 42)
+        let sweep = run_sweep(ClusterConfig::paper(topo), Pattern::Uniform, &loads, windows, 42)
             .into_complete()
             .expect("sweep completes");
         results.push((topo, sweep));

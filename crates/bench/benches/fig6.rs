@@ -6,8 +6,8 @@
 //! application with 25 % stack accesses "can gain up to 50 % in
 //! performance … without changing the code".
 
-use mempool::Topology;
-use mempool_bench::{banner, bench_config, f, row};
+use mempool::{ClusterConfig, Topology};
+use mempool_bench::{banner, f, row};
 use mempool_bench::plot::{save_figure, LinePlot, Series};
 use mempool_traffic::{run_sweep, Pattern, Windows};
 
@@ -20,20 +20,16 @@ fn main() {
     // is visible (fully local traffic approaches 1 req/core/cycle).
     let loads: Vec<f64> = (1..=25).map(|i| i as f64 * 0.04).collect();
     let p_locals = [0.0, 0.25, 0.5, 0.75, 1.0];
-    let windows = if mempool_bench::full_scale() {
-        Windows {
-            warmup: 1_000,
-            measure: 8_000,
-            drain: 100_000,
-        }
-    } else {
-        Windows::default()
+    let windows = Windows {
+        warmup: 1_000,
+        measure: 8_000,
+        drain: 100_000,
     };
 
     let mut sweeps = Vec::new();
     for &p_local in &p_locals {
         let sweep = run_sweep(
-            bench_config(Topology::TopH),
+            ClusterConfig::paper(Topology::TopH),
             Pattern::PLocal { p_local },
             &loads,
             windows,

@@ -9,7 +9,7 @@
 //! and suffers badly without it (stacks spread over all tiles).
 
 use mempool::{ClusterConfig, Topology};
-use mempool_bench::{banner, bench_config};
+use mempool_bench::banner;
 use mempool_bench::plot::{save_figure, BarChart, Series};
 use mempool_kernels::{run_kernel, Conv2d, Dct, Geometry, Kernel, Matmul};
 
@@ -28,10 +28,8 @@ fn main() {
         "Fig. 7",
         "benchmark runtimes relative to the ideal-crossbar baseline",
     );
-    let base_cfg = bench_config(Topology::TopH);
-    let geom = Geometry::from_config(&base_cfg, 4096);
-    let matmul_n = if mempool_bench::full_scale() { 64 } else { 32 };
-    let matmul = Matmul::new(geom, matmul_n).expect("valid kernel");
+    let geom = Geometry::from_config(&ClusterConfig::paper(Topology::TopH), 4096);
+    let matmul = Matmul::new(geom, 64).expect("valid kernel");
     let conv = Conv2d::auto(geom).expect("valid kernel");
     let dct = Dct::new(geom).expect("valid kernel");
     let kernels: [&dyn Kernel; 3] = [&matmul, &conv, &dct];
@@ -47,7 +45,7 @@ fn main() {
         for scrambled in [true, false] {
             let mut cycles = Vec::new();
             for topo in [Topology::Ideal, Topology::Top1, Topology::Top4, Topology::TopH] {
-                let cfg = with_scrambling(bench_config(topo), scrambled);
+                let cfg = with_scrambling(ClusterConfig::paper(topo), scrambled);
                 let run = run_kernel(kernel, cfg, SEED, BUDGET)
                     .unwrap_or_else(|e| panic!("{} on {topo}: {e}", kernel.name()));
                 cycles.push(run.cycles);

@@ -2,7 +2,7 @@
 //!
 //! The benchmark harness of the MemPool reproduction: one bench target per
 //! figure/table of the paper, each printing the same rows/series the paper
-//! reports, plus Criterion microbenches of the simulator itself.
+//! reports on the full 256-core system.
 //!
 //! | target | regenerates |
 //! |---|---|
@@ -12,37 +12,19 @@
 //! | `fig9` | Fig. 8/9 — wiring-density floorplans and the Top4 infeasibility verdict |
 //! | `fig10` | Fig. 10 — energy per instruction; §VI-D power numbers |
 //! | `table_physical` | §VI-B/§VI-C — area, timing, feasibility per topology |
-//! | `scorecard` | one PASS/FAIL line per paper claim (the quick repro audit) |
 //! | `ablations` | design-choice sweeps: outstanding loads, sequential-region size, I-cache size, barrier style, scaling |
-//! | `microbench` | Criterion microbenches: fabric arbitration, ISS stepping, scrambler |
 //!
 //! `fig5`/`fig6`/`fig7` additionally write SVG plots to `target/figures/`.
-//! Run everything with `cargo bench --workspace`. Set
-//! `MEMPOOL_BENCH_QUICK=1` to sweep the reduced 64-core cluster instead of
-//! the full 256-core system.
+//! Run everything with `cargo bench -p mempool-bench`. The paper's claims
+//! themselves are asserted by the member crates' tests under `cargo test`.
 
 pub mod plot;
 
 use mempool::{ClusterConfig, Topology};
 
-/// Whether to run the full 256-core sweeps (default) or the reduced
-/// cluster (`MEMPOOL_BENCH_QUICK=1`).
-pub fn full_scale() -> bool {
-    std::env::var_os("MEMPOOL_BENCH_QUICK").is_none()
-}
-
-/// The cluster configuration benchmarks run on.
-pub fn bench_config(topology: Topology) -> ClusterConfig {
-    if full_scale() {
-        ClusterConfig::paper(topology)
-    } else {
-        ClusterConfig::small(topology)
-    }
-}
-
 /// Prints a header naming the experiment and the configuration scale.
 pub fn banner(figure: &str, what: &str) {
-    let cfg = bench_config(Topology::TopH);
+    let cfg = ClusterConfig::paper(Topology::TopH);
     println!();
     println!("================================================================");
     println!("{figure}: {what}");

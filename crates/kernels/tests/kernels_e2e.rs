@@ -74,7 +74,7 @@ fn dct_scrambling_keeps_accesses_local() {
     // The paper: without scrambling the stacks spread over all tiles,
     // giving a significant performance penalty.
     assert!(
-        off.cycles > on.cycles,
+        off.cycles as f64 > 1.5 * on.cycles as f64,
         "no dct penalty without scrambling: {} vs {}",
         off.cycles,
         on.cycles
@@ -99,10 +99,15 @@ fn matmul_ideal_is_fastest_top1_slowest() {
     assert!(toph <= top4 * 11 / 10, "topH {toph} vs top4 {top4}");
     assert!(top4 < top1, "top4 {top4} vs top1 {top1}");
     // "outperform Top1 by a factor of three in the extreme cases" — allow
-    // a loose lower bound here (reduced cluster).
+    // a loose lower bound here (reduced cluster; the 256-core `fig7` run
+    // shows the full gap).
     assert!(
-        top1 as f64 > 1.5 * toph as f64,
+        top1 as f64 > 1.6 * toph as f64,
         "top1 {top1} not clearly behind topH {toph}"
+    );
+    assert!(
+        (toph as f64) < 1.45 * ideal as f64,
+        "topH {toph} strays from the ideal baseline {ideal}"
     );
 }
 
@@ -124,7 +129,7 @@ fn dct_scrambled_matches_baseline() {
         "topH dct {toph} vs ideal {ideal}"
     );
     assert!(
-        (top1 as f64) < 1.15 * ideal as f64,
+        (top1 as f64) < 1.10 * ideal as f64,
         "top1 dct {top1} vs ideal {ideal}"
     );
 }

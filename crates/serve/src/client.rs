@@ -312,7 +312,7 @@ impl ServeClient {
         }
     }
 
-    /// Fetches the daemon's `mempool-serve-metrics-v1` self-metrics
+    /// Fetches the daemon's `mempool-serve-metrics-v2` self-metrics
     /// document.
     ///
     /// # Errors

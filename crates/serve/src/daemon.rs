@@ -719,7 +719,7 @@ impl Daemon {
         if let Some(job) = self.jobs.get_mut(&id) {
             if !job.dispatched {
                 job.dispatched = true;
-                let wait = job.submitted_at.elapsed().as_secs();
+                let wait = job.submitted_at.elapsed().as_millis() as u64;
                 self.metrics.queue_wait(wait);
             }
         }
@@ -859,7 +859,7 @@ impl Daemon {
         let mut fields = None;
         if let Some(job) = self.jobs.get_mut(&id) {
             job.rec.status = status;
-            let latency = job.submitted_at.elapsed().as_secs();
+            let latency = job.submitted_at.elapsed().as_millis() as u64;
             self.metrics.job_terminal(status, latency);
             if !job.watchers.is_empty() {
                 let fields = fields.insert(done_fields(status, payload));

@@ -1,4 +1,4 @@
-//! Daemon self-metrics: the `mempool-serve-metrics-v1` registry.
+//! Daemon self-metrics: the `mempool-serve-metrics-v2` registry.
 //!
 //! The simulator got its observability discipline in the core `Obs`
 //! recorder; this module applies the same discipline to the service layer
@@ -77,8 +77,8 @@ pub struct ServeMetrics {
     journal_replay_skipped: u64,
     rejections: BTreeMap<&'static str, u64>,
     retries: BTreeMap<&'static str, u64>,
-    job_latency_secs: LatencyStats,
-    queue_wait_secs: LatencyStats,
+    job_latency_ms: LatencyStats,
+    queue_wait_ms: LatencyStats,
 }
 
 impl Default for ServeMetrics {
@@ -107,8 +107,8 @@ impl ServeMetrics {
             journal_replay_skipped: 0,
             rejections: BTreeMap::new(),
             retries: BTreeMap::new(),
-            job_latency_secs: LatencyStats::new(),
-            queue_wait_secs: LatencyStats::new(),
+            job_latency_ms: LatencyStats::new(),
+            queue_wait_ms: LatencyStats::new(),
         }
     }
 
@@ -174,20 +174,20 @@ impl ServeMetrics {
     }
 
     /// Counts a job reaching a terminal state, with its submit-to-terminal
-    /// wall latency.
-    pub fn job_terminal(&mut self, status: crate::protocol::JobStatus, latency_secs: u64) {
+    /// wall latency in milliseconds.
+    pub fn job_terminal(&mut self, status: crate::protocol::JobStatus, latency_ms: u64) {
         match status {
             crate::protocol::JobStatus::Completed => self.jobs_completed += 1,
             crate::protocol::JobStatus::Failed => self.jobs_failed += 1,
             crate::protocol::JobStatus::Cancelled => self.jobs_cancelled += 1,
             _ => return,
         }
-        self.job_latency_secs.record(latency_secs);
+        self.job_latency_ms.record(latency_ms);
     }
 
-    /// Records a job's submit-to-first-dispatch queue wait.
-    pub fn queue_wait(&mut self, wait_secs: u64) {
-        self.queue_wait_secs.record(wait_secs);
+    /// Records a job's submit-to-first-dispatch queue wait in milliseconds.
+    pub fn queue_wait(&mut self, wait_ms: u64) {
+        self.queue_wait_ms.record(wait_ms);
     }
 
     /// Counts one telemetry stream record (sequence-number advance).
@@ -205,7 +205,7 @@ impl ServeMetrics {
         self.journal_replay_skipped = skipped;
     }
 
-    /// Renders the `mempool-serve-metrics-v1` document: integer-only,
+    /// Renders the `mempool-serve-metrics-v2` document: integer-only,
     /// deterministic field order, byte-stable for a given event history
     /// and gauge snapshot.
     pub fn to_json(&self, gauges: &ServeGauges) -> String {
@@ -258,14 +258,14 @@ impl ServeMetrics {
         out.push_str("  \"histograms\": {");
         render_histogram(
             &mut out,
-            "job_latency_secs",
-            &HistogramSnapshot::from(&self.job_latency_secs),
+            "job_latency_ms",
+            &HistogramSnapshot::from(&self.job_latency_ms),
         );
         out.push_str(", ");
         render_histogram(
             &mut out,
-            "queue_wait_secs",
-            &HistogramSnapshot::from(&self.queue_wait_secs),
+            "queue_wait_ms",
+            &HistogramSnapshot::from(&self.queue_wait_ms),
         );
         out.push_str("}\n}\n");
         out
@@ -346,7 +346,7 @@ mod tests {
     fn export_is_byte_stable_and_carries_every_section() {
         let doc = sample().to_json(&gauges());
         assert_eq!(doc, sample().to_json(&gauges()), "same history, same bytes");
-        assert!(doc.starts_with("{\n  \"schema\": \"mempool-serve-metrics-v1\",\n"));
+        assert!(doc.starts_with("{\n  \"schema\": \"mempool-serve-metrics-v2\",\n"));
         assert!(doc.contains("\"queue_depth\": 4"));
         assert!(doc.contains("\"jobs_admitted\": 2"));
         assert!(doc.contains(
@@ -357,10 +357,10 @@ mod tests {
             "{\"tenant\": \"a\", \"in_flight\": 1, \"quota\": 2}, \
              {\"tenant\": \"b\", \"in_flight\": 0, \"quota\": 4}"
         ));
-        // Two terminal jobs recorded; the 70s outlier lands in the tail
+        // Two terminal jobs recorded; the 70 ms outlier lands in the tail
         // bucket and p99 saturates to max like every LatencyStats export.
-        assert!(doc.contains("\"job_latency_secs\": {\"count\": 2, \"sum\": 73,"));
-        assert!(doc.contains("\"queue_wait_secs\": {\"count\": 1,"));
+        assert!(doc.contains("\"job_latency_ms\": {\"count\": 2, \"sum\": 73,"));
+        assert!(doc.contains("\"queue_wait_ms\": {\"count\": 1,"));
         assert!(doc.ends_with("}\n}\n"));
     }
 

@@ -27,8 +27,9 @@ pub const PROTOCOL_VERSION: &str = "mempool-job-v1";
 pub const STREAM_SCHEMA: &str = "mempool-job-stream-v1";
 
 /// Schema tag of the daemon self-metrics document returned by the
-/// `metrics` verb (see `ServeMetrics`).
-pub const SERVE_METRICS_SCHEMA: &str = "mempool-serve-metrics-v1";
+/// `metrics` verb (see `ServeMetrics`). Its job-latency and queue-wait
+/// histograms are in milliseconds.
+pub const SERVE_METRICS_SCHEMA: &str = "mempool-serve-metrics-v2";
 
 /// Schema tag embedded in the `otherData` of the per-job Chrome
 /// `trace_event` timeline returned by the `timeline` verb.

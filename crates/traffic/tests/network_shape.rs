@@ -1,6 +1,6 @@
 //! Shape assertions from §V of the paper, on a reduced cluster (16 tiles /
 //! 64 cores) so the tests stay fast. The full-size sweeps live in the bench
-//! harness (`cargo bench -p mempool-bench --bench fig5/fig6`).
+//! harness (`cargo bench -p mempool-bench --bench fig5` and `--bench fig6`).
 
 use mempool::{ClusterConfig, Topology};
 use mempool_traffic::{run_point, Pattern, Windows};
@@ -39,16 +39,16 @@ fn top1_saturates_far_below_top4_and_toph() {
     let top4 = sat(Topology::Top4);
     let toph = sat(Topology::TopH);
     assert!(
-        top4 > 2.0 * top1,
+        top4 > 2.5 * top1,
         "Top4 saturation {top4} not well above Top1 {top1}"
     );
     assert!(
-        toph > 2.0 * top1,
+        toph > 2.5 * top1,
         "TopH saturation {toph} not well above Top1 {top1}"
     );
     assert!(
-        toph >= top4 * 0.9,
-        "TopH {toph} should be at least comparable to Top4 {top4}"
+        toph >= top4 * 0.95,
+        "TopH {toph} should at least match Top4 {top4}"
     );
 }
 
@@ -116,12 +116,16 @@ fn higher_p_local_raises_throughput_and_lowers_latency() {
         run_point(cfg, Pattern::PLocal { p_local }, 1.0, windows(), 5).unwrap()
     };
     let p00 = at(0.0);
+    let p25 = at(0.25);
     let p50 = at(0.5);
     let p100 = at(1.0);
     assert!(
-        p50.throughput > p00.throughput && p100.throughput > p50.throughput,
-        "throughput not monotone: {} {} {}",
+        p25.throughput > p00.throughput
+            && p50.throughput > p25.throughput
+            && p100.throughput > p50.throughput,
+        "throughput not monotone: {} {} {} {}",
         p00.throughput,
+        p25.throughput,
         p50.throughput,
         p100.throughput
     );

@@ -55,7 +55,7 @@ commands:
   timeline <job>         fetch the job's Chrome trace_event timeline
       --out <file>                        write it there instead of stdout
   health                 daemon health and queue counters
-      --metrics                           print the full mempool-serve-metrics-v1
+      --metrics                           print the full mempool-serve-metrics-v2
                                           document instead
   cancel <job>           cancel a queued or running job
   shutdown               ask the daemon to drain (park jobs and exit)

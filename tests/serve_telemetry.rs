@@ -1,7 +1,7 @@
 //! End-to-end coverage for the mempool-serve telemetry plane: the
 //! `mempool-job-stream-v1` watch/tail streams (schema-valid, gapless,
 //! final record byte-identical to the unwatched result), the
-//! `mempool-serve-metrics-v1` self-metrics document, per-job Chrome
+//! `mempool-serve-metrics-v2` self-metrics document, per-job Chrome
 //! trace timelines, and the `mempool-cli wait --timeout` exit contract.
 
 #![cfg(unix)]
@@ -251,7 +251,7 @@ fn serve_metrics_and_timeline_documents_are_schema_tagged() {
 
     let metrics = client.serve_metrics().expect("self-metrics document");
     assert!(
-        metrics.starts_with("{\n  \"schema\": \"mempool-serve-metrics-v1\",\n"),
+        metrics.starts_with("{\n  \"schema\": \"mempool-serve-metrics-v2\",\n"),
         "metrics document: {metrics}"
     );
     for needle in [
@@ -261,12 +261,19 @@ fn serve_metrics_and_timeline_documents_are_schema_tagged() {
         "\"journal_appends\":",
         "\"rejections\"",
         "\"retries\"",
-        "\"job_latency_secs\"",
-        "\"queue_wait_secs\"",
+        "\"queue_wait_ms\"",
         "\"tenants\"",
     ] {
         assert!(metrics.contains(needle), "missing {needle} in {metrics}");
     }
+    // A served job spawns a worker process and fsyncs the journal, so it
+    // takes milliseconds; a histogram in whole seconds would read 0.
+    let latency_sum: u64 = metrics
+        .split_once("\"job_latency_ms\": {\"count\": 1, \"sum\": ")
+        .and_then(|(_, rest)| rest.split(',').next())
+        .and_then(|sum| sum.parse().ok())
+        .unwrap_or_else(|| panic!("no one-sample job_latency_ms histogram in {metrics}"));
+    assert!(latency_sum > 0, "job latency recorded as 0 ms: {metrics}");
     // The document is byte-stable between reads when nothing changed.
     assert_eq!(metrics, client.serve_metrics().expect("second read"));
 
