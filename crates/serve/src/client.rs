@@ -1,15 +1,19 @@
 //! A blocking client for the `mempool-job-v1` socket protocol, used by
 //! `mempool-cli` and the integration tests.
 //!
-//! Each operation opens its own connection (one request, one response
-//! line — except [`ServeClient::wait`], which streams event lines until
-//! the job is terminal). That keeps the wire trivially framed and means a
-//! client never has to demultiplex.
+//! Each operation opens its own connection: one request, one response
+//! line. The three subscriptions ([`ServeClient::wait`],
+//! [`ServeClient::watch`], [`ServeClient::tail`]) read that line as an
+//! acknowledgment and then the `mempool-job-stream-v1` records pushed
+//! after it, in one read loop: until the job's `final: true` record, or
+//! for `tail` until the daemon closes. That keeps the wire trivially framed
+//! and means a client never has to demultiplex.
 
 use crate::protocol::{JobSpec, Request};
 use mempool_traffic::parse_flat_json;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::ErrorKind::{TimedOut, WouldBlock};
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -82,6 +86,11 @@ fn check_ok(fields: Fields) -> Result<Fields, ClientError> {
     }
 }
 
+/// A `wait` or `watch` that ended before the job's terminal record.
+fn drained() -> ClientError {
+    ClientError::Protocol("daemon closed the stream (drained?)".to_owned())
+}
+
 impl ServeClient {
     /// Creates a client for the daemon at `socket`. No connection is made
     /// until the first operation.
@@ -105,6 +114,64 @@ impl ServeClient {
             return Err(ClientError::Protocol("daemon closed without replying".to_owned()));
         }
         check_ok(parse_line(line.trim())?)
+    }
+
+    /// The read loop of every subscription: sends `request`, checks its
+    /// acknowledgment, then hands `on_line` each record after it (and the
+    /// acknowledgment too, `with_ack`), the raw line with its fields.
+    /// Returns the job's `final: true` record, or `None` when the daemon
+    /// closes the connection — the only way a `tail`, which spans every
+    /// job, ends. Past `deadline` it gives up.
+    fn subscribe(
+        &self,
+        request: &Request,
+        deadline: Option<Instant>,
+        with_ack: bool,
+        on_line: &mut dyn FnMut(&str, &Fields),
+    ) -> Result<Option<Fields>, ClientError> {
+        let started = Instant::now();
+        let mut reader = self.open(request)?;
+        if deadline.is_some() {
+            // Poll the stream so the deadline is honored even while the
+            // daemon is silent between records.
+            reader.get_ref().set_read_timeout(Some(Duration::from_millis(200)))?;
+        }
+        let mut line = String::new();
+        let mut acked = false;
+        loop {
+            line.clear();
+            // A read timeout may fire mid-line; `read_line` keeps what it
+            // consumed in `line`, so retrying appends the rest.
+            let read = loop {
+                match reader.read_line(&mut line) {
+                    Ok(n) => break n,
+                    Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => {
+                        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                            return Err(ClientError::TimedOut(started.elapsed()));
+                        }
+                    }
+                    Err(e) => return Err(e.into()),
+                }
+            };
+            if read == 0 {
+                let unanswered = ClientError::Protocol("daemon closed without replying".into());
+                return if acked { Ok(None) } else { Err(unanswered) };
+            }
+            let raw = line.trim();
+            let mut fields = parse_line(raw)?;
+            if !acked {
+                fields = check_ok(fields)?;
+                acked = true;
+                if !with_ack {
+                    continue;
+                }
+            }
+            on_line(raw, &fields);
+            let last = fields.get("final").is_some_and(|f| f == "true");
+            if last && !matches!(request, Request::Tail) {
+                return Ok(Some(fields));
+            }
+        }
     }
 
     /// Submits a job; returns its id.
@@ -170,14 +237,17 @@ impl ServeClient {
         self.request(&Request::Shutdown).map(|_| ())
     }
 
-    /// Streams a job's events (`state`, `heartbeat`, `attempt-failed`)
-    /// into `on_event` until the job is terminal; returns the final `done`
-    /// event's fields (`status`, `result`).
+    /// Streams a job into `on_event`: first the subscription's
+    /// acknowledgment (`ok`, `job`, `status`), then every record
+    /// [`ServeClient::watch`] would deliver but the `partial` metrics
+    /// snapshots, through the terminal one; returns that record's fields
+    /// (`status`, `result`).
     ///
     /// # Errors
     ///
-    /// `unknown-job` rejection, a dropped connection (e.g. the daemon
-    /// drained — the job is parked, not lost), or transport failures.
+    /// `unknown-job` or `result-unavailable` rejection, a dropped
+    /// connection (e.g. the daemon drained — the job is parked, not lost),
+    /// or transport failures.
     pub fn wait(
         &self,
         job: u64,
@@ -199,54 +269,8 @@ impl ServeClient {
         deadline: Option<Instant>,
         on_event: &mut dyn FnMut(&Fields),
     ) -> Result<Fields, ClientError> {
-        let started = Instant::now();
-        let reader = self.open(&Request::Wait { job })?;
-        if deadline.is_some() {
-            // Poll the stream so the deadline is honored even while the
-            // daemon is silent between events.
-            reader
-                .get_ref()
-                .set_read_timeout(Some(Duration::from_millis(200)))?;
-        }
-        let mut reader = reader;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let read = loop {
-                // A read timeout may fire mid-line; `read_line` keeps what
-                // it consumed in `line`, so retrying appends the rest.
-                match reader.read_line(&mut line) {
-                    Ok(n) => break n,
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        if let Some(deadline) = deadline {
-                            if Instant::now() >= deadline {
-                                return Err(ClientError::TimedOut(started.elapsed()));
-                            }
-                        }
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            };
-            if read == 0 {
-                return Err(ClientError::Protocol(
-                    "daemon closed the event stream (drained?)".to_owned(),
-                ));
-            }
-            let fields = parse_line(line.trim())?;
-            if fields.get("ok").map(String::as_str) == Some("false") {
-                check_ok(fields)?;
-                return Err(ClientError::Protocol("ok=false without error".to_owned()));
-            }
-            if fields.get("event").map(String::as_str) == Some("done") {
-                return Ok(fields);
-            }
-            on_event(&fields);
-        }
+        let on_line = &mut |_: &str, fields: &Fields| on_event(fields);
+        self.subscribe(&Request::Wait { job }, deadline, true, on_line)?.ok_or_else(drained)
     }
 
     /// Subscribes to one job's `mempool-job-stream-v1` telemetry records,
@@ -258,34 +282,15 @@ impl ServeClient {
     ///
     /// # Errors
     ///
-    /// `unknown-job` rejection, a dropped connection (the daemon drained —
-    /// the job is parked, not lost; re-subscribe after restart), or
-    /// transport failures.
+    /// `unknown-job` or `result-unavailable` rejection, a dropped
+    /// connection (the daemon drained — the job is parked, not lost;
+    /// re-subscribe after restart), or transport failures.
     pub fn watch(
         &self,
         job: u64,
         on_record: &mut dyn FnMut(&str, &Fields),
     ) -> Result<Fields, ClientError> {
-        let mut reader = self.open(&Request::Watch { job })?;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(ClientError::Protocol(
-                    "daemon closed the telemetry stream (drained?)".to_owned(),
-                ));
-            }
-            let raw = line.trim();
-            let fields = parse_line(raw)?;
-            if fields.get("ok").map(String::as_str) == Some("false") {
-                check_ok(fields)?;
-                return Err(ClientError::Protocol("ok=false without error".to_owned()));
-            }
-            on_record(raw, &fields);
-            if fields.get("final").map(String::as_str) == Some("true") {
-                return Ok(fields);
-            }
-        }
+        self.subscribe(&Request::Watch { job }, None, false, on_record)?.ok_or_else(drained)
     }
 
     /// Subscribes to every job's telemetry records (raw line plus parsed
@@ -296,20 +301,7 @@ impl ServeClient {
     ///
     /// Transport failures before or during the stream.
     pub fn tail(&self, on_record: &mut dyn FnMut(&str, &Fields)) -> Result<(), ClientError> {
-        let mut reader = self.open(&Request::Tail)?;
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(ClientError::Protocol("daemon closed without replying".to_owned()));
-        }
-        check_ok(parse_line(line.trim())?)?;
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                return Ok(());
-            }
-            let raw = line.trim();
-            on_record(raw, &parse_line(raw)?);
-        }
+        self.subscribe(&Request::Tail, None, false, on_record).map(|_| ())
     }
 
     /// Fetches the daemon's `mempool-serve-metrics-v2` self-metrics

@@ -29,8 +29,7 @@
 use crate::journal::{self, Journal, ReplayedJob};
 use crate::metrics::{ServeGauges, ServeMetrics};
 use crate::protocol::{
-    event, json_str, resp_err, resp_ok, stream_record, JobSpec, JobStatus, Request,
-    PROTOCOL_VERSION,
+    json_str, resp_err, resp_ok, stream_record, JobSpec, JobStatus, Request, PROTOCOL_VERSION,
 };
 use crate::sched::{Rejection, Scheduler, SchedulerConfig};
 use crate::timeline::JobTimeline;
@@ -113,22 +112,22 @@ impl From<(u64, Option<String>)> for Msg {
     }
 }
 
+/// A `wait` or `watch` connection. Both are sent the job's stream records;
+/// only a `watch` (`partials`) is sent the `partial` metrics snapshots.
+struct Subscriber {
+    reply: Sender<String>,
+    partials: bool,
+}
+
 struct Job {
     rec: ReplayedJob,
     attempt: u32,
-    /// Legacy `wait` subscribers (event lines, dropped on terminal state).
-    watchers: Vec<Sender<String>>,
-    /// `watch` subscribers (telemetry stream records).
-    streamers: Vec<Sender<String>>,
+    /// Dropped after the terminal record.
+    subscribers: Vec<Subscriber>,
     /// Next telemetry record sequence number. Advanced for every record
     /// whether or not anyone is subscribed, so observation never changes
     /// the numbering (or anything else).
     stream_seq: u64,
-    /// Sequence number of the terminal `final: true` record, once it has
-    /// been emitted; `watch` renders that record again for every late
-    /// subscriber from this, the attempt, the status and the journaled
-    /// payload.
-    final_seq: Option<u64>,
     /// When this daemon process first saw the job (timeline origin).
     submitted_at: Instant,
     /// Whether the queue-wait histogram already recorded first dispatch.
@@ -145,10 +144,8 @@ impl Job {
         Job {
             rec,
             attempt: 1,
-            watchers: Vec::new(),
-            streamers: Vec::new(),
+            subscribers: Vec::new(),
             stream_seq: 0,
-            final_seq: None,
             submitted_at: Instant::now(),
             dispatched: false,
             last_heartbeat: None,
@@ -260,14 +257,19 @@ pub fn run_daemon(config: DaemonConfig, shutdown: &AtomicBool) -> io::Result<Dae
     Ok(summary)
 }
 
-/// The two fields every report of a finished job carries — `wait`'s `done`
-/// event and the terminal stream record, live or read back — so that all of
-/// them are the same bytes.
+/// The two fields of a finished job's terminal record, live or read back,
+/// so that both are the same bytes.
 fn done_fields(status: JobStatus, payload: &str) -> [(&'static str, String); 2] {
     [
         ("status", json_str(&status.to_string())),
         ("result", json_str(payload)),
     ]
+}
+
+/// The `{"ok":true,"job":N,"status":...}` answer to `submit` and `cancel`,
+/// and the acknowledgment that opens a `wait` or `watch` subscription.
+fn job_ack(id: u64, status: &str) -> String {
+    resp_ok(&[("job", id.to_string()), ("status", json_str(status))])
 }
 
 /// The answer to a late reader when the journal cannot produce the result.
@@ -332,8 +334,7 @@ impl Daemon {
     /// Wires up a freshly accepted connection: a reader thread that
     /// forwards request lines to the supervisor, and a writer thread that
     /// drains the connection's reply channel. The writer stays alive as
-    /// long as any reply sender (including `wait` watcher registrations)
-    /// exists.
+    /// long as any reply sender (a subscription's included) exists.
     fn attach(&mut self, stream: UnixStream) {
         let Ok(write_half) = stream.try_clone() else {
             return;
@@ -403,8 +404,8 @@ impl Daemon {
             Request::Cancel { job } => {
                 let _ = reply.send(self.cancel(job));
             }
-            Request::Wait { job } => self.wait(reply, job),
-            Request::Watch { job } => self.watch(reply, job),
+            Request::Wait { job } => self.subscribe(reply, job, false),
+            Request::Watch { job } => self.subscribe(reply, job, true),
             Request::Tail => {
                 let _ = reply.send(resp_ok(&[("tailing", "true".to_owned())]));
                 self.tailers.push(reply.clone());
@@ -471,15 +472,18 @@ impl Daemon {
             || [("status", json_str("queued"))],
             "queued",
         );
-        resp_ok(&[
-            ("job", id.to_string()),
-            ("status", json_str("queued")),
-        ])
+        job_ack(id, "queued")
     }
 
-    fn status_line(&self, id: u64) -> String {
+    /// The answer to an op naming a job this daemon does not know, counted.
+    fn unknown_job(&mut self, id: u64) -> String {
+        self.metrics.rejection("unknown-job");
+        resp_err("unknown-job", &format!("no job {id}"))
+    }
+
+    fn status_line(&mut self, id: u64) -> String {
         let Some(job) = self.jobs.get(&id) else {
-            return resp_err("unknown-job", &format!("no job {id}"));
+            return self.unknown_job(id);
         };
         let mut fields = vec![
             ("job", id.to_string()),
@@ -524,54 +528,31 @@ impl Daemon {
 
     fn cancel(&mut self, id: u64) -> String {
         let Some(job) = self.jobs.get_mut(&id) else {
-            return resp_err("unknown-job", &format!("no job {id}"));
+            return self.unknown_job(id);
         };
         if job.rec.status.is_terminal() {
-            return resp_ok(&[
-                ("job", id.to_string()),
-                ("status", json_str(&job.rec.status.to_string())),
-            ]);
+            return job_ack(id, &job.rec.status.to_string());
         }
         job.cancel_requested = true;
         if self.scheduler.cancel_queued(id) || self.fleet.awaiting_retry(id) {
             self.finish(id, JobStatus::Cancelled, "{\"detail\":\"cancelled while queued\"}");
-            return resp_ok(&[("job", id.to_string()), ("status", json_str("cancelled"))]);
+            return job_ack(id, "cancelled");
         }
         if self.fleet.terminate(id) {
             // The worker parks on SIGTERM; settle() sees the cancel flag
             // and records the terminal state.
-            return resp_ok(&[("job", id.to_string()), ("status", json_str("cancelling"))]);
+            return job_ack(id, "cancelling");
         }
         self.finish(id, JobStatus::Cancelled, "{\"detail\":\"cancelled\"}");
-        resp_ok(&[("job", id.to_string()), ("status", json_str("cancelled"))])
-    }
-
-    fn wait(&mut self, reply: &Sender<String>, id: u64) {
-        let Some(job) = self.jobs.get_mut(&id) else {
-            let _ = reply.send(resp_err("unknown-job", &format!("no job {id}")));
-            return;
-        };
-        if job.rec.status.is_terminal() {
-            let status = job.rec.status;
-            let _ = reply.send(match self.journal.result(id) {
-                Ok(payload) => event("done", id, &done_fields(status, &payload)),
-                Err(e) => result_unavailable(id, status, &e),
-            });
-            return;
-        }
-        let _ = reply.send(event(
-            "state",
-            id,
-            &[("status", json_str(&job.rec.status.to_string()))],
-        ));
-        job.watchers.push(reply.clone());
+        job_ack(id, "cancelled")
     }
 
     /// Emits one telemetry stream record for `id`. The sequence number,
     /// self-metrics counter, and timeline event advance unconditionally;
     /// the record's fields (`extra`, whose values must be JSON tokens) and
-    /// line are only built when someone is subscribed. `tl_detail` is the
-    /// plain-text detail stored in the job timeline.
+    /// line are only built when someone takes it: a `tail`, or a
+    /// subscriber (`partial` records go to `watch`es only). `tl_detail` is
+    /// the plain-text detail stored in the job timeline.
     fn stream<E: AsRef<[(&'static str, String)]>>(
         &mut self,
         id: u64,
@@ -590,54 +571,49 @@ impl Daemon {
         let at_ms = job.submitted_at.elapsed().as_millis() as u64;
         let tl_kind = if kind == "done" { "state" } else { kind };
         job.timeline.push(at_ms, tl_kind, tl_detail);
-        if is_final {
-            job.final_seq = Some(seq);
-        }
-        if job.streamers.is_empty() && !has_tailers {
+        let skips = |s: &Subscriber| kind == "partial" && !s.partials;
+        if !has_tailers && job.subscribers.iter().all(skips) {
             return;
         }
         let record = stream_record(id, seq, job.attempt, kind, is_final, extra().as_ref());
-        job.streamers.retain(|w| w.send(record.clone()).is_ok());
+        job.subscribers.retain(|s| skips(s) || s.reply.send(record.clone()).is_ok());
         if is_final {
-            job.streamers.clear();
+            job.subscribers.clear();
         }
         self.tailers.retain(|w| w.send(record.clone()).is_ok());
     }
 
-    fn watch(&mut self, reply: &Sender<String>, id: u64) {
+    /// Opens a `wait` (`partials` false) or `watch` (`partials` true)
+    /// subscription with an acknowledgment sent to this connection alone:
+    /// subscribing takes no sequence number, counts no record and leaves
+    /// the timeline as it is. A finished job follows the acknowledgment
+    /// with its terminal record, rendered again from the journal byte for
+    /// byte what live subscribers were sent.
+    fn subscribe(&mut self, reply: &Sender<String>, id: u64, partials: bool) {
         let Some(job) = self.jobs.get_mut(&id) else {
-            self.metrics.rejection("unknown-job");
-            let _ = reply.send(resp_err("unknown-job", &format!("no job {id}")));
+            let _ = reply.send(self.unknown_job(id));
             return;
         };
-        if job.rec.status.is_terminal() {
-            // Late subscribers get the terminal record rendered again,
-            // byte for byte what live ones were sent; a job that finished
-            // in a previous daemon process never emitted one, and takes the
-            // next sequence number of its (restarted) stream.
-            let seq = job.final_seq.unwrap_or(job.stream_seq);
-            let status = job.rec.status;
-            let _ = reply.send(match self.journal.result(id) {
-                Ok(payload) => {
-                    let fields = done_fields(status, &payload);
-                    stream_record(id, seq, job.attempt, "done", true, &fields)
-                }
-                Err(e) => result_unavailable(id, status, &e),
-            });
+        let status = job.rec.status;
+        if !status.is_terminal() {
+            let _ = reply.send(job_ack(id, &status.to_string()));
+            job.subscribers.push(Subscriber { reply: reply.clone(), partials });
             return;
         }
-        job.streamers.push(reply.clone());
-        // Broadcast (rather than unicast) the subscription-time state
-        // snapshot: the sequence number advances for every subscriber
-        // alike, keeping all live streams gapless.
-        let status = job.rec.status.to_string();
-        self.stream(
-            id,
-            "state",
-            false,
-            || [("status", json_str(&status))],
-            &status,
-        );
+        match self.journal.result(id) {
+            Ok(payload) => {
+                // The terminal record is the last a job emits. One that
+                // finished under an earlier daemon process emitted none in
+                // this one, and takes seq 0 of its restarted stream.
+                let seq = job.stream_seq.saturating_sub(1);
+                let fields = done_fields(status, &payload);
+                let _ = reply.send(job_ack(id, &status.to_string()));
+                let _ = reply.send(stream_record(id, seq, job.attempt, "done", true, &fields));
+            }
+            Err(e) => {
+                let _ = reply.send(result_unavailable(id, status, &e));
+            }
+        }
     }
 
     fn metrics_line(&self) -> String {
@@ -652,9 +628,9 @@ impl Daemon {
         resp_ok(&[("metrics", json_str(&self.metrics.to_json(&gauges)))])
     }
 
-    fn timeline_line(&self, id: u64) -> String {
+    fn timeline_line(&mut self, id: u64) -> String {
         let Some(job) = self.jobs.get(&id) else {
-            return resp_err("unknown-job", &format!("no job {id}"));
+            return self.unknown_job(id);
         };
         resp_ok(&[
             ("job", id.to_string()),
@@ -732,14 +708,11 @@ impl Daemon {
         let ended = line.is_none();
         match self.fleet.observe(id, line) {
             Some(WorkerLine::Heartbeat(cycle)) => {
-                let cycle_token = cycle.to_string();
                 if let Some(job) = self.jobs.get_mut(&id) {
                     job.last_heartbeat = Some((Instant::now(), cycle));
-                    let line = event("heartbeat", id, &[("cycle", cycle_token.clone())]);
-                    job.watchers.retain(|w| w.send(line.clone()).is_ok());
                 }
                 let detail = format!("cycle {cycle}");
-                self.stream(id, "heartbeat", false, || [("cycle", cycle_token)], &detail);
+                self.stream(id, "heartbeat", false, || [("cycle", cycle.to_string())], &detail);
             }
             // The worker emits these at checkpoint boundaries whenever the
             // job asked for metrics — subscribed or not — so relaying them
@@ -788,19 +761,10 @@ impl Daemon {
     /// backoff, resume from checkpoint) or gives the job up.
     fn fail_attempt(&mut self, id: u64, kind: FailureKind, detail: String) {
         self.metrics.worker_failed();
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return;
-        };
-        // The records carry the attempt that failed; the attempt counter
-        // only advances after they are emitted.
-        let failed = [
-            ("attempt", job.attempt.to_string()),
-            ("kind", json_str(&kind.to_string())),
-            ("detail", json_str(&detail)),
-        ];
-        let line = event("attempt-failed", id, &failed);
-        job.watchers.retain(|w| w.send(line.clone()).is_ok());
-        self.stream(id, "attempt-failed", false, || failed, &kind.to_string());
+        // The record carries the attempt that failed; the attempt counter
+        // only advances after it is emitted.
+        let failed = || [("failure", json_str(&kind.to_string())), ("detail", json_str(&detail))];
+        self.stream(id, "attempt-failed", false, failed, &kind.to_string());
         match self.fleet.fail(id, kind.clone(), detail.clone()) {
             Verdict::GiveUp(failures) => {
                 self.metrics.give_up();
@@ -836,45 +800,27 @@ impl Daemon {
         }
         if let Some(job) = self.jobs.get_mut(&id) {
             job.rec.status = status;
-            let line = event("state", id, &[("status", json_str(&status.to_string()))]);
-            job.watchers.retain(|w| w.send(line.clone()).is_ok());
         }
         let word = status.to_string();
         self.stream(id, "state", false, || [("status", json_str(&word))], &word);
     }
 
-    /// Moves a job to a terminal state: journal, quota release, watcher
-    /// notification, checkpoint cleanup (kept on failure for postmortems).
-    /// `payload` goes to the journal and to whoever is subscribed right now;
-    /// no copy of it stays here.
+    /// Moves a job to a terminal state: journal, quota release, the
+    /// terminal record, checkpoint cleanup (kept on failure for
+    /// postmortems). `payload` goes to the journal and to whoever is
+    /// subscribed right now; no copy of it stays here.
     fn finish(&mut self, id: u64, status: JobStatus, payload: &str) {
         self.scheduler.release(id);
         self.fleet.forget(id);
         if let Err(e) = self.journal.record_done(id, status, payload) {
             eprintln!("mempool-serve: journal write failed for job {id}: {e}");
         }
-        // The `wait` line and the terminal stream record carry the same two
-        // fields — the `final: true` byte-identity contract — so the
-        // document is escaped once for both, and not at all for nobody.
-        let mut fields = None;
         if let Some(job) = self.jobs.get_mut(&id) {
             job.rec.status = status;
             let latency = job.submitted_at.elapsed().as_millis() as u64;
             self.metrics.job_terminal(status, latency);
-            if !job.watchers.is_empty() {
-                let fields = fields.insert(done_fields(status, payload));
-                let line = event("done", id, fields);
-                job.watchers.retain(|w| w.send(line.clone()).is_ok());
-                job.watchers.clear();
-            }
         }
-        self.stream(
-            id,
-            "done",
-            true,
-            || fields.unwrap_or_else(|| done_fields(status, payload)),
-            &status.to_string(),
-        );
+        self.stream(id, "done", true, || done_fields(status, payload), &status.to_string());
         if status != JobStatus::Failed {
             let ckpt = self.ckpt_path(id);
             let _ = std::fs::remove_file(&ckpt);
@@ -1049,7 +995,7 @@ mod tests {
         let done = harness
             .client
             .wait(id, &mut |fields| {
-                if fields.get("event").map(String::as_str) == Some("attempt-failed") {
+                if fields.get("kind").map(String::as_str) == Some("attempt-failed") {
                     attempts_seen += 1;
                 }
             })
@@ -1119,18 +1065,24 @@ mod tests {
             .client
             .submit("team", 1, None, &run_spec())
             .expect("submit");
+        let mut stream = UnixStream::connect(dir.join("serve.sock")).expect("connect");
+        writeln!(stream, "{}", Request::Watch { job: id }.to_json()).expect("watch");
+        let mut replies = BufReader::new(stream).lines().map(|line| line.expect("line"));
+        // The acknowledgment: from here on nothing the worker prints can
+        // be missed.
+        let ack = replies.next().expect("ack");
+        assert!(ack.starts_with(&format!("{{\"ok\":true,\"job\":{id},\"status\":")), "{ack}");
+        std::fs::write(script("gate"), "").expect("gate");
         let mut records = Vec::new();
-        let done = harness
-            .client
-            .watch(id, &mut |raw, fields| {
-                // The first record is the subscription snapshot: from here
-                // on nothing the worker prints can be missed.
-                if records.is_empty() {
-                    std::fs::write(script("gate"), "").expect("gate");
-                }
-                records.push((raw.to_owned(), fields.clone()));
-            })
-            .expect("watch");
+        for raw in replies {
+            let fields = mempool_traffic::parse_flat_json(&raw).expect("record parses");
+            let terminal = fields["final"] == "true";
+            records.push((raw, fields));
+            if terminal {
+                break;
+            }
+        }
+        let done = &records.last().expect("a terminal record").1;
         assert_eq!(done["status"], "completed");
         assert_eq!(done["result"], "{\"outcome\":\"completed\"}");
         let heartbeats: Vec<_> = records
@@ -1219,21 +1171,26 @@ mod tests {
         let healthy = daemon.journal.swap_file(read_only);
         let (wait_tx, wait_rx) = mpsc::channel();
         let (watch_tx, watch_rx) = mpsc::channel();
-        daemon.wait(&wait_tx, 0);
-        daemon.watch(&watch_tx, 0);
+        daemon.subscribe(&wait_tx, 0, false);
+        daemon.subscribe(&watch_tx, 0, true);
         daemon.finish(0, JobStatus::Completed, payload);
-        let live_wait = lines(&wait_rx).pop().expect("done event");
-        let live_watch = lines(&watch_rx).pop().expect("final record");
-        assert!(live_wait.contains(&json_str(payload)), "{live_wait}");
-        assert!(live_watch.ends_with(",\"final\":true}"), "{live_watch}");
+        let queued = "{\"ok\":true,\"job\":0,\"status\":\"queued\"}";
+        let live = lines(&wait_rx);
+        assert_eq!(live.len(), 2, "{live:?}");
+        assert_eq!(live[0], queued);
+        assert_eq!(lines(&watch_rx), live, "one stream, one framing");
+        let live = live[1].clone();
+        assert!(live.contains(&json_str(payload)), "{live}");
+        assert!(live.ends_with(",\"final\":true}"), "{live}");
         let journaled = std::fs::read_to_string(&journal_path).expect("journal reads");
         assert!(!journaled.contains("done 0"), "the append did fail: {journaled}");
 
+        let completed = |id: u64| format!("{{\"ok\":true,\"job\":{id},\"status\":\"completed\"}}");
         let (late_tx, late_rx) = mpsc::channel();
-        daemon.wait(&late_tx, 0);
-        assert_eq!(lines(&late_rx), std::slice::from_ref(&live_wait));
-        daemon.watch(&late_tx, 0);
-        assert_eq!(lines(&late_rx), std::slice::from_ref(&live_watch));
+        for partials in [false, true] {
+            daemon.subscribe(&late_tx, 0, partials);
+            assert_eq!(lines(&late_rx), [completed(0), live.clone()]);
+        }
         let status = daemon.status_line(0);
         assert!(status.starts_with("{\"ok\":true,"), "{status}");
         assert!(status.ends_with(&format!(",\"result\":{}}}", json_str(payload))), "{status}");
@@ -1242,17 +1199,17 @@ mod tests {
         // cut short under the daemon.
         daemon.journal.swap_file(healthy);
         daemon.finish(1, JobStatus::Completed, payload);
-        daemon.wait(&late_tx, 1);
-        let twin_wait = lines(&late_rx).pop().expect("late done event");
-        assert_eq!(twin_wait, live_wait.replace("\"job\":0", "\"job\":1"));
+        daemon.subscribe(&late_tx, 1, false);
+        let twin = live.replace("\"job\":0", "\"job\":1");
+        assert_eq!(lines(&late_rx), [completed(1), twin]);
         let file = std::fs::OpenOptions::new()
             .write(true)
             .open(&journal_path)
             .expect("journal opens");
         file.set_len(file.metadata().expect("metadata").len() - 10)
             .expect("truncate");
-        daemon.wait(&late_tx, 1);
-        daemon.watch(&late_tx, 1);
+        daemon.subscribe(&late_tx, 1, false);
+        daemon.subscribe(&late_tx, 1, true);
         let mut answers = lines(&late_rx);
         answers.push(daemon.status_line(1));
         assert_eq!(answers.len(), 3);
@@ -1263,8 +1220,31 @@ mod tests {
             assert!(fields["detail"].contains("job 1 is completed"), "{answer}");
         }
         // Job 0's result never depended on the file.
-        daemon.wait(&late_tx, 0);
-        assert_eq!(lines(&late_rx), [live_wait]);
+        daemon.subscribe(&late_tx, 0, false);
+        assert_eq!(lines(&late_rx), [completed(0), live]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every op that names a job answers one it does not know with the
+    /// same rejection, and counts it.
+    #[test]
+    fn every_op_counts_an_unknown_job() {
+        let dir = scratch("unknown");
+        let (events_tx, _events_rx) = mpsc::channel();
+        let config = DaemonConfig {
+            state_dir: dir.join("state"),
+            worker_slots: 0,
+            ..DaemonConfig::default()
+        };
+        let mut daemon = Daemon::open(config, events_tx).expect("open");
+        let (tx, rx) = mpsc::channel();
+        for op in ["status", "cancel", "wait", "watch", "timeline"] {
+            daemon.handle_request(&tx, &format!("{{\"op\":\"{op}\",\"job\":7}}"));
+        }
+        let rejection = "{\"ok\":false,\"error\":\"unknown-job\",\"detail\":\"no job 7\"}";
+        assert_eq!(lines(&rx), [rejection; 5]);
+        let reply = mempool_traffic::parse_flat_json(&daemon.metrics_line()).expect("reply");
+        assert!(reply["metrics"].contains("\"rejections\": {\"unknown-job\": 5}"), "{reply:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

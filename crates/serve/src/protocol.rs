@@ -1,5 +1,6 @@
-//! The `mempool-job-v1` JSON-lines protocol: requests, job specs, and the
-//! response/event documents the daemon streams back.
+//! The `mempool-job-v1` JSON-lines protocol: requests, job specs, the one
+//! `{"ok":...}` response line each request gets, and the [`STREAM_SCHEMA`]
+//! records that follow it on a subscription (`wait`, `watch`, `tail`).
 //!
 //! Every message is one flat JSON object per line (string / number / bool /
 //! null values only), encoded and decoded with the shared codec in
@@ -19,11 +20,11 @@ pub use mempool_traffic::CampaignSpec;
 /// Protocol tag clients should expect in the health document.
 pub const PROTOCOL_VERSION: &str = "mempool-job-v1";
 
-/// Schema tag of the per-job telemetry stream relayed by the `watch` and
-/// `tail` verbs: JSON-lines, one [`stream_record`] per line, monotonic
-/// per-job sequence numbers, terminated (per job) by a `final: true`
-/// record whose `result` field is byte-identical to the end-of-job
-/// document.
+/// Schema tag of the per-job telemetry stream relayed by the `wait`,
+/// `watch` and `tail` verbs: JSON-lines, one [`stream_record`] per line,
+/// monotonic per-job sequence numbers, terminated (per job) by a
+/// `final: true` record whose `result` field is byte-identical to the
+/// end-of-job document.
 pub const STREAM_SCHEMA: &str = "mempool-job-stream-v1";
 
 /// Schema tag of the daemon self-metrics document returned by the
@@ -302,8 +303,8 @@ pub enum Request {
         /// Job id.
         job: u64,
     },
-    /// Subscribe to a job's event stream until it reaches a terminal
-    /// state.
+    /// [`Request::Watch`] without the `partial` records. Both are answered
+    /// by `{"ok":true,"job":N,"status":...}`, then the records follow.
     Wait {
         /// Job id.
         job: u64,
@@ -449,16 +450,8 @@ pub fn resp_err(kind: &str, detail: &str) -> String {
     )
 }
 
-/// Builds an event line streamed to `wait` subscribers.
-pub fn event(kind: &str, job: u64, extra: &[(&str, String)]) -> String {
-    let mut out = format!("{{\"event\":\"{kind}\",\"job\":{job}");
-    push_fields(&mut out, extra);
-    out.push('}');
-    out
-}
-
 /// Quotes and escapes a string into a JSON string token (for
-/// [`resp_ok`] / [`event`] values).
+/// [`resp_ok`] / [`stream_record`] values).
 pub fn json_str(s: &str) -> String {
     format!("\"{}\"", json_escape(s))
 }
@@ -468,9 +461,9 @@ pub fn json_str(s: &str) -> String {
 /// anyone is subscribed, so observation never changes the numbering);
 /// `attempt` is the worker attempt the record belongs to; `kind` is the
 /// record class (`state`, `heartbeat`, `partial`, `attempt-failed`,
-/// `done`); `is_final` marks the terminal record, whose `result` extra
-/// carries the end-of-job document byte-identical to what `wait` and
-/// `status` report. Extra values must already be valid JSON tokens.
+/// `retry-backoff`, `done`); `is_final` marks the terminal record, whose
+/// `result` extra carries the end-of-job document byte-identical to what
+/// `status` reports. Extra values must already be valid JSON tokens.
 pub fn stream_record(
     job: u64,
     seq: u64,

@@ -10,7 +10,9 @@
 
 use mempool::Topology;
 use mempool_serve::{BenchSpec, CampaignSpec, ClientError, JobSpec, RunSpec, ServeClient};
-use mempool_suite::cli::{exit_usage, parse_value, unexpected, Args, ClusterFlags, UsageError};
+use mempool_suite::cli::{
+    exit_error, exit_usage, parse_value, unexpected, Args, ClusterFlags, UsageError,
+};
 use mempool_suite::error::Error;
 use mempool_traffic::{parse_flat_json, RetryPolicy};
 use std::collections::BTreeMap;
@@ -77,10 +79,7 @@ fn main() -> ExitCode {
     match execute(&ServeClient::connect(&socket), command) {
         Ok(code) => code,
         Err(Error::Usage(e)) => exit_usage(&e, USAGE),
-        Err(e) => {
-            eprintln!("mempool-cli: {e}");
-            ExitCode::from(e.exit_code())
-        }
+        Err(e) => exit_error(&e),
     }
 }
 
@@ -419,23 +418,13 @@ fn wait_and_render(
     };
     let mut attempt = 0;
     let mut on_event = |fields: &Fields| {
-        match fields.get("event").map(String::as_str) {
-            Some("state") => {
-                if let Some(status) = fields.get("status") {
-                    eprintln!("job {job}: {status}");
-                }
-            }
-            Some("heartbeat") => {
-                if let Some(cycle) = fields.get("cycle") {
-                    eprintln!("job {job}: heartbeat at cycle {cycle}");
-                }
-            }
+        let field = |key: &str| fields.get(key).map_or("?", String::as_str);
+        match fields.get("kind").map(String::as_str) {
+            // The acknowledgment, which has no kind, opens with the status.
+            None | Some("state") => eprintln!("job {job}: {}", field("status")),
+            Some("heartbeat") => eprintln!("job {job}: heartbeat at cycle {}", field("cycle")),
             Some("attempt-failed") => {
-                eprintln!(
-                    "job {job}: attempt {} failed ({})",
-                    fields.get("attempt").map_or("?", String::as_str),
-                    fields.get("kind").map_or("?", String::as_str),
-                );
+                eprintln!("job {job}: attempt {} failed ({})", field("attempt"), field("failure"));
             }
             _ => {}
         }
@@ -488,7 +477,7 @@ fn wait_and_render(
 /// suite-wide "caller's constraint, not a job failure" code, so scripts can
 /// tell "job failed" (1) from "I stopped waiting" (2).
 fn timed_out(after: Duration) -> ExitCode {
-    eprintln!("mempool-cli: {}", ClientError::TimedOut(after));
+    exit_error(&ClientError::TimedOut(after).into());
     ExitCode::from(Error::USAGE_EXIT_CODE)
 }
 

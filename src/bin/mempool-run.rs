@@ -24,7 +24,7 @@ mod run;
 
 use mempool::SimSession;
 use mempool_snitch::SnitchCore;
-use mempool_suite::cli::{exit_usage, UsageError};
+use mempool_suite::cli::{exit_error, exit_usage, UsageError};
 use mempool_suite::error::Error;
 use std::process::ExitCode;
 
@@ -107,26 +107,7 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            // Print the full cause chain: the top-level category alone
-            // ("simulation stopped abnormally") hides the typed cause —
-            // watchdog deadlock vs cycle budget vs wall-clock timeout.
-            let mut line = format!("error: {e}");
-            let mut last = e.to_string();
-            let mut source = std::error::Error::source(&e);
-            while let Some(cause) = source {
-                let text = cause.to_string();
-                // Wrapper layers often re-print their inner error verbatim;
-                // skip those so each chain segment adds information.
-                if text != last {
-                    line.push_str(&format!(": {text}"));
-                    last = text;
-                }
-                source = cause.source();
-            }
-            eprintln!("{line}");
-            ExitCode::from(e.exit_code())
-        }
+        Err(e) => exit_error(&e),
     }
 }
 

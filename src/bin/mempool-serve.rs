@@ -13,7 +13,9 @@
 #![cfg(unix)]
 
 use mempool_serve::{run_daemon, DaemonConfig};
-use mempool_suite::cli::{exit_usage, invalid, parse_value, unexpected, Args, UsageError};
+use mempool_suite::cli::{
+    exit_error, exit_usage, invalid, parse_value, unexpected, Args, UsageError,
+};
 use mempool_suite::error::Error;
 use mempool_traffic::sig;
 use std::path::PathBuf;
@@ -54,10 +56,7 @@ fn main() -> ExitCode {
     };
     match daemon_mode(config) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("mempool-serve: {e}");
-            ExitCode::from(e.exit_code())
-        }
+        Err(e) => exit_error(&e),
     }
 }
 

@@ -1,7 +1,7 @@
 //! The one command-line layer under `mempool-run`, `mempool-cli` and
 //! `mempool-serve`: an argument cursor ([`Args`]), the cluster-selecting
 //! flag group ([`ClusterFlags`]), the usage-error type ([`UsageError`])
-//! and the `main`-side exit helper ([`exit_usage`]).
+//! and the `main`-side exit helpers ([`exit_usage`], [`exit_error`]).
 //!
 //! Every option loop in the three binaries is a `while let Some(arg) =
 //! args.next_arg()?` over an [`Args`], so they share one grammar: `--help`/`-h`
@@ -86,6 +86,27 @@ pub fn exit_usage(error: &UsageError, usage: &str) -> ExitCode {
     }
     eprintln!("error: {error}\n{usage}");
     ExitCode::from(crate::Error::USAGE_EXIT_CODE)
+}
+
+/// The end of `main` for a runtime failure: prints `error: ` and the
+/// error's cause chain on stderr and returns its exit code.
+pub fn exit_error(error: &crate::Error) -> ExitCode {
+    // The whole chain: the top-level category alone ("simulation stopped
+    // abnormally") hides the typed cause — watchdog deadlock vs cycle
+    // budget vs wall-clock timeout.
+    let mut line = format!("error: {error}");
+    let mut source = std::error::Error::source(error);
+    while let Some(cause) = source {
+        let text = cause.to_string();
+        // Wrapper layers often re-print their inner error verbatim; skip
+        // those so each chain segment adds information.
+        if !line.ends_with(&text) {
+            line.push_str(&format!(": {text}"));
+        }
+        source = cause.source();
+    }
+    eprintln!("{line}");
+    ExitCode::from(error.exit_code())
 }
 
 /// An [`UsageError::InvalidValue`] for `option`.

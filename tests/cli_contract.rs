@@ -2,8 +2,9 @@
 //! `mempool_suite::cli`): `--help` after any (sub)command prints the usage
 //! text on stdout and exits 0; an unknown option, an option missing its
 //! value and a malformed number exit 2 with the reason and the usage text
-//! on stderr. No case here reaches a daemon: every one is decided by the
-//! parser.
+//! on stderr; a runtime failure exits 1 with `error: ` and its cause chain.
+//! No case here reaches a daemon: every one is decided by the parser, or
+//! fails where no daemon is.
 
 #![cfg(unix)]
 
@@ -136,6 +137,32 @@ fn daemon_options_are_parsed_at_their_own_width() {
         let args = [&placed[..], &[option, value]].concat();
         assert_usage_error(SERVE, &args, &format!("invalid {option} value: "));
     }
+}
+
+#[test]
+fn runtime_failures_exit_one_with_the_error_chain() {
+    let dir = std::env::temp_dir().join(format!("mempool-cli-runtime-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    // No state directory can be created under a regular file.
+    let file = dir.join("file");
+    std::fs::write(&file, "").expect("file");
+    let (socket, state) = (dir.join("s.sock"), file.join("state"));
+    let placed = ["--socket", socket.to_str().unwrap(), "--state-dir", state.to_str().unwrap()];
+    let rows: [(&str, &[&str]); 3] = [
+        (RUN, &["run", "/nonexistent/prog.s"]),
+        (SERVE, &placed),
+        (CLI, &["--socket", "/nonexistent", "status", "0"]),
+    ];
+    for (bin, args) in rows {
+        let out = run(bin, args);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{bin} {args:?}: {stderr}");
+        // One line, each cause in it once.
+        assert_eq!(stderr.lines().count(), 1, "{bin} {args:?}: {stderr}");
+        assert_eq!(stderr.matches("(os error").count(), 1, "{bin} {args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

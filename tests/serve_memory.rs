@@ -71,9 +71,9 @@ impl Daemon {
         panic!("connection closed before the awaited line: {lines:?}");
     }
 
-    /// The one reply line of `wait` / `watch` / `status` on a finished job.
-    fn late(&self, request: &Request) -> String {
-        self.raw(request, |_| true).remove(0)
+    /// A subscription's lines through its job's terminal record.
+    fn subscribe(&self, request: &Request) -> Vec<String> {
+        self.raw(request, |l| l.ends_with(",\"final\":true}"))
     }
 
     fn drain(mut self) {
@@ -109,8 +109,9 @@ fn report(line: &str) -> &str {
     &line[line.find("\"status\":").expect("line reports a status")..]
 }
 
-/// The raw `result` token of a reply line.
+/// The raw `result` token of a reply line or a terminal record.
 fn result_token(line: &str) -> &str {
+    let line = line.strip_suffix(",\"final\":true}").unwrap_or(line);
     let at = line.find("\"result\":\"").expect("line carries a result") + "\"result\":".len();
     let end = line.rfind('"').expect("closing quote");
     &line[at..=end]
@@ -128,51 +129,63 @@ fn late_replies_are_the_live_bytes_before_and_after_a_restart() {
         1024,
     );
 
-    // Job `seen` ends in front of a `wait` and a `watch` subscriber; its
-    // twin `unseen` — queued behind it on the one worker slot — in front of
+    // Job `seen` ends in front of a `wait` and a `watch` subscriber; so
+    // does its twin `next`, queued behind it on the one worker slot while
+    // both of its subscriptions open; the third, `unseen`, ends in front of
     // nobody.
     let seen = client.submit("t", 0, None, &spec).expect("submit");
-    let unseen = client.submit("t", 0, None, &spec).expect("submit twin");
-    let (live_wait, live_watch) = std::thread::scope(|scope| {
-        let wait = scope.spawn(|| {
-            daemon
-                .raw(&Request::Wait { job: seen }, |l| l.contains("\"event\":\"done\""))
-                .pop()
-                .unwrap()
-        });
-        let watch = scope.spawn(|| {
-            daemon
-                .raw(&Request::Watch { job: seen }, |l| l.ends_with(",\"final\":true}"))
-                .pop()
-                .unwrap()
-        });
-        (wait.join().expect("wait"), watch.join().expect("watch"))
+    let next = client.submit("t", 0, None, &spec).expect("submit twin");
+    let unseen = client.submit("t", 0, None, &spec).expect("submit unseen twin");
+    let [seen_wait, seen_watch, next_wait, next_watch] = std::thread::scope(|scope| {
+        let daemon = &daemon;
+        [
+            Request::Wait { job: seen },
+            Request::Watch { job: seen },
+            Request::Wait { job: next },
+            Request::Watch { job: next },
+        ]
+        .map(|request| scope.spawn(move || daemon.subscribe(&request)))
+        .map(|subscription| subscription.join().expect("subscription"))
     });
-    assert!(live_wait.len() > 50_000, "a metered result is a large document");
-    // One report, two framings.
-    let reported = report(&live_wait).strip_suffix('}').expect("an object");
-    assert_eq!(report(&live_watch), format!("{reported},\"final\":true}}"));
+    // One stream, one framing: a `wait` is the `watch` without its
+    // `partial` records.
+    assert_eq!(seen_wait.last(), seen_watch.last());
+    let live = seen_wait.last().unwrap().clone();
+    assert!(live.len() > 50_000, "a metered result is a large document");
+    let queued = format!("{{\"ok\":true,\"job\":{next},\"status\":\"queued\"}}");
+    assert_eq!(next_wait[0], queued, "the twin was still queued");
+    assert_eq!(next_watch[0], queued, "the twin was still queued");
+    let partial = |l: &&String| l.contains(",\"kind\":\"partial\",");
+    assert!(next_watch.iter().filter(partial).count() >= 2, "{} lines", next_watch.len());
+    let unpartial: Vec<&String> = next_watch.iter().filter(|l| !partial(l)).collect();
+    assert_eq!(next_wait.iter().collect::<Vec<_>>(), unpartial);
     let started = Instant::now();
-    while client.health().expect("health")["completed"] != "2" {
+    while client.health().expect("health")["completed"] != "3" {
         assert!(started.elapsed() < Duration::from_secs(120), "twin never finished");
         std::thread::sleep(Duration::from_millis(20));
     }
 
     let check = |daemon: &Daemon, when: &str| {
-        for job in [seen, unseen] {
-            let wait = daemon.late(&Request::Wait { job });
-            let watch = daemon.late(&Request::Watch { job });
-            let status = daemon.late(&Request::Status { job });
-            let twin = live_wait.replace(&format!("\"job\":{seen}"), &format!("\"job\":{job}"));
-            assert_eq!(wait, twin, "job {job}, {when}");
-            assert_eq!(report(&watch), report(&live_watch), "job {job}, {when}");
+        for job in [seen, next, unseen] {
+            let ack = format!("{{\"ok\":true,\"job\":{job},\"status\":\"completed\"}}");
+            for request in [Request::Wait { job }, Request::Watch { job }] {
+                let lines = daemon.subscribe(&request);
+                assert_eq!(lines.len(), 2, "job {job}, {when}: {lines:?}");
+                assert_eq!(lines[0], ack, "job {job}, {when}");
+                assert_eq!(report(&lines[1]), report(&live), "job {job}, {when}");
+            }
+            let status = daemon.raw(&Request::Status { job }, |_| true).remove(0);
             assert!(status.starts_with("{\"ok\":true,"), "job {job}, {when}: {status}");
-            assert_eq!(result_token(&status), result_token(&live_wait), "job {job}, {when}");
+            assert_eq!(result_token(&status), result_token(&live), "job {job}, {when}");
         }
     };
     check(&daemon, "same daemon");
-    // The job that was watched keeps the exact record its watcher got.
-    assert_eq!(daemon.late(&Request::Watch { job: seen }), live_watch);
+    // Every job keeps the exact terminal record its subscribers got: the
+    // same one, whoever watched it, apart from its id.
+    for job in [seen, next, unseen] {
+        let twin = live.replace(&format!("\"job\":{seen}"), &format!("\"job\":{job}"));
+        assert_eq!(daemon.subscribe(&Request::Wait { job })[1], twin, "job {job}");
+    }
 
     daemon.drain();
     let daemon = Daemon::start(&dir, "1");
