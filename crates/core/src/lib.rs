@@ -61,6 +61,7 @@ mod config;
 mod error;
 pub mod faults;
 mod functional;
+pub mod json;
 mod net;
 pub mod obs;
 mod packet;

@@ -30,9 +30,9 @@
 //! [`Cluster::enable_observability`]: crate::Cluster::enable_observability
 //! [`SimSessionBuilder::observability`]: crate::SimSessionBuilder::observability
 
+use crate::json::{self, Arr, Layout, Obj};
 use crate::stats::LatencyStats;
-use std::fmt;
-use std::fmt::Write as _;
+use std::fmt::{self, Display};
 
 /// Schema tag stamped into every metrics export.
 ///
@@ -114,57 +114,77 @@ impl TimelineTrace {
     /// reported in the `ts`/`dur` microsecond fields (1 cycle = 1 µs of
     /// trace time).
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"traceEvents\":[");
-        let mut first = true;
-        let emit = |s: &mut String, first: &mut bool| {
-            if !*first {
-                s.push(',');
-            }
-            *first = false;
-            s.push('\n');
-        };
         // Metadata: name every tile (process) and core (thread) that
         // appears in the trace, in ascending order.
         let mut tiles: Vec<u32> = self.spans.iter().map(|s| s.tile).collect();
         tiles.sort_unstable();
         tiles.dedup();
-        for t in &tiles {
-            emit(&mut out, &mut first);
-            let _ = write!(
-                out,
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{t},\"tid\":0,\
-                 \"args\":{{\"name\":\"tile{t}\"}}}}"
-            );
-        }
         let mut cores: Vec<(u32, u32)> = self.spans.iter().map(|s| (s.tile, s.core)).collect();
         cores.sort_unstable();
         cores.dedup();
-        for (t, c) in &cores {
-            emit(&mut out, &mut first);
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{t},\"tid\":{c},\
-                 \"args\":{{\"name\":\"core{c}\"}}}}"
-            );
-        }
-        for s in &self.spans {
-            emit(&mut out, &mut first);
-            let _ = write!(
-                out,
-                "{{\"name\":\"req\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\
-                 \"tid\":{},\"args\":{{\"latency\":{}}}}}",
-                s.issued_at, s.latency, s.tile, s.core, s.latency
-            );
-        }
-        let _ = write!(
-            out,
-            "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"schema\":\"mempool-trace-v1\",\
-             \"dropped_spans\":{}}}}}\n",
-            self.dropped_spans
-        );
-        out
+        chrome_trace(
+            "mempool-trace-v1",
+            |events| {
+                let events = tiles.iter().fold(events, |events, &t| {
+                    chrome_metadata(events, "process_name", t, 0, &format!("tile{t}"))
+                });
+                let events = cores.iter().fold(events, |events, &(t, c)| {
+                    chrome_metadata(events, "thread_name", t, c, &format!("core{c}"))
+                });
+                self.spans.iter().fold(events, |events, s| {
+                    events.push_obj(Layout::Compact, |e| {
+                        e.str("name", "req")
+                            .str("ph", "X")
+                            .num("ts", s.issued_at)
+                            .num("dur", s.latency)
+                            .num("pid", s.tile)
+                            .num("tid", s.core)
+                            .obj("args", Layout::Compact, |a| a.num("latency", s.latency))
+                    })
+                })
+            },
+            |other| other.num("dropped_spans", self.dropped_spans),
+        )
     }
+}
+
+/// The one Chrome `trace_event` envelope of the suite (the sampled request
+/// trace here, a served job's timeline in `mempool-serve`):
+/// `{"traceEvents":[` one event per line `],"displayTimeUnit":"ms",
+/// "otherData":{"schema":...}}` and a newline. `events` writes the events,
+/// `other` the `otherData` members after the schema tag.
+pub fn chrome_trace(
+    schema: &str,
+    events: impl FnOnce(Arr) -> Arr,
+    other: impl FnOnce(Obj) -> Obj,
+) -> String {
+    let mut doc = json::object(Layout::Compact, |o| {
+        o.arr("traceEvents", Layout::Block(0), events)
+            .str("displayTimeUnit", "ms")
+            .obj("otherData", Layout::Compact, |d| {
+                other(d.str("schema", schema))
+            })
+    });
+    doc.push('\n');
+    doc
+}
+
+/// A Chrome metadata (`"ph":"M"`) event naming process `pid` or its
+/// thread `tid`.
+pub fn chrome_metadata<'a>(
+    events: Arr<'a>,
+    kind: &str,
+    pid: impl Display,
+    tid: impl Display,
+    name: &str,
+) -> Arr<'a> {
+    events.push_obj(Layout::Compact, |e| {
+        e.str("name", kind)
+            .str("ph", "M")
+            .num("pid", pid)
+            .num("tid", tid)
+            .obj("args", Layout::Compact, |a| a.str("name", name))
+    })
 }
 
 /// The live recorder the cluster carries while observability is enabled.
@@ -257,6 +277,27 @@ impl From<&LatencyStats> for HistogramSnapshot {
             p99: l.quantile(0.99).unwrap_or(0),
             buckets: l.bucket_counts().to_vec(),
         }
+    }
+}
+
+impl HistogramSnapshot {
+    /// Writes the histogram as member `name` of `out`: count, sum, min,
+    /// max, p50/p90/p99 and the buckets. The one rendering of a histogram,
+    /// shared by `mempool-metrics-v2` and the service's self-metrics, so
+    /// tooling that reads one schema's histograms reads the other's.
+    pub fn write_json<'a>(&self, out: Obj<'a>, name: &str) -> Obj<'a> {
+        out.obj(name, Layout::Inline, |h| {
+            h.num("count", self.count)
+                .num("sum", self.sum)
+                .num("min", self.min)
+                .num("max", self.max)
+                .num("p50", self.p50)
+                .num("p90", self.p90)
+                .num("p99", self.p99)
+                .arr("buckets", Layout::Compact, |b| {
+                    self.buckets.iter().fold(b, Arr::push_num)
+                })
+        })
     }
 }
 
@@ -509,46 +550,32 @@ impl MetricsRegistry {
     /// simulations produce byte-identical documents (the property the
     /// determinism tests pin across reruns and checkpoint/restore).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{METRICS_SCHEMA}\",");
-        let _ = writeln!(out, "  \"topology\": \"{}\",", self.topology);
-        let _ = writeln!(out, "  \"num_tiles\": {},", self.num_tiles);
-        let _ = writeln!(out, "  \"num_cores\": {},", self.num_cores);
-        let _ = writeln!(out, "  \"banks_per_tile\": {},", self.banks_per_tile);
-        out.push_str("  \"scopes\": [\n");
-        for (i, scope) in self.scopes.iter().enumerate() {
-            let _ = write!(out, "    {{\"path\": \"{}\", \"counters\": {{", scope.path);
-            for (j, (name, value)) in scope.counters.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "\"{name}\": {value}");
-            }
-            out.push_str("}, \"histograms\": {");
-            for (j, (name, h)) in scope.histograms.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "\"{name}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                     \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
-                    h.count, h.sum, h.min, h.max, h.p50, h.p90, h.p99
-                );
-                for (k, b) in h.buckets.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{b}");
-                }
-                out.push_str("]}");
-            }
-            out.push_str("}}");
-            out.push_str(if i + 1 < self.scopes.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::document(|d| {
+            d.str("schema", METRICS_SCHEMA)
+                .str("topology", &self.topology)
+                .num("num_tiles", self.num_tiles)
+                .num("num_cores", self.num_cores)
+                .num("banks_per_tile", self.banks_per_tile)
+                .arr("scopes", Layout::Block(4), |scopes| {
+                    self.scopes.iter().fold(scopes, |scopes, scope| {
+                        scopes.push_obj(Layout::Inline, |s| {
+                            s.str("path", &scope.path)
+                                .obj("counters", Layout::Inline, |c| {
+                                    scope
+                                        .counters
+                                        .iter()
+                                        .fold(c, |c, &(name, value)| c.num(name, value))
+                                })
+                                .obj("histograms", Layout::Inline, |hs| {
+                                    scope
+                                        .histograms
+                                        .iter()
+                                        .fold(hs, |hs, (name, h)| h.write_json(hs, name))
+                                })
+                        })
+                    })
+                })
+        })
     }
 }
 
@@ -620,14 +647,35 @@ mod tests {
         let a = reg.to_json();
         let b = reg.to_json();
         assert_eq!(a, b);
-        assert!(a.contains("\"schema\": \"mempool-metrics-v2\""));
-        assert!(
-            a.contains("\"p50\": ") && a.contains("\"p90\": ") && a.contains("\"p99\": "),
-            "v2 histogram summary carries all three quantiles: {a}"
+        // The layout is part of the schema: one top-level member per line,
+        // one scope per line, comma-only buckets.
+        let h = reg.histogram("cluster", "latency").unwrap();
+        let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
+        let expected = format!(
+            "{{\n  \"schema\": \"mempool-metrics-v2\",\n  \"topology\": \"TopH\",\n  \
+             \"num_tiles\": 2,\n  \"num_cores\": 8,\n  \"banks_per_tile\": 4,\n  \"scopes\": [\n    \
+             {{\"path\": \"cluster\", \"counters\": {{\"cycles\": 100, \"requests_issued\": 42}}, \
+             \"histograms\": {{\"latency\": {{\"count\": 5, \"sum\": 82, \"min\": 1, \"max\": 70, \
+             \"p50\": 5, \"p90\": {}, \"p99\": 70, \"buckets\": [{}]}}}}}},\n    \
+             {{\"path\": \"cluster/tile0\", \"counters\": {{\"bank_accesses\": 7}}, \
+             \"histograms\": {{}}}}\n  ]\n}}\n",
+            h.p90,
+            buckets.join(",")
         );
-        assert!(a.contains("\"path\": \"cluster/tile0\""));
-        assert_eq!(a.matches('{').count(), a.matches('}').count());
-        assert_eq!(a.matches('[').count(), a.matches(']').count());
+        assert_eq!(a, expected);
+        let doc = json::parse(&a).expect("the document is JSON");
+        assert_eq!(doc["schema"].as_str(), Some("mempool-metrics-v2"));
+        let latency = &doc["scopes"][0]["histograms"]["latency"];
+        let chain = ["min", "p50", "p90", "p99", "max"].map(|k| latency[k].as_u64().unwrap());
+        assert!(chain.windows(2).all(|w| w[0] <= w[1]), "{chain:?}");
+        let total: u64 = latency["buckets"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter_map(json::Value::as_u64)
+            .sum();
+        assert_eq!(Some(total), latency["count"].as_u64());
+        assert_eq!(doc["scopes"][1]["path"].as_str(), Some("cluster/tile0"));
     }
 
     #[test]
@@ -668,13 +716,27 @@ mod tests {
             ],
             dropped_spans: 0,
         };
-        let json = trace.to_chrome_json();
-        assert!(json.contains("\"traceEvents\":["));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"M\""));
-        assert!(json.contains("\"ts\":10,\"dur\":5,\"pid\":1,\"tid\":4"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let text = trace.to_chrome_json();
+        assert!(text.contains("\"ts\":10,\"dur\":5,\"pid\":1,\"tid\":4"));
+        let doc = json::parse(&text).expect("the trace is JSON");
+        assert_eq!(
+            doc["otherData"]["schema"].as_str(),
+            Some("mempool-trace-v1")
+        );
+        assert_eq!(doc["otherData"]["dropped_spans"].as_u64(), Some(0));
+        let events = doc["traceEvents"].as_array().expect("an event array");
+        // Two tiles and two cores named, then one span per sample.
+        let phases: Vec<_> = events
+            .iter()
+            .map(|e| e["ph"].as_str().unwrap_or("?"))
+            .collect();
+        assert_eq!(phases, ["M", "M", "M", "M", "X", "X"]);
+        assert_eq!(events[1]["args"]["name"].as_str(), Some("tile1"));
+        assert_eq!(events[3]["args"]["name"].as_str(), Some("core4"));
+        let span = &events[4];
+        let fields = ["ts", "dur", "pid", "tid"].map(|k| span[k].as_u64());
+        assert_eq!(fields, [Some(10), Some(5), Some(1), Some(4)]);
+        assert_eq!(span["args"]["latency"].as_u64(), Some(5));
     }
 
     #[test]

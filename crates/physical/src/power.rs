@@ -21,8 +21,8 @@
 //! export byte-identical documents.
 
 use crate::energy::pj;
+use mempool::json::{self, Layout};
 use mempool::PowerWindow;
-use std::fmt::Write as _;
 
 /// Schema tag stamped into every power-timeline export.
 pub const POWER_SCHEMA: &str = "mempool-power-v1";
@@ -130,35 +130,28 @@ pub fn power_timeline_json(
     freq_mhz: f64,
 ) -> String {
     let num_tiles = windows.first().map_or(0, |w| w.tiles.len());
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{POWER_SCHEMA}\",");
-    let _ = writeln!(out, "  \"freq_mhz\": {freq_mhz:.3},");
-    let _ = writeln!(out, "  \"num_tiles\": {num_tiles},");
-    out.push_str("  \"windows\": [\n");
-    for (i, w) in windows.iter().enumerate() {
-        let p = window_power(w, cores_per_tile, banks_per_tile, freq_mhz);
-        let _ = write!(
-            out,
-            "    {{\"start\": {}, \"end\": {}, \"cluster_w\": {:.3}, \"compute_w\": {:.3}, \
-             \"interconnect_w\": {:.3}, \"tiles_mw\": [",
-            p.start,
-            p.end,
-            p.cluster_w(),
-            p.compute_w,
-            p.interconnect_w
-        );
-        for (j, mw) in p.tiles_mw.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{mw:.3}");
-        }
-        out.push_str("]}");
-        out.push_str(if i + 1 < windows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let milli = |x: f64| format!("{x:.3}");
+    json::document(|d| {
+        d.str("schema", POWER_SCHEMA)
+            .num("freq_mhz", milli(freq_mhz))
+            .num("num_tiles", num_tiles)
+            .arr("windows", Layout::Block(4), |out| {
+                power_timeline(windows, cores_per_tile, banks_per_tile, freq_mhz)
+                    .iter()
+                    .fold(out, |out, p| {
+                        out.push_obj(Layout::Inline, |o| {
+                            o.num("start", p.start)
+                                .num("end", p.end)
+                                .num("cluster_w", milli(p.cluster_w()))
+                                .num("compute_w", milli(p.compute_w))
+                                .num("interconnect_w", milli(p.interconnect_w))
+                                .arr("tiles_mw", Layout::Inline, |t| {
+                                    p.tiles_mw.iter().fold(t, |t, &mw| t.push_num(milli(mw)))
+                                })
+                        })
+                    })
+            })
+    })
 }
 
 #[cfg(test)]
@@ -225,13 +218,20 @@ mod tests {
         let a = power_timeline_json(&windows, 4, 16, 500.0);
         let b = power_timeline_json(&windows, 4, 16, 500.0);
         assert_eq!(a, b);
-        assert!(a.contains("\"schema\": \"mempool-power-v1\""));
-        assert!(a.contains("\"start\": 0, \"end\": 1024"));
-        assert!(a.contains("\"compute_w\""));
-        assert!(a.contains("\"interconnect_w\""));
-        assert_eq!(a.matches('{').count(), a.matches('}').count());
-        assert_eq!(a.matches('[').count(), a.matches(']').count());
-        assert_eq!(a.matches("\"start\"").count(), 2);
+        assert!(a.starts_with("{\n  \"schema\": \"mempool-power-v1\",\n  \"freq_mhz\": 500.000,\n"));
+        assert!(a.contains("\n    {\"start\": 0, \"end\": 1024, \"cluster_w\": "));
+        let doc = mempool::json::parse(&a).expect("the document is JSON");
+        assert_eq!(doc["schema"].as_str(), Some("mempool-power-v1"));
+        assert_eq!(doc["num_tiles"].as_u64(), Some(64));
+        let windows = doc["windows"].as_array().expect("a window array");
+        assert_eq!(windows.len(), 2);
+        for w in windows {
+            let watts = |k: &str| w[k].as_f64().expect("a number");
+            assert!(w["end"].as_u64() > w["start"].as_u64(), "{w:?}");
+            assert_eq!(w["tiles_mw"].as_array().map(<[_]>::len), Some(64));
+            let split = watts("compute_w") + watts("interconnect_w");
+            assert!((watts("cluster_w") - split).abs() < 0.01, "{w:?}");
+        }
     }
 
     #[test]

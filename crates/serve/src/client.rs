@@ -10,7 +10,7 @@
 //! and means a client never has to demultiplex.
 
 use crate::protocol::{JobSpec, Request};
-use mempool_traffic::parse_flat_json;
+use mempool::json::parse_flat_json;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::ErrorKind::{TimedOut, WouldBlock};

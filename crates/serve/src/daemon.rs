@@ -27,15 +27,14 @@
 //! bit-identically.
 
 use crate::journal::{self, Journal, ReplayedJob};
-use crate::metrics::{ServeGauges, ServeMetrics};
+use crate::metrics::{Counter, ServeGauges, ServeMetrics};
 use crate::protocol::{
-    json_str, resp_err, resp_ok, stream_record, JobSpec, JobStatus, Request, PROTOCOL_VERSION,
+    resp_err, resp_ok, stream_record, JobSpec, JobStatus, Request, PROTOCOL_VERSION,
 };
 use crate::sched::{Rejection, Scheduler, SchedulerConfig};
 use crate::timeline::JobTimeline;
-use mempool_traffic::{
-    json_escape, FailureKind, Fleet, Outcome, RetryPolicy, Verdict, WorkerLine,
-};
+use mempool::json::{self, Layout, Obj};
+use mempool_traffic::{worker_job, FailureKind, Fleet, Outcome, RetryPolicy, Verdict, WorkerLine};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -259,17 +258,14 @@ pub fn run_daemon(config: DaemonConfig, shutdown: &AtomicBool) -> io::Result<Dae
 
 /// The two fields of a finished job's terminal record, live or read back,
 /// so that both are the same bytes.
-fn done_fields(status: JobStatus, payload: &str) -> [(&'static str, String); 2] {
-    [
-        ("status", json_str(&status.to_string())),
-        ("result", json_str(payload)),
-    ]
+fn done_fields(status: JobStatus, payload: &str) -> impl FnOnce(Obj) -> Obj + '_ {
+    move |o| o.str("status", &status.to_string()).str("result", payload)
 }
 
 /// The `{"ok":true,"job":N,"status":...}` answer to `submit` and `cancel`,
 /// and the acknowledgment that opens a `wait` or `watch` subscription.
 fn job_ack(id: u64, status: &str) -> String {
-    resp_ok(&[("job", id.to_string()), ("status", json_str(status))])
+    resp_ok(|o| o.num("job", id).str("status", status))
 }
 
 /// The answer to a late reader when the journal cannot produce the result.
@@ -311,11 +307,13 @@ impl Daemon {
             metrics: ServeMetrics::new(),
             tailers: Vec::new(),
         };
-        daemon.metrics.journal_replay_skipped(replay.skipped as u64);
+        daemon
+            .metrics
+            .add(Counter::JournalReplaySkipped, replay.skipped as u64);
         for mut rec in replay.jobs {
             if !rec.status.is_terminal() {
                 daemon.scheduler.admit_replayed(rec.id, &rec.tenant, rec.priority);
-                daemon.metrics.job_replayed();
+                daemon.metrics.count(Counter::JobsReplayed);
             }
             // The rewrite has indexed it.
             rec.payload = None;
@@ -407,7 +405,7 @@ impl Daemon {
             Request::Wait { job } => self.subscribe(reply, job, false),
             Request::Watch { job } => self.subscribe(reply, job, true),
             Request::Tail => {
-                let _ = reply.send(resp_ok(&[("tailing", "true".to_owned())]));
+                let _ = reply.send(resp_ok(|o| o.bool("tailing", true)));
                 self.tailers.push(reply.clone());
             }
             Request::Metrics => {
@@ -417,7 +415,7 @@ impl Daemon {
                 let _ = reply.send(self.timeline_line(job));
             }
             Request::Shutdown => {
-                let _ = reply.send(resp_ok(&[("draining", "true".to_owned())]));
+                let _ = reply.send(resp_ok(|o| o.bool("draining", true)));
                 self.enter_drain();
             }
         }
@@ -451,7 +449,7 @@ impl Daemon {
             }
         }
         self.next_id += 1;
-        self.metrics.job_admitted();
+        self.metrics.count(Counter::JobsAdmitted);
         let rec = ReplayedJob {
             id,
             tenant,
@@ -465,13 +463,7 @@ impl Daemon {
             eprintln!("mempool-serve: journal write failed for job {id}: {e}");
         }
         self.jobs.insert(id, Job::new(rec));
-        self.stream(
-            id,
-            "state",
-            false,
-            || [("status", json_str("queued"))],
-            "queued",
-        );
+        self.stream(id, "state", false, |o| o.str("status", "queued"), "queued");
         job_ack(id, "queued")
     }
 
@@ -485,24 +477,30 @@ impl Daemon {
         let Some(job) = self.jobs.get(&id) else {
             return self.unknown_job(id);
         };
-        let mut fields = vec![
-            ("job", id.to_string()),
-            ("status", json_str(&job.rec.status.to_string())),
-            ("attempt", job.attempt.to_string()),
-        ];
-        if let Some((at, cycle)) = job.last_heartbeat {
-            fields.push(("heartbeat_age_ms", at.elapsed().as_millis().to_string()));
-            fields.push(("cycle", cycle.to_string()));
-        }
-        if job.rec.status.is_terminal() {
-            match self.journal.result(id) {
-                // Nested documents travel as escaped string fields (the
-                // wire dialect is flat); clients re-parse the string.
-                Ok(payload) => fields.push(("result", json_str(&payload))),
+        let result = match job.rec.status.is_terminal() {
+            // Nested documents travel as escaped string fields (the wire
+            // dialect is flat); clients re-parse the string.
+            true => match self.journal.result(id) {
+                Ok(payload) => Some(payload),
                 Err(e) => return result_unavailable(id, job.rec.status, &e),
+            },
+            false => None,
+        };
+        resp_ok(|o| {
+            let mut o = o
+                .num("job", id)
+                .str("status", &job.rec.status.to_string())
+                .num("attempt", job.attempt);
+            if let Some((at, cycle)) = job.last_heartbeat {
+                o = o
+                    .num("heartbeat_age_ms", at.elapsed().as_millis())
+                    .num("cycle", cycle);
             }
-        }
-        resp_ok(&fields)
+            if let Some(payload) = &result {
+                o = o.str("result", payload);
+            }
+            o
+        })
     }
 
     fn health_line(&self) -> String {
@@ -510,20 +508,17 @@ impl Daemon {
         for job in self.jobs.values() {
             *counts.entry(job.rec.status).or_insert(0) += 1;
         }
-        let count = |s: JobStatus| counts.get(&s).copied().unwrap_or(0).to_string();
-        resp_ok(&[
-            ("protocol", json_str(PROTOCOL_VERSION)),
-            ("draining", self.draining.to_string()),
-            ("worker_slots", self.config.worker_slots.to_string()),
-            ("active", self.fleet.running().to_string()),
-            ("journal_skipped", self.journal_skipped.to_string()),
-            ("queued", count(JobStatus::Queued)),
-            ("running", count(JobStatus::Running)),
-            ("parked", count(JobStatus::Parked)),
-            ("completed", count(JobStatus::Completed)),
-            ("failed", count(JobStatus::Failed)),
-            ("cancelled", count(JobStatus::Cancelled)),
-        ])
+        resp_ok(|o| {
+            let o = o
+                .str("protocol", PROTOCOL_VERSION)
+                .bool("draining", self.draining)
+                .num("worker_slots", self.config.worker_slots)
+                .num("active", self.fleet.running())
+                .num("journal_skipped", self.journal_skipped);
+            JobStatus::WORDS.iter().fold(o, |o, (status, word)| {
+                o.num(word, counts.get(status).copied().unwrap_or(0))
+            })
+        })
     }
 
     fn cancel(&mut self, id: u64) -> String {
@@ -549,16 +544,16 @@ impl Daemon {
 
     /// Emits one telemetry stream record for `id`. The sequence number,
     /// self-metrics counter, and timeline event advance unconditionally;
-    /// the record's fields (`extra`, whose values must be JSON tokens) and
-    /// line are only built when someone takes it: a `tail`, or a
-    /// subscriber (`partial` records go to `watch`es only). `tl_detail` is
-    /// the plain-text detail stored in the job timeline.
-    fn stream<E: AsRef<[(&'static str, String)]>>(
+    /// the record (whose own fields `extra` writes) is only built when
+    /// someone takes it: a `tail`, or a subscriber (`partial` records go to
+    /// `watch`es only). `tl_detail` is the plain-text detail stored in the
+    /// job timeline.
+    fn stream(
         &mut self,
         id: u64,
         kind: &str,
         is_final: bool,
-        extra: impl FnOnce() -> E,
+        extra: impl FnOnce(Obj) -> Obj,
         tl_detail: &str,
     ) {
         let has_tailers = !self.tailers.is_empty();
@@ -567,7 +562,7 @@ impl Daemon {
         };
         let seq = job.stream_seq;
         job.stream_seq += 1;
-        self.metrics.stream_record();
+        self.metrics.count(Counter::StreamRecords);
         let at_ms = job.submitted_at.elapsed().as_millis() as u64;
         let tl_kind = if kind == "done" { "state" } else { kind };
         job.timeline.push(at_ms, tl_kind, tl_detail);
@@ -575,7 +570,7 @@ impl Daemon {
         if !has_tailers && job.subscribers.iter().all(skips) {
             return;
         }
-        let record = stream_record(id, seq, job.attempt, kind, is_final, extra().as_ref());
+        let record = stream_record(id, seq, job.attempt, kind, is_final, extra);
         job.subscribers.retain(|s| skips(s) || s.reply.send(record.clone()).is_ok());
         if is_final {
             job.subscribers.clear();
@@ -608,7 +603,7 @@ impl Daemon {
                 let seq = job.stream_seq.saturating_sub(1);
                 let fields = done_fields(status, &payload);
                 let _ = reply.send(job_ack(id, &status.to_string()));
-                let _ = reply.send(stream_record(id, seq, job.attempt, "done", true, &fields));
+                let _ = reply.send(stream_record(id, seq, job.attempt, "done", true, fields));
             }
             Err(e) => {
                 let _ = reply.send(result_unavailable(id, status, &e));
@@ -625,17 +620,17 @@ impl Daemon {
             journal_appends: self.journal.appends(),
             tenants: self.scheduler.tenants(),
         };
-        resp_ok(&[("metrics", json_str(&self.metrics.to_json(&gauges)))])
+        resp_ok(|o| o.str("metrics", &self.metrics.to_json(&gauges)))
     }
 
     fn timeline_line(&mut self, id: u64) -> String {
         let Some(job) = self.jobs.get(&id) else {
             return self.unknown_job(id);
         };
-        resp_ok(&[
-            ("job", id.to_string()),
-            ("timeline", json_str(&job.timeline.to_chrome_json())),
-        ])
+        resp_ok(|o| {
+            o.num("job", id)
+                .str("timeline", &job.timeline.to_chrome_json())
+        })
     }
 
     fn enter_drain(&mut self) {
@@ -646,9 +641,8 @@ impl Daemon {
     /// Enforces attempt deadlines and settles every worker that exited.
     fn tick_fleet(&mut self) {
         let tick = self.fleet.tick();
-        for _ in 0..tick.deadline_kills {
-            self.metrics.deadline_kill();
-        }
+        self.metrics
+            .add(Counter::DeadlineKills, tick.deadline_kills as u64);
         for (id, outcome) in tick.reaped {
             self.settle(id, outcome);
         }
@@ -675,11 +669,10 @@ impl Daemon {
 
     fn spawn(&mut self, id: u64) {
         let job = &self.jobs[&id];
-        let line = format!(
-            "{{\"job\":{id},\"attempt\":{},\"checkpoint\":\"{}\",{}}}",
-            job.attempt,
-            json_escape(&self.ckpt_path(id).display().to_string()),
-            job.rec.spec.to_json_body(),
+        let line = worker_job(
+            |o| o.num("job", id).num("attempt", job.attempt),
+            &self.ckpt_path(id),
+            |o| job.rec.spec.write_fields(o),
         );
         let deadline = job
             .rec
@@ -691,7 +684,7 @@ impl Daemon {
             self.fail_attempt(id, FailureKind::Exit(-1), e.to_string());
             return;
         }
-        self.metrics.worker_spawned();
+        self.metrics.count(Counter::WorkersSpawned);
         if let Some(job) = self.jobs.get_mut(&id) {
             if !job.dispatched {
                 job.dispatched = true;
@@ -712,15 +705,21 @@ impl Daemon {
                     job.last_heartbeat = Some((Instant::now(), cycle));
                 }
                 let detail = format!("cycle {cycle}");
-                self.stream(id, "heartbeat", false, || [("cycle", cycle.to_string())], &detail);
+                self.stream(id, "heartbeat", false, |o| o.num("cycle", cycle), &detail);
             }
             // The worker emits these at checkpoint boundaries whenever the
             // job asked for metrics — subscribed or not — so relaying them
             // is pure observation.
             Some(WorkerLine::Metrics { key, at, doc }) => {
-                self.metrics.partial_snapshot();
-                let extra = || [(key, at.to_string()), ("metrics", json_str(&doc))];
-                self.stream(id, "partial", false, extra, &format!("{key} {at}"));
+                self.metrics.count(Counter::PartialSnapshots);
+                let detail = format!("{key} {at}");
+                self.stream(
+                    id,
+                    "partial",
+                    false,
+                    |o| o.num(key, at).str("metrics", &doc),
+                    &detail,
+                );
             }
             _ => {}
         }
@@ -736,11 +735,11 @@ impl Daemon {
     fn settle(&mut self, id: u64, outcome: Outcome) {
         let cancelled = self.jobs.get(&id).is_some_and(|job| job.cancel_requested);
         if outcome == Outcome::Parked {
-            self.metrics.worker_parked();
+            self.metrics.count(Counter::WorkersParked);
         }
         match outcome {
             Outcome::Result(result) => {
-                self.metrics.worker_completed();
+                self.metrics.count(Counter::WorkersCompleted);
                 self.finish(id, JobStatus::Completed, &result);
             }
             _ if cancelled => {
@@ -760,20 +759,25 @@ impl Daemon {
     /// Reports a failed attempt and either schedules the retry (seeded
     /// backoff, resume from checkpoint) or gives the job up.
     fn fail_attempt(&mut self, id: u64, kind: FailureKind, detail: String) {
-        self.metrics.worker_failed();
+        self.metrics.count(Counter::WorkersFailed);
         // The record carries the attempt that failed; the attempt counter
         // only advances after it is emitted.
-        let failed = || [("failure", json_str(&kind.to_string())), ("detail", json_str(&detail))];
-        self.stream(id, "attempt-failed", false, failed, &kind.to_string());
+        let failure = kind.to_string();
+        self.stream(
+            id,
+            "attempt-failed",
+            false,
+            |o| o.str("failure", &failure).str("detail", &detail),
+            &failure,
+        );
         match self.fleet.fail(id, kind.clone(), detail.clone()) {
             Verdict::GiveUp(failures) => {
-                self.metrics.give_up();
-                let payload = format!(
-                    "{{\"error\":\"{}\",\"kind\":\"{}\",\"attempts\":{}}}",
-                    json_escape(&detail),
-                    json_escape(&kind.to_string()),
-                    failures.len(),
-                );
+                self.metrics.count(Counter::GiveUps);
+                let payload = json::object(Layout::Compact, |o| {
+                    o.str("error", &detail)
+                        .str("kind", &kind.to_string())
+                        .num("attempts", failures.len())
+                });
                 self.finish(id, JobStatus::Failed, &payload);
             }
             Verdict::Retry(delay) => {
@@ -781,12 +785,13 @@ impl Daemon {
                 if let Some(job) = self.jobs.get_mut(&id) {
                     job.attempt += 1;
                 }
+                let ms = delay.as_millis();
                 self.stream(
                     id,
                     "retry-backoff",
                     false,
-                    || [("delay_ms", delay.as_millis().to_string())],
-                    &format!("{}ms", delay.as_millis()),
+                    |o| o.num("delay_ms", ms),
+                    &format!("{ms}ms"),
                 );
                 self.set_state(id, JobStatus::Queued);
             }
@@ -802,7 +807,7 @@ impl Daemon {
             job.rec.status = status;
         }
         let word = status.to_string();
-        self.stream(id, "state", false, || [("status", json_str(&word))], &word);
+        self.stream(id, "state", false, |o| o.str("status", &word), &word);
     }
 
     /// Moves a job to a terminal state: journal, quota release, the
@@ -820,7 +825,13 @@ impl Daemon {
             let latency = job.submitted_at.elapsed().as_millis() as u64;
             self.metrics.job_terminal(status, latency);
         }
-        self.stream(id, "done", true, || done_fields(status, payload), &status.to_string());
+        self.stream(
+            id,
+            "done",
+            true,
+            done_fields(status, payload),
+            &status.to_string(),
+        );
         if status != JobStatus::Failed {
             let ckpt = self.ckpt_path(id);
             let _ = std::fs::remove_file(&ckpt);
@@ -1002,7 +1013,7 @@ mod tests {
             .expect("wait");
         assert_eq!(done["status"], "failed");
         assert!(attempts_seen >= 1, "attempt failures stream to waiters");
-        let result = mempool_traffic::parse_flat_json(&done["result"]).expect("result parses");
+        let result = json::parse_flat_json(&done["result"]).expect("result parses");
         assert_eq!(result["attempts"], "2", "gave up on the second identical failure");
         assert_eq!(result["kind"], "exit(1)");
         let result = crate::journal::replay(&dir.join("state").join("jobs.journal"))
@@ -1075,7 +1086,7 @@ mod tests {
         std::fs::write(script("gate"), "").expect("gate");
         let mut records = Vec::new();
         for raw in replies {
-            let fields = mempool_traffic::parse_flat_json(&raw).expect("record parses");
+            let fields = json::parse_flat_json(&raw).expect("record parses");
             let terminal = fields["final"] == "true";
             records.push((raw, fields));
             if terminal {
@@ -1128,7 +1139,7 @@ mod tests {
 
         let done = harness.client.wait(id, &mut |_| {}).expect("wait");
         assert_eq!(done["status"], "failed");
-        let result = mempool_traffic::parse_flat_json(&done["result"]).expect("result parses");
+        let result = json::parse_flat_json(&done["result"]).expect("result parses");
         assert_eq!(result["kind"], "timeout", "{result:?}");
         assert!(submitted.elapsed() < Duration::from_secs(15), "{:?}", submitted.elapsed());
 
@@ -1180,7 +1191,8 @@ mod tests {
         assert_eq!(live[0], queued);
         assert_eq!(lines(&watch_rx), live, "one stream, one framing");
         let live = live[1].clone();
-        assert!(live.contains(&json_str(payload)), "{live}");
+        let quoted = format!("\"{}\"", json::escape(payload));
+        assert!(live.contains(&quoted), "{live}");
         assert!(live.ends_with(",\"final\":true}"), "{live}");
         let journaled = std::fs::read_to_string(&journal_path).expect("journal reads");
         assert!(!journaled.contains("done 0"), "the append did fail: {journaled}");
@@ -1193,7 +1205,10 @@ mod tests {
         }
         let status = daemon.status_line(0);
         assert!(status.starts_with("{\"ok\":true,"), "{status}");
-        assert!(status.ends_with(&format!(",\"result\":{}}}", json_str(payload))), "{status}");
+        assert!(
+            status.ends_with(&format!(",\"result\":{quoted}}}")),
+            "{status}"
+        );
 
         // Job 1 finishes on a healthy journal, unobserved; then the file is
         // cut short under the daemon.
@@ -1214,7 +1229,7 @@ mod tests {
         answers.push(daemon.status_line(1));
         assert_eq!(answers.len(), 3);
         for answer in answers {
-            let fields = mempool_traffic::parse_flat_json(&answer).expect("answer parses");
+            let fields = json::parse_flat_json(&answer).expect("answer parses");
             assert_eq!(fields["ok"], "false", "{answer}");
             assert_eq!(fields["error"], "result-unavailable", "{answer}");
             assert!(fields["detail"].contains("job 1 is completed"), "{answer}");
@@ -1243,7 +1258,7 @@ mod tests {
         }
         let rejection = "{\"ok\":false,\"error\":\"unknown-job\",\"detail\":\"no job 7\"}";
         assert_eq!(lines(&rx), [rejection; 5]);
-        let reply = mempool_traffic::parse_flat_json(&daemon.metrics_line()).expect("reply");
+        let reply = json::parse_flat_json(&daemon.metrics_line()).expect("reply");
         assert!(reply["metrics"].contains("\"rejections\": {\"unknown-job\": 5}"), "{reply:?}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -27,8 +27,8 @@
 //! running daemon, and answered with a typed error rather than with bytes
 //! that are not that job's result.
 
-use crate::protocol::{JobSpec, JobStatus};
-use mempool_traffic::{json_escape, parse_flat_json};
+use crate::protocol::{read_submission, write_submission, JobSpec, JobStatus};
+use mempool::json::{self, Fields, Layout};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::File;
@@ -126,23 +126,9 @@ fn parse_line(line: &str, jobs: &mut BTreeMap<u64, ReplayedJob>) -> Result<(), S
     match tag {
         "job" => {
             let fields =
-                parse_flat_json(rest).ok_or_else(|| format!("malformed job JSON for id {id}"))?;
-            let tenant = fields
-                .get("tenant")
-                .ok_or_else(|| format!("job {id} lacks a tenant"))?
-                .clone();
-            let priority = fields
-                .get("priority")
-                .and_then(|p| p.parse().ok())
-                .ok_or_else(|| format!("job {id} lacks a priority"))?;
-            let deadline_secs = match fields.get("deadline_secs").map(String::as_str) {
-                None | Some("null") => None,
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| format!("job {id} has a bad deadline"))?,
-                ),
-            };
-            let spec = JobSpec::from_fields(&fields).map_err(|e| format!("job {id}: {e}"))?;
+                Fields::parse(rest).map_err(|e| format!("malformed job JSON for id {id}: {e}"))?;
+            let (tenant, priority, deadline_secs, spec) =
+                read_submission(&fields).map_err(|e| format!("job {id}: {e}"))?;
             jobs.insert(
                 id,
                 ReplayedJob {
@@ -174,8 +160,8 @@ fn parse_line(line: &str, jobs: &mut BTreeMap<u64, ReplayedJob>) -> Result<(), S
             let status = JobStatus::parse(outcome)
                 .filter(|s| s.is_terminal())
                 .ok_or_else(|| format!("bad outcome `{outcome}` for job {id}"))?;
-            parse_flat_json(payload)
-                .ok_or_else(|| format!("malformed done payload for job {id}"))?;
+            Fields::parse(payload)
+                .map_err(|e| format!("malformed done payload for job {id}: {e}"))?;
             let job = jobs
                 .get_mut(&id)
                 .ok_or_else(|| format!("done line for unknown job {id}"))?;
@@ -190,16 +176,10 @@ fn parse_line(line: &str, jobs: &mut BTreeMap<u64, ReplayedJob>) -> Result<(), S
 /// Appends a `job` line to `out` (shared, like the two renderers below, by
 /// the live journal and the restart rewrite).
 fn push_job_line(out: &mut String, job: &ReplayedJob) {
-    let _ = writeln!(
-        out,
-        "job {} {{\"tenant\":\"{}\",\"priority\":{},\"deadline_secs\":{},{}}}",
-        job.id,
-        json_escape(&job.tenant),
-        job.priority,
-        job.deadline_secs
-            .map_or_else(|| "null".to_owned(), |d| d.to_string()),
-        job.spec.to_json_body(),
-    );
+    let fields = json::object(Layout::Compact, |o| {
+        write_submission(o, &job.tenant, job.priority, job.deadline_secs, &job.spec)
+    });
+    let _ = writeln!(out, "job {} {fields}", job.id);
 }
 
 fn push_state_line(out: &mut String, id: u64, status: JobStatus) {
@@ -521,6 +501,37 @@ mod tests {
         let second = super::replay(&path).expect("second replay");
         assert_eq!(second.skipped, 0, "{:?}", second.warnings);
         assert_eq!(second.jobs.len(), 2);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    /// A `job` line is one flat object: a value nested in it, or anything
+    /// after it, makes the line damage to skip, not a job to half-read.
+    #[test]
+    fn lines_with_trailing_garbage_or_nested_values_are_skipped_and_counted() {
+        let path = scratch("strict");
+        {
+            let mut journal = Journal::rewrite(&path, &[]).expect("create");
+            journal.record_job(&job(0, "a")).unwrap();
+        }
+        let content = std::fs::read_to_string(&path).unwrap();
+        let line = content
+            .lines()
+            .find(|l| l.starts_with("job 0 "))
+            .expect("job line");
+        let last = "\"metrics\":false}";
+        assert!(line.ends_with(last), "{line}");
+        let nested = line
+            .replacen("job 0", "job 1", 1)
+            .replace(last, "\"metrics\":false,\"note\":{\"b\":1}}");
+        let trailing = line
+            .replacen("job 0", "job 2", 1)
+            .replace(last, "\"metrics\":false xyz}");
+        std::fs::write(&path, format!("{content}{nested}\n{trailing}\n")).unwrap();
+
+        let replay = replay(&path).expect("replay survives");
+        assert_eq!(replay.skipped, 2, "{:?}", replay.warnings);
+        assert_eq!(replay.jobs.len(), 1);
+        assert_eq!(replay.next_id, 1);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

@@ -17,11 +17,11 @@
 //!
 //! [`Scheduler`]: crate::sched::Scheduler
 
-use crate::protocol::SERVE_METRICS_SCHEMA;
+use crate::protocol::{JobStatus, SERVE_METRICS_SCHEMA};
+use mempool::json::{self, Layout};
 use mempool::{HistogramSnapshot, LatencyStats};
 use mempool_traffic::FailureKind;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// The retry-class word a [`FailureKind`] is counted under (the kind minus
 /// its payload: `signal(9)` and `signal(11)` both count as `signal`).
@@ -55,71 +55,87 @@ pub struct ServeGauges {
     pub tenants: Vec<(String, u32, u32)>,
 }
 
+/// A monotonic counter of the registry, in document order; it renders
+/// under its name in [`Counter::NAMES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// An admitted submission.
+    JobsAdmitted,
+    /// A job re-admitted from journal replay at startup.
+    JobsReplayed,
+    /// A job that completed.
+    JobsCompleted,
+    /// A job that failed for good.
+    JobsFailed,
+    /// A job a client cancelled.
+    JobsCancelled,
+    /// A job whose retry budget ran out.
+    GiveUps,
+    /// A spawned worker process.
+    WorkersSpawned,
+    /// A worker that exited with a completed result.
+    WorkersCompleted,
+    /// A worker that checkpoint-parked (drain or chunk boundary).
+    WorkersParked,
+    /// A worker attempt that failed.
+    WorkersFailed,
+    /// A worker killed for blowing its wall-clock deadline.
+    DeadlineKills,
+    /// A telemetry stream record (sequence-number advance).
+    StreamRecords,
+    /// A mid-job partial metrics snapshot relayed from a worker.
+    PartialSnapshots,
+    /// A journal line startup recovery skipped.
+    JournalReplaySkipped,
+}
+
+impl Counter {
+    /// The document name of each counter, indexed by it.
+    pub const NAMES: [&'static str; 14] = [
+        "jobs_admitted",
+        "jobs_replayed",
+        "jobs_completed",
+        "jobs_failed",
+        "jobs_cancelled",
+        "give_ups",
+        "workers_spawned",
+        "workers_completed",
+        "workers_parked",
+        "workers_failed",
+        "deadline_kills",
+        "stream_records",
+        "partial_snapshots",
+        "journal_replay_skipped",
+    ];
+}
+
 /// Monotonic self-metrics counters and histograms for one daemon process.
 ///
 /// In-memory only: a restarted daemon starts from zero (journal replay
 /// counts surface under `jobs_replayed` / `journal_replay_skipped`).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServeMetrics {
-    jobs_admitted: u64,
-    jobs_replayed: u64,
-    jobs_completed: u64,
-    jobs_failed: u64,
-    jobs_cancelled: u64,
-    give_ups: u64,
-    workers_spawned: u64,
-    workers_completed: u64,
-    workers_parked: u64,
-    workers_failed: u64,
-    deadline_kills: u64,
-    stream_records: u64,
-    partial_snapshots: u64,
-    journal_replay_skipped: u64,
+    counters: [u64; Counter::NAMES.len()],
     rejections: BTreeMap<&'static str, u64>,
     retries: BTreeMap<&'static str, u64>,
     job_latency_ms: LatencyStats,
     queue_wait_ms: LatencyStats,
 }
 
-impl Default for ServeMetrics {
-    fn default() -> Self {
-        ServeMetrics::new()
-    }
-}
-
 impl ServeMetrics {
     /// An all-zero registry.
     pub fn new() -> ServeMetrics {
-        ServeMetrics {
-            jobs_admitted: 0,
-            jobs_replayed: 0,
-            jobs_completed: 0,
-            jobs_failed: 0,
-            jobs_cancelled: 0,
-            give_ups: 0,
-            workers_spawned: 0,
-            workers_completed: 0,
-            workers_parked: 0,
-            workers_failed: 0,
-            deadline_kills: 0,
-            stream_records: 0,
-            partial_snapshots: 0,
-            journal_replay_skipped: 0,
-            rejections: BTreeMap::new(),
-            retries: BTreeMap::new(),
-            job_latency_ms: LatencyStats::new(),
-            queue_wait_ms: LatencyStats::new(),
-        }
+        ServeMetrics::default()
     }
 
-    /// Counts an admitted submission.
-    pub fn job_admitted(&mut self) {
-        self.jobs_admitted += 1;
+    /// Counts one `counter` event.
+    pub fn count(&mut self, counter: Counter) {
+        self.add(counter, 1);
     }
 
-    /// Counts a job re-admitted from journal replay at startup.
-    pub fn job_replayed(&mut self) {
-        self.jobs_replayed += 1;
+    /// Counts `n` `counter` events at once.
+    pub fn add(&mut self, counter: Counter, n: u64) {
+        self.counters[counter as usize] += n;
     }
 
     /// Counts a typed admission rejection (`overloaded`, `quota`,
@@ -143,45 +159,16 @@ impl ServeMetrics {
         *self.retries.entry(failure_class(kind)).or_insert(0) += 1;
     }
 
-    /// Counts a retry-budget exhaustion (job gives up and fails).
-    pub fn give_up(&mut self) {
-        self.give_ups += 1;
-    }
-
-    /// Counts a spawned worker process.
-    pub fn worker_spawned(&mut self) {
-        self.workers_spawned += 1;
-    }
-
-    /// Counts a worker that exited with a completed result.
-    pub fn worker_completed(&mut self) {
-        self.workers_completed += 1;
-    }
-
-    /// Counts a worker that checkpoint-parked (drain or chunk boundary).
-    pub fn worker_parked(&mut self) {
-        self.workers_parked += 1;
-    }
-
-    /// Counts a worker attempt that failed (any [`FailureKind`]).
-    pub fn worker_failed(&mut self) {
-        self.workers_failed += 1;
-    }
-
-    /// Counts a worker killed for blowing its wall-clock deadline.
-    pub fn deadline_kill(&mut self) {
-        self.deadline_kills += 1;
-    }
-
     /// Counts a job reaching a terminal state, with its submit-to-terminal
     /// wall latency in milliseconds.
-    pub fn job_terminal(&mut self, status: crate::protocol::JobStatus, latency_ms: u64) {
-        match status {
-            crate::protocol::JobStatus::Completed => self.jobs_completed += 1,
-            crate::protocol::JobStatus::Failed => self.jobs_failed += 1,
-            crate::protocol::JobStatus::Cancelled => self.jobs_cancelled += 1,
+    pub fn job_terminal(&mut self, status: JobStatus, latency_ms: u64) {
+        let counter = match status {
+            JobStatus::Completed => Counter::JobsCompleted,
+            JobStatus::Failed => Counter::JobsFailed,
+            JobStatus::Cancelled => Counter::JobsCancelled,
             _ => return,
-        }
+        };
+        self.count(counter);
         self.job_latency_ms.record(latency_ms);
     }
 
@@ -190,127 +177,67 @@ impl ServeMetrics {
         self.queue_wait_ms.record(wait_ms);
     }
 
-    /// Counts one telemetry stream record (sequence-number advance).
-    pub fn stream_record(&mut self) {
-        self.stream_records += 1;
-    }
-
-    /// Counts one mid-job partial metrics snapshot relayed from a worker.
-    pub fn partial_snapshot(&mut self) {
-        self.partial_snapshots += 1;
-    }
-
-    /// Seeds the replay-skip counter from startup journal recovery.
-    pub fn journal_replay_skipped(&mut self, skipped: u64) {
-        self.journal_replay_skipped = skipped;
-    }
-
     /// Renders the `mempool-serve-metrics-v2` document: integer-only,
     /// deterministic field order, byte-stable for a given event history
-    /// and gauge snapshot.
+    /// and gauge snapshot. Its histograms are rendered as
+    /// `mempool-metrics-v2`'s are.
     pub fn to_json(&self, gauges: &ServeGauges) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{SERVE_METRICS_SCHEMA}\",");
-        let _ = writeln!(out, "  \"worker_slots\": {},", gauges.worker_slots);
-        let _ = writeln!(out, "  \"active_workers\": {},", gauges.active_workers);
-        let _ = writeln!(out, "  \"queue_depth\": {},", gauges.queue_depth);
-        let _ = writeln!(out, "  \"draining\": {},", gauges.draining);
-        out.push_str("  \"counters\": {");
-        let counters: [(&str, u64); 15] = [
-            ("jobs_admitted", self.jobs_admitted),
-            ("jobs_replayed", self.jobs_replayed),
-            ("jobs_completed", self.jobs_completed),
-            ("jobs_failed", self.jobs_failed),
-            ("jobs_cancelled", self.jobs_cancelled),
-            ("give_ups", self.give_ups),
-            ("workers_spawned", self.workers_spawned),
-            ("workers_completed", self.workers_completed),
-            ("workers_parked", self.workers_parked),
-            ("workers_failed", self.workers_failed),
-            ("deadline_kills", self.deadline_kills),
-            ("stream_records", self.stream_records),
-            ("partial_snapshots", self.partial_snapshots),
-            ("journal_appends", gauges.journal_appends),
-            ("journal_replay_skipped", self.journal_replay_skipped),
-        ];
-        for (i, (name, value)) in counters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{name}\": {value}");
-        }
-        out.push_str("},\n");
-        render_map(&mut out, "rejections", &self.rejections);
-        render_map(&mut out, "retries", &self.retries);
-        out.push_str("  \"tenants\": [");
-        for (i, (tenant, in_flight, quota)) in gauges.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"tenant\": \"{}\", \"in_flight\": {in_flight}, \"quota\": {quota}}}",
-                mempool_traffic::json_escape(tenant)
-            );
-        }
-        out.push_str("],\n");
-        out.push_str("  \"histograms\": {");
-        render_histogram(
-            &mut out,
-            "job_latency_ms",
-            &HistogramSnapshot::from(&self.job_latency_ms),
-        );
-        out.push_str(", ");
-        render_histogram(
-            &mut out,
-            "queue_wait_ms",
-            &HistogramSnapshot::from(&self.queue_wait_ms),
-        );
-        out.push_str("}\n}\n");
-        out
+        json::document(|d| {
+            d.str("schema", SERVE_METRICS_SCHEMA)
+                .num("worker_slots", gauges.worker_slots)
+                .num("active_workers", gauges.active_workers)
+                .num("queue_depth", gauges.queue_depth)
+                .bool("draining", gauges.draining)
+                .obj("counters", Layout::Inline, |o| {
+                    Counter::NAMES
+                        .iter()
+                        .zip(self.counters)
+                        .fold(o, |o, (&name, n)| {
+                            // The journal owns its append count, rendered here.
+                            let journal = name == "journal_replay_skipped";
+                            let o = if journal {
+                                o.num("journal_appends", gauges.journal_appends)
+                            } else {
+                                o
+                            };
+                            o.num(name, n)
+                        })
+                })
+                .obj("rejections", Layout::Inline, |o| {
+                    self.rejections.iter().fold(o, |o, (k, v)| o.num(k, v))
+                })
+                .obj("retries", Layout::Inline, |o| {
+                    self.retries.iter().fold(o, |o, (k, v)| o.num(k, v))
+                })
+                .arr("tenants", Layout::Inline, |tenants| {
+                    gauges
+                        .tenants
+                        .iter()
+                        .fold(tenants, |tenants, (tenant, in_flight, quota)| {
+                            tenants.push_obj(Layout::Inline, |t| {
+                                t.str("tenant", tenant)
+                                    .num("in_flight", in_flight)
+                                    .num("quota", quota)
+                            })
+                        })
+                })
+                .obj("histograms", Layout::Inline, |h| {
+                    let h = HistogramSnapshot::from(&self.job_latency_ms)
+                        .write_json(h, "job_latency_ms");
+                    HistogramSnapshot::from(&self.queue_wait_ms).write_json(h, "queue_wait_ms")
+                })
+        })
     }
-}
-
-fn render_map(out: &mut String, name: &str, map: &BTreeMap<&'static str, u64>) {
-    let _ = write!(out, "  \"{name}\": {{");
-    for (i, (k, v)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{k}\": {v}");
-    }
-    out.push_str("},\n");
-}
-
-// Mirrors the histogram rendering of `mempool-metrics-v2` (count, sum,
-// min, max, p50/p90/p99, 64 exact buckets + tail), so tooling that parses
-// one schema's histograms parses the other's unchanged.
-fn render_histogram(out: &mut String, name: &str, h: &HistogramSnapshot) {
-    let _ = write!(
-        out,
-        "\"{name}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-         \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
-        h.count, h.sum, h.min, h.max, h.p50, h.p90, h.p99
-    );
-    for (k, b) in h.buckets.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{b}");
-    }
-    out.push_str("]}");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::JobStatus;
 
     fn sample() -> ServeMetrics {
         let mut m = ServeMetrics::new();
-        m.job_admitted();
-        m.job_admitted();
+        m.count(Counter::JobsAdmitted);
+        m.count(Counter::JobsAdmitted);
         m.rejection("overloaded");
         m.rejection("quota");
         m.rejection("quota");
@@ -318,16 +245,16 @@ mod tests {
         m.retry(&FailureKind::Signal(9));
         m.retry(&FailureKind::Signal(11));
         m.retry(&FailureKind::Exit(1));
-        m.worker_spawned();
-        m.worker_parked();
-        m.deadline_kill();
+        m.count(Counter::WorkersSpawned);
+        m.count(Counter::WorkersParked);
+        m.count(Counter::DeadlineKills);
         m.queue_wait(0);
         m.job_terminal(JobStatus::Completed, 3);
         m.job_terminal(JobStatus::Failed, 70);
         m.job_terminal(JobStatus::Queued, 1); // non-terminal: ignored
-        m.stream_record();
-        m.partial_snapshot();
-        m.journal_replay_skipped(2);
+        m.count(Counter::StreamRecords);
+        m.count(Counter::PartialSnapshots);
+        m.add(Counter::JournalReplaySkipped, 2);
         m
     }
 

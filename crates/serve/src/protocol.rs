@@ -3,14 +3,15 @@
 //! records that follow it on a subscription (`wait`, `watch`, `tail`).
 //!
 //! Every message is one flat JSON object per line (string / number / bool /
-//! null values only), encoded and decoded with the shared codec in
-//! [`mempool_traffic`] (`json_escape` / `parse_flat_json`) so the daemon,
-//! its workers, and external clients all speak byte-for-byte the same
-//! dialect. Nested documents (a metrics registry, a campaign report) travel
-//! as escaped string fields.
+//! null values only), written and read with the suite's one codec,
+//! [`mempool::json`], so the daemon, its workers, and external clients all
+//! speak byte-for-byte the same dialect. Its reader is strict: a line with
+//! trailing garbage or a nested value is malformed, and every field is read
+//! as its type. Nested documents (a metrics registry, a campaign report)
+//! travel as escaped string fields.
 
-use mempool_traffic::{json_escape, parse_config_spec, parse_flat_json, Pattern};
-use std::collections::BTreeMap;
+use mempool::json::{self, Fields, Layout, Obj};
+use mempool_traffic::{parse_config_spec, Pattern};
 use std::fmt;
 
 /// A `campaign` job: a resumable fault-injection campaign (manifest plus
@@ -164,62 +165,87 @@ impl JobSpec {
         }
     }
 
-    /// Renders the spec as JSON body fields (no surrounding braces), the
-    /// form embedded in submit requests, journal lines, and worker jobs.
-    pub fn to_json_body(&self) -> String {
+    /// Writes the spec's fields, `kind` first: the part of a submit
+    /// request, a journal `job` line and a worker's job document that
+    /// describes the job.
+    pub fn write_fields<'a>(&self, o: Obj<'a>) -> Obj<'a> {
         match self {
-            JobSpec::Run(spec) => format!(
-                "\"kind\":\"run\",\"config_spec\":\"{}\",\"program\":\"{}\",\
-                 \"max_cycles\":{},\"checkpoint_every\":{},\"metrics\":{}",
-                json_escape(&spec.config_spec),
-                json_escape(&spec.program),
-                spec.max_cycles,
-                spec.checkpoint_every,
-                spec.metrics,
-            ),
-            JobSpec::Campaign(spec) => spec.to_json_body(),
-            JobSpec::Bench(spec) => format!(
-                "\"kind\":\"bench\",\"cycles\":{},\"warmup\":{},\"cores\":\"{}\"",
-                spec.cycles,
-                spec.warmup,
-                render_usize_list(&spec.cores),
-            ),
+            JobSpec::Run(spec) => o
+                .str("kind", "run")
+                .str("config_spec", &spec.config_spec)
+                .str("program", &spec.program)
+                .num("max_cycles", spec.max_cycles)
+                .num("checkpoint_every", spec.checkpoint_every)
+                .bool("metrics", spec.metrics),
+            JobSpec::Campaign(spec) => spec.write_fields(o),
+            JobSpec::Bench(spec) => o
+                .str("kind", "bench")
+                .num("cycles", spec.cycles)
+                .num("warmup", spec.warmup)
+                .str("cores", &render_usize_list(&spec.cores)),
         }
     }
 
-    /// Reconstructs a spec from parsed flat-JSON fields.
+    /// Reads a spec back from a line's fields.
     ///
     /// # Errors
     ///
-    /// A description of the first missing or malformed field.
-    pub fn from_fields(fields: &BTreeMap<String, String>) -> Result<JobSpec, String> {
-        let get = |k: &str| {
-            fields
-                .get(k)
-                .ok_or_else(|| format!("missing job field `{k}`"))
-        };
-        let num = |k: &str| -> Result<u64, String> {
-            get(k)?
-                .parse()
-                .map_err(|_| format!("non-numeric job field `{k}`"))
-        };
-        match get("kind")?.as_str() {
+    /// A description of the first missing or mistyped field.
+    pub fn from_fields(fields: &Fields) -> Result<JobSpec, String> {
+        match fields.str("kind")? {
             "run" => Ok(JobSpec::Run(RunSpec {
-                config_spec: get("config_spec")?.clone(),
-                program: get("program")?.clone(),
-                max_cycles: num("max_cycles")?,
-                checkpoint_every: num("checkpoint_every")?,
-                metrics: get("metrics")? == "true",
+                config_spec: fields.str("config_spec")?.to_owned(),
+                program: fields.str("program")?.to_owned(),
+                max_cycles: fields.int("max_cycles")?,
+                checkpoint_every: fields.int("checkpoint_every")?,
+                metrics: fields.bool("metrics")?,
             })),
             "campaign" => CampaignSpec::from_fields(fields).map(JobSpec::Campaign),
             "bench" => Ok(JobSpec::Bench(BenchSpec {
-                cycles: num("cycles")?,
-                warmup: num("warmup")?,
-                cores: parse_usize_list(get("cores")?)?,
+                cycles: fields.int("cycles")?,
+                warmup: fields.int("warmup")?,
+                cores: parse_usize_list(fields.str("cores")?)?,
             })),
             other => Err(format!("unknown job kind `{other}`")),
         }
     }
+}
+
+/// What a submission carries besides its spec: tenant, priority, deadline.
+pub(crate) type Submission = (String, u8, Option<u64>, JobSpec);
+
+/// Writes the header every accepted job carries — in a submit request
+/// after its `op`, and as the journal's `job` line — followed by the spec's
+/// fields. [`read_submission`] reads both back.
+pub(crate) fn write_submission<'a>(
+    o: Obj<'a>,
+    tenant: &str,
+    priority: u8,
+    deadline_secs: Option<u64>,
+    spec: &JobSpec,
+) -> Obj<'a> {
+    spec.write_fields(
+        o.str("tenant", tenant)
+            .num("priority", priority)
+            .opt_num("deadline_secs", deadline_secs),
+    )
+}
+
+/// Reads [`write_submission`]'s fields. A missing priority is 0, a missing
+/// or `null` deadline is none.
+pub(crate) fn read_submission(fields: &Fields) -> Result<Submission, String> {
+    let tenant = fields.str("tenant")?;
+    if tenant.is_empty() {
+        return Err("tenant must be nonempty".to_owned());
+    }
+    let priority = fields.opt_int("priority")?.unwrap_or(0);
+    let deadline_secs = fields.opt_int("deadline_secs")?;
+    Ok((
+        tenant.to_owned(),
+        priority,
+        deadline_secs,
+        JobSpec::from_fields(fields)?,
+    ))
 }
 
 /// A job's lifecycle state, as reported by `status` and journaled.
@@ -241,6 +267,17 @@ pub enum JobStatus {
 }
 
 impl JobStatus {
+    /// Every status with its wire word, in declaration order (`Display`
+    /// indexes it by discriminant).
+    pub const WORDS: [(JobStatus, &'static str); 6] = [
+        (JobStatus::Queued, "queued"),
+        (JobStatus::Running, "running"),
+        (JobStatus::Parked, "parked"),
+        (JobStatus::Completed, "completed"),
+        (JobStatus::Failed, "failed"),
+        (JobStatus::Cancelled, "cancelled"),
+    ];
+
     /// Whether the job can no longer change state.
     pub fn is_terminal(self) -> bool {
         matches!(
@@ -251,28 +288,16 @@ impl JobStatus {
 
     /// Parses the wire word.
     pub fn parse(s: &str) -> Option<JobStatus> {
-        Some(match s {
-            "queued" => JobStatus::Queued,
-            "running" => JobStatus::Running,
-            "parked" => JobStatus::Parked,
-            "completed" => JobStatus::Completed,
-            "failed" => JobStatus::Failed,
-            "cancelled" => JobStatus::Cancelled,
-            _ => return None,
-        })
+        JobStatus::WORDS
+            .iter()
+            .find(|(_, word)| *word == s)
+            .map(|&(status, _)| status)
     }
 }
 
 impl fmt::Display for JobStatus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            JobStatus::Queued => "queued",
-            JobStatus::Running => "running",
-            JobStatus::Parked => "parked",
-            JobStatus::Completed => "completed",
-            JobStatus::Failed => "failed",
-            JobStatus::Cancelled => "cancelled",
-        })
+        f.write_str(JobStatus::WORDS[*self as usize].1)
     }
 }
 
@@ -334,126 +359,81 @@ pub enum Request {
 impl Request {
     /// Renders the request as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        match self {
-            Request::Submit {
-                tenant,
-                priority,
-                deadline_secs,
-                spec,
-            } => format!(
-                "{{\"op\":\"submit\",\"tenant\":\"{}\",\"priority\":{},\
-                 \"deadline_secs\":{},{}}}",
-                json_escape(tenant),
-                priority,
-                deadline_secs.map_or_else(|| "null".to_owned(), |d| d.to_string()),
-                spec.to_json_body(),
-            ),
-            Request::Status { job } => format!("{{\"op\":\"status\",\"job\":{job}}}"),
-            Request::Health => "{\"op\":\"health\"}".to_owned(),
-            Request::Cancel { job } => format!("{{\"op\":\"cancel\",\"job\":{job}}}"),
-            Request::Wait { job } => format!("{{\"op\":\"wait\",\"job\":{job}}}"),
-            Request::Watch { job } => format!("{{\"op\":\"watch\",\"job\":{job}}}"),
-            Request::Tail => "{\"op\":\"tail\"}".to_owned(),
-            Request::Metrics => "{\"op\":\"metrics\"}".to_owned(),
-            Request::Timeline { job } => format!("{{\"op\":\"timeline\",\"job\":{job}}}"),
-            Request::Shutdown => "{\"op\":\"shutdown\"}".to_owned(),
-        }
+        let (op, job) = match *self {
+            Request::Submit { .. } => ("submit", None),
+            Request::Status { job } => ("status", Some(job)),
+            Request::Health => ("health", None),
+            Request::Cancel { job } => ("cancel", Some(job)),
+            Request::Wait { job } => ("wait", Some(job)),
+            Request::Watch { job } => ("watch", Some(job)),
+            Request::Tail => ("tail", None),
+            Request::Metrics => ("metrics", None),
+            Request::Timeline { job } => ("timeline", Some(job)),
+            Request::Shutdown => ("shutdown", None),
+        };
+        json::object(Layout::Compact, |o| {
+            let o = match job {
+                Some(job) => o.str("op", op).num("job", job),
+                None => o.str("op", op),
+            };
+            match self {
+                Request::Submit {
+                    tenant,
+                    priority,
+                    deadline_secs,
+                    spec,
+                } => write_submission(o, tenant, *priority, *deadline_secs, spec),
+                _ => o,
+            }
+        })
     }
 
     /// Parses one request line.
     ///
     /// # Errors
     ///
-    /// A description of the first malformed or missing field.
+    /// `malformed request JSON` for a line that is not one flat JSON
+    /// object, else a description of the first missing or mistyped field.
     pub fn from_json(line: &str) -> Result<Request, String> {
-        let fields = parse_flat_json(line).ok_or_else(|| "malformed request JSON".to_owned())?;
-        let job = |fields: &BTreeMap<String, String>| -> Result<u64, String> {
-            fields
-                .get("job")
-                .ok_or_else(|| "missing request field `job`".to_owned())?
-                .parse()
-                .map_err(|_| "non-numeric request field `job`".to_owned())
-        };
-        match fields
-            .get("op")
-            .ok_or_else(|| "missing request field `op`".to_owned())?
-            .as_str()
-        {
+        let fields = Fields::parse(line).map_err(|e| format!("malformed request JSON: {e}"))?;
+        let job = || fields.int("job");
+        Ok(match fields.str("op")? {
             "submit" => {
-                let tenant = fields
-                    .get("tenant")
-                    .ok_or_else(|| "missing request field `tenant`".to_owned())?
-                    .clone();
-                if tenant.is_empty() {
-                    return Err("tenant must be nonempty".to_owned());
-                }
-                let priority = fields
-                    .get("priority")
-                    .map_or(Ok(0), |p| {
-                        p.parse()
-                            .map_err(|_| "non-numeric request field `priority`".to_owned())
-                    })?;
-                let deadline_secs = match fields.get("deadline_secs").map(String::as_str) {
-                    None | Some("null") => None,
-                    Some(v) => Some(
-                        v.parse()
-                            .map_err(|_| "non-numeric request field `deadline_secs`".to_owned())?,
-                    ),
-                };
-                Ok(Request::Submit {
+                let (tenant, priority, deadline_secs, spec) = read_submission(&fields)?;
+                Request::Submit {
                     tenant,
                     priority,
                     deadline_secs,
-                    spec: JobSpec::from_fields(&fields)?,
-                })
+                    spec,
+                }
             }
-            "status" => Ok(Request::Status { job: job(&fields)? }),
-            "health" => Ok(Request::Health),
-            "cancel" => Ok(Request::Cancel { job: job(&fields)? }),
-            "wait" => Ok(Request::Wait { job: job(&fields)? }),
-            "watch" => Ok(Request::Watch { job: job(&fields)? }),
-            "tail" => Ok(Request::Tail),
-            "metrics" => Ok(Request::Metrics),
-            "timeline" => Ok(Request::Timeline { job: job(&fields)? }),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown op `{other}`")),
-        }
+            "status" => Request::Status { job: job()? },
+            "health" => Request::Health,
+            "cancel" => Request::Cancel { job: job()? },
+            "wait" => Request::Wait { job: job()? },
+            "watch" => Request::Watch { job: job()? },
+            "tail" => Request::Tail,
+            "metrics" => Request::Metrics,
+            "timeline" => Request::Timeline { job: job()? },
+            "shutdown" => Request::Shutdown,
+            other => return Err(format!("unknown op `{other}`")),
+        })
     }
 }
 
-/// Appends `,"key":value` per field; a value may be a 100 KB document, so it
-/// is written in place rather than through a temporary.
-fn push_fields(out: &mut String, extra: &[(&str, String)]) {
-    use fmt::Write;
-    for (k, v) in extra {
-        let _ = write!(out, ",\"{k}\":{v}");
-    }
-}
-
-/// Builds an `{"ok":true,...}` response line from extra fields (values
-/// must already be valid JSON tokens — quote and escape strings first).
-pub fn resp_ok(extra: &[(&str, String)]) -> String {
-    let mut out = String::from("{\"ok\":true");
-    push_fields(&mut out, extra);
-    out.push('}');
-    out
+/// Builds an `{"ok":true,...}` response line; `fields` writes the members
+/// after `ok`.
+pub fn resp_ok(fields: impl FnOnce(Obj) -> Obj) -> String {
+    json::object(Layout::Compact, |o| fields(o.bool("ok", true)))
 }
 
 /// Builds a typed `{"ok":false,"error":...}` rejection line. `kind` is the
 /// machine-readable class (`overloaded`, `quota`, `invalid`, `unknown-job`,
 /// `draining`, `result-unavailable`); `detail` is human-readable.
 pub fn resp_err(kind: &str, detail: &str) -> String {
-    format!(
-        "{{\"ok\":false,\"error\":\"{}\",\"detail\":\"{}\"}}",
-        json_escape(kind),
-        json_escape(detail)
-    )
-}
-
-/// Quotes and escapes a string into a JSON string token (for
-/// [`resp_ok`] / [`stream_record`] values).
-pub fn json_str(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
+    json::object(Layout::Compact, |o| {
+        o.bool("ok", false).str("error", kind).str("detail", detail)
+    })
 }
 
 /// Builds one [`STREAM_SCHEMA`] record line. `seq` is the job's monotonic
@@ -461,25 +441,24 @@ pub fn json_str(s: &str) -> String {
 /// anyone is subscribed, so observation never changes the numbering);
 /// `attempt` is the worker attempt the record belongs to; `kind` is the
 /// record class (`state`, `heartbeat`, `partial`, `attempt-failed`,
-/// `retry-backoff`, `done`); `is_final` marks the terminal record, whose
-/// `result` extra carries the end-of-job document byte-identical to what
-/// `status` reports. Extra values must already be valid JSON tokens.
+/// `retry-backoff`, `done`); `extra` writes the record's own fields;
+/// `is_final` marks the terminal record, whose `result` field carries the
+/// end-of-job document byte-identical to what `status` reports.
 pub fn stream_record(
     job: u64,
     seq: u64,
     attempt: u32,
     kind: &str,
     is_final: bool,
-    extra: &[(&str, String)],
+    extra: impl FnOnce(Obj) -> Obj,
 ) -> String {
-    let mut out = format!(
-        "{{\"stream\":\"{STREAM_SCHEMA}\",\"job\":{job},\"seq\":{seq},\
-         \"attempt\":{attempt},\"kind\":\"{}\"",
-        json_escape(kind)
-    );
-    push_fields(&mut out, extra);
-    out.push_str(&format!(",\"final\":{is_final}}}"));
-    out
+    json::object(Layout::Compact, |o| {
+        let o = o
+            .str("stream", STREAM_SCHEMA)
+            .num("job", job)
+            .num("seq", seq);
+        extra(o.num("attempt", attempt).str("kind", kind)).bool("final", is_final)
+    })
 }
 
 #[cfg(test)]
@@ -538,7 +517,7 @@ mod tests {
     fn bench_lines_with_the_retired_workers_key_still_parse() {
         let old = "{\"kind\":\"bench\",\"cycles\":300,\"warmup\":50,\
                    \"cores\":\"16,64\",\"workers\":\"2\"}";
-        let fields = parse_flat_json(old).expect("flat JSON");
+        let fields = Fields::parse(old).expect("flat JSON");
         let spec = JobSpec::from_fields(&fields).expect("old journal line parses");
         assert_eq!(
             spec,
@@ -548,7 +527,8 @@ mod tests {
                 cores: vec![16, 64],
             })
         );
-        assert!(!spec.to_json_body().contains("workers"));
+        let rendered = json::object(Layout::Compact, |o| spec.write_fields(o));
+        assert!(!rendered.contains("workers"));
     }
 
     #[test]
@@ -592,15 +572,10 @@ mod tests {
 
     #[test]
     fn stream_records_are_flat_json_with_stable_field_order() {
-        let rec = stream_record(
-            7,
-            3,
-            2,
-            "partial",
-            false,
-            &[("cycle", "2048".to_owned()), ("metrics", json_str("{\"a\":1}"))],
-        );
-        let fields = parse_flat_json(&rec).expect("stream record is flat JSON");
+        let rec = stream_record(7, 3, 2, "partial", false, |o| {
+            o.num("cycle", 2048).str("metrics", "{\"a\":1}")
+        });
+        let fields = json::parse_flat_json(&rec).expect("stream record is flat JSON");
         assert_eq!(fields.get("stream").map(String::as_str), Some(STREAM_SCHEMA));
         assert_eq!(fields.get("job").map(String::as_str), Some("7"));
         assert_eq!(fields.get("seq").map(String::as_str), Some("3"));
@@ -614,13 +589,94 @@ mod tests {
         ));
         assert!(rec.ends_with(",\"final\":false}"));
 
-        let done = stream_record(7, 9, 2, "done", true, &[("result", json_str("{}"))]);
+        let done = stream_record(7, 9, 2, "done", true, |o| o.str("result", "{}"));
+        assert_eq!(Fields::parse(&done).expect("flat").bool("final"), Ok(true));
+    }
+
+    /// A line is one flat object and nothing else: what follows it, or a
+    /// value nested in it, makes it malformed rather than half-read.
+    #[test]
+    fn requests_with_trailing_garbage_or_nested_values_are_malformed() {
+        for line in [
+            "{\"op\":\"shutdown\" xyz}",
+            "{\"op\":\"shutdown\"} {\"op\":\"health\"}",
+            "{\"op\":\"health\",\"x\":{\"y\":1},\"z\":2}",
+            "{\"op\":\"status\",\"job\":[1]}",
+        ] {
+            let err = Request::from_json(line).expect_err(line);
+            assert!(err.starts_with("malformed request JSON"), "{line}: {err}");
+        }
+    }
+
+    /// Python's default `json.dumps`: spaced separators, non-ASCII as
+    /// `\u` surrogate pairs, a form feed as `\f`.
+    #[test]
+    fn python_json_dumps_submissions_parse() {
+        let line = "{\"op\": \"submit\", \"tenant\": \"t\\ud83d\\ude00\", \"priority\": 0, \
+                    \"deadline_secs\": null, \"kind\": \"run\", \
+                    \"config_spec\": \"topology=top1,small=true,scramble=false\", \
+                    \"program\": \"# page\\fbreak\\ncsrr a0, mhartid\\necall\\n\", \
+                    \"max_cycles\": 10000, \"checkpoint_every\": 512, \"metrics\": true}";
+        let Ok(Request::Submit {
+            tenant,
+            spec: JobSpec::Run(run),
+            ..
+        }) = Request::from_json(line)
+        else {
+            panic!("{:?}", Request::from_json(line));
+        };
+        assert_eq!(tenant, "t😀");
+        assert_eq!(run.program, "# page\u{c}break\ncsrr a0, mhartid\necall\n");
+        assert_eq!(run.max_cycles, 10_000);
+    }
+
+    /// Every field is read as its type: a count past `u32` is not one
+    /// trial, and a boolean is `true` or `false`, not any other token.
+    #[test]
+    fn numbers_and_booleans_are_read_as_their_types() {
+        let submit = Request::Submit {
+            tenant: "a".to_owned(),
+            priority: 1,
+            deadline_secs: None,
+            spec: run_spec(),
+        }
+        .to_json();
+        for (from, to) in [
+            ("\"metrics\":true", "\"metrics\":\"yes\""),
+            ("\"metrics\":true", "\"metrics\":\"true\""),
+            ("\"metrics\":true", "\"metrics\":1"),
+            ("\"priority\":1", "\"priority\":256"),
+            ("\"max_cycles\":10000", "\"max_cycles\":-1"),
+            ("\"max_cycles\":10000", "\"max_cycles\":1e4"),
+        ] {
+            assert!(submit.contains(from), "{submit}");
+            let line = submit.replace(from, to);
+            assert!(Request::from_json(&line).is_err(), "{line}");
+        }
+        let campaign = Request::Submit {
+            tenant: "a".to_owned(),
+            priority: 1,
+            deadline_secs: Some(5),
+            spec: JobSpec::Campaign(CampaignSpec {
+                config_spec: "topology=top1,small=true,scramble=true".to_owned(),
+                faults: "bank_fail=1".to_owned(),
+                trials: 4,
+                load: 0.05,
+                pattern: "uniform".to_owned(),
+                warmup: 100,
+                measure: 400,
+                drain: 10_000,
+                seed: 7,
+                checkpoint_every: 256,
+                cycle_budget: None,
+            }),
+        }
+        .to_json();
+        let overflow = campaign.replace("\"trials\":4,", "\"trials\":4294967297,");
+        assert_ne!(overflow, campaign);
         assert_eq!(
-            parse_flat_json(&done)
-                .expect("flat")
-                .get("final")
-                .map(String::as_str),
-            Some("true")
+            Request::from_json(&overflow),
+            Err("field `trials` is not a u32".to_owned())
         );
     }
 

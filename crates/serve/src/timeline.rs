@@ -3,13 +3,13 @@
 //! retry/backoff events into one ordered history per job, exported as
 //! Chrome `trace_event` JSON (load it in `chrome://tracing` or Perfetto).
 //!
-//! The export mirrors the core `TimelineTrace::to_chrome_json` shape —
-//! metadata records naming the process/thread, `"X"` duration spans, an
-//! `otherData` block carrying the schema tag and drop counter — so the
-//! tooling path that already consumes `mempool-trace-v1` consumes job
-//! timelines unchanged. Each job is one Chrome "process" (`pid` = job id);
-//! lifecycle states render as duration spans and everything else as
-//! instant events.
+//! The export is the core's one Chrome envelope
+//! ([`mempool::obs::chrome_trace`]) — metadata records naming the
+//! process/thread, `"X"` duration spans, an `otherData` block carrying the
+//! schema tag and drop counter — so the tooling path that already consumes
+//! `mempool-trace-v1` consumes job timelines unchanged. Each job is one
+//! Chrome "process" (`pid` = job id); lifecycle states render as duration
+//! spans and everything else as instant events.
 //!
 //! Timelines are in-memory observability, not journaled state: a restarted
 //! daemon starts a job's timeline fresh (opening with a `replayed` event),
@@ -17,8 +17,8 @@
 //! growing without limit on a very chatty job.
 
 use crate::protocol::TIMELINE_SCHEMA;
-use mempool_traffic::json_escape;
-use std::fmt::Write as _;
+use mempool::json::Layout;
+use mempool::obs::{chrome_metadata, chrome_trace};
 
 /// Upper bound on recorded events per job; past it, new events are counted
 /// in `dropped_events` instead of stored.
@@ -77,70 +77,51 @@ impl JobTimeline {
     /// recorded events: byte-identical histories export byte-identical
     /// documents.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"traceEvents\":[");
-        let mut first = true;
-        let emit = |s: &mut String, first: &mut bool| {
-            if !*first {
-                s.push(',');
-            }
-            *first = false;
-            s.push('\n');
-        };
-        emit(&mut out, &mut first);
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-             \"args\":{{\"name\":\"job{} ({})\"}}}}",
-            self.job,
-            self.job,
-            json_escape(&self.tenant)
-        );
-        emit(&mut out, &mut first);
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-             \"args\":{{\"name\":\"supervisor\"}}}}",
-            self.job
-        );
         let last_ts = self.events.last().map_or(0, |(ts, _, _)| *ts);
-        for (i, (ts, kind, detail)) in self.events.iter().enumerate() {
-            emit(&mut out, &mut first);
-            if kind == "state" {
-                // A state span runs until the next state transition (or
-                // the last recorded event for the current state).
-                let end = self.events[i + 1..]
+        let process = format!("job{} ({})", self.job, self.tenant);
+        chrome_trace(
+            TIMELINE_SCHEMA,
+            |events| {
+                let events = chrome_metadata(events, "process_name", self.job, 0, &process);
+                let events = chrome_metadata(events, "thread_name", self.job, 0, "supervisor");
+                self.events
                     .iter()
-                    .find(|(_, k, _)| k == "state")
-                    .map_or(last_ts, |(t, _, _)| *t);
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{},\
-                     \"pid\":{},\"tid\":0,\"args\":{{}}}}",
-                    json_escape(detail),
-                    end.saturating_sub(*ts),
-                    self.job
-                );
-            } else {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{ts},\"pid\":{},\
-                     \"tid\":0,\"s\":\"p\",\"args\":{{\"detail\":\"{}\"}}}}",
-                    json_escape(kind),
-                    self.job,
-                    json_escape(detail)
-                );
-            }
-        }
-        let _ = write!(
-            out,
-            "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"schema\":\"{TIMELINE_SCHEMA}\",\
-             \"job\":{},\"tenant\":\"{}\",\"dropped_events\":{}}}}}\n",
-            self.job,
-            json_escape(&self.tenant),
-            self.dropped
-        );
-        out
+                    .enumerate()
+                    .fold(events, |events, (i, (ts, kind, detail))| {
+                        events.push_obj(Layout::Compact, |e| {
+                            if kind != "state" {
+                                return e
+                                    .str("name", kind)
+                                    .str("ph", "i")
+                                    .num("ts", ts)
+                                    .num("pid", self.job)
+                                    .num("tid", 0)
+                                    .str("s", "p")
+                                    .obj("args", Layout::Compact, |a| a.str("detail", detail));
+                            }
+                            // A state span runs until the next state transition
+                            // (or the last recorded event for the current state).
+                            let end = self.events[i + 1..]
+                                .iter()
+                                .find(|(_, k, _)| k == "state")
+                                .map_or(last_ts, |(t, _, _)| *t);
+                            e.str("name", detail)
+                                .str("ph", "X")
+                                .num("ts", ts)
+                                .num("dur", end.saturating_sub(*ts))
+                                .num("pid", self.job)
+                                .num("tid", 0)
+                                .obj("args", Layout::Compact, |a| a)
+                        })
+                    })
+            },
+            |other| {
+                other
+                    .num("job", self.job)
+                    .str("tenant", &self.tenant)
+                    .num("dropped_events", self.dropped)
+            },
+        )
     }
 }
 
@@ -163,7 +144,6 @@ mod tests {
     #[test]
     fn chrome_export_has_spans_instants_and_schema_tag() {
         let json = sample().to_chrome_json();
-        assert!(json.contains("\"traceEvents\":["));
         // queued span runs 0..5, running span 5..300.
         assert!(json.contains("\"name\":\"queued\",\"ph\":\"X\",\"ts\":0,\"dur\":5"));
         assert!(json.contains("\"name\":\"running\",\"ph\":\"X\",\"ts\":5,\"dur\":295"));
@@ -171,11 +151,27 @@ mod tests {
         assert!(json.contains("\"name\":\"completed\",\"ph\":\"X\",\"ts\":300,\"dur\":0"));
         assert!(json.contains("\"name\":\"heartbeat\",\"ph\":\"i\",\"ts\":20"));
         assert!(json.contains("\"detail\":\"signal(9)\""));
-        assert!(json.contains("\"schema\":\"mempool-job-timeline-v1\""));
-        assert!(json.contains("\"tenant\":\"team-a\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert_eq!(json, sample().to_chrome_json(), "byte-stable");
+        let doc = mempool::json::parse(&json).expect("the timeline is JSON");
+        let other = &doc["otherData"];
+        assert_eq!(other["schema"].as_str(), Some("mempool-job-timeline-v1"));
+        assert_eq!(
+            (other["job"].as_u64(), other["tenant"].as_str()),
+            (Some(7), Some("team-a"))
+        );
+        let events = doc["traceEvents"].as_array().expect("an event array");
+        assert_eq!(events[0]["args"]["name"].as_str(), Some("job7 (team-a)"));
+        assert_eq!(
+            events.len(),
+            2 + 7,
+            "two metadata records, then one per event"
+        );
+        let spans = events
+            .iter()
+            .filter(|e| e["ph"].as_str() == Some("X"))
+            .count();
+        assert_eq!(spans, 3, "one span per state");
+        assert_eq!(events[6]["args"]["detail"].as_str(), Some("signal(9)"));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! `base_seed + trial index`, so a campaign line is replayable.
 
 use crate::{Pattern, TrafficGen, Windows};
+use mempool::json::{self, Layout};
 use mempool::snapshot::fnv64;
 use mempool::{
     CancelCause, CancelToken, Cluster, ClusterConfig, ClusterSnapshot, FaultPlan, FaultSpec,
@@ -163,21 +164,22 @@ impl CampaignReport {
     /// matter how many retries, interruptions, or resumes either run went
     /// through. The crash-isolation acceptance test diffs these bytes.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"mempool-campaign-report-v1\",\n");
-        let _ = writeln!(out, "  \"spec\": \"{}\",", self.spec);
-        let _ = writeln!(out, "  \"trials\": {},", self.trials.len());
-        let _ = writeln!(out, "  \"completion_rate\": {:.6},", self.completion_rate());
-        let _ = writeln!(out, "  \"deadlocks\": {},", self.deadlocks());
-        let _ = writeln!(out, "  \"quarantined\": {},", self.quarantined());
-        out.push_str("  \"trial_lines\": [\n");
-        for (i, t) in self.trials.iter().enumerate() {
-            let comma = if i + 1 == self.trials.len() { "" } else { "," };
-            let _ = writeln!(out, "    \"{}\"{comma}", format_trial_line(t));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::document(|d| {
+            d.str("schema", "mempool-campaign-report-v1")
+                .str("spec", &self.spec.to_string())
+                .num("trials", self.trials.len())
+                .num(
+                    "completion_rate",
+                    format_args!("{:.6}", self.completion_rate()),
+                )
+                .num("deadlocks", self.deadlocks())
+                .num("quarantined", self.quarantined())
+                .arr("trial_lines", Layout::Block(4), |lines| {
+                    self.trials
+                        .iter()
+                        .fold(lines, |lines, t| lines.push_str(&format_trial_line(t)))
+                })
+        })
     }
 
     /// One-line human-readable summary.

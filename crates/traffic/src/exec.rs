@@ -24,8 +24,9 @@ use crate::campaign::{
     append_trial, open_manifest, parse_trial_line, run_trial_supervised, sibling_path,
     CampaignConfig, CampaignError, CampaignReport, Trial, TrialStop, TrialSupervision,
 };
-use crate::supervise::{json_escape, Fleet, Outcome, RetryPolicy, Verdict};
+use crate::supervise::{worker_job, Fleet, Outcome, RetryPolicy, Verdict};
 use crate::{FailureKind, TrialFailure};
+use mempool::json::{Fields, Obj};
 use mempool::{CancelToken, ClusterConfig, SanitizerConfig};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -125,62 +126,40 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// Renders the spec as JSON body fields (no surrounding braces),
-    /// `kind` first.
-    pub fn to_json_body(&self) -> String {
-        format!(
-            "\"kind\":\"campaign\",\"config_spec\":\"{}\",\"faults\":\"{}\",\
-             \"trials\":{},\"load\":{},\"pattern\":\"{}\",\"warmup\":{},\
-             \"measure\":{},\"drain\":{},\"seed\":{},\"checkpoint_every\":{},\
-             \"cycle_budget\":{}",
-            json_escape(&self.config_spec),
-            json_escape(&self.faults),
-            self.trials,
-            self.load,
-            json_escape(&self.pattern),
-            self.warmup,
-            self.measure,
-            self.drain,
-            self.seed,
-            self.checkpoint_every,
-            self.cycle_budget
-                .map_or_else(|| "null".to_owned(), |b| b.to_string()),
-        )
+    /// Writes the spec's fields, `kind` first.
+    pub fn write_fields<'a>(&self, o: Obj<'a>) -> Obj<'a> {
+        o.str("kind", "campaign")
+            .str("config_spec", &self.config_spec)
+            .str("faults", &self.faults)
+            .num("trials", self.trials)
+            .num("load", self.load)
+            .str("pattern", &self.pattern)
+            .num("warmup", self.warmup)
+            .num("measure", self.measure)
+            .num("drain", self.drain)
+            .num("seed", self.seed)
+            .num("checkpoint_every", self.checkpoint_every)
+            .opt_num("cycle_budget", self.cycle_budget)
     }
 
-    /// Reconstructs a spec from parsed flat-JSON fields.
+    /// Reads the spec back from a job document's fields.
     ///
     /// # Errors
     ///
-    /// A description of the first missing or malformed field.
-    pub fn from_fields(fields: &BTreeMap<String, String>) -> Result<CampaignSpec, String> {
-        let get = |k: &str| {
-            fields
-                .get(k)
-                .ok_or_else(|| format!("missing job field `{k}`"))
-        };
-        let num = |k: &str| -> Result<u64, String> {
-            get(k)?
-                .parse()
-                .map_err(|_| format!("non-numeric job field `{k}`"))
-        };
+    /// The first missing or mistyped field.
+    pub fn from_fields(fields: &Fields) -> Result<CampaignSpec, String> {
         Ok(CampaignSpec {
-            config_spec: get("config_spec")?.clone(),
-            faults: get("faults")?.clone(),
-            trials: num("trials")? as u32,
-            load: get("load")?
-                .parse()
-                .map_err(|_| "non-numeric job field `load`".to_owned())?,
-            pattern: get("pattern")?.clone(),
-            warmup: num("warmup")?,
-            measure: num("measure")?,
-            drain: num("drain")?,
-            seed: num("seed")?,
-            checkpoint_every: num("checkpoint_every")?,
-            cycle_budget: match get("cycle_budget")?.as_str() {
-                "null" => None,
-                _ => Some(num("cycle_budget")?),
-            },
+            config_spec: fields.str("config_spec")?.to_owned(),
+            faults: fields.str("faults")?.to_owned(),
+            trials: fields.int("trials")?,
+            load: fields.f64("load")?,
+            pattern: fields.str("pattern")?.to_owned(),
+            warmup: fields.int("warmup")?,
+            measure: fields.int("measure")?,
+            drain: fields.int("drain")?,
+            seed: fields.int("seed")?,
+            checkpoint_every: fields.int("checkpoint_every")?,
+            cycle_budget: fields.opt_int("cycle_budget")?,
         })
     }
 }
@@ -505,11 +484,14 @@ impl Executor {
     /// `config_spec` travels verbatim; the binary hosting the `worker`
     /// subcommand both rendered it and parses it back.
     fn trial_job(&self, seed: u64, checkpoint: &Path) -> String {
-        format!(
-            "{{\"checkpoint\":\"{}\",{},\"trial\":{seed},\"sanitize\":{}}}",
-            json_escape(&checkpoint.to_string_lossy()),
-            self.campaign_spec().to_json_body(),
-            self.exec.sanitize.is_some(),
+        worker_job(
+            |o| o,
+            checkpoint,
+            |o| {
+                let o = self.campaign_spec().write_fields(o);
+                o.num("trial", seed)
+                    .bool("sanitize", self.exec.sanitize.is_some())
+            },
         )
     }
 }
@@ -538,11 +520,11 @@ mod tests {
             executor.exec.cycle_budget = budget;
             let line = executor.trial_job(13, Path::new("/tmp/weird \"path\"\\x.ckpt"));
             assert!(!line.contains('\n'));
-            let fields = crate::parse_flat_json(&line).expect("flat JSON");
-            assert_eq!(fields["kind"], "campaign");
-            assert_eq!(fields["checkpoint"], "/tmp/weird \"path\"\\x.ckpt");
-            assert_eq!(fields["trial"], "13");
-            assert_eq!(fields["sanitize"], "true");
+            let fields = Fields::parse(&line).expect("flat JSON");
+            assert_eq!(fields.str("kind"), Ok("campaign"));
+            assert_eq!(fields.str("checkpoint"), Ok("/tmp/weird \"path\"\\x.ckpt"));
+            assert_eq!(fields.int::<u64>("trial"), Ok(13));
+            assert_eq!(fields.bool("sanitize"), Ok(true));
             // What the worker reads is what the executor meant.
             let parsed = CampaignSpec::from_fields(&fields).expect("campaign fields");
             assert_eq!(parsed, executor.campaign_spec());
@@ -550,11 +532,23 @@ mod tests {
             assert_eq!(parsed.faults.parse(), Ok(executor.campaign.spec));
             assert_eq!(crate::Pattern::parse_spec(&parsed.pattern), Some(executor.campaign.pattern));
         }
-        let mut fields = crate::parse_flat_json(&executor.trial_job(13, Path::new("c"))).unwrap();
-        fields.remove("drain");
+        let line = executor.trial_job(13, Path::new("c"));
+        let edited = |from: &str, to: &str| {
+            assert!(line.contains(from), "{line}");
+            CampaignSpec::from_fields(&Fields::parse(&line.replace(from, to)).expect("flat JSON"))
+        };
         assert_eq!(
-            CampaignSpec::from_fields(&fields),
-            Err("missing job field `drain`".to_owned())
+            edited("\"drain\":", "\"drained\":"),
+            Err("missing field `drain`".to_owned())
+        );
+        // 2^32 + 1 is no trial count: read as a `u32` it would be one.
+        assert_eq!(
+            edited("\"trials\":4,", "\"trials\":4294967297,"),
+            Err("field `trials` is not a u32".to_owned())
+        );
+        assert!(
+            edited("\"trials\":4,", "\"trials\":\"4\",").is_err(),
+            "a number, not a string"
         );
     }
 }

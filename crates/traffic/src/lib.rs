@@ -38,10 +38,12 @@ pub use campaign::{
     TrialSupervision,
 };
 pub use exec::{CampaignSpec, Executor, ExecutorConfig, ExecutorReport, QuarantinedTrial};
+/// The JSON codec, re-exported under the names this crate gave it before
+/// it moved to `mempool::json`.
+pub use mempool::json::{escape as json_escape, parse_flat_json};
 pub use supervise::{
-    build_config, classify_exit, json_escape, json_unescape, parse_config_spec, parse_flat_json,
-    render_config_spec, sig, FailureKind, Fleet, Outcome, RetryPolicy, Tick, TrialFailure, Verdict,
-    WorkerLine,
+    build_config, classify_exit, parse_config_spec, render_config_spec, sig, worker_job,
+    FailureKind, Fleet, Outcome, RetryPolicy, Tick, TrialFailure, Verdict, WorkerLine,
 };
 pub use experiment::{
     md1_latency, run_point, run_point_with_metrics, run_sweep, saturation_throughput,

@@ -1,14 +1,16 @@
 //! The one process supervisor of the suite: the [`Fleet`] of crash-isolated
 //! worker processes, the [`WorkerLine`] protocol they speak on stdout, the
 //! failure classification and seeded retry/backoff policy applied to them,
-//! the flat JSON-line codec, the opaque cluster-config spec exchanged
-//! between supervisors and workers, and the signal hookup ([`sig`]).
+//! the job document a worker reads ([`worker_job`]), the opaque
+//! cluster-config spec exchanged between supervisors and workers, and the
+//! signal hookup ([`sig`]). The JSON itself is `mempool::json`'s.
 //!
 //! `campaign --isolate` ([`Executor`](crate::Executor)) and the
 //! `mempool-serve` daemon are both thin drivers of a [`Fleet`]: it lives
 //! here — below both — so there is one spawn / deadline-kill / reap /
 //! classify / back-off / give-up machine, not two that drift apart.
 
+use mempool::json::{self, Fields, Layout, Obj};
 use mempool::{ClusterConfig, Topology};
 use mempool_rng::{Rng, SeedableRng, StdRng};
 use std::borrow::Cow;
@@ -265,7 +267,8 @@ impl fmt::Display for WorkerLine {
         match self {
             WorkerLine::Heartbeat(cycle) => write!(f, "heartbeat {cycle}"),
             WorkerLine::Metrics { key, at, doc } => {
-                write!(f, "metrics {{\"{key}\":{at},\"doc\":\"{}\"}}", json_escape(doc))
+                let line = json::object(Layout::Compact, |o| o.num(key, at).str("doc", doc));
+                write!(f, "metrics {line}")
             }
             WorkerLine::Parked(progress) => write!(f, "parked {progress}"),
             WorkerLine::Result(payload) => write!(f, "result {}", one_line(payload)),
@@ -286,15 +289,18 @@ impl WorkerLine {
             "heartbeat" => rest.parse().ok().map(WorkerLine::Heartbeat),
             "parked" => rest.parse().ok().map(WorkerLine::Parked),
             "metrics" => {
-                let mut fields = parse_flat_json(rest)?;
-                let doc = fields.remove("doc")?;
-                let (key, at) = match (fields.get("cycle"), fields.get("trials")) {
-                    (Some(at), None) => ("cycle", at),
-                    (None, Some(at)) => ("trials", at),
+                let fields = Fields::parse(rest).ok()?;
+                let key = match (fields.get("cycle"), fields.get("trials")) {
+                    (Some(_), None) => "cycle",
+                    (None, Some(_)) => "trials",
                     _ => return None,
                 };
-                let at = at.parse().ok()?;
-                Some(WorkerLine::Metrics { key, at, doc })
+                let doc = fields.str("doc").ok()?.to_owned();
+                Some(WorkerLine::Metrics {
+                    key,
+                    at: fields.int(key).ok()?,
+                    doc,
+                })
             }
             "result" if !rest.is_empty() => Some(WorkerLine::Result(rest.to_owned())),
             "stopped" => {
@@ -310,6 +316,21 @@ impl WorkerLine {
             _ => None,
         }
     }
+}
+
+/// The one-line job document a worker reads on stdin: what `lead` writes,
+/// the `checkpoint` path, then what `job` writes (the job's own fields).
+/// Both drivers render it here: the daemon leads with the job id and
+/// attempt, an isolated campaign trial follows its campaign with the trial
+/// seed.
+pub fn worker_job(
+    lead: impl FnOnce(Obj) -> Obj,
+    checkpoint: &Path,
+    job: impl FnOnce(Obj) -> Obj,
+) -> String {
+    json::object(Layout::Compact, |o| {
+        job(lead(o).str("checkpoint", &checkpoint.to_string_lossy()))
+    })
 }
 
 /// How a reaped worker attempt ended.
@@ -624,113 +645,6 @@ impl<M> Drop for Fleet<M> {
 }
 
 // ---------------------------------------------------------------------------
-// Flat JSON-line codec.
-// ---------------------------------------------------------------------------
-
-/// Escapes a string for embedding in a flat JSON line.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    // Every byte that needs escaping is ASCII, so the runs between them
-    // begin and end on character boundaries and are copied whole.
-    let mut clean_from = 0;
-    for (at, &byte) in s.as_bytes().iter().enumerate() {
-        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
-            continue;
-        }
-        out.push_str(&s[clean_from..at]);
-        clean_from = at + 1;
-        match byte {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => out.push_str(&format!("\\u{byte:04x}")),
-        }
-    }
-    out.push_str(&s[clean_from..]);
-    out
-}
-
-/// Reverses [`json_escape`]; `None` on a malformed escape.
-pub fn json_unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let (mut clean_from, mut at) = (0, 0);
-    while at < bytes.len() {
-        if bytes[at] != b'\\' {
-            at += 1;
-            continue;
-        }
-        out.push_str(&s[clean_from..at]);
-        at += 2;
-        match *bytes.get(at - 1)? {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
-            b'u' => {
-                // Four hex digits are four bytes; anything else that fills
-                // four characters is rejected by its length or as a number.
-                let hex: String = s[at..].chars().take(4).collect();
-                if hex.len() != 4 {
-                    return None;
-                }
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-                at += 4;
-            }
-            _ => return None,
-        }
-        clean_from = at;
-    }
-    out.push_str(&s[clean_from..]);
-    Some(out)
-}
-
-/// Parses a flat JSON object (string / number / bool / null values only)
-/// into raw `key -> value` pairs; string values are unescaped, everything
-/// else kept as its bare token.
-pub fn parse_flat_json(s: &str) -> Option<BTreeMap<String, String>> {
-    let s = s.trim();
-    let body = s.strip_prefix('{')?.strip_suffix('}')?;
-    let mut fields = BTreeMap::new();
-    let mut rest = body.trim_start();
-    while !rest.is_empty() {
-        rest = rest.strip_prefix('"')?;
-        let key_end = rest.find('"')?;
-        let key = rest[..key_end].to_owned();
-        rest = rest[key_end + 1..].trim_start().strip_prefix(':')?.trim_start();
-        let value;
-        if let Some(after) = rest.strip_prefix('"') {
-            // A string value ends at the first unescaped quote. The byte
-            // behind a backslash is skipped unread; were it the first of a
-            // longer character, none of the rest could be taken for either.
-            let bytes = after.as_bytes();
-            let mut end = 0;
-            while *bytes.get(end)? != b'"' {
-                end += if bytes[end] == b'\\' { 2 } else { 1 };
-            }
-            value = json_unescape(&after[..end])?;
-            rest = after[end + 1..].trim_start();
-        } else {
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            value = rest[..end].trim().to_owned();
-            rest = &rest[end..];
-        }
-        fields.insert(key, value);
-        rest = rest.trim_start();
-        if let Some(after) = rest.strip_prefix(',') {
-            rest = after.trim_start();
-        } else {
-            break;
-        }
-    }
-    Some(fields)
-}
-
-// ---------------------------------------------------------------------------
 // The opaque cluster-config spec.
 // ---------------------------------------------------------------------------
 
@@ -947,9 +861,25 @@ mod tests {
         assert!(typed > 400, "the corpus should not be all rejections: {typed}");
     }
 
+    /// The crate's re-export of the one flat reader.
     #[test]
     fn flat_json_rejects_malformed_documents() {
+        use crate::parse_flat_json;
         assert!(parse_flat_json("{\"a\":1}").is_some());
+        // Strict: trailing garbage, nested values, trailing commas, bare
+        // words, raw control characters and lone surrogates.
+        for malformed in [
+            "{\"op\":\"shutdown\" xyz}",
+            "{\"a\":{\"b\":1},\"c\":2}",
+            "{\"a\":[1],\"c\":2}",
+            "{\"a\":1,}",
+            "{\"a\":abc}",
+            "{\"a\":\"tab\there\"}",
+            "{\"a\":\"\\ud83d\"}",
+            "{\"a\":1} {\"b\":2}",
+        ] {
+            assert!(parse_flat_json(malformed).is_none(), "{malformed}");
+        }
         assert!(parse_flat_json("not json").is_none());
         assert!(parse_flat_json("{\"a\":\"unterminated}").is_none());
         assert!(parse_flat_json("{\"a\"}").is_none());
@@ -964,83 +894,6 @@ mod tests {
         assert_eq!(fields["n"], "3");
         assert_eq!(fields["b"], "true");
         assert_eq!(fields["z"], "null");
-    }
-
-    /// The former `json_escape`, one `char` at a time.
-    fn escape_by_chars(s: &str) -> String {
-        let mut out = String::new();
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    /// The former `json_unescape`.
-    fn unescape_by_chars(s: &str) -> Option<String> {
-        let mut out = String::new();
-        let mut chars = s.chars();
-        while let Some(c) = chars.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
-            }
-            match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    if hex.len() != 4 {
-                        return None;
-                    }
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                _ => return None,
-            }
-        }
-        Some(out)
-    }
-
-    #[test]
-    fn run_copying_codec_is_the_char_loop_on_a_seeded_corpus() {
-        // Clean runs, every escape, control bytes, two- to four-byte
-        // characters next to each of them, and escapes that are malformed
-        // in every way the decoder tells apart.
-        let pieces = [
-            "plain run of text", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "\u{7f}", "é",
-            "→", "𝄞", "\\u00e9", "\\u12", "\\uzzzz", "\\u+041", "\\uéé", "\\x", "\\n", "{\"k\":1}",
-        ];
-        let mut rng = StdRng::seed_from_u64(24);
-        let (mut decoded, mut rejected) = (0, 0);
-        for _ in 0..4_000 {
-            let text: String = (0..rng.gen_range(0usize..12))
-                .map(|_| pieces[rng.gen_range(0..pieces.len())])
-                .collect();
-            let escaped = json_escape(&text);
-            assert_eq!(escaped, escape_by_chars(&text), "{text:?}");
-            assert_eq!(json_unescape(&escaped).as_deref(), Some(text.as_str()));
-            let unescaped = json_unescape(&text);
-            assert_eq!(unescaped, unescape_by_chars(&text), "{text:?}");
-            match unescaped {
-                Some(_) => decoded += 1,
-                None => rejected += 1,
-            }
-            // The string-end scan finds the same closing quote.
-            let line = format!("{{\"doc\":\"{escaped}\",\"n\":7}}");
-            let fields = parse_flat_json(&line).expect("a rendered line parses");
-            assert_eq!((fields["doc"].as_str(), fields["n"].as_str()), (text.as_str(), "7"));
-        }
-        assert!(decoded > 500 && rejected > 500, "{decoded} decoded, {rejected} rejected");
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! `BENCH_*.json` gives every future PR a perf trajectory to move; see
 //! DESIGN.md §10 for the schema.
 
+use mempool::json::{self, Layout};
 use mempool::{Cluster, ClusterConfig, Topology};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -95,28 +95,28 @@ impl BenchReport {
     /// Renders the report as the `BENCH_*.json` document (schema in
     /// DESIGN.md §10).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{BENCH_SCHEMA}\",");
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"topology\": \"{}\", \"cores\": {}, \"cycles\": {}, \
-                 \"wall_seconds\": {:.6}, \"sim_cycles_per_sec\": {:.1}, \
-                 \"core_cycles_per_sec\": {:.1}, \"state_digest\": \"{:#018x}\"}}",
-                p.topology,
-                p.cores,
-                p.cycles,
-                p.wall_seconds,
-                p.sim_cycles_per_sec,
-                p.core_cycles_per_sec,
-                p.state_digest,
-            );
-            out.push_str(if i + 1 < self.points.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::document(|d| {
+            d.str("schema", BENCH_SCHEMA)
+                .arr("points", Layout::Block(4), |points| {
+                    self.points.iter().fold(points, |points, p| {
+                        points.push_obj(Layout::Inline, |o| {
+                            o.str("topology", &p.topology.to_string())
+                                .num("cores", p.cores)
+                                .num("cycles", p.cycles)
+                                .num("wall_seconds", format_args!("{:.6}", p.wall_seconds))
+                                .num(
+                                    "sim_cycles_per_sec",
+                                    format_args!("{:.1}", p.sim_cycles_per_sec),
+                                )
+                                .num(
+                                    "core_cycles_per_sec",
+                                    format_args!("{:.1}", p.core_cycles_per_sec),
+                                )
+                                .str("state_digest", &format!("{:#018x}", p.state_digest))
+                        })
+                    })
+                })
+        })
     }
 }
 
@@ -223,17 +223,19 @@ mod tests {
                 p.sim_cycles_per_sec * p.cores as f64
             );
         }
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"mempool-bench-v2\""));
-        // Crude structural sanity: balanced braces/brackets.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count()
-        );
-        assert_eq!(
-            json.matches('[').count(),
-            json.matches(']').count()
-        );
+        let doc = json::parse(&report.to_json()).expect("the report is JSON");
+        assert_eq!(doc["schema"].as_str(), Some("mempool-bench-v2"));
+        let points = doc["points"].as_array().expect("a point array");
+        assert_eq!(points.len(), report.points.len());
+        for (p, point) in points.iter().zip(&report.points) {
+            assert_eq!(
+                p["topology"].as_str(),
+                Some(point.topology.to_string().as_str())
+            );
+            assert_eq!(p["cores"].as_u64(), Some(16));
+            let digest = format!("{:#018x}", point.state_digest);
+            assert_eq!(p["state_digest"].as_str(), Some(digest.as_str()));
+        }
     }
 
     #[test]

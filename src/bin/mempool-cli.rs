@@ -8,13 +8,14 @@
 
 #![cfg(unix)]
 
+use mempool::json::parse_flat_json;
 use mempool::Topology;
 use mempool_serve::{BenchSpec, CampaignSpec, ClientError, JobSpec, RunSpec, ServeClient};
 use mempool_suite::cli::{
     exit_error, exit_usage, parse_value, unexpected, Args, ClusterFlags, UsageError,
 };
 use mempool_suite::error::Error;
-use mempool_traffic::{parse_flat_json, RetryPolicy};
+use mempool_traffic::RetryPolicy;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -1,6 +1,7 @@
 //! `mempool-run campaign` — a synthetic-traffic load sweep, or (with
 //! `--faults`) a supervised fault-injection campaign.
 
+use mempool::json::{self, Layout};
 use mempool::{FaultSpec, ObsConfig, SanitizerConfig};
 use mempool_suite::cli::{
     invalid, parse_nonzero, parse_value, unexpected, Args, ClusterFlags, UsageError,
@@ -10,7 +11,6 @@ use mempool_traffic::{
     parse_config_spec, run_point_with_metrics, sig, Executor, ExecutorConfig, MeteredPoint,
     Pattern, RetryPolicy, Windows,
 };
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Without `--faults` this is a synthetic-traffic load sweep with full
@@ -353,34 +353,31 @@ fn run_faults(opts: &Options) -> Result<(), Error> {
 /// Renders the campaign report: sweep aggregates per point plus the full
 /// embedded `mempool-metrics-v1` registry of each run.
 fn campaign_json(opts: &Options, points: &[MeteredPoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"mempool-campaign-metrics-v1\",");
-    let _ = writeln!(out, "  \"topology\": \"{}\",", opts.cluster.topology);
-    let _ = writeln!(out, "  \"pattern\": \"{}\",", opts.pattern_label);
-    let _ = writeln!(out, "  \"seed\": {},", opts.seed);
-    let _ = writeln!(
-        out,
-        "  \"windows\": {{ \"warmup\": {}, \"measure\": {}, \"drain\": {} }},",
-        opts.windows.warmup, opts.windows.measure, opts.windows.drain
-    );
-    out.push_str("  \"points\": [\n");
-    for (i, m) in points.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"offered_load\": {:.6},", m.point.offered_load);
-        let _ = writeln!(out, "      \"throughput\": {:.6},", m.point.throughput);
-        let _ = writeln!(out, "      \"latency_mean\": {:.6},", m.point.avg_latency());
-        let _ = writeln!(out, "      \"locality\": {:.6},", m.point.locality);
-        let _ = writeln!(out, "      \"net_occupancy\": {:.6},", m.point.net_occupancy);
-        // The metrics registry renders itself as a complete JSON object;
-        // embed it verbatim (indentation differs, validity does not).
-        let _ = writeln!(out, "      \"metrics\": {}", m.metrics.to_json().trim_end());
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if i + 1 < points.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let fixed = |x: f64| format!("{x:.6}");
+    let windows = opts.windows;
+    json::document(|d| {
+        d.str("schema", "mempool-campaign-metrics-v1")
+            .str("topology", &opts.cluster.topology.to_string())
+            .str("pattern", &opts.pattern_label)
+            .num("seed", opts.seed)
+            .obj("windows", Layout::Padded, |w| {
+                w.num("warmup", windows.warmup)
+                    .num("measure", windows.measure)
+                    .num("drain", windows.drain)
+            })
+            .arr("points", Layout::Block(4), |out| {
+                points.iter().fold(out, |out, m| {
+                    out.push_obj(Layout::Block(6), |p| {
+                        p.num("offered_load", fixed(m.point.offered_load))
+                            .num("throughput", fixed(m.point.throughput))
+                            .num("latency_mean", fixed(m.point.avg_latency()))
+                            .num("locality", fixed(m.point.locality))
+                            .num("net_occupancy", fixed(m.point.net_occupancy))
+                            // The registry is a document of its own, embedded
+                            // verbatim at its own indentation.
+                            .raw("metrics", m.metrics.to_json().trim_end())
+                    })
+                })
+            })
+    })
 }

@@ -2,6 +2,7 @@
 //! cycle-accurate cluster (or, with `--functional`, the untimed reference).
 
 use crate::{load_program, write_power_timeline};
+use mempool::json::{self, Layout};
 use mempool::{
     ClusterSnapshot, FaultPlan, FaultSpec, ObsConfig, ProfileConfig, ResilienceConfig,
     SanitizerConfig, SimSession,
@@ -339,11 +340,11 @@ pub fn run(opts: &Options) -> Result<(), Error> {
             if write_err.is_some() {
                 return;
             }
-            let line = format!(
-                "{{\"cycle\":{},\"doc\":\"{}\"}}\n",
-                cluster.now(),
-                mempool_traffic::json_escape(&cluster.metrics_registry().to_json()),
-            );
+            let doc = cluster.metrics_registry().to_json();
+            let mut line = json::object(Layout::Compact, |o| {
+                o.num("cycle", cluster.now()).str("doc", &doc)
+            });
+            line.push('\n');
             if let Err(e) = file.write_all(line.as_bytes()) {
                 write_err = Some(e);
             } else {
@@ -477,25 +478,28 @@ fn print_json(cluster: &mempool::Cluster<mempool_snitch::SnitchCore>, run_cycles
     let cores = cluster.core_stats_total();
     let f = &stats.faults;
     let faulted = cluster.cores().iter().filter(|c| c.faulted()).count();
-    println!("{{");
-    println!("  \"cycles\": {},", cluster.now());
-    println!("  \"run_cycles\": {run_cycles},");
-    println!("  \"instret\": {},", cores.instret);
-    println!("  \"state_digest\": \"{:#018x}\",", cluster.state_digest());
-    println!("  \"l1_digest\": \"{:#018x}\",", cluster.l1_digest());
-    println!("  \"requests_issued\": {},", stats.requests_issued);
-    println!("  \"responses_delivered\": {},", stats.responses_delivered);
-    println!("  \"latency_mean\": {:.6},", stats.latency.mean());
-    println!("  \"faulted_cores\": {faulted},");
-    println!("  \"quarantined_banks\": {},", cluster.quarantined_banks());
-    println!("  \"faults\": {{");
-    println!("    \"injected\": {},", f.total_injected());
-    println!("    \"banks_failed\": {},", f.banks_failed);
-    println!("    \"link_drops\": {},", f.link_drops);
-    println!("    \"link_corruptions\": {},", f.link_corruptions);
-    println!("    \"core_lockups\": {},", f.core_lockups);
-    println!("    \"request_retries\": {},", f.request_retries);
-    println!("    \"requests_abandoned\": {}", f.requests_abandoned);
-    println!("  }}");
-    println!("}}");
+    print!(
+        "{}",
+        json::document(|d| {
+            d.num("cycles", cluster.now())
+                .num("run_cycles", run_cycles)
+                .num("instret", cores.instret)
+                .str("state_digest", &format!("{:#018x}", cluster.state_digest()))
+                .str("l1_digest", &format!("{:#018x}", cluster.l1_digest()))
+                .num("requests_issued", stats.requests_issued)
+                .num("responses_delivered", stats.responses_delivered)
+                .num("latency_mean", format_args!("{:.6}", stats.latency.mean()))
+                .num("faulted_cores", faulted)
+                .num("quarantined_banks", cluster.quarantined_banks())
+                .obj("faults", Layout::Block(4), |o| {
+                    o.num("injected", f.total_injected())
+                        .num("banks_failed", f.banks_failed)
+                        .num("link_drops", f.link_drops)
+                        .num("link_corruptions", f.link_corruptions)
+                        .num("core_lockups", f.core_lockups)
+                        .num("request_retries", f.request_retries)
+                        .num("requests_abandoned", f.requests_abandoned)
+                })
+        })
+    );
 }

@@ -12,12 +12,13 @@
 //! exit and retries from the checkpoint).
 
 use crate::bench::{run_bench_supervised, BenchConfig};
+use mempool::json::{self, Fields, Layout};
 use mempool::{CancelToken, ClusterConfig, ObsConfig, SanitizerConfig, SimSession};
 use mempool_serve::{BenchSpec, CampaignSpec, JobSpec, RunSpec};
 use mempool_traffic::{
-    append_trial, format_trial_line, json_escape, open_manifest, parse_config_spec,
-    parse_flat_json, run_trial_supervised, sig, CampaignConfig, CampaignError, CampaignReport,
-    FailureKind, Pattern, Trial, TrialStop, TrialSupervision, Windows, WorkerLine,
+    append_trial, format_trial_line, open_manifest, parse_config_spec, run_trial_supervised, sig,
+    CampaignConfig, CampaignError, CampaignReport, FailureKind, Pattern, Trial, TrialStop,
+    TrialSupervision, Windows, WorkerLine,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -48,21 +49,30 @@ fn job() -> Result<ExitCode, String> {
     std::io::stdin()
         .read_line(&mut line)
         .map_err(|e| format!("reading the job document: {e}"))?;
-    let fields = parse_flat_json(&line).ok_or("malformed job document")?;
-    let ckpt = fields.get("checkpoint").map(PathBuf::from);
-    let ckpt = ckpt.ok_or("job document lacks a checkpoint path")?;
-    match JobSpec::from_fields(&fields)? {
-        JobSpec::Run(spec) => run_worker(&spec, &ckpt),
-        JobSpec::Campaign(spec) => match fields.get("trial") {
-            Some(seed) => {
-                let seed = seed.parse().map_err(|_| "non-numeric job field `trial`")?;
-                let sanitize = fields.get("sanitize").is_some_and(|s| s == "true");
-                trial_worker(&spec, seed, sanitize, &ckpt)
-            }
-            None => campaign_worker(&spec, &ckpt),
-        },
-        JobSpec::Bench(spec) => bench_worker(&spec),
+    let (ckpt, spec, trial) = read_job(&line)?;
+    match (spec, trial) {
+        (JobSpec::Run(spec), _) => run_worker(&spec, &ckpt),
+        (JobSpec::Campaign(spec), Some((seed, sanitize))) => {
+            trial_worker(&spec, seed, sanitize, &ckpt)
+        }
+        (JobSpec::Campaign(spec), None) => campaign_worker(&spec, &ckpt),
+        (JobSpec::Bench(spec), _) => bench_worker(&spec),
     }
+}
+
+/// A worker job document (`mempool_traffic::worker_job`'s): the checkpoint
+/// path, the job, and — for one trial of a `campaign --isolate` run — the
+/// trial's seed and whether it runs sanitized.
+type JobDocument = (PathBuf, JobSpec, Option<(u64, bool)>);
+
+fn read_job(line: &str) -> Result<JobDocument, String> {
+    let fields = Fields::parse(line).map_err(|e| format!("malformed job document: {e}"))?;
+    let ckpt = PathBuf::from(fields.str("checkpoint")?);
+    let trial = match fields.opt_int("trial")? {
+        Some(seed) => Some((seed, fields.bool("sanitize")?)),
+        None => None,
+    };
+    Ok((ckpt, JobSpec::from_fields(&fields)?, trial))
 }
 
 /// The cluster and campaign a `campaign` job document describes.
@@ -196,13 +206,13 @@ fn run_worker(spec: &RunSpec, ckpt: &Path) -> Result<ExitCode, String> {
                 } else {
                     String::new()
                 };
-                emit(WorkerLine::Result(format!(
-                    "{{\"outcome\":\"completed\",\"cycles\":{},\"state_digest\":\"{:#018x}\",\
-                     \"metrics\":\"{}\"}}",
-                    session.now(),
-                    session.state_digest(),
-                    json_escape(&metrics),
-                )));
+                let digest = format!("{:#018x}", session.state_digest());
+                emit(WorkerLine::Result(json::object(Layout::Compact, |o| {
+                    o.str("outcome", "completed")
+                        .num("cycles", session.now())
+                        .str("state_digest", &digest)
+                        .str("metrics", &metrics)
+                })));
                 let _ = std::fs::remove_file(ckpt);
                 return Ok(ExitCode::SUCCESS);
             }
@@ -273,11 +283,11 @@ fn campaign_worker(spec: &CampaignSpec, ckpt: &Path) -> Result<ExitCode, String>
         spec: campaign.spec,
         trials,
     };
-    emit(WorkerLine::Result(format!(
-        "{{\"outcome\":\"completed\",\"trials\":{},\"report\":\"{}\"}}",
-        report.trials.len(),
-        json_escape(&report.to_json()),
-    )));
+    emit(WorkerLine::Result(json::object(Layout::Compact, |o| {
+        o.str("outcome", "completed")
+            .num("trials", report.trials.len())
+            .str("report", &report.to_json())
+    })));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -294,10 +304,61 @@ fn bench_worker(spec: &BenchSpec) -> Result<ExitCode, String> {
         emit(WorkerLine::Parked(report.points.len() as u64));
         return Ok(ExitCode::from(PARKED));
     }
-    emit(WorkerLine::Result(format!(
-        "{{\"outcome\":\"completed\",\"points\":{},\"report\":\"{}\"}}",
-        report.points.len(),
-        json_escape(&report.to_json()),
-    )));
+    emit(WorkerLine::Result(json::object(Layout::Compact, |o| {
+        o.str("outcome", "completed")
+            .num("points", report.points.len())
+            .str("report", &report.to_json())
+    })));
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mempool_traffic::worker_job;
+    use std::path::Path;
+
+    /// A trial document as `campaign --isolate` renders it.
+    fn trial_line(sanitize: &str) -> String {
+        let spec = CampaignSpec {
+            config_spec: "topology=top1,small=true,scramble=true".to_owned(),
+            faults: "bank_fail=1".to_owned(),
+            trials: 2,
+            load: 0.05,
+            pattern: "uniform".to_owned(),
+            warmup: 10,
+            measure: 20,
+            drain: 1_000,
+            seed: 3,
+            checkpoint_every: 64,
+            cycle_budget: None,
+        };
+        let line = worker_job(
+            |o| o,
+            Path::new("t.ckpt"),
+            |o| spec.write_fields(o).num("trial", 4).bool("sanitize", true),
+        );
+        line.replace("\"sanitize\":true", &format!("\"sanitize\":{sanitize}"))
+    }
+
+    #[test]
+    fn a_trial_document_reads_back_with_its_seed_and_sanitizer_flag() {
+        let (ckpt, spec, trial) = read_job(&trial_line("true")).expect("a trial document");
+        assert_eq!(ckpt, PathBuf::from("t.ckpt"));
+        assert!(matches!(spec, JobSpec::Campaign(_)), "{spec:?}");
+        assert_eq!(trial, Some((4, true)));
+        assert_eq!(
+            read_job(&trial_line("false")).expect("a trial").2,
+            Some((4, false))
+        );
+    }
+
+    /// `sanitize` is `true` or `false`: any other token is a malformed
+    /// document, not a trial run unsanitized.
+    #[test]
+    fn a_sanitize_flag_that_is_not_a_boolean_is_rejected() {
+        for token in ["\"true\"", "1", "null", "yes"] {
+            assert!(read_job(&trial_line(token)).is_err(), "{token}");
+        }
+    }
 }

@@ -6,6 +6,7 @@
 
 #![cfg(unix)]
 
+use mempool::json;
 use mempool_serve::{BenchSpec, ClientError, JobSpec, RunSpec, ServeClient};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -197,6 +198,41 @@ fn watch_streams_gapless_schema_valid_records_and_matches_unwatched_result() {
         "watched result must be byte-identical to the unwatched reference"
     );
 
+    // Read as JSON documents, not only as flat fields: each record is one
+    // object with typed members, the stream ends `final: true`, and every
+    // partial carries a `mempool-metrics-v2` registry.
+    for (raw, _) in &records {
+        let rec = json::parse(raw).unwrap_or_else(|e| panic!("{e}: {raw}"));
+        assert_eq!(
+            rec["stream"].as_str(),
+            Some("mempool-job-stream-v1"),
+            "{raw}"
+        );
+        assert_eq!(rec["job"].as_u64(), Some(watched), "{raw}");
+        assert!(
+            rec["seq"].as_u64().is_some() && rec["attempt"].as_u64().is_some(),
+            "{raw}"
+        );
+        assert_eq!(
+            rec["final"].as_bool(),
+            Some(rec["kind"].as_str() == Some("done")),
+            "{raw}"
+        );
+        if rec["kind"].as_str() == Some("partial") {
+            let doc = rec["metrics"].as_str().expect("an embedded document");
+            let doc = json::parse(doc).unwrap_or_else(|e| panic!("{e}: {doc}"));
+            assert_eq!(doc["schema"].as_str(), Some("mempool-metrics-v2"));
+            assert!(doc["scopes"].as_array().is_some_and(|s| !s.is_empty()));
+        }
+    }
+    let result = json::parse(&ref_result).expect("the result is one JSON object");
+    assert_eq!(result["outcome"].as_str(), Some("completed"));
+    let metrics = json::parse(result["metrics"].as_str().expect("a metrics document"));
+    assert_eq!(
+        metrics.expect("JSON")["schema"].as_str(),
+        Some("mempool-metrics-v2")
+    );
+
     // A late watcher on the finished job replays the exact terminal
     // record bytes.
     let mut late: Vec<String> = Vec::new();
@@ -276,6 +312,24 @@ fn serve_metrics_and_timeline_documents_are_schema_tagged() {
     assert!(latency_sum > 0, "job latency recorded as 0 ms: {metrics}");
     // The document is byte-stable between reads when nothing changed.
     assert_eq!(metrics, client.serve_metrics().expect("second read"));
+    let doc = json::parse(&metrics).expect("the self-metrics document is JSON");
+    assert_eq!(doc["schema"].as_str(), Some("mempool-serve-metrics-v2"));
+    let counter = |name: &str| doc["counters"][name].as_u64();
+    assert_eq!(
+        (counter("jobs_admitted"), counter("jobs_completed")),
+        (Some(1), Some(1))
+    );
+    let latency = &doc["histograms"]["job_latency_ms"];
+    assert_eq!(latency["count"].as_u64(), Some(1));
+    assert!(
+        latency["sum"].as_u64().is_some_and(|sum| sum > 0),
+        "{latency:?}"
+    );
+    assert_eq!(
+        doc["tenants"].as_array().map(<[_]>::len),
+        Some(0),
+        "nothing in flight"
+    );
 
     let timeline = client.timeline(job).expect("timeline document");
     assert!(
@@ -286,6 +340,23 @@ fn serve_metrics_and_timeline_documents_are_schema_tagged() {
     for needle in ["process_name", "\"queued\"", "\"running\"", "\"completed\""] {
         assert!(timeline.contains(needle), "missing {needle} in {timeline}");
     }
+    let doc = json::parse(&timeline).expect("the timeline is JSON");
+    assert_eq!(
+        doc["otherData"]["schema"].as_str(),
+        Some("mempool-job-timeline-v1")
+    );
+    assert_eq!(doc["otherData"]["job"].as_u64(), Some(job));
+    let events = doc["traceEvents"].as_array().expect("an event array");
+    let states: Vec<&str> = events
+        .iter()
+        .filter(|e| e["ph"].as_str() == Some("X"))
+        .filter_map(|e| e["name"].as_str())
+        .collect();
+    assert_eq!(
+        states,
+        ["queued", "running", "completed"],
+        "one span per state"
+    );
     match client.timeline(9999) {
         Err(ClientError::Rejected { kind, .. }) => assert_eq!(kind, "unknown-job"),
         other => panic!("expected unknown-job, got {other:?}"),
