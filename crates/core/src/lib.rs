@@ -62,6 +62,7 @@ mod error;
 pub mod faults;
 mod functional;
 pub mod json;
+pub mod log;
 mod net;
 pub mod obs;
 mod packet;

@@ -12,7 +12,7 @@
 //!   `cluster/tile{t}/bank{b}`, plus `cluster/link{id}` for the global
 //!   interconnect register stages and `cluster/ring` for the refill ring.
 //!   Built on demand by [`Cluster::metrics_registry`]; exported as the
-//!   stable integer-only `mempool-metrics-v1` JSON document, so identical
+//!   stable integer-only `mempool-metrics-v2` JSON document, so identical
 //!   simulations produce byte-identical exports.
 //! * [`TimelineTrace`] — sampled per-request spans emitted as Chrome
 //!   `trace_event` JSON (loadable in Perfetto / `chrome://tracing`), with
@@ -446,7 +446,7 @@ impl MetricScope {
 /// in the cluster. Built by
 /// [`Cluster::metrics_registry`](crate::Cluster::metrics_registry);
 /// serialized with [`to_json`](MetricsRegistry::to_json) as the stable
-/// `mempool-metrics-v1` document.
+/// `mempool-metrics-v2` document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRegistry {
     topology: String,
@@ -545,7 +545,7 @@ impl MetricsRegistry {
             .sum()
     }
 
-    /// Renders the registry as the `mempool-metrics-v1` JSON document.
+    /// Renders the registry as the `mempool-metrics-v2` JSON document.
     /// Integer-only and emitted in deterministic scope order, so identical
     /// simulations produce byte-identical documents (the property the
     /// determinism tests pin across reruns and checkpoint/restore).

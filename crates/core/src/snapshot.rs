@@ -941,18 +941,14 @@ impl ClusterSnapshot {
         Ok(snap)
     }
 
-    /// Writes the snapshot to `path` atomically (temp file + rename), so a
-    /// crash mid-write never leaves a truncated checkpoint behind.
+    /// Writes the snapshot to `path` atomically ([`crate::log::replace`]),
+    /// so a crash mid-write never leaves a truncated checkpoint behind.
     ///
     /// # Errors
     ///
     /// Any underlying I/O error.
     pub fn write_file(&self, path: &Path) -> io::Result<()> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, &self.bytes)?;
-        std::fs::rename(&tmp, path)
+        crate::log::replace(path, |out| out.write_all(&self.bytes))
     }
 
     /// Reads and validates a snapshot from `path`.

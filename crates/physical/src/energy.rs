@@ -141,7 +141,7 @@ impl Activity {
         }
     }
 
-    /// Builds the activity record from a `mempool-metrics-v1`
+    /// Builds the activity record from a `mempool-metrics-v2`
     /// [`MetricsRegistry`](mempool::MetricsRegistry) export — the
     /// observability-layer equivalent of [`Activity::from_run`], usable on
     /// a registry alone (no live cluster required).

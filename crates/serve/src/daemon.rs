@@ -34,7 +34,9 @@ use crate::protocol::{
 use crate::sched::{Rejection, Scheduler, SchedulerConfig};
 use crate::timeline::JobTimeline;
 use mempool::json::{self, Layout, Obj};
-use mempool_traffic::{worker_job, FailureKind, Fleet, Outcome, RetryPolicy, Verdict, WorkerLine};
+use mempool_traffic::{
+    job_files, worker_job, FailureKind, Fleet, Outcome, RetryPolicy, Verdict, WorkerLine,
+};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -834,8 +836,11 @@ impl Daemon {
         );
         if status != JobStatus::Failed {
             let ckpt = self.ckpt_path(id);
-            let _ = std::fs::remove_file(&ckpt);
-            let _ = std::fs::remove_file(ckpt.with_extension("manifest"));
+            let (trial, manifest) = job_files(&ckpt);
+            for path in [ckpt, manifest, trial] {
+                let _ = std::fs::remove_file(mempool::log::tmp_path(&path));
+                let _ = std::fs::remove_file(path);
+            }
         }
     }
 }

@@ -1,5 +1,6 @@
 //! The daemon's job journal: an append-only line file that makes accepted
-//! work survive restarts, crashes, and drains.
+//! work survive restarts, crashes, and drains — a record grammar over
+//! [`mempool::log`].
 //!
 //! Format (`jobs.journal` in the daemon's state directory):
 //!
@@ -10,15 +11,13 @@
 //! done <id> <completed|failed|cancelled> {payload}
 //! ```
 //!
-//! Each line is written with one `write(2)` and synced as it is appended,
-//! so the journal is `SIGKILL`-safe: the worst a crash can leave behind is
-//! one truncated final line. Replay applies the same recovery contract the campaign
-//! manifest established — a corrupt or truncated line is *skipped with a
-//! warning and counted*, never a startup abort — and the count is
-//! surfaced in the daemon's health report. On restart the daemon rewrites
-//! the journal from the replayed state (atomic temp + rename), so
-//! corruption is also self-healing: it costs at worst the lines that were
-//! unreadable, not the file.
+//! Each line is appended with one write and synced, so a crash leaves at
+//! worst one truncated final line. Replay follows the log's damage rule: a
+//! corrupt or truncated line, a first line that is not the header included,
+//! is *skipped with a warning and counted* (the count is in the daemon's
+//! health report), never a startup abort. On restart the daemon rewrites
+//! the journal atomically from the replayed state, so corruption heals: it
+//! costs at worst the lines that were unreadable, not the file.
 //!
 //! The journal is also where a finished job's result *lives*: the daemon
 //! keeps no payload in memory. [`Journal`] remembers where each `done` line
@@ -29,10 +28,10 @@
 
 use crate::protocol::{read_submission, write_submission, JobSpec, JobStatus};
 use mempool::json::{self, Fields, Layout};
+use mempool::log::{self, Extent, Log};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io;
 use std::path::Path;
 
 /// First line of every journal file.
@@ -81,36 +80,19 @@ pub struct JournalReplay {
 /// Only I/O errors reading an *existing* file — malformed content
 /// (non-UTF-8 bytes included) is recovered from, not raised.
 pub fn replay(path: &Path) -> io::Result<JournalReplay> {
-    let mut replay = JournalReplay::default();
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(replay),
-        Err(e) => return Err(e),
-    };
     let mut jobs: BTreeMap<u64, ReplayedJob> = BTreeMap::new();
-    for (n, line) in BufReader::new(file).lines().enumerate() {
-        let skipped = match line {
-            Ok(line) if n == 0 && line == JOURNAL_HEADER => continue,
-            Ok(line) if n == 0 => {
-                format!("unrecognized journal header `{line}`; parsing anyway")
-            }
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => match parse_line(&line, &mut jobs) {
-                Ok(()) => continue,
-                Err(why) => format!("skipping journal line: {why}"),
-            },
-            // `lines` has consumed the offending line; the next one parses.
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                format!("skipping journal line {}: not UTF-8", n + 1)
-            }
-            Err(e) => return Err(e),
-        };
-        replay.skipped += 1;
-        replay.warnings.push(skipped);
-    }
-    replay.next_id = jobs.keys().next_back().map_or(0, |id| id + 1);
-    replay.jobs = jobs.into_values().collect();
-    Ok(replay)
+    let warnings = log::replay(path, |n, line| match line {
+        JOURNAL_HEADER if n == 0 => Ok(()),
+        _ if n == 0 => Err(format!("unrecognized journal header `{line}`")),
+        _ if line.trim().is_empty() => Ok(()),
+        _ => parse_line(line, &mut jobs),
+    })?;
+    Ok(JournalReplay {
+        next_id: jobs.keys().next_back().map_or(0, |id| id + 1),
+        jobs: jobs.into_values().collect(),
+        skipped: warnings.len(),
+        warnings,
+    })
 }
 
 fn parse_line(line: &str, jobs: &mut BTreeMap<u64, ReplayedJob>) -> Result<(), String> {
@@ -173,47 +155,27 @@ fn parse_line(line: &str, jobs: &mut BTreeMap<u64, ReplayedJob>) -> Result<(), S
     }
 }
 
-/// Appends a `job` line to `out` (shared, like the two renderers below, by
-/// the live journal and the restart rewrite).
-fn push_job_line(out: &mut String, job: &ReplayedJob) {
+/// Renders a `job` line into `out`, replacing what was there (shared, like
+/// the two renderers below, by the live journal and the restart rewrite).
+fn job_line<'a>(out: &'a mut String, job: &ReplayedJob) -> &'a str {
     let fields = json::object(Layout::Compact, |o| {
         write_submission(o, &job.tenant, job.priority, job.deadline_secs, &job.spec)
     });
+    out.clear();
     let _ = writeln!(out, "job {} {fields}", job.id);
+    out
 }
 
-fn push_state_line(out: &mut String, id: u64, status: JobStatus) {
+fn state_line(out: &mut String, id: u64, status: JobStatus) -> &str {
+    out.clear();
     let _ = writeln!(out, "state {id} {status}");
+    out
 }
 
-fn push_done_line(out: &mut String, id: u64, status: JobStatus, payload: &str) {
+fn done_line<'a>(out: &'a mut String, id: u64, status: JobStatus, payload: &str) -> &'a str {
+    out.clear();
     let _ = writeln!(out, "done {id} {status} {payload}");
-}
-
-/// Where one `done` line (newline included) sits in the journal file.
-#[derive(Debug, Clone, Copy)]
-struct Extent {
-    at: u64,
-    len: u64,
-}
-
-fn invalid(id: u64, why: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("the journal's record of job {id}'s result {why}"),
-    )
-}
-
-#[cfg(unix)]
-fn read_at(file: &File, buf: &mut [u8], at: u64) -> io::Result<()> {
-    std::os::unix::fs::FileExt::read_exact_at(file, buf, at)
-}
-
-#[cfg(not(unix))]
-fn read_at(mut file: &File, buf: &mut [u8], at: u64) -> io::Result<()> {
-    use std::io::{Read, Seek};
-    file.seek(io::SeekFrom::Start(at))?;
-    file.read_exact(buf)
+    out
 }
 
 /// The append side of the journal, and the store every finished job's
@@ -221,19 +183,15 @@ fn read_at(mut file: &File, buf: &mut [u8], at: u64) -> io::Result<()> {
 /// in here — where its `done` line starts and how long it is.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
-    /// A second, read-only handle on the same file for [`Journal::result`].
-    reader: File,
-    /// Bytes in the file: the rewrite's, plus every append's since.
-    len: u64,
+    log: Log,
     appends: u64,
     results: BTreeMap<u64, Extent>,
     /// Results whose `done` line could not be written (a full disk): the
     /// only payloads held in memory, so a failing journal costs what every
     /// result used to cost instead of losing one.
     unwritten: BTreeMap<u64, String>,
-    /// The line being appended; rendered whole so that it reaches the file
-    /// in one `write(2)` and its extent is exact.
+    /// The line being appended, rendered whole so that it reaches the file
+    /// in one write.
     line: String,
 }
 
@@ -248,53 +206,39 @@ impl Journal {
     ///
     /// I/O errors writing or renaming the file.
     pub fn rewrite(path: &Path, jobs: &[ReplayedJob]) -> io::Result<Journal> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        let mut out = BufWriter::new(File::create(&tmp)?);
-        writeln!(out, "{JOURNAL_HEADER}")?;
-        let mut len = JOURNAL_HEADER.len() as u64 + 1;
         let mut results = BTreeMap::new();
-        let mut line = String::new();
-        for job in jobs {
-            push_job_line(&mut line, job);
-            // `running` is deliberately not persisted: the worker does not
-            // survive a restart, so a running job replays as queued and is
-            // re-dispatched from its last checkpoint.
-            if job.status == JobStatus::Parked {
-                push_state_line(&mut line, job.id, job.status);
+        let mut text = String::new();
+        let log = Log::rewrite(path, |line| {
+            line(&format!("{JOURNAL_HEADER}\n"))?;
+            for job in jobs {
+                line(job_line(&mut text, job))?;
+                // `running` is deliberately not persisted: the worker does
+                // not survive a restart, so a running job replays as queued
+                // and is re-dispatched from its last checkpoint.
+                if job.status == JobStatus::Parked {
+                    line(state_line(&mut text, job.id, job.status))?;
+                }
+                if let (true, Some(payload)) = (job.status.is_terminal(), &job.payload) {
+                    let extent = line(done_line(&mut text, job.id, job.status, payload))?;
+                    results.insert(job.id, extent);
+                }
             }
-            if let (true, Some(payload)) = (job.status.is_terminal(), &job.payload) {
-                let before = line.len() as u64;
-                push_done_line(&mut line, job.id, job.status, payload);
-                let extent = Extent {
-                    at: len + before,
-                    len: line.len() as u64 - before,
-                };
-                results.insert(job.id, extent);
-            }
-            out.write_all(line.as_bytes())?;
-            len += line.len() as u64;
-            line.clear();
-        }
-        out.into_inner().map_err(io::IntoInnerError::into_error)?;
-        std::fs::rename(&tmp, path)?;
+            Ok(())
+        })?;
         Ok(Journal {
-            file: std::fs::OpenOptions::new().append(true).open(path)?,
-            reader: File::open(path)?,
-            len,
+            log,
             appends: 0,
             results,
             unwritten: BTreeMap::new(),
-            line,
+            line: text,
         })
     }
 
     /// Test hook: swaps the append handle, e.g. for one that cannot write —
     /// which is how a full disk looks from here.
     #[cfg(test)]
-    pub(crate) fn swap_file(&mut self, file: File) -> File {
-        std::mem::replace(&mut self.file, file)
+    pub(crate) fn swap_file(&mut self, file: std::fs::File) -> std::fs::File {
+        self.log.swap_file(file)
     }
 
     /// Lines appended (and fsynced) by this daemon process since the
@@ -304,22 +248,12 @@ impl Journal {
         self.appends
     }
 
-    /// Writes `self.line` with one `write(2)` and syncs it; returns where
-    /// the line starts.
-    fn append(&mut self) -> io::Result<u64> {
-        let at = self.len;
-        if let Err(e) = self.file.write_all(self.line.as_bytes()) {
-            // A short write would leave half a line for the next append to
-            // run into: cut it off, or at least learn where the file ends.
-            if self.file.set_len(at).is_err() {
-                self.len = self.file.metadata().map_or(at, |m| m.len());
-            }
-            return Err(e);
-        }
-        self.len += self.line.len() as u64;
+    /// Appends the line rendered into `self.line`; a failed append is not
+    /// counted.
+    fn append(&mut self) -> io::Result<Extent> {
+        let extent = self.log.append(&self.line)?;
         self.appends += 1;
-        self.file.sync_all()?;
-        Ok(at)
+        Ok(extent)
     }
 
     /// Appends the admission record of a new job.
@@ -328,8 +262,7 @@ impl Journal {
     ///
     /// The underlying write or sync failure.
     pub fn record_job(&mut self, job: &ReplayedJob) -> io::Result<()> {
-        self.line.clear();
-        push_job_line(&mut self.line, job);
+        job_line(&mut self.line, job);
         self.append().map(drop)
     }
 
@@ -340,8 +273,7 @@ impl Journal {
     /// The underlying write or sync failure.
     pub fn record_state(&mut self, id: u64, status: JobStatus) -> io::Result<()> {
         debug_assert!(!status.is_terminal());
-        self.line.clear();
-        push_state_line(&mut self.line, id, status);
+        state_line(&mut self.line, id, status);
         self.append().map(drop)
     }
 
@@ -354,12 +286,10 @@ impl Journal {
     /// memory, and [`Journal::result`] still answers with it.
     pub fn record_done(&mut self, id: u64, status: JobStatus, payload: &str) -> io::Result<()> {
         debug_assert!(status.is_terminal());
-        self.line.clear();
-        push_done_line(&mut self.line, id, status, payload);
-        let len = self.line.len() as u64;
+        done_line(&mut self.line, id, status, payload);
         match self.append() {
-            Ok(at) => {
-                self.results.insert(id, Extent { at, len });
+            Ok(extent) => {
+                self.results.insert(id, extent);
                 self.unwritten.remove(&id);
                 Ok(())
             }
@@ -392,11 +322,14 @@ impl Journal {
                 format!("no result was journaled for job {id}"),
             )
         })?;
-        let mut line = vec![0; extent.len as usize];
-        read_at(&self.reader, &mut line, extent.at)?;
-        let mut line = String::from_utf8(line).map_err(|_| invalid(id, "is not UTF-8"))?;
+        let invalid = |why| {
+            let why = format!("the journal's record of job {id}'s result {why}");
+            io::Error::new(io::ErrorKind::InvalidData, why)
+        };
+        let line = self.log.read(extent.clone())?;
+        let mut line = String::from_utf8(line).map_err(|_| invalid("is not UTF-8"))?;
         if line.pop() != Some('\n') || line.contains('\n') {
-            return Err(invalid(id, "is not one line"));
+            return Err(invalid("is not one line"));
         }
         // The prefix is what ties the bytes to this job rather than to
         // whatever else a foreign writer may have put at this offset.
@@ -405,7 +338,7 @@ impl Journal {
             .and_then(|rest| rest.split_once(' '))
             .filter(|(outcome, _)| JobStatus::parse(outcome).is_some_and(JobStatus::is_terminal))
             .map(|(_, payload)| line.len() - payload.len())
-            .ok_or_else(|| invalid(id, "does not start with `done <id> <outcome> `"))?;
+            .ok_or_else(|| invalid("does not start with `done <id> <outcome> `"))?;
         line.drain(..payload_at);
         Ok(line)
     }
@@ -415,6 +348,7 @@ impl Journal {
 mod tests {
     use super::*;
     use crate::protocol::RunSpec;
+    use std::fs::File;
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -610,14 +544,14 @@ mod tests {
             let err = journal.result(id).expect_err("no result yet");
             assert_eq!(err.kind(), io::ErrorKind::NotFound, "job {id}: {err}");
         }
-        assert_eq!(journal.len, std::fs::metadata(&path).unwrap().len());
+        assert_eq!(journal.log.end(), std::fs::metadata(&path).unwrap().len());
 
         // A restart: the rewrite indexes the payloads where it puts them —
         // not where they were — and appends continue from its end.
         let replayed = replay(&path).expect("replay");
         assert_eq!(replayed.skipped, 0, "{:?}", replayed.warnings);
         let mut journal = Journal::rewrite(&path, &replayed.jobs).expect("rewrite");
-        assert_eq!(journal.len, std::fs::metadata(&path).unwrap().len());
+        assert_eq!(journal.log.end(), std::fs::metadata(&path).unwrap().len());
         journal.record_done(4, JobStatus::Completed, "{\"late\":true}").unwrap();
         for (id, _, payload) in &done {
             assert_eq!(&journal.result(*id).expect("read-back after rewrite"), payload);
@@ -718,8 +652,8 @@ mod tests {
             }
             std::fs::write(&path, &bytes).unwrap();
             for (id, _, payload) in &done {
-                let extent = journal.results[id];
-                let line = extent.at as usize..(extent.at + extent.len) as usize;
+                let extent = &journal.results[id];
+                let line = extent.start as usize..extent.end as usize;
                 let touched = bytes.get(line.clone()) != Some(&pristine[line.clone()]);
                 match journal.result(*id) {
                     Ok(read) if !touched => {
@@ -776,7 +710,7 @@ mod tests {
         journal.record_done(0, JobStatus::Completed, "{\"kept\":\"on disk\"}").unwrap();
         assert!(journal.unwritten.is_empty());
         assert_eq!(journal.result(0).unwrap(), "{\"kept\":\"on disk\"}");
-        assert_eq!(journal.len, std::fs::metadata(&path).unwrap().len());
+        assert_eq!(journal.log.end(), std::fs::metadata(&path).unwrap().len());
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

@@ -11,7 +11,7 @@
 //! travel as escaped string fields.
 
 use mempool::json::{self, Fields, Layout, Obj};
-use mempool_traffic::{parse_config_spec, Pattern};
+use mempool_traffic::parse_config_spec;
 use std::fmt;
 
 /// A `campaign` job: a resumable fault-injection campaign (manifest plus
@@ -51,7 +51,7 @@ pub struct RunSpec {
     /// Checkpoint/park granularity in cycles (also the heartbeat cadence).
     pub checkpoint_every: u64,
     /// Attach the observability recorder and return the
-    /// `mempool-metrics-v1` document with the result.
+    /// `mempool-metrics-v2` document with the result.
     pub metrics: bool,
 }
 
@@ -128,12 +128,7 @@ impl JobSpec {
                 Ok(())
             }
             JobSpec::Campaign(spec) => {
-                parse_config_spec(&spec.config_spec)?;
-                spec.faults
-                    .parse::<mempool::FaultSpec>()
-                    .map_err(|e| format!("bad fault spec `{}`: {e}", spec.faults))?;
-                Pattern::parse_spec(&spec.pattern)
-                    .ok_or_else(|| format!("bad pattern spec `{}`", spec.pattern))?;
+                spec.campaign()?;
                 if spec.trials == 0 {
                     return Err("trials must be nonzero".to_owned());
                 }

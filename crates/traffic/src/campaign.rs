@@ -7,17 +7,20 @@
 //! what the resilience layer (retries, quarantine, watchdog) absorbed
 //! along the way. Every trial is driven by synthetic Poisson traffic (the
 //! same generators as the §V-A experiments) and is fully determined by
-//! `base_seed + trial index`, so a campaign line is replayable.
+//! `base_seed + trial index`, so a campaign line is replayable. The one
+//! campaign runner is the [`Executor`](crate::Executor); the one trial body
+//! is [`run_trial_supervised`].
 
 use crate::{Pattern, TrafficGen, Windows};
 use mempool::json::{self, Layout};
+use mempool::log::{self, Log};
 use mempool::snapshot::fnv64;
 use mempool::{
     CancelCause, CancelToken, Cluster, ClusterConfig, ClusterSnapshot, FaultPlan, FaultSpec,
     FaultStats, SanitizerConfig, SimError, ValidateConfigError,
 };
 use std::fmt;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -112,7 +115,7 @@ impl Trial {
 }
 
 /// Aggregated result of a fault-injection campaign.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignReport {
     /// The fault intensity that was swept.
     pub spec: FaultSpec,
@@ -121,33 +124,30 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
+    fn count(&self, outcome: fn(&TrialOutcome) -> bool) -> usize {
+        self.trials.iter().filter(|t| outcome(&t.outcome)).count()
+    }
+
+    fn completed(&self) -> usize {
+        self.count(|o| matches!(o, TrialOutcome::Completed { .. }))
+    }
+
     /// Fraction of trials that completed (drained all traffic).
     pub fn completion_rate(&self) -> f64 {
         if self.trials.is_empty() {
             return 1.0;
         }
-        let done = self
-            .trials
-            .iter()
-            .filter(|t| matches!(t.outcome, TrialOutcome::Completed { .. }))
-            .count();
-        done as f64 / self.trials.len() as f64
+        self.completed() as f64 / self.trials.len() as f64
     }
 
     /// Number of trials the watchdog ended with a deadlock report.
     pub fn deadlocks(&self) -> usize {
-        self.trials
-            .iter()
-            .filter(|t| matches!(t.outcome, TrialOutcome::Deadlock { .. }))
-            .count()
+        self.count(|o| matches!(o, TrialOutcome::Deadlock { .. }))
     }
 
     /// Number of trials the executor quarantined after repeated failures.
     pub fn quarantined(&self) -> usize {
-        self.trials
-            .iter()
-            .filter(|t| matches!(t.outcome, TrialOutcome::Quarantined { .. }))
-            .count()
+        self.count(|o| matches!(o, TrialOutcome::Quarantined { .. }))
     }
 
     /// Fault and resilience counters summed over all trials.
@@ -185,16 +185,11 @@ impl CampaignReport {
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         let total = self.total_faults();
-        let completed = self
-            .trials
-            .iter()
-            .filter(|t| matches!(t.outcome, TrialOutcome::Completed { .. }))
-            .count();
         format!(
             "spec [{}]: {}/{} trials completed ({} deadlocked, {} quarantined), \
              {} faults injected, {} retries, {} abandoned, {} banks quarantined",
             self.spec,
-            completed,
+            self.completed(),
             self.trials.len(),
             self.deadlocks(),
             self.quarantined(),
@@ -231,69 +226,7 @@ pub fn trial_cluster(
     Ok(cluster)
 }
 
-/// Runs one fault-injection trial: a traffic-driven cluster with the fault
-/// plan `FaultPlan::new(seed, spec)` installed, warmed up, measured, and
-/// drained.
-///
-/// # Errors
-///
-/// Propagates configuration validation errors.
-pub fn run_trial(
-    config: ClusterConfig,
-    campaign: &CampaignConfig,
-    seed: u64,
-) -> Result<Trial, ValidateConfigError> {
-    let mut cluster = trial_cluster(config, campaign, seed)?;
-    cluster.step_cycles(campaign.windows.warmup + campaign.windows.measure);
-    for gen in cluster.cores_mut() {
-        gen.stop();
-    }
-    let drain_start = cluster.now();
-    let outcome = match cluster.run(campaign.windows.drain) {
-        Ok(_) => TrialOutcome::Completed {
-            drain_cycles: cluster.now() - drain_start,
-        },
-        Err(SimError::Deadlock(d)) => TrialOutcome::Deadlock { cycle: d.cycle },
-        Err(SimError::Timeout(_)) => TrialOutcome::Timeout,
-        // No cancellation token is ever installed on this cluster.
-        Err(SimError::Cancelled(c)) => unreachable!("unsupervised trial cancelled: {c}"),
-    };
-    Ok(finish_trial(&cluster, seed, outcome))
-}
-
-/// Collects a finished trial's counters and state digest off its cluster.
-fn finish_trial(cluster: &Cluster<TrafficGen>, seed: u64, outcome: TrialOutcome) -> Trial {
-    Trial {
-        seed,
-        outcome,
-        faults: cluster.stats().faults,
-        quarantined_banks: cluster.quarantined_banks(),
-        delivered: cluster.stats().responses_delivered,
-        digest: cluster.state_digest(),
-    }
-}
-
-/// Runs a whole campaign: [`CampaignConfig::trials`] independent trials
-/// with consecutive seeds, in seed order.
-///
-/// # Errors
-///
-/// Propagates configuration validation errors.
-pub fn run_campaign(
-    config: ClusterConfig,
-    campaign: &CampaignConfig,
-) -> Result<CampaignReport, ValidateConfigError> {
-    let mut trials = Vec::with_capacity(campaign.trials as usize);
-    for i in 0..campaign.trials {
-        trials.push(run_trial(config, campaign, campaign.base_seed + u64::from(i))?);
-    }
-    Ok(CampaignReport {
-        spec: campaign.spec,
-        trials,
-    })
-}
-
-/// Error raised by the resumable campaign runner.
+/// Error raised by the campaign runner.
 #[derive(Debug)]
 pub enum CampaignError {
     /// The cluster configuration failed validation.
@@ -303,7 +236,8 @@ pub enum CampaignError {
     /// The manifest belongs to a different campaign (config, spec, windows,
     /// load, pattern, or seeds differ).
     ManifestMismatch,
-    /// The manifest is structurally invalid beyond a truncated final line.
+    /// The manifest lacks its header or its campaign digest line: the file
+    /// is not a campaign manifest, so it is left as it is.
     ManifestCorrupt(&'static str),
     /// The trial checkpoint does not belong to the trial being resumed.
     CheckpointMismatch,
@@ -374,31 +308,23 @@ pub struct TrialCheckpoint {
 const CKPT_MAGIC: u32 = 0x4d50_434b;
 
 impl TrialCheckpoint {
-    /// Writes the checkpoint to `path` atomically (temp file + rename).
+    /// Writes the checkpoint to `path` atomically ([`log::replace`]).
     ///
     /// # Errors
     ///
     /// Any underlying I/O error.
     pub fn write_file(&self, path: &Path) -> io::Result<()> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
-        bytes.extend_from_slice(&self.seed.to_le_bytes());
-        match self.phase {
-            TrialPhase::Generate => {
-                bytes.push(0);
-                bytes.extend_from_slice(&0u64.to_le_bytes());
-            }
-            TrialPhase::Drain { drain_start } => {
-                bytes.push(1);
-                bytes.extend_from_slice(&drain_start.to_le_bytes());
-            }
-        }
-        bytes.extend_from_slice(self.snapshot.as_bytes());
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, path)
+        let (phase, drain_start) = match self.phase {
+            TrialPhase::Generate => (0, 0),
+            TrialPhase::Drain { drain_start } => (1, drain_start),
+        };
+        log::replace(path, |out| {
+            out.write_all(&CKPT_MAGIC.to_le_bytes())?;
+            out.write_all(&self.seed.to_le_bytes())?;
+            out.write_all(&[phase])?;
+            out.write_all(&drain_start.to_le_bytes())?;
+            out.write_all(self.snapshot.as_bytes())
+        })
     }
 
     /// Reads and validates a checkpoint from `path` (the embedded snapshot
@@ -406,65 +332,30 @@ impl TrialCheckpoint {
     ///
     /// # Errors
     ///
-    /// I/O errors; invalid contents map to [`io::ErrorKind::InvalidData`].
-    pub fn read_file(path: &Path) -> io::Result<TrialCheckpoint> {
+    /// [`CampaignError::Io`] when the file cannot be read, and
+    /// [`CampaignError::CheckpointCorrupt`] when what it holds is invalid.
+    pub fn read_file(path: &Path) -> Result<TrialCheckpoint, CampaignError> {
         let bytes = std::fs::read(path)?;
-        let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
+        let bad = |what: String| CampaignError::CheckpointCorrupt(what);
         if bytes.len() < 21 {
-            return Err(bad("truncated trial checkpoint"));
+            return Err(bad("truncated trial checkpoint".to_owned()));
         }
         if u32::from_le_bytes(bytes[0..4].try_into().expect("length 4")) != CKPT_MAGIC {
-            return Err(bad("not a trial checkpoint (bad magic)"));
+            return Err(bad("not a trial checkpoint (bad magic)".to_owned()));
         }
         let seed = u64::from_le_bytes(bytes[4..12].try_into().expect("length 8"));
         let drain_start = u64::from_le_bytes(bytes[13..21].try_into().expect("length 8"));
         let phase = match bytes[12] {
-            0 => TrialPhase::Generate,
+            0 if drain_start == 0 => TrialPhase::Generate,
             1 => TrialPhase::Drain { drain_start },
-            _ => return Err(bad("unknown trial phase")),
+            _ => return Err(bad("unknown trial phase".to_owned())),
         };
-        let snapshot = ClusterSnapshot::from_bytes(&bytes[21..])
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let snapshot = ClusterSnapshot::from_bytes(&bytes[21..]).map_err(|e| bad(e.to_string()))?;
         Ok(TrialCheckpoint {
             seed,
             phase,
             snapshot,
         })
-    }
-}
-
-/// Runs one trial with periodic checkpoints every `every` cycles, resuming
-/// from `checkpoint` when a valid one for this `seed` is already on disk.
-/// The checkpoint file is deleted once the trial completes, so a file left
-/// behind always marks an interrupted trial. The result is bit-identical to
-/// [`run_trial`] regardless of where (or whether) the trial was interrupted.
-///
-/// `every == 0` disables mid-trial checkpointing (the file is still
-/// consumed if present from an earlier interrupted run).
-///
-/// # Errors
-///
-/// Configuration and I/O errors, and [`CampaignError::CheckpointMismatch`]
-/// when the on-disk checkpoint belongs to a different trial.
-pub fn run_trial_checkpointed(
-    config: ClusterConfig,
-    campaign: &CampaignConfig,
-    seed: u64,
-    checkpoint: &Path,
-    every: u64,
-) -> Result<Trial, CampaignError> {
-    match run_trial_supervised(
-        config,
-        campaign,
-        seed,
-        checkpoint,
-        every,
-        TrialSupervision::default(),
-    )? {
-        Ok(trial) => Ok(trial),
-        // With no token, interrupt flag, or sanitizer attached, a trial
-        // can only finish — it has nothing to be stopped by.
-        Err(stop) => unreachable!("unsupervised trial stopped: {stop:?}"),
     }
 }
 
@@ -533,21 +424,23 @@ impl fmt::Debug for TrialSupervision<'_> {
     }
 }
 
-/// [`run_trial_checkpointed`] with supervision: cooperative cancellation
-/// (wall-clock deadline and sim-cycle budget), a between-chunks interrupt
-/// flag, per-chunk heartbeats, and an optional invariant sanitizer.
+/// Runs one fault-injection trial of `campaign` — [`trial_cluster`] warmed
+/// up and measured, its generators stopped, then drained — under
+/// supervision: a cancellation token (deadline, cycle budget), an interrupt
+/// flag checked between chunks, per-chunk heartbeats and an optional
+/// sanitizer. It checkpoints to `checkpoint` every `every` cycles (`0`:
+/// never), resumes from a valid checkpoint of `seed` found there, and
+/// deletes the file once it finishes: interruptions never show in the result.
 ///
-/// The outer `Result` carries environment errors (config, I/O, bad
-/// checkpoint); the inner one separates a finished [`Trial`] from a
-/// [`TrialStop`] — a stop is not an error, it is the supervisor's own
-/// policy looping back ([`Executor`](crate::exec::Executor) turns stops
-/// into retries or quarantine).
+/// The outer `Result` carries environment errors; the inner one separates
+/// a finished [`Trial`] from a [`TrialStop`], which the
+/// [`Executor`](crate::exec::Executor) turns into a retry or a quarantine.
 ///
 /// # Errors
 ///
-/// Configuration and I/O errors; [`CampaignError::CheckpointMismatch`] when
-/// the on-disk checkpoint belongs to a different trial or campaign, and
-/// [`CampaignError::CheckpointCorrupt`] when it is structurally invalid.
+/// Configuration and I/O errors; [`CampaignError::CheckpointMismatch`] or
+/// [`CampaignError::CheckpointCorrupt`] for a checkpoint that is not this
+/// trial's or is damaged.
 pub fn run_trial_supervised(
     config: ClusterConfig,
     campaign: &CampaignConfig,
@@ -560,21 +453,28 @@ pub fn run_trial_supervised(
     if let Some(san) = sup.sanitize {
         cluster.enable_sanitizer(san);
     }
+    let gen_end = campaign.windows.warmup + campaign.windows.measure;
     let mut phase = TrialPhase::Generate;
     if checkpoint.exists() {
-        let ckpt = match TrialCheckpoint::read_file(checkpoint) {
-            Ok(c) => c,
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                return Err(CampaignError::CheckpointCorrupt(e.to_string()));
-            }
-            Err(e) => return Err(CampaignError::Io(e)),
-        };
+        let ckpt = TrialCheckpoint::read_file(checkpoint)?;
         if ckpt.seed != seed {
             return Err(CampaignError::CheckpointMismatch);
         }
         cluster
             .restore(&ckpt.snapshot)
             .map_err(|_| CampaignError::CheckpointMismatch)?;
+        // The envelope and the snapshot header's cycle lie outside the
+        // snapshot's digests: hold them to the restored state and the
+        // trial's windows, or a damaged phase resumes a different trial.
+        let now = cluster.now();
+        let fits = ckpt.snapshot.cycle() == now
+            && match ckpt.phase {
+                TrialPhase::Generate => now <= gen_end,
+                TrialPhase::Drain { drain_start } => drain_start == gen_end && now >= gen_end,
+            };
+        if !fits {
+            return Err(CampaignError::CheckpointMismatch);
+        }
         phase = ckpt.phase;
     }
     cluster.set_cancel_token(sup.cancel.clone());
@@ -593,7 +493,6 @@ pub fn run_trial_supervised(
     let interrupted =
         |sup: &TrialSupervision<'_>| sup.interrupt.is_some_and(|i| i.load(Ordering::SeqCst));
 
-    let gen_end = campaign.windows.warmup + campaign.windows.measure;
     if phase == TrialPhase::Generate {
         while cluster.now() < gen_end {
             let chunk = match every {
@@ -684,30 +583,25 @@ pub fn run_trial_supervised(
             ))));
         }
     }
-    let trial = finish_trial(&cluster, seed, outcome);
     if checkpoint.exists() {
         std::fs::remove_file(checkpoint)?;
     }
-    Ok(Ok(trial))
+    Ok(Ok(Trial {
+        seed,
+        outcome,
+        faults: cluster.stats().faults,
+        quarantined_banks: cluster.quarantined_banks(),
+        delivered: cluster.stats().responses_delivered,
+        digest: cluster.state_digest(),
+    }))
 }
 
-/// Progress of a resumable campaign run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignProgress {
-    /// The (complete) campaign report, trials in seed order.
-    pub report: CampaignReport,
-    /// Trials recovered from the manifest rather than re-run.
-    pub resumed_trials: u32,
-    /// Trials executed by this invocation.
-    pub new_trials: u32,
-}
-
-pub(crate) const MANIFEST_HEADER: &str = "mempool-campaign-manifest v2";
+const MANIFEST_HEADER: &str = "mempool-campaign-manifest v2";
 
 /// Digest identifying a campaign: configuration plus every campaign
 /// parameter, so a manifest is only ever resumed against the exact campaign
 /// that produced it.
-pub(crate) fn campaign_digest(config: &ClusterConfig, campaign: &CampaignConfig) -> u64 {
+fn campaign_digest(config: &ClusterConfig, campaign: &CampaignConfig) -> u64 {
     fnv64(format!("{config:?}|{campaign:?}").as_bytes())
 }
 
@@ -749,7 +643,8 @@ pub fn format_trial_line(trial: &Trial) -> String {
 }
 
 /// Parses one manifest trial line; `None` means the line is unusable (e.g.
-/// the tail of a write cut short by a kill) and parsing should stop there.
+/// the tail of a write cut short by a kill, which the digest's fixed width
+/// tells from a whole line).
 pub(crate) fn parse_trial_line(line: &str) -> Option<Trial> {
     let mut it = line.split_whitespace();
     if it.next()? != "trial" {
@@ -771,7 +666,7 @@ pub(crate) fn parse_trial_line(line: &str) -> Option<Trial> {
     for c in &mut counters {
         *c = it.next()?.parse().ok()?;
     }
-    let digest = u64::from_str_radix(it.next()?, 16).ok()?;
+    let digest = u64::from_str_radix(it.next().filter(|d| d.len() == 16)?, 16).ok()?;
     if it.next().is_some() {
         return None;
     }
@@ -802,152 +697,82 @@ pub(crate) fn parse_trial_line(line: &str) -> Option<Trial> {
     })
 }
 
-/// Reads completed trials back from a manifest. A final line cut short by a
-/// kill is dropped (that trial simply re-runs); anything else malformed is
-/// an error.
-fn read_manifest(
-    path: &Path,
-    digest: u64,
-    campaign: &CampaignConfig,
-) -> Result<Vec<Trial>, CampaignError> {
-    let text = std::fs::read_to_string(path)?;
-    let mut lines = text.lines();
-    if lines.next() != Some(MANIFEST_HEADER) {
-        return Err(CampaignError::ManifestCorrupt("missing header"));
-    }
-    let Some(digest_line) = lines.next() else {
-        return Err(CampaignError::ManifestCorrupt("missing campaign digest"));
-    };
-    if digest_line.strip_prefix("campaign ") != Some(format!("{digest:016x}").as_str()) {
-        return Err(CampaignError::ManifestMismatch);
-    }
-    let mut trials = Vec::new();
-    let mut lines = lines.peekable();
-    while let Some(line) = lines.next() {
-        match parse_trial_line(line) {
-            Some(trial) => trials.push(trial),
-            // Tolerate exactly a truncated *final* line.
-            None if lines.peek().is_none() => break,
-            None => return Err(CampaignError::ManifestCorrupt("malformed trial line")),
+/// The campaign manifest, a record grammar over [`mempool::log`]: the
+/// header, the campaign's digest line, then one line per recorded trial in
+/// seed order. It is the campaign's single source of truth: a trial counts
+/// as recorded once its line is synced.
+pub(crate) struct Manifest(Log);
+
+impl Manifest {
+    /// Opens the manifest of `campaign` at `path`, creating it if missing:
+    /// reads the recorded trials back and atomically rewrites the file from
+    /// them. A trial line the log's damage rule skips costs that trial and
+    /// every later one: they re-run, to the report an uninterrupted run gives.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors; [`CampaignError::ManifestMismatch`] for another campaign's
+    /// manifest and [`CampaignError::ManifestCorrupt`] for a file without the
+    /// header or digest line. Neither file is overwritten.
+    pub(crate) fn open(
+        path: &Path,
+        config: &ClusterConfig,
+        campaign: &CampaignConfig,
+    ) -> Result<(Manifest, Vec<Trial>), CampaignError> {
+        let digest_line = format!("campaign {:016x}", campaign_digest(config, campaign));
+        let existed = path.exists();
+        let (mut header, mut digest, mut intact) = (false, None, true);
+        let mut trials: Vec<Trial> = Vec::new();
+        let warnings = log::replay(path, |n, line| {
+            let seed = campaign.base_seed + trials.len() as u64;
+            let wanted = trials.len() < campaign.trials as usize;
+            match n {
+                0 => header = line == MANIFEST_HEADER,
+                1 => digest = Some(line == digest_line),
+                _ if !intact => {}
+                _ => match parse_trial_line(line).filter(|t| wanted && t.seed == seed) {
+                    Some(trial) => trials.push(trial),
+                    None => {
+                        intact = false;
+                        return Err(format!("not trial {seed}; it and the later trials re-run"));
+                    }
+                },
+            }
+            Ok(())
+        })?;
+        let corrupt = |what| Err(CampaignError::ManifestCorrupt(what));
+        match (existed, header, digest) {
+            (false, ..) | (true, true, Some(true)) => {}
+            (true, true, Some(false)) => return Err(CampaignError::ManifestMismatch),
+            (true, true, None) => return corrupt("missing campaign digest"),
+            _ => return corrupt("missing header"),
         }
-    }
-    if trials.len() > campaign.trials as usize {
-        return Err(CampaignError::ManifestMismatch);
-    }
-    for (i, trial) in trials.iter().enumerate() {
-        if trial.seed != campaign.base_seed + i as u64 {
-            return Err(CampaignError::ManifestMismatch);
+        for warning in &warnings {
+            eprintln!("warning: {warning}");
         }
+        let log = Log::rewrite(path, |line| {
+            line(&format!("{MANIFEST_HEADER}\n"))?;
+            line(&format!("{digest_line}\n"))?;
+            trials
+                .iter()
+                .try_for_each(|t| line(&format!("{}\n", format_trial_line(t))).map(drop))
+        })?;
+        Ok((Manifest(log), trials))
     }
-    Ok(trials)
-}
 
-/// `path` with `suffix` appended to its final component.
-pub(crate) fn sibling_path(path: &Path, suffix: &str) -> std::path::PathBuf {
-    let mut s = path.as_os_str().to_owned();
-    s.push(suffix);
-    std::path::PathBuf::from(s)
-}
-
-/// Loads (or creates) a campaign manifest: reads recorded trials back,
-/// atomically rewrites the file from the parsed trials (so a final line
-/// truncated by a kill never collides with the next append), and returns
-/// the recorded trials plus the manifest opened for appending.
-///
-/// Exposed so external supervisors (`mempool-serve` campaign workers) can
-/// drive the trial loop themselves while keeping the manifest as the
-/// single source of truth.
-///
-/// # Errors
-///
-/// I/O errors and [`CampaignError::ManifestMismatch`] when the manifest on
-/// disk belongs to a different campaign.
-pub fn open_manifest(
-    config: &ClusterConfig,
-    campaign: &CampaignConfig,
-    manifest: &Path,
-) -> Result<(Vec<Trial>, std::fs::File), CampaignError> {
-    let digest = campaign_digest(config, campaign);
-    let trials = if manifest.exists() {
-        read_manifest(manifest, digest, campaign)?
-    } else {
-        Vec::new()
-    };
-    let mut content = format!("{MANIFEST_HEADER}\ncampaign {digest:016x}\n");
-    for trial in &trials {
-        content.push_str(&format_trial_line(trial));
-        content.push('\n');
+    /// Records `trial`: appends its line and syncs it.
+    pub(crate) fn append(&mut self, trial: &Trial) -> io::Result<()> {
+        let line = format!("{}\n", format_trial_line(trial));
+        self.0.append(&line).map(drop)
     }
-    let tmp = sibling_path(manifest, ".tmp");
-    std::fs::write(&tmp, &content)?;
-    std::fs::rename(&tmp, manifest)?;
-    let file = std::fs::OpenOptions::new().append(true).open(manifest)?;
-    Ok((trials, file))
-}
-
-/// Appends one trial line to the open manifest and syncs it to disk.
-///
-/// # Errors
-///
-/// The underlying write or sync failure.
-pub fn append_trial(file: &mut std::fs::File, trial: &Trial) -> io::Result<()> {
-    writeln!(file, "{}", format_trial_line(trial))?;
-    file.sync_all()
-}
-
-/// Runs a campaign resumably: completed trials are recorded in a text
-/// manifest at `manifest` (one line per trial, flushed as each trial ends),
-/// and the in-progress trial checkpoints to `<manifest>.ckpt` every
-/// `checkpoint_every` cycles. Re-invoking after a kill — even a `SIGKILL`
-/// mid-trial — skips the recorded trials, resumes the interrupted one from
-/// its checkpoint, and produces the identical [`CampaignReport`] an
-/// uninterrupted [`run_campaign`] would have.
-///
-/// `max_new_trials` caps how many trials this invocation executes (useful
-/// for time-boxed batches); `None` runs to campaign completion. The
-/// returned [`CampaignProgress::report`] contains only the trials recorded
-/// so far.
-///
-/// # Errors
-///
-/// Configuration and I/O errors; [`CampaignError::ManifestMismatch`] when
-/// the manifest on disk belongs to a different campaign.
-pub fn run_campaign_resumable(
-    config: ClusterConfig,
-    campaign: &CampaignConfig,
-    manifest: &Path,
-    checkpoint_every: u64,
-    max_new_trials: Option<u32>,
-) -> Result<CampaignProgress, CampaignError> {
-    let (mut trials, mut file) = open_manifest(&config, campaign, manifest)?;
-    let resumed = trials.len() as u32;
-
-    let ckpt = sibling_path(manifest, ".ckpt");
-    let mut new_trials = 0u32;
-    while trials.len() < campaign.trials as usize {
-        if max_new_trials.is_some_and(|cap| new_trials >= cap) {
-            break;
-        }
-        let seed = campaign.base_seed + trials.len() as u64;
-        let trial = run_trial_checkpointed(config, campaign, seed, &ckpt, checkpoint_every)?;
-        append_trial(&mut file, &trial)?;
-        trials.push(trial);
-        new_trials += 1;
-    }
-    Ok(CampaignProgress {
-        report: CampaignReport {
-            spec: campaign.spec,
-            trials,
-        },
-        resumed_trials: resumed,
-        new_trials,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Executor, ExecutorConfig};
     use mempool::Topology;
+    use std::sync::atomic::AtomicU64;
 
     fn small_windows() -> Windows {
         Windows {
@@ -955,6 +780,23 @@ mod tests {
             measure: 400,
             drain: 50_000,
         }
+    }
+
+    /// The campaign's report, run by the executor against a fresh manifest.
+    fn run(config: ClusterConfig, campaign: &CampaignConfig) -> CampaignReport {
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let n = RUNS.fetch_add(1, Ordering::Relaxed);
+        let manifest =
+            std::env::temp_dir().join(format!("mempool-campaign-unit-{}-{n}", std::process::id()));
+        let exec = ExecutorConfig {
+            checkpoint_every: 0,
+            ..ExecutorConfig::default()
+        };
+        let out = Executor::new(config, *campaign, exec)
+            .run(&manifest, None, None)
+            .expect("valid config");
+        std::fs::remove_file(&manifest).ok();
+        out.report
     }
 
     #[test]
@@ -965,8 +807,7 @@ mod tests {
             base_seed: 7,
             ..CampaignConfig::default()
         };
-        let report =
-            run_campaign(ClusterConfig::small(Topology::TopH), &campaign).expect("valid config");
+        let report = run(ClusterConfig::small(Topology::TopH), &campaign);
         assert_eq!(report.completion_rate(), 1.0);
         assert_eq!(report.total_faults().total_injected(), 0);
     }
@@ -983,8 +824,8 @@ mod tests {
             ..CampaignConfig::default()
         };
         let config = ClusterConfig::small(Topology::Top1);
-        let a = run_campaign(config, &campaign).expect("valid config");
-        let b = run_campaign(config, &campaign).expect("valid config");
+        let a = run(config, &campaign);
+        let b = run(config, &campaign);
         assert_eq!(a, b, "same seeds must reproduce the identical report");
         assert!(a.total_faults().total_injected() > 0, "{}", a.summary());
     }
@@ -998,8 +839,7 @@ mod tests {
             base_seed: 3,
             ..CampaignConfig::default()
         };
-        let report =
-            run_campaign(ClusterConfig::small(Topology::Top1), &campaign).expect("valid config");
+        let report = run(ClusterConfig::small(Topology::Top1), &campaign);
         let total = report.total_faults();
         assert!(total.link_drops > 0, "{}", report.summary());
     }

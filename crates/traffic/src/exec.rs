@@ -1,34 +1,30 @@
-//! The supervised campaign executor: crash isolation, deadlines, seeded
-//! retry/backoff, and quarantine-with-partial-results.
+//! The supervised campaign executor. [`Executor::run`] is the one function
+//! that runs a campaign: each finished trial is a synced manifest line, so
+//! a killed campaign resumes where it stopped, and each trial runs as a
+//! supervised job bounded by a wall-clock deadline and a sim-cycle budget
+//! (a cooperative [`CancelToken`] checked in the cluster's step loop). A
+//! failed trial — cancelled, panicked, sanitizer-dirty, or (isolated) a
+//! crashed worker — is retried from its last checkpoint with seeded
+//! backoff; one that fails deterministically (twice identically, or past
+//! the attempt budget) is *quarantined*: the campaign records a placeholder
+//! and goes on, so it always ends with a complete manifest.
 //!
-//! [`run_campaign_resumable`](crate::run_campaign_resumable) survives kills
-//! *between* invocations; the [`Executor`] hardens the invocation itself.
-//! Every trial runs as a supervised job bounded by a wall-clock deadline
-//! and a sim-cycle budget (a cooperative [`CancelToken`] checked inside the
-//! cluster's step loop). A trial that fails — cancellation, a panic, a
-//! sanitizer violation, or (in isolation mode) a crashed worker process —
-//! is retried from its last checkpoint with seeded exponential backoff;
-//! a trial that fails deterministically (two consecutive identical
-//! failures, or the attempt budget) is *quarantined*: the campaign records
-//! a placeholder outcome and keeps going instead of aborting, so a
-//! multi-hour campaign always produces a complete manifest.
-//!
-//! With [`ExecutorConfig::isolate`] set, trials run in child worker
-//! processes (the hidden `worker` subcommand, one trial each) under
-//! a [`Fleet`]: a panic, abort, OOM-kill, or stray `SIGKILL` in one trial
-//! is classified (`panic|signal|timeout|oom|exit`) without taking down the
-//! campaign. `N` workers shard trials in parallel; the manifest stays the
-//! single source of truth, appended strictly in seed order.
+//! With [`ExecutorConfig::isolate`], trials run `N` at a time in child
+//! `worker` processes under a [`Fleet`], which classifies a panic, abort,
+//! OOM-kill or stray `SIGKILL` (`panic|signal|timeout|oom|exit`) without
+//! taking the campaign down; trials are still recorded in seed order.
 
 use crate::campaign::{
-    append_trial, open_manifest, parse_trial_line, run_trial_supervised, sibling_path,
-    CampaignConfig, CampaignError, CampaignReport, Trial, TrialStop, TrialSupervision,
+    parse_trial_line, run_trial_supervised, CampaignConfig, CampaignError, CampaignReport,
+    Manifest, Trial, TrialStop, TrialSupervision,
 };
+use crate::experiment::panic_message;
 use crate::supervise::{worker_job, Fleet, Outcome, RetryPolicy, Verdict};
 use crate::{FailureKind, TrialFailure};
 use mempool::json::{Fields, Obj};
 use mempool::{CancelToken, ClusterConfig, SanitizerConfig};
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -162,10 +158,64 @@ impl CampaignSpec {
             cycle_budget: fields.opt_int("cycle_budget")?,
         })
     }
+
+    /// The cluster and the campaign the spec describes.
+    ///
+    /// # Errors
+    ///
+    /// The first of the config, fault and pattern specs that does not parse.
+    pub fn campaign(&self) -> Result<(ClusterConfig, CampaignConfig), String> {
+        let config = crate::parse_config_spec(&self.config_spec)?;
+        let faults = &self.faults;
+        let spec = faults
+            .parse()
+            .map_err(|e| format!("bad fault spec `{faults}`: {e}"))?;
+        let pattern = crate::Pattern::parse_spec(&self.pattern)
+            .ok_or_else(|| format!("bad pattern spec `{}`", self.pattern))?;
+        let windows = crate::Windows {
+            warmup: self.warmup,
+            measure: self.measure,
+            drain: self.drain,
+        };
+        let campaign = CampaignConfig {
+            load: self.load,
+            pattern,
+            windows,
+            spec,
+            trials: self.trials,
+            base_seed: self.seed,
+        };
+        Ok((config, campaign))
+    }
+}
+
+/// The files of a daemon `campaign` job whose document names `checkpoint`
+/// (`job-7.ckpt`): its trial checkpoint (`job-7.manifest.ckpt`, see
+/// [`trial_checkpoint`]), then its manifest (`job-7.manifest`).
+pub fn job_files(checkpoint: &Path) -> (PathBuf, PathBuf) {
+    let manifest = checkpoint.with_extension("manifest");
+    (trial_checkpoint(&manifest), manifest)
+}
+
+/// Where a campaign run against `manifest` checkpoints its trial in flight:
+/// `<manifest>.ckpt` (in isolation mode, trial `seed`'s `<manifest>.ckpt.<seed>`).
+pub fn trial_checkpoint(manifest: &Path) -> PathBuf {
+    let mut path = manifest.as_os_str().to_owned();
+    path.push(".ckpt");
+    path.into()
+}
+
+/// What [`Executor::run`] tells its progress observer.
+#[derive(Debug)]
+pub enum Progress<'a> {
+    /// A chunk of an in-process trial ran; its cluster is at this cycle.
+    Cycle(u64),
+    /// A trial was recorded in the manifest: the report so far.
+    Recorded(&'a CampaignReport),
 }
 
 /// Result of a supervised campaign run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutorReport {
     /// The campaign report (quarantined trials appear as
     /// [`TrialOutcome::Quarantined`](crate::TrialOutcome::Quarantined)
@@ -195,6 +245,54 @@ pub struct Executor {
     pub exec: ExecutorConfig,
 }
 
+type Failure = (FailureKind, String);
+
+/// One [`Executor::run`] in flight: what it records, and who watches.
+struct Run<'r> {
+    manifest: Manifest,
+    out: ExecutorReport,
+    /// Every trial's failure history and retry verdicts, in both modes; in
+    /// isolation mode also the workers. Dropping it kills and reaps them.
+    fleet: Fleet<(u64, Option<String>)>,
+    interrupt: Option<&'r AtomicBool>,
+    progress: &'r mut dyn FnMut(Progress<'_>),
+}
+
+impl Run<'_> {
+    /// Whether the interrupt flag is up, noting it in the report if so.
+    fn interrupted(&mut self) -> bool {
+        let up = self.interrupt.is_some_and(|f| f.load(Ordering::SeqCst));
+        self.out.interrupted |= up;
+        up
+    }
+
+    /// Records a trial: the synced manifest line first, then the report and its observer.
+    fn record(&mut self, trial: Trial) -> std::io::Result<()> {
+        self.manifest.append(&trial)?;
+        self.out.report.trials.push(trial);
+        self.out.new_trials += 1;
+        (self.progress)(Progress::Recorded(&self.out.report));
+        Ok(())
+    }
+
+    /// A failed attempt of `seed`: retry after a delay, or quarantine it.
+    fn fail(&mut self, seed: u64, failure: Failure, ckpt: &Path) -> ControlFlow<Trial, Duration> {
+        match self.fleet.fail(seed, failure.0, failure.1) {
+            Verdict::Retry(delay) => {
+                self.out.retries += 1;
+                ControlFlow::Continue(delay)
+            }
+            Verdict::GiveUp(failures) => {
+                let _ = std::fs::remove_file(ckpt);
+                let trial = Trial::quarantined(seed, failures.len() as u64);
+                let quarantined = QuarantinedTrial { seed, failures };
+                self.out.quarantined.push(quarantined);
+                ControlFlow::Break(trial)
+            }
+        }
+    }
+}
+
 impl Executor {
     /// Creates an executor over `config`/`campaign` with policy `exec`.
     pub fn new(config: ClusterConfig, campaign: CampaignConfig, exec: ExecutorConfig) -> Executor {
@@ -205,10 +303,13 @@ impl Executor {
         }
     }
 
-    /// Runs (or resumes) the campaign against `manifest`. `interrupt` is an
+    /// Runs (or resumes) the campaign against `manifest`, the trial in
+    /// flight checkpointing beside it ([`trial_checkpoint`]). `interrupt` is an
     /// optional flag (typically raised by a SIGINT/SIGTERM handler): when
     /// set, the executor flushes the current trial checkpoint and manifest
-    /// line and returns with [`ExecutorReport::interrupted`].
+    /// line and returns with [`ExecutorReport::interrupted`]. `progress`,
+    /// if given, is called with the cycle after every chunk of an
+    /// in-process trial and with the report after every recorded trial.
     ///
     /// # Errors
     ///
@@ -218,25 +319,31 @@ impl Executor {
         &self,
         manifest: &Path,
         interrupt: Option<&AtomicBool>,
+        progress: Option<&mut dyn FnMut(Progress<'_>)>,
     ) -> Result<ExecutorReport, CampaignError> {
-        let (trials, mut file) = open_manifest(&self.config, &self.campaign, manifest)?;
-        let mut out = ExecutorReport {
-            resumed_trials: trials.len() as u32,
-            report: CampaignReport {
-                spec: self.campaign.spec,
-                trials,
+        let ckpt = trial_checkpoint(manifest);
+        let (manifest, trials) = Manifest::open(manifest, &self.config, &self.campaign)?;
+        let (events_tx, events) = mpsc::channel();
+        let mut unobserved = |_: Progress<'_>| {};
+        let mut run = Run {
+            manifest,
+            out: ExecutorReport {
+                resumed_trials: trials.len() as u32,
+                report: CampaignReport {
+                    spec: self.campaign.spec,
+                    trials,
+                },
+                ..ExecutorReport::default()
             },
-            new_trials: 0,
-            retries: 0,
-            quarantined: Vec::new(),
-            interrupted: false,
+            fleet: Fleet::new(self.exec.retry.clone(), events_tx),
+            interrupt,
+            progress: progress.unwrap_or(&mut unobserved),
         };
         match self.exec.isolate {
-            Some(n) => self.run_isolated(manifest, n.max(1), interrupt, &mut file, &mut out)?,
-            None => self.run_in_process(manifest, interrupt, &mut file, &mut out)?,
+            Some(n) => self.run_isolated(&ckpt, n.max(1), &events, &mut run)?,
+            None => self.run_in_process(&ckpt, &mut run)?,
         }
-        out.new_trials = out.report.trials.len() as u32 - out.resumed_trials;
-        Ok(out)
+        Ok(run.out)
     }
 
     fn token(&self) -> Option<CancelToken> {
@@ -255,117 +362,70 @@ impl Executor {
 
     // -- in-process mode ---------------------------------------------------
 
-    fn run_in_process(
-        &self,
-        manifest: &Path,
-        interrupt: Option<&AtomicBool>,
-        file: &mut std::fs::File,
-        out: &mut ExecutorReport,
-    ) -> Result<(), CampaignError> {
-        let ckpt = sibling_path(manifest, ".ckpt");
-        let is_set = |i: Option<&AtomicBool>| i.is_some_and(|f| f.load(Ordering::SeqCst));
-
-        'trials: while out.report.trials.len() < self.campaign.trials as usize {
-            if is_set(interrupt) {
-                out.interrupted = true;
-                break;
-            }
-            let seed = self.campaign.base_seed + out.report.trials.len() as u64;
-            let mut failures: Vec<TrialFailure> = Vec::new();
-            let finished = loop {
-                let attempt = failures.len() as u32 + 1;
-                if is_set(interrupt) {
-                    out.interrupted = true;
-                    break 'trials;
-                }
-                let (kind, detail) = if self.exec.inject_failure.is_some_and(|f| f(seed, attempt)) {
-                    (FailureKind::Panic, "injected failure".to_owned())
-                } else {
-                    match self.attempt_in_process(seed, &ckpt, interrupt) {
-                        Ok(Ok(Ok(trial))) => break Some(trial),
-                        Ok(Ok(Err(TrialStop::Interrupted))) => {
-                            out.interrupted = true;
-                            break 'trials;
-                        }
-                        Ok(Ok(Err(stop @ TrialStop::Cancelled(_)))) => {
-                            (FailureKind::Timeout, stop.to_string())
-                        }
-                        Ok(Ok(Err(TrialStop::Sanitizer(what)))) => (FailureKind::Sanitizer, what),
-                        Ok(Err(
-                            e @ (CampaignError::CheckpointCorrupt(_)
-                            | CampaignError::CheckpointMismatch),
-                        )) => {
-                            // Self-heal: a bad checkpoint (e.g. left behind
-                            // by a crashed attempt) costs a replay, not the
-                            // campaign.
-                            let _ = std::fs::remove_file(&ckpt);
-                            (FailureKind::Exit(1), e.to_string())
-                        }
-                        Ok(Err(e)) => return Err(e),
-                        Err(panic) => (FailureKind::Panic, panic),
-                    }
+    fn run_in_process(&self, ckpt: &Path, run: &mut Run<'_>) -> Result<(), CampaignError> {
+        while run.out.report.trials.len() < self.campaign.trials as usize && !run.interrupted() {
+            let seed = self.campaign.base_seed + run.out.report.trials.len() as u64;
+            let mut attempt = 0;
+            let trial = loop {
+                attempt += 1;
+                let failure = match self.attempt_in_process(seed, attempt, ckpt, run)? {
+                    Ok(trial) => break trial,
+                    Err(failure) => failure,
                 };
-                failures.push(TrialFailure {
-                    attempt,
-                    kind,
-                    detail,
-                });
-                if self.exec.retry.give_up(&failures) {
-                    break None;
+                // A stop on the interrupt flag is no failure.
+                if run.interrupted() {
+                    return Ok(());
                 }
-                out.retries += 1;
-                let delay = self.exec.retry.delay(seed, attempt);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
+                match run.fail(seed, failure, ckpt) {
+                    ControlFlow::Continue(delay) => std::thread::sleep(delay),
+                    ControlFlow::Break(quarantined) => break quarantined,
                 }
             };
-            let trial = match finished {
-                Some(t) => t,
-                None => {
-                    let _ = std::fs::remove_file(&ckpt);
-                    let attempts = failures.len() as u64;
-                    out.quarantined.push(QuarantinedTrial { seed, failures });
-                    Trial::quarantined(seed, attempts)
-                }
-            };
-            append_trial(file, &trial)?;
-            out.report.trials.push(trial);
+            run.fleet.forget(seed);
+            run.record(trial)?;
         }
         Ok(())
     }
 
-    /// One in-process attempt; the outer `Err` is a caught panic message.
-    #[allow(clippy::type_complexity)]
+    /// One in-process attempt: a stop, a panic or a bad checkpoint is a
+    /// failed attempt; only what no retry can mend is an error.
     fn attempt_in_process(
         &self,
         seed: u64,
+        attempt: u32,
         ckpt: &Path,
-        interrupt: Option<&AtomicBool>,
-    ) -> Result<Result<Result<Trial, TrialStop>, CampaignError>, String> {
+        run: &mut Run<'_>,
+    ) -> Result<Result<Trial, Failure>, CampaignError> {
+        if self.exec.inject_failure.is_some_and(|f| f(seed, attempt)) {
+            return Ok(Err((FailureKind::Panic, "injected failure".to_owned())));
+        }
+        let progress = &mut *run.progress;
+        let mut beat = |cycle: u64| progress(Progress::Cycle(cycle));
         let sup = TrialSupervision {
             cancel: self.token(),
-            interrupt,
-            heartbeat: None,
+            interrupt: run.interrupt,
+            heartbeat: Some(&mut beat),
             sanitize: self.exec.sanitize,
         };
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_trial_supervised(
-                self.config,
-                &self.campaign,
-                seed,
-                ckpt,
-                self.exec.checkpoint_every,
-                sup,
-            )
-        }))
-        .map_err(|payload| {
-            if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_owned()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "opaque panic payload".to_owned()
+        let every = self.exec.checkpoint_every;
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_trial_supervised(self.config, &self.campaign, seed, ckpt, every, sup)
+        }));
+        Ok(match result {
+            Ok(Ok(Ok(trial))) => Ok(trial),
+            Ok(Ok(Err(TrialStop::Sanitizer(what)))) => Err((FailureKind::Sanitizer, what)),
+            // A cancellation, or the interrupt flag the caller looks at first.
+            Ok(Ok(Err(stop))) => Err((FailureKind::Timeout, stop.to_string())),
+            Ok(Err(
+                e @ (CampaignError::CheckpointCorrupt(_) | CampaignError::CheckpointMismatch),
+            )) => {
+                // Self-heal: a bad checkpoint (e.g. left behind by a crashed
+                // attempt) costs a replay, not the campaign.
+                let _ = std::fs::remove_file(ckpt);
+                Err((FailureKind::Exit(1), e.to_string()))
             }
+            Ok(Err(e)) => return Err(e),
+            Err(panic) => Err((FailureKind::Panic, panic_message(&*panic))),
         })
     }
 
@@ -373,36 +433,24 @@ impl Executor {
 
     fn run_isolated(
         &self,
-        manifest: &Path,
+        ckpt: &Path,
         workers: usize,
-        interrupt: Option<&AtomicBool>,
-        file: &mut std::fs::File,
-        out: &mut ExecutorReport,
+        events: &mpsc::Receiver<(u64, Option<String>)>,
+        run: &mut Run<'_>,
     ) -> Result<(), CampaignError> {
-        let trials = &mut out.report.trials;
         let total = self.campaign.trials as usize;
         let base = self.campaign.base_seed;
-        let ckpt = |seed: u64| sibling_path(manifest, &format!(".ckpt.{seed}"));
-        let mut next_fresh = trials.len();
+        let mut next_fresh = run.out.report.trials.len();
         let mut ready: BTreeMap<u64, Trial> = BTreeMap::new();
         // Seeds whose worker parked on a signal nobody here sent: resumed
         // from the checkpoint without counting a failure.
         let mut parked: Vec<u64> = Vec::new();
-        let (events_tx, events) = mpsc::channel::<(u64, Option<String>)>();
-        // Dropped on every way out of this function, which kills and reaps
-        // whatever is still running.
-        let mut fleet = Fleet::new(self.exec.retry.clone(), events_tx);
-
-        while trials.len() < total {
-            if interrupt.is_some_and(|f| f.load(Ordering::SeqCst)) {
-                out.interrupted = true;
-                break;
-            }
-
+        let ckpt = |seed: u64| ckpt.with_extension(format!("ckpt.{seed}"));
+        while run.out.report.trials.len() < total && !run.interrupted() {
             // Fill free worker slots: resumes and due retries first, then
             // fresh seeds.
-            while fleet.running() < workers {
-                let seed = match parked.pop().or_else(|| fleet.pop_due()) {
+            while run.fleet.running() < workers {
+                let seed = match parked.pop().or_else(|| run.fleet.pop_due()) {
                     Some(seed) => seed,
                     None if next_fresh < total => {
                         next_fresh += 1;
@@ -412,49 +460,42 @@ impl Executor {
                 };
                 let job = self.trial_job(seed, &ckpt(seed));
                 let cmd = self.exec.worker_cmd.as_deref();
-                fleet.spawn(seed, cmd, &job, self.exec.deadline)?;
+                run.fleet.spawn(seed, cmd, &job, self.exec.deadline)?;
             }
 
-            // Heartbeats only feed the failure detail here; nothing to report.
-            if let Ok((seed, event)) = events.recv_timeout(fleet.poll_interval()) {
-                fleet.observe(seed, event);
-                while let Ok((seed, event)) = events.try_recv() {
-                    fleet.observe(seed, event);
-                }
+            // Heartbeats only feed the failure detail here.
+            let mut event = events.recv_timeout(run.fleet.poll_interval()).ok();
+            while let Some((seed, line)) = event {
+                run.fleet.observe(seed, line);
+                event = events.try_recv().ok();
             }
-            for (seed, outcome) in fleet.tick().reaped {
-                let (kind, detail) = match outcome {
+            for (seed, outcome) in run.fleet.tick().reaped {
+                let failure = match outcome {
                     Outcome::Parked => {
                         parked.push(seed);
                         continue;
                     }
                     Outcome::Result(line) => match parse_trial_line(&line) {
                         Some(trial) => {
-                            fleet.forget(seed);
+                            run.fleet.forget(seed);
                             ready.insert(seed, trial);
                             continue;
                         }
-                        None => (
-                            FailureKind::Exit(0),
-                            format!("unparsable result line: {line}"),
-                        ),
+                        None => {
+                            let detail = format!("unparsable result line: {line}");
+                            (FailureKind::Exit(0), detail)
+                        }
                     },
                     Outcome::Failed(kind, detail) => (kind, detail),
                 };
-                match fleet.fail(seed, kind, detail) {
-                    Verdict::Retry(_) => out.retries += 1,
-                    Verdict::GiveUp(failures) => {
-                        let _ = std::fs::remove_file(ckpt(seed));
-                        ready.insert(seed, Trial::quarantined(seed, failures.len() as u64));
-                        out.quarantined.push(QuarantinedTrial { seed, failures });
-                    }
+                if let ControlFlow::Break(trial) = run.fail(seed, failure, &ckpt(seed)) {
+                    ready.insert(seed, trial);
                 }
             }
 
-            // Flush completed trials to the manifest strictly in seed order.
-            while let Some(t) = ready.remove(&(base + trials.len() as u64)) {
-                append_trial(file, &t)?;
-                trials.push(t);
+            // Record finished trials strictly in seed order.
+            while let Some(t) = ready.remove(&(base + run.out.report.trials.len() as u64)) {
+                run.record(t)?;
             }
         }
         Ok(())

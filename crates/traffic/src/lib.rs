@@ -32,12 +32,13 @@ mod replay;
 mod supervise;
 
 pub use campaign::{
-    append_trial, format_trial_line, open_manifest, run_campaign, run_campaign_resumable, run_trial,
-    run_trial_checkpointed, run_trial_supervised, trial_cluster, CampaignConfig, CampaignError,
-    CampaignProgress, CampaignReport, Trial, TrialCheckpoint, TrialOutcome, TrialPhase, TrialStop,
-    TrialSupervision,
+    format_trial_line, run_trial_supervised, trial_cluster, CampaignConfig, CampaignError,
+    CampaignReport, Trial, TrialCheckpoint, TrialOutcome, TrialPhase, TrialStop, TrialSupervision,
 };
-pub use exec::{CampaignSpec, Executor, ExecutorConfig, ExecutorReport, QuarantinedTrial};
+pub use exec::{
+    job_files, trial_checkpoint, CampaignSpec, Executor, ExecutorConfig, ExecutorReport, Progress,
+    QuarantinedTrial,
+};
 /// The JSON codec, re-exported under the names this crate gave it before
 /// it moved to `mempool::json`.
 pub use mempool::json::{escape as json_escape, parse_flat_json};

@@ -1,16 +1,17 @@
-//! Supervised-executor contract tests: clean runs match the plain
-//! campaign runner bit-for-bit, transient failures are retried with the
+//! Supervised-executor contract tests: clean runs match the straight-line
+//! reference campaign bit-for-bit, transient failures are retried with the
 //! result unchanged, deterministic failures quarantine with partial
 //! results, cycle budgets become typed timeouts, corrupt checkpoints are
 //! typed errors (and the executor self-heals them), and an interrupted
 //! campaign resumed to completion serializes byte-identically to an
 //! uninterrupted one.
 
+mod reference;
+
 use mempool::{ClusterConfig, Topology};
 use mempool_traffic::{
-    run_campaign, run_trial_supervised, trial_cluster, CampaignConfig, CampaignError, Executor,
-    ExecutorConfig, FailureKind, RetryPolicy, TrialCheckpoint, TrialOutcome, TrialPhase,
-    TrialSupervision, Windows,
+    run_trial_supervised, trial_cluster, CampaignConfig, CampaignError, Executor, ExecutorConfig,
+    FailureKind, RetryPolicy, TrialCheckpoint, TrialOutcome, TrialPhase, TrialSupervision, Windows,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -58,9 +59,9 @@ fn scratch(name: &str) -> PathBuf {
 #[test]
 fn clean_executor_run_matches_plain_campaign() {
     let manifest = scratch("clean");
-    let plain = run_campaign(config(), &campaign()).expect("valid config");
+    let plain = reference::campaign(config(), &campaign());
     let report = Executor::new(config(), campaign(), exec())
-        .run(&manifest, None)
+        .run(&manifest, None, None)
         .expect("campaign runs");
     assert_eq!(report.report, plain, "supervision must not perturb trials");
     assert_eq!(report.retries, 0);
@@ -79,11 +80,11 @@ fn fail_first_attempt_of_first_trial(seed: u64, attempt: u32) -> bool {
 #[test]
 fn transient_failure_is_retried_without_perturbing_results() {
     let manifest = scratch("transient");
-    let plain = run_campaign(config(), &campaign()).expect("valid config");
+    let plain = reference::campaign(config(), &campaign());
     let mut policy = exec();
     policy.inject_failure = Some(fail_first_attempt_of_first_trial);
     let report = Executor::new(config(), campaign(), policy)
-        .run(&manifest, None)
+        .run(&manifest, None, None)
         .expect("campaign runs");
     assert_eq!(report.retries, 1, "exactly one attempt was retried");
     assert!(report.quarantined.is_empty(), "a transient never quarantines");
@@ -105,7 +106,7 @@ fn deterministic_failure_quarantines_with_partial_results() {
     let mut policy = exec();
     policy.inject_failure = Some(fail_second_trial_always);
     let report = Executor::new(config(), campaign(), policy)
-        .run(&manifest, None)
+        .run(&manifest, None, None)
         .expect("campaign completes despite the bad trial");
 
     // The campaign finished: all three trials are recorded, one of them
@@ -122,14 +123,14 @@ fn deterministic_failure_quarantines_with_partial_results() {
         TrialOutcome::Quarantined { attempts: 2 }
     ));
     // The healthy trials are untouched.
-    let plain = run_campaign(config(), &campaign()).expect("valid config");
+    let plain = reference::campaign(config(), &campaign());
     assert_eq!(report.report.trials[0], plain.trials[0]);
     assert_eq!(report.report.trials[2], plain.trials[2]);
 
     // Resuming the finished campaign re-runs nothing and keeps the
     // quarantine line.
     let resumed = Executor::new(config(), campaign(), exec())
-        .run(&manifest, None)
+        .run(&manifest, None, None)
         .expect("resume is a no-op");
     assert_eq!(resumed.resumed_trials, 3);
     assert_eq!(resumed.new_trials, 0);
@@ -143,7 +144,7 @@ fn cycle_budget_overrun_is_a_typed_timeout_and_quarantines() {
     let mut policy = exec();
     policy.cycle_budget = Some(50); // far below warmup + measure
     let report = Executor::new(config(), campaign(), policy)
-        .run(&manifest, None)
+        .run(&manifest, None, None)
         .expect("campaign completes by quarantining every trial");
     assert_eq!(report.quarantined.len(), 3, "no trial fits in 50 cycles");
     for q in &report.quarantined {
@@ -220,9 +221,9 @@ fn executor_self_heals_a_corrupt_checkpoint() {
     let ckpt = PathBuf::from(ckpt);
     std::fs::write(&ckpt, b"garbage left by a crashed attempt").expect("writable");
 
-    let plain = run_campaign(config(), &campaign()).expect("valid config");
+    let plain = reference::campaign(config(), &campaign());
     let report = Executor::new(config(), campaign(), exec())
-        .run(&manifest, None)
+        .run(&manifest, None, None)
         .expect("campaign survives the bad checkpoint");
     assert_eq!(report.retries, 1, "the poisoned attempt is retried once");
     assert!(report.quarantined.is_empty());
@@ -235,14 +236,14 @@ fn executor_self_heals_a_corrupt_checkpoint() {
 fn interrupted_campaign_resumes_to_identical_json() {
     let baseline_manifest = scratch("json-baseline");
     let baseline = Executor::new(config(), campaign(), exec())
-        .run(&baseline_manifest, None)
+        .run(&baseline_manifest, None, None)
         .expect("baseline runs");
 
     // An interrupt flag that is already raised stops before any trial.
     let manifest = scratch("json-resume");
     let flag = AtomicBool::new(true);
     let stopped = Executor::new(config(), campaign(), exec())
-        .run(&manifest, Some(&flag))
+        .run(&manifest, Some(&flag), None)
         .expect("interrupt is clean");
     assert!(stopped.interrupted);
     assert_eq!(stopped.new_trials, 0);
@@ -251,7 +252,7 @@ fn interrupted_campaign_resumes_to_identical_json() {
     // byte-identical to the uninterrupted baseline.
     flag.store(false, Ordering::SeqCst);
     let resumed = Executor::new(config(), campaign(), exec())
-        .run(&manifest, Some(&flag))
+        .run(&manifest, Some(&flag), None)
         .expect("resume completes");
     assert!(!resumed.interrupted);
     assert_eq!(

@@ -61,7 +61,7 @@ sweep options:
   --drain <n>                        drain-phase cycle cap (default 50000)
   --seed <n>                         traffic (and fault) seed (default 0)
   --metrics-json <file>              write the sweep + per-point
-                                     mempool-metrics-v1 registries here
+                                     mempool-metrics-v2 registries here
   --trace-out <file>                 Chrome trace of the last point's run
   --trace-sample <n>                 sample every n-th delivery (default 64)
 
@@ -326,7 +326,7 @@ fn run_faults(opts: &Options) -> Result<(), Error> {
     sig::install();
     let interrupt = Some(&sig::INTERRUPTED);
     let executor = Executor::new(config, campaign, exec);
-    let report = executor.run(std::path::Path::new(manifest), interrupt)?;
+    let report = executor.run(std::path::Path::new(manifest), interrupt, None)?;
     println!(
         "{} ({} resumed, {} new, {} retried attempt(s))",
         report.report.summary(),
@@ -351,7 +351,7 @@ fn run_faults(opts: &Options) -> Result<(), Error> {
 }
 
 /// Renders the campaign report: sweep aggregates per point plus the full
-/// embedded `mempool-metrics-v1` registry of each run.
+/// embedded `mempool-metrics-v2` registry of each run.
 fn campaign_json(opts: &Options, points: &[MeteredPoint]) -> String {
     let fixed = |x: f64| format!("{x:.6}");
     let windows = opts.windows;

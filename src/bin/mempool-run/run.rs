@@ -69,7 +69,7 @@ run options:
   --checkpoint-file <file>           checkpoint path (default <program.s>.ckpt)
   --resume <file>                    restore a checkpoint and continue the run
   --json                             machine-readable result (incl. state digest)
-  --metrics-json <file>              export the mempool-metrics-v1 registry
+  --metrics-json <file>              export the mempool-metrics-v2 registry
                                      (per-scope counters + latency histograms)
   --metrics-stream <file>            append a partial-metrics JSON line
                                      ({\"cycle\":n,\"doc\":\"...\"}) at every

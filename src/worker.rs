@@ -13,12 +13,11 @@
 
 use crate::bench::{run_bench_supervised, BenchConfig};
 use mempool::json::{self, Fields, Layout};
-use mempool::{CancelToken, ClusterConfig, ObsConfig, SanitizerConfig, SimSession};
+use mempool::{CancelToken, ObsConfig, SanitizerConfig, SimSession};
 use mempool_serve::{BenchSpec, CampaignSpec, JobSpec, RunSpec};
 use mempool_traffic::{
-    append_trial, format_trial_line, open_manifest, parse_config_spec, run_trial_supervised, sig,
-    CampaignConfig, CampaignError, CampaignReport, FailureKind, Pattern, Trial, TrialStop,
-    TrialSupervision, Windows, WorkerLine,
+    format_trial_line, job_files, parse_config_spec, run_trial_supervised, sig, Executor,
+    ExecutorConfig, FailureKind, Progress, TrialStop, TrialSupervision, WorkerLine,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -75,37 +74,16 @@ fn read_job(line: &str) -> Result<JobDocument, String> {
     Ok((ckpt, JobSpec::from_fields(&fields)?, trial))
 }
 
-/// The cluster and campaign a `campaign` job document describes.
-fn campaign_of(spec: &CampaignSpec) -> Result<(ClusterConfig, CampaignConfig), String> {
-    let campaign = CampaignConfig {
-        load: spec.load,
-        pattern: Pattern::parse_spec(&spec.pattern)
-            .ok_or_else(|| format!("bad pattern spec `{}`", spec.pattern))?,
-        windows: Windows {
-            warmup: spec.warmup,
-            measure: spec.measure,
-            drain: spec.drain,
-        },
-        spec: spec
-            .faults
-            .parse()
-            .map_err(|e| format!("bad fault spec `{}`: {e}", spec.faults))?,
-        trials: spec.trials,
-        base_seed: spec.seed,
-    };
-    Ok((parse_config_spec(&spec.config_spec)?, campaign))
-}
-
-/// One campaign trial with heartbeats streamed, `SIGTERM` parking it at
-/// the next chunk boundary and the cycle budget enforced cooperatively.
-fn supervised_trial(
-    config: ClusterConfig,
-    campaign: &CampaignConfig,
+/// One trial of a `campaign --isolate` run. A cooperative stop (cycle
+/// budget, sanitizer) is reported with its deterministic detail and a clean
+/// exit, so the supervisor's repeat-failure rule can recognise it.
+fn trial_worker(
     spec: &CampaignSpec,
     seed: u64,
     sanitize: bool,
     ckpt: &Path,
-) -> Result<Result<Trial, TrialStop>, CampaignError> {
+) -> Result<ExitCode, String> {
+    let (config, campaign) = spec.campaign()?;
     let mut beat = |cycle: u64| emit(WorkerLine::Heartbeat(cycle));
     let supervision = TrialSupervision {
         cancel: spec.cycle_budget.map(|budget| CancelToken::new().with_cycle_limit(budget)),
@@ -113,20 +91,8 @@ fn supervised_trial(
         heartbeat: Some(&mut beat),
         sanitize: sanitize.then(SanitizerConfig::default),
     };
-    run_trial_supervised(config, campaign, seed, ckpt, spec.checkpoint_every, supervision)
-}
-
-/// One trial of a `campaign --isolate` run. A cooperative stop is reported
-/// with its deterministic detail and a clean exit, so the supervisor's
-/// repeat-failure rule can recognise it.
-fn trial_worker(
-    spec: &CampaignSpec,
-    seed: u64,
-    sanitize: bool,
-    ckpt: &Path,
-) -> Result<ExitCode, String> {
-    let (config, campaign) = campaign_of(spec)?;
-    let trial = supervised_trial(config, &campaign, spec, seed, sanitize, ckpt);
+    let every = spec.checkpoint_every;
+    let trial = run_trial_supervised(config, &campaign, seed, ckpt, every, supervision);
     emit(match trial.map_err(|e| e.to_string())? {
         Ok(trial) => WorkerLine::Result(format_trial_line(&trial)),
         Err(TrialStop::Interrupted) => {
@@ -230,63 +196,40 @@ fn run_worker(spec: &RunSpec, ckpt: &Path) -> Result<ExitCode, String> {
     }
 }
 
+/// A daemon `campaign` job: the campaign on the in-process [`Executor`]
+/// under its default retry policy, as under `mempool-run campaign`, against
+/// the manifest beside the job's checkpoint path ([`job_files`]).
+/// Heartbeats stream per chunk, the partial report per recorded trial.
 fn campaign_worker(spec: &CampaignSpec, ckpt: &Path) -> Result<ExitCode, String> {
-    let (config, campaign) = campaign_of(spec)?;
-    // The manifest records completed trials; the checkpoint holds the
-    // in-flight one. Together a retried or resumed worker skips recorded
-    // trials and continues the interrupted one mid-flight.
-    let manifest = ckpt.with_extension("manifest");
-    let (mut trials, mut file) = open_manifest(&config, &campaign, &manifest)
-        .map_err(|e| format!("opening the manifest: {e}"))?;
-    while trials.len() < spec.trials as usize {
-        let seed = spec.seed + trials.len() as u64;
-        match supervised_trial(config, &campaign, spec, seed, false, ckpt) {
-            Ok(Ok(trial)) => {
-                append_trial(&mut file, &trial)
-                    .map_err(|e| format!("appending trial {seed} to the manifest: {e}"))?;
-                trials.push(trial);
-                // Stream the partial report so watchers see per-trial
-                // progress; the manifest stays the durable record.
-                let partial = CampaignReport {
-                    spec: campaign.spec,
-                    trials: trials.clone(),
-                };
-                emit(WorkerLine::Metrics {
-                    key: "trials",
-                    at: trials.len() as u64,
-                    doc: partial.to_json(),
-                });
-            }
-            Ok(Err(TrialStop::Interrupted)) => {
-                emit(WorkerLine::Parked(trials.len() as u64));
-                return Ok(ExitCode::from(PARKED));
-            }
-            Ok(Err(TrialStop::Cancelled(cause))) => {
-                return Err(format!("trial {seed} cancelled: {cause:?}"));
-            }
-            Ok(Err(TrialStop::Sanitizer(detail))) => {
-                return Err(format!("trial {seed} sanitizer: {detail}"));
-            }
-            Err(CampaignError::CheckpointMismatch | CampaignError::CheckpointCorrupt(_)) => {
-                // Stale or damaged trial checkpoint: drop it and replay
-                // the trial from its seed (bit-identical by determinism).
-                eprintln!(
-                    "mempool worker: discarding stale trial checkpoint {}",
-                    ckpt.display()
-                );
-                let _ = std::fs::remove_file(ckpt);
-            }
-            Err(e) => return Err(format!("trial {seed}: {e}")),
-        }
-    }
-    let report = CampaignReport {
-        spec: campaign.spec,
-        trials,
+    let (config, campaign) = spec.campaign()?;
+    let exec = ExecutorConfig {
+        cycle_budget: spec.cycle_budget,
+        checkpoint_every: spec.checkpoint_every,
+        ..ExecutorConfig::default()
     };
+    let mut progress = |progress: Progress<'_>| {
+        emit(match progress {
+            Progress::Cycle(cycle) => WorkerLine::Heartbeat(cycle),
+            Progress::Recorded(report) => WorkerLine::Metrics {
+                key: "trials",
+                at: report.trials.len() as u64,
+                doc: report.to_json(),
+            },
+        })
+    };
+    let (_, manifest) = job_files(ckpt);
+    let run = Executor::new(config, campaign, exec)
+        .run(&manifest, Some(&sig::INTERRUPTED), Some(&mut progress))
+        .map_err(|e| e.to_string())?;
+    let trials = run.report.trials.len();
+    if run.interrupted {
+        emit(WorkerLine::Parked(trials as u64));
+        return Ok(ExitCode::from(PARKED));
+    }
     emit(WorkerLine::Result(json::object(Layout::Compact, |o| {
         o.str("outcome", "completed")
-            .num("trials", report.trials.len())
-            .str("report", &report.to_json())
+            .num("trials", trials)
+            .str("report", &run.report.to_json())
     })));
     Ok(ExitCode::SUCCESS)
 }

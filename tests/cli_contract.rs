@@ -98,6 +98,17 @@ fn help_after_any_command_prints_usage_and_exits_zero() {
                 assert_eq!(out.status.code(), Some(0), "{args:?}: {}", text(&out.stderr));
                 assert!(stdout.starts_with("usage: mempool-"), "{args:?}: {stdout}");
                 assert!(out.stderr.is_empty(), "{args:?}: {}", text(&out.stderr));
+                // A usage text names the metrics schema the binary writes.
+                let schemas: Vec<_> = stdout
+                    .split_whitespace()
+                    .filter(|word| word.starts_with("mempool-metrics-v"))
+                    .collect();
+                let writes_metrics = matches!(row.command, ["run"] | ["campaign"]);
+                assert!(
+                    schemas.iter().all(|s| *s == mempool::METRICS_SCHEMA)
+                        && (!schemas.is_empty() || !writes_metrics),
+                    "{args:?}: {schemas:?}"
+                );
             }
         }
     }

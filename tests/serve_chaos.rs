@@ -8,6 +8,7 @@
 #![cfg(unix)]
 
 use mempool_serve::{BenchSpec, CampaignSpec, ClientError, JobSpec, RunSpec, ServeClient};
+use mempool_traffic::job_files;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -460,4 +461,94 @@ fn corrupt_journal_lines_are_skipped_and_surfaced_in_health() {
     client.cancel(job).expect("cancel");
     client.shutdown().expect("drain");
     assert!(wait_exit(&mut child, "second daemon").success());
+}
+
+/// A campaign whose trials cannot fit their sim-cycle budget.
+fn over_budget_campaign() -> CampaignSpec {
+    CampaignSpec {
+        config_spec: "topology=top1,small=true,scramble=true".to_owned(),
+        faults: "bank_fail=1".to_owned(),
+        trials: 2,
+        load: 0.05,
+        pattern: "uniform".to_owned(),
+        warmup: 100,
+        measure: 400,
+        drain: 10_000,
+        seed: 1,
+        checkpoint_every: 256,
+        cycle_budget: Some(300),
+    }
+}
+
+/// A daemon `campaign` job runs on the same executor as `mempool-run
+/// campaign`: a trial that overruns its cycle budget is retried, then
+/// quarantined, and the job completes with the report the command writes.
+/// (The daemon used to fail the whole job on the first overrun.)
+#[test]
+fn a_campaign_job_over_its_cycle_budget_completes_as_mempool_run_campaign_does() {
+    let dir = scratch("budget");
+    let socket = dir.join("serve.sock");
+    let mut child = daemon(&socket, &dir.join("state"), &["--workers", "1"]);
+    let client = connect(&socket);
+    let spec = JobSpec::Campaign(over_budget_campaign());
+    let job = client.submit("budget", 0, None, &spec).expect("campaign admitted");
+    let done = wait_done(&client, job);
+    client.shutdown().expect("drain");
+    assert!(wait_exit(&mut child, "daemon").success());
+    assert_eq!(done.get("status").map(String::as_str), Some("completed"), "{done:?}");
+    let result = mempool::json::Fields::parse(&done["result"]).expect("flat result");
+    let report = result.str("report").expect("a campaign report");
+    let doc = mempool::json::parse(report).expect("report parses");
+    assert_eq!(doc["quarantined"].as_u64(), Some(2), "{report}");
+
+    let json_out = dir.join("report.json");
+    let status = Command::new(env!("CARGO_BIN_EXE_mempool-run"))
+        .args(["campaign", "--small", "--topology", "top1", "--faults", "bank_fail=1"])
+        .args(["--trials", "2", "--load", "0.05", "--warmup", "100", "--measure", "400"])
+        .args(["--drain", "10000", "--seed", "1", "--checkpoint-every", "256"])
+        .args(["--cycle-budget", "300", "--manifest"])
+        .arg(dir.join("campaign.manifest"))
+        .arg("--json-out")
+        .arg(&json_out)
+        .stdout(Stdio::null())
+        .status()
+        .expect("mempool-run runs");
+    assert!(status.success());
+    assert_eq!(std::fs::read_to_string(&json_out).expect("report written"), report);
+}
+
+/// A finished campaign job, completed or cancelled mid-trial, leaves none
+/// of its files in the state directory — staging files included.
+#[test]
+fn finished_campaign_jobs_leave_no_files_in_the_state_directory() {
+    let dir = scratch("cleanup");
+    let (socket, state) = (dir.join("serve.sock"), dir.join("state"));
+    let mut child = daemon(&socket, &state, &["--workers", "2"]);
+    let client = connect(&socket);
+    let quick = JobSpec::Campaign(CampaignSpec {
+        trials: 1,
+        cycle_budget: None,
+        ..over_budget_campaign()
+    });
+    let completed = client.submit("cleanup", 0, None, &quick).expect("admitted");
+    let cancelled = client.submit("cleanup", 0, None, &campaign_spec()).expect("admitted");
+
+    // Cancel mid-trial, once the manifest and the trial checkpoint exist.
+    let (trial, manifest) = job_files(&state.join(format!("job-{cancelled}.ckpt")));
+    let start = Instant::now();
+    while !(manifest.exists() && trial.exists()) {
+        assert!(start.elapsed() < Duration::from_secs(60), "no trial checkpoint appeared");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    client.cancel(cancelled).expect("cancel");
+    assert_eq!(wait_done(&client, completed)["status"], "completed");
+    assert_eq!(wait_done(&client, cancelled)["status"], "cancelled");
+    client.shutdown().expect("drain");
+    assert!(wait_exit(&mut child, "daemon").success());
+    let left: Vec<_> = std::fs::read_dir(&state)
+        .expect("state directory")
+        .map(|entry| entry.expect("entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("job-"))
+        .collect();
+    assert!(left.is_empty(), "{left:?}");
 }
