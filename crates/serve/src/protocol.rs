@@ -127,22 +127,7 @@ impl JobSpec {
                 }
                 Ok(())
             }
-            JobSpec::Campaign(spec) => {
-                spec.campaign()?;
-                if spec.trials == 0 {
-                    return Err("trials must be nonzero".to_owned());
-                }
-                if spec.measure == 0 {
-                    return Err("measure window must be nonzero".to_owned());
-                }
-                if !(spec.load > 0.0 && spec.load <= 1.0) {
-                    return Err(format!("load {} out of (0, 1]", spec.load));
-                }
-                if spec.checkpoint_every == 0 {
-                    return Err("checkpoint_every must be nonzero".to_owned());
-                }
-                Ok(())
-            }
+            JobSpec::Campaign(spec) => spec.campaign().map(drop),
             JobSpec::Bench(spec) => {
                 if spec.cycles == 0 {
                     return Err("cycles must be nonzero".to_owned());

@@ -159,12 +159,28 @@ impl CampaignSpec {
         })
     }
 
-    /// The cluster and the campaign the spec describes.
+    /// The cluster and the campaign the spec describes: the one rule for a
+    /// campaign spec, held by the daemon at admission and by a worker that
+    /// reads one.
     ///
     /// # Errors
     ///
-    /// The first of the config, fault and pattern specs that does not parse.
+    /// The first of the config, fault and pattern specs that does not parse,
+    /// or of `trials`, `measure`, `load` and `checkpoint_every` out of range.
     pub fn campaign(&self) -> Result<(ClusterConfig, CampaignConfig), String> {
+        if self.trials == 0 {
+            return Err("trials must be nonzero".to_owned());
+        }
+        if self.measure == 0 {
+            return Err("measure window must be nonzero".to_owned());
+        }
+        // Written so that NaN fails it too.
+        if !(self.load > 0.0 && self.load <= 1.0) {
+            return Err(format!("load {} out of (0, 1]", self.load));
+        }
+        if self.checkpoint_every == 0 {
+            return Err("checkpoint_every must be nonzero".to_owned());
+        }
         let config = crate::parse_config_spec(&self.config_spec)?;
         let faults = &self.faults;
         let spec = faults

@@ -180,13 +180,15 @@ pub struct GenStats {
 #[derive(Debug, Clone)]
 pub struct TrafficGen {
     rate: f64,
-    /// `exp(-rate)`, the stopping threshold of every arrival draw.
-    arrival_floor: f64,
-    pattern: Pattern,
-    space: AddressSpace,
+    source: Source,
     rng: StdRng,
-    /// Generated-but-not-injected requests, in generation order.
-    queue: VecDeque<Queued>,
+    /// Waiting requests restored from a checkpoint, in generation order:
+    /// all older than the owed ones.
+    restored: VecDeque<Queued>,
+    /// Waiting requests drawn from `rng` behind the restored ones and not
+    /// yet injected; `cursor` redraws them in order.
+    owed: u64,
+    cursor: Cursor,
     /// In-flight generation timestamps per tag.
     tags: Vec<Option<u64>>,
     /// One bit per tag that is free (`tags[t]` is `None`); four words cover
@@ -199,10 +201,99 @@ pub struct TrafficGen {
     stats: GenStats,
 }
 
-/// A waiting request in 8 bytes: the backlog is the one thing that grows
-/// without bound past saturation, so it stores the low half of the
-/// generation cycle and [`TrafficGen::gen_time`] widens it against the
-/// clock.
+/// What a draw depends on besides the stream, fixed at construction: the
+/// same stream state always draws the same arrival count and, for every
+/// pattern, the same address.
+#[derive(Debug, Clone, Copy)]
+struct Source {
+    /// `exp(-rate)`, the stopping threshold of every arrival draw.
+    arrival_floor: f64,
+    pattern: Pattern,
+    space: AddressSpace,
+}
+
+impl Source {
+    /// Samples the number of Poisson arrivals of one cycle (Knuth's method —
+    /// rates of interest are well below 1).
+    fn arrivals(&self, rng: &mut StdRng) -> u32 {
+        let mut k = 0;
+        let mut p = 1.0;
+        loop {
+            p *= rng.gen::<f64>();
+            if p <= self.arrival_floor {
+                return k;
+            }
+            k += 1;
+        }
+    }
+
+    fn pick_address(&self, rng: &mut StdRng) -> u32 {
+        let space = &self.space;
+        let word = match self.pattern {
+            Pattern::Uniform => rng.gen_range(0..space.l1_bytes / 4),
+            Pattern::PLocal { p_local } => {
+                if space.seq_bytes > 0 && rng.gen::<f64>() < p_local {
+                    let off = rng.gen_range(0..space.seq_bytes / 4);
+                    return space.seq_base + off * 4;
+                }
+                // Outside the sequential regions: uniform over the
+                // interleaved remainder.
+                let lo = space.seq_total / 4;
+                let hi = space.l1_bytes / 4;
+                rng.gen_range(lo..hi)
+            }
+            Pattern::HotSpot { base, bytes } => {
+                let off = rng.gen_range(0..bytes.max(4) / 4);
+                return base + off * 4;
+            }
+            Pattern::Permutation(perm) => {
+                // A uniform word inside the destination tile under the
+                // interleaved map: word = (row * tiles + dest) * banks + bank.
+                let dest = perm.dest_tile(space.tile, space.num_tiles);
+                let banks = space.banks_per_tile;
+                let rows = space.l1_bytes / 4 / space.num_tiles / banks;
+                let row = rng.gen_range(0..rows);
+                let bank = rng.gen_range(0..banks);
+                (row * space.num_tiles + dest) * banks + bank
+            }
+        };
+        word * 4
+    }
+}
+
+/// The owed backlog as a place on the generator's own stream: the stream
+/// just before the oldest owed request's address was drawn, that request's
+/// generation cycle, and how many of that cycle's arrivals are still owed.
+/// The source is open-loop — its draws depend on the stream, the rate and
+/// the pattern, never on the network — so redrawing from here replays the
+/// owed requests in generation order.
+#[derive(Debug, Clone)]
+struct Cursor {
+    rng: StdRng,
+    cycle: u64,
+    left: u32,
+}
+
+impl Cursor {
+    /// Redraws the front owed request as `(generation cycle, address)`, and
+    /// moves onto the next one when `more` are owed behind it.
+    fn pop(&mut self, source: &Source, more: bool) -> (u64, u32) {
+        let front = (self.cycle, source.pick_address(&mut self.rng));
+        self.left -= 1;
+        // The cycles between two owed requests drew no arrivals, and none
+        // of them was stopped: a stopped generator draws nothing more.
+        while more && self.left == 0 {
+            self.cycle += 1;
+            self.left = source.arrivals(&mut self.rng);
+        }
+        front
+    }
+}
+
+/// A restored waiting request in 8 bytes. A checkpoint does not say where
+/// the stream stood when its waiting requests were drawn, so they are kept
+/// rather than redrawn: the low half of the generation cycle, which
+/// [`TrafficGen::gen_time`] widens against the clock.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     /// Low 32 bits of the generation cycle.
@@ -227,13 +318,22 @@ impl TrafficGen {
     ) -> Self {
         assert!((1..=256).contains(&outstanding), "outstanding in 1..=256");
         assert!(rate >= 0.0, "rate must be non-negative");
+        let rng = StdRng::seed_from_u64(seed);
         TrafficGen {
             rate,
-            arrival_floor: (-rate).exp(),
-            pattern,
-            space,
-            rng: StdRng::seed_from_u64(seed),
-            queue: VecDeque::new(),
+            source: Source {
+                arrival_floor: (-rate).exp(),
+                pattern,
+                space,
+            },
+            cursor: Cursor {
+                rng: rng.clone(),
+                cycle: 0,
+                left: 0,
+            },
+            rng,
+            restored: VecDeque::new(),
+            owed: 0,
             tags: vec![None; outstanding],
             free_tags: free_mask(outstanding, |_| true),
             in_flight: 0,
@@ -261,64 +361,14 @@ impl TrafficGen {
 
     /// Requests waiting in the source queue.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.restored.len() + self.owed as usize
     }
 
-    /// The full generation cycle of a waiting request: the one cycle within
+    /// The full generation cycle of a restored request: the one cycle within
     /// 2³² of the clock, and not after it, whose low half is the stored one.
     /// Exact while no request waits 2³² cycles, which `step` asserts.
     fn gen_time(&self, queued: Queued) -> u64 {
         self.clock - u64::from((self.clock as u32).wrapping_sub(queued.gen_lo))
-    }
-
-    /// Samples the number of Poisson arrivals this cycle (Knuth's method —
-    /// rates of interest are well below 1).
-    fn arrivals(&mut self) -> u32 {
-        if self.rate <= 0.0 || self.stopped {
-            return 0;
-        }
-        let l = self.arrival_floor;
-        let mut k = 0;
-        let mut p = 1.0;
-        loop {
-            p *= self.rng.gen::<f64>();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
-    fn pick_address(&mut self) -> u32 {
-        let word = match self.pattern {
-            Pattern::Uniform => self.rng.gen_range(0..self.space.l1_bytes / 4),
-            Pattern::PLocal { p_local } => {
-                if self.space.seq_bytes > 0 && self.rng.gen::<f64>() < p_local {
-                    let off = self.rng.gen_range(0..self.space.seq_bytes / 4);
-                    return self.space.seq_base + off * 4;
-                }
-                // Outside the sequential regions: uniform over the
-                // interleaved remainder.
-                let lo = self.space.seq_total / 4;
-                let hi = self.space.l1_bytes / 4;
-                self.rng.gen_range(lo..hi)
-            }
-            Pattern::HotSpot { base, bytes } => {
-                let off = self.rng.gen_range(0..bytes.max(4) / 4);
-                return base + off * 4;
-            }
-            Pattern::Permutation(perm) => {
-                // A uniform word inside the destination tile under the
-                // interleaved map: word = (row * tiles + dest) * banks + bank.
-                let dest = perm.dest_tile(self.space.tile, self.space.num_tiles);
-                let banks = self.space.banks_per_tile;
-                let rows = self.space.l1_bytes / 4 / self.space.num_tiles / banks;
-                let row = self.rng.gen_range(0..rows);
-                let bank = self.rng.gen_range(0..banks);
-                (row * self.space.num_tiles + dest) * banks + bank
-            }
-        };
-        word * 4
     }
 }
 
@@ -335,10 +385,16 @@ fn free_mask(outstanding: usize, is_free: impl Fn(usize) -> bool) -> [u64; 4] {
 impl mempool::CoreState for TrafficGen {
     fn encode_state(&self, out: &mut dyn mempool::StateSink) {
         out.put_u64(self.rng.state());
-        out.put_u64(self.queue.len() as u64);
-        for &queued in &self.queue {
+        out.put_u64(self.queue_len() as u64);
+        for &queued in &self.restored {
             out.put_u64(self.gen_time(queued));
             out.put_u32(queued.addr);
+        }
+        let mut cursor = self.cursor.clone();
+        for behind in (0..self.owed).rev() {
+            let (cycle, addr) = cursor.pop(&self.source, behind > 0);
+            out.put_u64(cycle);
+            out.put_u32(addr);
         }
         out.put_u64(self.tags.len() as u64);
         for tag in &self.tags {
@@ -373,11 +429,12 @@ impl mempool::CoreState for TrafficGen {
         use mempool::SnapshotError;
         self.rng = StdRng::seed_from_u64(r.take_u64()?);
         let nq = r.take_u64()? as usize;
-        self.queue.clear();
+        self.restored.clear();
+        self.owed = 0;
         // A corrupt count allocates no more than the file could fill.
-        self.queue.reserve(nq.min(r.remaining() / 12));
-        // The queue is in generation order; its two ends are held against
-        // the clock once that is read.
+        self.restored.reserve(nq.min(r.remaining() / 12));
+        // Restored requests are in generation order; their two ends are held
+        // against the clock once that is read.
         let mut oldest = None;
         let mut youngest = 0;
         for _ in 0..nq {
@@ -388,7 +445,7 @@ impl mempool::CoreState for TrafficGen {
             }
             oldest.get_or_insert(cycle);
             youngest = cycle;
-            self.queue.push_back(Queued { gen_lo: cycle as u32, addr });
+            self.restored.push_back(Queued { gen_lo: cycle as u32, addr });
         }
         let nt = r.take_u64()? as usize;
         if nt != self.tags.len() {
@@ -445,39 +502,59 @@ impl Core for TrafficGen {
         request_ready: bool,
     ) -> Option<DataRequest> {
         self.clock += 1;
-        // Ahead of this cycle's arrivals every waiting request is at least
+        // Ahead of this cycle's arrivals every restored request is at least
         // a cycle old, and the front is the oldest: its stored half meets
         // the clock's again only after 2³² cycles of waiting.
         assert!(
-            self.queue.front().is_none_or(|q| q.gen_lo != self.clock as u32),
+            self.restored.front().is_none_or(|q| q.gen_lo != self.clock as u32),
             "a request waited 2^32 cycles in the source queue"
         );
-        let n = self.arrivals();
-        for _ in 0..n {
-            let addr = self.pick_address();
-            self.queue.push_back(Queued { gen_lo: self.clock as u32, addr });
-            self.stats.generated += 1;
+        let n = if self.rate > 0.0 && !self.stopped {
+            self.source.arrivals(&mut self.rng)
+        } else {
+            0
+        };
+        if self.owed == 0 {
+            // Nothing drawn is owed: this cycle's arrivals are the front.
+            self.cursor = Cursor {
+                rng: self.rng.clone(),
+                cycle: self.clock,
+                left: n,
+            };
         }
-        if !request_ready || self.queue.is_empty() {
+        // The addresses are drawn to keep the stream where it was; the
+        // cursor draws them again when they are injected.
+        for _ in 0..n {
+            self.source.pick_address(&mut self.rng);
+        }
+        self.owed += u64::from(n);
+        self.stats.generated += u64::from(n);
+        if !request_ready || self.queue_len() == 0 {
             return None;
         }
         // The lowest free tag: what a scan of `tags` for `None` finds.
         let word = self.free_tags.iter().position(|&w| w != 0)?;
         let tag = word * 64 + self.free_tags[word].trailing_zeros() as usize;
         self.free_tags[word] &= self.free_tags[word] - 1;
-        let queued = self.queue.pop_front().expect("nonempty");
-        self.tags[tag] = Some(self.gen_time(queued));
+        let (gen_time, addr) = match self.restored.pop_front() {
+            Some(queued) => (self.gen_time(queued), queued.addr),
+            None => {
+                self.owed -= 1;
+                self.cursor.pop(&self.source, self.owed > 0)
+            }
+        };
+        self.tags[tag] = Some(gen_time);
         self.in_flight += 1;
         self.stats.injected += 1;
         Some(DataRequest {
             tag: tag as u8,
-            addr: queued.addr,
+            addr,
             kind: DataRequestKind::Load(LoadOp::Lw),
         })
     }
 
     fn done(&self) -> bool {
-        self.stopped && self.queue.is_empty() && self.in_flight == 0
+        self.stopped && self.queue_len() == 0 && self.in_flight == 0
     }
 
     fn metric_counters(&self) -> Vec<(&'static str, u64)> {
@@ -485,7 +562,7 @@ impl Core for TrafficGen {
             ("generated", self.stats.generated),
             ("injected", self.stats.injected),
             ("completed", self.stats.completed),
-            ("queue_len", self.queue.len() as u64),
+            ("queue_len", self.queue_len() as u64),
         ]
     }
 }
@@ -540,7 +617,7 @@ mod tests {
         // Source tile 4 of 16 -> destination tile 11; interleaved map has
         // tile bits at [6..10) for 16 banks.
         for _ in 0..200 {
-            let addr = gen.pick_address();
+            let addr = gen.source.pick_address(&mut gen.rng);
             assert_eq!((addr >> 6) & 15, 11, "addr {addr:#x}");
         }
     }
@@ -595,7 +672,7 @@ mod tests {
         let mut gen = TrafficGen::new(1.0, Pattern::PLocal { p_local: 1.0 }, space(), 64, 3);
         let mut in_region = 0;
         for _ in 0..1000 {
-            let addr = gen.pick_address();
+            let addr = gen.source.pick_address(&mut gen.rng);
             if (space().seq_base..space().seq_base + space().seq_bytes).contains(&addr) {
                 in_region += 1;
             }
@@ -607,7 +684,7 @@ mod tests {
     fn p_local_zero_avoids_sequential_regions() {
         let mut gen = TrafficGen::new(1.0, Pattern::PLocal { p_local: 0.0 }, space(), 64, 4);
         for _ in 0..1000 {
-            let addr = gen.pick_address();
+            let addr = gen.source.pick_address(&mut gen.rng);
             assert!(addr >= space().seq_total);
         }
     }
@@ -616,7 +693,7 @@ mod tests {
     fn addresses_are_word_aligned_and_in_range() {
         let mut gen = TrafficGen::new(1.0, Pattern::Uniform, space(), 64, 5);
         for _ in 0..1000 {
-            let addr = gen.pick_address();
+            let addr = gen.source.pick_address(&mut gen.rng);
             assert_eq!(addr % 4, 0);
             assert!(addr < space().l1_bytes);
         }
@@ -648,11 +725,12 @@ mod tests {
     }
 
     /// The generator as it was before its hot paths were rewritten: a
-    /// 16-byte `(generation cycle, address)` per waiting request, `exp` per
-    /// cycle, a scan of `tags` per issue. Uniform pattern only.
+    /// stored 16-byte `(generation cycle, address)` per waiting request,
+    /// `exp` per cycle, a scan of `tags` per issue. Its addresses come from
+    /// the generator's own [`Source::pick_address`].
     struct WideGen {
         rate: f64,
-        l1_words: u32,
+        source: Source,
         rng: StdRng,
         queue: VecDeque<(u64, u32)>,
         tags: Vec<Option<u64>>,
@@ -663,10 +741,10 @@ mod tests {
     }
 
     impl WideGen {
-        fn new(rate: f64, outstanding: usize, seed: u64) -> WideGen {
+        fn new(pattern: Pattern, rate: f64, outstanding: usize, seed: u64) -> WideGen {
             WideGen {
                 rate,
-                l1_words: space().l1_bytes / 4,
+                source: TrafficGen::new(rate, pattern, space(), outstanding, seed).source,
                 rng: StdRng::seed_from_u64(seed),
                 queue: VecDeque::new(),
                 tags: vec![None; outstanding],
@@ -696,7 +774,7 @@ mod tests {
                     arrivals += 1;
                 }
                 for _ in 0..arrivals {
-                    let addr = self.rng.gen_range(0..self.l1_words) * 4;
+                    let addr = self.source.pick_address(&mut self.rng);
                     self.queue.push_back((self.clock, addr));
                     self.stats.generated += 1;
                 }
@@ -778,13 +856,39 @@ mod tests {
 
     impl Lockstep {
         fn new(rate: f64, outstanding: usize, seed: u64) -> Lockstep {
+            Lockstep::of(Pattern::Uniform, rate, outstanding, seed)
+        }
+
+        fn of(pattern: Pattern, rate: f64, outstanding: usize, seed: u64) -> Lockstep {
             Lockstep {
-                gen: TrafficGen::new(rate, Pattern::Uniform, space(), outstanding, seed),
-                reference: WideGen::new(rate, outstanding, seed),
+                gen: TrafficGen::new(rate, pattern, space(), outstanding, seed),
+                reference: WideGen::new(pattern, rate, outstanding, seed),
                 harness: StdRng::seed_from_u64(seed ^ 0xbac4),
                 in_flight: Vec::new(),
                 issued_across_the_wrap: 0,
             }
+        }
+
+        /// Starts measuring both from the next cycle on.
+        fn start_measuring(&mut self) {
+            self.gen.start_measuring();
+            self.reference.measure_from = Some(self.reference.clock);
+        }
+
+        fn stop(&mut self) {
+            self.gen.stop();
+            self.reference.stopped = true;
+        }
+
+        /// Replaces the generator with one restored from its own state.
+        fn restore(&mut self) {
+            let (gen, source) = (&self.gen, self.gen.source);
+            let outstanding = gen.tags.len();
+            let mut fresh = TrafficGen::new(gen.rate, source.pattern, source.space, outstanding, 0);
+            let bytes = encoded(gen);
+            let mut reader = mempool::ByteReader::new(&bytes);
+            mempool::CoreState::decode_state(&mut fresh, &mut reader).expect("own state");
+            self.gen = fresh;
         }
 
         /// One cycle in which each in-flight response returns with
@@ -831,8 +935,7 @@ mod tests {
         let mut pair = Lockstep::new(0.9, 64, 21);
         for cycle in 0..50_000 {
             if cycle == 1_000 {
-                pair.gen.start_measuring();
-                pair.reference.measure_from = Some(pair.reference.clock);
+                pair.start_measuring();
             }
             pair.cycle(2, 2);
         }
@@ -845,16 +948,15 @@ mod tests {
     #[test]
     fn packed_backlog_matches_wide_entries_through_bursts_and_the_drain() {
         // A port blocked for 1 000 cycles of every 3 000 builds a backlog
-        // of ≈ 450 that the open 2 000 drain to nothing: the ring buffer
-        // fills, empties and wraps around its allocation again and again.
+        // of ≈ 450 that the open 2 000 drain to nothing: the cursor walks
+        // the stream behind the arrivals and is set back on it again and
+        // again.
         let mut pair = Lockstep::new(0.45, 16, 22);
-        pair.gen.start_measuring();
-        pair.reference.measure_from = Some(0);
+        pair.start_measuring();
         let (mut emptied, mut deepest) = (0, 0);
         for cycle in 0..50_000u64 {
             if cycle == 45_000 {
-                pair.gen.stop();
-                pair.reference.stopped = true;
+                pair.stop();
             }
             let was_empty = pair.gen.queue_len() == 0;
             pair.cycle(2, if cycle % 3_000 < 1_000 { 0 } else { 4 });
@@ -869,8 +971,7 @@ mod tests {
     #[test]
     fn packed_backlog_survives_the_clock_passing_two_to_the_32() {
         let mut pair = Lockstep::new(0.9, 64, 23);
-        pair.gen.start_measuring();
-        pair.reference.measure_from = Some(0);
+        pair.start_measuring();
         for _ in 0..3_000 {
             pair.cycle(2, 2);
         }
@@ -893,10 +994,87 @@ mod tests {
         assert!(encoded(&pair.gen) == pair.reference.encode_state());
     }
 
+    /// The patterns besides `Uniform`, each drawing its own numbers per
+    /// address: one or two (`PLocal`'s choice of region, then a word), one
+    /// (`HotSpot`), two (`Permutation`'s row and bank).
+    fn other_patterns() -> [Pattern; 3] {
+        [
+            Pattern::PLocal { p_local: 0.3 },
+            Pattern::HotSpot { base: 4096, bytes: 1024 },
+            Pattern::Permutation(Permutation::Tornado),
+        ]
+    }
+
+    #[test]
+    fn every_pattern_redraws_its_backlog_past_saturation() {
+        for (seed, pattern) in (41..).zip(other_patterns()) {
+            let mut pair = Lockstep::of(pattern, 0.9, 64, seed);
+            for cycle in 0..20_000 {
+                if cycle == 1_000 {
+                    pair.start_measuring();
+                }
+                pair.cycle(2, 2);
+            }
+            assert!(pair.gen.queue_len() > 6_000, "{pattern:?}: backlog {}", pair.gen.queue_len());
+            assert!(encoded(&pair.gen) == pair.reference.encode_state(), "{pattern:?}");
+        }
+    }
+
+    #[test]
+    fn every_pattern_redraws_its_backlog_through_bursts_stop_and_the_drain() {
+        for (seed, pattern) in (51..).zip(other_patterns()) {
+            let mut pair = Lockstep::of(pattern, 0.45, 16, seed);
+            pair.start_measuring();
+            let mut emptied = 0;
+            for cycle in 0..20_000u64 {
+                if cycle == 15_500 {
+                    // Mid-burst: the stop leaves a backlog to drain.
+                    pair.stop();
+                }
+                let was_empty = pair.gen.queue_len() == 0;
+                pair.cycle(2, if cycle % 3_000 < 1_000 { 0 } else { 4 });
+                emptied += u64::from(!was_empty && pair.gen.queue_len() == 0);
+            }
+            assert!(emptied > 5, "{pattern:?}: emptied {emptied} times");
+            assert!(pair.gen.done(), "{pattern:?}");
+            assert_eq!(pair.gen.stats().generated, pair.gen.stats().completed);
+        }
+    }
+
+    #[test]
+    fn every_pattern_redraws_new_arrivals_behind_a_restored_backlog() {
+        for (seed, pattern) in (61..).zip([Pattern::Uniform].into_iter().chain(other_patterns())) {
+            let mut pair = Lockstep::of(pattern, 0.9, 64, seed);
+            pair.start_measuring();
+            for _ in 0..3_000 {
+                pair.cycle(2, 2);
+            }
+            pair.restore();
+            let waiting = pair.gen.restored.len();
+            assert!(waiting > 1_000 && pair.gen.owed == 0, "{pattern:?}: backlog {waiting}");
+            // The restored prefix drains at ≈ 0.5 a cycle while new
+            // arrivals queue behind it; the encodings walk both.
+            let mut both = 0;
+            while !pair.gen.restored.is_empty() {
+                both += u64::from(pair.gen.owed > 0);
+                pair.cycle(2, 2);
+                if pair.gen.clock.is_multiple_of(101) {
+                    assert!(encoded(&pair.gen) == pair.reference.encode_state(), "{pattern:?}");
+                }
+            }
+            assert!(both > 1_000, "{pattern:?}: {both} cycles held both");
+            for _ in 0..1_000 {
+                pair.cycle(2, 2);
+            }
+            assert!(pair.gen.owed > 1_000, "{pattern:?}: {} owed", pair.gen.owed);
+            assert!(encoded(&pair.gen) == pair.reference.encode_state(), "{pattern:?}");
+        }
+    }
+
     /// A backlogged generator's state at `clock`, and the offsets of its
     /// first and last queue entry and of its first in-flight tag's cycle.
     fn backlogged_state(clock: u64) -> (Vec<u8>, usize, usize, usize) {
-        let mut reference = WideGen::new(0.9, 8, 31);
+        let mut reference = WideGen::new(Pattern::Uniform, 0.9, 8, 31);
         for cycle in 0..400 {
             if let Some((tag, ..)) = reference.step(cycle % 2 == 0) {
                 if tag >= 4 {
@@ -953,7 +1131,7 @@ mod tests {
             mempool::CoreState::decode_state(&mut gen, &mut reader),
             Err(mempool::SnapshotError::Truncated)
         );
-        assert!(gen.queue.capacity() <= 8, "reserved {}", gen.queue.capacity());
+        assert!(gen.restored.capacity() <= 8, "reserved {}", gen.restored.capacity());
     }
 
     #[test]

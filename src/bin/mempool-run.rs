@@ -551,6 +551,12 @@ mod tests {
             command(&["campaign", "--faults", "bank_fail=1", "--manifest", "m", "--isolate=0"]),
             Err((UsageError::InvalidValue { option, .. }, _)) if option == "--isolate"
         ));
+        // A trial worker holds its document to the daemon's rule, which
+        // wants a checkpoint interval: the command line asks for one too.
+        assert!(matches!(
+            command(&["campaign", "--faults", "bank_fail=1", "--manifest", "m", "--checkpoint-every", "0"]),
+            Err((UsageError::InvalidValue { option, .. }, _)) if option == "--checkpoint-every"
+        ));
     }
 
     #[test]

@@ -186,7 +186,7 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, UsageErr
             "--cycle-budget" => opts.cycle_budget = Some(args.nonzero("expected a cycle count")?),
             "--max-attempts" => opts.max_attempts = args.nonzero("expected an attempt count")?,
             "--backoff-ms" => opts.backoff_ms = args.parse("expected milliseconds")?,
-            "--checkpoint-every" => opts.checkpoint_every = args.parse("expected a cycle count")?,
+            "--checkpoint-every" => opts.checkpoint_every = args.nonzero("expected a cycle count")?,
             "--isolate" => opts.isolate = Some(1),
             "--sanitize" => opts.sanitize = true,
             "--json-out" => opts.json_out = Some(args.value()?),

@@ -296,6 +296,37 @@ mod tests {
         );
     }
 
+    /// A campaign document is held to the daemon's admission rule: a load,
+    /// count or interval out of range is that rule's error, from a trial
+    /// and from a whole campaign alike, and never a panic in a generator.
+    #[test]
+    fn an_out_of_range_campaign_document_is_the_admission_error() {
+        let line = trial_line("true");
+        for (from, to, why) in [
+            ("\"load\":0.05", "\"load\":-1", "load -1 out of (0, 1]"),
+            ("\"load\":0.05", "\"load\":1e999", "load inf out of (0, 1]"),
+            ("\"trials\":2", "\"trials\":0", "trials must be nonzero"),
+            ("\"measure\":20", "\"measure\":0", "measure window must be nonzero"),
+            ("\"checkpoint_every\":64", "\"checkpoint_every\":0", "checkpoint_every must be nonzero"),
+        ] {
+            assert!(line.contains(from), "{line}");
+            let (ckpt, spec, _) = read_job(&line.replace(from, to)).expect("well-formed");
+            let JobSpec::Campaign(spec) = spec else {
+                panic!("a campaign document: {spec:?}")
+            };
+            assert_eq!(trial_worker(&spec, 4, false, &ckpt).err().as_deref(), Some(why));
+            assert_eq!(campaign_worker(&spec, &ckpt).err().as_deref(), Some(why));
+            assert_eq!(JobSpec::Campaign(spec).validate().err().as_deref(), Some(why));
+        }
+        // No document carries a NaN; a spec built in code can.
+        let (_, spec, _) = read_job(&line).expect("well-formed");
+        let JobSpec::Campaign(mut spec) = spec else {
+            panic!("a campaign document: {spec:?}")
+        };
+        spec.load = f64::NAN;
+        assert_eq!(spec.campaign().err().as_deref(), Some("load NaN out of (0, 1]"));
+    }
+
     /// `sanitize` is `true` or `false`: any other token is a malformed
     /// document, not a trial run unsanitized.
     #[test]

@@ -1,9 +1,9 @@
 //! End-to-end crash isolation for `mempool-run campaign --isolate`:
 //! SIGKILL-ing a trial worker mid-campaign must cost only a retry — the
 //! finished campaign's byte-stable JSON report is identical to an
-//! undisturbed run's — and SIGTERM-ing the campaign itself must exit
-//! with the documented status 3, leaving a manifest that resumes to the
-//! identical report.
+//! undisturbed run's, at a light load and far past saturation — and
+//! SIGTERM-ing the campaign itself must exit with the documented status 3,
+//! leaving a manifest that resumes to the identical report.
 
 #![cfg(unix)]
 
@@ -20,21 +20,25 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// A small isolated fault campaign: long enough per trial (in a debug
-/// build) that the test can reliably signal it mid-flight.
-fn campaign(manifest: &Path, json: &Path) -> Command {
+/// A load whose checkpoints never hold a backlog.
+const LIGHT: [&str; 4] = ["--topology", "top1", "--load", "0.05"];
+
+/// A load far past saturation: every checkpoint after the first few hundred
+/// cycles is mostly waiting requests, which a resumed trial keeps as stored
+/// entries while it redraws the ones generated after the restore.
+const SATURATED: [&str; 4] = ["--topology", "topH", "--load", "0.9"];
+
+/// A small isolated fault campaign of one `shape`: long enough per trial
+/// (in a debug build) that the test can reliably signal it mid-flight.
+fn campaign(shape: &[&str], manifest: &Path, json: &Path) -> Command {
     let mut cmd = Command::new(BIN);
+    cmd.args(["campaign", "--small"]);
+    cmd.args(shape);
     cmd.args([
-        "campaign",
-        "--small",
-        "--topology",
-        "top1",
         "--faults",
         "bank_fail=1,link_drop=0.001",
         "--trials",
         "3",
-        "--load",
-        "0.05",
         "--warmup",
         "100",
         "--measure",
@@ -104,34 +108,35 @@ fn wait_with_deadline(child: &mut Child, deadline: Duration) -> std::process::Ex
     }
 }
 
-/// The undisturbed reference report for the campaign above.
-fn baseline(dir: &Path) -> String {
+/// The undisturbed reference report for the campaign of `shape`.
+fn baseline(shape: &[&str], dir: &Path) -> String {
     let manifest = dir.join("baseline.manifest");
     let json = dir.join("baseline.json");
-    let status = campaign(&manifest, &json)
+    let status = campaign(shape, &manifest, &json)
         .status()
         .expect("campaign spawns");
     assert!(status.success(), "baseline campaign failed: {status}");
     std::fs::read_to_string(&json).expect("baseline report written")
 }
 
-#[test]
-fn sigkilled_worker_retries_to_bit_identical_results() {
-    let dir = scratch("sigkill");
-    let reference = baseline(&dir);
+/// Runs the campaign of `shape`, SIGKILLs the first trial worker caught
+/// once `ready` holds for the campaign's directory, and requires the report
+/// of the undisturbed run.
+fn sigkill_a_worker(name: &str, shape: &[&str], ready: impl Fn(&Path) -> bool) {
+    let dir = scratch(name);
+    let reference = baseline(shape, &dir);
 
     let manifest = dir.join("killed.manifest");
     let json = dir.join("killed.json");
-    let mut child = campaign(&manifest, &json).spawn().expect("campaign spawns");
+    let mut child = campaign(shape, &manifest, &json).spawn().expect("campaign spawns");
 
-    // SIGKILL the first worker we can catch mid-trial.
     let hunt_start = Instant::now();
     let mut killed = false;
     while hunt_start.elapsed() < Duration::from_secs(60) {
         if child.try_wait().expect("wait works").is_some() {
             break;
         }
-        if let Some(worker) = find_worker(child.id()) {
+        if let Some(worker) = find_worker(child.id()).filter(|_| ready(&dir)) {
             signal(worker, "-KILL");
             killed = true;
             break;
@@ -153,13 +158,35 @@ fn sigkilled_worker_retries_to_bit_identical_results() {
 }
 
 #[test]
+fn sigkilled_worker_retries_to_bit_identical_results() {
+    // The first worker caught, checkpoint or not.
+    sigkill_a_worker("sigkill", &LIGHT, |_| true);
+}
+
+#[test]
+fn a_worker_sigkilled_mid_backlog_resumes_from_stored_entries_then_redraws() {
+    // Only once the trial in flight has written a checkpoint
+    // (`killed.manifest.ckpt.<seed>`), so that the retry restores a backlog.
+    let checkpointed = |dir: &Path| {
+        std::fs::read_dir(dir).is_ok_and(|entries| {
+            entries.flatten().any(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                name.strip_prefix("killed.manifest.ckpt.")
+                    .is_some_and(|seed| seed.parse::<u64>().is_ok())
+            })
+        })
+    };
+    sigkill_a_worker("sigkill-saturated", &SATURATED, checkpointed);
+}
+
+#[test]
 fn sigterm_interrupt_exits_3_and_resumes_bit_identically() {
     let dir = scratch("sigterm");
-    let reference = baseline(&dir);
+    let reference = baseline(&LIGHT, &dir);
 
     let manifest = dir.join("interrupted.manifest");
     let json = dir.join("interrupted.json");
-    let mut child = campaign(&manifest, &json).spawn().expect("campaign spawns");
+    let mut child = campaign(&LIGHT, &manifest, &json).spawn().expect("campaign spawns");
 
     // Give the campaign time to get a trial genuinely in flight, then
     // interrupt it. The workload is far slower than 62 trials/second in
@@ -179,7 +206,7 @@ fn sigterm_interrupt_exits_3_and_resumes_bit_identically() {
 
     // Re-running the identical command resumes from the manifest and
     // finishes; the final report matches the undisturbed reference.
-    let status = campaign(&manifest, &json)
+    let status = campaign(&LIGHT, &manifest, &json)
         .status()
         .expect("resume spawns");
     assert!(status.success(), "resume failed: {status}");
