@@ -200,7 +200,10 @@ impl<C: Core> SimSession<C> {
     }
 
     /// The metrics registry snapshot (see
-    /// [`Cluster::metrics_registry`]).
+    /// [`Cluster::metrics_registry`]). A pure read of the digest-covered
+    /// recorder, so a mid-run snapshot at a checkpoint or park never
+    /// perturbs the run: digests and the final document stay bit-identical
+    /// whether or not anyone sampled along the way.
     pub fn metrics_registry(&self) -> crate::MetricsRegistry {
         self.cluster.metrics_registry()
     }
@@ -209,22 +212,6 @@ impl<C: Core> SimSession<C> {
     /// [`Cluster::observability_enabled`]).
     pub fn observability_enabled(&self) -> bool {
         self.cluster.observability_enabled()
-    }
-
-    /// A mid-run metrics snapshot, available only when the observability
-    /// recorder is attached. The recorder is digest-covered architectural
-    /// state and this is a pure read of it, so taking partial snapshots at
-    /// safe points (checkpoint/park boundaries) can never perturb the run:
-    /// digests and the final document stay bit-identical whether or not
-    /// anyone sampled along the way. Returns `None` when observability is
-    /// off — callers streaming partial documents should emit nothing
-    /// rather than an ambiguous half-populated registry.
-    pub fn partial_metrics(&self) -> Option<crate::MetricsRegistry> {
-        if self.cluster.observability_enabled() {
-            Some(self.cluster.metrics_registry())
-        } else {
-            None
-        }
     }
 
     /// The sampled timeline, when observability tracing is enabled.
@@ -432,7 +419,6 @@ mod tests {
         let mut plain = SimSession::builder(config).build_snitch().expect("valid");
         plain.load_program(&program()).expect("loads");
         assert!(!plain.observability_enabled());
-        assert!(plain.partial_metrics().is_none());
 
         let mut observed = SimSession::builder(config)
             .observability(ObsConfig::histograms())
@@ -442,11 +428,11 @@ mod tests {
         assert!(observed.observability_enabled());
         observed.run(100_000).expect("finishes");
         let digest_before = observed.state_digest();
-        let partial = observed.partial_metrics().expect("obs attached");
+        let partial = observed.metrics_registry().to_json();
         // A partial snapshot is a pure read: state and the exported
         // document are untouched by taking it.
         assert_eq!(observed.state_digest(), digest_before);
-        assert_eq!(partial.to_json(), observed.metrics_registry().to_json());
+        assert_eq!(partial, observed.metrics_registry().to_json());
     }
 
     #[test]

@@ -409,6 +409,7 @@ impl Daemon {
             Request::Tail => {
                 let _ = reply.send(resp_ok(|o| o.bool("tailing", true)));
                 self.tailers.push(reply.clone());
+                self.fleet.watch_all();
             }
             Request::Metrics => {
                 let _ = reply.send(self.metrics_line());
@@ -572,12 +573,20 @@ impl Daemon {
         if !has_tailers && job.subscribers.iter().all(skips) {
             return;
         }
-        let record = stream_record(id, seq, job.attempt, kind, is_final, extra);
-        job.subscribers.retain(|s| skips(s) || s.reply.send(record.clone()).is_ok());
+        // Every taker but the last is sent a copy; the last, most often
+        // the only one, takes the record itself.
+        let mut takers = job.subscribers.iter().filter(|s| !skips(s)).count() + self.tailers.len();
+        let mut record = Some(stream_record(id, seq, job.attempt, kind, is_final, extra));
+        let mut send = |to: &Sender<String>| {
+            takers -= 1;
+            let copy = if takers == 0 { record.take() } else { record.clone() };
+            copy.is_some_and(|copy| to.send(copy).is_ok())
+        };
+        job.subscribers.retain(|s| skips(s) || send(&s.reply));
         if is_final {
-            job.subscribers.clear();
+            job.subscribers = Vec::new();
         }
-        self.tailers.retain(|w| w.send(record.clone()).is_ok());
+        self.tailers.retain(|w| send(w));
     }
 
     /// Opens a `wait` (`partials` false) or `watch` (`partials` true)
@@ -595,6 +604,9 @@ impl Daemon {
         if !status.is_terminal() {
             let _ = reply.send(job_ack(id, &status.to_string()));
             job.subscribers.push(Subscriber { reply: reply.clone(), partials });
+            if partials {
+                self.fleet.watch(id);
+            }
             return;
         }
         match self.journal.result(id) {
@@ -686,6 +698,9 @@ impl Daemon {
             self.fail_attempt(id, FailureKind::Exit(-1), e.to_string());
             return;
         }
+        if !self.tailers.is_empty() || job.subscribers.iter().any(|s| s.partials) {
+            self.fleet.watch(id);
+        }
         self.metrics.count(Counter::WorkersSpawned);
         if let Some(job) = self.jobs.get_mut(&id) {
             if !job.dispatched {
@@ -711,7 +726,9 @@ impl Daemon {
             }
             // The worker emits these at checkpoint boundaries whenever the
             // job asked for metrics — subscribed or not — so relaying them
-            // is pure observation.
+            // is pure observation. Only a worker told to ([`Fleet::watch`])
+            // renders the document; the marker without one is sequenced,
+            // counted and timelined all the same.
             Some(WorkerLine::Metrics { key, at, doc }) => {
                 self.metrics.count(Counter::PartialSnapshots);
                 let detail = format!("{key} {at}");
@@ -719,7 +736,10 @@ impl Daemon {
                     id,
                     "partial",
                     false,
-                    |o| o.num(key, at).str("metrics", &doc),
+                    |o| match &doc {
+                        Some(doc) => o.num(key, at).str("metrics", doc),
+                        None => o.num(key, at),
+                    },
                     &detail,
                 );
             }

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
-use std::process::{Child, Command, ExitStatus, Stdio};
+use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
 use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
@@ -232,14 +232,16 @@ pub enum WorkerLine {
     /// `heartbeat <cycle>` — liveness plus the sim cycle reached.
     Heartbeat(u64),
     /// `metrics {"<key>":<at>,"doc":"<escaped>"}` — a mid-job snapshot of
-    /// the job's result document; `key` is `"cycle"` or `"trials"`.
+    /// the job's result document; `key` is `"cycle"` or `"trials"`. Without
+    /// `doc` it is the marker a worker prints where it would have rendered
+    /// a snapshot nobody was [`watching`](Fleet::watch).
     Metrics {
         /// What `at` counts.
         key: &'static str,
         /// Progress when the snapshot was taken.
         at: u64,
-        /// The snapshot document.
-        doc: String,
+        /// The snapshot document; `None` for the marker.
+        doc: Option<String>,
     },
     /// `parked <progress>` — checkpointed on `SIGTERM`; exit status 3 follows.
     Parked(u64),
@@ -267,7 +269,13 @@ impl fmt::Display for WorkerLine {
         match self {
             WorkerLine::Heartbeat(cycle) => write!(f, "heartbeat {cycle}"),
             WorkerLine::Metrics { key, at, doc } => {
-                let line = json::object(Layout::Compact, |o| o.num(key, at).str("doc", doc));
+                let line = json::object(Layout::Compact, |o| {
+                    let o = o.num(key, at);
+                    match doc {
+                        Some(doc) => o.str("doc", doc),
+                        None => o,
+                    }
+                });
                 write!(f, "metrics {line}")
             }
             WorkerLine::Parked(progress) => write!(f, "parked {progress}"),
@@ -281,8 +289,9 @@ impl fmt::Display for WorkerLine {
 impl WorkerLine {
     /// Parses one stdout line; `None` for anything outside the grammar
     /// (unknown word, non-numeric or overflowing counter, malformed
-    /// metrics object, empty result).
-    pub fn parse(line: &str) -> Option<WorkerLine> {
+    /// metrics object, empty result). A `result` payload keeps the line's
+    /// own buffer, so a finished job's ≈ 80 KB document is not copied.
+    pub fn parse(mut line: String) -> Option<WorkerLine> {
         let (word, rest) = line.split_once(' ').unwrap_or((line.trim_end(), ""));
         let rest = rest.trim();
         match word {
@@ -295,14 +304,24 @@ impl WorkerLine {
                     (None, Some(_)) => "trials",
                     _ => return None,
                 };
-                let doc = fields.str("doc").ok()?.to_owned();
+                let doc = match fields.get("doc") {
+                    Some(_) => Some(fields.str("doc").ok()?.to_owned()),
+                    None => None,
+                };
                 Some(WorkerLine::Metrics {
                     key,
                     at: fields.int(key).ok()?,
                     doc,
                 })
             }
-            "result" if !rest.is_empty() => Some(WorkerLine::Result(rest.to_owned())),
+            "result" if !rest.is_empty() => {
+                // `rest` is the end of the trimmed `line`; keep just that.
+                let end = line.trim_end().len();
+                let start = end - rest.len();
+                line.truncate(end);
+                line.drain(..start);
+                Some(WorkerLine::Result(line))
+            }
             "stopped" => {
                 let (kind, detail) = rest.split_once(' ').unwrap_or((rest, ""));
                 let kind = match kind {
@@ -368,6 +387,9 @@ pub struct Tick {
 
 struct Worker {
     child: Child,
+    /// Open after the job document until [`Fleet::watch`] writes its one
+    /// line and closes it.
+    stdin: Option<ChildStdin>,
     reader: Option<std::thread::JoinHandle<()>>,
     deadline: Option<Instant>,
     killed_for_deadline: bool,
@@ -380,6 +402,13 @@ struct Worker {
 }
 
 impl Worker {
+    fn watch(&mut self) {
+        if let Some(mut stdin) = self.stdin.take() {
+            // A worker that already exited is reaped like any other.
+            let _ = stdin.write_all(b"watch\n");
+        }
+    }
+
     fn outcome(mut self, status: io::Result<ExitStatus>) -> Outcome {
         if let Some(reader) = self.reader.take() {
             // Only reaped after end of stdout, the reader's last act.
@@ -448,7 +477,7 @@ impl<M: From<(u64, Option<String>)> + Send + 'static> Fleet<M> {
 
     /// Starts `<cmd> worker` (`None` = this executable) for `key`, writes
     /// the one-line `job` document to its stdin, and bounds the attempt by
-    /// `deadline` of wall-clock time.
+    /// `deadline` of wall-clock time. Stdin stays open for [`Fleet::watch`].
     ///
     /// # Errors
     ///
@@ -473,7 +502,8 @@ impl<M: From<(u64, Option<String>)> + Send + 'static> Fleet<M> {
             .map_err(|e| {
                 io::Error::new(e.kind(), format!("spawn of {} failed: {e}", cmd.display()))
             })?;
-        if let Some(mut stdin) = child.stdin.take() {
+        let mut stdin = child.stdin.take();
+        if let Some(stdin) = &mut stdin {
             // A worker that dies before reading its job must not take the
             // driver down with a broken pipe; its exit status covers it.
             // One write, so that the worker never waits mid-document for a
@@ -496,6 +526,7 @@ impl<M: From<(u64, Option<String>)> + Send + 'static> Fleet<M> {
         });
         let worker = Worker {
             child,
+            stdin,
             reader: Some(reader),
             deadline: deadline.map(|d| Instant::now() + d),
             killed_for_deadline: false,
@@ -520,7 +551,7 @@ impl<M> Fleet<M> {
             worker.lingered = Some(0);
             return None;
         };
-        match WorkerLine::parse(&text) {
+        match WorkerLine::parse(text) {
             Some(WorkerLine::Heartbeat(cycle)) => {
                 worker.last_heartbeat = Some(cycle);
                 return Some(WorkerLine::Heartbeat(cycle));
@@ -613,6 +644,21 @@ impl<M> Fleet<M> {
         self.rejected_lines
     }
 
+    /// Tells `key`'s worker that its partial snapshots are taken: writes
+    /// the `watch` line to its stdin and closes it, so an attempt is told
+    /// at most once. From its next checkpoint on the worker prints
+    /// `metrics` lines with their document instead of the bare marker.
+    pub fn watch(&mut self, key: u64) {
+        if let Some(worker) = self.workers.get_mut(&key) {
+            worker.watch();
+        }
+    }
+
+    /// [`Fleet::watch`] for every live worker (a `tail` subscribed).
+    pub fn watch_all(&mut self) {
+        self.workers.values_mut().for_each(Worker::watch);
+    }
+
     /// `SIGTERM`s `key`'s worker so that it checkpoint-parks; `false` when
     /// the key has no live worker.
     pub fn terminate(&self, key: u64) -> bool {
@@ -676,24 +722,35 @@ pub fn build_config(topology: Topology, small: bool, scramble: bool) -> ClusterC
 ///
 /// # Errors
 ///
-/// A description of the first malformed entry.
+/// A description of the first malformed entry: no `=`, an unknown or
+/// repeated key, an unknown topology, a flag that is not `true`/`false`;
+/// or a spec without a topology.
 pub fn parse_config_spec(spec: &str) -> Result<ClusterConfig, String> {
-    let mut topology = None;
-    let mut small = false;
-    let mut scramble = true;
+    fn once<T>(slot: &mut Option<T>, key: &str, value: T) -> Result<(), String> {
+        match slot.replace(value) {
+            Some(_) => Err(format!("config spec repeats `{key}`")),
+            None => Ok(()),
+        }
+    }
+    let (mut topology, mut small, mut scramble) = (None, None, None);
     for part in spec.split(',') {
         let (key, value) = part
             .split_once('=')
             .ok_or_else(|| format!("bad config spec entry `{part}`"))?;
+        let flag = || match value {
+            "true" => Ok(true),
+            "false" => Ok(false),
+            _ => Err(format!("config spec `{key}` is `{value}`, not true or false")),
+        };
         match key {
-            "topology" => topology = Some(value.parse()?),
-            "small" => small = value == "true",
-            "scramble" => scramble = value == "true",
+            "topology" => once(&mut topology, key, value.parse()?)?,
+            "small" => once(&mut small, key, flag()?)?,
+            "scramble" => once(&mut scramble, key, flag()?)?,
             other => return Err(format!("unknown config spec key `{other}`")),
         }
     }
     let topology = topology.ok_or_else(|| "config spec lacks a topology".to_owned())?;
-    let mut config = build_config(topology, small, scramble);
+    let mut config = build_config(topology, small.unwrap_or(false), scramble.unwrap_or(true));
     config.resilience = mempool::ResilienceConfig::standard();
     Ok(config)
 }
@@ -717,6 +774,84 @@ mod tests {
         assert!(parse_config_spec("small=true").is_err(), "topology required");
         assert!(parse_config_spec("topology=weird").is_err());
         assert!(parse_config_spec("nonsense").is_err());
+    }
+
+    /// A flag is `true` or `false`, and a key is given once: nothing else
+    /// is read as `false` or silently overrides an earlier entry.
+    #[test]
+    fn config_spec_rejects_lenient_flags_and_repeated_keys() {
+        for (spec, why) in [
+            ("topology=top1,small=yes", "config spec `small` is `yes`, not true or false"),
+            ("topology=top1,scramble=1", "config spec `scramble` is `1`, not true or false"),
+            ("topology=top1,small=", "config spec `small` is ``, not true or false"),
+            ("topology=top1,small=True", "config spec `small` is `True`, not true or false"),
+            ("topology=top1,small=true,small=false", "config spec repeats `small`"),
+            ("topology=top1,scramble=true,scramble=true", "config spec repeats `scramble`"),
+            ("topology=top1,topology=topH", "config spec repeats `topology`"),
+        ] {
+            assert_eq!(parse_config_spec(spec).err().as_deref(), Some(why), "{spec}");
+        }
+        // Defaults stand for missing flags; order is free.
+        assert_eq!(
+            parse_config_spec("scramble=false,topology=top4"),
+            parse_config_spec("topology=top4,small=false,scramble=false")
+        );
+    }
+
+    /// Seeded corpus over the 16 rendered specs: truncations, splices of
+    /// separators, keys and values, and raw byte edits. Every case is an
+    /// `Err` or one of the 16 canonical configs, never a panic.
+    #[test]
+    fn config_spec_parser_answers_a_seeded_corpus_with_an_error_or_a_canonical_config() {
+        let mut canonical = Vec::new();
+        for topology in [Topology::Ideal, Topology::Top1, Topology::Top4, Topology::TopH] {
+            for small in [false, true] {
+                for scramble in [false, true] {
+                    let spec = render_config_spec(topology, small, scramble);
+                    let config = parse_config_spec(&spec).expect("a rendered spec parses");
+                    canonical.push((spec, config));
+                }
+            }
+        }
+        let splices = [
+            ",", "=", ",,", "small=", "=true", "true", "false", "topology=", "topH", "scramble",
+            " ", "\u{0}", "é", "small=false,", ",topology=top1",
+        ];
+        let mut rng = StdRng::seed_from_u64(0x636f_6e66_6967);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..3_000 {
+            let mut bytes = canonical[rng.gen_range(0..canonical.len())].0.clone().into_bytes();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let at = rng.gen_range(0..bytes.len() + 1);
+                match rng.gen_range(0..4u32) {
+                    0 => bytes.truncate(at),
+                    1 => {
+                        let splice = splices[rng.gen_range(0..splices.len())].bytes();
+                        bytes.splice(at..at, splice);
+                    }
+                    2 if at < bytes.len() => bytes[at] = rng.gen_range(0..256u32) as u8,
+                    _ if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            match parse_config_spec(&text) {
+                Ok(config) => {
+                    accepted += 1;
+                    assert!(
+                        canonical.iter().any(|(_, c)| *c == config),
+                        "{text:?} parsed to a config no rendered spec gives"
+                    );
+                }
+                Err(why) => {
+                    rejected += 1;
+                    assert!(!why.is_empty(), "{text:?}");
+                }
+            }
+        }
+        assert!(accepted > 25 && rejected > 1_000, "{accepted} accepted, {rejected} rejected");
     }
 
     #[test]
@@ -762,12 +897,24 @@ mod tests {
             WorkerLine::Metrics {
                 key: "cycle",
                 at: 4_096,
-                doc: "{\n  \"schema\": \"mempool-metrics-v2\", \"q\": \"a\\\"b,c\"\n}\n".to_owned(),
+                doc: Some(
+                    "{\n  \"schema\": \"mempool-metrics-v2\", \"q\": \"a\\\"b,c\"\n}\n".to_owned(),
+                ),
             },
             WorkerLine::Metrics {
                 key: "trials",
                 at: 3,
-                doc: String::new(),
+                doc: Some(String::new()),
+            },
+            WorkerLine::Metrics {
+                key: "cycle",
+                at: 256,
+                doc: None,
+            },
+            WorkerLine::Metrics {
+                key: "trials",
+                at: 0,
+                doc: None,
             },
             WorkerLine::Parked(17),
             WorkerLine::Result("{\"outcome\":\"completed\",\"cycles\":477}".to_owned()),
@@ -787,13 +934,21 @@ mod tests {
         for line in every_variant() {
             let text = line.to_string();
             assert!(!text.contains('\n'), "{text:?}");
-            assert_eq!(WorkerLine::parse(&text), Some(line), "{text:?}");
+            assert_eq!(WorkerLine::parse(text.clone()), Some(line), "{text:?}");
         }
         // What the reader thread hands over still carries the line ending.
         assert_eq!(
-            WorkerLine::parse("heartbeat 512\r\n"),
+            WorkerLine::parse("heartbeat 512\r\n".to_owned()),
             Some(WorkerLine::Heartbeat(512))
         );
+        let payload = WorkerLine::Result("{\"é\":1} x".to_owned());
+        assert_eq!(
+            WorkerLine::parse("result  {\"é\":1} x \r\n".to_owned()),
+            Some(payload)
+        );
+        // The marker is the snapshot line without its document.
+        let marker = WorkerLine::Metrics { key: "cycle", at: 512, doc: None };
+        assert_eq!(marker.to_string(), "metrics {\"cycle\":512}");
         // A payload never spans lines, whatever it was built from.
         assert_eq!(WorkerLine::Error("a\nb".to_owned()).to_string(), "error a b");
         for garbage in [
@@ -808,13 +963,15 @@ mod tests {
             "result",
             "result   ",
             "stopped panic boom",
-            "metrics {\"cycle\":1}",
             "metrics {\"doc\":\"x\"}",
+            "metrics {\"cycle\":1,\"doc\":null}",
+            "metrics {\"trials\":1,\"doc\":7}",
+            "metrics {}",
             "metrics {\"cycle\":1,\"trials\":2,\"doc\":\"x\"}",
             "metrics {\"cycle\":\"1,\\\"final\\\":true\",\"doc\":\"x\"}",
             "Heartbeat 5",
         ] {
-            assert_eq!(WorkerLine::parse(garbage), None, "{garbage:?}");
+            assert_eq!(WorkerLine::parse(garbage.to_owned()), None, "{garbage:?}");
         }
     }
 
@@ -850,11 +1007,11 @@ mod tests {
                 bytes.splice(at..at, insert.iter().copied());
             }
             let text = String::from_utf8_lossy(&bytes);
-            if let Some(line) = WorkerLine::parse(&text) {
+            if let Some(line) = WorkerLine::parse(text.to_string()) {
                 typed += 1;
                 let rendered = line.to_string();
                 assert!(!rendered.contains('\n'), "{text:?} -> {rendered:?}");
-                let again = WorkerLine::parse(&rendered).map(|l| l.to_string());
+                let again = WorkerLine::parse(rendered.clone()).map(|l| l.to_string());
                 assert_eq!(again, Some(rendered), "{text:?}");
             }
         }
@@ -990,6 +1147,37 @@ mod tests {
             }
         }
 
+        /// Stdin stays open after the job document until `watch` writes its
+        /// one line and closes it; a second `watch` of the attempt writes
+        /// nothing.
+        #[test]
+        fn watch_writes_one_line_then_closes_stdin() {
+            let (mut fleet, rx) = new_fleet(no_backoff());
+            let shell = "read -r w; read -r x || echo \"result $w then eof\"";
+            fleet.spawn(6, Some(sh_worker()), shell, None).expect("spawns");
+            fleet.watch(6);
+            fleet.watch(6);
+            fleet.watch(7); // no such worker
+            let done = Outcome::Result("watch then eof".to_owned());
+            assert_eq!(reap_one(&mut fleet, &rx), (6, done));
+            // Unwatched, the worker's stdin is still open: it reads nothing.
+            let shell = "read -r w; echo \"result $w\"";
+            let deadline = Some(Duration::from_millis(300));
+            fleet.spawn(8, Some(sh_worker()), shell, deadline).expect("spawns");
+            let killed = "deadline exceeded (worker killed)".to_owned();
+            let timeout = Outcome::Failed(FailureKind::Timeout, killed);
+            assert_eq!(reap_one(&mut fleet, &rx), (8, timeout));
+            // `watch_all` reaches every live worker.
+            for key in [1, 2] {
+                fleet.spawn(key, Some(sh_worker()), shell, None).expect("spawns");
+            }
+            fleet.watch_all();
+            let mut reaped = [reap_one(&mut fleet, &rx), reap_one(&mut fleet, &rx)];
+            reaped.sort_by_key(|(key, _)| *key);
+            let watched = Outcome::Result("watch".to_owned());
+            assert_eq!(reaped, [(1, watched.clone()), (2, watched)]);
+        }
+
         #[test]
         fn kills_on_deadline_even_after_stdout_closed() {
             let deadline = Some(Duration::from_millis(150));
@@ -1105,7 +1293,7 @@ mod tests {
             else {
                 panic!("expected the pid heartbeat");
             };
-            let Some(WorkerLine::Heartbeat(pid)) = WorkerLine::parse(&line) else {
+            let Some(WorkerLine::Heartbeat(pid)) = WorkerLine::parse(line.clone()) else {
                 panic!("expected the pid heartbeat, got {line:?}");
             };
             assert!(Path::new(&format!("/proc/{pid}")).exists());

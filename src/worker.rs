@@ -5,11 +5,13 @@
 //!
 //! The job document arrives as one flat-JSON line on stdin; its `kind`
 //! selects the runner (`run`, `campaign`, `bench`; a campaign document with
-//! a `trial` field is one trial of a `campaign --isolate` run). Progress
-//! and the result go back as [`WorkerLine`]s on stdout. The process exits 0
-//! (done, or stopped cooperatively), 3 (checkpoint-parked on
-//! `SIGTERM`/`SIGINT`), or nonzero (failed — the supervisor classifies the
-//! exit and retries from the checkpoint).
+//! a `trial` field is one trial of a `campaign --isolate` run). A `watch`
+//! line may follow it at any time: from then on a partial snapshot is
+//! rendered into each `metrics` line, which until then is the doc-less
+//! marker. Progress and the result go back as [`WorkerLine`]s on stdout.
+//! The process exits 0 (done, or stopped cooperatively), 3
+//! (checkpoint-parked on `SIGTERM`/`SIGINT`), or nonzero (failed — the
+//! supervisor classifies the exit and retries from the checkpoint).
 
 use crate::bench::{run_bench_supervised, BenchConfig};
 use mempool::json::{self, Fields, Layout};
@@ -21,10 +23,21 @@ use mempool_traffic::{
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Exit status of a checkpoint-parked worker.
 const PARKED: u8 = 3;
+
+/// Raised by the supervisor's `watch` line ([`mempool_traffic::Fleet::watch`]):
+/// a subscriber takes this job's partial snapshots.
+static WATCHED: AtomicBool = AtomicBool::new(false);
+
+/// The document of a `metrics` line: `render`ed once the job is
+/// [`WATCHED`], else `None`, the marker. Which of the two a line carries
+/// never changes the job, so watched and unwatched runs stay bit-identical.
+fn snapshot(render: impl FnOnce() -> String) -> Option<String> {
+    WATCHED.load(Ordering::Relaxed).then(render)
+}
 
 /// The one place a protocol line reaches stdout (line-buffered by the
 /// standard library, so each line is flushed as it is printed).
@@ -48,6 +61,13 @@ fn job() -> Result<ExitCode, String> {
     std::io::stdin()
         .read_line(&mut line)
         .map_err(|e| format!("reading the job document: {e}"))?;
+    // The rest of stdin is at most the `watch` line; the supervisor closes
+    // it after writing one.
+    std::thread::spawn(|| {
+        if std::io::stdin().lines().any(|line| line.is_ok_and(|l| l == "watch")) {
+            WATCHED.store(true, Ordering::Relaxed);
+        }
+    });
     let (ckpt, spec, trial) = read_job(&line)?;
     match (spec, trial) {
         (JobSpec::Run(spec), _) => run_worker(&spec, &ckpt),
@@ -108,16 +128,15 @@ fn trial_worker(
     Ok(ExitCode::SUCCESS)
 }
 
-/// Streams a mid-job `mempool-metrics-v2` snapshot. A pure read of
-/// recorder state the digest already covers — emitting (or not emitting)
-/// one never changes the simulation, which is what keeps watched and
-/// unwatched runs bit-identical.
+/// Streams a mid-job `mempool-metrics-v2` snapshot of a metered run, or
+/// its marker. The snapshot is a pure read of recorder state the digest
+/// already covers.
 fn emit_partial_metrics<C: mempool::Core + mempool::CoreState>(session: &SimSession<C>) {
-    if let Some(partial) = session.partial_metrics() {
+    if session.observability_enabled() {
         emit(WorkerLine::Metrics {
             key: "cycle",
             at: session.now(),
-            doc: partial.to_json(),
+            doc: snapshot(|| session.metrics_registry().to_json()),
         });
     }
 }
@@ -199,7 +218,8 @@ fn run_worker(spec: &RunSpec, ckpt: &Path) -> Result<ExitCode, String> {
 /// A daemon `campaign` job: the campaign on the in-process [`Executor`]
 /// under its default retry policy, as under `mempool-run campaign`, against
 /// the manifest beside the job's checkpoint path ([`job_files`]).
-/// Heartbeats stream per chunk, the partial report per recorded trial.
+/// Heartbeats stream per chunk, the partial report (or its marker) per
+/// recorded trial.
 fn campaign_worker(spec: &CampaignSpec, ckpt: &Path) -> Result<ExitCode, String> {
     let (config, campaign) = spec.campaign()?;
     let exec = ExecutorConfig {
@@ -213,7 +233,7 @@ fn campaign_worker(spec: &CampaignSpec, ckpt: &Path) -> Result<ExitCode, String>
             Progress::Recorded(report) => WorkerLine::Metrics {
                 key: "trials",
                 at: report.trials.len() as u64,
-                doc: report.to_json(),
+                doc: snapshot(|| report.to_json()),
             },
         })
     };

@@ -163,19 +163,24 @@ fn sigkilled_worker_retries_to_bit_identical_results() {
     sigkill_a_worker("sigkill", &LIGHT, |_| true);
 }
 
+/// Whether the trial in flight of the campaign whose manifest is
+/// `<dir>/<manifest>` has written its checkpoint (`<manifest>.ckpt.<seed>`).
+fn trial_checkpointed(dir: &Path, manifest: &str) -> bool {
+    let prefix = format!("{manifest}.ckpt.");
+    std::fs::read_dir(dir).is_ok_and(|entries| {
+        entries.flatten().any(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            name.strip_prefix(&prefix)
+                .is_some_and(|seed| seed.parse::<u64>().is_ok())
+        })
+    })
+}
+
 #[test]
 fn a_worker_sigkilled_mid_backlog_resumes_from_stored_entries_then_redraws() {
-    // Only once the trial in flight has written a checkpoint
-    // (`killed.manifest.ckpt.<seed>`), so that the retry restores a backlog.
-    let checkpointed = |dir: &Path| {
-        std::fs::read_dir(dir).is_ok_and(|entries| {
-            entries.flatten().any(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                name.strip_prefix("killed.manifest.ckpt.")
-                    .is_some_and(|seed| seed.parse::<u64>().is_ok())
-            })
-        })
-    };
+    // Only once the trial in flight has written a checkpoint, so that the
+    // retry restores a backlog.
+    let checkpointed = |dir: &Path| trial_checkpointed(dir, "killed.manifest");
     sigkill_a_worker("sigkill-saturated", &SATURATED, checkpointed);
 }
 
@@ -188,14 +193,22 @@ fn sigterm_interrupt_exits_3_and_resumes_bit_identically() {
     let json = dir.join("interrupted.json");
     let mut child = campaign(&LIGHT, &manifest, &json).spawn().expect("campaign spawns");
 
-    // Give the campaign time to get a trial genuinely in flight, then
-    // interrupt it. The workload is far slower than 62 trials/second in
-    // a debug build, so it cannot have finished yet.
-    std::thread::sleep(Duration::from_millis(500));
-    assert!(
-        child.try_wait().expect("wait works").is_none(),
-        "campaign finished before it could be interrupted; grow the workload"
-    );
+    // Interrupt the campaign once its first trial is genuinely in flight:
+    // it has written a checkpoint, so the campaign has that trial and two
+    // more to go. A fixed sleep raced an optimised build, which finishes
+    // all three trials in about a third of a second.
+    let started = Instant::now();
+    while !trial_checkpointed(&dir, "interrupted.manifest") {
+        assert!(
+            child.try_wait().expect("wait works").is_none(),
+            "campaign finished before its first trial checkpoint was seen"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "no trial checkpoint within a minute"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     signal(child.id(), "-TERM");
     let status = wait_with_deadline(&mut child, Duration::from_secs(60));
     assert_eq!(
