@@ -149,3 +149,69 @@ fn digests_match_the_values_recorded_before_the_rewrite() {
         "state digests moved; the run produced:\n{table}"
     );
 }
+
+/// `(image, fnv64 of the whole checkpoint image)`: the header, the input
+/// section (fault-plan parameters and scheduled bank failures) and the state
+/// section, pinned byte for byte rather than against an encoder of the
+/// same code.
+const PINNED_IMAGES: &[(&str, u64)] = &[
+    ("snitch/top1/mid-run", 0xc5473dad281fe343),
+    ("traffic/topH/faults", 0xc2752cca39835199),
+    ("session/topH/obs+profile", 0x74a6f220cc2ba7fe),
+];
+
+/// Every core stores over its own slice of interleaved L1 and loads it
+/// back, so banks fill while requests are in flight.
+fn store_load_program() -> mempool_riscv::Program {
+    mempool_riscv::assemble(
+        "csrr t0, mhartid
+         li   t2, 0x10000
+         slli t3, t0, 7
+         add  t3, t3, t2
+         li   t4, 32
+         loop: sw t3, 0(t3)
+         lw   t5, 0(t3)
+         addi t3, t3, 4
+         addi t4, t4, -1
+         bnez t4, loop
+         ecall",
+    )
+    .expect("assembles")
+}
+
+fn image_digest(snap: &mempool::ClusterSnapshot) -> u64 {
+    mempool::snapshot::fnv64(snap.as_bytes())
+}
+
+#[test]
+fn whole_images_match_the_values_recorded_before_the_walk() {
+    let mut snitch = Cluster::snitch(ClusterConfig::small(Topology::Top1)).expect("valid");
+    snitch.load_program(&store_load_program()).expect("decodes");
+    snitch.step_cycles(150);
+    assert!(!snitch.cores().iter().all(Core::done));
+
+    let mut traffic = traffic_cluster(config(Topology::TopH, 64, true));
+    let spec: FaultSpec = FAULTS.parse().expect("valid spec");
+    traffic.install_fault_plan(Some(FaultPlan::new(11, spec)));
+    traffic.step_cycles(1_500);
+    assert!(traffic.quarantined_banks() > 0 && traffic.stats().faults.request_retries > 0);
+
+    let mut session = mempool::SimSession::builder(ClusterConfig::small(Topology::TopH))
+        .observability(mempool::ObsConfig { trace_sample_every: 4, trace_capacity: 512 })
+        .profile(mempool::ProfileConfig { max_pcs: 64, power_window: 64 })
+        .build_snitch()
+        .expect("builds");
+    session.load_program(&store_load_program()).expect("decodes");
+    session.cluster_mut().step_cycles(200);
+
+    let actual = [
+        ("snitch/top1/mid-run", image_digest(&snitch.snapshot())),
+        ("traffic/topH/faults", image_digest(&traffic.snapshot())),
+        ("session/topH/obs+profile", image_digest(&session.snapshot())),
+    ];
+    let table: String = actual
+        .iter()
+        .map(|(name, digest)| format!("    (\"{name}\", {digest:#018x}),\n"))
+        .collect();
+    assert!(actual == PINNED_IMAGES, "checkpoint images moved; the run produced:\n{table}");
+}
