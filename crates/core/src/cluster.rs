@@ -17,10 +17,11 @@ use mempool_noc::Ring;
 use mempool_snitch::{DataRequest, DataRequestKind, DataResponse};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use crate::snapshot::{at, walk_fields, Place, SnapshotError, StateIo, Walk, Walked};
 
 /// A refill transaction on the I-cache ring (§III-B's "low-overhead refill
 /// network").
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RefillPacket {
     pub(crate) tile: usize,
     pub(crate) line: u32,
@@ -249,7 +250,7 @@ impl std::error::Error for RunTimeoutError {}
 /// Retry-layer bookkeeping for one in-flight request, keyed by
 /// `(core, tag)`. `last_sent` distinguishes a live (re)issue from a stale
 /// response still draining out of the network after a retry.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PendingRequest {
     pub(crate) addr: u32,
     pub(crate) kind: DataRequestKind,
@@ -384,9 +385,9 @@ impl DebugMutations {
 impl<C> Cluster<C> {
     /// Re-seeds the sanitizer's in-flight view from the retry layer (after
     /// a snapshot restore rewound the cluster under it). Bound-free so the
-    /// snapshot machinery (generic only over [`CoreState`]) can call it.
+    /// snapshot machinery (generic only over [`Walk`]) can call it.
     ///
-    /// [`CoreState`]: crate::snapshot::CoreState
+    /// [`Walk`]: crate::snapshot::Walk
     pub(crate) fn resync_sanitizer(&mut self) {
         if self.sanitizer.is_none() {
             return;
@@ -1778,5 +1779,39 @@ impl Cluster<mempool_snitch::SnitchCore> {
             total.halted_cycles += s.halted_cycles;
         }
         total
+    }
+}
+
+walk_fields! {
+    PendingRequest { addr, kind, issued_at, last_sent, retries }
+    RefillPacket { tile, line }
+}
+
+/// Each stop's link slot, each stop's output queue, the requests L2 is
+/// serving, then the injection and ejection counters.
+impl Walk for RefillRing {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        let get = |ring: &mempool_noc::Ring<RefillPacket>| {
+            let slots = ring.slots().map(|s| s.map(|(dest, p)| (dest, *p)));
+            let outputs = (0..ring.stops()).map(|stop| ring.output(stop).copied().collect());
+            (slots.collect::<Vec<_>>(), outputs.collect::<Vec<Vec<_>>>())
+        };
+        let set = |ring: &mut mempool_noc::Ring<RefillPacket>, (slots, outputs): (Vec<Option<(usize, _)>>, _)| {
+            if slots.iter().flatten().any(|&(dest, _)| dest >= ring.stops()) {
+                return Err(SnapshotError::Corrupt("ring destination"));
+            }
+            ring.load(slots, outputs);
+            Ok(())
+        };
+        io.via(at!(this.ring), get, set, |io, mut v| {
+            io.walk(at!(v.0[..]))?;
+            io.walk(at!(v.1[..]))
+        })?;
+        io.walk(at!(this.serving))?;
+        let set = |ring: &mut mempool_noc::Ring<RefillPacket>, (injected, ejected)| {
+            ring.set_counters(injected, ejected);
+            Ok(())
+        };
+        io.via(at!(this.ring), |r| (r.injected(), r.ejected()), set, Walk::walk)
     }
 }

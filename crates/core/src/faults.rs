@@ -29,6 +29,7 @@ use std::fmt;
 use mempool_rng::{splitmix64_mix, Rng, SeedableRng, StdRng};
 
 use crate::cluster::RunTimeoutError;
+use crate::snapshot::{at, variant, walk_fields, Place, SnapshotError, StateIo, Walk, Walked};
 
 /// Fault probabilities and counts, parsed from a `key=value,...` spec string.
 ///
@@ -185,7 +186,7 @@ impl fmt::Display for FaultSpec {
 }
 
 /// A permanent bank failure scheduled by a [`FaultPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BankFailure {
     /// Cycle at which the bank dies.
     pub cycle: u64,
@@ -489,21 +490,6 @@ impl FaultLog {
         self.capacity
     }
 
-    /// Reconstructs a log from checkpointed parts (events must not exceed
-    /// `capacity`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `events` is longer than `capacity`.
-    pub fn from_parts(events: Vec<FaultEvent>, capacity: usize, dropped: u64) -> FaultLog {
-        assert!(events.len() <= capacity, "fault log overflows its capacity");
-        FaultLog {
-            events,
-            capacity,
-            dropped,
-        }
-    }
-
     /// Number of retained events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -638,6 +624,50 @@ impl fmt::Display for BusError {
 }
 
 impl std::error::Error for BusError {}
+
+/// The tag, the cycle, then the variant's fields.
+impl Walk for FaultEvent {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        use FaultEvent::*;
+        let blanks = [
+            BankFailed { cycle: 0, tile: 0, bank: 0, substitute: None },
+            RequestAbandoned { cycle: 0, core: 0, addr: 0, retries: 0 },
+            CoreLocked { cycle: 0, core: 0, until: 0 },
+        ];
+        variant(io, &mut this, &blanks, "fault event kind")?;
+        io.maybe(at!(this, BankFailed { cycle: c, .. } | RequestAbandoned { cycle: c, .. } | CoreLocked { cycle: c, .. } => c))?;
+        io.maybe(at!(this, BankFailed { tile: n, .. } | RequestAbandoned { core: n, .. } | CoreLocked { core: n, .. } => n))?;
+        io.maybe(at!(this, BankFailed { bank, .. } => bank))?;
+        io.maybe(at!(this, BankFailed { substitute, .. } => substitute))?;
+        io.maybe(at!(this, RequestAbandoned { addr, .. } => addr))?;
+        io.maybe(at!(this, RequestAbandoned { retries, .. } => retries))?;
+        io.maybe(at!(this, CoreLocked { until, .. } => until))
+    }
+}
+
+
+/// Capacity, dropped count, then the events (never more than the capacity).
+impl Walk for FaultLog {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        io.walk(at!(this.capacity))?;
+        io.walk(at!(this.dropped))?;
+        let blank = || FaultEvent::CoreLocked { cycle: 0, core: 0, until: 0 };
+        io.seq(at!(this.events), blank, Walk::walk)?;
+        match this.loading() {
+            Some(log) if log.events.len() > log.capacity => Err(SnapshotError::Corrupt("fault log length")),
+            _ => Ok(()),
+        }
+    }
+}
+
+
+walk_fields! {
+    BankFailure { cycle, tile, bank }
+    FaultSpec {
+        bank_fail, bank_stall, link_stall, link_drop, link_corrupt, ring_stall, ring_drop,
+        core_lockup, spurious_retire,
+    }
+}
 
 #[cfg(test)]
 mod tests {

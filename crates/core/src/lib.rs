@@ -98,8 +98,8 @@ pub use sanitize::{
 };
 pub use session::{SimSession, SimSessionBuilder};
 pub use snapshot::{
-    bisect_divergence, ByteReader, ClusterSnapshot, ComponentDiff, CoreState, DivergenceReport,
-    Fnv, SnapshotError, StateSink,
+    bisect_divergence, ByteReader, ClusterSnapshot, ComponentDiff, DivergenceReport, Fnv, Place,
+    SnapshotError, StateIo, StateSink, Walk, Walked,
 };
 pub use stats::{ClusterStats, FaultStats, LatencyStats};
 pub use tile::ProgramImage;

@@ -18,6 +18,7 @@ use crate::tile::{BankGate, Tile};
 use crate::{ClusterConfig, Request, Response, Topology};
 use mempool_mem::AddressMap;
 use mempool_noc::{ElasticBuffer, Fabric, Requests, RoundRobin};
+use crate::snapshot::{at, Place, StateIo, Walk, Walked};
 
 /// Direction indices for TopH ports: L is port 0, then N/NE/E.
 const DIR_PARTNER_XOR: [usize; 3] = [2, 3, 1]; // N, NE, E
@@ -949,6 +950,68 @@ fn port_between(tpg: usize, src: usize, dst: usize) -> usize {
     }
 }
 
+/// The registers in order; loading re-derives the row's occupancy.
+impl<T: Walk + Default + Copy> Walk for RegRow<T> {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        io.walk(this.at(RegRow::regs, RegRow::regs_mut))?;
+        if let Some(row) = this.loading() {
+            row.resync();
+        }
+        Ok(())
+    }
+}
+
+
+/// A counted list of arbiters.
+fn rr_list<Io: StateIo>(io: &mut Io, mut rrs: Place<'_, Io, Vec<RoundRobin>>) -> Walked {
+    io.count(rrs.len(), "round-robin arbiter count")?;
+    io.walk(rrs.at(|v| &v[..], |v| &mut v[..]))
+}
+
+
+/// The arbiters ahead of the register rows, the rows in link-id order,
+/// then the fabrics behind them.
+impl Walk for Net {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        if let Some(mut net) = at!(this, Net::Ideal(net) => net) {
+            return rr_list(io, at!(net.rr));
+        }
+        if let Some(net) = at!(this, Net::Global(net) => net) {
+            return io.walk(net);
+        }
+        let net = at!(this, Net::Hier(net) => net);
+        io.walk(net.expect("one of three topologies"))
+    }
+}
+
+impl Walk for GlobalNet {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        rr_list(io, at!(this.rr_concentrator))?;
+        io.walk(at!(this.master_req))?;
+        io.walk(at!(this.master_resp))?;
+        io.walk(at!(this.mid_req[..]))?;
+        io.walk(at!(this.mid_resp[..]))?;
+        io.walk(at!(this.req_a[..]))?;
+        io.walk(at!(this.req_b[..]))?;
+        io.walk(at!(this.resp_a[..]))?;
+        io.walk(at!(this.resp_b[..]))
+    }
+}
+
+impl Walk for HierNet {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        io.walk(at!(this.port_router[..]))?;
+        io.walk(at!(this.master_req))?;
+        io.walk(at!(this.master_resp))?;
+        io.walk(at!(this.boundary_req))?;
+        io.walk(at!(this.boundary_resp))?;
+        io.walk(at!(this.local_req[..]))?;
+        io.walk(at!(this.local_resp[..]))?;
+        io.walk(at!(this.inter_req[..]))?;
+        io.walk(at!(this.inter_resp[..]))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1001,19 +1064,11 @@ mod tests {
         }
     }
 
-    impl crate::CoreState for UniformLoads {
-        fn encode_state(&self, out: &mut dyn crate::StateSink) {
-            out.put_u64(self.rng);
-            out.put_u8(self.free_tags);
-        }
-
-        fn decode_state(
-            &mut self,
-            r: &mut crate::ByteReader<'_>,
-        ) -> Result<(), crate::SnapshotError> {
-            self.rng = r.take_u64()?;
-            self.free_tags = r.take_u8()?;
-            Ok(())
+    impl crate::Walk for UniformLoads {
+        fn walk<Io: crate::StateIo>(io: &mut Io, mut this: crate::Place<'_, Io, Self>) -> crate::Walked {
+            use crate::snapshot::at;
+            io.walk(at!(this.rng))?;
+            io.walk(at!(this.free_tags))
         }
     }
 

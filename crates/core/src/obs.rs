@@ -33,6 +33,7 @@
 use crate::json::{self, Arr, Layout, Obj};
 use crate::stats::LatencyStats;
 use std::fmt::{self, Display};
+use crate::snapshot::{at, walk_fields, Place, StateIo, Walk, Walked};
 
 /// Schema tag stamped into every metrics export.
 ///
@@ -84,7 +85,7 @@ impl ObsConfig {
 
 /// One sampled request span: a core's memory request from issue to
 /// response delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceSpan {
     /// Issuing core (global index).
     pub core: u32,
@@ -577,6 +578,23 @@ impl MetricsRegistry {
                 })
         })
     }
+}
+
+/// The recorder's configuration, the per-tile histograms, the sampled
+/// spans and the sampling counters.
+impl Walk for Obs {
+    fn walk<Io: StateIo>(io: &mut Io, mut obs: Place<'_, Io, Self>) -> Walked {
+        io.walk(at!(obs.config.trace_sample_every))?;
+        io.walk(at!(obs.config.trace_capacity))?;
+        io.walk(at!(obs.tile_latency[..]))?;
+        io.walk(at!(obs.spans))?;
+        io.walk(at!(obs.deliveries_seen))?;
+        io.walk(at!(obs.dropped_spans))
+    }
+}
+
+walk_fields! {
+    TraceSpan { core, tile, issued_at, latency }
 }
 
 #[cfg(test)]

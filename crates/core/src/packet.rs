@@ -2,6 +2,7 @@
 //! recorded memory traces.
 
 use mempool_snitch::DataRequestKind;
+use crate::snapshot::{at, walk_fields, Place, StateIo, Walk, Walked};
 
 /// One recorded memory request of a core (programmer-view address, i.e.
 /// before hybrid-addressing scrambling).
@@ -80,7 +81,7 @@ impl MemoryTrace {
 /// A memory request in flight, carrying the routing metadata the paper's
 /// interconnect transports: the issuing core (for the return path) and the
 /// reorder-buffer tag (for response matching).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Request {
     /// Global core index of the issuer.
     pub core: u32,
@@ -95,7 +96,7 @@ pub struct Request {
 }
 
 /// A memory response in flight back to its core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Response {
     /// Global core index of the original issuer (routing destination).
     pub core: u32,
@@ -107,4 +108,9 @@ pub struct Response {
     pub issued_at: u64,
     /// Whether the original request was a write (for statistics).
     pub is_write: bool,
+}
+
+walk_fields! {
+    Request { core, tag, addr, kind, issued_at }
+    Response { core, tag, data, issued_at, is_write }
 }

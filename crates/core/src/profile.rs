@@ -31,6 +31,7 @@ use mempool_snitch::profile::{
     region_name, stall_index, CoreProfile, RegionCounters, REGION_SLOTS, STALL_CAUSES,
 };
 use std::fmt::Write as _;
+use crate::snapshot::{at, walk_fields, Place, StateIo, Walk, Walked};
 
 /// Metrics-counter names for per-region stall cycles, indexed like
 /// [`STALL_CAUSES`] (`stall_` + `mempool_snitch::profile::stall_name`).
@@ -255,6 +256,38 @@ pub fn aggregate_regions<'a>(
         }
     }
     total
+}
+
+/// The profiler's configuration, the open window's mark, then the closed
+/// windows (each with one activity record per tile, uncounted).
+impl Walk for Profiler {
+    fn walk<Io: StateIo>(io: &mut Io, mut p: Place<'_, Io, Self>) -> Walked {
+        io.walk(at!(p.config.max_pcs))?;
+        io.walk(at!(p.config.power_window))?;
+        io.walk(at!(p.window_start))?;
+        io.walk(at!(p.mark.tiles[..]))?;
+        io.walk(at!(p.mark.local_requests))?;
+        io.walk(at!(p.mark.remote_requests))?;
+        let tiles = p.mark.tiles.len();
+        let new = || PowerWindow {
+            start: 0,
+            end: 0,
+            tiles: vec![TileActivity::default(); tiles],
+            local_requests: 0,
+            remote_requests: 0,
+        };
+        io.seq(at!(p.windows), new, |io, mut w| {
+            io.walk(at!(w.start))?;
+            io.walk(at!(w.end))?;
+            io.walk(at!(w.tiles[..]))?;
+            io.walk(at!(w.local_requests))?;
+            io.walk(at!(w.remote_requests))
+        })
+    }
+}
+
+walk_fields! {
+    TileActivity { instret, muls, divs, memory_ops, icache_fetches, icache_refills, bank_accesses }
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 
 use crate::faults::FaultPlan;
 use crate::obs::ObsConfig;
-use crate::snapshot::{ClusterSnapshot, CoreState};
+use crate::snapshot::{ClusterSnapshot, Walk};
 use crate::{Cluster, ClusterConfig, Core, CoreLocation, Error, SimError};
 use std::path::{Path, PathBuf};
 
@@ -74,7 +74,7 @@ impl SimSessionBuilder {
     /// Writes a checkpoint to `path` every `every` cycles during
     /// [`SimSession::run`] (atomically; the previous image is replaced).
     /// Requires a checkpointable core model — sessions over cores without
-    /// [`CoreState`] ignore this setting.
+    /// [`Walk`] ignore this setting.
     #[must_use]
     pub fn checkpoint_every(mut self, every: u64, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some((every.max(1), path.into()));
@@ -232,7 +232,7 @@ impl<C: Core> SimSession<C> {
     }
 }
 
-impl<C: Core + CoreState> SimSession<C> {
+impl<C: Core + Walk> SimSession<C> {
     /// Runs to completion within `max_cycles`, writing periodic
     /// checkpoints when the builder configured them.
     ///

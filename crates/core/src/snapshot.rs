@@ -4,8 +4,11 @@
 //! One byte encoding serves two purposes: serialized, it is the checkpoint
 //! image a [`ClusterSnapshot`] stores; hashed, it is the canonical
 //! [`state_digest`](Cluster::state_digest) that two runs can compare for
-//! bit-identity. Both views stream the same encoders into a [`StateSink`],
-//! so a digest always describes exactly what a snapshot would capture.
+//! bit-identity. Both views, and the restore, run the same walks: every
+//! stateful type has one [`Walk`] over a two-way [`StateIo`], which saves
+//! into any [`StateSink`] (a `Vec<u8>`, or an [`Fnv`] hasher) and loads from
+//! a [`ByteReader`]. An encoder and its decoder are therefore one piece of
+//! code and cannot disagree about a layout.
 //!
 //! The digest deliberately **excludes** the configuration, the program
 //! image, and the fault *plan parameters* (seed, spec, and the scheduled
@@ -15,17 +18,21 @@
 //! [`bisect_divergence`] compare a faulted run against a clean one and
 //! pinpoint the first cycle at which their architectural states part ways.
 
-use crate::cluster::{PendingRequest, RefillPacket, RefillRing};
-use crate::faults::{BankFailure, FaultEvent, FaultLog, FaultPlan, FaultSpec};
-use crate::net::{Net, RegRow, Row};
+use crate::faults::{FaultPlan, FaultSpec};
+use crate::obs::{Obs, ObsConfig};
+use crate::profile::Profiler;
 use crate::tile::Tile;
-use crate::{Cluster, ClusterConfig, Core, Request, Response};
+use crate::{Cluster, ClusterConfig, ProfileConfig};
+use mempool_mem::{CacheStats, ICache, QuarantineMap};
 use mempool_noc::{ElasticBuffer, Fabric, RoundRobin};
 use mempool_riscv::{AmoOp, LoadOp, Reg, StoreOp};
-use mempool_snitch::profile::{CoreProfile, PcCounters, RegionCounters, REGION_SLOTS};
-use mempool_snitch::{DataRequestKind, SnitchCore};
+use mempool_snitch::profile::{CoreProfile, PcCounters, RegionCounters};
+use mempool_snitch::{CoreStats, DataRequestKind, LsuSlotState, SnitchCore, SnitchState};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io;
+use std::mem::discriminant;
+use std::ops::Deref;
 use std::path::Path;
 
 /// FNV-1a offset basis (the digest over an empty byte stream).
@@ -73,11 +80,6 @@ pub trait StateSink {
     /// Appends a bool as one byte.
     fn put_bool(&mut self, v: bool) {
         self.put_u8(u8::from(v));
-    }
-
-    /// Appends an `f64` as its little-endian IEEE-754 bit pattern.
-    fn put_f64(&mut self, v: f64) {
-        self.put(&v.to_bits().to_le_bytes());
     }
 
     /// Appends a run of little-endian `u32`s — the bytes of a
@@ -239,55 +241,6 @@ impl<'a> ByteReader<'a> {
         Ok(slice)
     }
 
-    /// Takes one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] at end of stream.
-    pub fn take_u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Takes a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] at end of stream.
-    pub fn take_u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("length 4")))
-    }
-
-    /// Takes a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] at end of stream.
-    pub fn take_u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("length 8")))
-    }
-
-    /// Takes a bool (one byte; values other than 0/1 are corrupt).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] or [`SnapshotError::Corrupt`].
-    pub fn take_bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.take_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Corrupt("bool")),
-        }
-    }
-
-    /// Takes an `f64` stored as its IEEE-754 bit pattern.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] at end of stream.
-    pub fn take_f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.take_u64()?))
-    }
-
     /// Fills `words` with the next little-endian `u32`s — the reverse of
     /// [`StateSink::put_words`].
     ///
@@ -314,521 +267,700 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Core models that can checkpoint their architectural state into the
-/// canonical byte encoding — required of a core type `C` for
-/// [`Cluster::snapshot`] / [`Cluster::restore`] to be available on
-/// `Cluster<C>`.
-pub trait CoreState {
-    /// Streams the core's complete dynamic state into `out`.
-    fn encode_state(&self, out: &mut dyn StateSink);
-
-    /// Restores the core's state from its [`encode_state`] encoding.
-    ///
-    /// [`encode_state`]: CoreState::encode_state
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapshotError`] when the bytes are truncated or
-    /// structurally inconsistent with this core's configuration.
-    fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), SnapshotError>;
-}
-
 // ---------------------------------------------------------------------------
-// Field codecs for the ISA-level payload types.
+// The two-way walk.
 // ---------------------------------------------------------------------------
 
-fn put_load_op(out: &mut dyn StateSink, op: LoadOp) {
-    out.put_u8(match op {
-        LoadOp::Lb => 0,
-        LoadOp::Lh => 1,
-        LoadOp::Lw => 2,
-        LoadOp::Lbu => 3,
-        LoadOp::Lhu => 4,
-    });
-}
+/// What a walk returns. Saving cannot fail; loading fails on a truncated or
+/// inconsistent image.
+pub type Walked = Result<(), SnapshotError>;
 
-fn take_load_op(r: &mut ByteReader<'_>) -> Result<LoadOp, SnapshotError> {
-    Ok(match r.take_u8()? {
-        0 => LoadOp::Lb,
-        1 => LoadOp::Lh,
-        2 => LoadOp::Lw,
-        3 => LoadOp::Lbu,
-        4 => LoadOp::Lhu,
-        _ => return Err(SnapshotError::Corrupt("load op")),
-    })
-}
+/// One direction of a checkpoint walk. Every [`StateSink`] saves: the walk
+/// reads the state through shared references and streams its bytes out. A
+/// [`ByteReader`] loads: it reads the bytes and writes the state through
+/// exclusive references. A [`Walk`] is written once, generic over this
+/// trait, and instantiated for both, as `Iter` and `IterMut` are.
+pub trait StateIo: Sized {
+    /// How a walk holds what it visits: `&'a T` saving, `&'a mut T` loading.
+    type Ref<'a, T: ?Sized + 'a>;
 
-fn put_store_op(out: &mut dyn StateSink, op: StoreOp) {
-    out.put_u8(match op {
-        StoreOp::Sb => 0,
-        StoreOp::Sh => 1,
-        StoreOp::Sw => 2,
-    });
-}
+    /// Narrows a held place to a part of it, if it has that part.
+    fn try_at<'a, T: ?Sized, U: ?Sized>(
+        x: &'a mut Self::Ref<'_, T>,
+        get: impl FnOnce(&T) -> Option<&U>,
+        get_mut: impl FnOnce(&mut T) -> Option<&mut U>,
+    ) -> Option<Self::Ref<'a, U>>;
 
-fn take_store_op(r: &mut ByteReader<'_>) -> Result<StoreOp, SnapshotError> {
-    Ok(match r.take_u8()? {
-        0 => StoreOp::Sb,
-        1 => StoreOp::Sh,
-        2 => StoreOp::Sw,
-        _ => return Err(SnapshotError::Corrupt("store op")),
-    })
-}
+    /// Reads through a held place.
+    fn view<'a, T: ?Sized>(x: &'a Self::Ref<'_, T>) -> &'a T;
 
-fn put_amo_op(out: &mut dyn StateSink, op: AmoOp) {
-    out.put_u8(match op {
-        AmoOp::Swap => 0,
-        AmoOp::Add => 1,
-        AmoOp::Xor => 2,
-        AmoOp::And => 3,
-        AmoOp::Or => 4,
-        AmoOp::Min => 5,
-        AmoOp::Max => 6,
-        AmoOp::Minu => 7,
-        AmoOp::Maxu => 8,
-    });
-}
+    /// The place itself when loading, `None` when saving: the branch for
+    /// the few fields whose save and load are not mirror images.
+    fn loading<'a, T: ?Sized>(x: &'a mut Self::Ref<'_, T>) -> Option<&'a mut T>;
 
-fn take_amo_op(r: &mut ByteReader<'_>) -> Result<AmoOp, SnapshotError> {
-    Ok(match r.take_u8()? {
-        0 => AmoOp::Swap,
-        1 => AmoOp::Add,
-        2 => AmoOp::Xor,
-        3 => AmoOp::And,
-        4 => AmoOp::Or,
-        5 => AmoOp::Min,
-        6 => AmoOp::Max,
-        7 => AmoOp::Minu,
-        8 => AmoOp::Maxu,
-        _ => return Err(SnapshotError::Corrupt("amo op")),
-    })
-}
+    /// Holds a local.
+    fn local<T: ?Sized>(v: &mut T) -> Self::Ref<'_, T>;
 
-fn put_kind(out: &mut dyn StateSink, kind: DataRequestKind) {
-    match kind {
-        DataRequestKind::Load(op) => {
-            out.put_u8(0);
-            put_load_op(out, op);
+    /// Moves `N` raw bytes between the stream and `x`.
+    fn bytes<const N: usize>(&mut self, x: Place<'_, Self, [u8; N]>) -> Walked;
+
+    /// Moves a run of little-endian words in one pass: the bulk L1 path.
+    fn words(&mut self, x: Place<'_, Self, [u32]>) -> Walked;
+
+    /// Unread bytes when loading (what bounds a count's reservation).
+    fn remaining(&self) -> usize;
+
+    /// Walks `x` by its type's [`Walk`].
+    fn walk<T: Walk + ?Sized>(&mut self, x: Place<'_, Self, T>) -> Walked {
+        T::walk(self, x)
+    }
+
+    /// Walks `x` if an enum value has it (see [`at!`]).
+    fn maybe<T: Walk + ?Sized>(&mut self, x: Option<Place<'_, Self, T>>) -> Walked {
+        x.map_or(Ok(()), |x| self.walk(x))
+    }
+
+    /// Walks every element of a slice, without a count.
+    fn each<T>(
+        &mut self,
+        mut xs: Place<'_, Self, [T]>,
+        mut walk: impl FnMut(&mut Self, Place<'_, Self, T>) -> Walked,
+    ) -> Walked {
+        for i in 0..xs.len() {
+            walk(self, xs.at(|s| &s[i], |s| &mut s[i]))?;
         }
-        DataRequestKind::Store { op, data } => {
-            out.put_u8(1);
-            put_store_op(out, op);
-            out.put_u32(data);
-        }
-        DataRequestKind::Amo { op, operand } => {
-            out.put_u8(2);
-            put_amo_op(out, op);
-            out.put_u32(operand);
-        }
-        DataRequestKind::LoadReserved => out.put_u8(3),
-        DataRequestKind::StoreConditional { data } => {
-            out.put_u8(4);
-            out.put_u32(data);
-        }
-    }
-}
-
-fn take_kind(r: &mut ByteReader<'_>) -> Result<DataRequestKind, SnapshotError> {
-    Ok(match r.take_u8()? {
-        0 => DataRequestKind::Load(take_load_op(r)?),
-        1 => DataRequestKind::Store {
-            op: take_store_op(r)?,
-            data: r.take_u32()?,
-        },
-        2 => DataRequestKind::Amo {
-            op: take_amo_op(r)?,
-            operand: r.take_u32()?,
-        },
-        3 => DataRequestKind::LoadReserved,
-        4 => DataRequestKind::StoreConditional { data: r.take_u32()? },
-        _ => return Err(SnapshotError::Corrupt("request kind")),
-    })
-}
-
-fn put_req(out: &mut dyn StateSink, req: &Request) {
-    out.put_u32(req.core);
-    out.put_u8(req.tag);
-    out.put_u32(req.addr);
-    put_kind(out, req.kind);
-    out.put_u64(req.issued_at);
-}
-
-fn take_req(r: &mut ByteReader<'_>) -> Result<Request, SnapshotError> {
-    Ok(Request {
-        core: r.take_u32()?,
-        tag: r.take_u8()?,
-        addr: r.take_u32()?,
-        kind: take_kind(r)?,
-        issued_at: r.take_u64()?,
-    })
-}
-
-fn put_resp(out: &mut dyn StateSink, resp: &Response) {
-    out.put_u32(resp.core);
-    out.put_u8(resp.tag);
-    out.put_u32(resp.data);
-    out.put_u64(resp.issued_at);
-    out.put_bool(resp.is_write);
-}
-
-fn take_resp(r: &mut ByteReader<'_>) -> Result<Response, SnapshotError> {
-    Ok(Response {
-        core: r.take_u32()?,
-        tag: r.take_u8()?,
-        data: r.take_u32()?,
-        issued_at: r.take_u64()?,
-        is_write: r.take_bool()?,
-    })
-}
-
-fn put_opt_req(out: &mut dyn StateSink, latch: &Option<Request>) {
-    match latch {
-        None => out.put_bool(false),
-        Some(req) => {
-            out.put_bool(true);
-            put_req(out, req);
-        }
-    }
-}
-
-fn take_opt_req(r: &mut ByteReader<'_>) -> Result<Option<Request>, SnapshotError> {
-    Ok(if r.take_bool()? { Some(take_req(r)?) } else { None })
-}
-
-fn put_opt_resp(out: &mut dyn StateSink, latch: &Option<Response>) {
-    match latch {
-        None => out.put_bool(false),
-        Some(resp) => {
-            out.put_bool(true);
-            put_resp(out, resp);
-        }
-    }
-}
-
-fn take_opt_resp(r: &mut ByteReader<'_>) -> Result<Option<Response>, SnapshotError> {
-    Ok(if r.take_bool()? { Some(take_resp(r)?) } else { None })
-}
-
-// ---------------------------------------------------------------------------
-// Structural codecs: elastic buffers, fabrics, arbiters.
-// ---------------------------------------------------------------------------
-
-fn save_ebuf<T>(
-    out: &mut dyn StateSink,
-    buf: &ElasticBuffer<T>,
-    enc: impl Fn(&mut dyn StateSink, &T),
-) {
-    let stored: Vec<&T> = buf.iter().collect();
-    out.put_u64(stored.len() as u64);
-    for item in stored {
-        enc(out, item);
-    }
-    let arrivals: Vec<&T> = buf.iter_arrivals().collect();
-    out.put_u64(arrivals.len() as u64);
-    for item in arrivals {
-        enc(out, item);
-    }
-    out.put_bool(buf.is_stalled());
-    out.put_u64(buf.pushes());
-}
-
-fn load_ebuf<T>(
-    r: &mut ByteReader<'_>,
-    buf: &mut ElasticBuffer<T>,
-    dec: impl Fn(&mut ByteReader<'_>) -> Result<T, SnapshotError>,
-) -> Result<(), SnapshotError> {
-    let ns = r.take_u64()? as usize;
-    let mut stored = Vec::new();
-    for _ in 0..ns {
-        stored.push(dec(r)?);
-    }
-    let na = r.take_u64()? as usize;
-    let mut arrivals = Vec::new();
-    for _ in 0..na {
-        arrivals.push(dec(r)?);
-    }
-    let stalled = r.take_bool()?;
-    let pushes = r.take_u64()?;
-    if stored.len() + arrivals.len() > buf.capacity() {
-        return Err(SnapshotError::Corrupt("elastic buffer occupancy"));
-    }
-    buf.load(stored, arrivals, stalled);
-    buf.set_pushes(pushes);
-    Ok(())
-}
-
-fn save_fabric(out: &mut dyn StateSink, fabric: &Fabric) {
-    let pointers = fabric.arbiter_pointers();
-    out.put_u64(pointers.len() as u64);
-    for p in pointers {
-        out.put_u64(p as u64);
-    }
-    for g in fabric.arbiter_grants() {
-        out.put_u64(g);
-    }
-}
-
-fn load_fabric(r: &mut ByteReader<'_>, fabric: &mut Fabric) -> Result<(), SnapshotError> {
-    let n = r.take_u64()? as usize;
-    if n != fabric.arbiter_pointers().len() {
-        return Err(SnapshotError::Corrupt("fabric arbiter count"));
-    }
-    let mut pointers = Vec::with_capacity(n);
-    for _ in 0..n {
-        pointers.push(r.take_u64()? as usize);
-    }
-    fabric.set_arbiter_pointers(&pointers);
-    let mut grants = Vec::with_capacity(n);
-    for _ in 0..n {
-        grants.push(r.take_u64()?);
-    }
-    fabric.set_arbiter_grants(&grants);
-    Ok(())
-}
-
-fn save_rr_list(out: &mut dyn StateSink, rrs: &[RoundRobin]) {
-    out.put_u64(rrs.len() as u64);
-    for rr in rrs {
-        out.put_u64(rr.pointer() as u64);
-        out.put_u64(rr.grants());
-    }
-}
-
-fn load_rr_list(r: &mut ByteReader<'_>, rrs: &mut [RoundRobin]) -> Result<(), SnapshotError> {
-    let n = r.take_u64()? as usize;
-    if n != rrs.len() {
-        return Err(SnapshotError::Corrupt("round-robin arbiter count"));
-    }
-    for rr in rrs {
-        rr.set_pointer(r.take_u64()? as usize);
-        rr.set_grants(r.take_u64()?);
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// SnitchCore: the cycle-accurate core model is checkpointable.
-// ---------------------------------------------------------------------------
-
-impl CoreState for SnitchCore {
-    fn encode_state(&self, out: &mut dyn StateSink) {
-        let s = SnitchCore::save_state(self);
-        out.put_u32(s.pc);
-        for reg in s.regs {
-            out.put_u32(reg);
-        }
-        out.put_u32(s.scoreboard);
-        out.put_u64(s.lsu.len() as u64);
-        for slot in &s.lsu {
-            match slot {
-                None => out.put_bool(false),
-                Some(sl) => {
-                    out.put_bool(true);
-                    out.put_u8(sl.dest.map_or(0xff, Reg::index));
-                    match sl.load {
-                        None => out.put_u8(0xff),
-                        Some(op) => put_load_op(out, op),
-                    }
-                    out.put_u32(sl.byte_offset);
-                }
-            }
-        }
-        out.put_bool(s.halted);
-        out.put_bool(s.faulted);
-        out.put_u32(s.exec_busy);
-        out.put_bool(s.fencing);
-        out.put_u32(s.mscratch);
-        let st = s.stats;
-        for v in [
-            st.instret,
-            st.cycles,
-            st.loads,
-            st.stores,
-            st.amos,
-            st.muls,
-            st.divs,
-            st.taken_branches,
-            st.stall_scoreboard,
-            st.stall_lsu_full,
-            st.stall_port,
-            st.stall_fetch,
-            st.stall_fence,
-            st.stall_exec,
-            st.halted_cycles,
-        ] {
-            out.put_u64(v);
-        }
-        out.put_u32(s.region);
-        match &s.profile {
-            None => out.put_bool(false),
-            Some(p) => {
-                out.put_bool(true);
-                out.put_u64(p.max_pcs() as u64);
-                out.put_u64(p.tracked_pcs() as u64);
-                for (region, pc, c) in p.pcs() {
-                    out.put_u32(region);
-                    out.put_u32(pc);
-                    put_pc_counters(out, c);
-                }
-                put_pc_counters(out, p.overflow());
-                for rc in p.regions() {
-                    put_region_counters(out, rc);
-                }
-            }
-        }
+        Ok(())
     }
 
-    fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), SnapshotError> {
-        let mut s = SnitchCore::save_state(self);
-        s.pc = r.take_u32()?;
-        for reg in &mut s.regs {
-            *reg = r.take_u32()?;
-        }
-        s.scoreboard = r.take_u32()?;
-        let depth = r.take_u64()? as usize;
-        if depth != s.lsu.len() {
-            return Err(SnapshotError::Corrupt("LSU depth"));
-        }
-        for slot in &mut s.lsu {
-            *slot = if r.take_bool()? {
-                let dest = match r.take_u8()? {
-                    0xff => None,
-                    idx => Some(Reg::new(idx).ok_or(SnapshotError::Corrupt("register index"))?),
-                };
-                let load = {
-                    let mut probe = r.clone();
-                    if probe.take_u8()? == 0xff {
-                        *r = probe;
-                        None
-                    } else {
-                        Some(take_load_op(r)?)
-                    }
-                };
-                Some(mempool_snitch::LsuSlotState {
-                    dest,
-                    load,
-                    byte_offset: r.take_u32()?,
-                })
-            } else {
-                None
-            };
-        }
-        s.halted = r.take_bool()?;
-        s.faulted = r.take_bool()?;
-        s.exec_busy = r.take_u32()?;
-        s.fencing = r.take_bool()?;
-        s.mscratch = r.take_u32()?;
-        let st = &mut s.stats;
-        for field in [
-            &mut st.instret,
-            &mut st.cycles,
-            &mut st.loads,
-            &mut st.stores,
-            &mut st.amos,
-            &mut st.muls,
-            &mut st.divs,
-            &mut st.taken_branches,
-            &mut st.stall_scoreboard,
-            &mut st.stall_lsu_full,
-            &mut st.stall_port,
-            &mut st.stall_fetch,
-            &mut st.stall_fence,
-            &mut st.stall_exec,
-            &mut st.halted_cycles,
-        ] {
-            *field = r.take_u64()?;
-        }
-        s.region = r.take_u32()?;
-        s.profile = if r.take_bool()? {
-            let max_pcs = r.take_u64()? as usize;
-            let n = r.take_u64()? as usize;
-            if n > max_pcs.max(1) {
-                return Err(SnapshotError::Corrupt("profile entry count"));
-            }
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let region = r.take_u32()?;
-                let pc = r.take_u32()?;
-                entries.push((region, pc, take_pc_counters(r)?));
-            }
-            let overflow = take_pc_counters(r)?;
-            let mut regions = [RegionCounters::default(); REGION_SLOTS];
-            for rc in &mut regions {
-                *rc = take_region_counters(r)?;
-            }
-            Some(CoreProfile::from_parts(max_pcs, entries, overflow, regions))
+    /// The count of a fixed-shape structure: saving writes `len`, the live
+    /// structure's length; loading fails with [`SnapshotError::Corrupt`]
+    /// (`what`) unless the stored count is `len`, before anything it counts
+    /// is read.
+    fn count(&mut self, len: usize, what: &'static str) -> Walked {
+        let mut n = len;
+        self.walk(Place::local(&mut n))?;
+        if n == len {
+            Ok(())
         } else {
-            None
-        };
-        self.restore_state(&s);
+            Err(SnapshotError::Corrupt(what))
+        }
+    }
+
+    /// A part kept behind accessors: saving walks what `get` returns;
+    /// loading walks into that same value and hands it to `set`, which may
+    /// reject it.
+    fn via<T: ?Sized, V>(
+        &mut self,
+        mut x: Place<'_, Self, T>,
+        get: impl FnOnce(&T) -> V,
+        set: impl FnOnce(&mut T, V) -> Walked,
+        walk: impl FnOnce(&mut Self, Place<'_, Self, V>) -> Walked,
+    ) -> Walked {
+        let mut v = get(&x);
+        walk(self, Place::local(&mut v))?;
+        match x.loading() {
+            Some(x) => set(x, v),
+            None => Ok(()),
+        }
+    }
+
+    /// An optional part: a presence flag, then the part. Loading replaces
+    /// the value with `new()` (or `None`) before the part is walked.
+    fn opt<T>(
+        &mut self,
+        mut x: Place<'_, Self, Option<T>>,
+        new: impl FnOnce() -> T,
+        walk: impl FnOnce(&mut Self, Place<'_, Self, T>) -> Walked,
+    ) -> Walked {
+        let mut some = x.is_some();
+        self.walk(Place::local(&mut some))?;
+        if let Some(x) = x.loading() {
+            *x = some.then(new);
+        }
+        match x.try_at(Option::as_ref, Option::as_mut) {
+            Some(part) => walk(self, part),
+            None => Ok(()),
+        }
+    }
+
+    /// A length-prefixed sequence. Loading rebuilds it from `new()`
+    /// elements. Its count is not checked against anything, so it reserves
+    /// no more than the image could still fill: at most `remaining / len`
+    /// further elements, `len` the bytes the first one took.
+    fn seq<T>(
+        &mut self,
+        mut xs: Place<'_, Self, Vec<T>>,
+        mut new: impl FnMut() -> T,
+        mut walk: impl FnMut(&mut Self, Place<'_, Self, T>) -> Walked,
+    ) -> Walked {
+        let mut n = xs.len();
+        self.walk(Place::local(&mut n))?;
+        if let Some(xs) = xs.loading() {
+            xs.clear();
+        }
+        let start = self.remaining();
+        for i in 0..n {
+            if let Some(xs) = xs.loading() {
+                if i == 1 {
+                    let first = (start - self.remaining()).max(1);
+                    xs.reserve((n - 1).min(self.remaining() / first));
+                }
+                xs.push(new());
+            }
+            walk(self, xs.at(|s| &s[i], |s| &mut s[i]))?;
+        }
         Ok(())
     }
 }
 
-fn put_pc_counters(out: &mut dyn StateSink, c: &PcCounters) {
-    out.put_u64(c.retired);
-    for &v in &c.stalls {
-        out.put_u64(v);
+/// Every sink saves.
+impl<S: StateSink> StateIo for S {
+    type Ref<'a, T: ?Sized + 'a> = &'a T;
+
+    fn try_at<'a, T: ?Sized, U: ?Sized>(
+        x: &'a mut &T,
+        get: impl FnOnce(&T) -> Option<&U>,
+        _: impl FnOnce(&mut T) -> Option<&mut U>,
+    ) -> Option<&'a U> {
+        get(x)
+    }
+
+    fn view<'a, T: ?Sized>(x: &'a &T) -> &'a T {
+        x
+    }
+
+    fn loading<'a, T: ?Sized>(_: &'a mut &T) -> Option<&'a mut T> {
+        None
+    }
+
+    fn local<T: ?Sized>(v: &mut T) -> &T {
+        v
+    }
+
+    fn bytes<const N: usize>(&mut self, x: Place<'_, Self, [u8; N]>) -> Walked {
+        self.put(x.held);
+        Ok(())
+    }
+
+    fn words(&mut self, x: Place<'_, Self, [u32]>) -> Walked {
+        self.put_words(x.held);
+        Ok(())
+    }
+
+    fn remaining(&self) -> usize {
+        usize::MAX
     }
 }
 
-fn take_pc_counters(r: &mut ByteReader<'_>) -> Result<PcCounters, SnapshotError> {
-    let mut c = PcCounters {
-        retired: r.take_u64()?,
-        ..PcCounters::default()
+/// The reader loads.
+impl StateIo for ByteReader<'_> {
+    type Ref<'a, T: ?Sized + 'a> = &'a mut T;
+
+    fn try_at<'a, T: ?Sized, U: ?Sized>(
+        x: &'a mut &mut T,
+        _: impl FnOnce(&T) -> Option<&U>,
+        get_mut: impl FnOnce(&mut T) -> Option<&mut U>,
+    ) -> Option<&'a mut U> {
+        get_mut(x)
+    }
+
+    fn view<'a, T: ?Sized>(x: &'a &mut T) -> &'a T {
+        x
+    }
+
+    fn loading<'a, T: ?Sized>(x: &'a mut &mut T) -> Option<&'a mut T> {
+        Some(x)
+    }
+
+    fn local<T: ?Sized>(v: &mut T) -> &mut T {
+        v
+    }
+
+    fn bytes<const N: usize>(&mut self, x: Place<'_, Self, [u8; N]>) -> Walked {
+        x.held.copy_from_slice(self.take(N)?);
+        Ok(())
+    }
+
+    fn words(&mut self, x: Place<'_, Self, [u32]>) -> Walked {
+        self.take_words(x.held)
+    }
+
+    fn remaining(&self) -> usize {
+        ByteReader::remaining(self)
+    }
+}
+
+/// A value as a walk holds it: borrowed when saving, borrowed mutably when
+/// loading. It reads through [`Deref`] in both directions; [`at!`] narrows
+/// it to a part.
+pub struct Place<'a, Io: StateIo, T: ?Sized + 'a> {
+    held: Io::Ref<'a, T>,
+}
+
+impl<'a, Io: StateIo, T: ?Sized> Place<'a, Io, T> {
+    /// Holds a local: what a walk saves from, or loads into.
+    pub fn local(v: &'a mut T) -> Self {
+        Place { held: Io::local(v) }
+    }
+
+    /// The part `get`/`get_mut` select (what [`at!`] expands to).
+    pub fn at<U: ?Sized>(
+        &mut self,
+        get: impl FnOnce(&T) -> &U,
+        get_mut: impl FnOnce(&mut T) -> &mut U,
+    ) -> Place<'_, Io, U> {
+        let part = self.try_at(|t| Some(get(t)), |t| Some(get_mut(t)));
+        part.expect("a field is always there")
+    }
+
+    /// The part `get`/`get_mut` select, if the value has it.
+    pub fn try_at<U: ?Sized>(
+        &mut self,
+        get: impl FnOnce(&T) -> Option<&U>,
+        get_mut: impl FnOnce(&mut T) -> Option<&mut U>,
+    ) -> Option<Place<'_, Io, U>> {
+        Io::try_at(&mut self.held, get, get_mut).map(|held| Place { held })
+    }
+
+    /// The same place, for one more walk.
+    pub fn reborrow(&mut self) -> Place<'_, Io, T> {
+        self.at(|t| t, |t| t)
+    }
+
+    /// The value itself when loading, `None` when saving.
+    pub fn loading(&mut self) -> Option<&mut T> {
+        Io::loading(&mut self.held)
+    }
+}
+
+impl<Io: StateIo, T: ?Sized> Deref for Place<'_, Io, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        Io::view(&self.held)
+    }
+}
+
+/// Narrows a [`Place`] to a field path, `at!(x.a.b[i])`, or, when an enum
+/// value matches a pattern, to the one binding it names:
+/// `at!(x, Some(v) => v)`.
+#[macro_export]
+macro_rules! at {
+    ($x:ident . $($path:tt)+) => {
+        $x.at(|t| &t.$($path)+, |t| &mut t.$($path)+)
     };
-    for v in &mut c.stalls {
-        *v = r.take_u64()?;
-    }
-    Ok(c)
-}
-
-fn put_region_counters(out: &mut dyn StateSink, c: &RegionCounters) {
-    out.put_u64(c.retired);
-    for &v in &c.stalls {
-        out.put_u64(v);
-    }
-}
-
-fn take_region_counters(r: &mut ByteReader<'_>) -> Result<RegionCounters, SnapshotError> {
-    let mut c = RegionCounters {
-        retired: r.take_u64()?,
-        ..RegionCounters::default()
+    ($x:ident, $pat:pat => $v:ident) => {
+        $x.try_at(
+            #[allow(unreachable_patterns)]
+            |t| match t { $pat => ::core::option::Option::Some($v), _ => ::core::option::Option::None },
+            #[allow(unreachable_patterns)]
+            |t| match t { $pat => ::core::option::Option::Some($v), _ => ::core::option::Option::None },
+        )
     };
-    for v in &mut c.stalls {
-        *v = r.take_u64()?;
-    }
-    Ok(c)
+}
+pub use at;
+
+/// A type with checkpointed state. Its one walk saves it (into any
+/// [`StateSink`], so also into the digest) and loads it (from a
+/// [`ByteReader`]); a [`Cluster<C>`] checkpoints when its core model `C`
+/// walks.
+pub trait Walk {
+    /// Visits the value's complete dynamic state in canonical order.
+    ///
+    /// # Errors
+    ///
+    /// Loading returns a [`SnapshotError`] when the bytes are truncated or
+    /// inconsistent with the live value's shape.
+    fn walk<Io: StateIo>(io: &mut Io, this: Place<'_, Io, Self>) -> Walked;
 }
 
-fn put_tile_activity(out: &mut dyn StateSink, a: &crate::TileActivity) {
-    for v in [
-        a.instret,
-        a.muls,
-        a.divs,
-        a.memory_ops,
-        a.icache_fetches,
-        a.icache_refills,
-        a.bank_accesses,
-    ] {
-        out.put_u64(v);
+/// Saves `x` into `out`.
+pub fn save<T: Walk + ?Sized>(out: &mut impl StateSink, x: &T) {
+    saved(T::walk(out, Place { held: x }));
+}
+
+/// Loads `x` from `r`.
+///
+/// # Errors
+///
+/// As [`Walk::walk`].
+pub fn load<T: Walk + ?Sized>(r: &mut ByteReader<'_>, x: &mut T) -> Walked {
+    T::walk(r, Place { held: x })
+}
+
+/// The end of a save walk, which has no failure path.
+fn saved(walked: Walked) {
+    walked.expect("saving cannot fail");
+}
+
+// ---------------------------------------------------------------------------
+// Walks of plain data.
+// ---------------------------------------------------------------------------
+
+macro_rules! walk_le {
+    ($($t:ty),*) => {$(
+        /// Little-endian.
+        impl Walk for $t {
+            fn walk<Io: StateIo>(io: &mut Io, this: Place<'_, Io, Self>) -> Walked {
+                let set = |v: &mut $t, b| {
+                    *v = <$t>::from_le_bytes(b);
+                    Ok(())
+                };
+                io.via(this, |v| v.to_le_bytes(), set, |io, b| io.bytes(b))
+            }
+        }
+    )*};
+}
+walk_le!(u8, u32, u64);
+
+/// As a `u64`.
+impl Walk for usize {
+    fn walk<Io: StateIo>(io: &mut Io, this: Place<'_, Io, Self>) -> Walked {
+        let set = |v: &mut usize, n: u64| {
+            *v = n as usize;
+            Ok(())
+        };
+        io.via(this, |&v| v as u64, set, u64::walk)
     }
 }
 
-fn take_tile_activity(r: &mut ByteReader<'_>) -> Result<crate::TileActivity, SnapshotError> {
-    let mut a = crate::TileActivity::default();
-    for field in [
-        &mut a.instret,
-        &mut a.muls,
-        &mut a.divs,
-        &mut a.memory_ops,
-        &mut a.icache_fetches,
-        &mut a.icache_refills,
-        &mut a.bank_accesses,
-    ] {
-        *field = r.take_u64()?;
+/// One byte, 0 or 1.
+impl Walk for bool {
+    fn walk<Io: StateIo>(io: &mut Io, this: Place<'_, Io, Self>) -> Walked {
+        let set = |v: &mut bool, b| {
+            *v = match b {
+                0 => false,
+                1 => true,
+                _ => return Err(SnapshotError::Corrupt("bool")),
+            };
+            Ok(())
+        };
+        io.via(this, |&v| u8::from(v), set, u8::walk)
     }
-    Ok(a)
+}
+
+/// Its IEEE-754 bit pattern.
+impl Walk for f64 {
+    fn walk<Io: StateIo>(io: &mut Io, this: Place<'_, Io, Self>) -> Walked {
+        let set = |v: &mut f64, bits| {
+            *v = f64::from_bits(bits);
+            Ok(())
+        };
+        io.via(this, |v| v.to_bits(), set, u64::walk)
+    }
+}
+
+/// Every element, without a count.
+impl<T: Walk> Walk for [T] {
+    fn walk<Io: StateIo>(io: &mut Io, this: Place<'_, Io, Self>) -> Walked {
+        io.each(this, T::walk)
+    }
+}
+
+/// Every element, without a count.
+impl<T: Walk, const N: usize> Walk for [T; N] {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        io.each(this.at(|a| &a[..], |a| &mut a[..]), T::walk)
+    }
+}
+
+/// The value it holds.
+impl<T: Walk + ?Sized> Walk for Box<T> {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        io.walk(this.at(|b| &**b, |b| &mut **b))
+    }
+}
+
+/// A presence flag, then the value.
+impl<T: Walk + Default> Walk for Option<T> {
+    fn walk<Io: StateIo>(io: &mut Io, this: Place<'_, Io, Self>) -> Walked {
+        io.opt(this, T::default, T::walk)
+    }
+}
+
+/// A count, then the elements.
+impl<T: Walk + Default> Walk for Vec<T> {
+    fn walk<Io: StateIo>(io: &mut Io, this: Place<'_, Io, Self>) -> Walked {
+        io.seq(this, T::default, T::walk)
+    }
+}
+
+/// A count, then the elements, front first.
+impl<T: Walk + Default + Copy> Walk for VecDeque<T> {
+    fn walk<Io: StateIo>(io: &mut Io, this: Place<'_, Io, Self>) -> Walked {
+        let set = |queue: &mut Self, items: Vec<T>| {
+            *queue = items.into();
+            Ok(())
+        };
+        io.via(this, |queue| queue.iter().copied().collect(), set, Walk::walk)
+    }
+}
+
+macro_rules! walk_tuple {
+    ($($n:tt $t:ident),+) => {
+        /// The fields in order.
+        impl<$($t: Walk),+> Walk for ($($t,)+) {
+            fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+                $(io.walk(at!(this.$n))?;)+
+                Ok(())
+            }
+        }
+    };
+}
+walk_tuple!(0 A, 1 B);
+walk_tuple!(0 A, 1 B, 2 C);
+walk_tuple!(0 A, 1 B, 2 C, 3 D);
+
+/// A struct walked as its fields, in the order named.
+macro_rules! walk_fields {
+    ($($ty:ty { $($f:ident),+ $(,)? })+) => {$(
+        impl Walk for $ty {
+            fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+                $(io.walk(at!(this.$f))?;)+
+                Ok(())
+            }
+        }
+    )+};
+}
+pub(crate) use walk_fields;
+
+/// An enum's variant as a one-byte tag: its index among `blanks`, one
+/// value per variant. Loading resets the value to the tagged blank, whose
+/// fields the caller then walks.
+pub(crate) fn variant<Io: StateIo, T: Copy>(
+    io: &mut Io,
+    x: &mut Place<'_, Io, T>,
+    blanks: &[T],
+    what: &'static str,
+) -> Walked {
+    let live = blanks.iter().position(|b| discriminant(b) == discriminant(&**x));
+    let mut tag = live.expect("every variant has a blank") as u8;
+    io.walk(Place::local(&mut tag))?;
+    if let Some(x) = x.loading() {
+        *x = *blanks.get(usize::from(tag)).ok_or(SnapshotError::Corrupt(what))?;
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Walks of the model's state.
+// ---------------------------------------------------------------------------
+
+const LOAD_OPS: [LoadOp; 5] = [LoadOp::Lb, LoadOp::Lh, LoadOp::Lw, LoadOp::Lbu, LoadOp::Lhu];
+
+/// The tag of a byte that stands for "none" where an index would be.
+const NONE: u8 = 0xff;
+
+impl Walk for LoadOp {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        variant(io, &mut this, &LOAD_OPS, "load op")
+    }
+}
+
+impl Walk for StoreOp {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        variant(io, &mut this, &[StoreOp::Sb, StoreOp::Sh, StoreOp::Sw], "store op")
+    }
+}
+
+impl Walk for AmoOp {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        use AmoOp::*;
+        variant(io, &mut this, &[Swap, Add, Xor, And, Or, Min, Max, Minu, Maxu], "amo op")
+    }
+}
+
+/// The tag, the op of a load, store or AMO, then its data word.
+impl Walk for DataRequestKind {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        use DataRequestKind::*;
+        let blanks = [
+            Load(LoadOp::Lb),
+            Store { op: StoreOp::Sb, data: 0 },
+            Amo { op: AmoOp::Swap, operand: 0 },
+            LoadReserved,
+            StoreConditional { data: 0 },
+        ];
+        variant(io, &mut this, &blanks, "request kind")?;
+        io.maybe(at!(this, Load(op) => op))?;
+        io.maybe(at!(this, Store { op, .. } => op))?;
+        io.maybe(at!(this, Amo { op, .. } => op))?;
+        io.maybe(at!(this, Store { data: w, .. } | Amo { operand: w, .. } | StoreConditional { data: w } => w))
+    }
+}
+
+walk_fields! {
+    CacheStats { hits, misses }
+    PcCounters { retired, stalls }
+    RegionCounters { retired, stalls }
+    CoreStats {
+        instret, cycles, loads, stores, amos, muls, divs, taken_branches, stall_scoreboard,
+        stall_lsu_full, stall_port, stall_fetch, stall_fence, stall_exec, halted_cycles,
+    }
+}
+
+/// Stored items, staged arrivals, the stall gate, then the push counter.
+impl<T: Walk + Default + Copy> Walk for ElasticBuffer<T> {
+    fn walk<Io: StateIo>(io: &mut Io, this: Place<'_, Io, Self>) -> Walked {
+        let get = |b: &Self| {
+            let stored = b.iter().copied().collect::<Vec<T>>();
+            (stored, b.iter_arrivals().copied().collect::<Vec<T>>(), b.is_stalled(), b.pushes())
+        };
+        let set = |b: &mut Self, (stored, arrivals, stalled, pushes): (Vec<T>, Vec<T>, _, _)| {
+            if stored.len() + arrivals.len() > b.capacity() {
+                return Err(SnapshotError::Corrupt("elastic buffer occupancy"));
+            }
+            b.load(stored, arrivals, stalled);
+            b.set_pushes(pushes);
+            Ok(())
+        };
+        io.via(this, get, set, Walk::walk)
+    }
+}
+
+/// The pointer, checked against the arbiter's width on load.
+fn rr_pointer<Io: StateIo>(io: &mut Io, rr: Place<'_, Io, RoundRobin>) -> Walked {
+    let set = |rr: &mut RoundRobin, pointer| {
+        if pointer >= rr.lines() {
+            return Err(SnapshotError::Corrupt("arbiter pointer"));
+        }
+        rr.set_pointer(pointer);
+        Ok(())
+    };
+    io.via(rr, RoundRobin::pointer, set, usize::walk)
+}
+
+fn rr_grants<Io: StateIo>(io: &mut Io, rr: Place<'_, Io, RoundRobin>) -> Walked {
+    let set = |rr: &mut RoundRobin, grants| {
+        rr.set_grants(grants);
+        Ok(())
+    };
+    io.via(rr, RoundRobin::grants, set, u64::walk)
+}
+
+impl Walk for RoundRobin {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        rr_pointer(io, this.reborrow())?;
+        rr_grants(io, this)
+    }
+}
+
+/// The arbiter count, every pointer, then every grant counter.
+impl Walk for Fabric {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        io.count(this.arbiters().len(), "fabric arbiter count")?;
+        io.each(this.at(Fabric::arbiters, Fabric::arbiters_mut), rr_pointer)?;
+        io.each(this.at(Fabric::arbiters, Fabric::arbiters_mut), rr_grants)
+    }
+}
+
+/// The tick, the hit/miss counters, then every way as `(tag, valid, lru)`.
+impl Walk for ICache {
+    fn walk<Io: StateIo>(io: &mut Io, this: Place<'_, Io, Self>) -> Walked {
+        let get = |c: &ICache| (c.tick(), c.stats(), c.ways().collect::<Vec<_>>());
+        let set = |c: &mut ICache, (tick, stats, ways): (_, _, Vec<_>)| {
+            c.load(ways, tick, stats);
+            Ok(())
+        };
+        io.via(this, get, set, |io, mut v| {
+            io.walk(at!(v.0))?;
+            io.walk(at!(v.1))?;
+            io.count(v.2.len(), "icache way count")?;
+            io.walk(at!(v.2[..]))
+        })
+    }
+}
+
+/// The table size, the substitution table, then the dead flags.
+impl Walk for QuarantineMap {
+    fn walk<Io: StateIo>(io: &mut Io, this: Place<'_, Io, Self>) -> Walked {
+        let get = |q: &QuarantineMap| (q.subst_table().to_vec(), q.dead_flags().to_vec());
+        let set = |q: &mut QuarantineMap, (subst, dead): (Vec<u32>, Vec<bool>)| {
+            q.load(&subst, &dead);
+            Ok(())
+        };
+        io.via(this, get, set, |io, mut v| {
+            io.count(v.0.len(), "quarantine table size")?;
+            io.walk(at!(v.0[..]))?;
+            io.walk(at!(v.1[..]))
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// SnitchCore: the cycle-accurate core model checkpoints.
+// ---------------------------------------------------------------------------
+
+impl Walk for SnitchCore {
+    fn walk<Io: StateIo>(io: &mut Io, this: Place<'_, Io, Self>) -> Walked {
+        let set = |core: &mut SnitchCore, state: SnitchState| {
+            core.restore_state(&state);
+            Ok(())
+        };
+        io.via(this, SnitchCore::save_state, set, Walk::walk)
+    }
+}
+
+impl Walk for SnitchState {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        io.walk(at!(this.pc))?;
+        io.words(at!(this.regs[..]))?;
+        io.walk(at!(this.scoreboard))?;
+        io.count(this.lsu.len(), "LSU depth")?;
+        io.walk(at!(this.lsu[..]))?;
+        io.walk(at!(this.halted))?;
+        io.walk(at!(this.faulted))?;
+        io.walk(at!(this.exec_busy))?;
+        io.walk(at!(this.fencing))?;
+        io.walk(at!(this.mscratch))?;
+        io.walk(at!(this.stats))?;
+        io.walk(at!(this.region))?;
+        io.opt(at!(this.profile), || CoreProfile::new(1), core_profile)
+    }
+}
+
+/// The destination register, the load op, then the byte offset. A slot
+/// without a destination or a load op (an AMO or SC result, delivered
+/// verbatim) stores `0xff` in its place: the core's one field that is not
+/// saved as it is loaded.
+impl Walk for LsuSlotState {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        let set = |dest: &mut Option<Reg>, index| {
+            *dest = match index {
+                NONE => None,
+                i => Some(Reg::new(i).ok_or(SnapshotError::Corrupt("register index"))?),
+            };
+            Ok(())
+        };
+        io.via(at!(this.dest), |d| d.map_or(NONE, Reg::index), set, u8::walk)?;
+        let code = |op| LOAD_OPS.iter().position(|&o| o == op).expect("a load op") as u8;
+        let set = |load: &mut Option<LoadOp>, code| {
+            *load = match code {
+                NONE => None,
+                c => Some(*LOAD_OPS.get(usize::from(c)).ok_or(SnapshotError::Corrupt("load op"))?),
+            };
+            Ok(())
+        };
+        io.via(at!(this.load), |l| l.map_or(NONE, code), set, u8::walk)?;
+        io.walk(at!(this.byte_offset))
+    }
+}
+
+/// The PC bound, the tracked `(region, pc, counters)` entries (never more
+/// than the bound), the overflow bucket, then the region table.
+fn core_profile<Io: StateIo>(io: &mut Io, this: Place<'_, Io, CoreProfile>) -> Walked {
+    let get = |p: &CoreProfile| {
+        let entries = p.pcs().map(|(region, pc, c)| (region, pc, *c)).collect::<Vec<_>>();
+        (p.max_pcs(), entries, *p.overflow(), *p.regions())
+    };
+    let set = |p: &mut CoreProfile, (max_pcs, entries, overflow, regions): (usize, Vec<_>, _, _)| {
+        if entries.len() > max_pcs.max(1) {
+            return Err(SnapshotError::Corrupt("profile entry count"));
+        }
+        *p = CoreProfile::from_parts(max_pcs, entries, overflow, regions);
+        Ok(())
+    };
+    io.via(this, get, set, Walk::walk)
 }
 
 // ---------------------------------------------------------------------------
@@ -970,540 +1102,123 @@ pub(crate) fn config_digest(config: &ClusterConfig) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster encode/decode.
+// The cluster's two sections.
 // ---------------------------------------------------------------------------
 
-fn save_tile(out: &mut dyn StateSink, tile: &Tile) {
-    for bank in &tile.banks {
-        let words = bank.words();
-        out.put_u64(words.len() as u64);
-        out.put_words(words);
-        let reservations = bank.reservations();
-        out.put_u64(reservations.len() as u64);
-        for &(hart, row) in reservations {
-            out.put_u32(hart);
-            out.put_u32(row);
-        }
-        out.put_u64(bank.accesses());
-    }
-    for reg in tile.bank_resp.regs() {
-        save_ebuf(out, reg, |o, resp| put_resp(o, resp));
-    }
-    save_fabric(out, &tile.req_fabric);
-    save_fabric(out, &tile.resp_fabric);
-    out.put_u64(tile.slave_req.len() as u64);
-    for latch in &tile.slave_req {
-        put_opt_req(out, latch);
-    }
-    for latch in &tile.resp_out {
-        put_opt_resp(out, latch);
-    }
-    out.put_u64(tile.icache.tick());
-    let cs = tile.icache.stats();
-    out.put_u64(cs.hits);
-    out.put_u64(cs.misses);
-    let ways: Vec<(u32, bool, u64)> = tile.icache.ways().collect();
-    out.put_u64(ways.len() as u64);
-    for (tag, valid, lru) in ways {
-        out.put_u32(tag);
-        out.put_bool(valid);
-        out.put_u64(lru);
-    }
-    out.put_u64(tile.refill.pending.len() as u64);
-    for &line in &tile.refill.pending {
-        out.put_u32(line);
-    }
-    out.put_u64(tile.refill.outbox.len() as u64);
-    for &line in &tile.refill.outbox {
-        out.put_u32(line);
-    }
-    match tile.refill.in_flight {
-        None => out.put_bool(false),
-        Some((line, done_at)) => {
-            out.put_bool(true);
-            out.put_u32(line);
-            out.put_u64(done_at);
-        }
-    }
-    out.put_u64(tile.refill.refills);
-}
-
-fn load_tile(r: &mut ByteReader<'_>, tile: &mut Tile) -> Result<(), SnapshotError> {
-    let mut words = Vec::new();
-    for bank in &mut tile.banks {
-        let n = r.take_u64()? as usize;
-        if n != bank.words().len() {
-            return Err(SnapshotError::Corrupt("bank row count"));
-        }
-        words.resize(n, 0);
-        r.take_words(&mut words)?;
-        let nr = r.take_u64()? as usize;
-        let mut reservations = Vec::with_capacity(nr);
-        for _ in 0..nr {
-            reservations.push((r.take_u32()?, r.take_u32()?));
-        }
-        bank.load(&words, &reservations);
-        bank.set_accesses(r.take_u64()?);
-    }
-    load_row(r, &mut tile.bank_resp, take_resp)?;
-    load_fabric(r, &mut tile.req_fabric)?;
-    load_fabric(r, &mut tile.resp_fabric)?;
-    let ports = r.take_u64()? as usize;
-    if ports != tile.slave_req.len() {
-        return Err(SnapshotError::Corrupt("remote port count"));
-    }
-    for latch in &mut tile.slave_req {
-        *latch = take_opt_req(r)?;
-    }
-    for latch in &mut tile.resp_out {
-        *latch = take_opt_resp(r)?;
-    }
-    let tick = r.take_u64()?;
-    let cache_stats = mempool_mem::CacheStats {
-        hits: r.take_u64()?,
-        misses: r.take_u64()?,
+/// The input section: the fault-plan parameters and the scheduled
+/// bank-failure list (snapshotted for resumption, excluded from the state
+/// digest).
+fn section_a<Io: StateIo, C>(io: &mut Io, mut c: Place<'_, Io, Cluster<C>>) -> Walked {
+    let set = |plan: &mut Option<FaultPlan>, params: Option<(u64, FaultSpec)>| {
+        *plan = params.map(|(seed, spec)| FaultPlan::new(seed, spec));
+        Ok(())
     };
-    let nways = r.take_u64()? as usize;
-    if nways != tile.icache.ways().count() {
-        return Err(SnapshotError::Corrupt("icache way count"));
+    let params = |plan: &Option<FaultPlan>| plan.as_ref().map(|p| (p.seed(), *p.spec()));
+    io.via(at!(c.faults), params, set, Walk::walk)?;
+    io.walk(at!(c.pending_failures))
+}
+
+/// One component of the digested state section. [`Component::all`] lists
+/// them in canonical order; the state digest, the checkpoint image, its
+/// restore and [`component_digests`](Cluster::component_digests) all walk
+/// that one list.
+#[derive(Debug, Clone, Copy)]
+enum Component {
+    Globals,
+    Core(usize),
+    Pending,
+    Tile(usize),
+    Net,
+    RefillRing,
+    Quarantine,
+    FaultLog,
+    Stats,
+    Obs,
+    Profile,
+}
+
+impl Component {
+    fn all(cores: usize, tiles: usize) -> impl Iterator<Item = Component> {
+        use Component::*;
+        let head = [Globals].into_iter().chain((0..cores).map(Core)).chain([Pending]);
+        let tail = [Net, RefillRing, Quarantine, FaultLog, Stats, Obs, Profile];
+        head.chain((0..tiles).map(Tile)).chain(tail)
     }
-    let mut ways = Vec::with_capacity(nways);
-    for _ in 0..nways {
-        ways.push((r.take_u32()?, r.take_bool()?, r.take_u64()?));
+
+    fn name(self) -> String {
+        match self {
+            Component::Core(i) => format!("core{i}"),
+            Component::Tile(t) => format!("tile{t}"),
+            Component::RefillRing => "refill-ring".to_owned(),
+            Component::FaultLog => "fault-log".to_owned(),
+            other => format!("{other:?}").to_lowercase(),
+        }
     }
-    tile.icache.load(ways, tick, cache_stats);
-    let np = r.take_u64()? as usize;
-    tile.refill.pending.clear();
-    for _ in 0..np {
-        tile.refill.pending.push(r.take_u32()?);
+
+    fn walk<Io: StateIo, C: Walk>(self, io: &mut Io, mut c: Place<'_, Io, Cluster<C>>) -> Walked {
+        match self {
+            Component::Globals => {
+                io.walk(at!(c.now))?;
+                io.walk(at!(c.in_flight))?;
+                io.walk(at!(c.next_failure))?;
+                io.walk(at!(c.last_progress))?;
+                io.walk(at!(c.progress_mark))
+            }
+            Component::Core(i) => {
+                io.walk(at!(c.cores[i]))?;
+                io.walk(at!(c.out_latches[i]))?;
+                io.walk(at!(c.locked_until[i]))
+            }
+            Component::Pending => {
+                let entries = |m: &BTreeMap<_, _>| m.iter().map(|(&k, &p)| (k, p)).collect::<Vec<_>>();
+                let set = |m: &mut BTreeMap<_, _>, entries: Vec<_>| {
+                    *m = entries.into_iter().collect();
+                    Ok(())
+                };
+                io.via(at!(c.pending), entries, set, Walk::walk)
+            }
+            Component::Tile(t) => io.walk(at!(c.tiles[t])),
+            Component::Net => io.walk(at!(c.net)),
+            // The transport is the configuration's: the flag must match it.
+            Component::RefillRing => {
+                let live = c.refill_ring.is_some();
+                let mut has = live;
+                io.walk(Place::local(&mut has))?;
+                if has != live {
+                    return Err(SnapshotError::Corrupt("refill transport kind"));
+                }
+                let ring = c.try_at(|c| c.refill_ring.as_ref(), |c| c.refill_ring.as_mut());
+                ring.map_or(Ok(()), |ring| io.walk(ring))
+            }
+            Component::Quarantine => io.walk(at!(c.quarantine)),
+            Component::FaultLog => io.walk(at!(c.fault_log)),
+            Component::Stats => io.walk(at!(c.stats)),
+            // A restore is authoritative for the recorder and the profiler:
+            // a snapshot taken without one detaches it here.
+            Component::Obs => {
+                let tiles = c.config.num_tiles;
+                let config = ObsConfig { trace_sample_every: 0, trace_capacity: 0 };
+                io.opt(at!(c.obs), || Box::new(Obs::new(config, tiles)), Walk::walk)
+            }
+            Component::Profile => {
+                let tiles = c.config.num_tiles;
+                let config = ProfileConfig { max_pcs: 0, power_window: 0 };
+                let new = || Box::new(Profiler::new(config, tiles));
+                io.opt(at!(c.profiler), new, Walk::walk)
+            }
+        }
     }
-    let no = r.take_u64()? as usize;
-    tile.refill.outbox.clear();
-    for _ in 0..no {
-        tile.refill.outbox.push_back(r.take_u32()?);
+}
+
+/// The state section: every component in canonical order.
+fn section_b<Io: StateIo, C: Walk>(io: &mut Io, mut c: Place<'_, Io, Cluster<C>>) -> Walked {
+    for part in Component::all(c.cores.len(), c.tiles.len()) {
+        part.walk(io, c.reborrow())?;
     }
-    tile.refill.in_flight = if r.take_bool()? {
-        Some((r.take_u32()?, r.take_u64()?))
-    } else {
-        None
-    };
-    tile.refill.refills = r.take_u64()?;
     Ok(())
 }
 
-/// Restores one register row and re-derives its occupancy bookkeeping.
-fn load_row<T>(
-    r: &mut ByteReader<'_>,
-    row: &mut RegRow<T>,
-    dec: impl Fn(&mut ByteReader<'_>) -> Result<T, SnapshotError>,
-) -> Result<(), SnapshotError> {
-    for reg in row.regs_mut() {
-        load_ebuf(r, reg, &dec)?;
-    }
-    row.resync();
-    Ok(())
-}
-
-/// Arbiters ahead of the register rows, the remaining fabrics behind them;
-/// the rows themselves in link-id order.
-fn save_net(out: &mut dyn StateSink, net: &Net) {
-    match net {
-        Net::Ideal(n) => save_rr_list(out, &n.rr),
-        Net::Global(n) => save_rr_list(out, &n.rr_concentrator),
-        Net::Hier(n) => n.port_router.iter().for_each(|fabric| save_fabric(out, fabric)),
-    }
-    net.for_each_row(&mut |row| match row {
-        Row::Req(row) => {
-            row.regs().iter().for_each(|reg| save_ebuf(out, reg, |o, req| put_req(o, req)));
-        }
-        Row::Resp(row) => {
-            row.regs().iter().for_each(|reg| save_ebuf(out, reg, |o, resp| put_resp(o, resp)));
-        }
-    });
-    match net {
-        Net::Ideal(_) => {}
-        Net::Global(n) => {
-            for fabric in n.req_a.iter().chain(&n.req_b).chain(&n.resp_a).chain(&n.resp_b) {
-                save_fabric(out, fabric);
-            }
-        }
-        Net::Hier(n) => {
-            let fabrics = n.local_req.iter().chain(&n.local_resp);
-            for fabric in fabrics.chain(&n.inter_req).chain(&n.inter_resp) {
-                save_fabric(out, fabric);
-            }
-        }
-    }
-}
-
-fn load_net(r: &mut ByteReader<'_>, net: &mut Net) -> Result<(), SnapshotError> {
-    match net {
-        Net::Ideal(n) => load_rr_list(r, &mut n.rr)?,
-        Net::Global(n) => load_rr_list(r, &mut n.rr_concentrator)?,
-        Net::Hier(n) => n.port_router.iter_mut().try_for_each(|fabric| load_fabric(r, fabric))?,
-    }
-    let mut loaded = Ok(());
-    net.for_each_row_mut(&mut |row| {
-        if loaded.is_ok() {
-            loaded = match row {
-                Row::Req(row) => load_row(r, row, take_req),
-                Row::Resp(row) => load_row(r, row, take_resp),
-            };
-        }
-    });
-    loaded?;
-    match net {
-        Net::Ideal(_) => Ok(()),
-        Net::Global(n) => {
-            let fabrics = n.req_a.iter_mut().chain(&mut n.req_b);
-            let mut fabrics = fabrics.chain(&mut n.resp_a).chain(&mut n.resp_b);
-            fabrics.try_for_each(|fabric| load_fabric(r, fabric))
-        }
-        Net::Hier(n) => {
-            let fabrics = n.local_req.iter_mut().chain(&mut n.local_resp);
-            let mut fabrics = fabrics.chain(&mut n.inter_req).chain(&mut n.inter_resp);
-            fabrics.try_for_each(|fabric| load_fabric(r, fabric))
-        }
-    }
-}
-
-fn save_ring(out: &mut dyn StateSink, ring: &RefillRing) {
-    for slot in ring.ring.slots() {
-        match slot {
-            None => out.put_bool(false),
-            Some((dest, pkt)) => {
-                out.put_bool(true);
-                out.put_u64(dest as u64);
-                out.put_u64(pkt.tile as u64);
-                out.put_u32(pkt.line);
-            }
-        }
-    }
-    for stop in 0..ring.ring.stops() {
-        let queued: Vec<&RefillPacket> = ring.ring.output(stop).collect();
-        out.put_u64(queued.len() as u64);
-        for pkt in queued {
-            out.put_u64(pkt.tile as u64);
-            out.put_u32(pkt.line);
-        }
-    }
-    out.put_u64(ring.serving.len() as u64);
-    for &(ready, tile, line) in &ring.serving {
-        out.put_u64(ready);
-        out.put_u64(tile as u64);
-        out.put_u32(line);
-    }
-    out.put_u64(ring.ring.injected());
-    out.put_u64(ring.ring.ejected());
-}
-
-fn load_ring(r: &mut ByteReader<'_>, ring: &mut RefillRing) -> Result<(), SnapshotError> {
-    let stops = ring.ring.stops();
-    let mut slots = Vec::with_capacity(stops);
-    for _ in 0..stops {
-        slots.push(if r.take_bool()? {
-            let dest = r.take_u64()? as usize;
-            if dest >= stops {
-                return Err(SnapshotError::Corrupt("ring destination"));
-            }
-            let tile = r.take_u64()? as usize;
-            let line = r.take_u32()?;
-            Some((dest, RefillPacket { tile, line }))
-        } else {
-            None
-        });
-    }
-    let mut outputs = Vec::with_capacity(stops);
-    for _ in 0..stops {
-        let n = r.take_u64()? as usize;
-        let mut queue = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tile = r.take_u64()? as usize;
-            let line = r.take_u32()?;
-            queue.push(RefillPacket { tile, line });
-        }
-        outputs.push(queue);
-    }
-    ring.ring.load(slots, outputs);
-    let ns = r.take_u64()? as usize;
-    ring.serving.clear();
-    for _ in 0..ns {
-        let ready = r.take_u64()?;
-        let tile = r.take_u64()? as usize;
-        let line = r.take_u32()?;
-        ring.serving.push_back((ready, tile, line));
-    }
-    let injected = r.take_u64()?;
-    let ejected = r.take_u64()?;
-    ring.ring.set_counters(injected, ejected);
-    Ok(())
-}
-
-fn put_fault_event(out: &mut dyn StateSink, event: &FaultEvent) {
-    match *event {
-        FaultEvent::BankFailed {
-            cycle,
-            tile,
-            bank,
-            substitute,
-        } => {
-            out.put_u8(0);
-            out.put_u64(cycle);
-            out.put_u32(tile);
-            out.put_u32(bank);
-            match substitute {
-                None => out.put_bool(false),
-                Some(s) => {
-                    out.put_bool(true);
-                    out.put_u32(s);
-                }
-            }
-        }
-        FaultEvent::RequestAbandoned {
-            cycle,
-            core,
-            addr,
-            retries,
-        } => {
-            out.put_u8(1);
-            out.put_u64(cycle);
-            out.put_u32(core);
-            out.put_u32(addr);
-            out.put_u32(retries);
-        }
-        FaultEvent::CoreLocked { cycle, core, until } => {
-            out.put_u8(2);
-            out.put_u64(cycle);
-            out.put_u32(core);
-            out.put_u64(until);
-        }
-    }
-}
-
-fn take_fault_event(r: &mut ByteReader<'_>) -> Result<FaultEvent, SnapshotError> {
-    Ok(match r.take_u8()? {
-        0 => FaultEvent::BankFailed {
-            cycle: r.take_u64()?,
-            tile: r.take_u32()?,
-            bank: r.take_u32()?,
-            substitute: if r.take_bool()? { Some(r.take_u32()?) } else { None },
-        },
-        1 => FaultEvent::RequestAbandoned {
-            cycle: r.take_u64()?,
-            core: r.take_u32()?,
-            addr: r.take_u32()?,
-            retries: r.take_u32()?,
-        },
-        2 => FaultEvent::CoreLocked {
-            cycle: r.take_u64()?,
-            core: r.take_u32()?,
-            until: r.take_u64()?,
-        },
-        _ => return Err(SnapshotError::Corrupt("fault event kind")),
-    })
-}
-
-impl<C: CoreState> Cluster<C> {
-    fn encode_globals(&self, out: &mut dyn StateSink) {
-        out.put_u64(self.now);
-        out.put_u64(self.in_flight);
-        out.put_u64(self.next_failure as u64);
-        out.put_u64(self.last_progress);
-        out.put_u64(self.progress_mark);
-    }
-
-    fn encode_core(&self, i: usize, out: &mut dyn StateSink) {
-        self.cores[i].encode_state(out);
-        put_opt_req(out, &self.out_latches[i]);
-        out.put_u64(self.locked_until[i]);
-    }
-
-    fn encode_pending(&self, out: &mut dyn StateSink) {
-        out.put_u64(self.pending.len() as u64);
-        for (&(core, tag), p) in &self.pending {
-            out.put_u32(core);
-            out.put_u8(tag);
-            out.put_u32(p.addr);
-            put_kind(out, p.kind);
-            out.put_u64(p.issued_at);
-            out.put_u64(p.last_sent);
-            out.put_u32(p.retries);
-        }
-    }
-
-    fn encode_quarantine(&self, out: &mut dyn StateSink) {
-        let subst = self.quarantine.subst_table();
-        out.put_u64(subst.len() as u64);
-        for &s in subst {
-            out.put_u32(s);
-        }
-        for &d in self.quarantine.dead_flags() {
-            out.put_bool(d);
-        }
-    }
-
-    fn encode_fault_log(&self, out: &mut dyn StateSink) {
-        out.put_u64(self.fault_log.capacity() as u64);
-        out.put_u64(self.fault_log.dropped());
-        out.put_u64(self.fault_log.len() as u64);
-        for event in self.fault_log.events() {
-            put_fault_event(out, event);
-        }
-    }
-
-    fn encode_stats(&self, out: &mut dyn StateSink) {
-        let s = &self.stats;
-        out.put_u64(s.cycles);
-        out.put_u64(s.requests_issued);
-        out.put_u64(s.bank_accesses);
-        out.put_u64(s.responses_delivered);
-        out.put_u64(s.local_requests);
-        out.put_u64(s.remote_requests);
-        out.put_u64(s.group_local_requests);
-        for &d in &s.direction_requests {
-            out.put_u64(d);
-        }
-        s.latency.save_state(out);
-        out.put_u64(s.icache_refills);
-        out.put_u64(s.memory_faults);
-        out.put_u64(s.net_occupancy_sum);
-        out.put_u64(s.net_register_slots);
-        out.put_u64(s.tile_accesses.len() as u64);
-        for &t in &s.tile_accesses {
-            out.put_u64(t);
-        }
-        let f = &s.faults;
-        for v in [
-            f.bank_stalls,
-            f.banks_failed,
-            f.banks_quarantined,
-            f.quarantine_remaps,
-            f.requests_dropped,
-            f.link_stalls,
-            f.link_drops,
-            f.link_corruptions,
-            f.ring_stalls,
-            f.ring_drops,
-            f.core_lockups,
-            f.spurious_retires,
-            f.request_timeouts,
-            f.request_retries,
-            f.requests_abandoned,
-            f.stale_responses,
-        ] {
-            out.put_u64(v);
-        }
-    }
-
-    fn encode_obs(&self, out: &mut dyn StateSink) {
-        match &self.obs {
-            None => out.put_bool(false),
-            Some(obs) => {
-                out.put_bool(true);
-                out.put_u64(obs.config.trace_sample_every);
-                out.put_u64(obs.config.trace_capacity as u64);
-                for h in &obs.tile_latency {
-                    h.save_state(out);
-                }
-                out.put_u64(obs.spans.len() as u64);
-                for s in &obs.spans {
-                    out.put_u32(s.core);
-                    out.put_u32(s.tile);
-                    out.put_u64(s.issued_at);
-                    out.put_u64(s.latency);
-                }
-                out.put_u64(obs.deliveries_seen);
-                out.put_u64(obs.dropped_spans);
-            }
-        }
-    }
-
-    fn encode_profile(&self, out: &mut dyn StateSink) {
-        match &self.profiler {
-            None => out.put_bool(false),
-            Some(p) => {
-                out.put_bool(true);
-                out.put_u64(p.config.max_pcs as u64);
-                out.put_u64(p.config.power_window);
-                out.put_u64(p.window_start);
-                for t in &p.mark.tiles {
-                    put_tile_activity(out, t);
-                }
-                out.put_u64(p.mark.local_requests);
-                out.put_u64(p.mark.remote_requests);
-                out.put_u64(p.windows.len() as u64);
-                for w in &p.windows {
-                    out.put_u64(w.start);
-                    out.put_u64(w.end);
-                    for t in &w.tiles {
-                        put_tile_activity(out, t);
-                    }
-                    out.put_u64(w.local_requests);
-                    out.put_u64(w.remote_requests);
-                }
-            }
-        }
-    }
-
-    /// Streams the digested state section: every component in canonical
-    /// order.
-    fn encode_section_b(&self, out: &mut dyn StateSink) {
-        self.encode_globals(out);
-        for i in 0..self.cores.len() {
-            self.encode_core(i, out);
-        }
-        self.encode_pending(out);
-        for tile in &self.tiles {
-            save_tile(out, tile);
-        }
-        save_net(out, &self.net);
-        match &self.refill_ring {
-            None => out.put_bool(false),
-            Some(ring) => {
-                out.put_bool(true);
-                save_ring(out, ring);
-            }
-        }
-        self.encode_quarantine(out);
-        self.encode_fault_log(out);
-        self.encode_stats(out);
-        self.encode_obs(out);
-        self.encode_profile(out);
-    }
-
-    /// Streams the input section: fault-plan parameters and the scheduled
-    /// bank-failure list (snapshotted for resumption, excluded from the
-    /// state digest).
-    fn encode_section_a(&self, out: &mut dyn StateSink) {
-        match &self.faults {
-            None => out.put_bool(false),
-            Some(plan) => {
-                out.put_bool(true);
-                out.put_u64(plan.seed());
-                let spec = plan.spec();
-                out.put_u32(spec.bank_fail);
-                for p in [
-                    spec.bank_stall,
-                    spec.link_stall,
-                    spec.link_drop,
-                    spec.link_corrupt,
-                    spec.ring_stall,
-                    spec.ring_drop,
-                    spec.core_lockup,
-                    spec.spurious_retire,
-                ] {
-                    out.put_f64(p);
-                }
-            }
-        }
-        out.put_u64(self.pending_failures.len() as u64);
-        for f in &self.pending_failures {
-            out.put_u64(f.cycle);
-            out.put_u32(f.tile);
-            out.put_u32(f.bank);
-        }
-    }
-
+impl<C: Walk> Cluster<C> {
     /// The canonical FNV-1a digest over the cluster's complete dynamic
     /// state: cores (registers, PCs, LSU queues), SPM banks, I-caches,
     /// every interconnect register stage and arbiter pointer, the retry
@@ -1515,46 +1230,20 @@ impl<C: CoreState> Cluster<C> {
     /// injected fault takes effect (see [`bisect_divergence`]).
     pub fn state_digest(&self) -> u64 {
         let mut h = Fnv::new();
-        self.encode_section_b(&mut h);
+        saved(section_b(&mut h, Place { held: self }));
         h.finish()
     }
 
     /// Per-component digests in canonical order — the per-tile /
     /// per-structure view a [`DivergenceReport`] diffs.
     pub fn component_digests(&self) -> Vec<(String, u64)> {
-        let digest_of = |enc: &dyn Fn(&mut dyn StateSink)| {
+        let parts = Component::all(self.cores.len(), self.tiles.len());
+        let digest = |part: Component| {
             let mut h = Fnv::new();
-            enc(&mut h);
-            h.finish()
+            saved(part.walk(&mut h, Place { held: self }));
+            (part.name(), h.finish())
         };
-        let mut components = Vec::with_capacity(self.cores.len() + self.tiles.len() + 6);
-        components.push(("globals".to_owned(), digest_of(&|out| self.encode_globals(out))));
-        for i in 0..self.cores.len() {
-            components.push((format!("core{i}"), digest_of(&|out| self.encode_core(i, out))));
-        }
-        components.push(("pending".to_owned(), digest_of(&|out| self.encode_pending(out))));
-        for (t, tile) in self.tiles.iter().enumerate() {
-            components.push((format!("tile{t}"), digest_of(&|out| save_tile(out, tile))));
-        }
-        components.push(("net".to_owned(), digest_of(&|out| save_net(out, &self.net))));
-        if let Some(ring) = &self.refill_ring {
-            components.push(("refill-ring".to_owned(), digest_of(&|out| save_ring(out, ring))));
-        }
-        components.push((
-            "quarantine".to_owned(),
-            digest_of(&|out| self.encode_quarantine(out)),
-        ));
-        components.push((
-            "fault-log".to_owned(),
-            digest_of(&|out| self.encode_fault_log(out)),
-        ));
-        components.push(("stats".to_owned(), digest_of(&|out| self.encode_stats(out))));
-        components.push(("obs".to_owned(), digest_of(&|out| self.encode_obs(out))));
-        components.push((
-            "profile".to_owned(),
-            digest_of(&|out| self.encode_profile(out)),
-        ));
-        components
+        parts.map(digest).collect()
     }
 
     /// Captures a complete checkpoint of the cluster.
@@ -1570,9 +1259,9 @@ impl<C: CoreState> Cluster<C> {
         let l1_bytes = 4 * self.config.num_banks() * self.config.rows_per_bank as usize;
         let mut bytes = Vec::with_capacity(HEADER_LEN + l1_bytes + l1_bytes / 2);
         bytes.resize(HEADER_LEN, 0);
-        self.encode_section_a(&mut bytes);
+        saved(section_a(&mut bytes, Place { held: self }));
         let len_a = bytes.len() - HEADER_LEN;
-        self.encode_section_b(&mut bytes);
+        saved(section_b(&mut bytes, Place { held: self }));
         let (a, b) = bytes[HEADER_LEN..].split_at(len_a);
         let fields = [
             config_digest(&self.config),
@@ -1610,214 +1299,19 @@ impl<C: CoreState> Cluster<C> {
         if snap.image_digest() != self.image.digest() {
             return Err(SnapshotError::ImageMismatch);
         }
-
-        let mut ra = ByteReader::new(snap.section_a());
-        self.faults = if ra.take_bool()? {
-            let seed = ra.take_u64()?;
-            let spec = FaultSpec {
-                bank_fail: ra.take_u32()?,
-                bank_stall: ra.take_f64()?,
-                link_stall: ra.take_f64()?,
-                link_drop: ra.take_f64()?,
-                link_corrupt: ra.take_f64()?,
-                ring_stall: ra.take_f64()?,
-                ring_drop: ra.take_f64()?,
-                core_lockup: ra.take_f64()?,
-                spurious_retire: ra.take_f64()?,
-            };
-            Some(FaultPlan::new(seed, spec))
-        } else {
-            None
-        };
-        let nf = ra.take_u64()? as usize;
-        self.pending_failures.clear();
-        for _ in 0..nf {
-            self.pending_failures.push(BankFailure {
-                cycle: ra.take_u64()?,
-                tile: ra.take_u32()?,
-                bank: ra.take_u32()?,
-            });
-        }
-        if !ra.is_empty() {
+        let r = &mut ByteReader::new(snap.section_a());
+        section_a(r, Place { held: &mut *self })?;
+        if !r.is_empty() {
             return Err(SnapshotError::Corrupt("trailing input-section bytes"));
         }
-
         let r = &mut ByteReader::new(snap.section_b());
-        self.now = r.take_u64()?;
-        self.in_flight = r.take_u64()?;
-        self.next_failure = r.take_u64()? as usize;
-        self.last_progress = r.take_u64()?;
-        self.progress_mark = r.take_u64()?;
-        for i in 0..self.cores.len() {
-            self.cores[i].decode_state(r)?;
-            self.out_latches[i] = take_opt_req(r)?;
-            self.locked_until[i] = r.take_u64()?;
-        }
-        let np = r.take_u64()? as usize;
-        self.pending.clear();
-        for _ in 0..np {
-            let core = r.take_u32()?;
-            let tag = r.take_u8()?;
-            let p = PendingRequest {
-                addr: r.take_u32()?,
-                kind: take_kind(r)?,
-                issued_at: r.take_u64()?,
-                last_sent: r.take_u64()?,
-                retries: r.take_u32()?,
-            };
-            self.pending.insert((core, tag), p);
-        }
-        for tile in &mut self.tiles {
-            load_tile(r, tile)?;
+        section_b(r, Place { held: &mut *self })?;
+        if !r.is_empty() {
+            return Err(SnapshotError::Corrupt("trailing state-section bytes"));
         }
         // Derived bookkeeping the cycle loop keeps beside the restored state.
         self.refills_total = self.tiles.iter().map(Tile::refills).sum();
         self.retry_due = 0;
-        load_net(r, &mut self.net)?;
-        let has_ring = r.take_bool()?;
-        match (&mut self.refill_ring, has_ring) {
-            (Some(ring), true) => load_ring(r, ring)?,
-            (None, false) => {}
-            _ => return Err(SnapshotError::Corrupt("refill transport kind")),
-        }
-        {
-            let ns = r.take_u64()? as usize;
-            if ns != self.quarantine.subst_table().len() {
-                return Err(SnapshotError::Corrupt("quarantine table size"));
-            }
-            let mut subst = Vec::with_capacity(ns);
-            for _ in 0..ns {
-                subst.push(r.take_u32()?);
-            }
-            let mut dead = Vec::with_capacity(ns);
-            for _ in 0..ns {
-                dead.push(r.take_bool()?);
-            }
-            self.quarantine.load(&subst, &dead);
-        }
-        {
-            let capacity = r.take_u64()? as usize;
-            let dropped = r.take_u64()?;
-            let n = r.take_u64()? as usize;
-            if n > capacity {
-                return Err(SnapshotError::Corrupt("fault log length"));
-            }
-            let mut events = Vec::with_capacity(n);
-            for _ in 0..n {
-                events.push(take_fault_event(r)?);
-            }
-            self.fault_log = FaultLog::from_parts(events, capacity, dropped);
-        }
-        {
-            let s = &mut self.stats;
-            s.cycles = r.take_u64()?;
-            s.requests_issued = r.take_u64()?;
-            s.bank_accesses = r.take_u64()?;
-            s.responses_delivered = r.take_u64()?;
-            s.local_requests = r.take_u64()?;
-            s.remote_requests = r.take_u64()?;
-            s.group_local_requests = r.take_u64()?;
-            for d in &mut s.direction_requests {
-                *d = r.take_u64()?;
-            }
-            s.latency.load_state(r)?;
-            s.icache_refills = r.take_u64()?;
-            s.memory_faults = r.take_u64()?;
-            s.net_occupancy_sum = r.take_u64()?;
-            s.net_register_slots = r.take_u64()?;
-            let nt = r.take_u64()? as usize;
-            if nt != s.tile_accesses.len() {
-                return Err(SnapshotError::Corrupt("tile access counter count"));
-            }
-            for t in &mut s.tile_accesses {
-                *t = r.take_u64()?;
-            }
-            let f = &mut s.faults;
-            for field in [
-                &mut f.bank_stalls,
-                &mut f.banks_failed,
-                &mut f.banks_quarantined,
-                &mut f.quarantine_remaps,
-                &mut f.requests_dropped,
-                &mut f.link_stalls,
-                &mut f.link_drops,
-                &mut f.link_corruptions,
-                &mut f.ring_stalls,
-                &mut f.ring_drops,
-                &mut f.core_lockups,
-                &mut f.spurious_retires,
-                &mut f.request_timeouts,
-                &mut f.request_retries,
-                &mut f.requests_abandoned,
-                &mut f.stale_responses,
-            ] {
-                *field = r.take_u64()?;
-            }
-        }
-        // The restore is authoritative for observability: a snapshot taken
-        // without the recorder detaches any recorder on this cluster.
-        self.obs = if r.take_bool()? {
-            let config = crate::obs::ObsConfig {
-                trace_sample_every: r.take_u64()?,
-                trace_capacity: r.take_u64()? as usize,
-            };
-            let mut obs = crate::obs::Obs::new(config, self.config.num_tiles);
-            for h in &mut obs.tile_latency {
-                h.load_state(r)?;
-            }
-            let ns = r.take_u64()? as usize;
-            for _ in 0..ns {
-                obs.spans.push(crate::obs::TraceSpan {
-                    core: r.take_u32()?,
-                    tile: r.take_u32()?,
-                    issued_at: r.take_u64()?,
-                    latency: r.take_u64()?,
-                });
-            }
-            obs.deliveries_seen = r.take_u64()?;
-            obs.dropped_spans = r.take_u64()?;
-            Some(Box::new(obs))
-        } else {
-            None
-        };
-        // Same authority for the profiler: the cluster half restores here,
-        // the per-core tables were restored with each core above.
-        self.profiler = if r.take_bool()? {
-            let config = crate::ProfileConfig {
-                max_pcs: r.take_u64()? as usize,
-                power_window: r.take_u64()?,
-            };
-            let mut p = crate::profile::Profiler::new(config, self.config.num_tiles);
-            p.window_start = r.take_u64()?;
-            for t in &mut p.mark.tiles {
-                *t = take_tile_activity(r)?;
-            }
-            p.mark.local_requests = r.take_u64()?;
-            p.mark.remote_requests = r.take_u64()?;
-            let nw = r.take_u64()? as usize;
-            for _ in 0..nw {
-                let start = r.take_u64()?;
-                let end = r.take_u64()?;
-                let mut tiles = Vec::with_capacity(self.config.num_tiles);
-                for _ in 0..self.config.num_tiles {
-                    tiles.push(take_tile_activity(r)?);
-                }
-                p.windows.push(crate::PowerWindow {
-                    start,
-                    end,
-                    tiles,
-                    local_requests: r.take_u64()?,
-                    remote_requests: r.take_u64()?,
-                });
-            }
-            Some(Box::new(p))
-        } else {
-            None
-        };
-        if !r.is_empty() {
-            return Err(SnapshotError::Corrupt("trailing state-section bytes"));
-        }
-        // Transient per-cycle scratch (always drained within a cycle).
         self.deliveries.clear();
         // An attached sanitizer tracked the *pre-restore* timeline; reseed it
         // from the restored pending map so it does not report the restored
@@ -1827,122 +1321,8 @@ impl<C: CoreState> Cluster<C> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Divergence bisection.
-// ---------------------------------------------------------------------------
-
-/// One component whose digests disagree at the first divergent cycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ComponentDiff {
-    /// Component name (`core3`, `tile7`, `net`, `stats`, ...).
-    pub component: String,
-    /// Digest in the first cluster.
-    pub left: u64,
-    /// Digest in the second cluster.
-    pub right: u64,
-}
-
-/// The result of [`bisect_divergence`]: where and in what two runs first
-/// disagree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DivergenceReport {
-    /// First cycle at which the state digests differ.
-    pub cycle: u64,
-    /// The components (tiles, cores, structures) that differ at that cycle,
-    /// in canonical order.
-    pub components: Vec<ComponentDiff>,
-}
-
-impl fmt::Display for DivergenceReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "first divergence at cycle {}:", self.cycle)?;
-        for c in &self.components {
-            write!(
-                f,
-                "\n  {}: {:#018x} vs {:#018x}",
-                c.component, c.left, c.right
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Binary-searches for the first cycle at which two clusters' state digests
-/// diverge, advancing both in lock-step.
-///
-/// The clusters must share a geometry (so their component lists line up);
-/// they may differ in fault plans — plan *parameters* are excluded from the
-/// digest precisely so a faulted run and a clean run agree until the first
-/// injected fault acts. Both clusters are left **at the divergent cycle**
-/// (or `max_cycles` further along when no divergence was found, returning
-/// `None`).
-///
-/// `stride` is the checkpoint interval of the forward scan: the search runs
-/// both clusters `stride` cycles at a time, and on the first mismatching
-/// window restores from the last agreeing checkpoint and bisects inside it.
-pub fn bisect_divergence<C: Core + CoreState>(
-    a: &mut Cluster<C>,
-    b: &mut Cluster<C>,
-    max_cycles: u64,
-    stride: u64,
-) -> Option<DivergenceReport> {
-    let stride = stride.max(1);
-    let diff = |a: &Cluster<C>, b: &Cluster<C>| -> Vec<ComponentDiff> {
-        a.component_digests()
-            .into_iter()
-            .zip(b.component_digests())
-            .filter(|((_, left), (_, right))| left != right)
-            .map(|((component, left), (_, right))| ComponentDiff {
-                component,
-                left,
-                right,
-            })
-            .collect()
-    };
-    if a.state_digest() != b.state_digest() {
-        return Some(DivergenceReport {
-            cycle: a.now(),
-            components: diff(a, b),
-        });
-    }
-    let mut remaining = max_cycles;
-    while remaining > 0 {
-        let chunk = stride.min(remaining);
-        let snap_a = a.snapshot();
-        let snap_b = b.snapshot();
-        let base = a.now();
-        a.step_cycles(chunk);
-        b.step_cycles(chunk);
-        if a.state_digest() == b.state_digest() {
-            remaining -= chunk;
-            continue;
-        }
-        // Diverged somewhere in (base, base + chunk]: bisect by restoring
-        // to the last agreeing checkpoint and replaying partial windows.
-        let (mut lo, mut hi) = (0u64, chunk);
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            a.restore(&snap_a).expect("snapshot of this very cluster");
-            b.restore(&snap_b).expect("snapshot of this very cluster");
-            a.step_cycles(mid);
-            b.step_cycles(mid);
-            if a.state_digest() == b.state_digest() {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        a.restore(&snap_a).expect("snapshot of this very cluster");
-        b.restore(&snap_b).expect("snapshot of this very cluster");
-        a.step_cycles(hi);
-        b.step_cycles(hi);
-        return Some(DivergenceReport {
-            cycle: base + hi,
-            components: diff(a, b),
-        });
-    }
-    None
-}
+mod bisect;
+pub use bisect::{bisect_divergence, ComponentDiff, DivergenceReport};
 
 #[cfg(test)]
 mod oracle;

@@ -5,7 +5,7 @@
 //! rather than to its own self-consistency.
 
 use super::*;
-use crate::{FaultPlan, ObsConfig, ProfileConfig, ResilienceConfig, SimSession, Topology};
+use crate::{Core, FaultPlan, ObsConfig, ProfileConfig, ResilienceConfig, SimSession, Topology};
 use mempool_riscv::assemble;
 use mempool_rng::{Rng, SeedableRng, StdRng};
 use mempool_snitch::{DataRequest, DataResponse, Fetch};
@@ -31,11 +31,11 @@ impl StateSink for WordAtATime {
 
 /// The former `Cluster::snapshot`: both sections in buffers of their own,
 /// hashed a byte at a time, then copied behind a freshly built header.
-fn three_buffer_snapshot<C: CoreState>(cluster: &Cluster<C>) -> Vec<u8> {
+fn three_buffer_snapshot<C: Walk>(cluster: &Cluster<C>) -> Vec<u8> {
     let mut a = WordAtATime(Vec::new());
-    cluster.encode_section_a(&mut a);
+    saved(section_a(&mut a, Place { held: cluster }));
     let mut b = WordAtATime(Vec::new());
-    cluster.encode_section_b(&mut b);
+    saved(section_b(&mut b, Place { held: cluster }));
     let (a, b) = (a.0, b.0);
     let mut bytes = WordAtATime(Vec::with_capacity(HEADER_LEN + a.len() + b.len()));
     bytes.put_u32(MAGIC);
@@ -53,7 +53,7 @@ fn three_buffer_snapshot<C: CoreState>(cluster: &Cluster<C>) -> Vec<u8> {
 
 /// The image, the digest in its header and the streamed digest all equal
 /// the oracle's; the image validates and restores to itself.
-fn assert_matches_the_oracle<C: Core + CoreState>(cluster: &mut Cluster<C>, what: &str) {
+fn assert_matches_the_oracle<C: Core + Walk>(cluster: &mut Cluster<C>, what: &str) {
     let oracle = three_buffer_snapshot(cluster);
     let snap = cluster.snapshot();
     assert!(snap.as_bytes() == oracle, "{what}: snapshot bytes moved");
@@ -116,22 +116,15 @@ impl Core for Stores {
     }
 }
 
-impl CoreState for Stores {
-    fn encode_state(&self, out: &mut dyn StateSink) {
-        out.put_u64(self.rng.state());
-        out.put_u64(self.backlog.len() as u64);
-        out.put_words(&self.backlog);
-        out.put_u8(self.free_tags);
-    }
-
-    fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), SnapshotError> {
-        self.rng = StdRng::seed_from_u64(r.take_u64()?);
-        let n = r.take_u64()? as usize;
-        self.backlog.clear();
-        self.backlog.resize(n.min(r.remaining() / 4), 0);
-        r.take_words(&mut self.backlog)?;
-        self.free_tags = r.take_u8()?;
-        Ok(())
+impl Walk for Stores {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        let set = |rng: &mut StdRng, state| {
+            *rng = StdRng::seed_from_u64(state);
+            Ok(())
+        };
+        io.via(at!(this.rng), StdRng::state, set, u64::walk)?;
+        io.walk(at!(this.backlog))?;
+        io.walk(at!(this.free_tags))
     }
 }
 

@@ -1,6 +1,7 @@
 //! Cluster-level statistics: latency distributions, throughput, locality.
 
 use std::fmt;
+use crate::snapshot::{at, walk_fields, Place, StateIo, Walk, Walked};
 
 /// An online latency distribution (count, sum, min, max, and a coarse
 /// power-of-two histogram for percentiles).
@@ -97,48 +98,6 @@ impl LatencyStats {
         Some(self.max)
     }
 
-    /// Serializes the distribution into `out` in the canonical checkpoint
-    /// encoding (also the digest encoding).
-    pub fn save_state(&self, out: &mut dyn crate::snapshot::StateSink) {
-        out.put_u64(self.count);
-        out.put_u64(self.sum);
-        out.put_u64(self.min);
-        out.put_u64(self.max);
-        out.put_u64(self.buckets.len() as u64);
-        for &b in &self.buckets {
-            out.put_u64(b);
-        }
-    }
-
-    /// Restores the distribution from its [`save_state`] encoding.
-    ///
-    /// [`save_state`]: LatencyStats::save_state
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapshotError`](crate::snapshot::SnapshotError) when the
-    /// bytes are truncated or malformed.
-    pub fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::ByteReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.count = r.take_u64()?;
-        self.sum = r.take_u64()?;
-        self.min = r.take_u64()?;
-        self.max = r.take_u64()?;
-        let n = r.take_u64()? as usize;
-        if n != EXACT_BUCKETS + 1 {
-            return Err(crate::snapshot::SnapshotError::Corrupt(
-                "latency histogram bucket count",
-            ));
-        }
-        self.buckets.clear();
-        for _ in 0..n {
-            self.buckets.push(r.take_u64()?);
-        }
-        Ok(())
-    }
-
     /// Merges another distribution into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
         if other.count == 0 {
@@ -154,6 +113,19 @@ impl LatencyStats {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
+    }
+}
+
+/// Count, sum, min, max, then the bucket count and every bucket.
+impl crate::snapshot::Walk for LatencyStats {
+    fn walk<Io: crate::StateIo>(io: &mut Io, mut this: crate::Place<'_, Io, Self>) -> crate::Walked {
+        use crate::snapshot::at;
+        io.walk(at!(this.count))?;
+        io.walk(at!(this.sum))?;
+        io.walk(at!(this.min))?;
+        io.walk(at!(this.max))?;
+        io.count(this.buckets.len(), "latency histogram bucket count")?;
+        io.walk(at!(this.buckets[..]))
     }
 }
 
@@ -382,6 +354,37 @@ impl ClusterStats {
         } else {
             self.local_requests as f64 / total as f64
         }
+    }
+}
+
+impl Walk for ClusterStats {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        io.walk(at!(this.cycles))?;
+        io.walk(at!(this.requests_issued))?;
+        io.walk(at!(this.bank_accesses))?;
+        io.walk(at!(this.responses_delivered))?;
+        io.walk(at!(this.local_requests))?;
+        io.walk(at!(this.remote_requests))?;
+        io.walk(at!(this.group_local_requests))?;
+        io.walk(at!(this.direction_requests))?;
+        io.walk(at!(this.latency))?;
+        io.walk(at!(this.icache_refills))?;
+        io.walk(at!(this.memory_faults))?;
+        io.walk(at!(this.net_occupancy_sum))?;
+        io.walk(at!(this.net_register_slots))?;
+        io.count(this.tile_accesses.len(), "tile access counter count")?;
+        io.walk(at!(this.tile_accesses[..]))?;
+        io.walk(at!(this.faults))
+    }
+}
+
+
+walk_fields! {
+    FaultStats {
+        bank_stalls, banks_failed, banks_quarantined, quarantine_remaps, requests_dropped,
+        link_stalls, link_drops, link_corruptions, ring_stalls, ring_drops, core_lockups,
+        spurious_retires, request_timeouts, request_retries, requests_abandoned,
+        stale_responses,
     }
 }
 

@@ -9,6 +9,7 @@ use mempool_noc::Fabric;
 use mempool_riscv::{Instr, StoreOp};
 use mempool_snitch::{DataRequestKind, Fetch};
 use std::collections::VecDeque;
+use crate::snapshot::{at, Place, StateIo, Walk, Walked};
 
 /// The pre-decoded instruction image shared by all tiles (instructions live
 /// in a separate address space backed by L2; the tile I-caches model fetch
@@ -388,5 +389,31 @@ fn bank_access(bank: &mut SpmBank, req: &Request, row: u32, byte: u32) -> Respon
         data,
         issued_at: req.issued_at,
         is_write: req.kind.is_write(),
+    }
+}
+
+impl Walk for Tile {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        io.each(at!(this.banks[..]), |io, mut bank| {
+            io.count(bank.words().len(), "bank row count")?;
+            io.words(bank.at(SpmBank::words, SpmBank::words_mut))?;
+            io.walk(bank.at(SpmBank::reservations, SpmBank::reservations_mut))?;
+            let set = |bank: &mut SpmBank, accesses| {
+                bank.set_accesses(accesses);
+                Ok(())
+            };
+            io.via(bank, SpmBank::accesses, set, u64::walk)
+        })?;
+        io.walk(at!(this.bank_resp))?;
+        io.walk(at!(this.req_fabric))?;
+        io.walk(at!(this.resp_fabric))?;
+        io.count(this.slave_req.len(), "remote port count")?;
+        io.walk(at!(this.slave_req[..]))?;
+        io.walk(at!(this.resp_out[..]))?;
+        io.walk(at!(this.icache))?;
+        io.walk(at!(this.refill.pending))?;
+        io.walk(at!(this.refill.outbox))?;
+        io.walk(at!(this.refill.in_flight))?;
+        io.walk(at!(this.refill.refills))
     }
 }

@@ -183,7 +183,7 @@ impl SpmBank {
 
     /// Active LR reservations as `(hart, row)` pairs, in age order
     /// (checkpointing).
-    pub fn reservations(&self) -> &[(u32, u32)] {
+    pub fn reservations(&self) -> &Vec<(u32, u32)> {
         &self.reservations
     }
 
@@ -197,17 +197,15 @@ impl SpmBank {
         self.accesses = accesses;
     }
 
-    /// Restores the full bank state: row contents and reservations. The row
-    /// count is unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` disagrees with the bank's row count.
-    pub fn load(&mut self, words: &[u32], reservations: &[(u32, u32)]) {
-        assert_eq!(words.len(), self.rows.len(), "row count mismatch");
-        self.rows.copy_from_slice(words);
-        self.reservations.clear();
-        self.reservations.extend_from_slice(reservations);
+    /// All rows, writable in place (checkpoint restore); the row count is
+    /// fixed.
+    pub fn words_mut(&mut self) -> &mut [u32] {
+        &mut self.rows
+    }
+
+    /// The LR reservations, to restore from a checkpoint.
+    pub fn reservations_mut(&mut self) -> &mut Vec<(u32, u32)> {
+        &mut self.reservations
     }
 
     /// Drops all reservations on `row` except the optional `keep` hart.

@@ -507,24 +507,6 @@ impl Fabric {
         self.arbiters.iter().map(RoundRobin::pointer).collect()
     }
 
-    /// Restores all arbiter pointers from
-    /// [`arbiter_pointers`](Fabric::arbiter_pointers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice length disagrees with the arbiter count or any
-    /// pointer is out of range.
-    pub fn set_arbiter_pointers(&mut self, pointers: &[usize]) {
-        assert_eq!(
-            pointers.len(),
-            self.arbiters.len(),
-            "arbiter pointer count mismatch"
-        );
-        for (arb, &pointer) in self.arbiters.iter_mut().zip(pointers) {
-            arb.set_pointer(pointer);
-        }
-    }
-
     /// The grant counter of every arbiter, in
     /// [`arbiter_pointers`](Fabric::arbiter_pointers) order (checkpointing
     /// and observability).
@@ -532,21 +514,15 @@ impl Fabric {
         self.arbiters.iter().map(RoundRobin::grants).collect()
     }
 
-    /// Restores all arbiter grant counters from
-    /// [`arbiter_grants`](Fabric::arbiter_grants).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice length disagrees with the arbiter count.
-    pub fn set_arbiter_grants(&mut self, grants: &[u64]) {
-        assert_eq!(
-            grants.len(),
-            self.arbiters.len(),
-            "arbiter grant count mismatch"
-        );
-        for (arb, &count) in self.arbiters.iter_mut().zip(grants) {
-            arb.set_grants(count);
-        }
+    /// Every arbiter, in [`arbiter_pointers`](Fabric::arbiter_pointers)
+    /// order (checkpointing).
+    pub fn arbiters(&self) -> &[RoundRobin] {
+        &self.arbiters
+    }
+
+    /// Every arbiter, writable (checkpoint restore).
+    pub fn arbiters_mut(&mut self) -> &mut [RoundRobin] {
+        &mut self.arbiters
     }
 
     /// Total committed switch-output traversals across all arbiters — the

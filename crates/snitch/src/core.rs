@@ -161,7 +161,7 @@ struct LsuSlot {
 }
 
 /// One in-flight LSU slot in a [`SnitchState`] image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LsuSlotState {
     /// Destination register awaiting the response, if any.
     pub dest: Option<Reg>,

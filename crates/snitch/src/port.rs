@@ -31,7 +31,7 @@ pub struct DataRequest {
 }
 
 /// The operation performed at the target bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DataRequestKind {
     /// Load of the given width.
     Load(LoadOp),
@@ -50,6 +50,7 @@ pub enum DataRequestKind {
         operand: u32,
     },
     /// Load-reserved word.
+    #[default]
     LoadReserved,
     /// Store-conditional word.
     StoreConditional {

@@ -3,7 +3,8 @@
 //! uniformly distributed destination banks (optionally biased into the
 //! local tile's sequential region, §V-B).
 
-use mempool::{Core, LatencyStats};
+use mempool::snapshot::at;
+use mempool::{Core, LatencyStats, Place, SnapshotError, StateIo, Walk, Walked};
 use mempool_riscv::LoadOp;
 use mempool_snitch::{DataRequest, DataRequestKind, DataResponse, Fetch};
 use mempool_rng::StdRng;
@@ -382,101 +383,76 @@ fn free_mask(outstanding: usize, is_free: impl Fn(usize) -> bool) -> [u64; 4] {
     mask
 }
 
-impl mempool::CoreState for TrafficGen {
-    fn encode_state(&self, out: &mut dyn mempool::StateSink) {
-        out.put_u64(self.rng.state());
-        out.put_u64(self.queue_len() as u64);
-        for &queued in &self.restored {
-            out.put_u64(self.gen_time(queued));
-            out.put_u32(queued.addr);
-        }
-        let mut cursor = self.cursor.clone();
-        for behind in (0..self.owed).rev() {
-            let (cycle, addr) = cursor.pop(&self.source, behind > 0);
-            out.put_u64(cycle);
-            out.put_u32(addr);
-        }
-        out.put_u64(self.tags.len() as u64);
-        for tag in &self.tags {
-            match tag {
-                None => out.put_bool(false),
-                Some(gen_time) => {
-                    out.put_bool(true);
-                    out.put_u64(*gen_time);
+/// The RNG state, the source queue, the tags, the clock, then the
+/// statistics.
+impl Walk for TrafficGen {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        let set = |rng: &mut StdRng, state| {
+            *rng = StdRng::seed_from_u64(state);
+            Ok(())
+        };
+        io.via(at!(this.rng), StdRng::state, set, u64::walk)?;
+        // The queue as `(generation cycle, address)` pairs, oldest first:
+        // the one field not saved as it is loaded. Saving redraws the owed
+        // requests from the cursor; loading keeps every request as a
+        // restored one, its two ends held against the clock once that is
+        // read.
+        let mut n = this.queue_len();
+        io.walk(Place::local(&mut n))?;
+        let (mut oldest, mut youngest) = (None, 0);
+        if let Some(gen) = this.loading() {
+            gen.restored.clear();
+            gen.owed = 0;
+            // A corrupt count allocates no more than the file could fill.
+            gen.restored.reserve(n.min(io.remaining() / 12));
+            for _ in 0..n {
+                let mut queued = (0u64, 0u32);
+                io.walk(Place::local(&mut queued))?;
+                let (cycle, addr) = queued;
+                if cycle < youngest {
+                    return Err(SnapshotError::Corrupt("queued generation cycle"));
                 }
+                oldest.get_or_insert(cycle);
+                youngest = cycle;
+                gen.restored.push_back(Queued { gen_lo: cycle as u32, addr });
+            }
+        } else {
+            let gen = &*this;
+            let mut cursor = gen.cursor.clone();
+            let owed = (0..gen.owed).rev().map(|behind| cursor.pop(&gen.source, behind > 0));
+            for mut queued in gen.restored.iter().map(|&q| (gen.gen_time(q), q.addr)).chain(owed) {
+                io.walk(Place::local(&mut queued))?;
             }
         }
-        out.put_u64(self.in_flight as u64);
-        out.put_u64(self.clock);
-        match self.measure_from {
-            None => out.put_bool(false),
-            Some(from) => {
-                out.put_bool(true);
-                out.put_u64(from);
+        io.count(this.tags.len(), "outstanding tag count")?;
+        io.walk(at!(this.tags[..]))?;
+        io.walk(at!(this.in_flight))?;
+        if let Some(gen) = this.loading() {
+            gen.free_tags = free_mask(gen.tags.len(), |t| gen.tags[t].is_none());
+            let free: u32 = gen.free_tags.iter().map(|w| w.count_ones()).sum();
+            if gen.in_flight != gen.tags.len() - free as usize {
+                return Err(SnapshotError::Corrupt("in-flight count"));
             }
         }
-        out.put_bool(self.stopped);
-        out.put_u64(self.stats.generated);
-        out.put_u64(self.stats.injected);
-        out.put_u64(self.stats.completed);
-        self.stats.latency.save_state(out);
-    }
-
-    fn decode_state(
-        &mut self,
-        r: &mut mempool::ByteReader<'_>,
-    ) -> Result<(), mempool::SnapshotError> {
-        use mempool::SnapshotError;
-        self.rng = StdRng::seed_from_u64(r.take_u64()?);
-        let nq = r.take_u64()? as usize;
-        self.restored.clear();
-        self.owed = 0;
-        // A corrupt count allocates no more than the file could fill.
-        self.restored.reserve(nq.min(r.remaining() / 12));
-        // Restored requests are in generation order; their two ends are held
-        // against the clock once that is read.
-        let mut oldest = None;
-        let mut youngest = 0;
-        for _ in 0..nq {
-            let cycle = r.take_u64()?;
-            let addr = r.take_u32()?;
-            if cycle < youngest {
+        io.walk(at!(this.clock))?;
+        if let Some(gen) = this.loading() {
+            // A generation cycle after the clock would underflow the latency
+            // it is subtracted from; one 2³² cycles before it has no 32-bit
+            // form.
+            let unpackable = |oldest| gen.clock - oldest > u64::from(u32::MAX);
+            if youngest > gen.clock || oldest.is_some_and(unpackable) {
                 return Err(SnapshotError::Corrupt("queued generation cycle"));
             }
-            oldest.get_or_insert(cycle);
-            youngest = cycle;
-            self.restored.push_back(Queued { gen_lo: cycle as u32, addr });
+            if gen.tags.iter().flatten().any(|&gen_time| gen_time > gen.clock) {
+                return Err(SnapshotError::Corrupt("in-flight generation cycle"));
+            }
         }
-        let nt = r.take_u64()? as usize;
-        if nt != self.tags.len() {
-            return Err(SnapshotError::Corrupt("outstanding tag count"));
-        }
-        for tag in &mut self.tags {
-            *tag = if r.take_bool()? { Some(r.take_u64()?) } else { None };
-        }
-        self.free_tags = free_mask(self.tags.len(), |t| self.tags[t].is_none());
-        let free: u32 = self.free_tags.iter().map(|w| w.count_ones()).sum();
-        self.in_flight = r.take_u64()? as usize;
-        if self.in_flight != self.tags.len() - free as usize {
-            return Err(SnapshotError::Corrupt("in-flight count"));
-        }
-        self.clock = r.take_u64()?;
-        // A generation cycle after the clock would underflow the latency it
-        // is subtracted from; one 2³² cycles before it has no 32-bit form.
-        let unpackable = |oldest| self.clock - oldest > u64::from(u32::MAX);
-        if youngest > self.clock || oldest.is_some_and(unpackable) {
-            return Err(SnapshotError::Corrupt("queued generation cycle"));
-        }
-        if self.tags.iter().flatten().any(|&gen_time| gen_time > self.clock) {
-            return Err(SnapshotError::Corrupt("in-flight generation cycle"));
-        }
-        self.measure_from = if r.take_bool()? { Some(r.take_u64()?) } else { None };
-        self.stopped = r.take_bool()?;
-        self.stats.generated = r.take_u64()?;
-        self.stats.injected = r.take_u64()?;
-        self.stats.completed = r.take_u64()?;
-        self.stats.latency.load_state(r)?;
-        Ok(())
+        io.walk(at!(this.measure_from))?;
+        io.walk(at!(this.stopped))?;
+        io.walk(at!(this.stats.generated))?;
+        io.walk(at!(this.stats.injected))?;
+        io.walk(at!(this.stats.completed))?;
+        io.walk(at!(this.stats.latency))
     }
 }
 
@@ -815,7 +791,7 @@ mod tests {
             out.put_u64(self.stats.generated);
             out.put_u64(self.stats.injected);
             out.put_u64(self.stats.completed);
-            self.stats.latency.save_state(&mut out);
+            mempool::snapshot::save(&mut out, &self.stats.latency);
             out
         }
 
@@ -831,13 +807,13 @@ mod tests {
 
     fn encoded(gen: &TrafficGen) -> Vec<u8> {
         let mut bytes = Vec::new();
-        mempool::CoreState::encode_state(gen, &mut bytes);
+        mempool::snapshot::save(&mut bytes, gen);
         bytes
     }
 
     fn decoded(bytes: &[u8], outstanding: usize) -> Result<TrafficGen, mempool::SnapshotError> {
         let mut gen = TrafficGen::new(0.9, Pattern::Uniform, space(), outstanding, 0);
-        mempool::CoreState::decode_state(&mut gen, &mut mempool::ByteReader::new(bytes))?;
+        mempool::snapshot::load(&mut mempool::ByteReader::new(bytes), &mut gen)?;
         Ok(gen)
     }
 
@@ -887,7 +863,7 @@ mod tests {
             let mut fresh = TrafficGen::new(gen.rate, source.pattern, source.space, outstanding, 0);
             let bytes = encoded(gen);
             let mut reader = mempool::ByteReader::new(&bytes);
-            mempool::CoreState::decode_state(&mut fresh, &mut reader).expect("own state");
+            mempool::snapshot::load(&mut reader, &mut fresh).expect("own state");
             self.gen = fresh;
         }
 
@@ -1128,7 +1104,7 @@ mod tests {
         let mut gen = TrafficGen::new(0.9, Pattern::Uniform, space(), 8, 0);
         let mut reader = mempool::ByteReader::new(&bytes);
         assert_eq!(
-            mempool::CoreState::decode_state(&mut gen, &mut reader),
+            mempool::snapshot::load(&mut reader, &mut gen),
             Err(mempool::SnapshotError::Truncated)
         );
         assert!(gen.restored.capacity() <= 8, "reserved {}", gen.restored.capacity());

@@ -131,7 +131,7 @@ fn trial_worker(
 /// Streams a mid-job `mempool-metrics-v2` snapshot of a metered run, or
 /// its marker. The snapshot is a pure read of recorder state the digest
 /// already covers.
-fn emit_partial_metrics<C: mempool::Core + mempool::CoreState>(session: &SimSession<C>) {
+fn emit_partial_metrics<C: mempool::Core + mempool::Walk>(session: &SimSession<C>) {
     if session.observability_enabled() {
         emit(WorkerLine::Metrics {
             key: "cycle",

@@ -100,7 +100,7 @@ fn matmul_cluster(config: ClusterConfig) -> Cluster<mempool_snitch::SnitchCore> 
     cluster
 }
 
-fn digest_after<C: Core + mempool::CoreState>(mut cluster: Cluster<C>, faulted: bool) -> u64 {
+fn digest_after<C: Core + mempool::Walk>(mut cluster: Cluster<C>, faulted: bool) -> u64 {
     if faulted {
         let spec: FaultSpec = FAULTS.parse().expect("valid spec");
         cluster.install_fault_plan(Some(FaultPlan::new(11, spec)));
