@@ -273,3 +273,159 @@ fn from_vec_makes_the_checks_of_from_bytes_in_their_order() {
     assert!(snap == ClusterSnapshot::from_bytes(&good).expect("validates"));
     assert!(snap.as_bytes() == good);
 }
+
+/// A save walk that also notes where each count lands, and what it counts:
+/// a fixed-shape count's name, or a sequence's element type.
+struct Marking {
+    bytes: Vec<u8>,
+    counts: Vec<(usize, String)>,
+}
+
+impl StateIo for Marking {
+    type Ref<'a, T: ?Sized + 'a> = &'a T;
+
+    fn try_at<'a, T: ?Sized, U: ?Sized>(
+        x: &'a mut &T,
+        get: impl FnOnce(&T) -> Option<&U>,
+        _: impl FnOnce(&mut T) -> Option<&mut U>,
+    ) -> Option<&'a U> {
+        get(x)
+    }
+
+    fn view<'a, T: ?Sized>(x: &'a &T) -> &'a T {
+        x
+    }
+
+    fn loading<'a, T: ?Sized>(_: &'a mut &T) -> Option<&'a mut T> {
+        None
+    }
+
+    fn local<T: ?Sized>(v: &mut T) -> &T {
+        v
+    }
+
+    fn bytes<const N: usize>(&mut self, x: Place<'_, Self, [u8; N]>) -> Walked {
+        self.bytes.walk(Place { held: x.held })
+    }
+
+    fn words(&mut self, x: Place<'_, Self, [u32]>) -> Walked {
+        self.bytes.words(Place { held: x.held })
+    }
+
+    fn remaining(&self) -> usize {
+        usize::MAX
+    }
+
+    fn count(&mut self, mut len: usize, what: &'static str) -> Walked {
+        self.counts.push((self.bytes.len(), what.to_owned()));
+        self.walk(Place::local(&mut len))
+    }
+
+    fn seq<T>(
+        &mut self,
+        xs: Place<'_, Self, Vec<T>>,
+        _: impl FnMut() -> T,
+        mut walk: impl FnMut(&mut Self, Place<'_, Self, T>) -> Walked,
+    ) -> Walked {
+        self.counts.push((self.bytes.len(), std::any::type_name::<T>().to_owned()));
+        self.walk(Place::local(&mut xs.len()))?;
+        xs.held.iter().try_for_each(|x| walk(self, Place { held: x }))
+    }
+}
+
+/// Every count of `cluster`'s image as `(absolute offset, what)`, the
+/// first of each kind: what it counts, behind what the count before it
+/// counts (so that two runs of `u32`s in a tile are two kinds).
+fn counts_of<C: Walk>(cluster: &Cluster<C>, image: &[u8]) -> Vec<(usize, String)> {
+    let mut a = Marking { bytes: Vec::new(), counts: Vec::new() };
+    saved(section_a(&mut a, Place { held: cluster }));
+    let mut b = Marking { bytes: Vec::new(), counts: Vec::new() };
+    saved(section_b(&mut b, Place { held: cluster }));
+    assert!([&image[..HEADER_LEN], &a.bytes, &b.bytes].concat() == image, "marking moved the bytes");
+    let a_counts = a.counts.into_iter().map(|(at, what)| (HEADER_LEN + at, what));
+    let b_counts = b.counts.into_iter().map(|(at, what)| (HEADER_LEN + a.bytes.len() + at, what));
+    let mut behind = String::new();
+    let mut seen = std::collections::HashSet::new();
+    let kinds = a_counts.chain(b_counts).map(|(at, what)| {
+        let kind = format!("{what} behind {behind}");
+        behind = what;
+        (at, kind)
+    });
+    kinds.filter(|(_, kind)| seen.insert(kind.clone())).collect()
+}
+
+/// `image` with the `u64`s at `at` overwritten and both section digests
+/// recomputed, as anyone can.
+fn forged(image: &[u8], patches: &[(usize, u64)]) -> ClusterSnapshot {
+    let mut bytes = image.to_vec();
+    for &(at, value) in patches {
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    }
+    let len_a = u64::from_le_bytes(bytes[48..56].try_into().expect("8 bytes")) as usize;
+    let digest_a = fnv64(&bytes[HEADER_LEN..HEADER_LEN + len_a]);
+    let digest_b = fnv64(&bytes[HEADER_LEN + len_a..]);
+    bytes[24..32].copy_from_slice(&digest_b.to_le_bytes());
+    bytes[40..48].copy_from_slice(&digest_a.to_le_bytes());
+    ClusterSnapshot::from_vec(bytes).expect("a re-hashed image validates")
+}
+
+/// Every kind of count in `cluster`'s image, forged small, huge and to
+/// `u64::MAX` (with the bound it is held to, where the image carries one),
+/// fails the restore with a typed error: no panic, and no reservation the
+/// image could not fill.
+fn assert_forged_counts_are_refused<C: Walk>(cluster: &mut Cluster<C>, what: &str) -> String {
+    let image = cluster.snapshot().as_bytes().to_vec();
+    let counts = counts_of(cluster, &image);
+    let bound_of = |kind: &str| match kind {
+        // The fault log's capacity, ahead of its dropped count.
+        k if k.starts_with("mempool::faults::FaultEvent ") => Some(16),
+        // The PC bound of a core's profile.
+        k if k.contains("PcCounters) ") => Some(8),
+        _ => None,
+    };
+    for (at, kind) in &counts {
+        let n = u64::from_le_bytes(image[*at..*at + 8].try_into().expect("8 bytes"));
+        let mut cases = vec![vec![(*at, n + 1)], vec![(*at, 1 << 60)], vec![(*at, u64::MAX)]];
+        if let Some(back) = bound_of(kind) {
+            cases.push(vec![(*at - back, u64::MAX), (*at, 1 << 60)]);
+        }
+        for patches in cases {
+            let result = cluster.restore(&forged(&image, &patches));
+            assert!(result.is_err(), "{what}: {kind} forged as {patches:?} restored");
+        }
+    }
+    let kinds: Vec<&str> = counts.iter().map(|(_, kind)| kind.as_str()).collect();
+    assert!(kinds.len() >= 20, "{what}: only {kinds:?}");
+    cluster.restore(&ClusterSnapshot::from_vec(image.clone()).expect("valid")).expect("restores");
+    assert!(cluster.snapshot().as_bytes() == image, "{what}: a refused image left its mark");
+    kinds.join("\n")
+}
+
+#[test]
+fn forged_counts_are_refused_without_a_panic() {
+    let mut config = ClusterConfig::small(Topology::Top1);
+    config.icache.refill_network = crate::RefillNetwork::Ring { l2_latency: 10 };
+    let mut session = SimSession::builder(config)
+        .observability(ObsConfig { trace_sample_every: 4, trace_capacity: 512 })
+        .profile(ProfileConfig { max_pcs: 64, power_window: 64 })
+        .build_snitch()
+        .expect("builds");
+    session.load_program(&store_load_program()).expect("decodes");
+    session.cluster_mut().step_cycles(150);
+    let kinds = assert_forged_counts_are_refused(session.cluster_mut(), "snitch");
+    for part in ["RefillPacket", "(u64, usize, u32)", "PcCounters", "TraceSpan", "PowerWindow"] {
+        assert!(kinds.contains(part), "no {part} count among {kinds}");
+    }
+
+    let mut traffic = Cluster::new(resilient(Topology::TopH), |loc| Stores {
+        rng: StdRng::seed_from_u64(0x5eed ^ loc.core as u64),
+        backlog: Vec::new(),
+        free_tags: 0xff,
+    })
+    .expect("valid");
+    let spec = "bank_fail=2,bank_stall=0.01,link_stall=0.01,link_drop=0.002,core_lockup=0.001";
+    traffic.install_fault_plan(Some(FaultPlan::new(11, spec.parse().expect("valid spec"))));
+    traffic.step_cycles(1_500);
+    assert!(!traffic.fault_log.is_empty() && !traffic.pending.is_empty());
+    assert_forged_counts_are_refused(&mut traffic, "faulted traffic");
+}

@@ -7,7 +7,7 @@
 
 use mempool::{
     bisect_divergence, Cluster, ClusterConfig, ClusterSnapshot, FaultPlan, FaultSpec,
-    ResilienceConfig, SnapshotError, Topology,
+    ResilienceConfig, SanitizerConfig, SnapshotError, Topology,
 };
 use mempool_riscv::assemble;
 
@@ -54,7 +54,8 @@ fn snitch_cluster(
 
 /// The core invariant: snapshot at `mid`, restore into a *fresh* cluster,
 /// continue — final digest, L1 contents, and full `ClusterStats` must be
-/// bit-identical to the uninterrupted run.
+/// bit-identical to the uninterrupted run — and the restored cluster
+/// re-encodes to the snapshot's own bytes.
 fn assert_roundtrip(config: ClusterConfig, plan: Option<FaultSpec>, mid: u64, total: u64) {
     let plan_of = |spec: &Option<FaultSpec>| spec.map(|s| FaultPlan::new(5, s));
 
@@ -69,11 +70,15 @@ fn assert_roundtrip(config: ClusterConfig, plan: Option<FaultSpec>, mid: u64, to
     original.step_cycles(total - mid);
 
     // The fresh cluster gets no fault plan of its own: the snapshot must
-    // carry the plan (and the scheduled-failure cursor) across.
+    // carry the plan (and the scheduled-failure cursor) across. Its
+    // sanitizer is re-synced by the restore, never snapshotted: decoding
+    // and re-encoding give back the very bytes.
     let mut restored = snitch_cluster(config, None);
+    restored.enable_sanitizer(SanitizerConfig::default());
     restored.restore(&snap).expect("snapshot restores");
     assert_eq!(restored.now(), mid);
     assert_eq!(restored.state_digest(), snap.state_digest());
+    assert!(restored.snapshot().as_bytes() == snap.as_bytes(), "re-encoding moved the image");
     restored.step_cycles(total - mid);
 
     assert_eq!(original.state_digest(), uninterrupted.state_digest());
