@@ -748,7 +748,7 @@ pub(crate) fn variant<Io: StateIo, T: Copy>(
 
 const LOAD_OPS: [LoadOp; 5] = [LoadOp::Lb, LoadOp::Lh, LoadOp::Lw, LoadOp::Lbu, LoadOp::Lhu];
 
-/// The tag of a byte that stands for "none" where an index would be.
+/// The byte that stands for "none" where an index or a code would be.
 const NONE: u8 = 0xff;
 
 impl Walk for LoadOp {
@@ -921,8 +921,8 @@ impl Walk for SnitchState {
 
 /// The destination register, the load op, then the byte offset. A slot
 /// without a destination or a load op (an AMO or SC result, delivered
-/// verbatim) stores `0xff` in its place: the core's one field that is not
-/// saved as it is loaded.
+/// verbatim) stores `0xff` in its place, so these two fields go through a
+/// code rather than a walk of their own.
 impl Walk for LsuSlotState {
     fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
         let set = |dest: &mut Option<Reg>, index| {
