@@ -7,6 +7,7 @@ use crate::faults::{
 };
 use crate::sanitize::{Sanitizer, SanitizerConfig, SanitizerReport};
 use crate::net::{LinkRef, Net};
+use crate::snapshot::{at, walk_fields, Place, SnapshotError, StateIo, Walk, Walked};
 use crate::tile::{BankGate, ProgramImage, Tile};
 use crate::{
     ClusterConfig, ClusterStats, Core, FaultStats, RefillNetwork, Request, Response, Topology,
@@ -17,7 +18,6 @@ use mempool_noc::Ring;
 use mempool_snitch::{DataRequest, DataRequestKind, DataResponse};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use crate::snapshot::{at, walk_fields, Place, SnapshotError, StateIo, Walk, Walked};
 
 /// A refill transaction on the I-cache ring (§III-B's "low-overhead refill
 /// network").
@@ -1791,12 +1791,12 @@ walk_fields! {
 /// serving, then the injection and ejection counters.
 impl Walk for RefillRing {
     fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
-        let get = |ring: &mempool_noc::Ring<RefillPacket>| {
+        let get = |ring: &Ring<RefillPacket>| {
             let slots = ring.slots().map(|s| s.map(|(dest, p)| (dest, *p)));
             let outputs = (0..ring.stops()).map(|stop| ring.output(stop).copied().collect());
             (slots.collect::<Vec<_>>(), outputs.collect::<Vec<Vec<_>>>())
         };
-        let set = |ring: &mut mempool_noc::Ring<RefillPacket>, (slots, outputs): (Vec<Option<(usize, _)>>, _)| {
+        let set = |ring: &mut Ring<RefillPacket>, (slots, outputs): (Vec<Option<(usize, _)>>, _)| {
             if slots.iter().flatten().any(|&(dest, _)| dest >= ring.stops()) {
                 return Err(SnapshotError::Corrupt("ring destination"));
             }
@@ -1808,7 +1808,7 @@ impl Walk for RefillRing {
             io.walk(at!(v.1[..]))
         })?;
         io.walk(at!(this.serving))?;
-        let set = |ring: &mut mempool_noc::Ring<RefillPacket>, (injected, ejected)| {
+        let set = |ring: &mut Ring<RefillPacket>, (injected, ejected)| {
             ring.set_counters(injected, ejected);
             Ok(())
         };

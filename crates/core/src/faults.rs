@@ -635,8 +635,14 @@ impl Walk for FaultEvent {
             CoreLocked { cycle: 0, core: 0, until: 0 },
         ];
         variant(io, &mut this, &blanks, "fault event kind")?;
-        io.maybe(at!(this, BankFailed { cycle: c, .. } | RequestAbandoned { cycle: c, .. } | CoreLocked { cycle: c, .. } => c))?;
-        io.maybe(at!(this, BankFailed { tile: n, .. } | RequestAbandoned { core: n, .. } | CoreLocked { core: n, .. } => n))?;
+        let cycle = at!(this, BankFailed { cycle, .. }
+            | RequestAbandoned { cycle, .. }
+            | CoreLocked { cycle, .. } => cycle);
+        io.maybe(cycle)?;
+        let site = at!(this, BankFailed { tile: n, .. }
+            | RequestAbandoned { core: n, .. }
+            | CoreLocked { core: n, .. } => n);
+        io.maybe(site)?;
         io.maybe(at!(this, BankFailed { bank, .. } => bank))?;
         io.maybe(at!(this, BankFailed { substitute, .. } => substitute))?;
         io.maybe(at!(this, RequestAbandoned { addr, .. } => addr))?;
@@ -644,7 +650,6 @@ impl Walk for FaultEvent {
         io.maybe(at!(this, CoreLocked { until, .. } => until))
     }
 }
-
 
 /// Capacity, dropped count, then the events (never more than the capacity).
 impl Walk for FaultLog {
@@ -654,12 +659,13 @@ impl Walk for FaultLog {
         let blank = || FaultEvent::CoreLocked { cycle: 0, core: 0, until: 0 };
         io.seq(at!(this.events), blank, Walk::walk)?;
         match this.loading() {
-            Some(log) if log.events.len() > log.capacity => Err(SnapshotError::Corrupt("fault log length")),
+            Some(log) if log.events.len() > log.capacity => {
+                Err(SnapshotError::Corrupt("fault log length"))
+            }
             _ => Ok(()),
         }
     }
 }
-
 
 walk_fields! {
     BankFailure { cycle, tile, bank }

@@ -14,11 +14,11 @@
 //!   latches (the "optional elastic buffer at each switch output" of the
 //!   paper) so a blocked packet retries without re-crossing the fabric.
 
+use crate::snapshot::{at, Place, StateIo, Walk, Walked};
 use crate::tile::{BankGate, Tile};
 use crate::{ClusterConfig, Request, Response, Topology};
 use mempool_mem::AddressMap;
 use mempool_noc::{ElasticBuffer, Fabric, Requests, RoundRobin};
-use crate::snapshot::{at, Place, StateIo, Walk, Walked};
 
 /// Direction indices for TopH ports: L is port 0, then N/NE/E.
 const DIR_PARTNER_XOR: [usize; 3] = [2, 3, 1]; // N, NE, E
@@ -961,13 +961,11 @@ impl<T: Walk + Default + Copy> Walk for RegRow<T> {
     }
 }
 
-
 /// A counted list of arbiters.
 fn rr_list<Io: StateIo>(io: &mut Io, mut rrs: Place<'_, Io, Vec<RoundRobin>>) -> Walked {
     io.count(rrs.len(), "round-robin arbiter count")?;
     io.walk(rrs.at(|v| &v[..], |v| &mut v[..]))
 }
-
 
 /// The arbiters ahead of the register rows, the rows in link-id order,
 /// then the fabrics behind them.
@@ -1064,9 +1062,8 @@ mod tests {
         }
     }
 
-    impl crate::Walk for UniformLoads {
-        fn walk<Io: crate::StateIo>(io: &mut Io, mut this: crate::Place<'_, Io, Self>) -> crate::Walked {
-            use crate::snapshot::at;
+    impl Walk for UniformLoads {
+        fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
             io.walk(at!(this.rng))?;
             io.walk(at!(this.free_tags))
         }

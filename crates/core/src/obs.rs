@@ -31,9 +31,9 @@
 //! [`SimSessionBuilder::observability`]: crate::SimSessionBuilder::observability
 
 use crate::json::{self, Arr, Layout, Obj};
+use crate::snapshot::{at, walk_fields, Place, StateIo, Walk, Walked};
 use crate::stats::LatencyStats;
 use std::fmt::{self, Display};
-use crate::snapshot::{at, walk_fields, Place, StateIo, Walk, Walked};
 
 /// Schema tag stamped into every metrics export.
 ///

@@ -1,8 +1,8 @@
 //! The packets that travel the request and response interconnects, and
 //! recorded memory traces.
 
-use mempool_snitch::DataRequestKind;
 use crate::snapshot::{at, walk_fields, Place, StateIo, Walk, Walked};
+use mempool_snitch::DataRequestKind;
 
 /// One recorded memory request of a core (programmer-view address, i.e.
 /// before hybrid-addressing scrambling).

@@ -27,11 +27,11 @@
 //!
 //! [`finish_cycle`]: crate::Cluster::cycle
 
+use crate::snapshot::{at, walk_fields, Place, StateIo, Walk, Walked};
 use mempool_snitch::profile::{
     region_name, stall_index, CoreProfile, RegionCounters, REGION_SLOTS, STALL_CAUSES,
 };
 use std::fmt::Write as _;
-use crate::snapshot::{at, walk_fields, Place, StateIo, Walk, Walked};
 
 /// Metrics-counter names for per-region stall cycles, indexed like
 /// [`STALL_CAUSES`] (`stall_` + `mempool_snitch::profile::stall_name`).

@@ -552,9 +552,15 @@ macro_rules! at {
     ($x:ident, $pat:pat => $v:ident) => {
         $x.try_at(
             #[allow(unreachable_patterns)]
-            |t| match t { $pat => ::core::option::Option::Some($v), _ => ::core::option::Option::None },
+            |t| match t {
+                $pat => ::core::option::Option::Some($v),
+                _ => ::core::option::Option::None,
+            },
             #[allow(unreachable_patterns)]
-            |t| match t { $pat => ::core::option::Option::Some($v), _ => ::core::option::Option::None },
+            |t| match t {
+                $pat => ::core::option::Option::Some($v),
+                _ => ::core::option::Option::None,
+            },
         )
     };
 }
@@ -785,7 +791,10 @@ impl Walk for DataRequestKind {
         io.maybe(at!(this, Load(op) => op))?;
         io.maybe(at!(this, Store { op, .. } => op))?;
         io.maybe(at!(this, Amo { op, .. } => op))?;
-        io.maybe(at!(this, Store { data: w, .. } | Amo { operand: w, .. } | StoreConditional { data: w } => w))
+        let word = at!(this, Store { data: w, .. }
+            | Amo { operand: w, .. }
+            | StoreConditional { data: w } => w);
+        io.maybe(word)
     }
 }
 
@@ -1170,7 +1179,7 @@ impl Component {
                 io.walk(at!(c.locked_until[i]))
             }
             Component::Pending => {
-                let entries = |m: &BTreeMap<_, _>| m.iter().map(|(&k, &p)| (k, p)).collect::<Vec<_>>();
+                let entries = |m: &BTreeMap<_, _>| m.iter().map(|(&k, &p)| (k, p)).collect();
                 let set = |m: &mut BTreeMap<_, _>, entries: Vec<_>| {
                     *m = entries.into_iter().collect();
                     Ok(())

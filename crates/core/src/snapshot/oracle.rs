@@ -341,7 +341,8 @@ fn counts_of<C: Walk>(cluster: &Cluster<C>, image: &[u8]) -> Vec<(usize, String)
     saved(section_a(&mut a, Place { held: cluster }));
     let mut b = Marking { bytes: Vec::new(), counts: Vec::new() };
     saved(section_b(&mut b, Place { held: cluster }));
-    assert!([&image[..HEADER_LEN], &a.bytes, &b.bytes].concat() == image, "marking moved the bytes");
+    let marked = [&image[..HEADER_LEN], &a.bytes, &b.bytes].concat();
+    assert!(marked == image, "marking moved the bytes");
     let a_counts = a.counts.into_iter().map(|(at, what)| (HEADER_LEN + at, what));
     let b_counts = b.counts.into_iter().map(|(at, what)| (HEADER_LEN + a.bytes.len() + at, what));
     let mut behind = String::new();

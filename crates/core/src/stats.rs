@@ -1,7 +1,7 @@
 //! Cluster-level statistics: latency distributions, throughput, locality.
 
-use std::fmt;
 use crate::snapshot::{at, walk_fields, Place, StateIo, Walk, Walked};
+use std::fmt;
 
 /// An online latency distribution (count, sum, min, max, and a coarse
 /// power-of-two histogram for percentiles).
@@ -117,9 +117,8 @@ impl LatencyStats {
 }
 
 /// Count, sum, min, max, then the bucket count and every bucket.
-impl crate::snapshot::Walk for LatencyStats {
-    fn walk<Io: crate::StateIo>(io: &mut Io, mut this: crate::Place<'_, Io, Self>) -> crate::Walked {
-        use crate::snapshot::at;
+impl Walk for LatencyStats {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
         io.walk(at!(this.count))?;
         io.walk(at!(this.sum))?;
         io.walk(at!(this.min))?;
@@ -377,7 +376,6 @@ impl Walk for ClusterStats {
         io.walk(at!(this.faults))
     }
 }
-
 
 walk_fields! {
     FaultStats {

@@ -3,13 +3,13 @@
 //! instruction cache with its refill port (Figure 2 of the paper).
 
 use crate::net::RegRow;
+use crate::snapshot::{at, Place, StateIo, Walk, Walked};
 use crate::{ClusterConfig, Request, Response};
 use mempool_mem::{AddressMap, BankOp, ICache, SpmBank};
 use mempool_noc::Fabric;
 use mempool_riscv::{Instr, StoreOp};
 use mempool_snitch::{DataRequestKind, Fetch};
 use std::collections::VecDeque;
-use crate::snapshot::{at, Place, StateIo, Walk, Walked};
 
 /// The pre-decoded instruction image shared by all tiles (instructions live
 /// in a separate address space backed by L2; the tile I-caches model fetch

@@ -501,21 +501,8 @@ impl Fabric {
         }
     }
 
-    /// The round-robin pointer of every arbiter, flattened layer-by-layer
-    /// then output-port order (checkpointing).
-    pub fn arbiter_pointers(&self) -> Vec<usize> {
-        self.arbiters.iter().map(RoundRobin::pointer).collect()
-    }
-
-    /// The grant counter of every arbiter, in
-    /// [`arbiter_pointers`](Fabric::arbiter_pointers) order (checkpointing
-    /// and observability).
-    pub fn arbiter_grants(&self) -> Vec<u64> {
-        self.arbiters.iter().map(RoundRobin::grants).collect()
-    }
-
-    /// Every arbiter, in [`arbiter_pointers`](Fabric::arbiter_pointers)
-    /// order (checkpointing).
+    /// Every arbiter, flattened layer by layer, then in output-port order
+    /// (checkpointing).
     pub fn arbiters(&self) -> &[RoundRobin] {
         &self.arbiters
     }

@@ -19,7 +19,8 @@ const PROGRAM: &str = "csrr t0, mhartid\nli t1, 40\ndelay:\naddi t1, t1, -1\nbne
                        slli t2, t0, 2\nli t3, 0x10000\nadd t2, t2, t3\nsw t0, 0(t2)\n\
                        lw t4, 0(t2)\necall\n";
 
-const FAULTED: [&str; 6] = ["run", "--small", "--faults", "bank_fail=2,link_drop=0.001", "--seed", "7"];
+const FAULTED: [&str; 6] =
+    ["run", "--small", "--faults", "bank_fail=2,link_drop=0.001", "--seed", "7"];
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mempool-audit-{}-{name}", std::process::id()));
