@@ -57,37 +57,18 @@ pub const SNAPSHOT_VERSION: u32 = 3;
 const HEADER_LEN: usize = 56;
 
 /// A byte sink the canonical state encoders write into: a `Vec<u8>` when
-/// serializing, an [`Fnv`] hasher when digesting.
+/// serializing, an [`Fnv`] hasher when digesting. Every sink saves a
+/// [`Walk`] (it is a [`StateIo`]).
 pub trait StateSink {
     /// Appends raw bytes.
     fn put(&mut self, bytes: &[u8]);
 
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put(&[v]);
-    }
-
-    /// Appends a little-endian `u32`.
-    fn put_u32(&mut self, v: u32) {
-        self.put(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    fn put_u64(&mut self, v: u64) {
-        self.put(&v.to_le_bytes());
-    }
-
-    /// Appends a bool as one byte.
-    fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
-    /// Appends a run of little-endian `u32`s — the bytes of a
-    /// [`put_u32`](StateSink::put_u32) per word, which is what the default
-    /// does; both sinks of this crate take the run in one pass instead.
+    /// Appends a run of little-endian `u32`s — the bytes of a `put` per
+    /// word, which is what the default does; both sinks of this crate take
+    /// the run in one pass instead.
     fn put_words(&mut self, words: &[u32]) {
         for &w in words {
-            self.put_u32(w);
+            self.put(&w.to_le_bytes());
         }
     }
 }

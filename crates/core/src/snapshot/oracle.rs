@@ -20,7 +20,7 @@ fn fnv_bytewise(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// The former `Vec<u8>` sink: `put` alone, so every L1 word arrives as its
-/// own `put_u32`.
+/// own `put`.
 struct WordAtATime(Vec<u8>);
 
 impl StateSink for WordAtATime {
@@ -38,14 +38,17 @@ fn three_buffer_snapshot<C: Walk>(cluster: &Cluster<C>) -> Vec<u8> {
     saved(section_b(&mut b, Place { held: cluster }));
     let (a, b) = (a.0, b.0);
     let mut bytes = WordAtATime(Vec::with_capacity(HEADER_LEN + a.len() + b.len()));
-    bytes.put_u32(MAGIC);
-    bytes.put_u32(SNAPSHOT_VERSION);
-    bytes.put_u64(config_digest(&cluster.config));
-    bytes.put_u64(cluster.image.digest());
-    bytes.put_u64(fnv_bytewise(FNV_OFFSET, &b));
-    bytes.put_u64(cluster.now);
-    bytes.put_u64(fnv_bytewise(FNV_OFFSET, &a));
-    bytes.put_u64(a.len() as u64);
+    bytes.put(&MAGIC.to_le_bytes());
+    bytes.put(&SNAPSHOT_VERSION.to_le_bytes());
+    let fields = [
+        config_digest(&cluster.config),
+        cluster.image.digest(),
+        fnv_bytewise(FNV_OFFSET, &b),
+        cluster.now,
+        fnv_bytewise(FNV_OFFSET, &a),
+        a.len() as u64,
+    ];
+    fields.iter().for_each(|f| bytes.put(&f.to_le_bytes()));
     bytes.0.extend_from_slice(&a);
     bytes.0.extend_from_slice(&b);
     bytes.0
@@ -218,7 +221,7 @@ fn put_words_is_the_put_u32_loop_on_both_sinks() {
             bulk.put_words(&words);
             bulk_h.put_words(&words);
             for &w in &words {
-                each.put_u32(w);
+                each.put(&w.to_le_bytes());
                 each_h = fnv_bytewise(each_h, &w.to_le_bytes());
             }
             assert_eq!(bulk, each.0, "{len} words, density {density}/8");

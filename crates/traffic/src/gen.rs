@@ -766,31 +766,26 @@ mod tests {
         }
 
         fn encode_state(&self) -> Vec<u8> {
-            use mempool::StateSink;
             let mut out = Vec::new();
-            out.put_u64(self.rng.state());
-            out.put_u64(self.queue.len() as u64);
+            let u64s = |out: &mut Vec<u8>, vs: &[u64]| {
+                vs.iter().for_each(|v| out.extend_from_slice(&v.to_le_bytes()));
+            };
+            u64s(&mut out, &[self.rng.state(), self.queue.len() as u64]);
             for &(cycle, addr) in &self.queue {
-                out.put_u64(cycle);
-                out.put_u32(addr);
+                u64s(&mut out, &[cycle]);
+                out.extend_from_slice(&addr.to_le_bytes());
             }
-            out.put_u64(self.tags.len() as u64);
+            u64s(&mut out, &[self.tags.len() as u64]);
             for tag in &self.tags {
-                out.put_bool(tag.is_some());
-                if let Some(gen_time) = tag {
-                    out.put_u64(*gen_time);
-                }
+                out.push(u8::from(tag.is_some()));
+                u64s(&mut out, tag.as_slice());
             }
-            out.put_u64(self.tags.iter().flatten().count() as u64);
-            out.put_u64(self.clock);
-            out.put_bool(self.measure_from.is_some());
-            if let Some(from) = self.measure_from {
-                out.put_u64(from);
-            }
-            out.put_bool(self.stopped);
-            out.put_u64(self.stats.generated);
-            out.put_u64(self.stats.injected);
-            out.put_u64(self.stats.completed);
+            u64s(&mut out, &[self.tags.iter().flatten().count() as u64, self.clock]);
+            out.push(u8::from(self.measure_from.is_some()));
+            u64s(&mut out, self.measure_from.as_slice());
+            out.push(u8::from(self.stopped));
+            let stats = &self.stats;
+            u64s(&mut out, &[stats.generated, stats.injected, stats.completed]);
             mempool::snapshot::save(&mut out, &self.stats.latency);
             out
         }
