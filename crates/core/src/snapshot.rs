@@ -288,7 +288,8 @@ pub trait StateIo: Sized {
     /// Moves a run of little-endian words in one pass: the bulk L1 path.
     fn words(&mut self, x: Place<'_, Self, [u32]>) -> Walked;
 
-    /// Unread bytes when loading (what bounds a count's reservation).
+    /// Unread bytes when loading, what bounds a count's reservation
+    /// (`usize::MAX` when saving).
     fn remaining(&self) -> usize;
 
     /// Walks `x` by its type's [`Walk`].

@@ -392,6 +392,9 @@ fn bank_access(bank: &mut SpmBank, req: &Request, row: u32, byte: u32) -> Respon
     }
 }
 
+/// Each bank's rows (one bulk run), reservations and access counter, the
+/// bank response registers, both crossbars, the remote port latches, then
+/// the I-cache and its refill unit.
 impl Walk for Tile {
     fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
         io.each(at!(this.banks[..]), |io, mut bank| {
