@@ -174,6 +174,58 @@ mod tests {
         assert_eq!(events[6]["args"]["detail"].as_str(), Some("signal(9)"));
     }
 
+    /// Every event kind the daemon records: a replayed job, partial
+    /// snapshots of a run and of a campaign, one failed attempt per
+    /// failure kind, and a backoff.
+    fn every_kind() -> JobTimeline {
+        let mut t = JobTimeline::new(12, "team \"b\"");
+        t.push(0, "replayed", "queued");
+        t.push(3, "state", "running");
+        t.push(9, "heartbeat", "cycle 512");
+        t.push(10, "partial", "cycle 512");
+        t.push(11, "partial", "trials 2");
+        let failures = ["panic", "signal(11)", "timeout", "oom", "exit(-1)", "sanitizer"];
+        for (i, failure) in (12..).zip(failures) {
+            t.push(i, "attempt-failed", failure);
+        }
+        t.push(18, "retry-backoff", "0ms");
+        t.push(19, "state", "queued");
+        t.push(25, "state", "running");
+        t.push(31, "state", "failed");
+        t
+    }
+
+    /// What a restarted daemon records: a parked job resumed to the end,
+    /// and a job that had finished before the restart.
+    fn restarted() -> [JobTimeline; 2] {
+        let mut resumed = JobTimeline::new(3, "t0");
+        resumed.push(0, "replayed", "parked");
+        resumed.push(2, "state", "running");
+        resumed.push(8, "heartbeat", "cycle 256");
+        resumed.push(8, "partial", "cycle 256");
+        resumed.push(14, "state", "completed");
+        let mut finished = JobTimeline::new(2, "t1");
+        finished.push(0, "replayed", "completed");
+        [resumed, finished]
+    }
+
+    /// The exported bytes of fixed histories, pinned: a change to how
+    /// events are stored must not change what they render to.
+    #[test]
+    fn exports_are_pinned() {
+        let [resumed, finished] = restarted();
+        for (what, timeline, pin) in [
+            ("sample", sample(), 0xe10c41bd3f1f73b7),
+            ("every kind", every_kind(), 0xd3bc3f02cf4226f1),
+            ("resumed", resumed, 0xb5e895f65a12750d),
+            ("finished before the restart", finished, 0x94283703fa26b8f1),
+        ] {
+            let json = timeline.to_chrome_json();
+            let hash = mempool::snapshot::fnv64(json.as_bytes());
+            assert_eq!(hash, pin, "{what}: {hash:#018x}\n{json}");
+        }
+    }
+
     #[test]
     fn buffer_bound_drops_and_counts() {
         let mut t = JobTimeline::new(1, "t");
