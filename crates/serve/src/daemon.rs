@@ -10,10 +10,17 @@
 //! (deadline kills, reaping), and dispatching queued jobs into free worker
 //! slots.
 //!
-//! A finished job's result is not kept here: the [`Journal`] holds it, and
-//! remembers where. Subscribers present when the job ends are served from
-//! the string the worker handed over; `status`, and a `wait` or `watch`
-//! that arrives later, read it back from the journal file.
+//! The job table has two halves. A live job ([`LiveJob`]) holds what a
+//! worker or a subscriber needs: its spec, its subscribers, its clock. A
+//! finished job keeps only its [`JobRecord`] — status, attempt, stream
+//! position, last heartbeat and timeline, 96 bytes plus 24 per timeline
+//! event — for the late readers (`status`, `wait`/`watch`, `cancel`,
+//! `timeline`, `health`). Its spec is dropped: a finished job never runs
+//! again, and the journal's `job` line still holds it. Its result is not
+//! kept here either: the [`Journal`] holds it, and remembers where.
+//! Subscribers present when the job ends are served from the string the
+//! worker handed over; `status`, and a `wait` or `watch` that arrives
+//! later, read it back from the journal file.
 //!
 //! The worker processes themselves belong to the shared
 //! [`Fleet`](mempool_traffic::Fleet): it spawns them, classifies how each
@@ -32,12 +39,12 @@ use crate::protocol::{
     resp_err, resp_ok, stream_record, JobSpec, JobStatus, Request, PROTOCOL_VERSION,
 };
 use crate::sched::{Rejection, Scheduler, SchedulerConfig};
-use crate::timeline::JobTimeline;
+use crate::timeline::{Event, JobTimeline, Progress};
 use mempool::json::{self, Layout, Obj};
 use mempool_traffic::{
     job_files, worker_job, FailureKind, Fleet, Outcome, RetryPolicy, Verdict, WorkerLine,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -120,37 +127,56 @@ struct Subscriber {
     partials: bool,
 }
 
-struct Job {
-    rec: ReplayedJob,
+/// What the daemon keeps of a job for its whole life: all that the late
+/// readers use, and all a finished job keeps.
+struct JobRecord {
+    status: JobStatus,
     attempt: u32,
-    /// Dropped after the terminal record.
-    subscribers: Vec<Subscriber>,
     /// Next telemetry record sequence number. Advanced for every record
     /// whether or not anyone is subscribed, so observation never changes
     /// the numbering (or anything else).
     stream_seq: u64,
+    /// Most recent worker heartbeat: wall time and sim cycle.
+    last_heartbeat: Option<(Instant, u64)>,
+    /// Its tenant name is shared by every job of the tenant.
+    timeline: JobTimeline,
+}
+
+impl JobRecord {
+    fn new(id: u64, tenant: Arc<str>, status: JobStatus) -> JobRecord {
+        JobRecord {
+            status,
+            attempt: 1,
+            stream_seq: 0,
+            last_heartbeat: None,
+            timeline: JobTimeline::new(id, tenant),
+        }
+    }
+}
+
+/// A job that has not finished: its record, and what running it and
+/// streaming it take. Only the record outlives `finish`.
+struct LiveJob {
+    record: JobRecord,
+    spec: JobSpec,
+    deadline_secs: Option<u64>,
+    subscribers: Vec<Subscriber>,
     /// When this daemon process first saw the job (timeline origin).
     submitted_at: Instant,
     /// Whether the queue-wait histogram already recorded first dispatch.
     dispatched: bool,
-    /// Most recent worker heartbeat: wall time and sim cycle.
-    last_heartbeat: Option<(Instant, u64)>,
-    timeline: JobTimeline,
     cancel_requested: bool,
 }
 
-impl Job {
-    fn new(rec: ReplayedJob) -> Job {
-        let timeline = JobTimeline::new(rec.id, &rec.tenant);
-        Job {
-            rec,
-            attempt: 1,
+impl LiveJob {
+    fn new(record: JobRecord, spec: JobSpec, deadline_secs: Option<u64>) -> LiveJob {
+        LiveJob {
+            record,
+            spec,
+            deadline_secs,
             subscribers: Vec::new(),
-            stream_seq: 0,
             submitted_at: Instant::now(),
             dispatched: false,
-            last_heartbeat: None,
-            timeline,
             cancel_requested: false,
         }
     }
@@ -160,7 +186,12 @@ struct Daemon {
     config: DaemonConfig,
     scheduler: Scheduler,
     journal: Journal,
-    jobs: BTreeMap<u64, Job>,
+    /// Jobs queued, running or parked.
+    live: BTreeMap<u64, LiveJob>,
+    /// Jobs completed, failed or cancelled.
+    finished: BTreeMap<u64, JobRecord>,
+    /// Every tenant name a job was charged to, one allocation each.
+    tenants: BTreeSet<Arc<str>>,
     /// The worker processes, keyed by job id.
     fleet: Fleet<Msg>,
     next_id: u64,
@@ -246,8 +277,8 @@ pub fn run_daemon(config: DaemonConfig, shutdown: &AtomicBool) -> io::Result<Dae
         journal_skipped: daemon.journal_skipped,
         ..DaemonSummary::default()
     };
-    for job in daemon.jobs.values() {
-        match job.rec.status {
+    for job in daemon.records() {
+        match job.status {
             JobStatus::Completed => summary.completed += 1,
             JobStatus::Failed => summary.failed += 1,
             JobStatus::Cancelled => summary.cancelled += 1,
@@ -258,10 +289,28 @@ pub fn run_daemon(config: DaemonConfig, shutdown: &AtomicBool) -> io::Result<Dae
     Ok(summary)
 }
 
-/// The two fields of a finished job's terminal record, live or read back,
-/// so that both are the same bytes.
-fn done_fields(status: JobStatus, payload: &str) -> impl FnOnce(Obj) -> Obj + '_ {
-    move |o| o.str("status", &status.to_string()).str("result", payload)
+/// The stream record of `event`: its kind and its own fields, then those
+/// `extra` writes. A terminal state is the `done` record, the job's last;
+/// the live one and one read back later both come from here, so they are
+/// the same bytes.
+fn event_record(
+    id: u64,
+    seq: u64,
+    attempt: u32,
+    event: &Event,
+    extra: impl FnOnce(Obj) -> Obj,
+) -> String {
+    let done = matches!(event, Event::State(status) if status.is_terminal());
+    let kind = if done { "done" } else { event.name() };
+    stream_record(id, seq, attempt, kind, done, |o| {
+        extra(match event {
+            Event::State(status) | Event::Replayed(status) => o.str("status", &status.to_string()),
+            Event::Heartbeat(cycle) => o.num("cycle", cycle),
+            Event::Partial(progress, at) => o.num(progress.word(), at),
+            Event::AttemptFailed(kind) => o.str("failure", &kind.to_string()),
+            Event::RetryBackoff(ms) => o.num("delay_ms", ms),
+        })
+    })
 }
 
 /// The `{"ok":true,"job":N,"status":...}` answer to `submit` and `cancel`,
@@ -301,7 +350,9 @@ impl Daemon {
             fleet: Fleet::new(config.retry.clone(), events_tx.clone()),
             config,
             journal,
-            jobs: BTreeMap::new(),
+            live: BTreeMap::new(),
+            finished: BTreeMap::new(),
+            tenants: BTreeSet::new(),
             next_id: replay.next_id,
             journal_skipped: replay.skipped,
             draining: false,
@@ -312,19 +363,46 @@ impl Daemon {
         daemon
             .metrics
             .add(Counter::JournalReplaySkipped, replay.skipped as u64);
-        for mut rec in replay.jobs {
-            if !rec.status.is_terminal() {
+        // A finished job's payload is dropped with `rec`: the rewrite has
+        // indexed it.
+        for rec in replay.jobs {
+            let mut record = JobRecord::new(rec.id, daemon.tenant(&rec.tenant), rec.status);
+            record.timeline.push(0, Event::Replayed(rec.status));
+            if rec.status.is_terminal() {
+                record.timeline.shrink_to_fit();
+                daemon.finished.insert(rec.id, record);
+            } else {
                 daemon.scheduler.admit_replayed(rec.id, &rec.tenant, rec.priority);
                 daemon.metrics.count(Counter::JobsReplayed);
+                let job = LiveJob::new(record, rec.spec, rec.deadline_secs);
+                daemon.live.insert(rec.id, job);
             }
-            // The rewrite has indexed it.
-            rec.payload = None;
-            let mut job = Job::new(rec);
-            job.timeline
-                .push(0, "replayed", &job.rec.status.to_string());
-            daemon.jobs.insert(job.rec.id, job);
         }
         Ok(daemon)
+    }
+
+    /// The one shared copy of a tenant's name.
+    fn tenant(&mut self, name: &str) -> Arc<str> {
+        if let Some(tenant) = self.tenants.get(name) {
+            return Arc::clone(tenant);
+        }
+        let tenant: Arc<str> = name.into();
+        self.tenants.insert(Arc::clone(&tenant));
+        tenant
+    }
+
+    /// The record of job `id`, live or finished.
+    fn record(&self, id: u64) -> Option<&JobRecord> {
+        match self.live.get(&id) {
+            Some(job) => Some(&job.record),
+            None => self.finished.get(&id),
+        }
+    }
+
+    /// Every job's record, live and finished.
+    fn records(&self) -> impl Iterator<Item = &JobRecord> {
+        let live = self.live.values().map(|job| &job.record);
+        live.chain(self.finished.values())
     }
 
     fn ckpt_path(&self, id: u64) -> PathBuf {
@@ -465,8 +543,9 @@ impl Daemon {
         if let Err(e) = self.journal.record_job(&rec) {
             eprintln!("mempool-serve: journal write failed for job {id}: {e}");
         }
-        self.jobs.insert(id, Job::new(rec));
-        self.stream(id, "state", false, |o| o.str("status", "queued"), "queued");
+        let record = JobRecord::new(id, self.tenant(&rec.tenant), JobStatus::Queued);
+        self.live.insert(id, LiveJob::new(record, rec.spec, rec.deadline_secs));
+        self.stream(id, Event::State(JobStatus::Queued), |o| o);
         job_ack(id, "queued")
     }
 
@@ -477,22 +556,22 @@ impl Daemon {
     }
 
     fn status_line(&mut self, id: u64) -> String {
-        let Some(job) = self.jobs.get(&id) else {
+        let Some(job) = self.record(id) else {
             return self.unknown_job(id);
         };
-        let result = match job.rec.status.is_terminal() {
+        let result = match job.status.is_terminal() {
             // Nested documents travel as escaped string fields (the wire
             // dialect is flat); clients re-parse the string.
             true => match self.journal.result(id) {
                 Ok(payload) => Some(payload),
-                Err(e) => return result_unavailable(id, job.rec.status, &e),
+                Err(e) => return result_unavailable(id, job.status, &e),
             },
             false => None,
         };
         resp_ok(|o| {
             let mut o = o
                 .num("job", id)
-                .str("status", &job.rec.status.to_string())
+                .str("status", &job.status.to_string())
                 .num("attempt", job.attempt);
             if let Some((at, cycle)) = job.last_heartbeat {
                 o = o
@@ -508,8 +587,8 @@ impl Daemon {
 
     fn health_line(&self) -> String {
         let mut counts: BTreeMap<JobStatus, usize> = BTreeMap::new();
-        for job in self.jobs.values() {
-            *counts.entry(job.rec.status).or_insert(0) += 1;
+        for job in self.records() {
+            *counts.entry(job.status).or_insert(0) += 1;
         }
         resp_ok(|o| {
             let o = o
@@ -525,12 +604,12 @@ impl Daemon {
     }
 
     fn cancel(&mut self, id: u64) -> String {
-        let Some(job) = self.jobs.get_mut(&id) else {
+        if let Some(done) = self.finished.get(&id) {
+            return job_ack(id, &done.status.to_string());
+        }
+        let Some(job) = self.live.get_mut(&id) else {
             return self.unknown_job(id);
         };
-        if job.rec.status.is_terminal() {
-            return job_ack(id, &job.rec.status.to_string());
-        }
         job.cancel_requested = true;
         if self.scheduler.cancel_queued(id) || self.fleet.awaiting_retry(id) {
             self.finish(id, JobStatus::Cancelled, "{\"detail\":\"cancelled while queued\"}");
@@ -545,47 +624,37 @@ impl Daemon {
         job_ack(id, "cancelled")
     }
 
-    /// Emits one telemetry stream record for `id`. The sequence number,
-    /// self-metrics counter, and timeline event advance unconditionally;
-    /// the record (whose own fields `extra` writes) is only built when
-    /// someone takes it: a `tail`, or a subscriber (`partial` records go to
-    /// `watch`es only). `tl_detail` is the plain-text detail stored in the
-    /// job timeline.
-    fn stream(
-        &mut self,
-        id: u64,
-        kind: &str,
-        is_final: bool,
-        extra: impl FnOnce(Obj) -> Obj,
-        tl_detail: &str,
-    ) {
+    /// Records `event` of live job `id` and emits its telemetry stream
+    /// record. The sequence number, self-metrics counter, and timeline event
+    /// advance unconditionally; the record (`extra` writes the fields the
+    /// event does not hold) is only built when someone takes it: a `tail`,
+    /// or a subscriber (`partial` records go to `watch`es only).
+    fn stream(&mut self, id: u64, event: Event, extra: impl FnOnce(Obj) -> Obj) {
         let has_tailers = !self.tailers.is_empty();
-        let Some(job) = self.jobs.get_mut(&id) else {
+        let Some(job) = self.live.get_mut(&id) else {
             return;
         };
-        let seq = job.stream_seq;
-        job.stream_seq += 1;
+        let seq = job.record.stream_seq;
+        job.record.stream_seq += 1;
         self.metrics.count(Counter::StreamRecords);
         let at_ms = job.submitted_at.elapsed().as_millis() as u64;
-        let tl_kind = if kind == "done" { "state" } else { kind };
-        job.timeline.push(at_ms, tl_kind, tl_detail);
-        let skips = |s: &Subscriber| kind == "partial" && !s.partials;
-        if !has_tailers && job.subscribers.iter().all(skips) {
+        let partial = matches!(event, Event::Partial(..));
+        let skips = |s: &Subscriber| partial && !s.partials;
+        let taken = has_tailers || !job.subscribers.iter().all(skips);
+        let mut record = taken.then(|| event_record(id, seq, job.record.attempt, &event, extra));
+        job.record.timeline.push(at_ms, event);
+        if record.is_none() {
             return;
         }
         // Every taker but the last is sent a copy; the last, most often
         // the only one, takes the record itself.
         let mut takers = job.subscribers.iter().filter(|s| !skips(s)).count() + self.tailers.len();
-        let mut record = Some(stream_record(id, seq, job.attempt, kind, is_final, extra));
         let mut send = |to: &Sender<String>| {
             takers -= 1;
             let copy = if takers == 0 { record.take() } else { record.clone() };
             copy.is_some_and(|copy| to.send(copy).is_ok())
         };
         job.subscribers.retain(|s| skips(s) || send(&s.reply));
-        if is_final {
-            job.subscribers = Vec::new();
-        }
         self.tailers.retain(|w| send(w));
     }
 
@@ -596,28 +665,29 @@ impl Daemon {
     /// with its terminal record, rendered again from the journal byte for
     /// byte what live subscribers were sent.
     fn subscribe(&mut self, reply: &Sender<String>, id: u64, partials: bool) {
-        let Some(job) = self.jobs.get_mut(&id) else {
-            let _ = reply.send(self.unknown_job(id));
-            return;
-        };
-        let status = job.rec.status;
-        if !status.is_terminal() {
-            let _ = reply.send(job_ack(id, &status.to_string()));
+        if let Some(job) = self.live.get_mut(&id) {
+            let _ = reply.send(job_ack(id, &job.record.status.to_string()));
             job.subscribers.push(Subscriber { reply: reply.clone(), partials });
             if partials {
                 self.fleet.watch(id);
             }
             return;
         }
+        let Some(job) = self.finished.get(&id) else {
+            let _ = reply.send(self.unknown_job(id));
+            return;
+        };
+        let status = job.status;
         match self.journal.result(id) {
             Ok(payload) => {
                 // The terminal record is the last a job emits. One that
                 // finished under an earlier daemon process emitted none in
                 // this one, and takes seq 0 of its restarted stream.
                 let seq = job.stream_seq.saturating_sub(1);
-                let fields = done_fields(status, &payload);
+                let done = Event::State(status);
+                let record = event_record(id, seq, job.attempt, &done, |o| o.str("result", &payload));
                 let _ = reply.send(job_ack(id, &status.to_string()));
-                let _ = reply.send(stream_record(id, seq, job.attempt, "done", true, fields));
+                let _ = reply.send(record);
             }
             Err(e) => {
                 let _ = reply.send(result_unavailable(id, status, &e));
@@ -638,7 +708,7 @@ impl Daemon {
     }
 
     fn timeline_line(&mut self, id: u64) -> String {
-        let Some(job) = self.jobs.get(&id) else {
+        let Some(job) = self.record(id) else {
             return self.unknown_job(id);
         };
         resp_ok(|o| {
@@ -673,23 +743,25 @@ impl Daemon {
             let Some(id) = self.scheduler.next() else {
                 break;
             };
-            if self.jobs.get(&id).is_none_or(|j| j.cancel_requested) {
-                self.finish(id, JobStatus::Cancelled, "{\"detail\":\"cancelled while queued\"}");
-                continue;
+            match self.live.get(&id) {
+                Some(job) if !job.cancel_requested => self.spawn(id),
+                Some(_) => {
+                    self.finish(id, JobStatus::Cancelled, "{\"detail\":\"cancelled while queued\"}");
+                }
+                // Finished already: there is nothing left to run or cancel.
+                None => {}
             }
-            self.spawn(id);
         }
     }
 
     fn spawn(&mut self, id: u64) {
-        let job = &self.jobs[&id];
+        let job = &self.live[&id];
         let line = worker_job(
-            |o| o.num("job", id).num("attempt", job.attempt),
+            |o| o.num("job", id).num("attempt", job.record.attempt),
             &self.ckpt_path(id),
-            |o| job.rec.spec.write_fields(o),
+            |o| job.spec.write_fields(o),
         );
         let deadline = job
-            .rec
             .deadline_secs
             .map(Duration::from_secs)
             .or(self.config.default_deadline);
@@ -702,7 +774,7 @@ impl Daemon {
             self.fleet.watch(id);
         }
         self.metrics.count(Counter::WorkersSpawned);
-        if let Some(job) = self.jobs.get_mut(&id) {
+        if let Some(job) = self.live.get_mut(&id) {
             if !job.dispatched {
                 job.dispatched = true;
                 let wait = job.submitted_at.elapsed().as_millis() as u64;
@@ -718,11 +790,10 @@ impl Daemon {
         let ended = line.is_none();
         match self.fleet.observe(id, line) {
             Some(WorkerLine::Heartbeat(cycle)) => {
-                if let Some(job) = self.jobs.get_mut(&id) {
-                    job.last_heartbeat = Some((Instant::now(), cycle));
+                if let Some(job) = self.live.get_mut(&id) {
+                    job.record.last_heartbeat = Some((Instant::now(), cycle));
                 }
-                let detail = format!("cycle {cycle}");
-                self.stream(id, "heartbeat", false, |o| o.num("cycle", cycle), &detail);
+                self.stream(id, Event::Heartbeat(cycle), |o| o);
             }
             // The worker emits these at checkpoint boundaries whenever the
             // job asked for metrics — subscribed or not — so relaying them
@@ -731,17 +802,14 @@ impl Daemon {
             // counted and timelined all the same.
             Some(WorkerLine::Metrics { key, at, doc }) => {
                 self.metrics.count(Counter::PartialSnapshots);
-                let detail = format!("{key} {at}");
-                self.stream(
-                    id,
-                    "partial",
-                    false,
-                    |o| match &doc {
-                        Some(doc) => o.num(key, at).str("metrics", doc),
-                        None => o.num(key, at),
-                    },
-                    &detail,
-                );
+                let progress = match key {
+                    "trials" => Progress::Trials,
+                    _ => Progress::Cycle,
+                };
+                self.stream(id, Event::Partial(progress, at), |o| match &doc {
+                    Some(doc) => o.str("metrics", doc),
+                    None => o,
+                });
             }
             _ => {}
         }
@@ -755,7 +823,7 @@ impl Daemon {
 
     /// A worker exited: decide the job's fate from how its attempt ended.
     fn settle(&mut self, id: u64, outcome: Outcome) {
-        let cancelled = self.jobs.get(&id).is_some_and(|job| job.cancel_requested);
+        let cancelled = self.live.get(&id).is_some_and(|job| job.cancel_requested);
         if outcome == Outcome::Parked {
             self.metrics.count(Counter::WorkersParked);
         }
@@ -784,14 +852,7 @@ impl Daemon {
         self.metrics.count(Counter::WorkersFailed);
         // The record carries the attempt that failed; the attempt counter
         // only advances after it is emitted.
-        let failure = kind.to_string();
-        self.stream(
-            id,
-            "attempt-failed",
-            false,
-            |o| o.str("failure", &failure).str("detail", &detail),
-            &failure,
-        );
+        self.stream(id, Event::AttemptFailed(kind.clone()), |o| o.str("detail", &detail));
         match self.fleet.fail(id, kind.clone(), detail.clone()) {
             Verdict::GiveUp(failures) => {
                 self.metrics.count(Counter::GiveUps);
@@ -804,17 +865,11 @@ impl Daemon {
             }
             Verdict::Retry(delay) => {
                 self.metrics.retry(&kind);
-                if let Some(job) = self.jobs.get_mut(&id) {
-                    job.attempt += 1;
+                if let Some(job) = self.live.get_mut(&id) {
+                    job.record.attempt += 1;
                 }
-                let ms = delay.as_millis();
-                self.stream(
-                    id,
-                    "retry-backoff",
-                    false,
-                    |o| o.num("delay_ms", ms),
-                    &format!("{ms}ms"),
-                );
+                let ms = u64::try_from(delay.as_millis()).unwrap_or(u64::MAX);
+                self.stream(id, Event::RetryBackoff(ms), |o| o);
                 self.set_state(id, JobStatus::Queued);
             }
         }
@@ -825,35 +880,33 @@ impl Daemon {
         if let Err(e) = self.journal.record_state(id, status) {
             eprintln!("mempool-serve: journal write failed for job {id}: {e}");
         }
-        if let Some(job) = self.jobs.get_mut(&id) {
-            job.rec.status = status;
+        if let Some(job) = self.live.get_mut(&id) {
+            job.record.status = status;
         }
-        let word = status.to_string();
-        self.stream(id, "state", false, |o| o.str("status", &word), &word);
+        self.stream(id, Event::State(status), |o| o);
     }
 
     /// Moves a job to a terminal state: journal, quota release, the
     /// terminal record, checkpoint cleanup (kept on failure for
     /// postmortems). `payload` goes to the journal and to whoever is
-    /// subscribed right now; no copy of it stays here.
+    /// subscribed right now; no copy of it stays here. The job leaves the
+    /// live table, and only its record stays.
     fn finish(&mut self, id: u64, status: JobStatus, payload: &str) {
         self.scheduler.release(id);
         self.fleet.forget(id);
         if let Err(e) = self.journal.record_done(id, status, payload) {
             eprintln!("mempool-serve: journal write failed for job {id}: {e}");
         }
-        if let Some(job) = self.jobs.get_mut(&id) {
-            job.rec.status = status;
+        if let Some(job) = self.live.get_mut(&id) {
+            job.record.status = status;
             let latency = job.submitted_at.elapsed().as_millis() as u64;
             self.metrics.job_terminal(status, latency);
         }
-        self.stream(
-            id,
-            "done",
-            true,
-            done_fields(status, payload),
-            &status.to_string(),
-        );
+        self.stream(id, Event::State(status), |o| o.str("result", payload));
+        if let Some(LiveJob { mut record, .. }) = self.live.remove(&id) {
+            record.timeline.shrink_to_fit();
+            self.finished.insert(id, record);
+        }
         if status != JobStatus::Failed {
             let ckpt = self.ckpt_path(id);
             let (trial, manifest) = job_files(&ckpt);
@@ -1262,6 +1315,33 @@ mod tests {
         // Job 0's result never depended on the file.
         daemon.subscribe(&late_tx, 0, false);
         assert_eq!(lines(&late_rx), [completed(0), live]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What a finished job costs the daemon for good: this record, inline
+    /// in the table, and the timeline's event slice. Tenant names are
+    /// shared, so one tenant's jobs hold one copy between them.
+    #[test]
+    fn a_finished_job_keeps_a_small_record_and_shares_its_tenant() {
+        assert!(std::mem::size_of::<JobRecord>() <= 128, "{}", std::mem::size_of::<JobRecord>());
+        let dir = scratch("record");
+        let (events_tx, _events_rx) = mpsc::channel();
+        let config = DaemonConfig {
+            state_dir: dir.join("state"),
+            worker_slots: 0,
+            ..DaemonConfig::default()
+        };
+        let mut daemon = Daemon::open(config, events_tx).expect("open");
+        for _ in 0..3 {
+            daemon.submit("team".to_owned(), 0, None, run_spec());
+        }
+        daemon.finish(1, JobStatus::Completed, "{}");
+        assert_eq!((daemon.live.len(), daemon.finished.len()), (2, 1));
+        let status = json::parse_flat_json(&daemon.status_line(1)).expect("status");
+        assert_eq!(status["status"], "completed");
+        assert_eq!(daemon.cancel(1), job_ack(1, "completed"));
+        let tenant = daemon.tenants.get("team").expect("interned");
+        assert_eq!(Arc::strong_count(tenant), 1 + 3, "one copy, three jobs");
         std::fs::remove_dir_all(&dir).ok();
     }
 

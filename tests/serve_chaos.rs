@@ -11,10 +11,11 @@ use mempool_serve::{BenchSpec, CampaignSpec, ClientError, JobSpec, RunSpec, Serv
 use mempool_traffic::job_files;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_mempool-serve");
+const CLI: &str = env!("CARGO_BIN_EXE_mempool-cli");
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mempool-serve-{}-{name}", std::process::id()));
@@ -87,18 +88,49 @@ fn wait_done(client: &ServeClient, job: u64) -> BTreeMap<String, String> {
         .unwrap_or_else(|e| panic!("waiting job {job}: {e}"))
 }
 
-fn wait_exit(child: &mut Child, what: &str) -> std::process::ExitStatus {
+/// Waits for `child` to exit; past the deadline it is killed and reaped,
+/// and the test fails.
+fn wait_exit(child: &mut Child, what: &str) -> ExitStatus {
     let start = Instant::now();
     loop {
         if let Some(status) = child.try_wait().expect("wait works") {
             return status;
         }
-        assert!(
-            start.elapsed() < Duration::from_secs(120),
-            "{what} did not exit in time"
-        );
+        if start.elapsed() > Duration::from_secs(120) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{what} did not exit in time");
+        }
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// A child process that is killed and reaped when dropped, so a failed
+/// assertion leaves none behind.
+struct Reaped(Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Runs `mempool-cli --socket <socket> <args>` to its exit (killed at the
+/// deadline) and returns its status and what it wrote to stderr.
+fn cli(socket: &Path, args: &[&str]) -> (ExitStatus, String) {
+    let stderr = socket.with_extension("stderr");
+    let file = std::fs::File::create(&stderr).expect("stderr file");
+    let mut child = Command::new(CLI)
+        .arg("--socket")
+        .arg(socket)
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(file)
+        .spawn()
+        .expect("mempool-cli spawns");
+    let status = wait_exit(&mut child, &format!("mempool-cli {}", args.join(" ")));
+    (status, std::fs::read_to_string(&stderr).expect("stderr reads"))
 }
 
 fn signal(pid: u32, sig: &str) {
@@ -378,24 +410,30 @@ fn overload_and_zero_quota_are_rejected_with_typed_errors() {
     let dir = scratch("overload");
     let socket = dir.join("serve.sock");
     // No worker slots: everything queues, so the depth bound is exact.
-    let mut child = daemon(
+    let mut child = Reaped(daemon(
         &socket,
         &dir.join("state"),
         &["--workers", "0", "--queue-depth", "1", "--quota", "blocked=0"],
-    );
+    ));
     let client = connect(&socket);
 
-    let admitted = client
-        .submit("tenant-a", 0, None, &bench_spec())
-        .expect("first job fits the queue");
+    // The command line first: a rejection is a failed command that says
+    // what kind of rejection it was.
+    let bench = ["submit", "bench", "--cycles", "100", "--warmup", "10", "--cores", "16"];
+    let (status, stderr) = cli(&socket, &bench);
+    assert!(status.success(), "the first job fits the queue: {status}, {stderr}");
+    let (status, stderr) = cli(&socket, &bench);
+    assert!(!status.success(), "the second submission must be rejected");
+    assert!(stderr.contains("rejected (overloaded)"), "{stderr}");
     match client.submit("tenant-b", 0, None, &bench_spec()) {
         Err(ClientError::Rejected { kind, .. }) => assert_eq!(kind, "overloaded"),
         other => panic!("expected a typed overload rejection, got {other:?}"),
     }
     // The queued job holds the only slot; a zero-quota tenant is refused
     // even when the queue has room again after a cancel.
-    let cancelled = client.cancel(admitted).expect("cancel queued job");
-    assert_eq!(cancelled.get("status").map(String::as_str), Some("cancelled"));
+    let (status, stderr) = cli(&socket, &["cancel", "0"]);
+    assert!(status.success(), "cancel the queued job: {status}, {stderr}");
+    assert_eq!(client.status(0).expect("status")["status"], "cancelled");
     match client.submit("blocked", 0, None, &bench_spec()) {
         Err(ClientError::Rejected { kind, .. }) => assert_eq!(kind, "quota"),
         other => panic!("expected a typed quota rejection, got {other:?}"),
@@ -412,8 +450,9 @@ fn overload_and_zero_quota_are_rejected_with_typed_errors() {
         Err(ClientError::Rejected { kind, .. }) => assert_eq!(kind, "invalid"),
         other => panic!("expected a typed validation rejection, got {other:?}"),
     }
-    client.shutdown().expect("drain");
-    assert!(wait_exit(&mut child, "daemon").success());
+    let (status, stderr) = cli(&socket, &["shutdown"]);
+    assert!(status.success(), "shutdown: {status}, {stderr}");
+    assert!(wait_exit(&mut child.0, "daemon").success());
 }
 
 fn bench_spec() -> JobSpec {
