@@ -2,13 +2,18 @@
 //! them across crash-isolated worker processes, and survives both worker
 //! and daemon failures.
 //!
-//! One thread owns all state (scheduler, journal, worker fleet); everything
-//! else — the acceptor, connection readers, connection writers, worker
-//! stdout pumps — is a thin thread that forwards what it reads over a
-//! channel. The supervisor loop alternates between draining that channel
-//! (new connections, request lines, worker lines), ticking the fleet
-//! (deadline kills, reaping), and dispatching queued jobs into free worker
-//! slots.
+//! One thread does everything. Each turn of its loop `poll`s one set of
+//! descriptors — the listening socket, every client connection, every
+//! worker's stdout pipe — for up to the fleet's
+//! [`poll_interval`](Fleet::poll_interval), then accepts connections,
+//! answers the complete request lines, relays the worker lines the
+//! [`Fleet`] read, ticks the fleet (deadline kills, reaping), and
+//! dispatches queued jobs into free worker slots. A connection
+//! ([`Conn`]) is a nonblocking socket with a request line buffer and a
+//! queue of reply bytes: what the socket does not take at once waits in
+//! the queue until the socket polls writable, so a client that stops
+//! reading holds up only its own queue. A hang-up closes the connection
+//! and ends its subscriptions.
 //!
 //! The job table has two halves. A live job ([`LiveJob`]) holds what a
 //! worker or a subscriber needs: its spec, its subscribers, its clock. A
@@ -23,33 +28,37 @@
 //! later, read it back from the journal file.
 //!
 //! The worker processes themselves belong to the shared
-//! [`Fleet`](mempool_traffic::Fleet): it spawns them, classifies how each
-//! attempt ended (`panic` / `signal` / `timeout` / `oom` / `exit`), and
-//! decides between a retry from the job's last checkpoint under the seeded
-//! [`RetryPolicy`] and giving up (budget spent, or the same failure twice
-//! in a row). This module is the driver: scheduling, the journal, and the
-//! stream/timeline/metrics hooks. A drain (`SIGTERM` or the `shutdown` op)
-//! `SIGTERM`s every worker, which checkpoint-parks its job and exits with
-//! status 3; the journal then lets a restarted daemon resume each job
+//! [`Fleet`](mempool_traffic::Fleet): it spawns them, reads their stdout,
+//! classifies how each attempt ended (`panic` / `signal` / `timeout` /
+//! `oom` / `exit`), and decides between a retry from the job's last
+//! checkpoint under the seeded [`RetryPolicy`] and giving up (budget
+//! spent, or the same failure twice in a row). This module is the driver:
+//! scheduling, the journal, and the stream/timeline/metrics hooks. A drain
+//! (`SIGTERM` or the `shutdown` op) `SIGTERM`s every worker, which
+//! checkpoint-parks its job and exits with status 3; once the last one is
+//! reaped the daemon writes out what its connections still queue and
+//! returns. The journal then lets a restarted daemon resume each job
 //! bit-identically.
 
 use crate::journal::{self, Journal, ReplayedJob};
 use crate::metrics::{Counter, ServeGauges, ServeMetrics};
 use crate::protocol::{
-    resp_err, resp_ok, stream_record, JobSpec, JobStatus, Request, PROTOCOL_VERSION,
+    resp_err, resp_ok, stream_record, JobSpec, JobStatus, Request, MAX_REQUEST_BYTES,
+    PROTOCOL_VERSION,
 };
 use crate::sched::{Rejection, Scheduler, SchedulerConfig};
 use crate::timeline::{Event, JobTimeline, Progress};
 use mempool::json::{self, Layout, Obj};
+use mempool_traffic::sig::{self, PollFd};
 use mempool_traffic::{
     job_files, worker_job, FailureKind, Fleet, Outcome, RetryPolicy, Verdict, WorkerLine,
 };
-use std::collections::{BTreeMap, BTreeSet};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::io::{self, IoSlice, Read, Write};
+use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -106,25 +115,198 @@ pub struct DaemonSummary {
     pub journal_skipped: usize,
 }
 
-enum Msg {
-    /// A connection the acceptor thread took off the listener.
-    Connection(UnixStream),
-    Request { reply: Sender<String>, line: String },
-    /// One line of a worker's stdout; `None` marks its end.
-    Worker { job: u64, line: Option<String> },
-}
+/// Bytes one `read` of a connection takes at most.
+const READ_CHUNK: usize = 64 * 1024;
 
-impl From<(u64, Option<String>)> for Msg {
-    fn from((job, line): (u64, Option<String>)) -> Msg {
-        Msg::Worker { job, line }
-    }
-}
+/// How long a drain waits, at most, for its connections to take the bytes
+/// they still queue.
+const DRAIN_FLUSH: Duration = Duration::from_secs(1);
+
+/// How long accepting pauses after `accept` failed (out of descriptors,
+/// most likely), so that a listener that stays readable is not spun on.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(20);
+
+/// Names a connection in the daemon's table.
+type ConnId = u64;
 
 /// A `wait` or `watch` connection. Both are sent the job's stream records;
 /// only a `watch` (`partials`) is sent the `partial` metrics snapshots.
 struct Subscriber {
-    reply: Sender<String>,
+    conn: ConnId,
     partials: bool,
+}
+
+/// One line a connection sent, its line break removed.
+enum Line {
+    Request(String),
+    /// Not UTF-8: answered `invalid`; the connection reads on.
+    Garbled,
+    /// Longer than [`MAX_REQUEST_BYTES`]: answered `invalid`, and the
+    /// connection closes.
+    Overlong,
+}
+
+/// A client connection: a nonblocking socket, the request line being read,
+/// and the bytes queued for the socket.
+struct Conn {
+    stream: UnixStream,
+    /// What the client sent after its last line break.
+    input: Vec<u8>,
+    /// Reply and record bytes the socket has not taken yet.
+    output: VecDeque<u8>,
+    /// Requests are still read: not after the end of input or an
+    /// overlong line.
+    reading: bool,
+    /// Hung up, or a write failed: closed at the end of the loop's turn.
+    dead: bool,
+}
+
+impl Conn {
+    /// One `read` of a socket that polled readable: the lines it
+    /// completes, in order (blank ones skipped), and at the end of input
+    /// an unterminated last line. An overlong line is the last one read.
+    fn read(&mut self) -> Vec<Line> {
+        let filled = self.input.len();
+        self.input.resize(filled + READ_CHUNK, 0);
+        let n = match self.stream.read(&mut self.input[filled..]) {
+            Err(e) if later(&e) => {
+                self.input.truncate(filled);
+                return Vec::new();
+            }
+            // An error ends the input as its end does.
+            read => read.unwrap_or(0),
+        };
+        self.input.truncate(filled + n);
+        let mut lines = Vec::new();
+        let mut start = 0;
+        while let Some(at) = self.input[start..].iter().position(|&b| b == b'\n') {
+            lines.extend(request_line(&self.input[start..start + at]));
+            start += at + 1;
+        }
+        let rest = &self.input[start..];
+        if n == 0 || rest.len() > MAX_REQUEST_BYTES {
+            lines.extend(request_line(rest));
+            self.reading = n > 0;
+        }
+        if let Some(at) = lines.iter().position(|l| matches!(l, Line::Overlong)) {
+            lines.truncate(at + 1);
+            self.reading = false;
+        }
+        if !self.reading {
+            start = self.input.len();
+        }
+        self.input.drain(..start);
+        // An idle connection keeps no buffer.
+        if self.input.is_empty() {
+            self.input = Vec::new();
+        }
+        lines
+    }
+
+    /// Queues `line` and a line break, writing first what the socket
+    /// takes at once (all of it, unless the client lags behind).
+    fn send(&mut self, line: String) {
+        if self.dead {
+            return;
+        }
+        let bytes = line.as_bytes();
+        let mut written = 0;
+        if self.output.is_empty() {
+            let line = [IoSlice::new(bytes), IoSlice::new(b"\n")];
+            match self.stream.write_vectored(&line) {
+                Ok(n) => written = n,
+                Err(e) if later(&e) => {}
+                Err(_) => {
+                    self.dead = true;
+                    return;
+                }
+            }
+        }
+        if written < bytes.len() {
+            self.output.extend(&bytes[written..]);
+        }
+        if written <= bytes.len() {
+            self.output.push_back(b'\n');
+        }
+    }
+
+    /// Writes queued bytes until the socket would block.
+    fn flush(&mut self) {
+        while !self.output.is_empty() && !self.dead {
+            match self.stream.write(self.output.as_slices().0) {
+                Ok(0) => self.dead = true,
+                Ok(n) => drop(self.output.drain(..n)),
+                Err(e) if later(&e) => return,
+                Err(_) => self.dead = true,
+            }
+        }
+        // A burst a lagging client has caught up with keeps no buffer.
+        self.output = VecDeque::new();
+    }
+}
+
+/// A read or write on a nonblocking socket that can only be tried again
+/// later: at its next `poll`.
+fn later(e: &io::Error) -> bool {
+    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted)
+}
+
+/// A request line as read, line break removed; `None` if it is blank.
+fn request_line(bytes: &[u8]) -> Option<Line> {
+    let bytes = bytes.strip_suffix(b"\r").unwrap_or(bytes);
+    if bytes.len() > MAX_REQUEST_BYTES {
+        return Some(Line::Overlong);
+    }
+    match std::str::from_utf8(bytes) {
+        Ok(text) if text.trim().is_empty() => None,
+        Ok(text) => Some(Line::Request(text.to_owned())),
+        Err(_) => Some(Line::Garbled),
+    }
+}
+
+/// The daemon's open connections.
+#[derive(Default)]
+struct Conns {
+    open: BTreeMap<ConnId, Conn>,
+    next_id: ConnId,
+}
+
+impl Conns {
+    /// Takes `stream` (nonblocking) into the table.
+    fn add(&mut self, stream: UnixStream) -> ConnId {
+        let id = self.next_id;
+        self.next_id += 1;
+        let conn = Conn {
+            stream,
+            input: Vec::new(),
+            output: VecDeque::new(),
+            reading: true,
+            dead: false,
+        };
+        self.open.insert(id, conn);
+        id
+    }
+
+    /// [`Conn::send`] to connection `id`, if it is still open.
+    fn send(&mut self, id: ConnId, line: String) {
+        if let Some(conn) = self.open.get_mut(&id) {
+            conn.send(line);
+        }
+    }
+
+    /// Adds to `fds` an entry for every connection: for input while it
+    /// reads requests, for output while bytes wait for it.
+    fn poll_fds(&self, fds: &mut Vec<PollFd>) {
+        let entries = self.open.values().filter(|c| !c.dead);
+        fds.extend(entries.map(|c| PollFd::new(&c.stream, c.reading, !c.output.is_empty())));
+    }
+
+    /// The connection `fd` polled.
+    fn polled(&mut self, fd: &PollFd) -> Option<(ConnId, &mut Conn)> {
+        let mut open = self.open.iter_mut();
+        let found = open.find(|(_, c)| c.stream.as_raw_fd() == fd.fd());
+        found.map(|(&id, conn)| (id, conn))
+    }
 }
 
 /// What the daemon keeps of a job for its whole life: all that the late
@@ -193,14 +375,15 @@ struct Daemon {
     /// Every tenant name a job was charged to, one allocation each.
     tenants: BTreeSet<Arc<str>>,
     /// The worker processes, keyed by job id.
-    fleet: Fleet<Msg>,
+    fleet: Fleet,
+    /// The client connections.
+    conns: Conns,
     next_id: u64,
     journal_skipped: usize,
     draining: bool,
-    events_tx: Sender<Msg>,
     metrics: ServeMetrics,
     /// `tail` subscribers: receive every job's telemetry records.
-    tailers: Vec<Sender<String>>,
+    tailers: Vec<ConnId>,
 }
 
 /// Runs the daemon until `shutdown` is set (or a client sends the
@@ -212,66 +395,45 @@ struct Daemon {
 /// Startup I/O only (state dir, journal, socket). Runtime worker and
 /// connection failures are handled, not raised.
 pub fn run_daemon(config: DaemonConfig, shutdown: &AtomicBool) -> io::Result<DaemonSummary> {
-    let (events_tx, events_rx): (Sender<Msg>, Receiver<Msg>) = mpsc::channel();
-    let mut daemon = Daemon::open(config, events_tx.clone())?;
-
+    let mut daemon = Daemon::open(config)?;
     let socket = daemon.config.socket.clone();
     let _ = std::fs::remove_file(&socket);
     let listener = UnixListener::bind(&socket)?;
-    // Accepting blocks in a thread of its own, so a connection wakes the
-    // supervisor the moment it arrives rather than at its next tick.
-    let closing = Arc::new(AtomicBool::new(false));
-    let acceptor = {
-        let closing = Arc::clone(&closing);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if closing.load(Ordering::Relaxed) {
-                    break;
-                }
-                match stream {
-                    Ok(stream) => {
-                        if events_tx.send(Msg::Connection(stream)).is_err() {
-                            break;
-                        }
-                    }
-                    // Out of descriptors, most likely: let some close.
-                    Err(_) => std::thread::sleep(Duration::from_millis(20)),
-                }
-            }
-        })
-    };
-
+    listener.set_nonblocking(true)?;
+    let mut accept_paused_until = None;
+    let mut fds = Vec::new();
     loop {
-        match events_rx.recv_timeout(daemon.fleet.poll_interval()) {
-            Ok(msg) => {
-                daemon.handle(msg);
-                while let Ok(msg) = events_rx.try_recv() {
-                    daemon.handle(msg);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
+        let accepting = accept_paused_until.is_none_or(|until| Instant::now() >= until);
+        fds.clear();
+        fds.push(PollFd::new(&listener, accepting, false));
+        daemon.conns.poll_fds(&mut fds);
+        daemon.fleet.poll_fds(&mut fds);
+        // A signal cuts the wait short, and the flag is looked at at once.
+        let _ = sig::poll(&mut fds, daemon.fleet.poll_interval());
         if shutdown.load(Ordering::Relaxed) && !daemon.draining {
             daemon.enter_drain();
         }
+        daemon.serve_conns(&fds[1..]);
+        for (id, line) in daemon.fleet.read_ready(&fds[1..]) {
+            daemon.progress(id, line);
+        }
+        if fds[0].readable() {
+            let failed = daemon.accept(&listener).is_err();
+            accept_paused_until = failed.then(|| Instant::now() + ACCEPT_PAUSE);
+        }
+        // Reaped in the turn that read the end of stdout: `finish` fsyncs
+        // the journal, and should not wait out another `poll`.
         daemon.tick_fleet();
         daemon.dispatch();
+        daemon.close_conns();
         if daemon.draining && daemon.fleet.running() == 0 {
             break;
         }
     }
-
-    // The acceptor sits in `accept`; a connection of our own gets it out, and
-    // it takes the listener with it. No thread of this daemon outlives it.
-    closing.store(true, Ordering::Relaxed);
-    if UnixStream::connect(&socket).is_ok() {
-        let _ = acceptor.join();
-    }
-    // Replies queued in the final iteration (the `shutdown` acknowledgment
-    // in particular) sit in detached writer threads; give them a beat to
-    // flush before process exit tears them down.
-    std::thread::sleep(Duration::from_millis(100));
+    // The replies of the last turn (the `shutdown` acknowledgment in
+    // particular) leave before the sockets close.
+    daemon.flush_conns(DRAIN_FLUSH);
+    drop(listener);
     let _ = std::fs::remove_file(&socket);
     let mut summary = DaemonSummary {
         journal_skipped: daemon.journal_skipped,
@@ -330,7 +492,7 @@ fn result_unavailable(id: u64, status: JobStatus, why: &io::Error) -> String {
 impl Daemon {
     /// Replays and rewrites the journal in `config.state_dir` and rebuilds
     /// the job table from it. Replayed results stay behind in the journal.
-    fn open(config: DaemonConfig, events_tx: Sender<Msg>) -> io::Result<Daemon> {
+    fn open(config: DaemonConfig) -> io::Result<Daemon> {
         std::fs::create_dir_all(&config.state_dir)?;
         let journal_path = config.state_dir.join("jobs.journal");
         let mut replay = journal::replay(&journal_path)?;
@@ -347,7 +509,8 @@ impl Daemon {
         let journal = Journal::rewrite(&journal_path, &replay.jobs)?;
         let mut daemon = Daemon {
             scheduler: Scheduler::new(config.scheduler.clone()),
-            fleet: Fleet::new(config.retry.clone(), events_tx.clone()),
+            fleet: Fleet::new(config.retry.clone()),
+            conns: Conns::default(),
             config,
             journal,
             live: BTreeMap::new(),
@@ -356,7 +519,6 @@ impl Daemon {
             next_id: replay.next_id,
             journal_skipped: replay.skipped,
             draining: false,
-            events_tx,
             metrics: ServeMetrics::new(),
             tailers: Vec::new(),
         };
@@ -409,97 +571,146 @@ impl Daemon {
         self.config.state_dir.join(format!("job-{id}.ckpt"))
     }
 
-    /// Wires up a freshly accepted connection: a reader thread that
-    /// forwards request lines to the supervisor, and a writer thread that
-    /// drains the connection's reply channel. The writer stays alive as
-    /// long as any reply sender (a subscription's included) exists.
-    fn attach(&mut self, stream: UnixStream) {
-        let Ok(write_half) = stream.try_clone() else {
-            return;
-        };
-        let (reply_tx, reply_rx): (Sender<String>, Receiver<String>) = mpsc::channel();
-        std::thread::spawn(move || {
-            let mut out = BufWriter::new(write_half);
-            while let Ok(line) = reply_rx.recv() {
-                if writeln!(out, "{line}").and_then(|()| out.flush()).is_err() {
-                    break;
+    /// Takes every pending connection off the listener.
+    ///
+    /// # Errors
+    ///
+    /// `accept`'s, out of descriptors most likely.
+    fn accept(&mut self, listener: &UnixListener) -> io::Result<()> {
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_ok() {
+                        self.conns.add(stream);
+                    }
                 }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
-        });
-        let events = self.events_tx.clone();
-        std::thread::spawn(move || {
-            let reader = BufReader::new(stream);
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if events
-                    .send(Msg::Request {
-                        reply: reply_tx.clone(),
-                        line,
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-        });
-    }
-
-    fn handle(&mut self, msg: Msg) {
-        match msg {
-            Msg::Connection(stream) => self.attach(stream),
-            Msg::Request { reply, line } => self.handle_request(&reply, &line),
-            Msg::Worker { job, line } => self.handle_worker_line(job, line),
         }
     }
 
-    fn handle_request(&mut self, reply: &Sender<String>, line: &str) {
-        let request = match Request::from_json(line) {
-            Ok(r) => r,
-            Err(e) => {
-                self.metrics.rejection("invalid");
-                let _ = reply.send(resp_err("invalid", &e));
+    /// Writes to the connections of `fds` that polled writable, and reads
+    /// and answers the requests of those that polled readable. One that
+    /// hung up is closed once nothing is left to read.
+    fn serve_conns(&mut self, fds: &[PollFd]) {
+        for fd in fds {
+            let Some((id, conn)) = self.conns.polled(fd) else {
+                continue;
+            };
+            if fd.writable() {
+                conn.flush();
+            }
+            let lines = match fd.readable() && conn.reading {
+                true => conn.read(),
+                false => Vec::new(),
+            };
+            conn.dead |= fd.hung_up() && !conn.reading;
+            for line in lines {
+                match line {
+                    Line::Request(line) => self.handle_request(id, &line),
+                    Line::Garbled => self.reject_invalid(id, "request line is not UTF-8".into()),
+                    Line::Overlong => {
+                        let why = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
+                        self.reject_invalid(id, why);
+                        self.unsubscribe(id);
+                    }
+                }
+            }
+        }
+    }
+
+    fn reject_invalid(&mut self, conn: ConnId, why: String) {
+        self.metrics.rejection("invalid");
+        self.conns.send(conn, resp_err("invalid", &why));
+    }
+
+    /// Whether connection `id` holds a subscription.
+    fn subscribed(&self, id: ConnId) -> bool {
+        let mut subscribers = self.live.values().flat_map(|job| &job.subscribers);
+        self.tailers.contains(&id) || subscribers.any(|s| s.conn == id)
+    }
+
+    /// Ends every subscription of connection `id`.
+    fn unsubscribe(&mut self, id: ConnId) {
+        self.tailers.retain(|&t| t != id);
+        for job in self.live.values_mut() {
+            job.subscribers.retain(|s| s.conn != id);
+        }
+    }
+
+    /// Closes the connections that hung up, and those that will send no
+    /// more requests and have nothing queued or subscribed.
+    fn close_conns(&mut self) {
+        let done = |c: &Conn| c.dead || (!c.reading && c.output.is_empty());
+        let ended = self.conns.open.iter().filter(|(_, c)| done(c));
+        let closing: Vec<ConnId> = ended
+            .filter(|(&id, c)| c.dead || !self.subscribed(id))
+            .map(|(&id, _)| id)
+            .collect();
+        for id in closing {
+            self.conns.open.remove(&id);
+            self.unsubscribe(id);
+        }
+    }
+
+    /// Writes out what the connections still queue, for as long as their
+    /// clients take it but `within` at most.
+    fn flush_conns(&mut self, within: Duration) {
+        let deadline = Instant::now() + within;
+        let mut fds = Vec::new();
+        loop {
+            fds.clear();
+            let open = self.conns.open.values();
+            let waiting = open.filter(|c| !c.dead && !c.output.is_empty());
+            fds.extend(waiting.map(|c| PollFd::new(&c.stream, false, true)));
+            let now = Instant::now();
+            if fds.is_empty() || now >= deadline {
                 return;
             }
+            let _ = sig::poll(&mut fds, deadline - now);
+            for fd in &fds {
+                if let Some((_, conn)) = self.conns.polled(fd) {
+                    if fd.writable() {
+                        conn.flush();
+                    }
+                    conn.dead |= fd.hung_up();
+                }
+            }
+        }
+    }
+
+    fn handle_request(&mut self, conn: ConnId, line: &str) {
+        let request = match Request::from_json(line) {
+            Ok(r) => r,
+            Err(e) => return self.reject_invalid(conn, e),
         };
-        match request {
+        let reply = match request {
             Request::Submit {
                 tenant,
                 priority,
                 deadline_secs,
                 spec,
-            } => {
-                let _ = reply.send(self.submit(tenant, priority, deadline_secs, spec));
-            }
-            Request::Status { job } => {
-                let _ = reply.send(self.status_line(job));
-            }
-            Request::Health => {
-                let _ = reply.send(self.health_line());
-            }
-            Request::Cancel { job } => {
-                let _ = reply.send(self.cancel(job));
-            }
-            Request::Wait { job } => self.subscribe(reply, job, false),
-            Request::Watch { job } => self.subscribe(reply, job, true),
+            } => self.submit(tenant, priority, deadline_secs, spec),
+            Request::Status { job } => self.status_line(job),
+            Request::Health => self.health_line(),
+            Request::Cancel { job } => self.cancel(job),
+            Request::Wait { job } => return self.subscribe(conn, job, false),
+            Request::Watch { job } => return self.subscribe(conn, job, true),
             Request::Tail => {
-                let _ = reply.send(resp_ok(|o| o.bool("tailing", true)));
-                self.tailers.push(reply.clone());
+                self.tailers.push(conn);
                 self.fleet.watch_all();
+                resp_ok(|o| o.bool("tailing", true))
             }
-            Request::Metrics => {
-                let _ = reply.send(self.metrics_line());
-            }
-            Request::Timeline { job } => {
-                let _ = reply.send(self.timeline_line(job));
-            }
+            Request::Metrics => self.metrics_line(),
+            Request::Timeline { job } => self.timeline_line(job),
             Request::Shutdown => {
-                let _ = reply.send(resp_ok(|o| o.bool("draining", true)));
                 self.enter_drain();
+                resp_ok(|o| o.bool("draining", true))
             }
-        }
+        };
+        self.conns.send(conn, reply);
     }
 
     fn submit(
@@ -648,14 +859,16 @@ impl Daemon {
         }
         // Every taker but the last is sent a copy; the last, most often
         // the only one, takes the record itself.
-        let mut takers = job.subscribers.iter().filter(|s| !skips(s)).count() + self.tailers.len();
-        let mut send = |to: &Sender<String>| {
-            takers -= 1;
-            let copy = if takers == 0 { record.take() } else { record.clone() };
-            copy.is_some_and(|copy| to.send(copy).is_ok())
-        };
-        job.subscribers.retain(|s| skips(s) || send(&s.reply));
-        self.tailers.retain(|w| send(w));
+        let subscribers = job.subscribers.iter().filter(|s| !skips(s)).map(|s| s.conn);
+        let takers = subscribers.chain(self.tailers.iter().copied());
+        let mut left = takers.clone().count();
+        for conn in takers {
+            left -= 1;
+            let copy = if left == 0 { record.take() } else { record.clone() };
+            if let Some(copy) = copy {
+                self.conns.send(conn, copy);
+            }
+        }
     }
 
     /// Opens a `wait` (`partials` false) or `watch` (`partials` true)
@@ -664,18 +877,18 @@ impl Daemon {
     /// the timeline as it is. A finished job follows the acknowledgment
     /// with its terminal record, rendered again from the journal byte for
     /// byte what live subscribers were sent.
-    fn subscribe(&mut self, reply: &Sender<String>, id: u64, partials: bool) {
+    fn subscribe(&mut self, conn: ConnId, id: u64, partials: bool) {
         if let Some(job) = self.live.get_mut(&id) {
-            let _ = reply.send(job_ack(id, &job.record.status.to_string()));
-            job.subscribers.push(Subscriber { reply: reply.clone(), partials });
+            self.conns.send(conn, job_ack(id, &job.record.status.to_string()));
+            job.subscribers.push(Subscriber { conn, partials });
             if partials {
                 self.fleet.watch(id);
             }
             return;
         }
         let Some(job) = self.finished.get(&id) else {
-            let _ = reply.send(self.unknown_job(id));
-            return;
+            let unknown = self.unknown_job(id);
+            return self.conns.send(conn, unknown);
         };
         let status = job.status;
         match self.journal.result(id) {
@@ -686,11 +899,11 @@ impl Daemon {
                 let seq = job.stream_seq.saturating_sub(1);
                 let done = Event::State(status);
                 let record = event_record(id, seq, job.attempt, &done, |o| o.str("result", &payload));
-                let _ = reply.send(job_ack(id, &status.to_string()));
-                let _ = reply.send(record);
+                self.conns.send(conn, job_ack(id, &status.to_string()));
+                self.conns.send(conn, record);
             }
             Err(e) => {
-                let _ = reply.send(result_unavailable(id, status, &e));
+                self.conns.send(conn, result_unavailable(id, status, &e));
             }
         }
     }
@@ -786,10 +999,9 @@ impl Daemon {
 
     /// Only progress lines surface here; the fleet keeps the rest for the
     /// attempt's outcome.
-    fn handle_worker_line(&mut self, id: u64, line: Option<String>) {
-        let ended = line.is_none();
-        match self.fleet.observe(id, line) {
-            Some(WorkerLine::Heartbeat(cycle)) => {
+    fn progress(&mut self, id: u64, line: WorkerLine) {
+        match line {
+            WorkerLine::Heartbeat(cycle) => {
                 if let Some(job) = self.live.get_mut(&id) {
                     job.record.last_heartbeat = Some((Instant::now(), cycle));
                 }
@@ -800,7 +1012,7 @@ impl Daemon {
             // is pure observation. Only a worker told to ([`Fleet::watch`])
             // renders the document; the marker without one is sequenced,
             // counted and timelined all the same.
-            Some(WorkerLine::Metrics { key, at, doc }) => {
+            WorkerLine::Metrics { key, at, doc } => {
                 self.metrics.count(Counter::PartialSnapshots);
                 let progress = match key {
                     "trials" => Progress::Trials,
@@ -812,12 +1024,6 @@ impl Daemon {
                 });
             }
             _ => {}
-        }
-        // Reap at the end of stdout rather than at the tick after the
-        // listener poll: `finish` fsyncs the journal, and a connection
-        // arriving during that would wait out the tick.
-        if ended {
-            self.tick_fleet();
         }
     }
 
@@ -923,6 +1129,7 @@ mod tests {
     use super::*;
     use crate::client::{ClientError, ServeClient};
     use crate::protocol::RunSpec;
+    use std::io::{BufRead, BufReader};
     use std::path::Path;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
@@ -1156,6 +1363,9 @@ mod tests {
             .expect("submit");
         let mut stream = UnixStream::connect(dir.join("serve.sock")).expect("connect");
         writeln!(stream, "{}", Request::Watch { job: id }.to_json()).expect("watch");
+        // A client that has said all it will may shut down its sending
+        // half: its subscription stays.
+        stream.shutdown(std::net::Shutdown::Write).expect("half-close");
         let mut replies = BufReader::new(stream).lines().map(|line| line.expect("line"));
         // The acknowledgment: from here on nothing the worker prints can
         // be missed.
@@ -1227,27 +1437,38 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Everything a reply channel has been sent so far.
-    fn lines(rx: &Receiver<String>) -> Vec<String> {
-        rx.try_iter().collect()
+    /// A connection of `daemon`'s, and the client's end of it.
+    fn connect(daemon: &mut Daemon) -> (ConnId, UnixStream) {
+        let (ours, theirs) = UnixStream::pair().expect("socket pair");
+        ours.set_nonblocking(true).expect("nonblocking");
+        theirs.set_nonblocking(true).expect("nonblocking");
+        (daemon.conns.add(ours), theirs)
+    }
+
+    /// Every line the daemon has sent `client` so far.
+    fn lines(mut client: &UnixStream) -> Vec<String> {
+        let mut bytes = Vec::new();
+        // Ends on `WouldBlock`, with what there was.
+        let _ = client.read_to_end(&mut bytes);
+        let text = String::from_utf8(bytes).expect("UTF-8");
+        text.lines().map(str::to_owned).collect()
     }
 
     /// The journal is the only copy of a finished job's result — unless the
     /// journal could not take it, in which case the result is served from
     /// memory as before; and if the file loses it afterwards, late readers
     /// get a typed error, not a made-up document. Driven without a socket:
-    /// requests are method calls, a reply channel stands in for a connection.
+    /// requests are method calls on connections of socket pairs.
     #[test]
     fn late_readers_survive_a_failing_journal_and_name_a_lost_result() {
         let dir = scratch("degraded");
         let state = dir.join("state");
-        let (events_tx, _events_rx) = mpsc::channel();
         let config = DaemonConfig {
             state_dir: state.clone(),
             worker_slots: 0,
             ..DaemonConfig::default()
         };
-        let mut daemon = Daemon::open(config, events_tx).expect("open");
+        let mut daemon = Daemon::open(config).expect("open");
         for _ in 0..2 {
             daemon.submit("team".to_owned(), 0, None, run_spec());
         }
@@ -1258,16 +1479,16 @@ mod tests {
         // `watch` subscriber.
         let read_only = std::fs::File::open(&journal_path).expect("journal exists");
         let healthy = daemon.journal.swap_file(read_only);
-        let (wait_tx, wait_rx) = mpsc::channel();
-        let (watch_tx, watch_rx) = mpsc::channel();
-        daemon.subscribe(&wait_tx, 0, false);
-        daemon.subscribe(&watch_tx, 0, true);
+        let (wait, wait_client) = connect(&mut daemon);
+        let (watch, watch_client) = connect(&mut daemon);
+        daemon.subscribe(wait, 0, false);
+        daemon.subscribe(watch, 0, true);
         daemon.finish(0, JobStatus::Completed, payload);
         let queued = "{\"ok\":true,\"job\":0,\"status\":\"queued\"}";
-        let live = lines(&wait_rx);
+        let live = lines(&wait_client);
         assert_eq!(live.len(), 2, "{live:?}");
         assert_eq!(live[0], queued);
-        assert_eq!(lines(&watch_rx), live, "one stream, one framing");
+        assert_eq!(lines(&watch_client), live, "one stream, one framing");
         let live = live[1].clone();
         let quoted = format!("\"{}\"", json::escape(payload));
         assert!(live.contains(&quoted), "{live}");
@@ -1276,10 +1497,10 @@ mod tests {
         assert!(!journaled.contains("done 0"), "the append did fail: {journaled}");
 
         let completed = |id: u64| format!("{{\"ok\":true,\"job\":{id},\"status\":\"completed\"}}");
-        let (late_tx, late_rx) = mpsc::channel();
+        let (late, late_client) = connect(&mut daemon);
         for partials in [false, true] {
-            daemon.subscribe(&late_tx, 0, partials);
-            assert_eq!(lines(&late_rx), [completed(0), live.clone()]);
+            daemon.subscribe(late, 0, partials);
+            assert_eq!(lines(&late_client), [completed(0), live.clone()]);
         }
         let status = daemon.status_line(0);
         assert!(status.starts_with("{\"ok\":true,"), "{status}");
@@ -1292,18 +1513,18 @@ mod tests {
         // cut short under the daemon.
         daemon.journal.swap_file(healthy);
         daemon.finish(1, JobStatus::Completed, payload);
-        daemon.subscribe(&late_tx, 1, false);
+        daemon.subscribe(late, 1, false);
         let twin = live.replace("\"job\":0", "\"job\":1");
-        assert_eq!(lines(&late_rx), [completed(1), twin]);
+        assert_eq!(lines(&late_client), [completed(1), twin]);
         let file = std::fs::OpenOptions::new()
             .write(true)
             .open(&journal_path)
             .expect("journal opens");
         file.set_len(file.metadata().expect("metadata").len() - 10)
             .expect("truncate");
-        daemon.subscribe(&late_tx, 1, false);
-        daemon.subscribe(&late_tx, 1, true);
-        let mut answers = lines(&late_rx);
+        daemon.subscribe(late, 1, false);
+        daemon.subscribe(late, 1, true);
+        let mut answers = lines(&late_client);
         answers.push(daemon.status_line(1));
         assert_eq!(answers.len(), 3);
         for answer in answers {
@@ -1313,8 +1534,8 @@ mod tests {
             assert!(fields["detail"].contains("job 1 is completed"), "{answer}");
         }
         // Job 0's result never depended on the file.
-        daemon.subscribe(&late_tx, 0, false);
-        assert_eq!(lines(&late_rx), [completed(0), live]);
+        daemon.subscribe(late, 0, false);
+        assert_eq!(lines(&late_client), [completed(0), live]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1325,13 +1546,12 @@ mod tests {
     fn a_finished_job_keeps_a_small_record_and_shares_its_tenant() {
         assert!(std::mem::size_of::<JobRecord>() <= 128, "{}", std::mem::size_of::<JobRecord>());
         let dir = scratch("record");
-        let (events_tx, _events_rx) = mpsc::channel();
         let config = DaemonConfig {
             state_dir: dir.join("state"),
             worker_slots: 0,
             ..DaemonConfig::default()
         };
-        let mut daemon = Daemon::open(config, events_tx).expect("open");
+        let mut daemon = Daemon::open(config).expect("open");
         for _ in 0..3 {
             daemon.submit("team".to_owned(), 0, None, run_spec());
         }
@@ -1350,19 +1570,18 @@ mod tests {
     #[test]
     fn every_op_counts_an_unknown_job() {
         let dir = scratch("unknown");
-        let (events_tx, _events_rx) = mpsc::channel();
         let config = DaemonConfig {
             state_dir: dir.join("state"),
             worker_slots: 0,
             ..DaemonConfig::default()
         };
-        let mut daemon = Daemon::open(config, events_tx).expect("open");
-        let (tx, rx) = mpsc::channel();
+        let mut daemon = Daemon::open(config).expect("open");
+        let (conn, client) = connect(&mut daemon);
         for op in ["status", "cancel", "wait", "watch", "timeline"] {
-            daemon.handle_request(&tx, &format!("{{\"op\":\"{op}\",\"job\":7}}"));
+            daemon.handle_request(conn, &format!("{{\"op\":\"{op}\",\"job\":7}}"));
         }
         let rejection = "{\"ok\":false,\"error\":\"unknown-job\",\"detail\":\"no job 7\"}";
-        assert_eq!(lines(&rx), [rejection; 5]);
+        assert_eq!(lines(&client), [rejection; 5]);
         let reply = json::parse_flat_json(&daemon.metrics_line()).expect("reply");
         assert!(reply["metrics"].contains("\"rejections\": {\"unknown-job\": 5}"), "{reply:?}");
         std::fs::remove_dir_all(&dir).ok();

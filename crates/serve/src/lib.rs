@@ -40,8 +40,8 @@ pub mod daemon;
 pub use journal::{Journal, JournalReplay, ReplayedJob};
 pub use metrics::{ServeGauges, ServeMetrics};
 pub use protocol::{
-    BenchSpec, CampaignSpec, JobSpec, JobStatus, Request, RunSpec, PROTOCOL_VERSION,
-    SERVE_METRICS_SCHEMA, STREAM_SCHEMA, TIMELINE_SCHEMA,
+    BenchSpec, CampaignSpec, JobSpec, JobStatus, Request, RunSpec, MAX_REQUEST_BYTES,
+    PROTOCOL_VERSION, SERVE_METRICS_SCHEMA, STREAM_SCHEMA, TIMELINE_SCHEMA,
 };
 pub use sched::{Rejection, Scheduler, SchedulerConfig};
 pub use timeline::JobTimeline;

@@ -21,6 +21,11 @@ pub use mempool_traffic::CampaignSpec;
 /// Protocol tag clients should expect in the health document.
 pub const PROTOCOL_VERSION: &str = "mempool-job-v1";
 
+/// The longest request line the daemon reads, line break excluded. A
+/// longer one is answered with the typed `invalid` error, and its
+/// connection is closed.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 /// Schema tag of the per-job telemetry stream relayed by the `wait`,
 /// `watch` and `tail` verbs: JSON-lines, one [`stream_record`] per line,
 /// monotonic per-job sequence numbers, terminated (per job) by a

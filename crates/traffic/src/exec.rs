@@ -27,7 +27,6 @@ use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::time::Duration;
 
 /// A trial the executor gave up on, with its full failure history.
@@ -269,7 +268,7 @@ struct Run<'r> {
     out: ExecutorReport,
     /// Every trial's failure history and retry verdicts, in both modes; in
     /// isolation mode also the workers. Dropping it kills and reaps them.
-    fleet: Fleet<(u64, Option<String>)>,
+    fleet: Fleet,
     interrupt: Option<&'r AtomicBool>,
     progress: &'r mut dyn FnMut(Progress<'_>),
 }
@@ -339,7 +338,6 @@ impl Executor {
     ) -> Result<ExecutorReport, CampaignError> {
         let ckpt = trial_checkpoint(manifest);
         let (manifest, trials) = Manifest::open(manifest, &self.config, &self.campaign)?;
-        let (events_tx, events) = mpsc::channel();
         let mut unobserved = |_: Progress<'_>| {};
         let mut run = Run {
             manifest,
@@ -351,12 +349,12 @@ impl Executor {
                 },
                 ..ExecutorReport::default()
             },
-            fleet: Fleet::new(self.exec.retry.clone(), events_tx),
+            fleet: Fleet::new(self.exec.retry.clone()),
             interrupt,
             progress: progress.unwrap_or(&mut unobserved),
         };
         match self.exec.isolate {
-            Some(n) => self.run_isolated(&ckpt, n.max(1), &events, &mut run)?,
+            Some(n) => self.run_isolated(&ckpt, n.max(1), &mut run)?,
             None => self.run_in_process(&ckpt, &mut run)?,
         }
         Ok(run.out)
@@ -451,7 +449,6 @@ impl Executor {
         &self,
         ckpt: &Path,
         workers: usize,
-        events: &mpsc::Receiver<(u64, Option<String>)>,
         run: &mut Run<'_>,
     ) -> Result<(), CampaignError> {
         let total = self.campaign.trials as usize;
@@ -480,11 +477,7 @@ impl Executor {
             }
 
             // Heartbeats only feed the failure detail here.
-            let mut event = events.recv_timeout(run.fleet.poll_interval()).ok();
-            while let Some((seed, line)) = event {
-                run.fleet.observe(seed, line);
-                event = events.try_recv().ok();
-            }
+            run.fleet.wait();
             for (seed, outcome) in run.fleet.tick().reaped {
                 let failure = match outcome {
                     Outcome::Parked => {

@@ -3,7 +3,7 @@
 //! failure classification and seeded retry/backoff policy applied to them,
 //! the job document a worker reads ([`worker_job`]), the opaque
 //! cluster-config spec exchanged between supervisors and workers, and the
-//! signal hookup ([`sig`]). The JSON itself is `mempool::json`'s.
+//! signal and `poll` hookup ([`sig`]). The JSON itself is `mempool::json`'s.
 //!
 //! `campaign --isolate` ([`Executor`](crate::Executor)) and the
 //! `mempool-serve` daemon are both thin drivers of a [`Fleet`]: it lives
@@ -13,13 +13,14 @@
 use mempool::json::{self, Fields, Layout, Obj};
 use mempool::{ClusterConfig, Topology};
 use mempool_rng::{Rng, SeedableRng, StdRng};
+use sig::PollFd;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Read, Write};
+use std::os::fd::AsRawFd;
 use std::path::Path;
-use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
-use std::sync::mpsc::Sender;
+use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 /// How a supervised attempt failed, in the classification the executor
@@ -173,11 +174,15 @@ pub fn classify_exit(
 // Signals.
 // ---------------------------------------------------------------------------
 
-/// Raw POSIX signal hookup. No signal crate is available, so this is the
-/// one place the suite declares `signal(2)` and `kill(2)`. Elsewhere than
-/// on Unix the flag is simply never raised and nothing is signalled.
+/// Raw POSIX signal and descriptor hookup. No signal or poll crate is
+/// available, so this is the one place the suite declares `signal(2)`,
+/// `kill(2)` and `poll(2)`. Elsewhere than on Unix the flag is simply never
+/// raised and nothing is signalled.
 pub mod sig {
+    use std::io;
+    use std::os::fd::{AsRawFd, RawFd};
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     /// Raised by `SIGINT`/`SIGTERM` once [`install`] has run: the daemon's
     /// drain trigger, a campaign's interrupt flag, a worker's park trigger.
@@ -185,6 +190,17 @@ pub mod sig {
 
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
+
+    const POLLIN: i16 = 0x1;
+    const POLLOUT: i16 = 0x4;
+    const POLLERR: i16 = 0x8;
+    const POLLHUP: i16 = 0x10;
+    const POLLNVAL: i16 = 0x20;
+
+    #[cfg(target_os = "linux")]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::os::raw::c_uint;
 
     extern "C" fn on_signal(_signum: i32) {
         INTERRUPTED.store(true, Ordering::SeqCst);
@@ -194,6 +210,8 @@ pub mod sig {
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
         fn kill(pid: i32, sig: i32) -> i32;
+        #[link_name = "poll"]
+        fn sys_poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
     }
 
     /// Routes `SIGINT` and `SIGTERM` to the [`INTERRUPTED`] flag.
@@ -217,6 +235,69 @@ pub mod sig {
         unsafe {
             kill(child.id() as i32, SIGTERM);
         }
+    }
+
+    /// One descriptor of a [`poll`] set: `struct pollfd`.
+    #[repr(C)]
+    #[derive(Debug, Clone, Copy)]
+    pub struct PollFd {
+        fd: RawFd,
+        events: i16,
+        revents: i16,
+    }
+
+    impl PollFd {
+        /// Watches `fd` for input (`read`), for room to write (`write`),
+        /// and, always, for a hang-up or an error.
+        pub fn new(fd: &impl AsRawFd, read: bool, write: bool) -> PollFd {
+            let events = if read { POLLIN } else { 0 } | if write { POLLOUT } else { 0 };
+            PollFd {
+                fd: fd.as_raw_fd(),
+                events,
+                revents: 0,
+            }
+        }
+
+        /// The descriptor watched.
+        pub fn fd(&self) -> RawFd {
+            self.fd
+        }
+
+        /// A read would not block: input, end of input, or an error.
+        pub fn readable(&self) -> bool {
+            self.revents & (POLLIN | POLLHUP | POLLERR) != 0
+        }
+
+        /// A write would not block.
+        pub fn writable(&self) -> bool {
+            self.revents & POLLOUT != 0
+        }
+
+        /// The peer hung up, or the descriptor is in error.
+        pub fn hung_up(&self) -> bool {
+            self.revents & (POLLHUP | POLLERR | POLLNVAL) != 0
+        }
+    }
+
+    /// Blocks until some descriptor of `fds` is ready or `timeout` (rounded
+    /// up to a millisecond) passes; returns how many are ready. A signal
+    /// ends the wait early as [`io::ErrorKind::Interrupted`], so that the
+    /// caller looks at [`INTERRUPTED`] at once.
+    ///
+    /// # Errors
+    ///
+    /// `poll(2)`'s: `EINTR` as above, `ENOMEM`.
+    pub fn poll(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+        let ms = timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32;
+        // SAFETY: `poll` is libc's, declared with its C signature.
+        // `PollFd` is `#[repr(C)]` with `struct pollfd`'s fields in order,
+        // and the pointer and length come from one live, exclusively
+        // borrowed slice, which `poll` only writes `revents` of.
+        let ready = unsafe { sys_poll(fds.as_mut_ptr(), fds.len() as Nfds, ms) };
+        if ready < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(ready as usize)
     }
 }
 
@@ -385,12 +466,18 @@ pub struct Tick {
     pub reaped: Vec<(u64, Outcome)>,
 }
 
+/// Bytes one `read` of a worker's stdout pipe takes at most.
+const READ_CHUNK: usize = 64 * 1024;
+
 struct Worker {
     child: Child,
     /// Open after the job document until [`Fleet::watch`] writes its one
     /// line and closes it.
     stdin: Option<ChildStdin>,
-    reader: Option<std::thread::JoinHandle<()>>,
+    /// Open until its end is read.
+    stdout: Option<ChildStdout>,
+    /// What stdout printed after its last line break.
+    partial: Vec<u8>,
     deadline: Option<Instant>,
     killed_for_deadline: bool,
     /// `Some(n)` once stdout closed: `n` ticks since found it still running.
@@ -401,6 +488,12 @@ struct Worker {
     error: Option<String>,
 }
 
+/// A line as the worker printed it, line break included; invalid UTF-8
+/// is replaced, not refused.
+fn text(line: Vec<u8>) -> String {
+    String::from_utf8(line).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
+
 impl Worker {
     fn watch(&mut self) {
         if let Some(mut stdin) = self.stdin.take() {
@@ -409,11 +502,67 @@ impl Worker {
         }
     }
 
-    fn outcome(mut self, status: io::Result<ExitStatus>) -> Outcome {
-        if let Some(reader) = self.reader.take() {
-            // Only reaped after end of stdout, the reader's last act.
-            let _ = reader.join();
+    /// One `read` of a stdout pipe that polled readable, so it does not
+    /// block: the lines it completes, in order, and at the end of stdout
+    /// an unterminated last line.
+    fn read(&mut self) -> Vec<String> {
+        let Some(stdout) = &mut self.stdout else {
+            return Vec::new();
+        };
+        let filled = self.partial.len();
+        self.partial.resize(filled + READ_CHUNK, 0);
+        let n = match stdout.read(&mut self.partial[filled..]) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {
+                self.partial.truncate(filled);
+                return Vec::new();
+            }
+            // An error ends stdout as its end does.
+            read => read.unwrap_or(0),
+        };
+        self.partial.truncate(filled + n);
+        let mut lines = Vec::new();
+        let mut start = 0;
+        while let Some(at) = self.partial[start..].iter().position(|&b| b == b'\n') {
+            let end = start + at + 1;
+            if start == 0 && end == self.partial.len() {
+                // The common case, a ≈ 80 KB result among them: the whole
+                // buffer is one line, handed over without a copy.
+                lines.push(text(std::mem::take(&mut self.partial)));
+                return lines;
+            }
+            lines.push(text(self.partial[start..end].to_vec()));
+            start = end;
         }
+        self.partial.drain(..start);
+        if n == 0 {
+            self.stdout = None;
+            self.lingered = Some(0);
+            if !self.partial.is_empty() {
+                lines.push(text(std::mem::take(&mut self.partial)));
+            }
+        }
+        lines
+    }
+
+    /// Takes in one stdout line. Progress lines (`heartbeat`, `metrics`)
+    /// are handed back for the driver to report; the others feed the
+    /// attempt's [`Outcome`]; a line outside the [`WorkerLine`] grammar is
+    /// dropped and counted in `rejected`.
+    fn observe(&mut self, line: String, rejected: &mut u64) -> Option<WorkerLine> {
+        match WorkerLine::parse(line) {
+            Some(WorkerLine::Heartbeat(cycle)) => {
+                self.last_heartbeat = Some(cycle);
+                return Some(WorkerLine::Heartbeat(cycle));
+            }
+            Some(progress @ WorkerLine::Metrics { .. }) => return Some(progress),
+            Some(WorkerLine::Error(detail)) => self.error = Some(detail),
+            Some(verdict) => self.verdict = Some(verdict),
+            None => *rejected += 1,
+        }
+        None
+    }
+
+    fn outcome(self, status: io::Result<ExitStatus>) -> Outcome {
         let status = match status {
             Ok(status) => status,
             Err(e) => return Outcome::Failed(FailureKind::Exit(-1), format!("wait failed: {e}")),
@@ -440,34 +589,32 @@ impl Worker {
 
 /// A fleet of crash-isolated worker processes, keyed by a `u64` the driver
 /// chooses (a trial seed, a job id; it also seeds the key's backoff
-/// jitter). The fleet owns the children, each key's failure history and the
-/// retries waiting out their backoff; the driver owns scheduling and
-/// everything it reports.
+/// jitter). The fleet owns the children, their stdout pipes, each key's
+/// failure history and the retries waiting out their backoff; the driver
+/// owns scheduling and everything it reports.
 ///
-/// Each worker's stdout reaches the channel the driver supplies as
-/// `M::from((key, Some(line)))` per line, then `(key, None)` at its end —
-/// so a daemon can fold workers into its one event loop. The reader only
-/// splits lines: a worker blocked on a full pipe waits for nothing but the
-/// next `read`. The driver hands each event to [`Fleet::observe`] and calls
-/// [`Fleet::tick`] at least every [`Fleet::poll_interval`].
+/// No thread reads a pipe. A driver that waits on nothing else calls
+/// [`Fleet::wait`]; one that polls descriptors of its own (the daemon's
+/// sockets) adds the pipes to its set with [`Fleet::poll_fds`] and hands
+/// the result to [`Fleet::read_ready`]. Either way the progress lines come
+/// back, and the driver calls [`Fleet::tick`] at least every
+/// [`Fleet::poll_interval`].
 ///
 /// Dropping the fleet `SIGKILL`s and reaps every worker it still owns, and
 /// reports on stderr how many stdout lines it rejected, if any.
-pub struct Fleet<M> {
+pub struct Fleet {
     policy: RetryPolicy,
-    events: Sender<M>,
     workers: BTreeMap<u64, Worker>,
     failures: BTreeMap<u64, Vec<TrialFailure>>,
     retry_at: Vec<(Instant, u64)>,
     rejected_lines: u64,
 }
 
-impl<M: From<(u64, Option<String>)> + Send + 'static> Fleet<M> {
-    /// An empty fleet retrying under `policy`, forwarding stdout into `events`.
-    pub fn new(policy: RetryPolicy, events: Sender<M>) -> Fleet<M> {
+impl Fleet {
+    /// An empty fleet retrying under `policy`.
+    pub fn new(policy: RetryPolicy) -> Fleet {
         Fleet {
             policy,
-            events,
             workers: BTreeMap::new(),
             failures: BTreeMap::new(),
             retry_at: Vec::new(),
@@ -507,27 +654,14 @@ impl<M: From<(u64, Option<String>)> + Send + 'static> Fleet<M> {
             // A worker that dies before reading its job must not take the
             // driver down with a broken pipe; its exit status covers it.
             // One write, so that the worker never waits mid-document for a
-            // supervisor thread descheduled between two.
+            // supervisor descheduled between two.
             let _ = stdin.write_all(format!("{job}\n").as_bytes());
         }
-        let stdout = child.stdout.take().expect("stdout was piped");
-        let events = self.events.clone();
-        let reader = std::thread::spawn(move || {
-            let mut stdout = io::BufReader::new(stdout);
-            let mut line = Vec::new();
-            while stdout.read_until(b'\n', &mut line).is_ok_and(|n| n > 0) {
-                let text = String::from_utf8(std::mem::take(&mut line))
-                    .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
-                if events.send(M::from((key, Some(text)))).is_err() {
-                    return;
-                }
-            }
-            let _ = events.send(M::from((key, None)));
-        });
         let worker = Worker {
+            stdout: child.stdout.take(),
             child,
             stdin,
-            reader: Some(reader),
+            partial: Vec::new(),
             deadline: deadline.map(|d| Instant::now() + d),
             killed_for_deadline: false,
             lingered: None,
@@ -538,30 +672,47 @@ impl<M: From<(u64, Option<String>)> + Send + 'static> Fleet<M> {
         self.workers.insert(key, worker);
         Ok(())
     }
-}
 
-impl<M> Fleet<M> {
-    /// Takes in one forwarded event (`None` = end of stdout). Progress lines
-    /// (`heartbeat`, `metrics`) are handed back for the driver to report;
-    /// the others feed the attempt's [`Outcome`]; a line outside the
-    /// [`WorkerLine`] grammar is dropped and counted.
-    pub fn observe(&mut self, key: u64, line: Option<String>) -> Option<WorkerLine> {
-        let worker = self.workers.get_mut(&key)?;
-        let Some(text) = line else {
-            worker.lingered = Some(0);
-            return None;
-        };
-        match WorkerLine::parse(text) {
-            Some(WorkerLine::Heartbeat(cycle)) => {
-                worker.last_heartbeat = Some(cycle);
-                return Some(WorkerLine::Heartbeat(cycle));
+    /// Adds to `fds` a read entry for every stdout pipe still open.
+    pub fn poll_fds(&self, fds: &mut Vec<PollFd>) {
+        let pipes = self.workers.values().filter_map(|w| w.stdout.as_ref());
+        fds.extend(pipes.map(|pipe| PollFd::new(pipe, true, false)));
+    }
+
+    /// Reads every stdout pipe that `fds` (polled after
+    /// [`Fleet::poll_fds`]; other descriptors are passed over) reports
+    /// readable, once each. Returns the progress lines (`heartbeat`,
+    /// `metrics`) by key, in the order printed; the other lines feed the
+    /// attempt's [`Outcome`], and a line outside the [`WorkerLine`]
+    /// grammar is dropped and counted. At the end of a pipe an
+    /// unterminated last line still counts.
+    pub fn read_ready(&mut self, fds: &[PollFd]) -> Vec<(u64, WorkerLine)> {
+        let mut progress = Vec::new();
+        for fd in fds.iter().filter(|fd| fd.readable()) {
+            let ready = self.workers.iter_mut().find(|(_, w)| {
+                w.stdout.as_ref().is_some_and(|pipe| pipe.as_raw_fd() == fd.fd())
+            });
+            let Some((&key, worker)) = ready else {
+                continue;
+            };
+            for line in worker.read() {
+                if let Some(line) = worker.observe(line, &mut self.rejected_lines) {
+                    progress.push((key, line));
+                }
             }
-            Some(progress @ WorkerLine::Metrics { .. }) => return Some(progress),
-            Some(WorkerLine::Error(detail)) => worker.error = Some(detail),
-            Some(verdict) => worker.verdict = Some(verdict),
-            None => self.rejected_lines += 1,
         }
-        None
+        progress
+    }
+
+    /// [`Fleet::read_ready`] after polling the fleet's own pipes for up to
+    /// [`Fleet::poll_interval`] (less, if a signal arrives): the loop of a
+    /// driver that waits on nothing else.
+    pub fn wait(&mut self) -> Vec<(u64, WorkerLine)> {
+        let mut fds = Vec::new();
+        self.poll_fds(&mut fds);
+        // An interrupted wait reports nothing ready.
+        let _ = sig::poll(&mut fds, self.poll_interval());
+        self.read_ready(&fds)
     }
 
     /// `SIGKILL`s workers past their deadline and reaps, without blocking,
@@ -591,10 +742,11 @@ impl<M> Fleet<M> {
         tick
     }
 
-    /// How long a driver may block on its channel before the next
-    /// [`Fleet::tick`]: the deadline and backoff granularity. Stdout closes
-    /// a moment before the process can be reaped, so a worker seen in
-    /// between is looked at again within 100 µs, doubling while it lingers.
+    /// How long a driver may wait before the next [`Fleet::tick`]: the
+    /// deadline and backoff granularity. Stdout closes a moment before the
+    /// process can be reaped, so a worker seen in between is looked at
+    /// again within 100 µs (a millisecond, as `poll` rounds it), doubling
+    /// while it lingers.
     pub fn poll_interval(&self) -> Duration {
         let lingering = self.workers.values().filter_map(|w| w.lingered);
         lingering
@@ -671,7 +823,7 @@ impl<M> Fleet<M> {
     }
 }
 
-impl<M> Drop for Fleet<M> {
+impl Drop for Fleet {
     fn drop(&mut self) {
         // `Child`'s own drop neither kills nor reaps: without this, an
         // error return in the driver would orphan workers that keep
@@ -679,9 +831,6 @@ impl<M> Drop for Fleet<M> {
         for worker in self.workers.values_mut() {
             let _ = worker.child.kill();
             let _ = worker.child.wait();
-            if let Some(reader) = worker.reader.take() {
-                let _ = reader.join();
-            }
         }
         if self.rejected_lines > 0 {
             let n = self.rejected_lines;
@@ -936,7 +1085,7 @@ mod tests {
             assert!(!text.contains('\n'), "{text:?}");
             assert_eq!(WorkerLine::parse(text.clone()), Some(line), "{text:?}");
         }
-        // What the reader thread hands over still carries the line ending.
+        // A line read off the pipe still carries its line ending.
         assert_eq!(
             WorkerLine::parse("heartbeat 512\r\n".to_owned()),
             Some(WorkerLine::Heartbeat(512))
@@ -1064,9 +1213,6 @@ mod tests {
     #[cfg(unix)]
     mod fleet {
         use super::super::*;
-        use std::sync::mpsc::{channel, Receiver};
-
-        type Event = (u64, Option<String>);
 
         /// One script serves every fake worker: it runs the "job document" it
         /// reads from stdin as shell. Written once, before any test forks, so no
@@ -1086,11 +1232,6 @@ mod tests {
             })
         }
 
-        fn new_fleet(policy: RetryPolicy) -> (Fleet<Event>, Receiver<Event>) {
-            let (tx, rx) = channel();
-            (Fleet::new(policy, tx), rx)
-        }
-
         fn no_backoff() -> RetryPolicy {
             RetryPolicy {
                 backoff_base_ms: 0,
@@ -1099,12 +1240,10 @@ mod tests {
         }
 
         /// Drives the fleet the way a driver does until one worker is reaped.
-        fn reap_one(fleet: &mut Fleet<Event>, rx: &Receiver<Event>) -> (u64, Outcome) {
+        fn reap_one(fleet: &mut Fleet) -> (u64, Outcome) {
             let started = Instant::now();
             loop {
-                if let Ok((key, event)) = rx.recv_timeout(fleet.poll_interval()) {
-                    fleet.observe(key, event);
-                }
+                fleet.wait();
                 if let Some(reaped) = fleet.tick().reaped.pop() {
                     return reaped;
                 }
@@ -1113,10 +1252,10 @@ mod tests {
         }
 
         fn run_one(shell: &str, deadline: Option<Duration>) -> Outcome {
-            let (mut fleet, rx) = new_fleet(no_backoff());
+            let mut fleet = Fleet::new(no_backoff());
             fleet.spawn(9, Some(sh_worker()), shell, deadline).expect("spawns");
             assert_eq!(fleet.running(), 1);
-            let (key, outcome) = reap_one(&mut fleet, &rx);
+            let (key, outcome) = reap_one(&mut fleet);
             assert_eq!((key, fleet.running()), (9, 0));
             outcome
         }
@@ -1152,27 +1291,27 @@ mod tests {
         /// nothing.
         #[test]
         fn watch_writes_one_line_then_closes_stdin() {
-            let (mut fleet, rx) = new_fleet(no_backoff());
+            let mut fleet = Fleet::new(no_backoff());
             let shell = "read -r w; read -r x || echo \"result $w then eof\"";
             fleet.spawn(6, Some(sh_worker()), shell, None).expect("spawns");
             fleet.watch(6);
             fleet.watch(6);
             fleet.watch(7); // no such worker
             let done = Outcome::Result("watch then eof".to_owned());
-            assert_eq!(reap_one(&mut fleet, &rx), (6, done));
+            assert_eq!(reap_one(&mut fleet), (6, done));
             // Unwatched, the worker's stdin is still open: it reads nothing.
             let shell = "read -r w; echo \"result $w\"";
             let deadline = Some(Duration::from_millis(300));
             fleet.spawn(8, Some(sh_worker()), shell, deadline).expect("spawns");
             let killed = "deadline exceeded (worker killed)".to_owned();
             let timeout = Outcome::Failed(FailureKind::Timeout, killed);
-            assert_eq!(reap_one(&mut fleet, &rx), (8, timeout));
+            assert_eq!(reap_one(&mut fleet), (8, timeout));
             // `watch_all` reaches every live worker.
             for key in [1, 2] {
                 fleet.spawn(key, Some(sh_worker()), shell, None).expect("spawns");
             }
             fleet.watch_all();
-            let mut reaped = [reap_one(&mut fleet, &rx), reap_one(&mut fleet, &rx)];
+            let mut reaped = [reap_one(&mut fleet), reap_one(&mut fleet)];
             reaped.sort_by_key(|(key, _)| *key);
             let watched = Outcome::Result("watch".to_owned());
             assert_eq!(reaped, [(1, watched.clone()), (2, watched)]);
@@ -1191,44 +1330,63 @@ mod tests {
             assert!(started.elapsed() < Duration::from_secs(10));
         }
 
+        /// Every line comes back in order — progress lines to the driver,
+        /// the rest into the outcome — and at the end of stdout an
+        /// unterminated last line counts too, invalid UTF-8 replaced.
         #[test]
         fn delivers_every_line_before_the_eof_marker() {
-            let (mut fleet, rx) = new_fleet(no_backoff());
+            let mut fleet = Fleet::new(no_backoff());
             let shell = "i=0; while [ $i -lt 300 ]; do echo \"heartbeat $i\"; i=$((i+1)); done; \
-                         echo junk; echo 'result done'";
+                         echo junk; printf 'result done \\377'";
             fleet.spawn(4, Some(sh_worker()), shell, None).expect("spawns");
-            let mut events = Vec::new();
-            loop {
-                let (key, event) = rx.recv_timeout(Duration::from_secs(30)).expect("event");
-                assert_eq!(key, 4);
-                let eof = event.is_none();
-                events.push(event);
-                if eof {
-                    break;
+            let mut progress = Vec::new();
+            let started = Instant::now();
+            let outcome = loop {
+                progress.extend(fleet.wait());
+                if let Some(reaped) = fleet.tick().reaped.pop() {
+                    break reaped;
                 }
-            }
-            assert_eq!(events.len(), 303, "300 heartbeats, junk, result, then the end marker");
-            for (i, event) in events.iter().take(300).enumerate() {
-                assert!(
-                    matches!(event, Some(line) if *line == format!("heartbeat {i}\n")),
-                    "{event:?}"
-                );
-            }
-            for event in events {
-                fleet.observe(4, event);
-            }
-            assert_eq!(fleet.rejected_lines(), 1);
-            assert_eq!(reap_one(&mut fleet, &rx), (4, Outcome::Result("done".to_owned())));
+                assert!(started.elapsed() < Duration::from_secs(30), "worker never exited");
+            };
+            let heartbeats: Vec<_> = (0..300).map(|i| (4, WorkerLine::Heartbeat(i))).collect();
+            assert_eq!(progress, heartbeats);
+            assert_eq!(fleet.rejected_lines(), 1, "junk");
+            assert_eq!(outcome, (4, Outcome::Result("done \u{fffd}".to_owned())));
+        }
+
+        /// A line longer than one `read` of the pipe, and lines that one
+        /// `read` splits, arrive whole.
+        #[test]
+        fn a_line_longer_than_one_read_arrives_whole() {
+            let shell = "i=0; while [ $i -lt 2000 ]; do printf 'heartbeat %s\\n' $i; i=$((i+1)); done; \
+                         printf 'result '; head -c 150000 /dev/zero | tr '\\0' x; echo";
+            let mut fleet = Fleet::new(no_backoff());
+            fleet.spawn(2, Some(sh_worker()), shell, None).expect("spawns");
+            let mut beats = 0;
+            let started = Instant::now();
+            let outcome = loop {
+                for (_, line) in fleet.wait() {
+                    assert_eq!(line, WorkerLine::Heartbeat(beats));
+                    beats += 1;
+                }
+                if let Some(reaped) = fleet.tick().reaped.pop() {
+                    break reaped;
+                }
+                assert!(started.elapsed() < Duration::from_secs(30), "worker never exited");
+            };
+            assert_eq!(beats, 2000);
+            assert_eq!(outcome, (2, Outcome::Result("x".repeat(150_000))));
+            assert_eq!(fleet.rejected_lines(), 0);
         }
 
         /// Runs `shells` as successive attempts of key 3; returns each verdict.
         fn verdicts(policy: &RetryPolicy, shells: &[&str]) -> Vec<Verdict> {
-            let (mut fleet, rx) = new_fleet(policy.clone());
+            let mut fleet = Fleet::new(policy.clone());
             shells
                 .iter()
                 .map(|shell| {
                     fleet.spawn(3, Some(sh_worker()), shell, None).expect("spawns");
-                    let (_, Outcome::Failed(kind, detail)) = reap_one(&mut fleet, &rx) else {
+                    let (_, Outcome::Failed(kind, detail)) = reap_one(&mut fleet) else {
                         panic!("`{shell}` should fail");
                     };
                     fleet.fail(3, kind, detail)
@@ -1264,8 +1422,8 @@ mod tests {
 
         #[test]
         fn backoff_and_forget() {
-            let (mut fleet, _rx) = new_fleet(no_backoff());
-            let fail = |fleet: &mut Fleet<Event>| fleet.fail(5, FailureKind::Exit(1), "x".to_owned());
+            let mut fleet = Fleet::new(no_backoff());
+            let fail = |fleet: &mut Fleet| fleet.fail(5, FailureKind::Exit(1), "x".to_owned());
             assert_eq!(fail(&mut fleet), Verdict::Retry(Duration::ZERO));
             assert!(fleet.awaiting_retry(5));
             assert_eq!((fleet.pop_due(), fleet.pop_due()), (Some(5), None));
@@ -1275,7 +1433,7 @@ mod tests {
             fleet.forget(5);
             assert!(!fleet.awaiting_retry(5));
 
-            let (mut slow, _rx) = new_fleet(RetryPolicy::default());
+            let mut slow = Fleet::new(RetryPolicy::default());
             let Verdict::Retry(delay) = fail(&mut slow) else {
                 panic!("a first failure is retried");
             };
@@ -1285,16 +1443,16 @@ mod tests {
 
         #[test]
         fn dropping_the_fleet_kills_and_reaps_its_workers() {
-            let (mut fleet, rx) = new_fleet(no_backoff());
+            let mut fleet = Fleet::new(no_backoff());
             fleet
                 .spawn(1, Some(sh_worker()), "echo \"heartbeat $$\"; exec sleep 30", None)
                 .expect("spawns");
-            let (_, Some(line)) = rx.recv_timeout(Duration::from_secs(30)).expect("pid line")
-            else {
-                panic!("expected the pid heartbeat");
-            };
-            let Some(WorkerLine::Heartbeat(pid)) = WorkerLine::parse(line.clone()) else {
-                panic!("expected the pid heartbeat, got {line:?}");
+            let started = Instant::now();
+            let pid = loop {
+                if let Some((_, WorkerLine::Heartbeat(pid))) = fleet.wait().pop() {
+                    break pid;
+                }
+                assert!(started.elapsed() < Duration::from_secs(30), "no pid heartbeat");
             };
             assert!(Path::new(&format!("/proc/{pid}")).exists());
             drop(fleet);

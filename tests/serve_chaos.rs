@@ -1,15 +1,22 @@
 //! End-to-end chaos coverage for the `mempool-serve` daemon: a SIGKILLed
 //! worker costs only a retry-from-checkpoint, a SIGTERMed daemon
 //! checkpoint-parks every in-flight job and a restart with the same state
-//! dir resumes them to byte-identical results, an overloaded queue and a
-//! zero-quota tenant get typed rejections, and corrupt journal lines are
-//! skipped, counted, and surfaced in the health report.
+//! dir resumes them to byte-identical results, an overloaded queue, a
+//! zero-quota tenant and an overlong request line get typed rejections, a
+//! client that stops reading or hangs up holds up no one else, and corrupt
+//! journal lines are skipped, counted, and surfaced in the health report.
 
 #![cfg(unix)]
 
-use mempool_serve::{BenchSpec, CampaignSpec, ClientError, JobSpec, RunSpec, ServeClient};
+use mempool::json::parse_flat_json;
+use mempool_serve::{
+    BenchSpec, CampaignSpec, ClientError, JobSpec, Request, RunSpec, ServeClient,
+    MAX_REQUEST_BYTES,
+};
 use mempool_traffic::job_files;
 use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
@@ -168,15 +175,25 @@ fn find_worker(parent: u32) -> Option<u32> {
     None
 }
 
-/// The uninterrupted reference: both jobs on a clean daemon; returns
-/// their terminal result payloads.
+/// [`campaign_spec`] as `mempool-cli submit` arguments.
+const CAMPAIGN_ARGS: [&str; 21] = [
+    "submit", "campaign", "--small", "--topology", "top1", "--faults",
+    "bank_fail=1,link_drop=0.001", "--trials", "4", "--load", "0.05", "--warmup", "200",
+    "--measure", "5000", "--drain", "10000", "--seed", "1", "--checkpoint-every", "256",
+];
+
+/// The uninterrupted reference: both jobs on a clean daemon, the campaign
+/// submitted by `mempool-cli submit --wait --out <dir>/ref-report.json`;
+/// returns their terminal result payloads.
 fn reference(dir: &Path) -> (String, String) {
     let socket = dir.join("ref.sock");
     let mut child = daemon(&socket, &dir.join("ref-state"), &["--workers", "2"]);
     let client = connect(&socket);
-    let campaign = client
-        .submit("chaos", 0, None, &campaign_spec())
-        .expect("reference campaign admitted");
+    let out = dir.join("ref-report.json");
+    let submit = [&CAMPAIGN_ARGS[..], &["--tenant", "chaos", "--wait", "--out"]].concat();
+    let (status, stderr) = cli(&socket, &[&submit[..], &[out.to_str().expect("UTF-8 path")]].concat());
+    assert!(status.success(), "reference campaign: {status}, {stderr}");
+    let campaign = 0;
     let run = client
         .submit("chaos", 0, None, &run_spec())
         .expect("reference run admitted");
@@ -274,6 +291,14 @@ fn sigkilled_worker_and_drained_daemon_resume_bit_identically() {
         &ref_run,
         "run result must be bit-identical to the uninterrupted reference"
     );
+    // The command line reads the same report back: `wait --out` after the
+    // chaos writes the bytes `submit --wait --out` wrote undisturbed.
+    let out = dir.join("chaos-report.json");
+    let wait = ["wait", &campaign.to_string(), "--out", out.to_str().expect("UTF-8 path")];
+    let (status, stderr) = cli(&socket, &wait);
+    assert!(status.success(), "wait --out: {status}, {stderr}");
+    let report = std::fs::read(&out).expect("chaos report");
+    assert!(report == std::fs::read(dir.join("ref-report.json")).expect("reference report"));
     client.shutdown().expect("final drain");
     assert!(wait_exit(&mut child, "restarted daemon").success());
 }
@@ -590,4 +615,109 @@ fn finished_campaign_jobs_leave_no_files_in_the_state_directory() {
         .filter(|name| name.starts_with("job-"))
         .collect();
     assert!(left.is_empty(), "{left:?}");
+}
+
+/// CPU time `pid` has used, user and system, in clock ticks (1/100 s).
+#[cfg(target_os = "linux")]
+fn cpu_ticks(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("proc stat");
+    let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 1..].split_whitespace().collect();
+    // `utime` and `stime`, fields 14 and 15 of the line.
+    fields[11..13].iter().map(|f| f.parse::<u64>().expect("ticks")).sum()
+}
+
+/// A job that is done at once.
+fn quick_spec() -> JobSpec {
+    JobSpec::Run(RunSpec {
+        config_spec: "topology=top1,small=true,scramble=true".to_owned(),
+        program: "ecall\n".to_owned(),
+        max_cycles: 1000,
+        checkpoint_every: 128,
+        metrics: false,
+    })
+}
+
+/// One thread serves every connection, so it must keep what a thread per
+/// connection gave for free: a client that stops reading holds up only its
+/// own queue, and nothing spins on a socket whose client hung up.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_stalled_subscriber_and_a_vanished_one_hold_up_no_one() {
+    let dir = scratch("stalled");
+    let socket = dir.join("serve.sock");
+    let mut child = Reaped(daemon(&socket, &dir.join("state"), &["--workers", "2"]));
+    let client = connect(&socket);
+    // ≈ 50 partial records of ≈ 70 KB each, all queued for a `watch` that
+    // never reads.
+    let chatty = client.submit("chatty", 0, None, &metered_run_spec()).expect("admitted");
+    let mut stalled = UnixStream::connect(&socket).expect("connect");
+    writeln!(stalled, "{}", Request::Watch { job: chatty }.to_json()).expect("watch");
+    // A `wait` that hangs up once acknowledged.
+    let vanished = UnixStream::connect(&socket).expect("connect");
+    writeln!(&vanished, "{}", Request::Wait { job: chatty }.to_json()).expect("wait");
+    let mut ack = String::new();
+    BufReader::new(&vanished).read_line(&mut ack).expect("ack");
+    assert!(ack.starts_with(&format!("{{\"ok\":true,\"job\":{chatty},")), "{ack}");
+    drop(vanished);
+
+    let deadline = Some(Instant::now() + Duration::from_secs(30));
+    let quick = client.submit("other", 0, None, &quick_spec()).expect("admitted");
+    let done = client.wait_until(quick, deadline, &mut |_| {}).expect("another tenant is served");
+    assert_eq!(done["status"], "completed");
+    let done = client.wait_until(chatty, deadline, &mut |_| {}).expect("the chatty job ends");
+    assert_eq!(done["status"], "completed", "{done:?}");
+
+    // Idle, with bytes still queued for the stalled client.
+    std::thread::sleep(Duration::from_millis(100));
+    let before = cpu_ticks(child.0.id());
+    std::thread::sleep(Duration::from_secs(1));
+    let idle = cpu_ticks(child.0.id()) - before;
+    assert!(idle < 20, "the idle daemon used {idle} ticks of CPU in one second");
+
+    // The stalled client, reading at last, gets its whole stream.
+    let mut records = 0;
+    for line in BufReader::new(stalled).lines().skip(1) {
+        let line = line.expect("record");
+        records += 1;
+        if line.ends_with(",\"final\":true}") {
+            break;
+        }
+    }
+    assert!(records > 40, "{records} records");
+    client.shutdown().expect("drain");
+    assert!(wait_exit(&mut child.0, "daemon").success());
+}
+
+/// A request line longer than `MAX_REQUEST_BYTES` is refused once its
+/// first `MAX_REQUEST_BYTES` are read, line break or not: a typed
+/// `invalid` answer, counted, and its connection closed. The daemon goes
+/// on serving.
+#[test]
+fn an_overlong_request_line_is_refused_and_closes_its_connection() {
+    let dir = scratch("overlong");
+    let socket = dir.join("serve.sock");
+    let mut child = Reaped(daemon(&socket, &dir.join("state"), &["--workers", "0"]));
+    let client = connect(&socket);
+    let line = vec![b' '; 2 * MAX_REQUEST_BYTES];
+    for newline in [false, true] {
+        let mut stream = UnixStream::connect(&socket).expect("connect");
+        // The daemon stops reading and closes past the limit, so the rest
+        // of the line may not go through.
+        let _ = stream.write_all(&line).and_then(|()| match newline {
+            true => stream.write_all(b"\n"),
+            false => Ok(()),
+        });
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("an answer");
+        let fields = parse_flat_json(reply.trim()).expect("answer parses");
+        assert_eq!(fields["error"], "invalid", "{reply}");
+        let mut more = String::new();
+        assert!(matches!(reader.read_line(&mut more), Ok(0) | Err(_)), "still open: {more}");
+        assert!(client.health().is_ok(), "the daemon serves on");
+    }
+    let metrics = client.serve_metrics().expect("metrics");
+    assert!(metrics.contains("\"rejections\": {\"invalid\": 2}"), "{metrics}");
+    client.shutdown().expect("drain");
+    assert!(wait_exit(&mut child.0, "daemon").success());
 }

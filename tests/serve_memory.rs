@@ -10,6 +10,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 const SERVE_BIN: &str = env!("CARGO_BIN_EXE_mempool-serve");
@@ -194,41 +195,51 @@ fn late_replies_are_the_live_bytes_before_and_after_a_restart() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Peak resident set of `pid` in KiB (`VmHWM` never decreases).
+/// The `field` line of `/proc/<pid>/status`, as a number.
 #[cfg(target_os = "linux")]
-fn vm_hwm_kb(pid: u32) -> u64 {
+fn proc_status(pid: u32, field: &str) -> u64 {
     let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("proc status");
     let line = status
         .lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .expect("VmHWM line");
-    line.split_whitespace().nth(1).unwrap().parse().expect("VmHWM in kB")
+        .find(|l| l.starts_with(field))
+        .unwrap_or_else(|| panic!("no {field} line"));
+    line.split_whitespace().nth(1).unwrap().parse().expect("a number")
 }
 
-/// Before the journal became the result store every finished job cost the
-/// daemon its ≈ 80 KB document for good (≈ 82 KB of `VmHWM` per job).
-/// Then it cost its whole job entry: spec, tenant copies and a timeline of
-/// heap strings, ≈ 1.4–1.5 kB of `VmHWM` per job here. Now a finished job
-/// keeps a small fixed record, its typed events and an index entry:
-/// ≈ 0.6–0.7 kB per job. The warm-up lets the allocator's per-thread arenas
-/// settle; the run is long enough that how many threads and arenas the
-/// daemon happened to need at once moves the slope by less than 0.1 kB.
+/// A finished job keeps a small fixed record, its typed events and an
+/// index entry: ≈ 0.3–0.4 kB of `VmHWM` per job here. Its result stays in
+/// the journal (it used to cost ≈ 82 kB per job). The daemon runs one
+/// thread, which the test checks while it serves: threads that came and
+/// went with each job left per-thread malloc arenas behind, ≈ 0.6–0.7 kB
+/// per job. The warm-up lets the heap of the first jobs reach its working
+/// size.
 #[cfg(target_os = "linux")]
 #[test]
 fn serving_jobs_does_not_grow_the_daemon() {
     const WARM_UP: u64 = 200;
     const JOBS: u64 = 2000;
-    const BOUND_KB_PER_JOB: f64 = 1.0;
+    const BOUND_KB_PER_JOB: f64 = 0.6;
 
     let dir = scratch("memory");
     let daemon = Daemon::start(&dir, "2");
     let pid = daemon.child.id();
     let spec = metered("ecall\n", 128);
+    let serving = AtomicBool::new(false);
     // A closed loop per worker slot, every job waited for: the live path
     // (document escaped and sent) and the journal both see each result.
+    // Meanwhile the daemon's thread count is sampled.
     let serve = |jobs: u64| {
         std::thread::scope(|scope| {
-            for tenant in ["t0", "t1"] {
+            serving.store(true, Ordering::Relaxed);
+            let threads = scope.spawn(|| {
+                let mut most = 0;
+                while serving.load(Ordering::Relaxed) {
+                    most = most.max(proc_status(pid, "Threads:"));
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                most
+            });
+            let loops = ["t0", "t1"].map(|tenant| {
                 let (client, spec) = (daemon.client(), &spec);
                 scope.spawn(move || {
                     for _ in 0..jobs / 2 {
@@ -237,14 +248,20 @@ fn serving_jobs_does_not_grow_the_daemon() {
                         assert_eq!(done["status"], "completed");
                         assert!(done["result"].len() > 50_000, "metered document");
                     }
-                });
+                })
+            });
+            let ended = loops.map(|closed_loop| closed_loop.join());
+            serving.store(false, Ordering::Relaxed);
+            for ended in ended {
+                ended.expect("closed loop");
             }
+            assert_eq!(threads.join().expect("sampler"), 1, "the daemon runs one thread");
         });
     };
     serve(WARM_UP);
-    let warm = vm_hwm_kb(pid);
+    let warm = proc_status(pid, "VmHWM:");
     serve(JOBS);
-    let grown = vm_hwm_kb(pid) - warm;
+    let grown = proc_status(pid, "VmHWM:") - warm;
     let per_job = grown as f64 / JOBS as f64;
     println!("VmHWM {warm} kB after {WARM_UP} jobs, +{grown} kB after {JOBS} more: {per_job:.2} kB/job");
     assert!(
