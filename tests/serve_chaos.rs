@@ -639,7 +639,8 @@ fn quick_spec() -> JobSpec {
 
 /// One thread serves every connection, so it must keep what a thread per
 /// connection gave for free: a client that stops reading holds up only its
-/// own queue, and nothing spins on a socket whose client hung up.
+/// own queue, and nothing spins on a socket whose client hung up (a `wait`
+/// mid-job, a `tail` once idle).
 #[cfg(target_os = "linux")]
 #[test]
 fn a_stalled_subscriber_and_a_vanished_one_hold_up_no_one() {
@@ -666,6 +667,15 @@ fn a_stalled_subscriber_and_a_vanished_one_hold_up_no_one() {
     assert_eq!(done["status"], "completed");
     let done = client.wait_until(chatty, deadline, &mut |_| {}).expect("the chatty job ends");
     assert_eq!(done["status"], "completed", "{done:?}");
+
+    // A `tail` that hangs up once acknowledged, with no record left to
+    // send it: only the hang-up itself can end its subscription.
+    let vanished = UnixStream::connect(&socket).expect("connect");
+    writeln!(&vanished, "{}", Request::Tail.to_json()).expect("tail");
+    let mut ack = String::new();
+    BufReader::new(&vanished).read_line(&mut ack).expect("ack");
+    assert!(ack.starts_with("{\"ok\":true,\"tailing\":true"), "{ack}");
+    drop(vanished);
 
     // Idle, with bytes still queued for the stalled client.
     std::thread::sleep(Duration::from_millis(100));
