@@ -711,6 +711,9 @@ fn an_overlong_request_line_is_refused_and_closes_its_connection() {
     let line = vec![b' '; 2 * MAX_REQUEST_BYTES];
     for newline in [false, true] {
         let mut stream = UnixStream::connect(&socket).expect("connect");
+        let deadline = Some(Duration::from_secs(30));
+        stream.set_read_timeout(deadline).expect("read timeout");
+        stream.set_write_timeout(deadline).expect("write timeout");
         // The daemon stops reading and closes past the limit, so the rest
         // of the line may not go through.
         let _ = stream.write_all(&line).and_then(|()| match newline {
