@@ -1,6 +1,7 @@
 //! The cycle-accurate MemPool cluster simulator.
 
 use crate::cancel::{CancelToken, CancelledError, WALL_PROBE_STRIDE};
+use crate::host::{HostProfile, HostRow, HostTimer};
 use crate::faults::{
     BankFailure, DeadlockDiagnostic, FaultEvent, FaultLog, FaultPlan, LinkFaultKind, PendingDump,
     SimError, TileDiagnostic,
@@ -360,6 +361,9 @@ pub struct Cluster<C> {
     /// Cooperative cancellation token checked in the step loops. Pure
     /// policy: never snapshotted, never digested.
     pub(crate) cancel: Option<CancelToken>,
+    /// Host phase timer (`None` = disabled). Observes the host only:
+    /// never snapshotted, never digested, never perturbs results.
+    pub(crate) host: Option<Box<HostTimer>>,
     /// Test-only seeded mutations (sanitizer coverage). Inert by default.
     pub(crate) debug_mut: DebugMutations,
 }
@@ -467,6 +471,7 @@ impl<C: Core> Cluster<C> {
             progress_mark: 0,
             sanitizer: None,
             cancel: None,
+            host: None,
             debug_mut: DebugMutations::default(),
             config,
         })
@@ -737,6 +742,23 @@ impl<C: Core> Cluster<C> {
         self.sanitizer.as_ref().map(|s| s.report())
     }
 
+    /// Turns on the host phase timer (see [`HostProfile`]): from the next
+    /// cycle on, every [`cycle`](Cluster::cycle) adds the wall-clock time
+    /// of each of its phases to that phase's [`HostRow`]. Like the
+    /// sanitizer, the timer is excluded from snapshots and the
+    /// [`state_digest`](Cluster::state_digest) and never changes results;
+    /// until this is called each phase boundary costs one branch. Calling
+    /// it again starts a fresh profile.
+    pub fn enable_host_profile(&mut self) {
+        self.host = Some(Box::new(HostTimer::new()));
+    }
+
+    /// The host time per phase accumulated so far (`None` when the timer
+    /// is off).
+    pub fn host_profile(&self) -> Option<&HostProfile> {
+        self.host.as_ref().map(|h| &h.profile)
+    }
+
     /// Installs (or removes, with `None`) the cooperative cancellation
     /// token checked by [`run`](Cluster::run) and
     /// [`try_step_cycles`](Cluster::try_step_cycles). Pure policy: the
@@ -873,7 +895,10 @@ impl<C: Core> Cluster<C> {
     /// require [`enable_observability`](Cluster::enable_observability).
     /// The registry is a pure function of architectural state, so two
     /// clusters with equal [`state_digest`](Cluster::state_digest)s export
-    /// byte-identical [`MetricsRegistry::to_json`](crate::MetricsRegistry::to_json).
+    /// byte-identical [`MetricsRegistry::to_json`](crate::MetricsRegistry::to_json)
+    /// — except for the `host` scope, the host phase timer's nanoseconds
+    /// per [`HostRow`], present only while
+    /// [`enable_host_profile`](Cluster::enable_host_profile) is in effect.
     pub fn metrics_registry(&self) -> crate::MetricsRegistry {
         use crate::obs::MetricScope;
         let c = &self.config;
@@ -984,6 +1009,17 @@ impl<C: Core> Cluster<C> {
                 .counter_entry("ejected", rr.ring.ejected())
                 .counter_entry("in_flight", rr.ring.in_flight() as u64);
             reg.push_scope(rs);
+        }
+
+        // The host timer's scope is the one scope that is not a function of
+        // architectural state; it is written only while the timer is on.
+        if let Some(host) = self.host_profile() {
+            let mut hs = MetricScope::new("host".to_owned());
+            hs.counter_entry("cycles", host.cycles());
+            for row in HostRow::ALL {
+                hs.counter_entry(row.counter(), host.row(row).as_nanos() as u64);
+            }
+            reg.push_scope(hs);
         }
 
         reg
@@ -1233,8 +1269,19 @@ impl<C: Core> Cluster<C> {
         self.retry_scratch = overdue;
     }
 
+    /// Closes one row of the host phase timer, when it is attached.
+    #[inline(always)]
+    fn lap(&mut self, row: HostRow) {
+        if let Some(host) = self.host.as_deref_mut() {
+            host.lap(row);
+        }
+    }
+
     /// Advances the whole cluster by one clock cycle.
     pub fn cycle(&mut self) {
+        if let Some(host) = self.host.as_deref_mut() {
+            host.start();
+        }
         self.now += 1;
         let now = self.now;
         let cpt = self.config.cores_per_tile;
@@ -1256,6 +1303,7 @@ impl<C: Core> Cluster<C> {
                 &mut self.stats.faults,
             ),
         };
+        self.lap(HostRow::FaultsRefill);
 
         // 2. Response phase: master response registers deliver; tile
         //    response crossbars route bank responses toward cores or remote
@@ -1263,15 +1311,21 @@ impl<C: Core> Cluster<C> {
         self.deliveries.clear();
         self.net
             .deliver_master_resp(&mut self.tiles, &mut self.deliveries);
-        if !matches!(self.config.topology, Topology::Ideal) {
+        self.lap(HostRow::MasterResponses);
+        let ideal = matches!(self.config.topology, Topology::Ideal);
+        if !ideal {
             for t in 0..self.tiles.len() {
                 let net = &self.net;
                 let tile = &mut self.tiles[t];
                 let port_for = |resp: &Response| net.resp_port_for(t, resp, cpt);
                 tile.route_responses(t, cpt, &mut self.deliveries, port_for);
             }
+        }
+        self.lap(HostRow::TileResponses);
+        if !ideal {
             self.net.route_responses(&mut self.tiles, cpt);
         }
+        self.lap(HostRow::LongHaulResponses);
         self.drain_deliveries(now, track);
 
         // 2b. Retry layer: overdue tracked requests are re-issued (or
@@ -1280,6 +1334,7 @@ impl<C: Core> Cluster<C> {
         if self.config.resilience.retries_enabled() && !self.pending.is_empty() {
             self.retry_overdue(now);
         }
+        self.lap(HostRow::DeliveryDrain);
 
         // 3. Core phase.
         let path = IssuePath::new(&self.config, self.scrambler, self.map, &self.quarantine, now);
@@ -1345,9 +1400,12 @@ impl<C: Core> Cluster<C> {
         if self.sanitizer.is_some() {
             self.sanitize_issues(now);
         }
+        self.lap(HostRow::CorePhase);
 
         // 4. Request phase: long-haul networks, then tile crossbars + bank
         //    accesses, then core latches into the master port registers.
+        //    (The ideal crossbar has no long-haul or port stage: its one
+        //    routing pass is timed as the tile request row.)
         let gate = bank_gate(&self.quarantine, self.faults.as_ref(), now);
         if let Net::Ideal(ideal) = &mut self.net {
             self.stats.bank_accesses += ideal.route_requests(
@@ -1358,8 +1416,14 @@ impl<C: Core> Cluster<C> {
                 gate,
                 &mut self.stats.faults.requests_dropped,
             );
+            if let Some(host) = self.host.as_deref_mut() {
+                host.lap(HostRow::TileRequests);
+            }
         } else {
             self.net.route_longhaul_requests(&mut self.tiles, &self.map);
+            if let Some(host) = self.host.as_deref_mut() {
+                host.lap(HostRow::LongHaulRequests);
+            }
             for (t, latches) in self.out_latches.chunks_mut(cpt).enumerate() {
                 let served = self.tiles[t].accept_requests(
                     t,
@@ -1371,14 +1435,20 @@ impl<C: Core> Cluster<C> {
                 self.stats.bank_accesses += served;
                 self.stats.tile_accesses[t] += served;
             }
+            if let Some(host) = self.host.as_deref_mut() {
+                host.lap(HostRow::TileRequests);
+            }
             self.net.route_port_requests(&mut self.out_latches, &self.map);
         }
+        self.lap(HostRow::PortRequests);
 
         // 5. End-of-cycle commit.
         for tile in &mut self.tiles {
             tile.commit();
         }
+        self.lap(HostRow::TileCommit);
         self.finish_cycle(now);
+        self.lap(HostRow::FinishCycle);
     }
 
     /// Completes the response phase: delivers this cycle's responses to

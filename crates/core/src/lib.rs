@@ -61,6 +61,7 @@ mod config;
 mod error;
 pub mod faults;
 mod functional;
+mod host;
 pub mod json;
 pub mod log;
 mod net;
@@ -81,6 +82,7 @@ pub use faults::{
     LinkFaultKind, ParseFaultSpecError, PendingDump, SimError, TileDiagnostic,
 };
 pub use functional::{FunctionalSim, FunctionalTimeoutError};
+pub use host::{HostProfile, HostRow};
 pub use config::{
     ClusterConfig, IcacheConfig, RefillNetwork, ResilienceConfig, Topology, ValidateConfigError,
 };

@@ -35,6 +35,7 @@ pub struct SimSessionBuilder {
     memory_trace: bool,
     checkpoint: Option<(u64, PathBuf)>,
     sanitize: Option<crate::SanitizerConfig>,
+    host_profile: bool,
     max_wall: Option<std::time::Duration>,
 }
 
@@ -91,6 +92,16 @@ impl SimSessionBuilder {
         self
     }
 
+    /// Attaches the host phase timer when `enabled`: the wall-clock time
+    /// of each phase of every simulated cycle, read back through
+    /// [`SimSession::host_profile`]. It observes the host only: it never
+    /// enters a snapshot or the state digest.
+    #[must_use]
+    pub fn host_profile(mut self, enabled: bool) -> Self {
+        self.host_profile = enabled;
+        self
+    }
+
     /// Arms a wall-clock watchdog for [`SimSession::run`]: the run fails
     /// with [`SimError::Cancelled`](crate::SimError::Cancelled) once
     /// `limit` of real time has elapsed.
@@ -138,6 +149,9 @@ impl SimSessionBuilder {
         if let Some(san) = self.sanitize {
             cluster.enable_sanitizer(san);
         }
+        if self.host_profile {
+            cluster.enable_host_profile();
+        }
         Ok(SimSession {
             cluster,
             checkpoint: self.checkpoint,
@@ -168,6 +182,7 @@ impl SimSession<mempool_snitch::SnitchCore> {
             memory_trace: false,
             checkpoint: None,
             sanitize: None,
+            host_profile: false,
             max_wall: None,
         }
     }
@@ -217,6 +232,12 @@ impl<C: Core> SimSession<C> {
     /// The sampled timeline, when observability tracing is enabled.
     pub fn timeline(&self) -> Option<crate::obs::TimelineTrace> {
         self.cluster.timeline()
+    }
+
+    /// The host time per phase of the cycles run so far, when the host
+    /// phase timer is on (see [`Cluster::host_profile`]).
+    pub fn host_profile(&self) -> Option<&crate::HostProfile> {
+        self.cluster.host_profile()
     }
 
     /// The folded-stack profile export, when profiling is enabled (see

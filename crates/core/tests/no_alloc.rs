@@ -4,7 +4,8 @@
 //! tests of this binary cannot disturb it) watches the cluster step
 //! a warmed-up TopH cluster: 2 000 cycles of uniform traffic at load 0.5
 //! and of a small matmul must perform **zero** heap allocations — no
-//! observers, no fault plan. Every offer list, grant vector, dirty list
+//! observers, no fault plan — and so must the matmul with the host phase
+//! timer attached. Every offer list, grant vector, dirty list
 //! and elastic register the cycle touches is scratch owned by a tile, a
 //! network or a fabric, sized when the cluster is built.
 //!
@@ -190,6 +191,17 @@ fn matmul_steady_state_allocates_nothing() {
         cluster.read_word(0x10800 + 4 * 17).is_some_and(|c| c != 0),
         "no C element written"
     );
+}
+
+/// The host phase timer reads the clock into counters sized at attach
+/// time: a timed cycle allocates nothing either.
+#[test]
+fn timed_steady_state_allocates_nothing() {
+    let mut cluster = matmul_cluster(ClusterConfig::small(Topology::TopH));
+    cluster.enable_host_profile();
+    assert_eq!(allocations_while_stepping(&mut cluster), 0);
+    let host = cluster.host_profile().expect("timer attached");
+    assert_eq!(host.cycles(), WARMUP + MEASURED);
 }
 
 /// The running `net_occupancy` the statistics integrate equals a walk over

@@ -301,9 +301,14 @@ mod tests {
                 top: 5,
                 out: Some("f.folded".to_owned()),
                 power_out: Some("p.json".to_owned()),
+                host: false,
                 path: "prog.s".to_owned(),
             }
         );
+        let Command::Profile(p) = command(&["profile", "--host", "prog.s"]).unwrap() else {
+            panic!("expected profile")
+        };
+        assert!(p.host);
 
         assert!(matches!(
             command(&["profile"]),
@@ -317,6 +322,12 @@ mod tests {
             command(&["profile", "--window", "0", "--power-out", "p.json", "p.s"]),
             Err((UsageError::Conflict(_), _))
         ));
+        for export in ["--out", "--power-out"] {
+            assert!(matches!(
+                command(&["profile", "--host", export, "f", "p.s"]),
+                Err((UsageError::Conflict(_), _))
+            ));
+        }
         assert!(matches!(
             command(&["profile", "--help"]),
             Err((UsageError::Help, profile::USAGE))

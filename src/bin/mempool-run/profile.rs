@@ -1,8 +1,9 @@
 //! `mempool-run profile` — one profiled program run: per-region summary
-//! on stdout, optional folded-stack / power exports.
+//! on stdout, optional folded-stack / power exports; or, with `--host`,
+//! the host time of each phase of the simulated cycle.
 
 use crate::{load_program, write_power_timeline};
-use mempool::{ProfileConfig, SimSession};
+use mempool::{HostRow, ProfileConfig, SimSession};
 use mempool_snitch::profile::{stall_name, PcCounters, REGION_NAMES, STALL_CAUSES};
 use mempool_suite::cli::{unexpected, Args, ClusterFlags, UsageError};
 use mempool_suite::error::Error;
@@ -16,6 +17,7 @@ pub struct Options {
     pub top: usize,
     pub out: Option<String>,
     pub power_out: Option<String>,
+    pub host: bool,
     pub path: String,
 }
 
@@ -36,6 +38,9 @@ options:
   --top <n>                          hottest PCs to print (default 10)
   --out <file>                       write the folded-stack (flamegraph) profile
   --power-out <file>                 write the mempool-power-v1 power timeline
+  --host                             time the simulator instead: host µs per
+                                     simulated cycle in each phase of the
+                                     cycle, with the program profiler off
   --help                             this text
 
 exit status: 0 on success, 1 on runtime errors, 2 on usage errors";
@@ -60,12 +65,18 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, UsageErr
             "--top" => opts.top = args.parse("expected a PC count")?,
             "--out" => opts.out = Some(args.value()?),
             "--power-out" => opts.power_out = Some(args.value()?),
+            "--host" => opts.host = true,
             _ if !arg.starts_with('-') && opts.path.is_empty() => opts.path = arg,
             _ => return Err(unexpected(arg)),
         }
     }
     if opts.path.is_empty() {
         return Err(UsageError::MissingArgument("program path"));
+    }
+    if opts.host && (opts.out.is_some() || opts.power_out.is_some()) {
+        return Err(UsageError::Conflict(
+            "--host runs without the program profiler; drop --out and --power-out",
+        ));
     }
     if opts.power_out.is_some() && opts.window == 0 {
         return Err(UsageError::Conflict(
@@ -90,6 +101,9 @@ fn top_stall(stalls: &[u64]) -> String {
 /// cycle/stall breakdown plus the hottest PCs; optionally exports the
 /// folded-stack profile and the `mempool-power-v1` timeline.
 pub fn run(opts: &Options) -> Result<(), Error> {
+    if opts.host {
+        return run_host(opts);
+    }
     let config = opts.cluster.config();
     let program = load_program(&opts.path)?;
     let mut session = SimSession::builder(config)
@@ -174,5 +188,40 @@ pub fn run(opts: &Options) -> Result<(), Error> {
         let windows = write_power_timeline(&session, out)?;
         println!("wrote power timeline to {out} ({windows} windows)");
     }
+    Ok(())
+}
+
+/// Runs one program under the host phase timer alone and prints host µs
+/// per simulated cycle for each phase of `Cluster::cycle`, their sum, and
+/// the wall time of the run they were measured in.
+fn run_host(opts: &Options) -> Result<(), Error> {
+    let config = opts.cluster.config();
+    let program = load_program(&opts.path)?;
+    let mut session = SimSession::builder(config).host_profile(true).build_snitch()?;
+    session.load_program(&program)?;
+    let started = std::time::Instant::now();
+    let cycles = session.run(opts.max_cycles)?;
+    let wall = started.elapsed();
+
+    let host = session.host_profile().expect("the host timer was enabled");
+    println!(
+        "host-profiled {} on {} ({} cores): {cycles} cycles",
+        opts.path,
+        opts.cluster.topology,
+        config.num_cores(),
+    );
+    println!("\nhost µs per simulated cycle, by phase of the cycle:");
+    let mut total = 0.0;
+    for row in HostRow::ALL {
+        let us = host.us_per_cycle(row);
+        total += us;
+        println!("  {:<34} {us:>10.3}", row.label());
+    }
+    println!("  {:<34} {total:>10.3}", "total");
+    println!(
+        "\nrows measured over {:.3} ms of the run's {:.3} ms wall time",
+        host.total().as_secs_f64() * 1e3,
+        wall.as_secs_f64() * 1e3,
+    );
     Ok(())
 }

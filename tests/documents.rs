@@ -2,8 +2,9 @@
 //! JSON reader and held to their schemas: `mempool-metrics-v2`,
 //! `mempool-power-v1`, the folded profile, the `mempool-trace-v1` Chrome
 //! trace, `mempool-campaign-metrics-v1` with its embedded registries, and
-//! the `run --json` record. Each is produced by the built binary from the
-//! same commands CI's smoke job runs.
+//! the `run --json` record; and the `profile` subcommand's two reports.
+//! Each is produced by the built binary from the same commands CI's smoke
+//! job runs.
 
 use mempool::json::{parse, Value};
 use std::path::{Path, PathBuf};
@@ -156,6 +157,43 @@ fn a_profiled_run_exports_schema_valid_metrics_power_profile_and_trace() {
     assert!(events
         .iter()
         .any(|e| e["name"].as_str() == Some("process_name")));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `profile` prints the region breakdown and the hottest PCs; `profile
+/// --host` prints the eleven phase rows of the host cost model, each a
+/// non-negative µs-per-cycle figure, and a total that is their sum.
+#[test]
+fn the_profile_subcommand_reports_regions_and_host_phases() {
+    let dir = scratch("profile");
+    std::fs::write(dir.join("metrics.s"), PROGRAM).expect("program");
+    let summary = mempool_run(&dir, &["profile", "--small", "--window", "256", "metrics.s"]);
+    assert!(summary.contains("region breakdown"), "{summary}");
+    assert!(summary.contains("hottest PCs"), "{summary}");
+
+    let host = mempool_run(&dir, &["profile", "--host", "--small", "metrics.s"]);
+    let rows: Vec<(&str, f64)> = host
+        .lines()
+        .skip_while(|l| !l.starts_with("host µs per simulated cycle"))
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|l| {
+            let (label, us) = l.trim().rsplit_once(' ').expect("`<row> <µs>`");
+            let us: f64 = us.parse().unwrap_or_else(|_| panic!("{l}"));
+            (label.trim(), us)
+        })
+        .collect();
+    let labels: Vec<&str> = rows.iter().map(|&(label, _)| label).collect();
+    let expected: Vec<&str> = mempool::HostRow::ALL.iter().map(|r| r.label()).collect();
+    assert_eq!(labels[..labels.len() - 1], expected[..], "{host}");
+    let (total_label, total) = rows[rows.len() - 1];
+    assert_eq!(total_label, "total", "{host}");
+    assert!(rows.iter().all(|&(_, us)| us >= 0.0), "{host}");
+    let sum: f64 = rows[..rows.len() - 1].iter().map(|&(_, us)| us).sum();
+    // Each figure is printed to 1 ns; eleven roundings stay under 6 ns.
+    assert!((sum - total).abs() < 0.006, "rows sum to {sum}, total {total}: {host}");
+    assert!(total > 0.0, "{host}");
+    assert!(host.contains("ms of the run's"), "{host}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
