@@ -190,3 +190,38 @@ fn one_daemonless_success_per_binary() {
         assert!(text(&out.stdout).starts_with("usage: mempool-"), "{bin}");
     }
 }
+
+/// A faulted run is a function of its seed: the same program, fault spec
+/// and seed print byte-identical reports.
+#[test]
+fn a_seeded_fault_run_prints_the_same_bytes_twice() {
+    let dir = std::env::temp_dir().join(format!("mempool-cli-faults-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let program = dir.join("smoke.s");
+    std::fs::write(
+        &program,
+        "csrr t0, mhartid\nslli t1, t0, 2\nli t2, 0x10000\nadd t1, t1, t2\n\
+         sw t0, 0(t1)\nlw t3, 0(t1)\necall\n",
+    )
+    .expect("program");
+    let args = [
+        "run",
+        "--small",
+        "--faults",
+        "bank_fail=2,link_stall=0.01",
+        "--seed",
+        "42",
+        program.to_str().expect("UTF-8 path"),
+    ];
+    let first = run(RUN, &args);
+    assert_eq!(first.status.code(), Some(0), "{}", text(&first.stderr));
+    let report = text(&first.stdout);
+    assert!(
+        report.starts_with("fault injection: bank_fail=2,link_stall=0.01 (seed 42)"),
+        "{report}"
+    );
+    let second = run(RUN, &args);
+    assert_eq!(second.status.code(), Some(0), "{}", text(&second.stderr));
+    assert_eq!(text(&first.stdout), text(&second.stdout));
+    std::fs::remove_dir_all(&dir).ok();
+}
