@@ -318,7 +318,6 @@ pub struct Cluster<C> {
     pub(crate) in_flight: u64,
     pub(crate) deliveries: Vec<Response>,
     pub(crate) refill_ring: Option<RefillRing>,
-    pub(crate) trace: Option<crate::MemoryTrace>,
     /// Observability recorder (`None` = disabled, the zero-cost default).
     /// Architectural state once enabled: snapshotted and digested, so
     /// metrics survive checkpoint/restore bit-identically.
@@ -454,7 +453,6 @@ impl<C: Core> Cluster<C> {
                     Some(RefillRing::new(config.num_tiles, l2_latency))
                 }
             },
-            trace: None,
             obs: None,
             profiler: None,
             faults: None,
@@ -644,18 +642,6 @@ impl<C: Core> Cluster<C> {
             }
         );
         out
-    }
-
-    /// Starts recording every core's memory requests (cycle, pre-scramble
-    /// address, read/write) into a [`MemoryTrace`](crate::MemoryTrace).
-    pub fn begin_trace(&mut self) {
-        self.trace = Some(crate::MemoryTrace::new(self.config.num_cores()));
-    }
-
-    /// Stops recording and returns the captured trace (`None` when tracing
-    /// was never started).
-    pub fn take_trace(&mut self) -> Option<crate::MemoryTrace> {
-        self.trace.take()
     }
 
     /// Turns on the observability recorder: per-tile latency histograms
@@ -1372,9 +1358,6 @@ impl<C: Core> Cluster<C> {
                 self.cores[c].fault();
                 continue;
             };
-            if let Some(trace) = &mut self.trace {
-                trace.record(c, crate::TraceEvent::of(&dr, now));
-            }
             if track {
                 self.pending.insert((req.core, req.tag), PendingRequest::fresh(&req));
             }

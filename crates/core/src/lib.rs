@@ -90,7 +90,7 @@ pub use obs::{
     HistogramSnapshot, MetricScope, MetricsError, MetricsRegistry, ObsConfig, TimelineTrace,
     TraceSpan, METRICS_SCHEMA,
 };
-pub use packet::{MemoryTrace, Request, Response, TraceEvent};
+pub use packet::{Request, Response};
 pub use profile::{
     aggregate_regions, folded_stacks, PowerWindow, ProfileConfig, TileActivity,
     STALL_COUNTER_NAMES,

@@ -32,7 +32,6 @@ pub struct SimSessionBuilder {
     fault_plan: Option<FaultPlan>,
     observability: Option<ObsConfig>,
     profile: Option<crate::ProfileConfig>,
-    memory_trace: bool,
     checkpoint: Option<(u64, PathBuf)>,
     sanitize: Option<crate::SanitizerConfig>,
     host_profile: bool,
@@ -61,14 +60,6 @@ impl SimSessionBuilder {
     #[must_use]
     pub fn profile(mut self, config: crate::ProfileConfig) -> Self {
         self.profile = Some(config);
-        self
-    }
-
-    /// Records every core's memory requests into a
-    /// [`MemoryTrace`](crate::MemoryTrace) from the start of the run.
-    #[must_use]
-    pub fn memory_trace(mut self) -> Self {
-        self.memory_trace = true;
         self
     }
 
@@ -143,9 +134,6 @@ impl SimSessionBuilder {
         if let Some(profile) = self.profile {
             cluster.enable_profiling(profile);
         }
-        if self.memory_trace {
-            cluster.begin_trace();
-        }
         if let Some(san) = self.sanitize {
             cluster.enable_sanitizer(san);
         }
@@ -179,7 +167,6 @@ impl SimSession<mempool_snitch::SnitchCore> {
             fault_plan: None,
             observability: None,
             profile: None,
-            memory_trace: false,
             checkpoint: None,
             sanitize: None,
             host_profile: false,

@@ -28,7 +28,6 @@ mod campaign;
 mod exec;
 mod experiment;
 mod gen;
-mod replay;
 mod supervise;
 
 pub use campaign::{
@@ -51,4 +50,3 @@ pub use experiment::{
     traffic_cluster, MeteredPoint, SweepPoint, SweepPointError, SweepReport, Windows,
 };
 pub use gen::{AddressSpace, GenStats, Pattern, Permutation, TrafficGen};
-pub use replay::{replay_trace, ReplayCore, ReplayTiming};

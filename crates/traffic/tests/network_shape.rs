@@ -269,48 +269,6 @@ fn ideal_topology_matches_md1_queueing_theory() {
 }
 
 #[test]
-fn trace_replay_reproduces_topology_ordering() {
-    // Record matmul's memory schedule once on TopH, then replay the
-    // identical traffic on Top1 and TopH (compressed): the network-limited
-    // replay must show the same topology ordering as the real runs.
-    use mempool_kernels::{Geometry, Kernel, Matmul};
-    use mempool_traffic::{replay_trace, ReplayTiming};
-
-    let cfg = ClusterConfig::small(Topology::TopH);
-    let geom = Geometry::from_config(&cfg, 4096);
-    let kernel = Matmul::new(geom, 32).unwrap();
-    let program = mempool_riscv::assemble(&kernel.source()).unwrap();
-    let mut cluster = mempool::Cluster::snitch(cfg).unwrap();
-    cluster.load_program(&program).unwrap();
-    kernel.init(&mut cluster, 2021);
-    cluster.begin_trace();
-    let original = cluster.run(50_000_000).unwrap();
-    let trace = cluster.take_trace().expect("trace recorded");
-    assert!(trace.len() > 10_000, "trace too small: {}", trace.len());
-
-    let toph = replay_trace(cfg, &trace, ReplayTiming::Compressed, 50_000_000).unwrap();
-    let top1 = replay_trace(
-        ClusterConfig::small(Topology::Top1),
-        &trace,
-        ReplayTiming::Compressed,
-        50_000_000,
-    )
-    .unwrap();
-    assert!(
-        top1 > 2 * toph,
-        "replay did not expose Top1's bottleneck: {top1} vs {toph}"
-    );
-    // The as-recorded replay on the original topology cannot beat the
-    // recorded schedule and should not be wildly slower either.
-    let as_rec = replay_trace(cfg, &trace, ReplayTiming::AsRecorded, 50_000_000).unwrap();
-    assert!(as_rec + 16 >= original.min(as_rec + 16), "sanity");
-    assert!(
-        (as_rec as f64) < 1.3 * original as f64,
-        "as-recorded replay {as_rec} strayed from original {original}"
-    );
-}
-
-#[test]
 fn adversarial_permutations_hurt_butterflies_more_than_uniform() {
     // Bit-complement concentrates paths in log-networks; a fully-connected
     // crossbar (the TopH local group or the ideal net) shrugs it off. The
