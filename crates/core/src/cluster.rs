@@ -1322,46 +1322,56 @@ impl<C: Core> Cluster<C> {
         }
         self.lap(HostRow::DeliveryDrain);
 
-        // 3. Core phase.
+        // 3. Core phase, tile by tile: each tile's lanes fetch through that
+        //    tile's I-cache.
         let path = IssuePath::new(&self.config, self.scrambler, self.map, &self.quarantine, now);
         let mut issues = IssueCounters::default();
-        for c in 0..self.cores.len() {
-            if now < self.locked_until[c] {
-                continue;
-            }
-            if let Some(plan) = &self.faults {
-                if let Some(len) = plan.core_lockup(now, c as u32) {
-                    self.locked_until[c] = now + len;
-                    self.stats.faults.core_lockups += 1;
-                    self.fault_log.record(FaultEvent::CoreLocked {
-                        cycle: now,
-                        core: c as u32,
-                        until: now + len,
-                    });
+        let image = &self.image;
+        let lanes = self
+            .cores
+            .chunks_mut(cpt)
+            .zip(self.out_latches.chunks_mut(cpt))
+            .zip(self.locked_until.chunks_mut(cpt));
+        for (tile_idx, (tile, ((cores, latches), locked))) in
+            self.tiles.iter_mut().zip(lanes).enumerate()
+        {
+            let lanes = cores.iter_mut().zip(latches).zip(locked);
+            for (lane, ((core, latch), locked_until)) in lanes.enumerate() {
+                if now < *locked_until {
                     continue;
                 }
-                if plan.spurious_retire(now, c as u32) && !self.cores[c].done() {
-                    self.cores[c].spurious_retire();
-                    self.stats.faults.spurious_retires += 1;
-                    continue;
+                let c = tile_idx * cpt + lane;
+                if let Some(plan) = &self.faults {
+                    if let Some(len) = plan.core_lockup(now, c as u32) {
+                        *locked_until = now + len;
+                        self.stats.faults.core_lockups += 1;
+                        self.fault_log.record(FaultEvent::CoreLocked {
+                            cycle: now,
+                            core: c as u32,
+                            until: now + len,
+                        });
+                        continue;
+                    }
+                    if plan.spurious_retire(now, c as u32) && !core.done() {
+                        core.spurious_retire();
+                        self.stats.faults.spurious_retires += 1;
+                        continue;
+                    }
                 }
+                let ready = latch.is_none();
+                let Some(dr) = core.step(&mut |pc| tile.fetch(pc, image), ready) else {
+                    continue;
+                };
+                debug_assert!(ready, "core issued against backpressure");
+                let Some(req) = path.place(c, tile_idx, &dr, &mut issues) else {
+                    core.fault();
+                    continue;
+                };
+                if track {
+                    self.pending.insert((req.core, req.tag), PendingRequest::fresh(&req));
+                }
+                *latch = Some(req);
             }
-            let ready = self.out_latches[c].is_none();
-            let tile_idx = c / cpt;
-            let tile = &mut self.tiles[tile_idx];
-            let image = &self.image;
-            let Some(dr) = self.cores[c].step(&mut |pc| tile.fetch(pc, image), ready) else {
-                continue;
-            };
-            debug_assert!(ready, "core issued against backpressure");
-            let Some(req) = path.place(c, tile_idx, &dr, &mut issues) else {
-                self.cores[c].fault();
-                continue;
-            };
-            if track {
-                self.pending.insert((req.core, req.tag), PendingRequest::fresh(&req));
-            }
-            self.out_latches[c] = Some(req);
         }
         self.stats.memory_faults += issues.memory_faults;
         self.stats.local_requests += issues.local_requests;

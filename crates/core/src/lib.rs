@@ -154,6 +154,13 @@ impl<C: Core> L1Memory for Cluster<C> {
 /// A core model pluggable into the [`Cluster`]: the cycle-accurate
 /// [`SnitchCore`](mempool_snitch::SnitchCore) for program execution, or a
 /// synthetic traffic generator for the network analysis of §V-A/§V-B.
+///
+/// [`step`](Core::step) is generic over its fetch closure, so the
+/// cluster's core loop, the core's step and the tile's I-cache fetch
+/// compile into one monomorphised call chain with no indirect call per
+/// core per cycle. A generic method makes `Core` not dyn-compatible:
+/// there is no `dyn Core`, and the [`Cluster`] is generic over its core
+/// model instead.
 pub trait Core {
     /// Delivers a completed memory response (called before [`step`] within
     /// the same cycle, so same-cycle wakeups model 1-cycle local loads).
@@ -167,7 +174,7 @@ pub trait Core {
     /// request may be issued per cycle, and only when `request_ready`.
     fn step(
         &mut self,
-        fetch: &mut dyn FnMut(u32) -> Fetch,
+        fetch: &mut impl FnMut(u32) -> Fetch,
         request_ready: bool,
     ) -> Option<DataRequest>;
 
@@ -208,43 +215,46 @@ pub trait Core {
 }
 
 impl Core for mempool_snitch::SnitchCore {
+    #[inline]
     fn deliver(&mut self, response: DataResponse) {
         mempool_snitch::SnitchCore::deliver(self, response);
     }
 
+    #[inline]
     fn step(
         &mut self,
-        fetch: &mut dyn FnMut(u32) -> Fetch,
+        fetch: &mut impl FnMut(u32) -> Fetch,
         request_ready: bool,
     ) -> Option<DataRequest> {
-        let f = if self.needs_fetch() {
-            fetch(self.pc())
-        } else {
-            Fetch::Stall
-        };
-        mempool_snitch::SnitchCore::step(self, f, request_ready)
+        self.step_fetching(fetch, request_ready)
     }
 
+    #[inline]
     fn done(&self) -> bool {
         self.halted()
     }
 
+    #[inline]
     fn fault(&mut self) {
         self.force_fault();
     }
 
+    #[inline]
     fn spurious_retire(&mut self) {
         self.skip_instruction();
     }
 
+    #[inline]
     fn metric_counters(&self) -> Vec<(&'static str, u64)> {
         self.stats().counters().to_vec()
     }
 
+    #[inline]
     fn enable_profile(&mut self, max_pcs: usize) {
         mempool_snitch::SnitchCore::enable_profile(self, max_pcs);
     }
 
+    #[inline]
     fn core_profile(&self) -> Option<&mempool_snitch::CoreProfile> {
         self.profile()
     }

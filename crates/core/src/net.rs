@@ -1037,7 +1037,7 @@ mod tests {
 
         fn step(
             &mut self,
-            _fetch: &mut dyn FnMut(u32) -> mempool_snitch::Fetch,
+            _fetch: &mut impl FnMut(u32) -> mempool_snitch::Fetch,
             ready: bool,
         ) -> Option<mempool_snitch::DataRequest> {
             self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -102,7 +102,7 @@ impl Core for Stores {
         self.free_tags |= 1 << response.tag;
     }
 
-    fn step(&mut self, _: &mut dyn FnMut(u32) -> Fetch, ready: bool) -> Option<DataRequest> {
+    fn step(&mut self, _: &mut impl FnMut(u32) -> Fetch, ready: bool) -> Option<DataRequest> {
         self.backlog.push(self.rng.gen_range(0u32..1 << 14) * 4);
         if !ready || self.free_tags == 0 {
             return None;

@@ -53,6 +53,7 @@ impl ProgramImage {
     }
 
     /// The instruction at `pc`, if in range and aligned.
+    #[inline]
     pub fn at(&self, pc: u32) -> Option<Instr> {
         if pc < self.base || !pc.is_multiple_of(4) {
             return None;
@@ -171,6 +172,7 @@ impl Tile {
     /// the next queued one. (Ring mode drives refills from the cluster via
     /// [`Tile::take_refill_request`] / [`Tile::complete_refill`] instead.)
     /// Returns whether a line was installed this cycle.
+    #[inline]
     pub fn refill_tick(&mut self, now: u64) -> bool {
         let installed = self
             .refill
@@ -206,6 +208,7 @@ impl Tile {
     }
 
     /// One core's instruction fetch this cycle.
+    #[inline]
     pub fn fetch(&mut self, pc: u32, image: &ProgramImage) -> Fetch {
         let Some(instr) = image.at(pc) else {
             return Fetch::Fault;
@@ -336,6 +339,7 @@ impl Tile {
     }
 
     /// End-of-cycle commit of the tile's elastic registers.
+    #[inline]
     pub fn commit(&mut self) {
         self.bank_resp.commit();
     }

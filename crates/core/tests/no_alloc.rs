@@ -81,7 +81,7 @@ impl Core for UniformLoads {
         self.free_tags |= 1 << response.tag;
     }
 
-    fn step(&mut self, _fetch: &mut dyn FnMut(u32) -> Fetch, ready: bool) -> Option<DataRequest> {
+    fn step(&mut self, _fetch: &mut impl FnMut(u32) -> Fetch, ready: bool) -> Option<DataRequest> {
         // splitmix64
         self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.rng;

@@ -244,12 +244,14 @@ impl Scrambler {
     }
 
     /// Whether `addr` falls inside the combined sequential region.
+    #[inline]
     pub fn in_seq_region(&self, addr: u32) -> bool {
         u64::from(addr) < self.seq_region_bytes()
     }
 
     /// Applies the hybrid address transformation (identity outside the
     /// sequential region).
+    #[inline]
     pub fn scramble(&self, addr: u32) -> u32 {
         if !self.in_seq_region(addr) {
             return addr;
@@ -425,6 +427,7 @@ impl QuarantineMap {
     }
 
     /// Whether no bank has been quarantined (remap is the identity).
+    #[inline]
     pub fn is_identity(&self) -> bool {
         self.dead_count == 0
     }

@@ -132,6 +132,7 @@ impl SpmBank {
     /// # Errors
     ///
     /// Returns [`BankRowError`] if `row` is out of range.
+    #[inline]
     pub fn access(&mut self, row: u32, op: BankOp) -> Result<u32, BankRowError> {
         let rows = self.rows();
         let cell = self

@@ -562,6 +562,39 @@ impl Instr {
         )
     }
 
+    /// The scoreboard's view of this instruction, from one match: a mask
+    /// with the bit of every source register and of a non-zero
+    /// destination (the registers that must be free before it issues),
+    /// and whether it accesses data memory. Equal to folding
+    /// [`sources`](Instr::sources), [`dest`](Instr::dest) and
+    /// [`is_memory`](Instr::is_memory), which the per-cycle issue check
+    /// would otherwise match three times.
+    #[inline]
+    pub fn hazards(self) -> (u32, bool) {
+        let reg = |r: Reg| 1u32 << r.index();
+        // x0 is bit 0: a write to it blocks on nothing.
+        let dest = |rd: Reg| reg(rd) & !1;
+        match self {
+            Instr::Lui { rd, .. }
+            | Instr::Auipc { rd, .. }
+            | Instr::Jal { rd, .. }
+            | Instr::CsrImm { rd, .. } => (dest(rd), false),
+            Instr::Jalr { rd, rs1, .. }
+            | Instr::OpImm { rd, rs1, .. }
+            | Instr::Csr { rd, rs1, .. } => (dest(rd) | reg(rs1), false),
+            Instr::Op { rd, rs1, rs2, .. } | Instr::MulDiv { rd, rs1, rs2, .. } => {
+                (dest(rd) | reg(rs1) | reg(rs2), false)
+            }
+            Instr::Branch { rs1, rs2, .. } => (reg(rs1) | reg(rs2), false),
+            Instr::Load { rd, rs1, .. } | Instr::LrW { rd, rs1, .. } => (dest(rd) | reg(rs1), true),
+            Instr::Store { rs1, rs2, .. } => (reg(rs1) | reg(rs2), true),
+            Instr::ScW { rd, rs1, rs2 } | Instr::Amo { rd, rs1, rs2, .. } => {
+                (dest(rd) | reg(rs1) | reg(rs2), true)
+            }
+            Instr::Fence | Instr::FenceI | Instr::Ecall | Instr::Ebreak | Instr::Wfi => (0, false),
+        }
+    }
+
     /// Whether this instruction can redirect control flow.
     pub fn is_control(self) -> bool {
         matches!(
@@ -671,6 +704,31 @@ mod tests {
             imm: 1,
         };
         assert_eq!(i.dest(), Some(Reg::A1));
+    }
+
+    /// `hazards` is `sources`, `dest` and `is_memory` folded, for every
+    /// instruction a random word decodes to.
+    #[test]
+    fn hazards_fold_sources_dest_and_memory() {
+        let mut word = 0x9e37_79b9u32;
+        let mut decoded = 0;
+        for _ in 0..200_000 {
+            word = word.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            // Force a 32-bit encoding (low bits 0b11) so most words decode.
+            let Ok(instr) = crate::decode(word | 0b11) else {
+                continue;
+            };
+            decoded += 1;
+            let mut mask = 0u32;
+            for src in instr.sources().into_iter().flatten() {
+                mask |= 1 << src.index();
+            }
+            if let Some(rd) = instr.dest() {
+                mask |= 1 << rd.index();
+            }
+            assert_eq!(instr.hazards(), (mask, instr.is_memory()), "{instr}");
+        }
+        assert!(decoded > 10_000, "only {decoded} words decoded");
     }
 
     #[test]

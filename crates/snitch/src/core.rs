@@ -130,6 +130,7 @@ impl CoreStats {
         ]
     }
 
+    #[inline]
     fn count(&mut self, cause: StallCause) {
         match cause {
             StallCause::Scoreboard => self.stall_scoreboard += 1,
@@ -391,6 +392,7 @@ impl SnitchCore {
     /// `false` while halted, while the divider / branch bubble is busy, or
     /// while a `fence` is draining — cycles in which the front-end does not
     /// access the I-cache.
+    #[inline]
     pub fn needs_fetch(&self) -> bool {
         !self.halted
             && self.exec_busy == 0
@@ -474,6 +476,7 @@ impl SnitchCore {
     ///
     /// Panics if the tag does not match an in-flight LSU slot — that would
     /// be a routing bug in the interconnect model.
+    #[inline]
     pub fn deliver(&mut self, response: DataResponse) {
         let slot = self.lsu[response.tag as usize]
             .take()
@@ -497,7 +500,23 @@ impl SnitchCore {
     /// memory request issued this cycle, if any.
     ///
     /// [`pc`]: SnitchCore::pc
+    #[inline]
     pub fn step(&mut self, fetch: Fetch, request_ready: bool) -> Option<DataRequest> {
+        self.step_fetching(|_| fetch, request_ready)
+    }
+
+    /// [`step`](SnitchCore::step) with the instruction fetched on demand:
+    /// `fetch` is called with [`pc`] in exactly the cycles in which
+    /// [`needs_fetch`](SnitchCore::needs_fetch) holds, so a caller whose
+    /// fetch has side effects (an I-cache probe) need not ask first.
+    ///
+    /// [`pc`]: SnitchCore::pc
+    #[inline]
+    pub fn step_fetching(
+        &mut self,
+        fetch: impl FnOnce(u32) -> Fetch,
+        request_ready: bool,
+    ) -> Option<DataRequest> {
         self.stats.cycles += 1;
         if self.halted {
             self.stats.halted_cycles += 1;
@@ -515,7 +534,7 @@ impl SnitchCore {
             }
             self.fencing = false;
         }
-        let instr = match fetch {
+        let instr = match fetch(self.pc) {
             Fetch::Ready(instr) => instr,
             Fetch::Stall => {
                 self.stall(StallCause::Fetch);
@@ -531,18 +550,12 @@ impl SnitchCore {
             }
         };
         // Scoreboard: all sources and the destination must be free.
-        let mut blocked = false;
-        for src in instr.sources().into_iter().flatten() {
-            blocked |= self.scoreboard & (1 << src.index()) != 0;
-        }
-        if let Some(dest) = instr.dest() {
-            blocked |= self.scoreboard & (1 << dest.index()) != 0;
-        }
-        if blocked {
+        let (hazards, memory) = instr.hazards();
+        if self.scoreboard & hazards != 0 {
             self.stall(StallCause::Scoreboard);
             return None;
         }
-        if instr.is_memory() {
+        if memory {
             if self.lsu_in_flight == self.lsu.len() {
                 self.stall(StallCause::LsuFull);
                 return None;
@@ -570,6 +583,7 @@ impl SnitchCore {
 
     /// Counts a stall cycle, attributing it to the current PC/region when
     /// profiling is on.
+    #[inline]
     fn stall(&mut self, cause: StallCause) {
         self.stats.count(cause);
         if let Some(profile) = &mut self.profile {
@@ -599,6 +613,7 @@ impl SnitchCore {
         self.exec_busy += self.config.branch_penalty;
     }
 
+    #[inline]
     fn execute(&mut self, instr: Instr) -> Option<DataRequest> {
         match instr {
             Instr::Lui { rd, imm } => {

@@ -474,7 +474,7 @@ impl Core for TrafficGen {
 
     fn step(
         &mut self,
-        _fetch: &mut dyn FnMut(u32) -> Fetch,
+        _fetch: &mut impl FnMut(u32) -> Fetch,
         request_ready: bool,
     ) -> Option<DataRequest> {
         self.clock += 1;
