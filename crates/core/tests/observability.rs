@@ -4,8 +4,8 @@
 //! the simulation computes.
 
 use mempool::{
-    ClusterConfig, ClusterSnapshot, FaultPlan, HostRow, ObsConfig, ProfileConfig,
-    ResilienceConfig, SanitizerConfig, SimError, SimSession, Topology,
+    ClusterConfig, ClusterSnapshot, FaultPlan, HostRow, ObsConfig, ProfileConfig, ResilienceConfig,
+    SanitizerConfig, SimError, SimSession, Topology,
 };
 
 const TOPOLOGIES: [Topology; 3] = [Topology::Ideal, Topology::Top4, Topology::TopH];
@@ -173,8 +173,8 @@ struct Observed {
 
 /// A faulted run of every core marking regions, filling its own slice and
 /// reading it back (loads and stores only, so dropped-link retries are
-/// idempotent), under the observers of `subset`.
-fn observed_with(subset: u8) -> Observed {
+/// idempotent), on `topology` under the observers of `subset`.
+fn observed_with(topology: Topology, subset: u8) -> Observed {
     let program = mempool_riscv::assemble(
         "li   t1, 1\n\
          csrw mregion, t1\n\
@@ -195,14 +195,17 @@ fn observed_with(subset: u8) -> Observed {
          ecall\n",
     )
     .expect("valid program");
-    let mut config = ClusterConfig::small(Topology::TopH);
+    let mut config = ClusterConfig::small(topology);
     config.resilience = ResilienceConfig {
         request_timeout: 256,
         max_retries: 8,
         watchdog_cycles: 8192,
     };
     let mut builder = SimSession::builder(config)
-        .fault_plan(FaultPlan::new(9, "link_drop=0.01".parse().expect("valid spec")))
+        .fault_plan(FaultPlan::new(
+            9,
+            "link_drop=0.01".parse().expect("valid spec"),
+        ))
         .host_profile(subset & HOST_TIMER != 0);
     if subset & METRICS != 0 {
         builder = builder.observability(ObsConfig::histograms());
@@ -254,25 +257,27 @@ fn observed_with(subset: u8) -> Observed {
 /// state. The digest-excluded observers leave the whole digest unchanged.
 #[test]
 fn observers_do_not_perturb_the_simulation() {
-    let plain = observed_with(0);
-    for subset in 1..16u8 {
-        let run = observed_with(subset);
-        let ctx = format!("observer subset {subset:#06b}");
-        assert_eq!(run.cycles, plain.cycles, "{ctx}: timing changed");
-        assert_eq!(run.l1, plain.l1, "{ctx}: memory changed");
-        assert_eq!(run.cores, plain.cores, "{ctx}: core results changed");
-        assert_eq!(run.components.len(), plain.components.len());
-        for ((name, d), (plain_name, plain_d)) in run.components.iter().zip(&plain.components) {
-            assert_eq!(name, plain_name);
-            let observer_state = name == "obs"
-                || name == "profile"
-                || (subset & PROFILER != 0 && name.starts_with("core"));
-            if !observer_state {
-                assert_eq!(d, plain_d, "{ctx}: the `{name}` component changed");
+    for topology in [Topology::Top1, Topology::TopH] {
+        let plain = observed_with(topology, 0);
+        for subset in 1..16u8 {
+            let run = observed_with(topology, subset);
+            let ctx = format!("{topology} with observer subset {subset:#06b}");
+            assert_eq!(run.cycles, plain.cycles, "{ctx}: timing changed");
+            assert_eq!(run.l1, plain.l1, "{ctx}: memory changed");
+            assert_eq!(run.cores, plain.cores, "{ctx}: core results changed");
+            assert_eq!(run.components.len(), plain.components.len());
+            for ((name, d), (plain_name, plain_d)) in run.components.iter().zip(&plain.components) {
+                assert_eq!(name, plain_name);
+                let observer_state = name == "obs"
+                    || name == "profile"
+                    || (subset & PROFILER != 0 && name.starts_with("core"));
+                if !observer_state {
+                    assert_eq!(d, plain_d, "{ctx}: the `{name}` component changed");
+                }
             }
-        }
-        if subset & (METRICS | PROFILER) == 0 {
-            assert_eq!(run.digest, plain.digest, "{ctx}: the state digest changed");
+            if subset & (METRICS | PROFILER) == 0 {
+                assert_eq!(run.digest, plain.digest, "{ctx}: the state digest changed");
+            }
         }
     }
 }

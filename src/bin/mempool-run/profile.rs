@@ -197,7 +197,9 @@ pub fn run(opts: &Options) -> Result<(), Error> {
 fn run_host(opts: &Options) -> Result<(), Error> {
     let config = opts.cluster.config();
     let program = load_program(&opts.path)?;
-    let mut session = SimSession::builder(config).host_profile(true).build_snitch()?;
+    let mut session = SimSession::builder(config)
+        .host_profile(true)
+        .build_snitch()?;
     session.load_program(&program)?;
     let started = std::time::Instant::now();
     let cycles = session.run(opts.max_cycles)?;

@@ -167,7 +167,10 @@ fn a_profiled_run_exports_schema_valid_metrics_power_profile_and_trace() {
 fn the_profile_subcommand_reports_regions_and_host_phases() {
     let dir = scratch("profile");
     std::fs::write(dir.join("metrics.s"), PROGRAM).expect("program");
-    let summary = mempool_run(&dir, &["profile", "--small", "--window", "256", "metrics.s"]);
+    let summary = mempool_run(
+        &dir,
+        &["profile", "--small", "--window", "256", "metrics.s"],
+    );
     assert!(summary.contains("region breakdown"), "{summary}");
     assert!(summary.contains("hottest PCs"), "{summary}");
 
@@ -190,8 +193,11 @@ fn the_profile_subcommand_reports_regions_and_host_phases() {
     assert_eq!(total_label, "total", "{host}");
     assert!(rows.iter().all(|&(_, us)| us >= 0.0), "{host}");
     let sum: f64 = rows[..rows.len() - 1].iter().map(|&(_, us)| us).sum();
-    // Each figure is printed to 1 ns; eleven roundings stay under 6 ns.
-    assert!((sum - total).abs() < 0.006, "rows sum to {sum}, total {total}: {host}");
+    // Each figure is rounded to 1 ns: twelve roundings are at most 6 ns.
+    assert!(
+        (sum - total).abs() <= 0.0061,
+        "rows sum to {sum}, total {total}: {host}"
+    );
     assert!(total > 0.0, "{host}");
     assert!(host.contains("ms of the run's"), "{host}");
     std::fs::remove_dir_all(&dir).ok();
