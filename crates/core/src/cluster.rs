@@ -1,7 +1,7 @@
 //! The cycle-accurate MemPool cluster simulator.
 
 use crate::cancel::{CancelToken, CancelledError, WALL_PROBE_STRIDE};
-use crate::host::{HostProfile, HostRow, HostTimer};
+use crate::host::{self, HostProfile, HostRow, HostTimer};
 use crate::faults::{
     BankFailure, DeadlockDiagnostic, FaultEvent, FaultLog, FaultPlan, LinkFaultKind, PendingDump,
     SimError, TileDiagnostic,
@@ -1255,19 +1255,9 @@ impl<C: Core> Cluster<C> {
         self.retry_scratch = overdue;
     }
 
-    /// Closes one row of the host phase timer, when it is attached.
-    #[inline(always)]
-    fn lap(&mut self, row: HostRow) {
-        if let Some(host) = self.host.as_deref_mut() {
-            host.lap(row);
-        }
-    }
-
     /// Advances the whole cluster by one clock cycle.
     pub fn cycle(&mut self) {
-        if let Some(host) = self.host.as_deref_mut() {
-            host.start();
-        }
+        host::start(&mut self.host);
         self.now += 1;
         let now = self.now;
         let cpt = self.config.cores_per_tile;
@@ -1289,7 +1279,7 @@ impl<C: Core> Cluster<C> {
                 &mut self.stats.faults,
             ),
         };
-        self.lap(HostRow::FaultsRefill);
+        host::lap(&mut self.host, HostRow::FaultsRefill);
 
         // 2. Response phase: master response registers deliver; tile
         //    response crossbars route bank responses toward cores or remote
@@ -1297,7 +1287,7 @@ impl<C: Core> Cluster<C> {
         self.deliveries.clear();
         self.net
             .deliver_master_resp(&mut self.tiles, &mut self.deliveries);
-        self.lap(HostRow::MasterResponses);
+        host::lap(&mut self.host, HostRow::MasterResponses);
         let ideal = matches!(self.config.topology, Topology::Ideal);
         if !ideal {
             for t in 0..self.tiles.len() {
@@ -1307,11 +1297,11 @@ impl<C: Core> Cluster<C> {
                 tile.route_responses(t, cpt, &mut self.deliveries, port_for);
             }
         }
-        self.lap(HostRow::TileResponses);
+        host::lap(&mut self.host, HostRow::TileResponses);
         if !ideal {
             self.net.route_responses(&mut self.tiles, cpt);
         }
-        self.lap(HostRow::LongHaulResponses);
+        host::lap(&mut self.host, HostRow::LongHaulResponses);
         self.drain_deliveries(now, track);
 
         // 2b. Retry layer: overdue tracked requests are re-issued (or
@@ -1320,7 +1310,7 @@ impl<C: Core> Cluster<C> {
         if self.config.resilience.retries_enabled() && !self.pending.is_empty() {
             self.retry_overdue(now);
         }
-        self.lap(HostRow::DeliveryDrain);
+        host::lap(&mut self.host, HostRow::DeliveryDrain);
 
         // 3. Core phase, tile by tile: each tile's lanes fetch through that
         //    tile's I-cache.
@@ -1393,7 +1383,7 @@ impl<C: Core> Cluster<C> {
         if self.sanitizer.is_some() {
             self.sanitize_issues(now);
         }
-        self.lap(HostRow::CorePhase);
+        host::lap(&mut self.host, HostRow::CorePhase);
 
         // 4. Request phase: long-haul networks, then tile crossbars + bank
         //    accesses, then core latches into the master port registers.
@@ -1409,14 +1399,10 @@ impl<C: Core> Cluster<C> {
                 gate,
                 &mut self.stats.faults.requests_dropped,
             );
-            if let Some(host) = self.host.as_deref_mut() {
-                host.lap(HostRow::TileRequests);
-            }
+            host::lap(&mut self.host, HostRow::TileRequests);
         } else {
             self.net.route_longhaul_requests(&mut self.tiles, &self.map);
-            if let Some(host) = self.host.as_deref_mut() {
-                host.lap(HostRow::LongHaulRequests);
-            }
+            host::lap(&mut self.host, HostRow::LongHaulRequests);
             for (t, latches) in self.out_latches.chunks_mut(cpt).enumerate() {
                 let served = self.tiles[t].accept_requests(
                     t,
@@ -1428,20 +1414,18 @@ impl<C: Core> Cluster<C> {
                 self.stats.bank_accesses += served;
                 self.stats.tile_accesses[t] += served;
             }
-            if let Some(host) = self.host.as_deref_mut() {
-                host.lap(HostRow::TileRequests);
-            }
+            host::lap(&mut self.host, HostRow::TileRequests);
             self.net.route_port_requests(&mut self.out_latches, &self.map);
         }
-        self.lap(HostRow::PortRequests);
+        host::lap(&mut self.host, HostRow::PortRequests);
 
         // 5. End-of-cycle commit.
         for tile in &mut self.tiles {
             tile.commit();
         }
-        self.lap(HostRow::TileCommit);
+        host::lap(&mut self.host, HostRow::TileCommit);
         self.finish_cycle(now);
-        self.lap(HostRow::FinishCycle);
+        host::lap(&mut self.host, HostRow::FinishCycle);
     }
 
     /// Completes the response phase: delivers this cycle's responses to

@@ -158,6 +158,24 @@ impl HostTimer {
     }
 }
 
+/// Opens a cycle on `timer`, when one is attached.
+#[inline(always)]
+pub(crate) fn start(timer: &mut Option<Box<HostTimer>>) {
+    if let Some(timer) = timer {
+        timer.start();
+    }
+}
+
+/// Closes `row` on `timer`, when one is attached: while it is not, one
+/// predictable branch. A free function over the cluster's field, so the
+/// cycle can call it while other fields are borrowed.
+#[inline(always)]
+pub(crate) fn lap(timer: &mut Option<Box<HostTimer>>, row: HostRow) {
+    if let Some(timer) = timer {
+        timer.lap(row);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
