@@ -1,11 +1,11 @@
 //! The cycle-accurate MemPool cluster simulator.
 
 use crate::cancel::{CancelToken, CancelledError, WALL_PROBE_STRIDE};
-use crate::host::{self, HostProfile, HostRow, HostTimer};
 use crate::faults::{
     BankFailure, DeadlockDiagnostic, FaultEvent, FaultLog, FaultPlan, LinkFaultKind, PendingDump,
     SimError, TileDiagnostic,
 };
+use crate::host::{self, HostProfile, HostRow, HostTimer};
 use crate::sanitize::{Sanitizer, SanitizerConfig, SanitizerReport};
 use crate::net::{LinkRef, Net};
 use crate::snapshot::{at, walk_fields, Place, SnapshotError, StateIo, Walk, Walked};

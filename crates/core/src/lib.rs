@@ -244,17 +244,14 @@ impl Core for mempool_snitch::SnitchCore {
         self.skip_instruction();
     }
 
-    #[inline]
     fn metric_counters(&self) -> Vec<(&'static str, u64)> {
         self.stats().counters().to_vec()
     }
 
-    #[inline]
     fn enable_profile(&mut self, max_pcs: usize) {
         mempool_snitch::SnitchCore::enable_profile(self, max_pcs);
     }
 
-    #[inline]
     fn core_profile(&self) -> Option<&mempool_snitch::CoreProfile> {
         self.profile()
     }
