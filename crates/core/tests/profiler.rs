@@ -185,3 +185,41 @@ fn every_core_cycle_is_attributed() {
         }
     }
 }
+
+/// Profiling changes no architectural state: the digest of a profiled run
+/// equals the digest of an unprofiled one... except that the profile is
+/// itself digested state once enabled — so compare the shared components.
+#[test]
+fn profiling_does_not_perturb_the_simulation() {
+    let mut plain = SimSession::builder(ClusterConfig::small(Topology::TopH))
+        .build_snitch()
+        .expect("valid config");
+    plain.load_program(&program()).expect("loads");
+    let plain_cycles = plain.run(100_000).expect("finishes");
+
+    let mut profiled = SimSession::builder(ClusterConfig::small(Topology::TopH))
+        .profile(ProfileConfig::default())
+        .build_snitch()
+        .expect("valid config");
+    profiled.load_program(&program()).expect("loads");
+    let profiled_cycles = profiled.run(100_000).expect("finishes");
+
+    assert_eq!(plain_cycles, profiled_cycles, "profiling changed the timing");
+    assert_eq!(
+        plain.cluster().l1_digest(),
+        profiled.cluster().l1_digest(),
+        "profiling changed memory contents"
+    );
+    // All state components except `profile` (and the per-core state
+    // images, which embed the profile tables) must be byte-identical.
+    let a = plain.cluster().component_digests();
+    let b = profiled.cluster().component_digests();
+    assert_eq!(a.len(), b.len());
+    for ((name_a, da), (name_b, db)) in a.iter().zip(b.iter()) {
+        assert_eq!(name_a, name_b);
+        if name_a == "profile" || name_a.starts_with("core") {
+            continue;
+        }
+        assert_eq!(da, db, "profiling perturbed the `{name_a}` component");
+    }
+}

@@ -61,8 +61,7 @@ fn sanitized_run(config: ClusterConfig, plan: Option<FaultPlan>) -> SanitizerRep
 
 /// Every topology × faults off/on: the sanitizer must stay silent
 /// everywhere and observe real traffic. (That attaching it does not
-/// perturb the digest is `observers_do_not_perturb_the_simulation` in
-/// `observability.rs`.)
+/// perturb the digest is `sanitizer_does_not_perturb_results`.)
 #[test]
 fn differential_matrix_is_clean() {
     let spec: FaultSpec = "bank_fail=2,link_drop=0.005,link_stall=0.01"
@@ -83,6 +82,24 @@ fn differential_matrix_is_clean() {
             assert_eq!(report.dropped, 0, "{ctx}: violations overflowed");
         }
     }
+}
+
+/// The sanitizer is pure checking: attaching it must not change the
+/// simulation outcome (cycle count or state digest) of a faulted run.
+#[test]
+fn sanitizer_does_not_perturb_results() {
+    let spec: FaultSpec = "link_drop=0.01".parse().expect("valid spec");
+    let run = |sanitize: bool| {
+        let mut cluster = Cluster::snitch(resilient(Topology::Top1)).expect("valid config");
+        cluster.load_program(&store_load_program()).expect("program loads");
+        cluster.install_fault_plan(Some(FaultPlan::new(9, spec)));
+        if sanitize {
+            cluster.enable_sanitizer(SanitizerConfig::default());
+        }
+        let cycles = cluster.run(400_000).expect("retries recover");
+        (cycles, cluster.state_digest())
+    };
+    assert_eq!(run(false), run(true));
 }
 
 /// Seeded mutation: silently dropping a delivered response must age into
