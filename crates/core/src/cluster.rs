@@ -7,7 +7,7 @@ use crate::faults::{
 };
 use crate::host::{self, HostProfile, HostRow, HostTimer};
 use crate::sanitize::{Sanitizer, SanitizerConfig, SanitizerReport};
-use crate::net::{LinkRef, Net};
+use crate::net::{group_port, LinkRef, Net};
 use crate::snapshot::{at, walk_fields, Place, SnapshotError, StateIo, Walk, Walked};
 use crate::tile::{BankGate, ProgramImage, Tile};
 use crate::{
@@ -188,12 +188,9 @@ impl<'a> IssuePath<'a> {
         } else {
             k.remote_requests += 1;
             if let Some(tpg) = self.hier_tpg {
-                match (tile / tpg) ^ (at.tile as usize / tpg) {
+                match group_port(tile / tpg, at.tile as usize / tpg) {
                     0 => k.group_local_requests += 1,
-                    2 => k.direction_requests[0] += 1, // N
-                    3 => k.direction_requests[1] += 1, // NE
-                    1 => k.direction_requests[2] += 1, // E
-                    _ => unreachable!("four groups"),
+                    port => k.direction_requests[port - 1] += 1, // N, NE, E
                 }
             }
         }
@@ -716,11 +713,6 @@ impl<C: Core> Cluster<C> {
             |addr| map.decode(addr).map(|at| (at.tile, at.bank)),
         );
         self.sanitizer = Some(san);
-    }
-
-    /// Whether the sanitizer is currently attached.
-    pub fn sanitizer_enabled(&self) -> bool {
-        self.sanitizer.is_some()
     }
 
     /// The sanitizer's accumulated report (`None` when disabled).
@@ -1293,13 +1285,13 @@ impl<C: Core> Cluster<C> {
             for t in 0..self.tiles.len() {
                 let net = &self.net;
                 let tile = &mut self.tiles[t];
-                let port_for = |resp: &Response| net.resp_port_for(t, resp, cpt);
+                let port_for = |resp: &Response| net.resp_port_for(t, resp);
                 tile.route_responses(t, cpt, &mut self.deliveries, port_for);
             }
         }
         host::lap(&mut self.host, HostRow::TileResponses);
         if !ideal {
-            self.net.route_responses(&mut self.tiles, cpt);
+            self.net.route_responses(&mut self.tiles);
         }
         host::lap(&mut self.host, HostRow::LongHaulResponses);
         self.drain_deliveries(now, track);
@@ -1390,7 +1382,7 @@ impl<C: Core> Cluster<C> {
         //    (The ideal crossbar has no long-haul or port stage: its one
         //    routing pass is timed as the tile request row.)
         let gate = bank_gate(&self.quarantine, self.faults.as_ref(), now);
-        if let Net::Ideal(ideal) = &mut self.net {
+        if let Some(ideal) = self.net.ideal() {
             self.stats.bank_accesses += ideal.route_requests(
                 &mut self.out_latches,
                 &mut self.tiles,

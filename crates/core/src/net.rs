@@ -1,5 +1,12 @@
-//! The three global interconnect topologies of §III-C, plus the ideal
-//! crossbar baseline of §V-C.
+//! The global interconnect topologies of §III-C, plus the ideal crossbar
+//! baseline of §V-C.
+//!
+//! [`Net::new`] builds each topology from the same parts: register rows
+//! ([`RegRow`]) in link-id order, fabrics, a port map from core latches to
+//! master ports, and a request and a response stage list that one walker
+//! runs each cycle. A stage is a fabric hop between two ends — a row
+//! window, or one port's tile latches — or wiring between two rows. The
+//! ideal crossbar has none of these, only one arbiter per bank.
 //!
 //! Register placement (the source of the paper's 1/3/5-cycle latencies):
 //!
@@ -8,7 +15,7 @@
 //! * `Top1`/`Top4` butterflies have a single pipeline register row midway
 //!   through their layers (when they have at least two layers);
 //! * `TopH` has an additional register boundary at each local group's
-//!   master interface (the `boundary_*` rows), crossed only by inter-group
+//!   master interface (the boundary rows), crossed only by inter-group
 //!   traffic;
 //! * slave request ports and outbound response ports carry 1-deep wire
 //!   latches (the "optional elastic buffer at each switch output" of the
@@ -18,10 +25,7 @@ use crate::snapshot::{at, Place, StateIo, Walk, Walked};
 use crate::tile::{BankGate, Tile};
 use crate::{ClusterConfig, Request, Response, Topology};
 use mempool_mem::AddressMap;
-use mempool_noc::{ElasticBuffer, Fabric, Requests, RoundRobin};
-
-/// Direction indices for TopH ports: L is port 0, then N/NE/E.
-const DIR_PARTNER_XOR: [usize; 3] = [2, 3, 1]; // N, NE, E
+use mempool_noc::{ElasticBuffer, Fabric, RoundRobin};
 
 /// Depth of every interconnect register: the classic two-slot skid buffer.
 const REG_DEPTH: usize = 2;
@@ -239,152 +243,355 @@ pub(crate) struct LinkStatView {
 }
 
 /// One register row of the global interconnect.
-pub(crate) enum Row<Q, P> {
-    Req(Q),
-    Resp(P),
+enum Row {
+    Req(RegRow<Request>),
+    Resp(RegRow<Response>),
 }
 
-pub(crate) type RowRef<'a> = Row<&'a RegRow<Request>, &'a RegRow<Response>>;
-pub(crate) type RowMut<'a> = Row<&'a mut RegRow<Request>, &'a mut RegRow<Response>>;
+/// `$body` with `$r` bound to the row, whichever packets it carries.
+macro_rules! on_row {
+    ($row:expr, $r:ident => $body:expr) => {
+        match $row {
+            Row::Req($r) => $body,
+            Row::Resp($r) => $body,
+        }
+    };
+}
 
-pub(crate) enum Net {
-    Ideal(IdealNet),
-    Global(GlobalNet),
-    Hier(HierNet),
+/// The master request and response port rows, `[tile * ports + port]`.
+const MASTER_REQ: usize = 0;
+const MASTER_RESP: usize = 1;
+
+/// Where a stage meets the network, one line per fabric port.
+#[derive(Clone, Copy)]
+enum End {
+    /// `Row(row, base, stride)`: line `i` is register `base + i * stride`
+    /// of row `row`.
+    Row(usize, usize, usize),
+    /// `Latch(first, port)`: line `i` is tile `first + i`'s latch on port
+    /// `port`.
+    Latch(usize, usize),
+}
+
+/// One step of a stage list.
+enum Stage {
+    /// `Hop(fabric, from, to, first_dest)`: the fabric moves packets from
+    /// its inputs at `from` to its outputs at `to`. Output `o` leads to
+    /// tile `first_dest + o`; a packet bound elsewhere is not offered.
+    Hop(usize, End, End, usize),
+    /// `Wire(from, to, links)`: register `i` of row `from` feeds register
+    /// `links[i]` of row `to`, with no arbitration.
+    Wire(usize, usize, Vec<Option<usize>>),
+}
+
+/// How a tile's core latches reach the master ports, and which port a
+/// remote response leaves its tile through.
+enum Ports {
+    /// The ideal crossbar: no ports; every core latch faces every bank.
+    None(IdealNet),
+    /// Top1: one port per tile, granted round-robin among the lanes.
+    One(Vec<RoundRobin>),
+    /// Top4: lane `l` owns port `l`. The per-tile arbiters never grant;
+    /// they keep the snapshot layout Top4 shares with Top1.
+    PerLane(Vec<RoundRobin>),
+    /// TopH, `ByGroup(tiles_per_group, routers)`: L, N, NE or E by
+    /// [`group_port`], through a lanes × 4 crossbar per tile.
+    ByGroup(usize, Vec<Fabric>),
+}
+
+pub(crate) struct Net {
+    ports: Ports,
+    cores_per_tile: usize,
+    /// In link-id order.
+    rows: Vec<Row>,
+    /// In snapshot order.
+    fabrics: Vec<Fabric>,
+    /// The request stages, then the response stages.
+    stages: [Vec<Stage>; 2],
+}
+
+/// The TopH tile port joining groups `a` and `b` — 0 = L (the same group),
+/// 1 = N, 2 = NE, 3 = E — by the XOR pairing of four groups. It is
+/// symmetric, so a response travels back on its request's channel.
+pub(crate) fn group_port(a: usize, b: usize) -> usize {
+    // By `a ^ b`: the same group, then its E, N and NE partners.
+    [0, 3, 1, 2][a ^ b]
 }
 
 impl Net {
     pub fn new(config: &ClusterConfig) -> Net {
+        let (n, cpt) = (config.num_tiles, config.cores_per_tile);
+        let arbiters = |count, lines| (0..count).map(|_| RoundRobin::new(lines)).collect();
+        let ports = match config.topology {
+            Topology::Ideal => Ports::None(IdealNet {
+                rr: arbiters(config.num_banks(), config.num_cores()),
+                banks_per_tile: config.banks_per_tile,
+                contenders: Vec::with_capacity(config.num_cores()),
+            }),
+            Topology::Top1 => Ports::One(arbiters(n, cpt)),
+            Topology::Top4 => Ports::PerLane(arbiters(n, cpt)),
+            Topology::TopH => {
+                let router = |_| Fabric::crossbar(cpt, 4).expect("validated");
+                Ports::ByGroup(config.tiles_per_group(), (0..n).map(router).collect())
+            }
+        };
+        let mut net = Net {
+            ports,
+            cores_per_tile: cpt,
+            rows: Vec::new(),
+            fabrics: Vec::new(),
+            stages: [Vec::new(), Vec::new()],
+        };
         match config.topology {
-            Topology::Ideal => Net::Ideal(IdealNet::new(config)),
-            Topology::Top1 => Net::Global(GlobalNet::new(config, 1, true)),
-            Topology::Top4 => Net::Global(GlobalNet::new(config, config.cores_per_tile, false)),
-            Topology::TopH => Net::Hier(HierNet::new(config)),
+            Topology::Ideal => {}
+            Topology::Top1 | Topology::Top4 => net.add_butterflies(config),
+            Topology::TopH => net.add_groups(config),
+        }
+        net
+    }
+
+    /// Adds `count` request rows, then `count` response rows, of `len`
+    /// registers each; returns the index of the first.
+    fn add_rows(&mut self, count: usize, len: usize) -> usize {
+        let first = self.rows.len();
+        let req = (0..count).map(|_| Row::Req(RegRow::new(len)));
+        let resp = (0..count).map(|_| Row::Resp(RegRow::new(len)));
+        self.rows.extend(req.chain(resp));
+        first
+    }
+
+    /// Top1/Top4: one butterfly per master port plane, cut by a register
+    /// row midway when it has two layers or more.
+    fn add_butterflies(&mut self, config: &ClusterConfig) {
+        let (n, radix) = (config.num_tiles, config.radix);
+        let planes = config.topology.remote_ports(config.cores_per_tile);
+        self.add_rows(1, n * planes);
+        let layers = Fabric::butterfly(n, radix).expect("validated").n_layers();
+        let mut cuts = vec![0, layers.div_ceil(2), layers];
+        cuts.dedup();
+        // Requests, then responses; each by segment, then by plane.
+        for cut in [cuts.windows(2), cuts.windows(2)].into_iter().flatten() {
+            for _ in 0..planes {
+                let segment = Fabric::butterfly_segment(n, radix, cut[0], cut[1]);
+                self.fabrics.push(segment.expect("validated"));
+            }
+        }
+        let segments = cuts.len() - 1;
+        let mid = (segments == 2).then(|| self.add_rows(planes, n));
+        for (dir, p) in (0..2).flat_map(|dir| (0..planes).map(move |p| (dir, p))) {
+            let master = Some(End::Row(MASTER_REQ + dir, p, planes));
+            let mid = mid.map(|first| End::Row(first + dir * planes + p, 0, 1));
+            let latch = Some(End::Latch(0, p));
+            let mut ends: Vec<End> = [master, mid, latch].into_iter().flatten().collect();
+            if dir == 1 {
+                ends.reverse();
+            }
+            // The far segment moves first, freeing the mid row.
+            for (s, hop) in ends.windows(2).enumerate().rev() {
+                let fabric = (dir * segments + s) * planes + p;
+                self.stages[dir].push(Stage::Hop(fabric, hop[0], hop[1], 0));
+            }
+        }
+    }
+
+    /// TopH: per group a crossbar behind port L, and per group and
+    /// direction (N/NE/E) a boundary row and a butterfly to the partner
+    /// group.
+    fn add_groups(&mut self, config: &ClusterConfig) {
+        let (groups, tpg) = (config.num_groups(), config.tiles_per_group());
+        self.add_rows(1, groups * tpg * 4);
+        let boundary = self.add_rows(1, groups * 3 * tpg);
+        // Request then response crossbars by group, then request and
+        // response butterflies by (group, direction).
+        let crossbars = (0..2 * groups).map(|_| Fabric::crossbar(tpg, tpg));
+        let butterflies = (0..6 * groups).map(|_| Fabric::butterfly(tpg, config.radix));
+        let fabrics = crossbars.chain(butterflies);
+        self.fabrics.extend(fabrics.map(|f| f.expect("validated")));
+        // Boundary register `i` of `(g, d)` is wired to master port `d + 1`
+        // of group `g`'s tile `i`.
+        let mut to_boundary = vec![None; groups * tpg * 4];
+        let mut to_master = vec![None; groups * 3 * tpg];
+        for (reg, link) in to_master.iter_mut().enumerate() {
+            let (g, d, i) = (reg / (3 * tpg), reg / tpg % 3, reg % tpg);
+            let master = (g * tpg + i) * 4 + d + 1;
+            (to_boundary[master], *link) = (Some(reg), Some(master));
+        }
+        self.stages[1].push(Stage::Wire(boundary + 1, MASTER_RESP, to_master));
+        // The butterflies of every group, then the crossbars.
+        let links = (0..groups).flat_map(|g| (1..4).map(move |port| (g, port)));
+        for (g, port) in links.chain((0..groups).map(|g| (g, 0))) {
+            let h = (0..groups).find(|&h| group_port(g, h) == port);
+            let h = h.expect("a partner group on every port");
+            let latch = End::Latch(h * tpg, port);
+            for dir in 0..2 {
+                let (inner, fabric) = if port == 0 {
+                    (End::Row(MASTER_REQ + dir, g * tpg * 4, 4), dir * groups + g)
+                } else {
+                    let link = g * 3 + port - 1;
+                    let fabric = (2 + 3 * dir) * groups + link;
+                    (End::Row(boundary + dir, link * tpg, 1), fabric)
+                };
+                self.stages[dir].push(match dir {
+                    0 => Stage::Hop(fabric, inner, latch, h * tpg),
+                    _ => Stage::Hop(fabric, latch, inner, g * tpg),
+                });
+            }
+        }
+        self.stages[0].push(Stage::Wire(MASTER_REQ, boundary, to_boundary));
+    }
+
+    /// The ideal crossbar's bank arbiters, when this is the ideal network.
+    pub fn ideal(&mut self) -> Option<&mut IdealNet> {
+        match &mut self.ports {
+            Ports::None(ideal) => Some(ideal),
+            _ => None,
         }
     }
 
     /// The tile response-crossbar output port (0-based among the K remote
     /// ports) a remote response leaves through.
-    pub fn resp_port_for(&self, tile: usize, resp: &Response, cores_per_tile: usize) -> usize {
-        match self {
-            Net::Ideal(_) => 0,
-            Net::Global(g) => {
-                if g.concentrate {
-                    0
-                } else {
-                    resp.core as usize % cores_per_tile
-                }
-            }
-            Net::Hier(h) => h.port_for(tile, resp.core as usize / cores_per_tile),
+    pub fn resp_port_for(&self, tile: usize, resp: &Response) -> usize {
+        let core = resp.core as usize;
+        match &self.ports {
+            Ports::None(_) | Ports::One(_) => 0,
+            Ports::PerLane(_) => core % self.cores_per_tile,
+            Ports::ByGroup(tpg, _) => group_port(tile / tpg, core / self.cores_per_tile / tpg),
         }
     }
 
     pub fn deliver_master_resp(&mut self, tiles: &mut [Tile], deliveries: &mut Vec<Response>) {
-        match self {
+        match self.rows.get_mut(MASTER_RESP) {
+            Some(row) => Response::row_mut(row).pop_heads_into(deliveries),
             // No network: the bank response registers face the cores.
-            Net::Ideal(_) => {
-                for tile in tiles {
-                    tile.bank_resp.pop_heads_into(deliveries);
-                }
-            }
-            Net::Global(n) => n.master_resp.pop_heads_into(deliveries),
-            Net::Hier(n) => n.master_resp.pop_heads_into(deliveries),
+            None => tiles
+                .iter_mut()
+                .for_each(|tile| tile.bank_resp.pop_heads_into(deliveries)),
         }
     }
 
-    pub fn route_responses(&mut self, tiles: &mut [Tile], cores_per_tile: usize) {
-        match self {
-            Net::Ideal(_) => {}
-            Net::Global(n) => n.route_responses(tiles, cores_per_tile),
-            Net::Hier(n) => n.route_responses(tiles, cores_per_tile),
-        }
+    pub fn route_responses(&mut self, tiles: &mut [Tile]) {
+        let cpt = self.cores_per_tile;
+        self.walk(1, tiles, |resp: &Response| resp.core as usize / cpt);
     }
 
     pub fn route_longhaul_requests(&mut self, tiles: &mut [Tile], map: &AddressMap) {
-        match self {
-            Net::Ideal(_) => {}
-            Net::Global(n) => n.route_longhaul(tiles, map),
-            Net::Hier(n) => n.route_longhaul(tiles, map),
+        self.walk(0, tiles, |req: &Request| {
+            map.decode(req.addr).expect("validated").tile as usize
+        });
+    }
+
+    /// Runs the stage list of direction `dir` (0 for requests, 1 for
+    /// responses); `dest` names the tile a packet is bound for.
+    fn walk<T: Packet>(&mut self, dir: usize, tiles: &mut [Tile], dest: impl Fn(&T) -> usize) {
+        let w = &mut Wires {
+            rows: &mut self.rows,
+            tiles,
+        };
+        for stage in &self.stages[dir] {
+            match *stage {
+                // Nothing to move out of an empty row.
+                Stage::Hop(_, End::Row(row, ..), ..) if T::row(&w.rows[row]).held() == 0 => {}
+                Stage::Hop(fabric, from, to, first_dest) => {
+                    let fabric = &mut self.fabrics[fabric];
+                    let (inputs, outputs) = (fabric.n_in(), fabric.n_out());
+                    fabric.route(
+                        w,
+                        |w, want| {
+                            from.for_each_head(w, inputs, |i, packet: &T| {
+                                let out = dest(packet).wrapping_sub(first_dest);
+                                if out < outputs {
+                                    want.add(i, out);
+                                }
+                            });
+                        },
+                        |w, out| to.has_room::<T>(w, out),
+                        |w, i, out| from.carry::<T>(w, i, to, out),
+                    );
+                }
+                Stage::Wire(from, to, ref links) => {
+                    let [from, to] = w.rows.get_disjoint_mut([from, to]).expect("two rows");
+                    T::row_mut(from).forward_heads(T::row_mut(to), |i| links[i]);
+                }
+            }
         }
     }
 
+    /// Core latches holding a remote request into their master ports.
     pub fn route_port_requests(&mut self, latches: &mut [Option<Request>], map: &AddressMap) {
-        match self {
-            Net::Ideal(_) => {}
-            Net::Global(n) => n.route_ports(latches, map),
-            Net::Hier(n) => n.route_ports(latches, map),
-        }
-    }
-
-    /// Visits every register row in link-id order (construction order, so a
-    /// seeded fault plan addresses the same physical register every run).
-    /// The ideal network has no registers.
-    pub fn for_each_row(&self, f: &mut dyn FnMut(RowRef<'_>)) {
-        match self {
-            Net::Ideal(_) => {}
-            Net::Global(n) => {
-                f(Row::Req(&n.master_req));
-                f(Row::Resp(&n.master_resp));
-                n.mid_req.iter().for_each(|row| f(Row::Req(row)));
-                n.mid_resp.iter().for_each(|row| f(Row::Resp(row)));
-            }
-            Net::Hier(n) => {
-                f(Row::Req(&n.master_req));
-                f(Row::Resp(&n.master_resp));
-                f(Row::Req(&n.boundary_req));
-                f(Row::Resp(&n.boundary_resp));
-            }
-        }
-    }
-
-    /// [`for_each_row`](Net::for_each_row), mutably (same order).
-    pub fn for_each_row_mut(&mut self, f: &mut dyn FnMut(RowMut<'_>)) {
-        match self {
-            Net::Ideal(_) => {}
-            Net::Global(n) => {
-                f(Row::Req(&mut n.master_req));
-                f(Row::Resp(&mut n.master_resp));
-                n.mid_req.iter_mut().for_each(|row| f(Row::Req(row)));
-                n.mid_resp.iter_mut().for_each(|row| f(Row::Resp(row)));
-            }
-            Net::Hier(n) => {
-                f(Row::Req(&mut n.master_req));
-                f(Row::Resp(&mut n.master_resp));
-                f(Row::Req(&mut n.boundary_req));
-                f(Row::Resp(&mut n.boundary_resp));
+        let Some(Row::Req(master)) = self.rows.get_mut(MASTER_REQ) else {
+            return;
+        };
+        let cpt = self.cores_per_tile;
+        let dest = |req: &Request| map.decode(req.addr).expect("validated").tile as usize;
+        for (tile, lanes) in latches.chunks_mut(cpt).enumerate() {
+            let leaves = |lane: &Option<Request>| lane.as_ref().is_some_and(|r| dest(r) != tile);
+            match &mut self.ports {
+                Ports::None(_) => {}
+                Ports::One(rrs) => {
+                    if !master.can_push(tile) {
+                        continue;
+                    }
+                    let rr = &mut rrs[tile];
+                    let remote = (0..cpt).filter(|&lane| leaves(&lanes[lane]));
+                    if let Some(winner) = remote.min_by_key(|&lane| rr.distance(lane)) {
+                        rr.advance_past(winner);
+                        master.push(tile, lanes[winner].take().expect("lane had request"));
+                    }
+                }
+                Ports::PerLane(_) => {
+                    for (lane, latch) in lanes.iter_mut().enumerate() {
+                        let reg = tile * cpt + lane;
+                        if leaves(latch) && master.can_push(reg) {
+                            master.push(reg, latch.take().expect("lane had request"));
+                        }
+                    }
+                }
+                Ports::ByGroup(tpg, routers) => routers[tile].route(
+                    &mut (lanes, &mut *master),
+                    |(lanes, _), want| {
+                        for (lane, req) in lanes.iter().enumerate() {
+                            let dst = req.as_ref().map_or(tile, dest);
+                            if dst != tile {
+                                want.add(lane, group_port(tile / *tpg, dst / *tpg));
+                            }
+                        }
+                    },
+                    |(_, master), port| master.can_push(tile * 4 + port),
+                    |(lanes, master), lane, port| {
+                        let req = lanes[lane].take().expect("lane had request");
+                        master.push(tile * 4 + port, req);
+                    },
+                ),
             }
         }
     }
 
     /// End-of-cycle commit of the registers pushed this cycle.
     pub fn commit(&mut self) {
-        self.for_each_row_mut(&mut |row| match row {
-            Row::Req(row) => row.commit(),
-            Row::Resp(row) => row.commit(),
-        });
+        for row in &mut self.rows {
+            on_row!(row, r => r.commit());
+        }
     }
 
-    /// Hands every register stage, with its stable link id, to the fault
-    /// injector, which may stall, drop or corrupt; the rows' bookkeeping is
-    /// re-derived behind it.
+    /// Hands every register stage, with its stable link id (its place in
+    /// row order, so a seeded fault plan addresses the same physical
+    /// register every run), to the fault injector, which may stall, drop
+    /// or corrupt; the rows' bookkeeping is re-derived behind it.
     pub fn for_each_link(&mut self, f: &mut dyn FnMut(u64, LinkRef<'_>)) {
-        let mut id = 0u64;
-        self.for_each_row_mut(&mut |row| match row {
-            Row::Req(row) => {
-                for reg in row.regs_mut() {
-                    f(id, LinkRef::Req(reg));
-                    id += 1;
+        let mut ids = 0u64..;
+        for row in &mut self.rows {
+            match row {
+                Row::Req(r) => {
+                    let links = r.regs_mut().iter_mut().zip(&mut ids);
+                    links.for_each(|(reg, id)| f(id, LinkRef::Req(reg)));
                 }
-                row.resync();
-            }
-            Row::Resp(row) => {
-                for reg in row.regs_mut() {
-                    f(id, LinkRef::Resp(reg));
-                    id += 1;
+                Row::Resp(r) => {
+                    let links = r.regs_mut().iter_mut().zip(&mut ids);
+                    links.for_each(|(reg, id)| f(id, LinkRef::Resp(reg)));
                 }
-                row.resync();
             }
-        });
+            on_row!(row, r => r.resync());
+        }
     }
 
     /// Visits every register stage immutably with its stable link id (the
@@ -392,51 +599,34 @@ impl Net {
     /// observability counters of that stage. Used to build the
     /// `cluster/link{id}` scopes of the metrics registry.
     pub fn for_each_link_stats(&self, f: &mut dyn FnMut(u64, LinkStatView)) {
-        fn view<T>(reg: &ElasticBuffer<T>, is_req: bool) -> LinkStatView {
-            LinkStatView {
-                occupancy: reg.len() as u64,
-                pushes: reg.pushes(),
-                is_req,
-            }
+        let mut ids = 0u64..;
+        for row in &self.rows {
+            let is_req = matches!(row, Row::Req(_));
+            on_row!(row, r => for (reg, id) in r.regs().iter().zip(&mut ids) {
+                let (occupancy, pushes) = (reg.len() as u64, reg.pushes());
+                f(id, LinkStatView { occupancy, pushes, is_req });
+            });
         }
-        let mut id = 0u64;
-        let mut visit = |stat| {
-            f(id, stat);
-            id += 1;
-        };
-        self.for_each_row(&mut |row| match row {
-            Row::Req(row) => row.regs().iter().for_each(|reg| visit(view(reg, true))),
-            Row::Resp(row) => row.regs().iter().for_each(|reg| visit(view(reg, false))),
-        });
     }
 
     /// (occupied, total) register slots across the global interconnect —
     /// the buffer-occupancy congestion metric, from the rows' running
     /// counts.
     pub fn occupancy(&self) -> (u64, u64) {
-        let (mut occupied, mut total) = (0, 0);
-        self.for_each_row(&mut |row| {
-            let (held, slots) = match row {
-                Row::Req(row) => (row.held(), row.slots()),
-                Row::Resp(row) => (row.held(), row.slots()),
-            };
-            occupied += held as u64;
-            total += slots as u64;
-        });
-        (occupied, total)
+        let mut counts = (0, 0);
+        for row in &self.rows {
+            let (held, slots) = on_row!(row, r => (r.held(), r.slots()));
+            counts = (counts.0 + held as u64, counts.1 + slots as u64);
+        }
+        counts
     }
 
     /// Whether every row's running head bits equal a walk over its
     /// registers, as they must at every cycle boundary.
     pub fn heads_in_sync(&self) -> bool {
-        let mut in_sync = true;
-        self.for_each_row(&mut |row| {
-            in_sync &= match row {
-                Row::Req(row) => row.heads_in_sync(),
-                Row::Resp(row) => row.heads_in_sync(),
-            }
-        });
-        in_sync
+        self.rows
+            .iter()
+            .all(|row| on_row!(row, r => r.heads_in_sync()))
     }
 
     /// [`occupancy`](Net::occupancy) recounted from the registers: what the
@@ -451,31 +641,115 @@ impl Net {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Ideal full crossbar (baseline).
-// ---------------------------------------------------------------------------
+/// What a stage list moves: requests toward the banks, responses toward
+/// the cores.
+trait Packet: Sized {
+    fn row(row: &Row) -> &RegRow<Self>;
+    fn row_mut(row: &mut Row) -> &mut RegRow<Self>;
+    /// The tile latches the network meets in this direction.
+    fn latches(tile: &Tile) -> &[Option<Self>];
+    fn latches_mut(tile: &mut Tile) -> &mut [Option<Self>];
+}
+
+macro_rules! packet {
+    ($packet:ty, $row:ident, $latches:ident) => {
+        impl Packet for $packet {
+            fn row(row: &Row) -> &RegRow<Self> {
+                let Row::$row(row) = row else {
+                    unreachable!("a row of the other direction")
+                };
+                row
+            }
+
+            fn row_mut(row: &mut Row) -> &mut RegRow<Self> {
+                let Row::$row(row) = row else {
+                    unreachable!("a row of the other direction")
+                };
+                row
+            }
+
+            fn latches(tile: &Tile) -> &[Option<Self>] {
+                &tile.$latches
+            }
+
+            fn latches_mut(tile: &mut Tile) -> &mut [Option<Self>] {
+                &mut tile.$latches
+            }
+        }
+    };
+}
+
+packet!(Request, Req, slave_req);
+packet!(Response, Resp, resp_out);
+
+/// What the stages of one cycle move packets between.
+struct Wires<'a> {
+    rows: &'a mut [Row],
+    tiles: &'a mut [Tile],
+}
+
+impl End {
+    /// Calls `f(i, head)` for every line `i < len` holding a packet,
+    /// ascending.
+    fn for_each_head<T: Packet>(self, w: &Wires<'_>, len: usize, mut f: impl FnMut(usize, &T)) {
+        match self {
+            End::Row(row, base, 1) => {
+                T::row(&w.rows[row]).for_each_head(base, len, |reg, x| f(reg - base, x));
+            }
+            End::Row(row, base, stride) => {
+                let row = T::row(&w.rows[row]);
+                for i in 0..len {
+                    if let Some(x) = row.head(base + i * stride) {
+                        f(i, x);
+                    }
+                }
+            }
+            End::Latch(first, port) => {
+                for (i, tile) in w.tiles[first..first + len].iter().enumerate() {
+                    if let Some(x) = &T::latches(tile)[port] {
+                        f(i, x);
+                    }
+                }
+            }
+        }
+    }
+
+    fn has_room<T: Packet>(self, w: &Wires<'_>, i: usize) -> bool {
+        match self {
+            End::Row(row, base, stride) => T::row(&w.rows[row]).can_push(base + i * stride),
+            End::Latch(first, port) => T::latches(&w.tiles[first + i])[port].is_none(),
+        }
+    }
+
+    /// Moves the packet on line `i` to line `j` of `to`.
+    fn carry<T: Packet>(self, w: &mut Wires<'_>, i: usize, to: End, j: usize) {
+        let packet = match self {
+            End::Row(row, base, stride) => T::row_mut(&mut w.rows[row]).pop(base + i * stride),
+            End::Latch(first, port) => T::latches_mut(&mut w.tiles[first + i])[port].take(),
+        };
+        let packet = packet.expect("a head to carry");
+        match to {
+            End::Row(row, base, stride) => {
+                T::row_mut(&mut w.rows[row]).push(base + j * stride, packet);
+            }
+            End::Latch(first, port) => {
+                T::latches_mut(&mut w.tiles[first + j])[port] = Some(packet);
+            }
+        }
+    }
+}
 
 /// The §V-C baseline: all banks reachable in one cycle, no routing
 /// conflicts; only bank conflicts serialize (round-robin per bank).
 pub(crate) struct IdealNet {
     /// One arbiter per global bank, over all cores.
-    pub(crate) rr: Vec<RoundRobin>,
+    rr: Vec<RoundRobin>,
     banks_per_tile: usize,
     /// Scratch: this cycle's `(global bank, core)` contenders.
     contenders: Vec<(usize, usize)>,
 }
 
 impl IdealNet {
-    fn new(config: &ClusterConfig) -> Self {
-        IdealNet {
-            rr: (0..config.num_banks())
-                .map(|_| RoundRobin::new(config.num_cores()))
-                .collect(),
-            banks_per_tile: config.banks_per_tile,
-            contenders: Vec::with_capacity(config.num_cores()),
-        }
-    }
-
     /// Resolves all core latches directly against the banks.
     ///
     /// `gate` is the fault-injection view of each (tile, bank) this cycle;
@@ -532,424 +806,6 @@ impl IdealNet {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Top1 / Top4: one or four global radix-4 butterflies.
-// ---------------------------------------------------------------------------
-
-pub(crate) struct GlobalNet {
-    num_tiles: usize,
-    cores_per_tile: usize,
-    ports: usize,
-    /// Top1 concentrates the tile's cores onto one port.
-    concentrate: bool,
-    pub(crate) rr_concentrator: Vec<RoundRobin>,
-    /// `[tile * ports + p]`.
-    pub(crate) master_req: RegRow<Request>,
-    pub(crate) master_resp: RegRow<Response>,
-    /// Per port: request butterfly segment A (or the whole network when it
-    /// has a single layer).
-    pub(crate) req_a: Vec<Fabric>,
-    pub(crate) req_b: Vec<Fabric>,
-    /// `[port]` mid-stage pipeline register rows (empty rows when unsplit).
-    pub(crate) mid_req: Vec<RegRow<Request>>,
-    pub(crate) resp_a: Vec<Fabric>,
-    pub(crate) resp_b: Vec<Fabric>,
-    pub(crate) mid_resp: Vec<RegRow<Response>>,
-    split: bool,
-}
-
-fn butterfly_layer_count(ports: usize, radix: usize) -> usize {
-    let mut n = ports;
-    let mut k = 0;
-    while n > 1 {
-        n /= radix;
-        k += 1;
-    }
-    k
-}
-
-impl GlobalNet {
-    fn new(config: &ClusterConfig, ports: usize, concentrate: bool) -> Self {
-        let n = config.num_tiles;
-        let k = butterfly_layer_count(n, config.radix);
-        let split = k >= 2;
-        let mid = k.div_ceil(2);
-        let segment = |first, last| {
-            let build =
-                || Fabric::butterfly_segment(n, config.radix, first, last).expect("validated");
-            (0..ports).map(|_| build()).collect::<Vec<_>>()
-        };
-        let mid_len = if split { n } else { 0 };
-        GlobalNet {
-            num_tiles: n,
-            cores_per_tile: config.cores_per_tile,
-            ports,
-            concentrate,
-            rr_concentrator: (0..n)
-                .map(|_| RoundRobin::new(config.cores_per_tile))
-                .collect(),
-            master_req: RegRow::new(n * ports),
-            master_resp: RegRow::new(n * ports),
-            req_a: segment(0, if split { mid } else { k }),
-            req_b: if split { segment(mid, k) } else { Vec::new() },
-            mid_req: (0..ports).map(|_| RegRow::new(mid_len)).collect(),
-            resp_a: segment(0, if split { mid } else { k }),
-            resp_b: if split { segment(mid, k) } else { Vec::new() },
-            mid_resp: (0..ports).map(|_| RegRow::new(mid_len)).collect(),
-            split,
-        }
-    }
-
-    fn route_longhaul(&mut self, tiles: &mut [Tile], map: &AddressMap) {
-        let dest_tile = |req: &Request| map.decode(req.addr).expect("validated").tile as usize;
-        let (n, ports) = (self.num_tiles, self.ports);
-        for p in 0..ports {
-            if self.split {
-                // Segment B: mid registers -> destination tile slave latches.
-                self.req_b[p].route(
-                    &mut (&mut self.mid_req[p], &mut *tiles),
-                    |(mid, _), want| {
-                        mid.for_each_head(0, n, |row, req| want.add(row, dest_tile(req)));
-                    },
-                    |(_, tiles), tile| tiles[tile].slave_req[p].is_none(),
-                    |(mid, tiles), row, tile| {
-                        tiles[tile].slave_req[p] = Some(mid.pop(row).expect("head existed"));
-                    },
-                );
-            }
-            // Segment A (the whole network when it has a single layer):
-            // master request registers -> mid registers or slave latches.
-            let master_heads = |master: &RegRow<Request>, want: &mut Requests<'_>| {
-                for tile in 0..n {
-                    if let Some(req) = master.head(tile * ports + p) {
-                        want.add(tile, dest_tile(req));
-                    }
-                }
-            };
-            if self.split {
-                self.req_a[p].route(
-                    &mut (&mut self.master_req, &mut self.mid_req[p]),
-                    |(master, _), want| master_heads(master, want),
-                    |(_, mid), row| mid.can_push(row),
-                    |(master, mid), tile, row| {
-                        mid.push(row, master.pop(tile * ports + p).expect("head existed"));
-                    },
-                );
-            } else {
-                self.req_a[p].route(
-                    &mut (&mut self.master_req, &mut *tiles),
-                    |(master, _), want| master_heads(master, want),
-                    |(_, tiles), tile| tiles[tile].slave_req[p].is_none(),
-                    |(master, tiles), src, tile| {
-                        let req = master.pop(src * ports + p).expect("head existed");
-                        tiles[tile].slave_req[p] = Some(req);
-                    },
-                );
-            }
-        }
-    }
-
-    fn route_ports(&mut self, latches: &mut [Option<Request>], map: &AddressMap) {
-        let cpt = self.cores_per_tile;
-        let leaves = |req: &Request, tile: usize| {
-            map.decode(req.addr).expect("validated").tile as usize != tile
-        };
-        for (tile, lanes) in latches.chunks_mut(cpt).enumerate() {
-            if self.concentrate {
-                if !self.master_req.can_push(tile) {
-                    continue;
-                }
-                let rr = &mut self.rr_concentrator[tile];
-                let remote =
-                    (0..cpt).filter(|&l| lanes[l].as_ref().is_some_and(|r| leaves(r, tile)));
-                if let Some(winner) = remote.min_by_key(|&lane| rr.distance(lane)) {
-                    rr.advance_past(winner);
-                    self.master_req
-                        .push(tile, lanes[winner].take().expect("lane had request"));
-                }
-            } else {
-                for (lane, latch) in lanes.iter_mut().enumerate() {
-                    let reg = tile * self.ports + lane;
-                    if latch.as_ref().is_some_and(|r| leaves(r, tile))
-                        && self.master_req.can_push(reg)
-                    {
-                        self.master_req
-                            .push(reg, latch.take().expect("lane had request"));
-                    }
-                }
-            }
-        }
-    }
-
-    fn route_responses(&mut self, tiles: &mut [Tile], cores_per_tile: usize) {
-        let dest_tile = |resp: &Response| resp.core as usize / cores_per_tile;
-        let (n, ports) = (self.num_tiles, self.ports);
-        for p in 0..ports {
-            if self.split {
-                // Segment B': mid response registers -> master response regs.
-                self.resp_b[p].route(
-                    &mut (&mut self.mid_resp[p], &mut self.master_resp),
-                    |(mid, _), want| {
-                        mid.for_each_head(0, n, |row, resp| want.add(row, dest_tile(resp)));
-                    },
-                    |(_, master), tile| master.can_push(tile * ports + p),
-                    |(mid, master), row, tile| {
-                        master.push(tile * ports + p, mid.pop(row).expect("head existed"));
-                    },
-                );
-            }
-            // Segment A' (the whole network when it has a single layer):
-            // tile response-out latches -> mid or master response registers.
-            let latched = |tiles: &[Tile], want: &mut Requests<'_>| {
-                for (tile, resp) in tiles.iter().map(|t| &t.resp_out[p]).enumerate() {
-                    if let Some(resp) = resp {
-                        want.add(tile, dest_tile(resp));
-                    }
-                }
-            };
-            if self.split {
-                self.resp_a[p].route(
-                    &mut (&mut *tiles, &mut self.mid_resp[p]),
-                    |(tiles, _), want| latched(tiles, want),
-                    |(_, mid), row| mid.can_push(row),
-                    |(tiles, mid), tile, row| {
-                        mid.push(row, tiles[tile].resp_out[p].take().expect("latch full"));
-                    },
-                );
-            } else {
-                self.resp_a[p].route(
-                    &mut (&mut *tiles, &mut self.master_resp),
-                    |(tiles, _), want| latched(tiles, want),
-                    |(_, master), tile| master.can_push(tile * ports + p),
-                    |(tiles, master), src, tile| {
-                        let resp = tiles[src].resp_out[p].take().expect("latch full");
-                        master.push(tile * ports + p, resp);
-                    },
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TopH: hierarchical — local group crossbars + N/NE/E inter-group
-// butterflies.
-// ---------------------------------------------------------------------------
-
-pub(crate) struct HierNet {
-    num_tiles: usize,
-    cores_per_tile: usize,
-    tiles_per_group: usize,
-    /// Per tile: crossbar (cores × 4 ports) routing requests to L/N/NE/E.
-    pub(crate) port_router: Vec<Fabric>,
-    /// `[tile * 4 + port]`, port 0 = L, 1 = N, 2 = NE, 3 = E.
-    pub(crate) master_req: RegRow<Request>,
-    pub(crate) master_resp: RegRow<Response>,
-    /// Per group: the 16×16 fully-connected local crossbars.
-    pub(crate) local_req: Vec<Fabric>,
-    pub(crate) local_resp: Vec<Fabric>,
-    /// `[(group * 3 + dir) * tiles_per_group + row]`, dir 0 = N, 1 = NE,
-    /// 2 = E: the register boundary at the group's master interface.
-    pub(crate) boundary_req: RegRow<Request>,
-    pub(crate) boundary_resp: RegRow<Response>,
-    /// Per (group, dir): the 16×16 radix-4 butterflies.
-    pub(crate) inter_req: Vec<Fabric>,
-    pub(crate) inter_resp: Vec<Fabric>,
-}
-
-#[allow(clippy::needless_range_loop)] // `d` indexes three parallel tables
-impl HierNet {
-    fn new(config: &ClusterConfig) -> Self {
-        let n = config.num_tiles;
-        let tpg = config.tiles_per_group();
-        let groups = config.num_groups();
-        let mk_bfly = || Fabric::butterfly(tpg, config.radix).expect("validated");
-        HierNet {
-            num_tiles: n,
-            cores_per_tile: config.cores_per_tile,
-            tiles_per_group: tpg,
-            port_router: (0..n)
-                .map(|_| Fabric::crossbar(config.cores_per_tile, 4).expect("validated"))
-                .collect(),
-            master_req: RegRow::new(n * 4),
-            master_resp: RegRow::new(n * 4),
-            local_req: (0..groups)
-                .map(|_| Fabric::crossbar(tpg, tpg).expect("validated"))
-                .collect(),
-            local_resp: (0..groups)
-                .map(|_| Fabric::crossbar(tpg, tpg).expect("validated"))
-                .collect(),
-            boundary_req: RegRow::new(groups * 3 * tpg),
-            boundary_resp: RegRow::new(groups * 3 * tpg),
-            inter_req: (0..groups * 3).map(|_| mk_bfly()).collect(),
-            inter_resp: (0..groups * 3).map(|_| mk_bfly()).collect(),
-        }
-    }
-
-    /// The tile port (0 = L, 1 = N, 2 = NE, 3 = E) used to reach `dst` from
-    /// `src`. Must not be called for `src == dst` (local-bank traffic skips
-    /// the remote ports).
-    pub fn port_for(&self, src: usize, dst: usize) -> usize {
-        port_between(self.tiles_per_group, src, dst)
-    }
-
-    fn route_longhaul(&mut self, tiles: &mut [Tile], map: &AddressMap) {
-        let tpg = self.tiles_per_group;
-        let groups = self.num_tiles / tpg;
-        let dest_row = |req: &Request| map.decode(req.addr).expect("validated").tile as usize % tpg;
-        // Stage: group boundary registers -> inter-group butterflies ->
-        // partner-tile slave latches.
-        for (g, d) in (0..groups).flat_map(|g| (0..3).map(move |d| (g, d))) {
-            if self.boundary_req.held() == 0 {
-                break;
-            }
-            let partner = (g ^ DIR_PARTNER_XOR[d]) * tpg;
-            let base = (g * 3 + d) * tpg;
-            self.inter_req[g * 3 + d].route(
-                &mut (&mut self.boundary_req, &mut *tiles),
-                |(boundary, _), want| {
-                    boundary.for_each_head(base, tpg, |reg, req| {
-                        want.add(reg - base, dest_row(req));
-                    });
-                },
-                |(_, tiles), t| tiles[partner + t].slave_req[d + 1].is_none(),
-                |(boundary, tiles), i, t| {
-                    tiles[partner + t].slave_req[d + 1] =
-                        Some(boundary.pop(base + i).expect("head"));
-                },
-            );
-        }
-        if self.master_req.held() == 0 {
-            return;
-        }
-        // Stage: local L crossbars (within each group).
-        for g in 0..groups {
-            let first = g * tpg;
-            self.local_req[g].route(
-                &mut (&mut self.master_req, &mut *tiles),
-                |(master, _), want| {
-                    for i in 0..tpg {
-                        if let Some(req) = master.head((first + i) * 4) {
-                            want.add(i, dest_row(req));
-                        }
-                    }
-                },
-                |(_, tiles), t| tiles[first + t].slave_req[0].is_none(),
-                |(master, tiles), i, t| {
-                    tiles[first + t].slave_req[0] =
-                        Some(master.pop((first + i) * 4).expect("head"));
-                },
-            );
-        }
-        // Stage: tile master N/NE/E registers -> group boundary registers
-        // (point-to-point wiring, no arbitration).
-        self.master_req
-            .forward_heads(&mut self.boundary_req, |reg| {
-                let (tile, port) = (reg / 4, reg % 4);
-                (port != 0).then(|| (tile / tpg * 3 + port - 1) * tpg + tile % tpg)
-            });
-    }
-
-    fn route_ports(&mut self, latches: &mut [Option<Request>], map: &AddressMap) {
-        let (cpt, tpg) = (self.cores_per_tile, self.tiles_per_group);
-        for (tile, lanes) in latches.chunks_mut(cpt).enumerate() {
-            self.port_router[tile].route(
-                &mut (lanes, &mut self.master_req),
-                |(lanes, _), want| {
-                    for (lane, req) in lanes.iter().enumerate() {
-                        let Some(req) = req else { continue };
-                        let dst = map.decode(req.addr).expect("validated").tile as usize;
-                        if dst != tile {
-                            want.add(lane, port_between(tpg, tile, dst));
-                        }
-                    }
-                },
-                |(_, master), port| master.can_push(tile * 4 + port),
-                |(lanes, master), lane, port| {
-                    master.push(
-                        tile * 4 + port,
-                        lanes[lane].take().expect("lane had request"),
-                    );
-                },
-            );
-        }
-    }
-
-    fn route_responses(&mut self, tiles: &mut [Tile], cores_per_tile: usize) {
-        let tpg = self.tiles_per_group;
-        let groups = self.num_tiles / tpg;
-        let dest_tile = |resp: &Response| resp.core as usize / cores_per_tile;
-        // Stage: boundary response registers -> tile master response regs
-        // (point-to-point).
-        self.boundary_resp
-            .forward_heads(&mut self.master_resp, |boundary| {
-                let (g, d, i) = (boundary / (3 * tpg), boundary / tpg % 3, boundary % tpg);
-                Some((g * tpg + i) * 4 + 1 + d)
-            });
-        // Stage: partner-tile response-out latches -> inter-group response
-        // butterflies -> boundary response registers.
-        for g in 0..groups {
-            for d in 0..3 {
-                let partner = (g ^ DIR_PARTNER_XOR[d]) * tpg;
-                let base = (g * 3 + d) * tpg;
-                self.inter_resp[g * 3 + d].route(
-                    &mut (&mut *tiles, &mut self.boundary_resp),
-                    |(tiles, _), want| {
-                        for (i, tile) in tiles[partner..partner + tpg].iter().enumerate() {
-                            let Some(resp) = &tile.resp_out[d + 1] else {
-                                continue;
-                            };
-                            // Anything else belongs to the other direction
-                            // pairing.
-                            let dst = dest_tile(resp);
-                            if dst / tpg == g {
-                                want.add(i, dst % tpg);
-                            }
-                        }
-                    },
-                    |(_, boundary), row| boundary.can_push(base + row),
-                    |(tiles, boundary), i, row| {
-                        let resp = tiles[partner + i].resp_out[d + 1].take().expect("latch");
-                        boundary.push(base + row, resp);
-                    },
-                );
-            }
-        }
-        // Stage: local L response crossbars.
-        for g in 0..groups {
-            let first = g * tpg;
-            self.local_resp[g].route(
-                &mut (&mut *tiles, &mut self.master_resp),
-                |(tiles, _), want| {
-                    for (i, tile) in tiles[first..first + tpg].iter().enumerate() {
-                        if let Some(resp) = &tile.resp_out[0] {
-                            want.add(i, dest_tile(resp) % tpg);
-                        }
-                    }
-                },
-                |(_, master), t| master.can_push((first + t) * 4),
-                |(tiles, master), i, t| {
-                    master.push(
-                        (first + t) * 4,
-                        tiles[first + i].resp_out[0].take().expect("latch"),
-                    );
-                },
-            );
-        }
-    }
-}
-
-/// [`HierNet::port_for`] for a hierarchy of `tpg` tiles per group.
-fn port_between(tpg: usize, src: usize, dst: usize) -> usize {
-    match (src / tpg) ^ (dst / tpg) {
-        0 => 0, // L
-        2 => 1, // N
-        3 => 2, // NE
-        1 => 3, // E
-        _ => unreachable!("four groups"),
-    }
-}
-
 /// The registers in order; loading re-derives the row's occupancy.
 impl<T: Walk + Default + Copy> Walk for RegRow<T> {
     fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
@@ -961,52 +817,37 @@ impl<T: Walk + Default + Copy> Walk for RegRow<T> {
     }
 }
 
-/// A counted list of arbiters.
-fn rr_list<Io: StateIo>(io: &mut Io, mut rrs: Place<'_, Io, Vec<RoundRobin>>) -> Walked {
-    io.count(rrs.len(), "round-robin arbiter count")?;
-    io.walk(rrs.at(|v| &v[..], |v| &mut v[..]))
+impl Walk for Row {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        if let Some(row) = at!(this, Row::Req(row) => row) {
+            return io.walk(row);
+        }
+        io.walk(at!(this, Row::Resp(row) => row).expect("a request or a response row"))
+    }
 }
 
-/// The arbiters ahead of the register rows, the rows in link-id order,
-/// then the fabrics behind them.
+/// The arbiters ahead of the network: a counted list of the ideal
+/// crossbar's or of Top1/Top4's per-tile ones, or TopH's port routers.
+impl Walk for Ports {
+    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
+        if let Some(mut routers) = at!(this, Ports::ByGroup(_, routers) => routers) {
+            return io.walk(routers.at(|v| &v[..], |v| &mut v[..]));
+        }
+        let rrs = at!(this,
+            Ports::None(IdealNet { rr, .. }) | Ports::One(rr) | Ports::PerLane(rr) => rr);
+        let mut rrs = rrs.expect("arbiters or routers");
+        io.count(rrs.len(), "round-robin arbiter count")?;
+        io.walk(rrs.at(|v| &v[..], |v| &mut v[..]))
+    }
+}
+
+/// The arbiters ahead of the network, the rows in link-id order, then the
+/// fabrics.
 impl Walk for Net {
     fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
-        if let Some(mut net) = at!(this, Net::Ideal(net) => net) {
-            return rr_list(io, at!(net.rr));
-        }
-        if let Some(net) = at!(this, Net::Global(net) => net) {
-            return io.walk(net);
-        }
-        let net = at!(this, Net::Hier(net) => net);
-        io.walk(net.expect("one of three topologies"))
-    }
-}
-
-impl Walk for GlobalNet {
-    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
-        rr_list(io, at!(this.rr_concentrator))?;
-        io.walk(at!(this.master_req))?;
-        io.walk(at!(this.master_resp))?;
-        io.walk(at!(this.mid_req[..]))?;
-        io.walk(at!(this.mid_resp[..]))?;
-        io.walk(at!(this.req_a[..]))?;
-        io.walk(at!(this.req_b[..]))?;
-        io.walk(at!(this.resp_a[..]))?;
-        io.walk(at!(this.resp_b[..]))
-    }
-}
-
-impl Walk for HierNet {
-    fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
-        io.walk(at!(this.port_router[..]))?;
-        io.walk(at!(this.master_req))?;
-        io.walk(at!(this.master_resp))?;
-        io.walk(at!(this.boundary_req))?;
-        io.walk(at!(this.boundary_resp))?;
-        io.walk(at!(this.local_req[..]))?;
-        io.walk(at!(this.local_resp[..]))?;
-        io.walk(at!(this.inter_req[..]))?;
-        io.walk(at!(this.inter_resp[..]))
+        io.walk(at!(this.ports))?;
+        io.walk(at!(this.rows[..]))?;
+        io.walk(at!(this.fabrics[..]))
     }
 }
 
@@ -1015,11 +856,10 @@ mod tests {
     use super::*;
     use crate::{ClusterConfig, Topology};
 
-    fn hier() -> HierNet {
-        let Net::Hier(h) = Net::new(&ClusterConfig::paper(Topology::TopH)) else {
-            panic!("expected the hierarchical network");
-        };
-        h
+    /// The port a tile takes to reach another at the paper's 16 tiles per
+    /// group.
+    fn port_for(src: usize, dst: usize) -> usize {
+        group_port(src / 16, dst / 16)
     }
 
     /// Uniform loads at offered load 0.5 over eight tags (the generator of
@@ -1096,7 +936,7 @@ mod tests {
             for cycle in 1..=600 {
                 cluster.cycle();
                 assert!(cluster.heads_in_sync(), "{topology} cycle {cycle}");
-                cluster.net.for_each_row(&mut |row| {
+                for row in &cluster.net.rows {
                     if let Row::Req(row) = row {
                         let gated = row
                             .regs()
@@ -1104,7 +944,7 @@ mod tests {
                             .filter(|r| r.is_stalled() && !r.is_empty());
                         stalled_heads += gated.count();
                     }
-                });
+                }
                 if cycle == 300 {
                     let snap = cluster.snapshot();
                     let mut restored = build();
@@ -1122,29 +962,27 @@ mod tests {
 
     #[test]
     fn port_for_is_symmetric_and_total() {
-        let h = hier();
         for src in 0..64 {
             for dst in 0..64 {
                 if src == dst {
                     continue;
                 }
-                let port = h.port_for(src, dst);
+                let port = port_for(src, dst);
                 assert!(port < 4, "{src}->{dst} port {port}");
                 // The response travels back on the same channel.
-                assert_eq!(port, h.port_for(dst, src), "{src}<->{dst}");
+                assert_eq!(port, port_for(dst, src), "{src}<->{dst}");
             }
         }
     }
 
     #[test]
     fn port_for_matches_group_geometry() {
-        let h = hier();
         // Same group -> L; partner groups by XOR pairing.
-        assert_eq!(h.port_for(0, 15), 0); // L (both in group 0)
-        assert_eq!(h.port_for(0, 32), 1); // N (group 0 <-> 2)
-        assert_eq!(h.port_for(0, 63), 2); // NE (group 0 <-> 3)
-        assert_eq!(h.port_for(0, 16), 3); // E (group 0 <-> 1)
-        assert_eq!(h.port_for(17, 1), 3); // E seen from group 1
+        assert_eq!(port_for(0, 15), 0); // L (both in group 0)
+        assert_eq!(port_for(0, 32), 1); // N (group 0 <-> 2)
+        assert_eq!(port_for(0, 63), 2); // NE (group 0 <-> 3)
+        assert_eq!(port_for(0, 16), 3); // E (group 0 <-> 1)
+        assert_eq!(port_for(17, 1), 3); // E seen from group 1
     }
 
     #[test]

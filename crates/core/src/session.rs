@@ -186,11 +186,6 @@ impl<C: Core> SimSession<C> {
         &mut self.cluster
     }
 
-    /// Unwraps the session into its cluster.
-    pub fn into_cluster(self) -> Cluster<C> {
-        self.cluster
-    }
-
     /// Loads (pre-decodes) a program into the shared instruction memory.
     ///
     /// # Errors
@@ -346,9 +341,10 @@ impl<C: Core + Walk> SimSession<C> {
 
     /// Parks the session: atomically writes a full snapshot to `path`
     /// (temp-file + rename, same contract as periodic checkpoints), so a
-    /// different process — or a restarted daemon — can [`unpark`]
-    /// (SimSession::unpark) it and continue bit-identically. The running
-    /// session is not consumed; parking is a safe point, not a shutdown.
+    /// different process — or a restarted daemon — can
+    /// [`unpark`](SimSession::unpark) it and continue bit-identically. The
+    /// running session is not consumed; parking is a safe point, not a
+    /// shutdown.
     ///
     /// # Errors
     ///

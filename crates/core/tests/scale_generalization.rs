@@ -44,13 +44,21 @@ fn toph_contract_holds_at_16_and_256_tiles() {
     }
 }
 
+/// Top1 and Top4 share their butterfly stages: at 16 tiles the 2-layer
+/// butterfly gets the mid register in each direction (5 cycles); at 4 tiles
+/// the single-layer network has none, leaving the tile's master request
+/// and response registers around the bank (3 cycles).
 #[test]
 fn top1_contract_scales_with_butterfly_depth() {
-    // 16 tiles: 2-layer butterfly still gets the mid register -> 5 cycles.
-    assert_eq!(probe(config_with_tiles(Topology::Top1, 16), 1 << 6), 5);
-    // 4 tiles: a single-layer network has no mid register in either
-    // direction -> 3 cycles (tile req reg + bank + tile resp reg).
-    assert_eq!(probe(config_with_tiles(Topology::Top1, 4), 1 << 6), 3);
+    for topology in [Topology::Top1, Topology::Top4] {
+        for (tiles, cycles) in [(4, 3), (16, 5)] {
+            assert_eq!(
+                probe(config_with_tiles(topology, tiles), 1 << 6),
+                cycles,
+                "{topology} at {tiles} tiles"
+            );
+        }
+    }
 }
 
 #[test]

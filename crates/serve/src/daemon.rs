@@ -9,15 +9,15 @@
 //! answers the complete request lines, relays the worker lines the
 //! [`Fleet`] read, ticks the fleet (deadline kills, reaping), and
 //! dispatches queued jobs into free worker slots. A connection
-//! ([`Conn`]) is a nonblocking socket with a request line buffer and a
+//! (`Conn`) is a nonblocking socket with a request line buffer and a
 //! queue of reply bytes: what the socket does not take at once waits in
 //! the queue until the socket polls writable, so a client that stops
 //! reading holds up only its own queue. A hang-up closes the connection
 //! and ends its subscriptions.
 //!
-//! The job table has two halves. A live job ([`LiveJob`]) holds what a
+//! The job table has two halves. A live job (`LiveJob`) holds what a
 //! worker or a subscriber needs: its spec, its subscribers, its clock. A
-//! finished job keeps only its [`JobRecord`] — status, attempt, stream
+//! finished job keeps only its `JobRecord` — status, attempt, stream
 //! position, last heartbeat and timeline, 96 bytes plus 24 per timeline
 //! event — for the late readers (`status`, `wait`/`watch`, `cancel`,
 //! `timeline`, `health`). Its spec is dropped: a finished job never runs
@@ -28,7 +28,7 @@
 //! later, read it back from the journal file.
 //!
 //! The worker processes themselves belong to the shared
-//! [`Fleet`](mempool_traffic::Fleet): it spawns them, reads their stdout,
+//! [`Fleet`]: it spawns them, reads their stdout,
 //! classifies how each attempt ended (`panic` / `signal` / `timeout` /
 //! `oom` / `exit`), and decides between a retry from the job's last
 //! checkpoint under the seeded [`RetryPolicy`] and giving up (budget

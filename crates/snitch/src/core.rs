@@ -335,22 +335,9 @@ impl SnitchCore {
         self.pc
     }
 
-    /// Sets the program counter (e.g. to a per-hart entry point).
-    pub fn set_pc(&mut self, pc: u32) {
-        self.pc = pc;
-    }
-
     /// Reads an architectural register.
     pub fn reg(&self, reg: Reg) -> u32 {
         self.regs[reg.index() as usize]
-    }
-
-    /// Writes an architectural register (test setup; `x0` writes are
-    /// ignored).
-    pub fn set_reg(&mut self, reg: Reg, value: u32) {
-        if !reg.is_zero() {
-            self.regs[reg.index() as usize] = value;
-        }
     }
 
     /// Whether the core has executed `ecall`/`ebreak`/`wfi` or faulted.

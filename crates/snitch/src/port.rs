@@ -64,11 +64,6 @@ impl DataRequestKind {
     pub fn is_write(&self) -> bool {
         !matches!(self, DataRequestKind::Load(_) | DataRequestKind::LoadReserved)
     }
-
-    /// Whether the response carries data the core writes to a register.
-    pub fn has_result(&self) -> bool {
-        !matches!(self, DataRequestKind::Store { .. })
-    }
 }
 
 /// A completed memory operation returning to the core.

@@ -3,8 +3,8 @@
 //! `mempool-power-v1`, the folded profile, the `mempool-trace-v1` Chrome
 //! trace, `mempool-campaign-metrics-v1` with its embedded registries, and
 //! the `run --json` record; and the `profile` subcommand's two reports.
-//! Each is produced by the built binary from the same commands CI's smoke
-//! job runs.
+//! Each is produced by the built binary and left in
+//! `target/tmp/documents/<test>/`, which CI uploads.
 
 use mempool::json::{parse, Value};
 use std::path::{Path, PathBuf};
@@ -17,8 +17,11 @@ const PROGRAM: &str = "csrr t0, mhartid\nli a0, 0x8000\nli a1, 1\namoadd.w a2, a
                        slli t1, t0, 2\nli t2, 0x10000\nadd t1, t1, t2\nsw t0, 0(t1)\n\
                        lw t3, 0(t1)\nfence\necall\n";
 
+/// A fresh directory for one test's documents, kept after the run.
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mempool-docs-{}-{name}", std::process::id()));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("documents")
+        .join(name);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
@@ -157,7 +160,6 @@ fn a_profiled_run_exports_schema_valid_metrics_power_profile_and_trace() {
     assert!(events
         .iter()
         .any(|e| e["name"].as_str() == Some("process_name")));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `profile` prints the region breakdown and the hottest PCs; `profile
@@ -200,7 +202,6 @@ fn the_profile_subcommand_reports_regions_and_host_phases() {
     );
     assert!(total > 0.0, "{host}");
     assert!(host.contains("ms of the run's"), "{host}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -236,7 +237,6 @@ fn a_load_sweep_exports_campaign_metrics_with_embedded_registries() {
         assert!(num(&point["throughput"]) > 0.0, "{point:?}");
         check_metrics(&point["metrics"]);
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -256,5 +256,4 @@ fn the_run_record_carries_its_digests_as_hex_strings() {
     }
     assert_eq!(record["cycles"], record["run_cycles"]);
     assert_eq!(int(&record["faults"]["injected"]), 0);
-    std::fs::remove_dir_all(&dir).ok();
 }
