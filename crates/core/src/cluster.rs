@@ -132,29 +132,13 @@ struct IssuePath<'a> {
     scrambler: Option<Scrambler>,
     map: AddressMap,
     quarantine: &'a QuarantineMap,
-    /// Tiles per group on TopH, whose remote requests are classified by
-    /// direction; `None` on the flat topologies.
-    hier_tpg: Option<usize>,
+    /// The group of every tile on TopH, whose remote requests are
+    /// classified by direction; `None` on the flat topologies.
+    groups: Option<&'a [u32]>,
     now: u64,
 }
 
-impl<'a> IssuePath<'a> {
-    fn new(
-        config: &ClusterConfig,
-        scrambler: Option<Scrambler>,
-        map: AddressMap,
-        quarantine: &'a QuarantineMap,
-        now: u64,
-    ) -> Self {
-        IssuePath {
-            scrambler,
-            map,
-            quarantine,
-            hier_tpg: (config.topology == Topology::TopH).then(|| config.tiles_per_group()),
-            now,
-        }
-    }
-
+impl IssuePath<'_> {
     /// Scramble, decode, remap around quarantined banks, classify by
     /// locality. Returns the request core `core` of tile `tile` latches, or
     /// `None` when the address lies outside L1 — a guest-program bug: the
@@ -187,8 +171,8 @@ impl<'a> IssuePath<'a> {
             k.local_requests += 1;
         } else {
             k.remote_requests += 1;
-            if let Some(tpg) = self.hier_tpg {
-                match group_port(tile / tpg, at.tile as usize / tpg) {
+            if let Some(group) = self.groups {
+                match group_port(group[tile] as usize, group[at.tile as usize] as usize) {
                     0 => k.group_local_requests += 1,
                     port => k.direction_requests[port - 1] += 1, // N, NE, E
                 }
@@ -1285,8 +1269,8 @@ impl<C: Core> Cluster<C> {
             for t in 0..self.tiles.len() {
                 let net = &self.net;
                 let tile = &mut self.tiles[t];
-                let port_for = |resp: &Response| net.resp_port_for(t, resp);
-                tile.route_responses(t, cpt, &mut self.deliveries, port_for);
+                let port_for = |resp: &Response| net.tile_resp_port(t, resp);
+                tile.route_responses(cpt, &mut self.deliveries, port_for);
             }
         }
         host::lap(&mut self.host, HostRow::TileResponses);
@@ -1306,7 +1290,13 @@ impl<C: Core> Cluster<C> {
 
         // 3. Core phase, tile by tile: each tile's lanes fetch through that
         //    tile's I-cache.
-        let path = IssuePath::new(&self.config, self.scrambler, self.map, &self.quarantine, now);
+        let path = IssuePath {
+            scrambler: self.scrambler,
+            map: self.map,
+            quarantine: &self.quarantine,
+            groups: self.net.tile_groups(),
+            now,
+        };
         let mut issues = IssueCounters::default();
         let image = &self.image;
         let lanes = self

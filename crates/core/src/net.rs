@@ -294,14 +294,49 @@ enum Ports {
     /// Top4: lane `l` owns port `l`. The per-tile arbiters never grant;
     /// they keep the snapshot layout Top4 shares with Top1.
     PerLane(Vec<RoundRobin>),
-    /// TopH, `ByGroup(tiles_per_group, routers)`: L, N, NE or E by
-    /// [`group_port`], through a lanes × 4 crossbar per tile.
-    ByGroup(usize, Vec<Fabric>),
+    /// TopH: L, N, NE or E by [`group_port`], through a lanes × 4
+    /// crossbar per tile.
+    ByGroup(Vec<Fabric>),
+}
+
+/// Where every core and tile sits: core → tile and lane, tile → group.
+/// Built once with the network, so no per-packet routing step divides by
+/// the tile width (any of 1..=32) or the group width.
+pub(crate) struct Seats {
+    /// `(tile, lane)` of every core.
+    core: Vec<(u32, u32)>,
+    /// The group of every tile.
+    group: Vec<u32>,
+}
+
+impl Seats {
+    fn new(config: &ClusterConfig) -> Seats {
+        let (cpt, tpg) = (config.cores_per_tile, config.tiles_per_group());
+        let seat = |core| ((core / cpt) as u32, (core % cpt) as u32);
+        Seats {
+            core: (0..config.num_cores()).map(seat).collect(),
+            group: (0..config.num_tiles)
+                .map(|tile| (tile / tpg) as u32)
+                .collect(),
+        }
+    }
+
+    /// The tile of `core`.
+    #[inline]
+    pub fn tile(&self, core: u32) -> usize {
+        self.core[core as usize].0 as usize
+    }
+
+    /// The group of every tile.
+    pub fn groups(&self) -> &[u32] {
+        &self.group
+    }
 }
 
 pub(crate) struct Net {
     ports: Ports,
     cores_per_tile: usize,
+    seats: Seats,
     /// In link-id order.
     rows: Vec<Row>,
     /// In snapshot order.
@@ -332,12 +367,13 @@ impl Net {
             Topology::Top4 => Ports::PerLane(arbiters(n, cpt)),
             Topology::TopH => {
                 let router = |_| Fabric::crossbar(cpt, 4).expect("validated");
-                Ports::ByGroup(config.tiles_per_group(), (0..n).map(router).collect())
+                Ports::ByGroup((0..n).map(router).collect())
             }
         };
         let mut net = Net {
             ports,
             cores_per_tile: cpt,
+            seats: Seats::new(config),
             rows: Vec::new(),
             fabrics: Vec::new(),
             stages: [Vec::new(), Vec::new()],
@@ -448,15 +484,31 @@ impl Net {
         }
     }
 
-    /// The tile response-crossbar output port (0-based among the K remote
-    /// ports) a remote response leaves through.
-    pub fn resp_port_for(&self, tile: usize, resp: &Response) -> usize {
-        let core = resp.core as usize;
-        match &self.ports {
-            Ports::None(_) | Ports::One(_) => 0,
-            Ports::PerLane(_) => core % self.cores_per_tile,
-            Ports::ByGroup(tpg, _) => group_port(tile / tpg, core / self.cores_per_tile / tpg),
+    /// The group of every tile on TopH, whose remote requests are
+    /// classified by direction; `None` on the other networks.
+    pub fn tile_groups(&self) -> Option<&[u32]> {
+        matches!(self.ports, Ports::ByGroup(_)).then(|| self.seats.groups())
+    }
+
+    /// The output of `tile`'s response crossbar a response takes: its
+    /// core's lane when the core is in `tile`, else `cores_per_tile` plus
+    /// the remote port it leaves through.
+    #[inline]
+    pub fn tile_resp_port(&self, tile: usize, resp: &Response) -> usize {
+        let (home, lane) = self.seats.core[resp.core as usize];
+        let (home, lane) = (home as usize, lane as usize);
+        if home == tile {
+            return lane;
         }
+        self.cores_per_tile
+            + match &self.ports {
+                Ports::None(_) | Ports::One(_) => 0,
+                Ports::PerLane(_) => lane,
+                Ports::ByGroup(_) => {
+                    let group = &self.seats.group;
+                    group_port(group[tile] as usize, group[home] as usize)
+                }
+            }
     }
 
     pub fn deliver_master_resp(&mut self, tiles: &mut [Tile], deliveries: &mut Vec<Response>) {
@@ -470,19 +522,25 @@ impl Net {
     }
 
     pub fn route_responses(&mut self, tiles: &mut [Tile]) {
-        let cpt = self.cores_per_tile;
-        self.walk(1, tiles, |resp: &Response| resp.core as usize / cpt);
+        self.walk(1, tiles, |seats, resp: &Response| seats.tile(resp.core));
     }
 
     pub fn route_longhaul_requests(&mut self, tiles: &mut [Tile], map: &AddressMap) {
-        self.walk(0, tiles, |req: &Request| {
+        self.walk(0, tiles, |_, req: &Request| {
             map.decode(req.addr).expect("validated").tile as usize
         });
     }
 
     /// Runs the stage list of direction `dir` (0 for requests, 1 for
     /// responses); `dest` names the tile a packet is bound for.
-    fn walk<T: Packet>(&mut self, dir: usize, tiles: &mut [Tile], dest: impl Fn(&T) -> usize) {
+    fn walk<T: Packet>(
+        &mut self,
+        dir: usize,
+        tiles: &mut [Tile],
+        dest: impl Fn(&Seats, &T) -> usize,
+    ) {
+        let seats = &self.seats;
+        let dest = |packet: &T| dest(seats, packet);
         let w = &mut Wires {
             rows: &mut self.rows,
             tiles,
@@ -521,7 +579,7 @@ impl Net {
         let Some(Row::Req(master)) = self.rows.get_mut(MASTER_REQ) else {
             return;
         };
-        let cpt = self.cores_per_tile;
+        let (cpt, groups) = (self.cores_per_tile, self.seats.groups());
         let dest = |req: &Request| map.decode(req.addr).expect("validated").tile as usize;
         for (tile, lanes) in latches.chunks_mut(cpt).enumerate() {
             let leaves = |lane: &Option<Request>| lane.as_ref().is_some_and(|r| dest(r) != tile);
@@ -546,13 +604,14 @@ impl Net {
                         }
                     }
                 }
-                Ports::ByGroup(tpg, routers) => routers[tile].route(
+                Ports::ByGroup(routers) => routers[tile].route(
                     &mut (lanes, &mut *master),
                     |(lanes, _), want| {
+                        let home = groups[tile] as usize;
                         for (lane, req) in lanes.iter().enumerate() {
                             let dst = req.as_ref().map_or(tile, dest);
                             if dst != tile {
-                                want.add(lane, group_port(tile / *tpg, dst / *tpg));
+                                want.add(lane, group_port(home, groups[dst] as usize));
                             }
                         }
                     },
@@ -830,7 +889,7 @@ impl Walk for Row {
 /// crossbar's or of Top1/Top4's per-tile ones, or TopH's port routers.
 impl Walk for Ports {
     fn walk<Io: StateIo>(io: &mut Io, mut this: Place<'_, Io, Self>) -> Walked {
-        if let Some(mut routers) = at!(this, Ports::ByGroup(_, routers) => routers) {
+        if let Some(mut routers) = at!(this, Ports::ByGroup(routers) => routers) {
             return io.walk(routers.at(|v| &v[..], |v| &mut v[..]));
         }
         let rrs = at!(this,

@@ -298,10 +298,10 @@ impl Tile {
 
     /// Resolves the tile response crossbar: bank response registers route to
     /// local cores (delivered into `deliveries`) or to the K outbound
-    /// response-port latches. `port_for` maps a remote response to its port.
+    /// response-port latches. `port_for` maps a response to its crossbar
+    /// output: the core's lane, or `cores_per_tile` plus a remote port.
     pub fn route_responses(
         &mut self,
-        tile_index: usize,
         cores_per_tile: usize,
         deliveries: &mut Vec<Response>,
         port_for: impl Fn(&Response) -> usize,
@@ -313,14 +313,7 @@ impl Tile {
         self.resp_fabric.route(
             &mut (&mut self.bank_resp, &mut self.resp_out, deliveries),
             |(bank_resp, ..), want| {
-                bank_resp.for_each_head(0, banks, |bank, resp| {
-                    let port = if resp.core as usize / cores_per_tile == tile_index {
-                        resp.core as usize % cores_per_tile
-                    } else {
-                        cores_per_tile + port_for(resp)
-                    };
-                    want.add(bank, port);
-                });
+                bank_resp.for_each_head(0, banks, |bank, resp| want.add(bank, port_for(resp)));
             },
             // Local cores always sink responses (LSU slot reserved).
             |(_, resp_out, _), port| {

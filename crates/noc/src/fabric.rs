@@ -91,6 +91,11 @@ pub struct Fabric {
     /// The packets still in contention, in the order they were entered;
     /// empty between arbitrations, never more than one per input.
     packets: Vec<Packet>,
+    /// `won[input * (n_layers - 1) + layer]`: the arbiter the packet on
+    /// `input` won in `layer` and the line it won on, for every layer but
+    /// the last, so an accepted packet advances exactly those arbiters
+    /// without walking its path again. Empty on a one-layer fabric.
+    won: Vec<(u32, u32)>,
 }
 
 /// One contender on its way through the layers.
@@ -293,6 +298,7 @@ impl Fabric {
             words,
             want: vec![0; n_layers * n_out * words],
             packets: Vec::with_capacity(n_in),
+            won: vec![(0, 0); n_in * (n_layers - 1)],
         }
     }
 
@@ -447,11 +453,13 @@ impl Fabric {
     /// closest to the round-robin pointer of the output it asks for; it
     /// then clears that output's mask — so the output's other requesters,
     /// whichever side of it they are on in the list, find themselves
-    /// either outranked or alone with an empty mask — and enters its line
-    /// behind the switch in the next layer's. A packet that wins the last
-    /// layer has its terminal sampled through `ready`; if accepted, the
-    /// arbiters along its path advance past it (no later pick of this
-    /// arbitration reads them). What remains in `packets` is granted.
+    /// either outranked or alone with an empty mask — records the arbiter
+    /// it won, and enters its line behind the switch in the next layer's.
+    /// A packet that wins the last layer has its terminal sampled through
+    /// `ready`; if accepted, the arbiters it won advance past it (no later
+    /// pick of this arbitration reads them). What remains in `packets` is
+    /// granted. On a one-layer fabric — every crossbar — this is a single
+    /// pass that records nothing: pick, clear, probe, advance.
     #[inline]
     fn arbitrate(&mut self, mut ready: impl FnMut(usize) -> bool) {
         let Fabric {
@@ -460,6 +468,7 @@ impl Fabric {
             words,
             want,
             packets,
+            won,
         } = self;
         let (words, ports, last) = (*words, wiring.n_out, wiring.n_layers - 1);
         for layer in 0..=last {
@@ -468,19 +477,18 @@ impl Fabric {
             let mut kept = 0;
             for i in 0..packets.len() {
                 let mut packet = packets[i];
-                let (line, out, dest) = (
-                    packet.line as usize,
-                    packet.out as usize,
-                    packet.dest as usize,
-                );
+                let (line, out) = (packet.line as usize, packet.out as usize);
+                let arbiter = layer * ports + out;
                 let mask = &mut here[out * words..][..words];
-                if arbiters[layer * ports + out].pick(mask) != Some(line) {
+                if arbiters[arbiter].pick(mask) != Some(line) {
                     continue;
                 }
                 mask.fill(0);
+                let path = packet.input as usize * last;
                 if layer < last {
+                    won[path + layer] = (arbiter as u32, line as u32);
                     let line = wiring.line_behind(out);
-                    let out = wiring.out_port(layer + 1, line, dest);
+                    let out = wiring.out_port(layer + 1, line, packet.dest as usize);
                     set_bit(&mut ahead[out * words..], line);
                     (packet.line, packet.out) = (line as u32, out as u32);
                 } else {
@@ -489,10 +497,10 @@ impl Fabric {
                         continue;
                     }
                     packet.out = landing as u32;
-                    for hop in wiring.hops(packet.input as usize, dest) {
-                        arbiters[hop.layer as usize * ports + hop.out_port as usize]
-                            .advance_past(hop.in_port as usize);
+                    for &(arbiter, line) in &won[path..path + last] {
+                        arbiters[arbiter as usize].advance_past(line as usize);
                     }
+                    arbiters[arbiter].advance_past(line);
                 }
                 packets[kept] = packet;
                 kept += 1;

@@ -172,6 +172,14 @@ impl StdRng {
     pub fn state(&self) -> u64 {
         self.state
     }
+
+    /// Moves the stream `n` draws ahead in one step: the state is a counter
+    /// stepped by a constant, so this is what `n` calls of
+    /// [`next_u64`](RngCore::next_u64) leave behind.
+    #[inline]
+    pub fn advance(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GOLDEN_GAMMA));
+    }
 }
 
 /// The splitmix64 finalizer: bijective, avalanching mix of a 64-bit word.
@@ -269,6 +277,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1234567);
         assert_eq!(rng.next_u64(), 0x599e_d017_fb08_fc85);
         assert_eq!(rng.next_u64(), 0x2c73_f084_5854_0fa5);
+    }
+
+    #[test]
+    fn advance_equals_that_many_draws() {
+        for (seed, n) in [(0, 0), (7, 1), (99, 2), (u64::MAX, 3), (1234567, 1000)] {
+            let mut drawn = StdRng::seed_from_u64(seed);
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            let mut advanced = StdRng::seed_from_u64(seed);
+            advanced.advance(n);
+            assert_eq!(advanced, drawn, "seed {seed}, {n} draws");
+            assert_eq!(advanced.next_u64(), drawn.next_u64());
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use mempool::{Core, LatencyStats, Place, SnapshotError, StateIo, Walk, Walked};
 use mempool_riscv::LoadOp;
 use mempool_snitch::{DataRequest, DataRequestKind, DataResponse, Fetch};
 use mempool_rng::StdRng;
-use mempool_rng::{Rng, SeedableRng};
+use mempool_rng::{Rng, RngCore, SeedableRng};
 use std::collections::VecDeque;
 
 /// Destination distribution of generated requests.
@@ -209,22 +209,65 @@ pub struct TrafficGen {
 struct Source {
     /// `exp(-rate)`, the stopping threshold of every arrival draw.
     arrival_floor: f64,
+    /// `⌊exp(-rate) · 2⁵³⌋`: a cycle has no arrival exactly when the top
+    /// 53 bits of its first word are at most this.
+    no_arrival_below: u64,
     pattern: Pattern,
     space: AddressSpace,
 }
 
+/// `2⁻⁵³`: one step of a uniform `f64` drawn from the top 53 bits of a word.
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
 impl Source {
+    fn new(rate: f64, pattern: Pattern, space: AddressSpace) -> Source {
+        let arrival_floor = (-rate).exp();
+        Source {
+            arrival_floor,
+            no_arrival_below: (arrival_floor * (1u64 << 53) as f64).floor() as u64,
+            pattern,
+            space,
+        }
+    }
+
+    /// Whether a cycle whose first word is `word` has no arrival: Knuth's
+    /// first test `u₁ ≤ exp(-rate)` in integers. `u₁` is the top 53 bits
+    /// times `2⁻⁵³`, and scaling by a power of two is exact, so the two
+    /// tests agree on every word.
+    #[inline]
+    fn no_arrival(&self, word: u64) -> bool {
+        word >> 11 <= self.no_arrival_below
+    }
+
     /// Samples the number of Poisson arrivals of one cycle (Knuth's method —
-    /// rates of interest are well below 1).
+    /// rates of interest are well below 1). The f64 product runs only once
+    /// the first draw has shown an arrival.
     fn arrivals(&self, rng: &mut StdRng) -> u32 {
-        let mut k = 0;
-        let mut p = 1.0;
+        let word = rng.next_u64();
+        if self.no_arrival(word) {
+            return 0;
+        }
+        let mut k = 1;
+        let mut p = (word >> 11) as f64 * UNIT;
         loop {
             p *= rng.gen::<f64>();
             if p <= self.arrival_floor {
                 return k;
             }
             k += 1;
+        }
+    }
+
+    /// How many draws [`pick_address`](Source::pick_address) takes: fixed
+    /// by the pattern, since every draw is one word of the stream.
+    fn draws_per_address(&self) -> u64 {
+        match self.pattern {
+            Pattern::Uniform | Pattern::HotSpot { .. } => 1,
+            // The locality coin, then one offset on either side of it.
+            Pattern::PLocal { .. } if self.space.seq_bytes > 0 => 2,
+            Pattern::PLocal { .. } => 1,
+            // A row, then a bank.
+            Pattern::Permutation(_) => 2,
         }
     }
 
@@ -322,11 +365,7 @@ impl TrafficGen {
         let rng = StdRng::seed_from_u64(seed);
         TrafficGen {
             rate,
-            source: Source {
-                arrival_floor: (-rate).exp(),
-                pattern,
-                space,
-            },
+            source: Source::new(rate, pattern, space),
             cursor: Cursor {
                 rng: rng.clone(),
                 cycle: 0,
@@ -498,11 +537,9 @@ impl Core for TrafficGen {
                 left: n,
             };
         }
-        // The addresses are drawn to keep the stream where it was; the
-        // cursor draws them again when they are injected.
-        for _ in 0..n {
-            self.source.pick_address(&mut self.rng);
-        }
+        // The stream moves past this cycle's addresses undrawn; the cursor
+        // draws them when they are injected.
+        self.rng.advance(u64::from(n) * self.source.draws_per_address());
         self.owed += u64::from(n);
         self.stats.generated += u64::from(n);
         if !request_ready || self.queue_len() == 0 {
@@ -698,6 +735,77 @@ mod tests {
         }
         assert!(gen.done());
         assert_eq!(gen.stats().injected, gen.stats().completed);
+    }
+
+    /// The integer no-arrival test answers Knuth's first f64 step on every
+    /// word: on both sides of each rate's boundary and at random words.
+    #[test]
+    fn the_integer_no_arrival_test_is_the_first_f64_step() {
+        let mut rng = StdRng::seed_from_u64(0x6b0);
+        for rate in [0.0, 0.01, 0.5, 1.0, 3.0] {
+            let source = Source::new(rate, Pattern::Uniform, space());
+            let knuth =
+                |word| 1.0 * mempool_rng::StepRng::new(word, 0).gen::<f64>() <= (-rate).exp();
+            let bound = source.no_arrival_below;
+            let tops = (bound.saturating_sub(2)..=bound + 2).filter(|&top| top < 1 << 53);
+            let near: Vec<u64> = tops
+                .flat_map(|top| [0, 1, 0x7ff].map(|low| top << 11 | low))
+                .collect();
+            // Both outcomes occur at the boundary of every rate but 0.
+            let both = near.iter().any(|&w| knuth(w)) && near.iter().any(|&w| !knuth(w));
+            assert!(rate == 0.0 || both, "rate {rate}");
+            let random = (0..100_000).map(|_| rng.next_u64());
+            for word in near.into_iter().chain(random) {
+                assert_eq!(source.no_arrival(word), knuth(word), "rate {rate}, word {word:#x}");
+            }
+        }
+    }
+
+    /// Whole draws: the same counts as Knuth's product, leaving the stream
+    /// in the same place.
+    #[test]
+    fn arrivals_draw_what_knuths_method_draws() {
+        for rate in [0.0, 0.01, 0.5, 1.0, 3.0] {
+            let source = Source::new(rate, Pattern::Uniform, space());
+            let mut rng = StdRng::seed_from_u64(rate.to_bits());
+            let mut reference = rng.clone();
+            for _ in 0..20_000 {
+                let (mut k, mut p) = (0, 1.0);
+                loop {
+                    p *= reference.gen::<f64>();
+                    if p <= (-rate).exp() {
+                        break;
+                    }
+                    k += 1;
+                }
+                assert_eq!(source.arrivals(&mut rng), k, "rate {rate}");
+                assert_eq!(rng, reference, "rate {rate}");
+            }
+        }
+    }
+
+    #[test]
+    fn draws_per_address_is_what_pick_address_draws() {
+        let patterns = [
+            Pattern::Uniform,
+            Pattern::PLocal { p_local: 0.0 },
+            Pattern::PLocal { p_local: 1.0 },
+            Pattern::Permutation(Permutation::BitComplement),
+            Pattern::Permutation(Permutation::TileTranspose),
+        ];
+        let no_seq = AddressSpace { seq_bytes: 0, ..space() };
+        let cases = patterns.into_iter().chain(other_patterns()).map(|p| (p, space()));
+        let cases = cases.chain([(Pattern::PLocal { p_local: 0.5 }, no_seq)]);
+        for (pattern, space) in cases {
+            let source = Source::new(0.5, pattern, space);
+            let mut rng = StdRng::seed_from_u64(3);
+            for _ in 0..1_000 {
+                let mut skipped = rng.clone();
+                skipped.advance(source.draws_per_address());
+                source.pick_address(&mut rng);
+                assert_eq!(rng, skipped, "{pattern:?}, seq_bytes {}", space.seq_bytes);
+            }
+        }
     }
 
     /// The generator as it was before its hot paths were rewritten: a

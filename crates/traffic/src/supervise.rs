@@ -1213,6 +1213,7 @@ mod tests {
     #[cfg(unix)]
     mod fleet {
         use super::super::*;
+        use std::collections::VecDeque;
 
         /// One script serves every fake worker: it runs the "job document" it
         /// reads from stdin as shell. Written once, before any test forks, so no
@@ -1239,14 +1240,17 @@ mod tests {
             }
         }
 
-        /// Drives the fleet the way a driver does until one worker is reaped.
-        fn reap_one(fleet: &mut Fleet) -> (u64, Outcome) {
+        /// Drives the fleet the way a driver does until one worker is
+        /// reaped. Every worker a tick reaps joins `queue`, which is drained
+        /// first, so workers that exit together are each returned once.
+        fn reap_one(fleet: &mut Fleet, queue: &mut VecDeque<(u64, Outcome)>) -> (u64, Outcome) {
             let started = Instant::now();
             loop {
-                fleet.wait();
-                if let Some(reaped) = fleet.tick().reaped.pop() {
+                if let Some(reaped) = queue.pop_front() {
                     return reaped;
                 }
+                fleet.wait();
+                queue.extend(fleet.tick().reaped);
                 assert!(started.elapsed() < Duration::from_secs(30), "worker never exited");
             }
         }
@@ -1255,7 +1259,7 @@ mod tests {
             let mut fleet = Fleet::new(no_backoff());
             fleet.spawn(9, Some(sh_worker()), shell, deadline).expect("spawns");
             assert_eq!(fleet.running(), 1);
-            let (key, outcome) = reap_one(&mut fleet);
+            let (key, outcome) = reap_one(&mut fleet, &mut VecDeque::new());
             assert_eq!((key, fleet.running()), (9, 0));
             outcome
         }
@@ -1298,20 +1302,21 @@ mod tests {
             fleet.watch(6);
             fleet.watch(7); // no such worker
             let done = Outcome::Result("watch then eof".to_owned());
-            assert_eq!(reap_one(&mut fleet), (6, done));
+            let queue = &mut VecDeque::new();
+            assert_eq!(reap_one(&mut fleet, queue), (6, done));
             // Unwatched, the worker's stdin is still open: it reads nothing.
             let shell = "read -r w; echo \"result $w\"";
             let deadline = Some(Duration::from_millis(300));
             fleet.spawn(8, Some(sh_worker()), shell, deadline).expect("spawns");
             let killed = "deadline exceeded (worker killed)".to_owned();
             let timeout = Outcome::Failed(FailureKind::Timeout, killed);
-            assert_eq!(reap_one(&mut fleet), (8, timeout));
+            assert_eq!(reap_one(&mut fleet, queue), (8, timeout));
             // `watch_all` reaches every live worker.
             for key in [1, 2] {
                 fleet.spawn(key, Some(sh_worker()), shell, None).expect("spawns");
             }
             fleet.watch_all();
-            let mut reaped = [reap_one(&mut fleet), reap_one(&mut fleet)];
+            let mut reaped = [reap_one(&mut fleet, queue), reap_one(&mut fleet, queue)];
             reaped.sort_by_key(|(key, _)| *key);
             let watched = Outcome::Result("watch".to_owned());
             assert_eq!(reaped, [(1, watched.clone()), (2, watched)]);
@@ -1382,11 +1387,12 @@ mod tests {
         /// Runs `shells` as successive attempts of key 3; returns each verdict.
         fn verdicts(policy: &RetryPolicy, shells: &[&str]) -> Vec<Verdict> {
             let mut fleet = Fleet::new(policy.clone());
+            let queue = &mut VecDeque::new();
             shells
                 .iter()
                 .map(|shell| {
                     fleet.spawn(3, Some(sh_worker()), shell, None).expect("spawns");
-                    let (_, Outcome::Failed(kind, detail)) = reap_one(&mut fleet) else {
+                    let (_, Outcome::Failed(kind, detail)) = reap_one(&mut fleet, queue) else {
                         panic!("`{shell}` should fail");
                     };
                     fleet.fail(3, kind, detail)

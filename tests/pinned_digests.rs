@@ -150,6 +150,48 @@ fn digests_match_the_values_recorded_before_the_rewrite() {
     );
 }
 
+/// `(topology/faults, digest after CYCLES)` of a 16-tile traffic cluster
+/// with three cores per tile, recorded before the routing stages read
+/// core → tile, core → lane and tile → group from tables. A tile width that
+/// is not a power of two is where a shift or a mask in place of a division
+/// would go wrong.
+const PINNED_THREE_LANES: &[(&str, u64)] = &[
+    ("ideal/clean", 0x7bd80d3b6c88d86b),
+    ("ideal/faults", 0xc9d4b690f0ec4adc),
+    ("top1/clean", 0xbf57623432ab1762),
+    ("top1/faults", 0x3c0dd9461188a39e),
+    ("top4/clean", 0x6b45b6a25d6d34c8),
+    ("top4/faults", 0x5f6951891b590d75),
+    ("topH/clean", 0x8a548631a2d8e697),
+    ("topH/faults", 0x35de79f562ef6c0d),
+];
+
+#[test]
+fn three_lane_tiles_match_the_values_recorded_before_the_tables() {
+    let mut actual = Vec::new();
+    for topology in Topology::all() {
+        for faulted in [false, true] {
+            let mut config = config(topology, 64, faulted);
+            config.cores_per_tile = 3;
+            let digest = digest_after(traffic_cluster(config), faulted);
+            let name = format!("{topology}/{}", if faulted { "faults" } else { "clean" });
+            actual.push((name, digest));
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(name, digest)| format!("    (\"{name}\", {digest:#018x}),\n"))
+        .collect();
+    let pinned: Vec<(String, u64)> = PINNED_THREE_LANES
+        .iter()
+        .map(|&(n, d)| (n.to_owned(), d))
+        .collect();
+    assert!(
+        actual == pinned,
+        "state digests moved; the run produced:\n{table}"
+    );
+}
+
 /// `(image, fnv64 of the whole checkpoint image)`: the header, the input
 /// section (fault-plan parameters and scheduled bank failures) and the state
 /// section, pinned byte for byte rather than against an encoder of the
